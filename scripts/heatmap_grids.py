@@ -23,8 +23,6 @@ def parse_args(argv=None):
                         help="grid resolution per axis (default 21)")
     parser.add_argument("--t2", type=float, action="append", default=None,
                         help="memory T2 in seconds (repeatable); default: configured T2")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: THREADS env or 1)")
     return parser.parse_args(argv)
 
 
@@ -38,7 +36,7 @@ def main(argv=None) -> int:
     )
     args.outdir.mkdir(parents=True, exist_ok=True)
     for cfg in configs:
-        rows = run_sweep([cfg], spec, threads=args.threads)
+        rows = run_sweep([cfg], spec)
         out = emit(rows, "csv", args.outdir / f"{cfg.name}.csv")
         failed = sum(1 for r in rows if r.error is not None)
         note = f"  ({failed} rows failed)" if failed else ""

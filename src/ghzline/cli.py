@@ -18,9 +18,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -45,7 +43,7 @@ from .netmodel import (
     yield_with_memory,
 )
 from .protocol import NoiseParams
-from .rates import full_report
+from .rates import full_report, rate_reports
 
 CSV_COLUMNS = (
     "segment",
@@ -217,25 +215,20 @@ def _axis(rng: tuple[float, float, int]) -> list[float]:
     return [float(x) for x in np.linspace(lo, hi, int(steps))]
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ValueError(f"THREADS must be an integer, got {raw!r}") from exc
-
-
-def _eval_point(
-    cfg: TrioConfig, fd: float, fg: float, memory: bool, t2: float | None
-) -> SweepRow:
-    try:
-        if memory and cfg.memory is None:
-            raise ValueError(f"segment {cfg.name} has no memory parameters")
-        cfg_run = cfg
-        if memory and t2 is not None:
-            cfg_run = replace(cfg, memory=replace(cfg.memory, t2=t2))
-        rep = full_report(cfg_run, NoiseParams(channel_depol=fd, gate_fail=fg), use_memory=memory)
-        return SweepRow(
+def _eval_block(
+    cfg: TrioConfig, grid: list[tuple[float, float]], memory: bool, t2: float | None
+) -> list[SweepRow]:
+    """Rows of one (segment, memory, T2) block, in grid order, from one
+    engine call; raises ValueError if any point cannot be evaluated."""
+    if memory and cfg.memory is None:
+        raise ValueError(f"segment {cfg.name} has no memory parameters")
+    cfg_run = cfg
+    if memory and t2 is not None:
+        cfg_run = replace(cfg, memory=replace(cfg.memory, t2=t2))
+    noises = [NoiseParams(channel_depol=fd, gate_fail=fg) for fd, fg in grid]
+    reports = rate_reports(cfg_run, noises, use_memory=memory)
+    return [
+        SweepRow(
             segment=cfg.name,
             f_d=fd,
             f_g=fg,
@@ -248,7 +241,19 @@ def _eval_point(
             r_per_attempt=rep.r_per_attempt,
             r_per_second=rep.r_per_second,
         )
-    except Exception as exc:  # keep the sweep alive; the row records the failure
+        for (fd, fg), rep in zip(grid, reports)
+    ]
+
+
+def _eval_point(
+    cfg: TrioConfig, fd: float, fg: float, memory: bool, t2: float | None
+) -> SweepRow:
+    """One grid point on its own; a ValueError becomes a NaN row that
+    records the failure, so the rest of the sweep goes on."""
+    try:
+        (row,) = _eval_block(cfg, [(fd, fg)], memory, t2)
+        return row
+    except ValueError as exc:
         nan = float("nan")
         return SweepRow(
             segment=cfg.name,
@@ -266,18 +271,16 @@ def _eval_point(
         )
 
 
-def run_sweep(
-    configs, spec: SweepSpec = SweepSpec(), threads: int | None = None
-) -> list[SweepRow]:
+def run_sweep(configs, spec: SweepSpec = SweepSpec()) -> list[SweepRow]:
     """Evaluate the full grid, ordered by (segment, memory, T2, f_D, f_G).
 
-    Grid points are independent, so they may fan out to worker threads
-    (``threads`` argument, else the THREADS env var); assembly restores
-    order, making the output independent of the worker count.
+    Each (segment, memory, T2) block of the (f_D, f_G) grid is evaluated
+    by one engine call.  If that call raises ValueError, the block's
+    points are evaluated one at a time, so each failed point gets its own
+    NaN row and error text.
     """
-    fds = _axis(spec.fd_range)
-    fgs = _axis(spec.fg_range)
-    points: list[tuple[TrioConfig, float, float, bool, float | None]] = []
+    grid = [(fd, fg) for fd in _axis(spec.fd_range) for fg in _axis(spec.fg_range)]
+    rows: list[SweepRow] = []
     for cfg in sorted(configs, key=lambda c: c.name):
         for mode in ("off", "on"):
             if mode not in spec.memory_modes:
@@ -288,16 +291,13 @@ def run_sweep(
                 t2s = sorted(spec.t2_values)
             else:
                 t2s = [cfg.memory.t2 if cfg.memory else None]
+            memory = mode == "on"
             for t2 in t2s:
-                for fd in fds:
-                    for fg in fgs:
-                        points.append((cfg, fd, fg, mode == "on", t2))
-    if threads is None:
-        threads = _threads_from_env()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda args: _eval_point(*args), points))
-    return [_eval_point(*args) for args in points]
+                try:
+                    rows += _eval_block(cfg, grid, memory, t2)
+                except ValueError:
+                    rows += [_eval_point(cfg, fd, fg, memory, t2) for fd, fg in grid]
+    return rows
 
 
 def _g17(x: float) -> str:

@@ -17,6 +17,7 @@ Three channel families cover everything the extraction pipeline needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -125,14 +126,214 @@ def _as_amplitudes(state, dim: int) -> np.ndarray:
     return state.amplitudes
 
 
-def _permute_qubits(data: np.ndarray, order: list[int]) -> np.ndarray:
-    """Rearrange register slots so the qubit at slot s (holding original
-    index order[s]) returns to slot order[s]."""
-    n = len(order)
-    axes = [order.index(j) for j in range(n)]
-    t = data.reshape((2,) * (2 * n))
-    t = t.transpose(axes + [a + n for a in axes])
-    return np.ascontiguousarray(t).reshape(2**n, 2**n)
+# ---------------------------------------------------------------- stacks
+#
+# The engine works on stacks: arrays of shape (B, 2^n, 2^n), one state per
+# row, with a strength per row (or one scalar for every row).  Pauli
+# conjugations P rho P^dagger are applied as signed index permutations,
+# which are exact: X flips the qubit's bit on both indices, Z multiplies
+# entry (i, j) by the +-1 signs of that bit in i and j, and Y does both.
+# Sums are formed in a fixed order, so a row's result does not depend on
+# how many other rows share its stack.
+
+
+def _stack_qubits(rho: np.ndarray) -> int:
+    """Qubit count of a (B, 2^n, 2^n) stack, or raise ValueError."""
+    if rho.ndim != 3 or rho.shape[1] != rho.shape[2]:
+        raise ValueError(f"expected a (B, 2^n, 2^n) stack, got shape {rho.shape}")
+    return _qubit_count(rho.shape[1], allow_scalar=True)
+
+
+def _check_qubit(qubit: int, num_qubits: int) -> None:
+    if not 0 <= qubit < num_qubits:
+        raise ValueError(f"qubit index {qubit} out of range for {num_qubits} qubits")
+
+
+def _check_pair(q1: int, q2: int, num_qubits: int) -> None:
+    _check_qubit(q1, num_qubits)
+    _check_qubit(q2, num_qubits)
+    if q1 == q2:
+        raise ValueError("CZ needs two distinct qubits")
+
+
+def _row_strengths(strength, rows: int, hi: float, what: str) -> np.ndarray:
+    """Strengths shaped to broadcast over a stack of ``rows`` states.
+
+    A scalar applies to every row, a length-``rows`` vector one per row.
+    Every value must lie in [0, hi]; the first that does not is reported.
+    """
+    s = np.asarray(strength, dtype=float)
+    if s.ndim > 1 or (s.ndim == 1 and s.size != rows):
+        raise ValueError(f"{what}: expected a scalar or {rows} values, got shape {s.shape}")
+    bad = ~((s >= 0.0) & (s <= hi))
+    if bad.any():
+        raise ValueError(f"{what} must be in [0, {hi:g}], got {s[bad].flat[0]}")
+    return s.reshape(s.shape + (1, 1))
+
+
+def _z_conjugation(num_qubits: int, qubit: int) -> np.ndarray:
+    """Entrywise +-1 factors turning rho into Z rho Z."""
+    idx = np.arange(2**num_qubits)
+    signs = 1.0 - 2.0 * ((idx >> (num_qubits - 1 - qubit)) & 1)
+    return np.outer(signs, signs)
+
+
+def _x_conjugate(rho: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
+    """X rho X on ``qubit`` of every row, as a fresh array."""
+    t = rho.reshape((len(rho),) + (2,) * (2 * num_qubits))
+    return np.flip(t, (1 + qubit, 1 + num_qubits + qubit)).copy().reshape(rho.shape)
+
+
+def apply_unitary(rho: np.ndarray, qubit: int, unitary) -> np.ndarray:
+    """Conjugate every row by a single-qubit unitary acting on ``qubit``."""
+    n = _stack_qubits(rho)
+    _check_qubit(qubit, n)
+    u = np.asarray(unitary, dtype=complex)
+    if u.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
+    if float(np.max(np.abs(u.conj().T @ u - np.eye(2)))) > UNITARITY_TOL:
+        raise ValueError("matrix is not unitary")
+    left, right = 2**qubit, 2 ** (n - 1 - qubit)
+    t = rho.reshape(len(rho), left, 2, right, left, 2, right)
+    t = np.einsum("ij,xajbcld,kl->xaibckd", u, t, u.conj())
+    return t.reshape(rho.shape)
+
+
+def _cz_signs(num_qubits: int, q1: int, q2: int) -> np.ndarray:
+    idx = np.arange(2**num_qubits)
+    b1 = (idx >> (num_qubits - 1 - q1)) & 1
+    b2 = (idx >> (num_qubits - 1 - q2)) & 1
+    return 1.0 - 2.0 * (b1 & b2)
+
+
+def apply_cz(rho: np.ndarray, q1: int, q2: int) -> np.ndarray:
+    """Controlled-Z between two distinct qubits of every row."""
+    n = _stack_qubits(rho)
+    _check_pair(q1, q2, n)
+    signs = _cz_signs(n, q1, q2)
+    return rho * np.outer(signs, signs)
+
+
+def depolarize(rho: np.ndarray, qubit: int, strength) -> np.ndarray:
+    """Replace ``qubit`` by the maximally mixed state with probability ``strength``.
+
+    The map (1-a) rho + a Tr_q(rho) (x) I/2 equals the uniform Pauli
+    twirl (1-a) rho + (a/4) sum_P P rho P, which is how it is applied,
+    summing the twirl in the order I, X, Y, Z.
+    """
+    n = _stack_qubits(rho)
+    _check_qubit(qubit, n)
+    s = _row_strengths(strength, len(rho), 1.0, "depolarize strength")
+    zz = _z_conjugation(n, qubit)
+    term = _x_conjugate(rho, n, qubit)  # X rho X
+    twirled = rho + term
+    np.multiply(term, zz, out=term)  # Y rho Y = Z (X rho X) Z
+    twirled += term
+    np.multiply(rho, zz, out=term)  # Z rho Z
+    twirled += term
+    twirled *= s / 4.0
+    out = (1.0 - s) * rho
+    out += twirled
+    return out
+
+
+def dephase(rho: np.ndarray, qubit: int, strength) -> np.ndarray:
+    """Apply a Z flip on ``qubit`` with probability ``strength`` in [0, 0.5].
+
+    0.5 erases all coherence with the rest of the register; values above
+    0.5 would overshoot into a net phase flip and are rejected.
+    """
+    n = _stack_qubits(rho)
+    _check_qubit(qubit, n)
+    s = _row_strengths(strength, len(rho), 0.5, "dephase strength")
+    return (1.0 - s) * rho + s * (rho * _z_conjugation(n, qubit))
+
+
+def _trace_out(rho: np.ndarray, num_qubits: int, removed: list[int]) -> np.ndarray:
+    """Trace the sorted ``removed`` qubits out of every row, highest first."""
+    t = rho.reshape((len(rho),) + (2,) * (2 * num_qubits))
+    m = num_qubits
+    for q in reversed(removed):
+        t = np.trace(t, axis1=1 + q, axis2=1 + q + m)
+        m -= 1
+    return t.reshape(len(rho), 2**m, 2**m)
+
+
+def _reinsert_mixed(reduced: np.ndarray, num_qubits: int, removed: list[int]) -> np.ndarray:
+    """reduced (x) I/2^k per row, with the k mixed qubits back at ``removed``."""
+    rows, k = len(reduced), len(removed)
+    part = (reduced * (1.0 / 2**k)).reshape((rows,) + (2,) * (2 * (num_qubits - k)))
+    out = np.zeros((rows,) + (2,) * (2 * num_qubits), dtype=complex)
+    for bits in product((0, 1), repeat=k):
+        index: list = [slice(None)] * (1 + 2 * num_qubits)
+        for q, bit in zip(removed, bits):
+            index[1 + q] = index[1 + num_qubits + q] = bit
+        out[tuple(index)] = part
+    return out.reshape(rows, 2**num_qubits, 2**num_qubits)
+
+
+def noisy_cz(rho: np.ndarray, q1: int, q2: int, fail_prob) -> np.ndarray:
+    """CZ that with probability ``fail_prob`` scrambles both qubits instead.
+
+    The failure branch traces out q1 and q2 and reinserts them maximally
+    mixed, so a fully failed gate carries no correlation at all.
+    """
+    n = _stack_qubits(rho)
+    _check_pair(q1, q2, n)
+    f = _row_strengths(fail_prob, len(rho), 1.0, "fail_prob")
+    removed = sorted((q1, q2))
+    scrambled = _reinsert_mixed(_trace_out(rho, n, removed), n, removed)
+    return (1.0 - f) * apply_cz(rho, q1, q2) + f * scrambled
+
+
+def partial_trace(rho: np.ndarray, qubits: list[int]) -> np.ndarray:
+    """Trace out the listed qubits; the rest keep their relative order."""
+    n = _stack_qubits(rho)
+    removed = sorted(set(qubits))
+    if len(removed) != len(qubits):
+        raise ValueError("qubits to trace out must be distinct")
+    for q in removed:
+        _check_qubit(q, n)
+    if len(removed) == n:
+        raise ValueError("cannot trace out every qubit")
+    return _trace_out(rho, n, removed)
+
+
+def measure(
+    rho: np.ndarray, qubit: int, basis: str, outcome: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project ``qubit`` of every row onto the ``outcome`` eigenvector of ``basis``.
+
+    Returns (probabilities, post-measurement stack); the measured qubit is
+    removed from the register.  A branch with probability below
+    ZERO_PROB_TOL in any row raises ZeroProbabilityError instead of
+    renormalizing numerical noise.
+    """
+    n = _stack_qubits(rho)
+    _check_qubit(qubit, n)
+    if basis not in ("X", "Y", "Z"):
+        raise ValueError(f"basis must be one of X, Y, Z, got {basis!r}")
+    if outcome not in (1, -1):
+        raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
+    e = BASIS_EIGENVECTORS[(basis, outcome)]
+    t = rho.reshape((len(rho),) + (2,) * (2 * n))
+    t = np.tensordot(e.conj(), t, axes=([0], [1 + qubit]))
+    t = np.tensordot(t, e, axes=([n + qubit], [0]))
+    mat = t.reshape(len(rho), 2 ** (n - 1), 2 ** (n - 1))
+    probs = np.real(np.trace(mat, axis1=1, axis2=2))
+    low = probs < ZERO_PROB_TOL
+    if low.any():
+        raise ZeroProbabilityError(
+            f"outcome {outcome:+d} of a {basis} measurement on qubit {qubit} "
+            f"has probability {probs[low][0]:.3e}"
+        )
+    return probs, mat / probs[:, None, None]
+
+
+def fidelity(rho: np.ndarray, state) -> np.ndarray:
+    """Overlap <psi| rho |psi> of every row with one pure state."""
+    v = _as_amplitudes(state, rho.shape[-1])
+    return np.array([np.vdot(v, w) for w in rho @ v]).real
 
 
 class DensityMatrix:
@@ -140,7 +341,8 @@ class DensityMatrix:
 
     Instances are immutable: every channel or measurement returns a new
     object and the underlying array is read-only.  A zero-qubit (1 x 1)
-    matrix is allowed as the residue of measuring out a lone qubit.
+    matrix is allowed as the residue of measuring out a lone qubit.  Each
+    operation is the one-row case of the stack function of the same name.
     """
 
     def __init__(self, data, *, _copy: bool = True) -> None:
@@ -186,16 +388,8 @@ class DensityMatrix:
         if lo < EIGENVALUE_FLOOR:
             raise ValueError(f"negative eigenvalue {lo:.3e}")
 
-    def _check_qubit(self, qubit: int) -> None:
-        if not 0 <= qubit < self.num_qubits:
-            raise ValueError(
-                f"qubit index {qubit} out of range for {self.num_qubits} qubits"
-            )
-
-    def _embed_single(self, op: np.ndarray, qubit: int) -> np.ndarray:
-        left = np.eye(2**qubit, dtype=complex)
-        right = np.eye(2 ** (self.num_qubits - 1 - qubit), dtype=complex)
-        return np.kron(np.kron(left, op), right)
+    def _one_row(self, stack_fn, *args) -> "DensityMatrix":
+        return DensityMatrix(stack_fn(self.data[None], *args)[0], _copy=False)
 
     def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
         """Tensor product self (x) other; self's qubits come first."""
@@ -205,131 +399,35 @@ class DensityMatrix:
 
     def apply_unitary(self, qubit: int, unitary) -> "DensityMatrix":
         """Conjugate by a single-qubit unitary acting on ``qubit``."""
-        self._check_qubit(qubit)
-        u = np.asarray(unitary, dtype=complex)
-        if u.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-        if float(np.max(np.abs(u.conj().T @ u - np.eye(2)))) > UNITARITY_TOL:
-            raise ValueError("matrix is not unitary")
-        full = self._embed_single(u, qubit)
-        return DensityMatrix(full @ self.data @ full.conj().T, _copy=False)
-
-    def _cz_signs(self, q1: int, q2: int) -> np.ndarray:
-        idx = np.arange(self.dim)
-        b1 = (idx >> (self.num_qubits - 1 - q1)) & 1
-        b2 = (idx >> (self.num_qubits - 1 - q2)) & 1
-        return 1.0 - 2.0 * (b1 & b2)
+        return self._one_row(apply_unitary, qubit, unitary)
 
     def apply_cz(self, q1: int, q2: int) -> "DensityMatrix":
         """Controlled-Z between two distinct qubits (symmetric in its arguments)."""
-        self._check_qubit(q1)
-        self._check_qubit(q2)
-        if q1 == q2:
-            raise ValueError("CZ needs two distinct qubits")
-        signs = self._cz_signs(q1, q2)
-        return DensityMatrix(self.data * np.outer(signs, signs), _copy=False)
+        return self._one_row(apply_cz, q1, q2)
 
     def depolarize(self, qubit: int, strength: float) -> "DensityMatrix":
-        """Replace ``qubit`` by the maximally mixed state with probability ``strength``.
-
-        The map (1-a) rho + a Tr_q(rho) (x) I/2 equals the uniform Pauli
-        twirl (1-a) rho + (a/4) sum_P P rho P, which is how it is applied.
-        """
-        self._check_qubit(qubit)
-        if not 0.0 <= strength <= 1.0:
-            raise ValueError(f"depolarize strength must be in [0, 1], got {strength}")
-        twirled = np.zeros_like(self.data)
-        for p in PAULI.values():
-            full = self._embed_single(p, qubit)
-            twirled += full @ self.data @ full.conj().T
-        out = (1.0 - strength) * self.data + (strength / 4.0) * twirled
-        return DensityMatrix(out, _copy=False)
+        """Replace ``qubit`` by the maximally mixed state with probability ``strength``."""
+        return self._one_row(depolarize, qubit, strength)
 
     def dephase(self, qubit: int, strength: float) -> "DensityMatrix":
-        """Apply a Z flip on ``qubit`` with probability ``strength`` in [0, 0.5].
-
-        0.5 erases all coherence with the rest of the register; values above
-        0.5 would overshoot into a net phase flip and are rejected.
-        """
-        self._check_qubit(qubit)
-        if not 0.0 <= strength <= 0.5:
-            raise ValueError(f"dephase strength must be in [0, 0.5], got {strength}")
-        z = self._embed_single(PAULI["Z"], qubit)
-        out = (1.0 - strength) * self.data + strength * (z @ self.data @ z)
-        return DensityMatrix(out, _copy=False)
-
-    def _replace_with_mixed(self, qubits: tuple[int, ...]) -> np.ndarray:
-        """Tr_qubits(rho) (x) I/2^k, with the mixed factors back in place."""
-        removed = sorted(qubits)
-        if len(removed) == self.num_qubits:
-            return self.trace() * np.eye(self.dim, dtype=complex) / self.dim
-        reduced = self.partial_trace(list(removed))
-        k = len(removed)
-        grown = np.kron(reduced.data, np.eye(2**k, dtype=complex) / 2**k)
-        remaining = [q for q in range(self.num_qubits) if q not in removed]
-        return _permute_qubits(grown, remaining + removed)
+        """Apply a Z flip on ``qubit`` with probability ``strength`` in [0, 0.5]."""
+        return self._one_row(dephase, qubit, strength)
 
     def noisy_cz(self, q1: int, q2: int, fail_prob: float) -> "DensityMatrix":
-        """CZ that with probability ``fail_prob`` scrambles both qubits instead.
-
-        The failure branch traces out q1 and q2 and reinserts them maximally
-        mixed, so a fully failed gate carries no correlation at all.
-        """
-        self._check_qubit(q1)
-        self._check_qubit(q2)
-        if q1 == q2:
-            raise ValueError("CZ needs two distinct qubits")
-        if not 0.0 <= fail_prob <= 1.0:
-            raise ValueError(f"fail_prob must be in [0, 1], got {fail_prob}")
-        ideal = self.apply_cz(q1, q2).data
-        if fail_prob == 0.0:
-            return DensityMatrix(ideal, _copy=False)
-        scrambled = self._replace_with_mixed((q1, q2))
-        out = (1.0 - fail_prob) * ideal + fail_prob * scrambled
-        return DensityMatrix(out, _copy=False)
+        """CZ that with probability ``fail_prob`` scrambles both qubits instead."""
+        return self._one_row(noisy_cz, q1, q2, fail_prob)
 
     def partial_trace(self, qubits: list[int]) -> "DensityMatrix":
         """Trace out the listed qubits; the rest keep their relative order."""
-        removed = sorted(set(qubits))
-        if len(removed) != len(qubits):
-            raise ValueError("qubits to trace out must be distinct")
-        for q in removed:
-            self._check_qubit(q)
-        if len(removed) == self.num_qubits:
-            raise ValueError("cannot trace out every qubit")
-        t = self.data.reshape((2,) * (2 * self.num_qubits))
-        m = self.num_qubits
-        for q in reversed(removed):
-            t = np.trace(t, axis1=q, axis2=q + m)
-            m -= 1
-        return DensityMatrix(t.reshape(2**m, 2**m), _copy=False)
+        return self._one_row(partial_trace, qubits)
 
     def measure(self, qubit: int, basis: str, outcome: int) -> tuple[float, "DensityMatrix"]:
         """Project ``qubit`` onto the ``outcome`` eigenvector of ``basis``.
 
-        Returns (probability, post-measurement state); the measured qubit is
-        removed from the register.  A branch with probability below
-        ZERO_PROB_TOL raises ZeroProbabilityError instead of renormalizing
-        numerical noise.
+        Returns (probability, post-measurement state); see ``measure``.
         """
-        self._check_qubit(qubit)
-        if basis not in ("X", "Y", "Z"):
-            raise ValueError(f"basis must be one of X, Y, Z, got {basis!r}")
-        if outcome not in (1, -1):
-            raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
-        e = BASIS_EIGENVECTORS[(basis, outcome)]
-        n = self.num_qubits
-        t = self.data.reshape((2,) * (2 * n))
-        t = np.tensordot(e.conj(), t, axes=([0], [qubit]))
-        t = np.tensordot(t, e, axes=([n - 1 + qubit], [0]))
-        mat = t.reshape(2 ** (n - 1), 2 ** (n - 1))
-        prob = float(np.real(np.trace(mat)))
-        if prob < ZERO_PROB_TOL:
-            raise ZeroProbabilityError(
-                f"outcome {outcome:+d} of a {basis} measurement on qubit {qubit} "
-                f"has probability {prob:.3e}"
-            )
-        return prob, DensityMatrix(mat / prob, _copy=False)
+        probs, post = measure(self.data[None], qubit, basis, outcome)
+        return float(probs[0]), DensityMatrix(post[0], _copy=False)
 
     def expectation(self, pauli: PauliString) -> float:
         """Expectation value Tr(P rho) of a signed Pauli string."""
@@ -344,5 +442,4 @@ class DensityMatrix:
 
     def fidelity(self, state) -> float:
         """Overlap <psi| rho |psi> with a pure state."""
-        v = _as_amplitudes(state, self.dim)
-        return float(np.real(np.vdot(v, self.data @ v)))
+        return float(fidelity(self.data[None], state)[0])

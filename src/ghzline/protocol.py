@@ -11,11 +11,23 @@ dark-count depolarization of every qubit whose detector fired.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .density import BASIS_EIGENVECTORS, DensityMatrix, PauliString, PureState
+from .density import (
+    BASIS_EIGENVECTORS,
+    DensityMatrix,
+    PauliString,
+    PureState,
+    dephase,
+    depolarize,
+    fidelity,
+    measure,
+    noisy_cz,
+)
 from .netmodel import (
     TrioConfig,
     click_prob,
@@ -67,8 +79,13 @@ class ProtocolOutcome:
     outcome: int  # +1 or -1
     outcome_prob: float  # probability of that Y outcome
     fidelity: float  # overlap with target_state(outcome)
-    stabilizer_expectations: tuple[tuple[PauliString, float], ...]
     used_memory: bool
+
+    @cached_property
+    def stabilizer_expectations(self) -> tuple[tuple[PauliString, float], ...]:
+        """Each element of stabilizer_suite(outcome) with its expectation
+        on rho_out, computed on first access."""
+        return tuple((p, self.rho_out.expectation(p)) for p in stabilizer_suite(self.outcome))
 
 
 def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -127,28 +144,36 @@ def _check_outcome(outcome: int) -> None:
         raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
 
 
-def run_pipeline(
+def run_stack(
     cfg: TrioConfig,
-    noise: NoiseParams = NoiseParams(),
+    noises: Sequence[NoiseParams],
     *,
     use_memory: bool = False,
     outcome: int = +1,
-) -> ProtocolOutcome:
-    """Run one merge attempt and return the conditional three-qubit state.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run one merge attempt per entry of ``noises``, all as one stack.
+
+    Returns, one row per entry: the probability of the Y ``outcome``, the
+    conditional three-qubit state on (0, 1, 3) as a (B, 8, 8) stack, and
+    its fidelity with target_state(outcome).
 
     Steps, in order: prepare both source pairs; depolarize the transit
-    qubits (0 and 3) with noise.channel_depol; if use_memory, dephase B's
+    qubits (0 and 3) with channel_depol; if use_memory, dephase B's
     stored qubits by their expected storage decoherence; apply the noisy
-    merge CZ between qubits 1 and 2; depolarize every qubit by its
-    dark-count junk fraction; measure qubit 2 in Y and keep ``outcome``.
+    merge CZ between qubits 1 and 2 with gate_fail; depolarize every
+    qubit by its dark-count junk fraction; measure qubit 2 in Y and keep
+    ``outcome``.  Only the noise knobs vary between rows.
     """
     _check_outcome(outcome)
     if use_memory and cfg.memory is None:
         raise ValueError(f"segment {cfg.name} has no memory parameters")
 
-    rho = source_pair_state().tensor(source_pair_state())
-    rho = rho.depolarize(0, noise.channel_depol)
-    rho = rho.depolarize(3, noise.channel_depol)
+    depol = np.array([n.channel_depol for n in noises], dtype=float)
+    fail = np.array([n.gate_fail for n in noises], dtype=float)
+    pair = source_pair_state()
+    rho = np.broadcast_to(pair.tensor(pair).data, (len(noises), 16, 16))
+    rho = depolarize(rho, 0, depol)
+    rho = depolarize(rho, 3, depol)
 
     if use_memory:
         times = storage_times(cfg)
@@ -158,27 +183,38 @@ def run_pipeline(
         lam_near = 0.5 * (1.0 - expected_coherence_near(cfg))
         lam_far = dephasing_prob(times.t_far, cfg.memory.t2)
         near_qubit, far_qubit = (2, 1) if times.far_node == "A" else (1, 2)
-        rho = rho.dephase(near_qubit, lam_near)
-        rho = rho.dephase(far_qubit, lam_far)
+        rho = dephase(rho, near_qubit, lam_near)
+        rho = dephase(rho, far_qubit, lam_far)
 
-    rho = rho.noisy_cz(1, 2, noise.gate_fail)
+    rho = noisy_cz(rho, 1, 2, fail)
 
     for qubit, node in ((0, "A"), (1, "B"), (2, "B"), (3, "C")):
         node_params = {"A": cfg.node_a, "B": cfg.node_b, "C": cfg.node_c}[node]
         xi = detection_prob(cfg, node, with_memory=use_memory and node == "B")
         xi_click = click_prob(xi, node_params.dark_count_prob)
         alpha = dark_count_depolarization(xi, xi_click, node_params.dark_count_prob)
-        rho = rho.depolarize(qubit, alpha)
+        rho = depolarize(rho, qubit, alpha)
 
-    prob, rho_out = rho.measure(MEASURED_QUBIT, "Y", outcome)
-    fid = rho_out.fidelity(target_state(outcome))
+    probs, rho_out = measure(rho, MEASURED_QUBIT, "Y", outcome)
+    return probs, rho_out, fidelity(rho_out, target_state(outcome))
+
+
+def run_pipeline(
+    cfg: TrioConfig,
+    noise: NoiseParams = NoiseParams(),
+    *,
+    use_memory: bool = False,
+    outcome: int = +1,
+) -> ProtocolOutcome:
+    """Run one merge attempt and return the conditional three-qubit state.
+
+    The one-row case of run_stack, which lists the steps.
+    """
+    probs, states, fids = run_stack(cfg, [noise], use_memory=use_memory, outcome=outcome)
     return ProtocolOutcome(
-        rho_out=rho_out,
+        rho_out=DensityMatrix(states[0], _copy=False),
         outcome=outcome,
-        outcome_prob=prob,
-        fidelity=fid,
-        stabilizer_expectations=tuple(
-            (p, rho_out.expectation(p)) for p in stabilizer_suite(outcome)
-        ),
+        outcome_prob=float(probs[0]),
+        fidelity=float(fids[0]),
         used_memory=use_memory,
     )

@@ -9,16 +9,30 @@ weight on the two-dimensional error-free correlation subspace.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
 
-from .density import BASIS_EIGENVECTORS, DensityMatrix, PauliString
+from .density import (
+    BASIS_EIGENVECTORS,
+    PAULI,
+    DensityMatrix,
+    PauliString,
+    PureState,
+    apply_unitary,
+    fidelity,
+)
 from .netmodel import TrioConfig, yield_memoryless, yield_with_memory
-from .protocol import NoiseParams, ProtocolOutcome, run_pipeline, target_state
+from .protocol import NoiseParams, ProtocolOutcome, run_stack
 
 PARITY_TEST = PauliString("ZYZ")
+
+# Rows evaluated together by rate_reports: bounds the working set of one
+# stack to a few hundred KiB however many points a caller passes.
+CHUNK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -43,7 +57,8 @@ def binary_entropy(x: float) -> float:
     return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
 
 
-def _correlated_states() -> tuple[np.ndarray, np.ndarray]:
+@cache
+def _correlated_states() -> tuple[PureState, PureState]:
     """Orthonormal basis of the subspace where the dealer-A bits agree.
 
     The first vector is the ideal +1-outcome state; the second flips the
@@ -60,14 +75,42 @@ def _correlated_states() -> tuple[np.ndarray, np.ndarray]:
     b = np.kron(np.kron(minus, ket1), y_neg)
     psi_plus = 0.5 * ((1.0 - 1.0j) * a + (1.0 + 1.0j) * b)
     psi_minus = 0.5 * ((1.0 - 1.0j) * a - (1.0 + 1.0j) * b)
-    return psi_plus, psi_minus
+    return PureState(psi_plus), PureState(psi_minus)
+
+
+@cache
+def _odd_parity_states() -> tuple[PureState, ...]:
+    """Product eigenvectors of Z (x) Y (x) Z whose eigenvalue product is -1."""
+    bases = ("Z", "Y", "Z")
+    states = []
+    for signs in product((1, -1), repeat=3):
+        if signs[0] * signs[1] * signs[2] != -1:
+            continue
+        vec = np.array([1.0 + 0.0j])
+        for basis, s in zip(bases, signs):
+            vec = np.kron(vec, BASIS_EIGENVECTORS[(basis, s)])
+        states.append(PureState(vec))
+    return tuple(states)
+
+
+def _bipartite_errors(rho: np.ndarray) -> np.ndarray:
+    """qber_bipartite of every row of a (B, 8, 8) stack."""
+    psi_plus, psi_minus = _correlated_states()
+    q = 1.0 - fidelity(rho, psi_plus) - fidelity(rho, psi_minus)
+    return np.minimum(1.0, np.maximum(0.0, q))
+
+
+def _parity_errors(rho: np.ndarray) -> np.ndarray:
+    """qber_parity of every row of a (B, 8, 8) stack."""
+    total = 0.0
+    for state in _odd_parity_states():
+        total = total + fidelity(rho, state)
+    return np.minimum(1.0, np.maximum(0.0, total))
 
 
 def qber_bipartite(rho: DensityMatrix) -> float:
     """Dealer-to-A bit error: weight outside the correlated subspace."""
-    psi_plus, psi_minus = _correlated_states()
-    q = 1.0 - rho.fidelity(psi_plus) - rho.fidelity(psi_minus)
-    return min(1.0, max(0.0, q))
+    return float(_bipartite_errors(rho.data[None])[0])
 
 
 def qber_parity(rho: DensityMatrix) -> float:
@@ -76,16 +119,7 @@ def qber_parity(rho: DensityMatrix) -> float:
     Sums the weight on the odd-parity eigenvectors of Z (x) Y (x) Z, i.e.
     the product basis states whose eigenvalue product is -1.
     """
-    bases = ("Z", "Y", "Z")
-    total = 0.0
-    for signs in product((1, -1), repeat=3):
-        if signs[0] * signs[1] * signs[2] != -1:
-            continue
-        vec = np.array([1.0 + 0.0j])
-        for basis, s in zip(bases, signs):
-            vec = np.kron(vec, BASIS_EIGENVECTORS[(basis, s)])
-        total += rho.fidelity(vec)
-    return min(1.0, max(0.0, total))
+    return float(_parity_errors(rho.data[None])[0])
 
 
 def qber_parity_from_expectation(rho: DensityMatrix) -> float:
@@ -105,23 +139,77 @@ def key_rate(yield_per_attempt: float, q_x: float, q_ab: float) -> float:
     return max(0.0, r)
 
 
+def _reports(
+    cfg: TrioConfig,
+    use_memory: bool,
+    outcome: int,
+    states: np.ndarray,
+    fidelities: np.ndarray,
+    label: str,
+) -> list[RateReport]:
+    """One report per row of a stack of delivered states.
+
+    Both error tests are defined in the +1 outcome convention, so a -1
+    heralding is first reconciled by the dealer's X correction on C's
+    qubit (qubit 2 of the output): IIX maps target_state(-1) onto
+    target_state(+1).
+    """
+    if outcome == -1:
+        states = apply_unitary(states, 2, PAULI["X"])
+    q_x = _parity_errors(states)
+    q_ab = _bipartite_errors(states)
+    y = yield_with_memory(cfg) if use_memory else yield_memoryless(cfg)
+    out = []
+    for fid, qx, qab in zip(fidelities.tolist(), q_x.tolist(), q_ab.tolist()):
+        r = key_rate(y, qx, qab)
+        out.append(
+            RateReport(
+                protocol_label=label,
+                yield_per_attempt=y,
+                fidelity=fid,
+                q_x=qx,
+                q_ab=qab,
+                r_per_attempt=r,
+                r_per_second=r * cfg.source.frequency,
+            )
+        )
+    return out
+
+
 def report_for_outcome(
     outcome: ProtocolOutcome, cfg: TrioConfig, label: str = "CKA"
 ) -> RateReport:
     """Rates of an already-run pipeline under the segment's link budget."""
-    y = yield_with_memory(cfg) if outcome.used_memory else yield_memoryless(cfg)
-    q_x = qber_parity(outcome.rho_out)
-    q_ab = qber_bipartite(outcome.rho_out)
-    r = key_rate(y, q_x, q_ab)
-    return RateReport(
-        protocol_label=label,
-        yield_per_attempt=y,
-        fidelity=outcome.fidelity,
-        q_x=q_x,
-        q_ab=q_ab,
-        r_per_attempt=r,
-        r_per_second=r * cfg.source.frequency,
+    (report,) = _reports(
+        cfg,
+        outcome.used_memory,
+        outcome.outcome,
+        outcome.rho_out.data[None],
+        np.array([outcome.fidelity]),
+        label,
     )
+    return report
+
+
+def rate_reports(
+    cfg: TrioConfig,
+    noises: Sequence[NoiseParams],
+    *,
+    use_memory: bool = False,
+    outcome: int = +1,
+    label: str = "CKA",
+) -> list[RateReport]:
+    """One report per entry of ``noises``, as full_report would give it.
+
+    The pipeline runs on stacks of up to CHUNK_ROWS rows.
+    """
+    out: list[RateReport] = []
+    for start in range(0, len(noises), CHUNK_ROWS):
+        _, states, fids = run_stack(
+            cfg, noises[start : start + CHUNK_ROWS], use_memory=use_memory, outcome=outcome
+        )
+        out += _reports(cfg, use_memory, outcome, states, fids, label)
+    return out
 
 
 def full_report(
@@ -133,5 +221,5 @@ def full_report(
     label: str = "CKA",
 ) -> RateReport:
     """Run the pipeline on ``cfg`` and summarize yield, errors, and rates."""
-    run = run_pipeline(cfg, noise, use_memory=use_memory, outcome=outcome)
-    return report_for_outcome(run, cfg, label=label)
+    (report,) = rate_reports(cfg, [noise], use_memory=use_memory, outcome=outcome, label=label)
+    return report

@@ -25,7 +25,7 @@ from ghzline.cli import (
     validate_document,
     yields_report,
 )
-from ghzline.cli import _parse_axis, _threads_from_env
+from ghzline.cli import _parse_axis
 from ghzline.rates import full_report
 from ghzline.protocol import NoiseParams
 from util import make_cfg
@@ -240,24 +240,50 @@ class TestRunSweep:
         assert "memory" in rows[1].error
         assert math.isnan(rows[1].fidelity)
 
-    def test_thread_count_does_not_change_output(self):
-        cfg = make_cfg(eta_b=0.5, trans_ab=0.3, trans_bc=0.4,
-                       memory=MemoryParams(0.9, 2.5))
+    def test_block_rows_equal_single_point_reports(self):
+        # both memory blocks hold 16 rows, each evaluated as one stack; each
+        # row must be the exact report of its point evaluated alone
+        cfg = make_cfg(eta_b=0.5, trans_ab=0.3, trans_bc=0.4, dark_b=0.002,
+                       memory=MemoryParams(0.9, 0.05))
         spec = SweepSpec(fd_range=(0.0, 0.3, 4), fg_range=(0.0, 0.3, 4))
-        serial = run_sweep([cfg], spec, threads=1)
-        threaded = run_sweep([cfg], spec, threads=3)
-        assert render_csv(serial) == render_csv(threaded)
+        rows = run_sweep([cfg], spec)
+        assert [r.memory for r in rows] == [False] * 16 + [True] * 16
+        for row in rows:
+            rep = full_report(cfg, NoiseParams(row.f_d, row.f_g), use_memory=row.memory)
+            assert row.error is None
+            assert row.yield_per_attempt == rep.yield_per_attempt
+            assert row.fidelity == rep.fidelity
+            assert row.q_x == rep.q_x
+            assert row.q_ab == rep.q_ab
+            assert row.r_per_attempt == rep.r_per_attempt
+            assert row.r_per_second == rep.r_per_second
 
-    def test_threads_env_parsing(self, monkeypatch):
-        monkeypatch.setenv("THREADS", "4")
-        assert _threads_from_env() == 4
-        monkeypatch.setenv("THREADS", "0")
-        assert _threads_from_env() == 1
-        monkeypatch.delenv("THREADS")
-        assert _threads_from_env() == 1
-        monkeypatch.setenv("THREADS", "many")
-        with pytest.raises(ValueError, match="THREADS"):
-            _threads_from_env()
+    def test_failed_point_keeps_its_block_alive(self, monkeypatch):
+        # a ValueError from one point sends its block back to point-by-point
+        # evaluation: the bad points get their own error text, the rest values
+        def picky(channel_depol, gate_fail):
+            if channel_depol > 0.05:
+                raise ValueError(f"rejected f_D {channel_depol}")
+            return NoiseParams(channel_depol, gate_fail)
+
+        monkeypatch.setattr("ghzline.cli.NoiseParams", picky)
+        spec = SweepSpec(fd_range=(0.0, 0.1, 2), fg_range=(0.0, 0.2, 2),
+                         memory_modes=("off",))
+        rows = run_sweep([make_cfg()], spec)
+        assert [r.error for r in rows] == [None, None] + ["ValueError: rejected f_D 0.1"] * 2
+        assert rows[1].fidelity == full_report(make_cfg(), NoiseParams(0.0, 0.2)).fidelity
+        assert math.isnan(rows[2].fidelity) and math.isnan(rows[3].r_per_second)
+
+    def test_engine_bug_propagates(self, monkeypatch):
+        # only ValueError marks a point as failed; any other exception is a
+        # program fault and must not turn into NaN rows
+        def broken(*args, **kwargs):
+            raise TypeError("engine bug")
+
+        monkeypatch.setattr("ghzline.cli.rate_reports", broken)
+        spec = SweepSpec(fd_range=(0.0, 0.1, 2), fg_range=(0.0, 0.0, 1))
+        with pytest.raises(TypeError, match="engine bug"):
+            run_sweep([make_cfg()], spec)
 
 
 class TestRendering:
@@ -449,13 +475,6 @@ class TestMain:
         assert len(rows) == 3
         assert [r.f_d for r in rows] == pytest.approx([0.0, 0.15, 0.3])
         assert all(r.f_g == 0.1 for r in rows)
-
-    def test_sweep_rejects_bad_threads_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("THREADS", "many")
-        out = tmp_path / "grid.csv"
-        code = main(["sweep", "--fd", "0", "--fg", "0", "--out", str(out)])
-        assert code == 2
-        assert "THREADS" in capsys.readouterr().err
 
     def test_yields_table(self, capsys):
         assert main(["yields"]) == 0

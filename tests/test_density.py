@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ghzline import density
 from ghzline.density import (
     BASIS_EIGENVECTORS,
     PAULI,
@@ -447,3 +448,54 @@ class TestExpectationAndFidelity:
         psi = PureState(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
         f = rho.fidelity(psi)
         assert -1e-12 <= f <= 1.0 + 1e-12
+
+
+class TestStacks:
+    """The module-level channels act on (B, 2^n, 2^n) stacks, one strength
+    per row; each row must equal the one-row DensityMatrix result exactly."""
+
+    def stack(self, seed, rows, n):
+        rng = np.random.default_rng(seed)
+        return np.stack([random_density_matrix(rng, n) for _ in range(rows)])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rows_match_single_states_exactly(self, n):
+        rho = self.stack(n, 5, n)
+        strengths = np.array([0.0, 0.1, 0.25, 0.4, 0.5])
+        q, other = n - 1, 0
+        for name, args in (
+            ("depolarize", (q, strengths)),
+            ("dephase", (q, strengths)),
+            ("noisy_cz", (other, q, strengths)),
+        ):
+            out = getattr(density, name)(rho, *args)
+            for row, s in enumerate(strengths):
+                single = getattr(DensityMatrix(rho[row]), name)(*args[:-1], float(s))
+                assert np.array_equal(out[row], single.data), (name, row)
+        probs, post = density.measure(rho, q, "Y", -1)
+        for row in range(len(rho)):
+            p, single = DensityMatrix(rho[row]).measure(q, "Y", -1)
+            assert probs[row] == p
+            assert np.array_equal(post[row], single.data)
+
+    def test_scalar_strength_applies_to_every_row(self):
+        rho = self.stack(1, 3, 2)
+        assert np.array_equal(density.depolarize(rho, 0, 0.3),
+                              density.depolarize(rho, 0, np.full(3, 0.3)))
+
+    def test_every_row_is_range_checked(self):
+        rho = self.stack(2, 3, 2)
+        with pytest.raises(ValueError, match="got 1.5"):
+            density.depolarize(rho, 0, [0.1, 1.5, 0.2])
+        with pytest.raises(ValueError, match="dephase strength"):
+            density.dephase(rho, 0, [0.1, 0.2, 0.6])
+        with pytest.raises(ValueError, match="fail_prob"):
+            density.noisy_cz(rho, 0, 1, [0.1, float("nan"), 0.2])
+        with pytest.raises(ValueError, match="3 values"):
+            density.depolarize(rho, 0, [0.1, 0.2])
+
+    def test_zero_probability_in_any_row_raises(self):
+        zero = DensityMatrix.from_pure([1.0, 0.0]).data
+        one = DensityMatrix.from_pure([0.0, 1.0]).data
+        with pytest.raises(ZeroProbabilityError):
+            density.measure(np.stack([one, zero]), 0, "Z", -1)

@@ -180,3 +180,30 @@ class TestReports:
             report = full_report(make_cfg(eta_b=0.5, trans_ab=0.3, trans_bc=0.4),
                                  NoiseParams(depol, fail))
             assert report.r_per_attempt <= report.yield_per_attempt + 1e-15
+
+
+class TestOutcomeReconciliation:
+    def test_minus_one_heralding_is_corrected(self):
+        # the raw -1 state fails the +1-convention tests (Q_X 0.859 and a
+        # spurious positive rate before the dealer's X correction)
+        cfg = make_cfg(eta_b=0.8, trans_ab=0.5, trans_bc=0.4, dark_b=0.005)
+        noise = NoiseParams(0.1, 0.1)
+        minus = full_report(cfg, noise, outcome=-1)
+        assert minus.q_x == pytest.approx(0.14093, abs=1e-5)
+        assert minus.q_ab == pytest.approx(0.16864, abs=1e-5)
+        assert minus.r_per_attempt == 0.0
+
+    @given(depol=unit_floats, fail=unit_floats, use_memory=st.booleans(),
+           dark=st.floats(min_value=0.0, max_value=0.01, allow_nan=False))
+    def test_both_outcomes_give_equal_reports(self, depol, fail, use_memory, dark):
+        cfg = make_cfg(eta_a=0.7, eta_b=0.8, eta_c=0.6, dark_a=dark, dark_b=dark,
+                       dark_c=0.5 * dark, trans_ab=0.5, trans_bc=0.4,
+                       len_ab=30.0, len_bc=80.0, memory=MemoryParams(0.9, 0.01))
+        noise = NoiseParams(depol, fail)
+        plus = full_report(cfg, noise, use_memory=use_memory, outcome=+1)
+        minus = full_report(cfg, noise, use_memory=use_memory, outcome=-1)
+        for field in ("yield_per_attempt", "fidelity", "q_x", "q_ab",
+                      "r_per_attempt", "r_per_second"):
+            assert getattr(minus, field) == pytest.approx(
+                getattr(plus, field), rel=1e-12, abs=1e-12
+            ), field

@@ -66,14 +66,22 @@ def random_config(rng, with_memory=True):
 
 
 def series_expected_max(p_a, p_c):
-    """E[max] via the survival-function sum, truncated at float precision."""
-    total, k = 0.0, 0
+    """E[max] via the survival-function sum, truncated at float precision.
+
+    Sums P(max > k) for k = 0, 1, ... in numpy chunks and stops at the
+    first term below 1e-16 of the running total (or of 1).
+    """
+    chunk = 1 << 15
+    total, start = 0.0, 0
     while True:
-        term = 1.0 - (1.0 - (1.0 - p_a) ** k) * (1.0 - (1.0 - p_c) ** k)
-        total += term
-        k += 1
-        if term < 1e-16 * max(total, 1.0):
-            return total
+        k = np.arange(start, start + chunk, dtype=float)
+        terms = 1.0 - (1.0 - (1.0 - p_a) ** k) * (1.0 - (1.0 - p_c) ** k)
+        running = total + np.cumsum(terms)
+        done = np.flatnonzero(terms < 1e-16 * np.maximum(running, 1.0))
+        if done.size:
+            return float(running[done[0]])
+        total = float(running[-1])
+        start += chunk
 
 
 def random_density_matrix(rng, num_qubits):
