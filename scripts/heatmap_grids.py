@@ -4,6 +4,7 @@
 Each output file is a full (f_D, f_G) grid over [0, 0.3]^2 with both
 memory modes, suitable for pivoting into fidelity or key-rate heatmaps.
 No figures are rendered here; downstream notebooks own the plotting.
+Exit status is 1 if any grid point failed (a NaN row), as for ``sweep``.
 """
 
 import argparse
@@ -35,13 +36,15 @@ def main(argv=None) -> int:
         t2_values=tuple(args.t2 or ()),
     )
     args.outdir.mkdir(parents=True, exist_ok=True)
+    failed_total = 0
     for cfg in configs:
         rows = run_sweep([cfg], spec)
         out = emit(rows, "csv", args.outdir / f"{cfg.name}.csv")
         failed = sum(1 for r in rows if r.error is not None)
+        failed_total += failed
         note = f"  ({failed} rows failed)" if failed else ""
         print(f"{cfg.name}: {len(rows)} rows -> {out}{note}")
-    return 0
+    return 1 if failed_total else 0
 
 
 if __name__ == "__main__":

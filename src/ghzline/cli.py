@@ -8,7 +8,8 @@ Subcommands:
 * ``mc-check``: every closed-form expectation against its sampling oracle.
 
 Exit status is 0 on success, 1 when mc-check finds a deviation beyond
-three standard errors, and 2 on validation or runtime errors.
+three standard errors or when a sweep wrote failed (NaN) rows, and 2 on
+validation or runtime errors.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -61,6 +63,11 @@ CSV_COLUMNS = (
 
 DEFAULT_CONFIG = "network_segments.yaml"
 
+# libyaml's C parser when PyYAML was built with it.  Both loaders share the
+# safe resolver and constructor, so they build the same document; the C one
+# is several times faster.
+YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 
 class ConfigError(ValueError):
     """Configuration rejected; ``problems`` lists every violation found."""
@@ -75,20 +82,40 @@ def data_path(name: str = DEFAULT_CONFIG) -> Path:
     return Path(str(resources.files("ghzline") / "data" / name))
 
 
-def _load_schema() -> dict:
+@cache
+def _schema_validator() -> jsonschema.Draft202012Validator:
+    """The config schema's validator, built once per process."""
     with (resources.files("ghzline") / "data" / "config.schema.json").open() as fh:
-        return json.load(fh)
+        return jsonschema.Draft202012Validator(json.load(fh))
+
+
+def _non_finite(node, where: str) -> list[str]:
+    """Dotted paths of every inf or NaN number in a parsed document.
+
+    YAML's .inf and .nan satisfy every numeric bound of the schema, so
+    they are caught here rather than surfacing as a NaN or null rate.
+    """
+    if isinstance(node, float):
+        return [] if math.isfinite(node) else [f"{where or '<root>'}: must be finite"]
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    prefix = f"{where}." if where else ""
+    return [p for key, value in items for p in _non_finite(value, f"{prefix}{key}")]
 
 
 def validate_document(doc) -> list[str]:
     """All schema and consistency violations of a parsed config document."""
-    validator = jsonschema.Draft202012Validator(_load_schema())
     problems = []
     for err in sorted(
-        validator.iter_errors(doc), key=lambda e: [str(x) for x in e.absolute_path]
+        _schema_validator().iter_errors(doc), key=lambda e: [str(x) for x in e.absolute_path]
     ):
         where = ".".join(str(x) for x in err.absolute_path) or "<root>"
         problems.append(f"{where}: {err.message}")
+    problems += _non_finite(doc, "")
     if problems:
         return problems
     # The schema cannot cross-check redundant fields.
@@ -148,7 +175,7 @@ def load_config(path) -> list[TrioConfig]:
     except OSError as exc:
         raise ConfigError([f"cannot read {p}: {exc}"]) from exc
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError([f"{p}: parse error: {exc}"]) from exc
     problems = validate_document(doc)
@@ -618,7 +645,7 @@ def _cmd_sweep(args) -> int:
     failed = sum(1 for r in rows if r.error is not None)
     note = f" ({failed} rows failed)" if failed else ""
     print(f"wrote {len(rows)} rows to {out}{note}")
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_yields(args) -> int:

@@ -17,6 +17,7 @@ Three channel families cover everything the extraction pipeline needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -134,7 +135,9 @@ def _as_amplitudes(state, dim: int) -> np.ndarray:
 # which are exact: X flips the qubit's bit on both indices, Z multiplies
 # entry (i, j) by the +-1 signs of that bit in i and j, and Y does both.
 # Sums are formed in a fixed order, so a row's result does not depend on
-# how many other rows share its stack.
+# how many other rows share its stack.  The +-1 sign tables depend only on
+# the register size and the qubits, so each is built once and kept
+# read-only.
 
 
 def _stack_qubits(rho: np.ndarray) -> int:
@@ -171,11 +174,17 @@ def _row_strengths(strength, rows: int, hi: float, what: str) -> np.ndarray:
     return s.reshape(s.shape + (1, 1))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@cache
 def _z_conjugation(num_qubits: int, qubit: int) -> np.ndarray:
     """Entrywise +-1 factors turning rho into Z rho Z."""
     idx = np.arange(2**num_qubits)
     signs = 1.0 - 2.0 * ((idx >> (num_qubits - 1 - qubit)) & 1)
-    return np.outer(signs, signs)
+    return _read_only(np.outer(signs, signs))
 
 
 def _x_conjugate(rho: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
@@ -199,19 +208,21 @@ def apply_unitary(rho: np.ndarray, qubit: int, unitary) -> np.ndarray:
     return t.reshape(rho.shape)
 
 
-def _cz_signs(num_qubits: int, q1: int, q2: int) -> np.ndarray:
+@cache
+def _cz_conjugation(num_qubits: int, q1: int, q2: int) -> np.ndarray:
+    """Entrywise +-1 factors turning rho into CZ rho CZ."""
     idx = np.arange(2**num_qubits)
     b1 = (idx >> (num_qubits - 1 - q1)) & 1
     b2 = (idx >> (num_qubits - 1 - q2)) & 1
-    return 1.0 - 2.0 * (b1 & b2)
+    signs = 1.0 - 2.0 * (b1 & b2)
+    return _read_only(np.outer(signs, signs))
 
 
 def apply_cz(rho: np.ndarray, q1: int, q2: int) -> np.ndarray:
     """Controlled-Z between two distinct qubits of every row."""
     n = _stack_qubits(rho)
     _check_pair(q1, q2, n)
-    signs = _cz_signs(n, q1, q2)
-    return rho * np.outer(signs, signs)
+    return rho * _cz_conjugation(n, q1, q2)
 
 
 def depolarize(rho: np.ndarray, qubit: int, strength) -> np.ndarray:
@@ -333,7 +344,11 @@ def measure(
 def fidelity(rho: np.ndarray, state) -> np.ndarray:
     """Overlap <psi| rho |psi> of every row with one pure state."""
     v = _as_amplitudes(state, rho.shape[-1])
-    return np.array([np.vdot(v, w) for w in rho @ v]).real
+    # np.vecdot conjugates its first argument and, like np.vdot, sums each
+    # row with BLAS zdotc, so every row is bit-identical to its one-row
+    # np.vdot.  Elementwise products summed by np.sum or np.einsum are
+    # not: they round and add in another order.
+    return np.vecdot(v, rho @ v).real
 
 
 class DensityMatrix:

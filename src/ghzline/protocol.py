@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -99,12 +99,21 @@ def source_pair_state() -> DensityMatrix:
     return pair.apply_cz(0, 1)
 
 
+@cache
+def _initial_register() -> np.ndarray:
+    """Read-only 16x16 state of both source pairs, on qubits (0, 1) and (2, 3)."""
+    pair = source_pair_state()
+    return pair.tensor(pair).data
+
+
+@cache
 def target_state(outcome: int = +1) -> PureState:
     """Ideal post-merge state on qubits (0, 1, 3) for the given Y outcome.
 
     Written in the bases that diagonalize the dealer's stabilizer test:
     X on qubit 0, Z on qubit 1, Y on qubit 3.  The -1 state is the complex
-    conjugate of the +1 state, as it must be for a Y outcome flip.
+    conjugate of the +1 state, as it must be for a Y outcome flip.  Built
+    once per outcome; the amplitudes are read-only.
     """
     _check_outcome(outcome)
     plus = BASIS_EIGENVECTORS[("X", +1)]
@@ -170,8 +179,7 @@ def run_stack(
 
     depol = np.array([n.channel_depol for n in noises], dtype=float)
     fail = np.array([n.gate_fail for n in noises], dtype=float)
-    pair = source_pair_state()
-    rho = np.broadcast_to(pair.tensor(pair).data, (len(noises), 16, 16))
+    rho = np.broadcast_to(_initial_register(), (len(noises), 16, 16))
     rho = depolarize(rho, 0, depol)
     rho = depolarize(rho, 3, depol)
 

@@ -26,7 +26,7 @@ from .density import (
     fidelity,
 )
 from .netmodel import TrioConfig, yield_memoryless, yield_with_memory
-from .protocol import NoiseParams, ProtocolOutcome, run_stack
+from .protocol import NoiseParams, ProtocolOutcome, run_stack, target_state
 
 PARITY_TEST = PauliString("ZYZ")
 
@@ -62,20 +62,12 @@ def _correlated_states() -> tuple[PureState, PureState]:
     """Orthonormal basis of the subspace where the dealer-A bits agree.
 
     The first vector is the ideal +1-outcome state; the second flips the
-    relative phase.  Any weight outside their span shows up as a bit error
-    in the bipartite test.
+    relative phase of its two branches by a Z on qubit 1, an exact sign
+    change.  Any weight outside their span shows up as a bit error in the
+    bipartite test.
     """
-    plus = BASIS_EIGENVECTORS[("X", +1)]
-    minus = BASIS_EIGENVECTORS[("X", -1)]
-    ket0 = BASIS_EIGENVECTORS[("Z", +1)]
-    ket1 = BASIS_EIGENVECTORS[("Z", -1)]
-    y_pos = BASIS_EIGENVECTORS[("Y", +1)]
-    y_neg = BASIS_EIGENVECTORS[("Y", -1)]
-    a = np.kron(np.kron(plus, ket0), y_pos)
-    b = np.kron(np.kron(minus, ket1), y_neg)
-    psi_plus = 0.5 * ((1.0 - 1.0j) * a + (1.0 + 1.0j) * b)
-    psi_minus = 0.5 * ((1.0 - 1.0j) * a - (1.0 + 1.0j) * b)
-    return PureState(psi_plus), PureState(psi_minus)
+    psi_plus = target_state(+1)
+    return psi_plus, PureState(PauliString("IZI").matrix() @ psi_plus.amplitudes)
 
 
 @cache

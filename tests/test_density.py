@@ -478,6 +478,21 @@ class TestStacks:
             assert probs[row] == p
             assert np.array_equal(post[row], single.data)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_fidelity_rows_equal_vdot_exactly(self, n):
+        # the per-row np.vdot loop is the reference: same BLAS sum, same bits
+        rho = self.stack(10 + n, 6, n)
+        rng = np.random.default_rng(n)
+        psi = PureState(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
+        v = psi.amplitudes
+        expected = np.array([np.vdot(v, w) for w in rho @ v]).real
+        assert np.array_equal(density.fidelity(rho, psi), expected)
+
+    def test_sign_tables_are_read_only(self):
+        for table in (density._z_conjugation(4, 1), density._cz_conjugation(4, 1, 2)):
+            with pytest.raises(ValueError):
+                table[0, 0] = 2.0
+
     def test_scalar_strength_applies_to_every_row(self):
         rho = self.stack(1, 3, 2)
         assert np.array_equal(density.depolarize(rho, 0, 0.3),

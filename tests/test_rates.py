@@ -20,6 +20,9 @@ from ghzline import (
     run_pipeline,
     target_state,
 )
+from ghzline import protocol, rates
+from ghzline.cli import data_path, load_config, run_sweep
+from ghzline.density import BASIS_EIGENVECTORS
 from util import make_cfg, random_density_matrix
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -207,3 +210,40 @@ class TestOutcomeReconciliation:
             assert getattr(minus, field) == pytest.approx(
                 getattr(plus, field), rel=1e-12, abs=1e-12
             ), field
+
+
+class TestConstantStates:
+    """States built once per process must be read-only and must not drift."""
+
+    @pytest.mark.parametrize("get", [
+        lambda: protocol._initial_register(),
+        lambda: protocol.target_state(+1).amplitudes,
+        lambda: protocol.target_state(-1).amplitudes,
+        lambda: rates._correlated_states()[0].amplitudes,
+        lambda: rates._correlated_states()[1].amplitudes,
+        lambda: rates._odd_parity_states()[0].amplitudes,
+    ], ids=["register", "target+1", "target-1", "psi_plus", "psi_minus", "odd_parity"])
+    def test_cached_arrays_are_read_only(self, get):
+        with pytest.raises(ValueError):
+            get()[0] = 0.0
+
+    def test_correlated_states_match_their_kron_construction(self):
+        e = BASIS_EIGENVECTORS
+        a = np.kron(np.kron(e[("X", +1)], e[("Z", +1)]), e[("Y", +1)])
+        b = np.kron(np.kron(e[("X", -1)], e[("Z", -1)]), e[("Y", -1)])
+        psi_plus, psi_minus = rates._correlated_states()
+        for got, sign in ((psi_plus, +1.0), (psi_minus, -1.0)):
+            vec = 0.5 * ((1.0 - 1.0j) * a + sign * (1.0 + 1.0j) * b)
+            assert np.array_equal(got.amplitudes, vec / np.linalg.norm(vec))
+        assert psi_plus is target_state(+1)
+
+    def test_report_unchanged_by_a_full_sweep(self):
+        cfg = make_cfg(eta_b=0.8, trans_ab=0.5, trans_bc=0.4, dark_b=0.005,
+                       memory=MemoryParams(0.9, 0.05))
+        noise = NoiseParams(0.1, 0.2)
+        before = [full_report(cfg, noise, use_memory=m, outcome=o)
+                  for m in (False, True) for o in (+1, -1)]
+        run_sweep(load_config(data_path()))
+        after = [full_report(cfg, noise, use_memory=m, outcome=o)
+                 for m in (False, True) for o in (+1, -1)]
+        assert after == before
