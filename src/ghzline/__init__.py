@@ -48,7 +48,6 @@ from .rates import (
     qber_bipartite,
     qber_parity,
     qber_parity_from_expectation,
-    report_for_outcome,
 )
 from .mc import (
     McResult,
@@ -95,7 +94,6 @@ __all__ = [
     "qber_bipartite",
     "qber_parity",
     "qber_parity_from_expectation",
-    "report_for_outcome",
     "McResult",
     "mc_coherence_near",
     "mc_expected_max",

@@ -2,14 +2,16 @@
 
 Subcommands:
 
-* ``simulate``: one pipeline run per segment, printed as a rate report,
+* ``simulate``: a one-point sweep, one row per segment in file order,
+  printed as a rate report,
 * ``sweep``: Cartesian (f_D, f_G) x memory-mode grid written to CSV/JSON,
 * ``yields``: per-segment yield with and without memories, plus the ratio,
 * ``mc-check``: every closed-form expectation against its sampling oracle.
 
 Exit status is 0 on success, 1 when mc-check finds a deviation beyond
 three standard errors or when a sweep wrote failed (NaN) rows, and 2 on
-validation or runtime errors.
+validation or runtime errors, including a simulate point that could not
+be evaluated.
 """
 
 from __future__ import annotations
@@ -37,29 +39,32 @@ from .netmodel import (
     NodeParams,
     SourceParams,
     TrioConfig,
-    _click_probs,
     expected_coherence_near,
     expected_max_geometric,
     transmission_from_db,
+    window_click_probs,
     yield_memoryless,
     yield_with_memory,
 )
 from .protocol import NoiseParams
-from .rates import full_report, rate_reports
+from .rates import RateReport, rate_reports
 
-CSV_COLUMNS = (
-    "segment",
-    "f_D",
-    "f_G",
-    "memory",
-    "T2_s",
-    "yield",
-    "fidelity",
-    "Q_X",
-    "Q_AB",
-    "r_per_attempt",
-    "r_per_second",
+# (column, RateReport field) of every value a CSV or JSON row carries, in
+# column order; rendering and parsing both go through this table.
+ROW_COLUMNS = (
+    ("segment", "segment"),
+    ("f_D", "f_d"),
+    ("f_G", "f_g"),
+    ("memory", "memory"),
+    ("T2_s", "t2_s"),
+    ("yield", "yield_per_attempt"),
+    ("fidelity", "fidelity"),
+    ("Q_X", "q_x"),
+    ("Q_AB", "q_ab"),
+    ("r_per_attempt", "r_per_attempt"),
+    ("r_per_second", "r_per_second"),
 )
+CSV_COLUMNS = tuple(column for column, _ in ROW_COLUMNS)
 
 DEFAULT_CONFIG = "network_segments.yaml"
 
@@ -189,16 +194,13 @@ class SweepSpec:
     """Cartesian sweep over the noise knobs and memory settings.
 
     Each range is (min, max, steps).  t2_values applies to memory-on rows;
-    empty means each segment's configured T2.  The emitted row schema is
-    fixed, so ``outputs`` is validated as a statement of intent but does
-    not change the columns.
+    empty means each segment's configured T2.
     """
 
     fd_range: tuple[float, float, int] = (0.0, 0.3, 11)
     fg_range: tuple[float, float, int] = (0.0, 0.3, 11)
     memory_modes: tuple[str, ...] = ("off", "on")
     t2_values: tuple[float, ...] = ()
-    outputs: tuple[str, ...] = ("yield", "fidelity", "key_rate")
 
     def __post_init__(self) -> None:
         for label, rng in (("fd_range", self.fd_range), ("fg_range", self.fg_range)):
@@ -213,28 +215,6 @@ class SweepSpec:
             raise ValueError(f"memory_modes entries must be 'off' or 'on', got {self.memory_modes}")
         if any(t <= 0.0 for t in self.t2_values):
             raise ValueError(f"t2_values must be positive, got {self.t2_values}")
-        if not self.outputs or any(o not in ("yield", "fidelity", "key_rate") for o in self.outputs):
-            raise ValueError(
-                f"outputs must be a nonempty subset of yield/fidelity/key_rate, got {self.outputs}"
-            )
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point; ``error`` is set (and the metrics NaN) if it failed."""
-
-    segment: str
-    f_d: float
-    f_g: float
-    memory: bool
-    t2_s: float | None
-    yield_per_attempt: float
-    fidelity: float
-    q_x: float
-    q_ab: float
-    r_per_attempt: float
-    r_per_second: float
-    error: str | None = None
 
 
 def _axis(rng: tuple[float, float, int]) -> list[float]:
@@ -244,37 +224,20 @@ def _axis(rng: tuple[float, float, int]) -> list[float]:
 
 def _eval_block(
     cfg: TrioConfig, grid: list[tuple[float, float]], memory: bool, t2: float | None
-) -> list[SweepRow]:
+) -> list[RateReport]:
     """Rows of one (segment, memory, T2) block, in grid order, from one
     engine call; raises ValueError if any point cannot be evaluated."""
     if memory and cfg.memory is None:
         raise ValueError(f"segment {cfg.name} has no memory parameters")
-    cfg_run = cfg
     if memory and t2 is not None:
-        cfg_run = replace(cfg, memory=replace(cfg.memory, t2=t2))
+        cfg = replace(cfg, memory=replace(cfg.memory, t2=t2))
     noises = [NoiseParams(channel_depol=fd, gate_fail=fg) for fd, fg in grid]
-    reports = rate_reports(cfg_run, noises, use_memory=memory)
-    return [
-        SweepRow(
-            segment=cfg.name,
-            f_d=fd,
-            f_g=fg,
-            memory=memory,
-            t2_s=cfg_run.memory.t2 if memory else None,
-            yield_per_attempt=rep.yield_per_attempt,
-            fidelity=rep.fidelity,
-            q_x=rep.q_x,
-            q_ab=rep.q_ab,
-            r_per_attempt=rep.r_per_attempt,
-            r_per_second=rep.r_per_second,
-        )
-        for (fd, fg), rep in zip(grid, reports)
-    ]
+    return rate_reports(cfg, noises, use_memory=memory)
 
 
 def _eval_point(
     cfg: TrioConfig, fd: float, fg: float, memory: bool, t2: float | None
-) -> SweepRow:
+) -> RateReport:
     """One grid point on its own; a ValueError becomes a NaN row that
     records the failure, so the rest of the sweep goes on."""
     try:
@@ -282,7 +245,7 @@ def _eval_point(
         return row
     except ValueError as exc:
         nan = float("nan")
-        return SweepRow(
+        return RateReport(
             segment=cfg.name,
             f_d=fd,
             f_g=fg,
@@ -298,7 +261,7 @@ def _eval_point(
         )
 
 
-def run_sweep(configs, spec: SweepSpec = SweepSpec()) -> list[SweepRow]:
+def run_sweep(configs, spec: SweepSpec = SweepSpec()) -> list[RateReport]:
     """Evaluate the full grid, ordered by (segment, memory, T2, f_D, f_G).
 
     Each (segment, memory, T2) block of the (f_D, f_G) grid is evaluated
@@ -307,7 +270,7 @@ def run_sweep(configs, spec: SweepSpec = SweepSpec()) -> list[SweepRow]:
     NaN row and error text.
     """
     grid = [(fd, fg) for fd in _axis(spec.fd_range) for fg in _axis(spec.fg_range)]
-    rows: list[SweepRow] = []
+    rows: list[RateReport] = []
     for cfg in sorted(configs, key=lambda c: c.name):
         for mode in ("off", "on"):
             if mode not in spec.memory_modes:
@@ -336,24 +299,24 @@ def _json_float(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def row_as_dict(row: SweepRow) -> dict:
+def _json_value(value):
+    return value if value is None or isinstance(value, (str, bool)) else _json_float(value)
+
+
+def row_as_dict(row: RateReport) -> dict:
     """Row as a JSON-ready mapping with the canonical column names."""
-    d = {
-        "segment": row.segment,
-        "f_D": _json_float(row.f_d),
-        "f_G": _json_float(row.f_g),
-        "memory": bool(row.memory),
-        "T2_s": None if row.t2_s is None else _json_float(row.t2_s),
-        "yield": _json_float(row.yield_per_attempt),
-        "fidelity": _json_float(row.fidelity),
-        "Q_X": _json_float(row.q_x),
-        "Q_AB": _json_float(row.q_ab),
-        "r_per_attempt": _json_float(row.r_per_attempt),
-        "r_per_second": _json_float(row.r_per_second),
-    }
+    d = {column: _json_value(getattr(row, field)) for column, field in ROW_COLUMNS}
     if row.error is not None:
         d["error"] = row.error
     return d
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else _g17(value)
 
 
 def render_csv(rows) -> str:
@@ -361,21 +324,7 @@ def render_csv(rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in rows:
-        writer.writerow(
-            [
-                r.segment,
-                _g17(r.f_d),
-                _g17(r.f_g),
-                "true" if r.memory else "false",
-                "" if r.t2_s is None else _g17(r.t2_s),
-                _g17(r.yield_per_attempt),
-                _g17(r.fidelity),
-                _g17(r.q_x),
-                _g17(r.q_ab),
-                _g17(r.r_per_attempt),
-                _g17(r.r_per_second),
-            ]
-        )
+        writer.writerow([_csv_cell(getattr(r, field)) for _, field in ROW_COLUMNS])
     return buf.getvalue()
 
 
@@ -403,7 +352,15 @@ def _require_float(value) -> float:
     return float("nan") if value is None else float(value)
 
 
-def parse_rows(path, fmt: str | None = None) -> list[SweepRow]:
+def _parse_row(values: dict, number, flag, error: str | None = None) -> RateReport:
+    """A row from its cells by column name; ``number`` reads the float
+    cells and ``flag`` the memory cell in the file format's encoding."""
+    read = {"segment": str, "memory": flag, "t2_s": _float_or_none}
+    fields = {field: read.get(field, number)(values[column]) for column, field in ROW_COLUMNS}
+    return RateReport(**fields, error=error)
+
+
+def parse_rows(path, fmt: str | None = None) -> list[RateReport]:
     """Read back an emit() file (format inferred from the suffix if omitted).
 
     CSV cannot carry error messages, so failed rows come back with NaN
@@ -412,47 +369,16 @@ def parse_rows(path, fmt: str | None = None) -> list[SweepRow]:
     p = Path(path)
     if fmt is None:
         fmt = "json" if p.suffix == ".json" else "csv"
-    rows = []
     if fmt == "json":
-        for d in json.loads(p.read_text()):
-            rows.append(
-                SweepRow(
-                    segment=d["segment"],
-                    f_d=_require_float(d["f_D"]),
-                    f_g=_require_float(d["f_G"]),
-                    memory=bool(d["memory"]),
-                    t2_s=_float_or_none(d["T2_s"]),
-                    yield_per_attempt=_require_float(d["yield"]),
-                    fidelity=_require_float(d["fidelity"]),
-                    q_x=_require_float(d["Q_X"]),
-                    q_ab=_require_float(d["Q_AB"]),
-                    r_per_attempt=_require_float(d["r_per_attempt"]),
-                    r_per_second=_require_float(d["r_per_second"]),
-                    error=d.get("error"),
-                )
-            )
-        return rows
+        return [
+            _parse_row(d, _require_float, bool, d.get("error"))
+            for d in json.loads(p.read_text())
+        ]
     with p.open(newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != list(CSV_COLUMNS):
             raise ValueError(f"unexpected CSV header in {p}: {reader.fieldnames}")
-        for d in reader:
-            rows.append(
-                SweepRow(
-                    segment=d["segment"],
-                    f_d=float(d["f_D"]),
-                    f_g=float(d["f_G"]),
-                    memory=d["memory"] == "true",
-                    t2_s=_float_or_none(d["T2_s"]),
-                    yield_per_attempt=float(d["yield"]),
-                    fidelity=float(d["fidelity"]),
-                    q_x=float(d["Q_X"]),
-                    q_ab=float(d["Q_AB"]),
-                    r_per_attempt=float(d["r_per_attempt"]),
-                    r_per_second=float(d["r_per_second"]),
-                )
-            )
-    return rows
+        return [_parse_row(d, float, lambda cell: cell == "true") for d in reader]
 
 
 def yields_report(configs) -> list[dict]:
@@ -512,7 +438,7 @@ def mc_report(configs, num_samples: int = 10**6, seed: int = 0) -> dict:
     checks = []
     for i, cfg in enumerate(sorted(configs, key=lambda c: c.name)):
         base = seed + 3 * i
-        p = _click_probs(cfg, with_memory=False)
+        p = window_click_probs(cfg, with_memory=False)
         checks.append(
             _mc_check_entry(
                 "expected_max_outer",
@@ -566,15 +492,7 @@ def _load_configs(args) -> list[TrioConfig]:
     return configs
 
 
-def _with_t2(cfg: TrioConfig, t2: float | None) -> TrioConfig:
-    if t2 is None:
-        return cfg
-    if cfg.memory is None:
-        raise ValueError(f"segment {cfg.name} has no memory parameters to override")
-    return replace(cfg, memory=replace(cfg.memory, t2=t2))
-
-
-def _format_report_text(row: SweepRow) -> str:
+def _format_report_text(row: RateReport) -> str:
     mode = "on" if row.memory else "off"
     t2 = "" if row.t2_s is None else f", T2={row.t2_s:g} s"
     lines = [
@@ -591,26 +509,20 @@ def _format_report_text(row: SweepRow) -> str:
 
 def _cmd_simulate(args) -> int:
     configs = _load_configs(args)
-    noise = NoiseParams(channel_depol=args.fd, gate_fail=args.fg)
-    rows = []
-    for cfg in configs:
-        cfg_run = _with_t2(cfg, args.t2)
-        rep = full_report(cfg_run, noise, use_memory=args.memory)
-        rows.append(
-            SweepRow(
-                segment=cfg.name,
-                f_d=args.fd,
-                f_g=args.fg,
-                memory=args.memory,
-                t2_s=cfg_run.memory.t2 if args.memory and cfg_run.memory else None,
-                yield_per_attempt=rep.yield_per_attempt,
-                fidelity=rep.fidelity,
-                q_x=rep.q_x,
-                q_ab=rep.q_ab,
-                r_per_attempt=rep.r_per_attempt,
-                r_per_second=rep.r_per_second,
-            )
-        )
+    spec = SweepSpec(
+        fd_range=(args.fd, args.fd, 1),
+        fg_range=(args.fg, args.fg, 1),
+        memory_modes=("on",) if args.memory else ("off",),
+        t2_values=() if args.t2 is None else (args.t2,),
+    )
+    # one sweep per segment: run_sweep orders segments by name, the report
+    # keeps the file's order
+    rows = [row for cfg in configs for row in run_sweep([cfg], spec)]
+    failed = [r for r in rows if r.error is not None]
+    for r in failed:
+        print(f"error: {r.segment}: {r.error}", file=sys.stderr)
+    if failed:
+        return 2
     if args.format == "json":
         _write_out(render_json(rows), args.out)
     else:
@@ -708,7 +620,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--segment", default=None, help="restrict to one segment by name")
 
     sim = sub.add_parser(
-        "simulate", parents=[common], help="single-point pipeline run and rate report"
+        "simulate", parents=[common], help="one-point sweep, one rate report per segment"
     )
     sim.add_argument("--fd", type=float, default=0.0, help="transit depolarization strength")
     sim.add_argument("--fg", type=float, default=0.0, help="merge-gate failure probability")
@@ -718,7 +630,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=False,
         help="run the memory-assisted variant",
     )
-    sim.add_argument("--t2", type=float, default=None, help="override memory T2 (seconds)")
+    sim.add_argument(
+        "--t2", type=float, default=None, help="memory T2 in seconds for --memory rows"
+    )
     sim.add_argument("--format", choices=("text", "json"), default="text")
     sim.add_argument("--out", type=Path, default=None, help="write to file instead of stdout")
     sim.set_defaults(func=_cmd_simulate)
@@ -743,7 +657,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=0,
-        help="accepted for interface symmetry; the sweep itself is deterministic",
+        help="deprecated and ignored: the sweep is deterministic",
     )
     sw.add_argument("--format", choices=("csv", "json"), default="csv")
     sw.add_argument("--out", type=Path, required=True, help="output file")

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .netmodel import TrioConfig, _click_probs, storage_times
+from .netmodel import TrioConfig, near_far_memory, window_click_probs
 
 CHUNK = 1 << 16
 
@@ -108,14 +108,7 @@ def mc_coherence_near(
     """
     if cfg.memory is None:
         raise ValueError(f"segment {cfg.name} has no memory parameters")
-    p = _click_probs(cfg, with_memory=True)
-    times = storage_times(cfg)
-    if times.far_node == "A":
-        p_far, p_near = p["A"], p["C"]
-        tau_far, l_near = times.tau_a, cfg.link_bc.length
-    else:
-        p_far, p_near = p["C"], p["A"]
-        tau_far, l_near = times.tau_c, cfg.link_ab.length
+    p_near, p_far, tau_far, l_near = near_far_memory(cfg)
     t2 = cfg.memory.t2
     t_near = 2.0 * l_near / cfg.speed_of_light
 
@@ -136,7 +129,7 @@ def mc_yield_memoryless(
     Each attempt draws four independent detection windows (A, two at B,
     C) and succeeds when all click.  Oracle for yield_memoryless.
     """
-    p = _click_probs(cfg, with_memory=False)
+    p = window_click_probs(cfg, with_memory=False)
     probs = np.array([p["A"], p["B"], p["B"], p["C"]])
 
     def block(rng: np.random.Generator, size: int) -> np.ndarray:

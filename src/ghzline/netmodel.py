@@ -183,7 +183,7 @@ def dark_count_depolarization(detection: float, click: float, dark_count: float)
     return min(1.0, max(0.0, alpha))
 
 
-def _click_probs(cfg: TrioConfig, with_memory: bool) -> dict[str, float]:
+def window_click_probs(cfg: TrioConfig, with_memory: bool) -> dict[str, float]:
     """Click probabilities of the four detection windows: A, both B windows, C."""
     return {
         "A": click_prob(detection_prob(cfg, "A"), cfg.node_a.dark_count_prob),
@@ -198,7 +198,7 @@ def yield_memoryless(cfg: TrioConfig) -> float:
     All four windows (A, two at B, C) must click in the same attempt:
     Y = xi'_A (xi'_B)^2 xi'_C.
     """
-    p = _click_probs(cfg, with_memory=False)
+    p = window_click_probs(cfg, with_memory=False)
     return p["A"] * p["B"] ** 2 * p["C"]
 
 
@@ -224,7 +224,7 @@ def yield_with_memory(cfg: TrioConfig) -> float:
     """
     if cfg.memory is None:
         raise ValueError(f"segment {cfg.name} has no memory parameters")
-    p = _click_probs(cfg, with_memory=True)
+    p = window_click_probs(cfg, with_memory=True)
     return p["B"] ** 2 / expected_max_geometric(p["A"], p["C"])
 
 
@@ -251,6 +251,21 @@ def storage_times(cfg: TrioConfig) -> StorageTimes:
     )
 
 
+def near_far_memory(cfg: TrioConfig) -> tuple[float, float, float, float]:
+    """(p_near, p_far, tau_far, l_near) of the two middle-station memories.
+
+    p_near and p_far are the click probabilities of the outer windows on
+    the near and far side, tau_far is the far link's attempt period and
+    l_near the near link's length.  The far side is the one storage_times
+    picks: the longer link, C on a tie.
+    """
+    p = window_click_probs(cfg, with_memory=True)
+    times = storage_times(cfg)
+    if times.far_node == "A":
+        return p["C"], p["A"], times.tau_a, cfg.link_bc.length
+    return p["A"], p["C"], times.tau_c, cfg.link_ab.length
+
+
 def expected_coherence_near(cfg: TrioConfig) -> float:
     """Expected e^(-t/T2) retained by the near-side memory over its random wait.
 
@@ -265,14 +280,7 @@ def expected_coherence_near(cfg: TrioConfig) -> float:
     """
     if cfg.memory is None:
         raise ValueError(f"segment {cfg.name} has no memory parameters")
-    p = _click_probs(cfg, with_memory=True)
-    times = storage_times(cfg)
-    if times.far_node == "A":
-        p_far, p_near = p["A"], p["C"]
-        tau_far, l_near = times.tau_a, cfg.link_bc.length
-    else:
-        p_far, p_near = p["C"], p["A"]
-        tau_far, l_near = times.tau_c, cfg.link_ab.length
+    p_near, p_far, tau_far, l_near = near_far_memory(cfg)
     t2 = cfg.memory.t2
     beta = math.exp(-tau_far / t2)
     both = p_near + p_far - p_near * p_far

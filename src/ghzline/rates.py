@@ -26,7 +26,7 @@ from .density import (
     fidelity,
 )
 from .netmodel import TrioConfig, yield_memoryless, yield_with_memory
-from .protocol import NoiseParams, ProtocolOutcome, run_stack, target_state
+from .protocol import NoiseParams, run_stack, target_state
 
 PARITY_TEST = PauliString("ZYZ")
 
@@ -37,15 +37,26 @@ CHUNK_ROWS = 32
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-attempt and per-second rate summary of one protocol setting."""
+    """Yield, errors and key rates of one operating point.
 
-    protocol_label: str
+    The point is the segment, the noise knobs f_D and f_G, the memory mode
+    and, with memory, its T2.  Fields run in the sweep's column order.
+    ``error`` is set, and the metrics NaN, when a sweep could not evaluate
+    the point.
+    """
+
+    segment: str
+    f_d: float
+    f_g: float
+    memory: bool
+    t2_s: float | None
     yield_per_attempt: float
     fidelity: float
     q_x: float
     q_ab: float
     r_per_attempt: float
     r_per_second: float
+    error: str | None = None
 
 
 def binary_entropy(x: float) -> float:
@@ -133,13 +144,13 @@ def key_rate(yield_per_attempt: float, q_x: float, q_ab: float) -> float:
 
 def _reports(
     cfg: TrioConfig,
+    noises: Sequence[NoiseParams],
     use_memory: bool,
     outcome: int,
     states: np.ndarray,
     fidelities: np.ndarray,
-    label: str,
 ) -> list[RateReport]:
-    """One report per row of a stack of delivered states.
+    """One report per row of a stack of delivered states; row i ran noises[i].
 
     Both error tests are defined in the +1 outcome convention, so a -1
     heralding is first reconciled by the dealer's X correction on C's
@@ -151,12 +162,17 @@ def _reports(
     q_x = _parity_errors(states)
     q_ab = _bipartite_errors(states)
     y = yield_with_memory(cfg) if use_memory else yield_memoryless(cfg)
+    t2 = cfg.memory.t2 if use_memory else None
     out = []
-    for fid, qx, qab in zip(fidelities.tolist(), q_x.tolist(), q_ab.tolist()):
+    for noise, fid, qx, qab in zip(noises, fidelities.tolist(), q_x.tolist(), q_ab.tolist()):
         r = key_rate(y, qx, qab)
         out.append(
             RateReport(
-                protocol_label=label,
+                segment=cfg.name,
+                f_d=noise.channel_depol,
+                f_g=noise.gate_fail,
+                memory=use_memory,
+                t2_s=t2,
                 yield_per_attempt=y,
                 fidelity=fid,
                 q_x=qx,
@@ -168,28 +184,12 @@ def _reports(
     return out
 
 
-def report_for_outcome(
-    outcome: ProtocolOutcome, cfg: TrioConfig, label: str = "CKA"
-) -> RateReport:
-    """Rates of an already-run pipeline under the segment's link budget."""
-    (report,) = _reports(
-        cfg,
-        outcome.used_memory,
-        outcome.outcome,
-        outcome.rho_out.data[None],
-        np.array([outcome.fidelity]),
-        label,
-    )
-    return report
-
-
 def rate_reports(
     cfg: TrioConfig,
     noises: Sequence[NoiseParams],
     *,
     use_memory: bool = False,
     outcome: int = +1,
-    label: str = "CKA",
 ) -> list[RateReport]:
     """One report per entry of ``noises``, as full_report would give it.
 
@@ -197,10 +197,9 @@ def rate_reports(
     """
     out: list[RateReport] = []
     for start in range(0, len(noises), CHUNK_ROWS):
-        _, states, fids = run_stack(
-            cfg, noises[start : start + CHUNK_ROWS], use_memory=use_memory, outcome=outcome
-        )
-        out += _reports(cfg, use_memory, outcome, states, fids, label)
+        chunk = noises[start : start + CHUNK_ROWS]
+        _, states, fids = run_stack(cfg, chunk, use_memory=use_memory, outcome=outcome)
+        out += _reports(cfg, chunk, use_memory, outcome, states, fids)
     return out
 
 
@@ -210,8 +209,7 @@ def full_report(
     *,
     use_memory: bool = False,
     outcome: int = +1,
-    label: str = "CKA",
 ) -> RateReport:
     """Run the pipeline on ``cfg`` and summarize yield, errors, and rates."""
-    (report,) = rate_reports(cfg, [noise], use_memory=use_memory, outcome=outcome, label=label)
+    (report,) = rate_reports(cfg, [noise], use_memory=use_memory, outcome=outcome)
     return report

@@ -1,5 +1,6 @@
 """Tests of config ingestion, the sweep driver, serialization, and the CLI."""
 
+import csv
 import json
 import math
 
@@ -10,7 +11,6 @@ from ghzline import MemoryParams
 from ghzline.cli import (
     CSV_COLUMNS,
     ConfigError,
-    SweepRow,
     SweepSpec,
     data_path,
     emit,
@@ -26,7 +26,7 @@ from ghzline.cli import (
     yields_report,
 )
 from ghzline.cli import _parse_axis
-from ghzline.rates import full_report
+from ghzline.rates import RateReport, full_report
 from ghzline.protocol import NoiseParams
 from util import make_cfg
 
@@ -200,8 +200,6 @@ class TestSweepSpec:
         {"memory_modes": ("off", "off")},
         {"memory_modes": ("sometimes",)},
         {"t2_values": (1.0, -2.0)},
-        {"outputs": ()},
-        {"outputs": ("yield", "volume")},
     ])
     def test_rejects_bad_spec(self, kwargs):
         with pytest.raises(ValueError):
@@ -324,7 +322,7 @@ class TestRendering:
                     yield_per_attempt=1.0, fidelity=1.0, q_x=0.0, q_ab=0.0,
                     r_per_attempt=1.0, r_per_second=4.0e7)
         base.update(overrides)
-        return SweepRow(**base)
+        return RateReport(**base)
 
     def test_header_is_pinned(self):
         header = render_csv([]).splitlines()[0]
@@ -367,10 +365,24 @@ class TestRendering:
         rows = run_sweep(
             [make_cfg(eta_b=0.5, trans_ab=0.3, trans_bc=0.4,
                       memory=MemoryParams(0.9, 2.5))],
-            SweepSpec(fd_range=(0.0, 0.3, 2), fg_range=(0.0, 0.3, 2)),
+            SweepSpec(fd_range=(0.0, 0.3, 2), fg_range=(0.0, 0.3, 2),
+                      t2_values=(2.5, 0.01)),
         )
         path = emit(rows, "csv", tmp_path / "rows.csv")
         assert parse_rows(path) == rows
+        # each column holds its own field, written out here independently
+        # of the table the renderer and the parser share
+        with path.open(newline="") as fh:
+            cells = list(csv.DictReader(fh))
+        assert len(cells) == len(rows)
+        for d, row in zip(cells, rows):
+            assert d["segment"] == row.segment
+            assert d["memory"] == ("true" if row.memory else "false")
+            assert (None if d["T2_s"] == "" else float(d["T2_s"])) == row.t2_s
+            assert [float(d[c]) for c in ("f_D", "f_G", "yield", "fidelity", "Q_X",
+                                          "Q_AB", "r_per_attempt", "r_per_second")] == [
+                row.f_d, row.f_g, row.yield_per_attempt, row.fidelity, row.q_x,
+                row.q_ab, row.r_per_attempt, row.r_per_second]
 
     def test_json_round_trip_keeps_errors(self, tmp_path):
         rows = run_sweep(
@@ -383,6 +395,8 @@ class TestRendering:
         assert back[0] == rows[0]
         assert back[1].error == rows[1].error
         assert math.isnan(back[1].fidelity)
+        assert [row_as_dict(r) for r in back] == [row_as_dict(r) for r in rows]
+        assert render_json(back) == path.read_text()
 
     def test_parse_rows_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "other.csv"
@@ -484,10 +498,39 @@ class TestMain:
         assert "no segment named" in capsys.readouterr().err
 
     def test_simulate_t2_without_memory(self, tmp_path, capsys):
+        # --t2 applies to memory-on rows only, as in sweep
         path = write_doc(tmp_path, minimal_doc())
-        code = main(["simulate", "--config", str(path), "--memory", "--t2", "0.5"])
+        out = tmp_path / "report.json"
+        code = main(["simulate", "--config", str(path), "--t2", "0.5",
+                     "--format", "json", "--out", str(out)])
+        assert code == 0
+        (row,) = json.loads(out.read_text())
+        assert row["memory"] is False and row["T2_s"] is None
+        out.unlink()
+        code = main(["simulate", "--config", str(path), "--memory", "--t2", "0.5",
+                     "--out", str(out)])
         assert code == 2
-        assert "memory" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "test-segment" in err and "memory" in err
+        assert not out.exists()
+
+    def test_simulate_json_is_a_one_point_sweep(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = main(["simulate", "--fd", "0.05", "--fg", "0.1", "--memory", "--t2", "10",
+                     "--format", "json", "--out", str(out)])
+        assert code == 0
+        spec = SweepSpec(fd_range=(0.05, 0.05, 1), fg_range=(0.1, 0.1, 1),
+                         memory_modes=("on",), t2_values=(10.0,))
+        assert out.read_text() == render_json(run_sweep(load_config(data_path()), spec))
+
+    def test_simulate_keeps_file_order(self, tmp_path):
+        doc = minimal_doc(name="zeta")
+        doc["segments"].append(dict(doc["segments"][0], name="alpha"))
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "report.json"
+        code = main(["simulate", "--config", str(path), "--format", "json", "--out", str(out)])
+        assert code == 0
+        assert [r["segment"] for r in json.loads(out.read_text())] == ["zeta", "alpha"]
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         doc = minimal_doc()

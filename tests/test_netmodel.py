@@ -24,6 +24,7 @@ from ghzline import (
     yield_memoryless,
     yield_with_memory,
 )
+from ghzline.netmodel import near_far_memory
 from util import make_cfg, series_expected_max
 
 probs = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
@@ -252,6 +253,27 @@ class TestStorageTimes:
     def test_far_confirmation_wait(self):
         times = storage_times(make_cfg(len_ab=10.0, len_bc=90.0))
         assert times.t_far == pytest.approx(9e-4, rel=1e-12)
+
+
+class TestNearFarMemory:
+    # eta 1 and no darks make the click probs equal the transmissions
+    def near_far(self, len_ab, len_bc):
+        return near_far_memory(make_cfg(trans_ab=0.3, trans_bc=0.6, len_ab=len_ab,
+                                        len_bc=len_bc, memory=MemoryParams(0.9, 2.5)))
+
+    def test_swaps_with_the_link_lengths(self):
+        tau_50 = 1.0 / 4.0e7 + 2.0 * 50.0 / 2.0e5
+        p_near, p_far, tau_far, l_near = self.near_far(10.0, 50.0)  # C far
+        assert (p_near, p_far) == (pytest.approx(0.3, rel=1e-12), pytest.approx(0.6, rel=1e-12))
+        assert tau_far == pytest.approx(tau_50, rel=1e-12) and l_near == 10.0
+        p_near, p_far, tau_far, l_near = self.near_far(50.0, 10.0)  # A far
+        assert (p_near, p_far) == (pytest.approx(0.6, rel=1e-12), pytest.approx(0.3, rel=1e-12))
+        assert tau_far == pytest.approx(tau_50, rel=1e-12) and l_near == 10.0
+
+    def test_tie_resolves_to_c_as_far_side(self):
+        p_near, p_far, tau_far, l_near = self.near_far(70.0, 70.0)
+        assert (p_near, p_far) == (pytest.approx(0.3, rel=1e-12), pytest.approx(0.6, rel=1e-12))
+        assert l_near == 70.0
 
 
 class TestExpectedCoherenceNear:

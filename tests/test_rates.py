@@ -16,7 +16,6 @@ from ghzline import (
     qber_bipartite,
     qber_parity,
     qber_parity_from_expectation,
-    report_for_outcome,
     run_pipeline,
     target_state,
 )
@@ -173,10 +172,13 @@ class TestReports:
         assert long.fidelity >= short.fidelity - 1e-15
         assert long.r_per_attempt >= short.r_per_attempt - 1e-15
 
-    def test_label_is_passed_through(self):
-        run = run_pipeline(make_cfg())
-        report = report_for_outcome(run, make_cfg(), label="segment-0")
-        assert report.protocol_label == "segment-0"
+    def test_report_carries_its_point(self):
+        cfg = make_cfg(memory=MemoryParams(0.9, 2.5))
+        stored = full_report(cfg, NoiseParams(0.1, 0.2), use_memory=True)
+        assert (stored.segment, stored.f_d, stored.f_g) == ("test-segment", 0.1, 0.2)
+        assert stored.memory is True and stored.t2_s == 2.5 and stored.error is None
+        plain = full_report(cfg, NoiseParams(0.1, 0.2))
+        assert plain.memory is False and plain.t2_s is None
 
     def test_rate_never_exceeds_yield_on_noisy_runs(self):
         for depol, fail in [(0.0, 0.0), (0.05, 0.0), (0.0, 0.05), (0.1, 0.1)]:
