@@ -189,6 +189,15 @@ def load_config(path) -> list[TrioConfig]:
     return [_build_segment(seg) for seg in doc["segments"]]
 
 
+class SpecError(ValueError):
+    """A SweepSpec field is out of range: ``field`` names it, ``problem`` says how."""
+
+    def __init__(self, field: str, problem: str) -> None:
+        super().__init__(f"{field}: {problem}")
+        self.field = field
+        self.problem = problem
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Cartesian sweep over the noise knobs and memory settings.
@@ -206,15 +215,16 @@ class SweepSpec:
         for label, rng in (("fd_range", self.fd_range), ("fg_range", self.fg_range)):
             lo, hi, steps = rng
             if not 0.0 <= lo <= hi <= 1.0:
-                raise ValueError(f"{label}: need 0 <= min <= max <= 1, got {lo}..{hi}")
+                raise SpecError(label, f"need 0 <= min <= max <= 1, got {lo}..{hi}")
             if int(steps) < 1:
-                raise ValueError(f"{label}: steps must be >= 1, got {steps}")
-        if not self.memory_modes or len(set(self.memory_modes)) != len(self.memory_modes):
-            raise ValueError(f"memory_modes must be nonempty and distinct, got {self.memory_modes}")
-        if any(m not in ("off", "on") for m in self.memory_modes):
-            raise ValueError(f"memory_modes entries must be 'off' or 'on', got {self.memory_modes}")
+                raise SpecError(label, f"steps must be >= 1, got {steps}")
+        modes = self.memory_modes
+        if not modes or len(set(modes)) != len(modes):
+            raise SpecError("memory_modes", f"must be nonempty and distinct, got {modes}")
+        if any(m not in ("off", "on") for m in modes):
+            raise SpecError("memory_modes", f"entries must be 'off' or 'on', got {modes}")
         if any(t <= 0.0 for t in self.t2_values):
-            raise ValueError(f"t2_values must be positive, got {self.t2_values}")
+            raise SpecError("t2_values", f"must be positive, got {self.t2_values}")
 
 
 def _axis(rng: tuple[float, float, int]) -> list[float]:
@@ -507,9 +517,22 @@ def _format_report_text(row: RateReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The option behind each SweepSpec field that simulate and sweep set.
+SPEC_FLAGS = {"fd_range": "--fd", "fg_range": "--fg", "t2_values": "--t2"}
+
+
+def _sweep_spec(**fields) -> SweepSpec:
+    """SweepSpec from command-line values; a field out of range is
+    reported by the option the user typed."""
+    try:
+        return SweepSpec(**fields)
+    except SpecError as exc:
+        raise ValueError(f"{SPEC_FLAGS[exc.field]}: {exc.problem}") from None
+
+
 def _cmd_simulate(args) -> int:
     configs = _load_configs(args)
-    spec = SweepSpec(
+    spec = _sweep_spec(
         fd_range=(args.fd, args.fd, 1),
         fg_range=(args.fg, args.fg, 1),
         memory_modes=("on",) if args.memory else ("off",),
@@ -546,7 +569,7 @@ def _cmd_sweep(args) -> int:
         modes: tuple[str, ...] = ("off", "on")
     else:
         modes = ("on",) if args.memory else ("off",)
-    spec = SweepSpec(
+    spec = _sweep_spec(
         fd_range=_parse_axis(args.fd),
         fg_range=_parse_axis(args.fg),
         memory_modes=modes,
@@ -590,7 +613,10 @@ def _cmd_yields(args) -> int:
 
 
 def _cmd_mc_check(args) -> int:
-    report = mc_report(_load_configs(args), num_samples=args.samples, seed=args.seed)
+    configs = _load_configs(args)
+    if args.samples < 1:
+        raise ValueError(f"--samples: must be >= 1, got {args.samples}")
+    report = mc_report(configs, num_samples=args.samples, seed=args.seed)
     _write_out(json.dumps(report, indent=1) + "\n", args.out)
     if report["num_deviations"]:
         print(
@@ -602,7 +628,9 @@ def _cmd_mc_check(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="ghzline",
         description="Three-party entangled-state distribution over fiber segments: "

@@ -135,9 +135,16 @@ def _as_amplitudes(state, dim: int) -> np.ndarray:
 # which are exact: X flips the qubit's bit on both indices, Z multiplies
 # entry (i, j) by the +-1 signs of that bit in i and j, and Y does both.
 # Sums are formed in a fixed order, so a row's result does not depend on
-# how many other rows share its stack.  The +-1 sign tables depend only on
-# the register size and the qubits, so each is built once and kept
-# read-only.
+# how many other rows share its stack.  The index and sign tables depend
+# only on the register size and the qubits, so each is built once and
+# kept read-only.
+#
+# Each channel is split in two.  The public stack function checks the
+# stack, the qubits and every strength; its kernel (same name with a
+# leading underscore) takes the qubit count and strengths that already
+# passed those checks, shaped to broadcast over (B, 1, 1), and does only
+# the arithmetic.  A caller that validated its inputs once, such as
+# protocol.run_stack, calls the kernels directly.
 
 
 def _stack_qubits(rho: np.ndarray) -> int:
@@ -159,6 +166,10 @@ def _check_pair(q1: int, q2: int, num_qubits: int) -> None:
         raise ValueError("CZ needs two distinct qubits")
 
 
+def _strength_error(what: str, hi: float, value) -> ValueError:
+    return ValueError(f"{what} must be in [0, {hi:g}], got {value}")
+
+
 def _row_strengths(strength, rows: int, hi: float, what: str) -> np.ndarray:
     """Strengths shaped to broadcast over a stack of ``rows`` states.
 
@@ -170,8 +181,17 @@ def _row_strengths(strength, rows: int, hi: float, what: str) -> np.ndarray:
         raise ValueError(f"{what}: expected a scalar or {rows} values, got shape {s.shape}")
     bad = ~((s >= 0.0) & (s <= hi))
     if bad.any():
-        raise ValueError(f"{what} must be in [0, {hi:g}], got {s[bad].flat[0]}")
+        raise _strength_error(what, hi, s[bad].flat[0])
     return s.reshape(s.shape + (1, 1))
+
+
+def _checked_strength(value, hi: float, what: str) -> float:
+    """One strength for every row, as a float, checked as _row_strengths
+    checks a scalar and failing with the same message."""
+    s = float(value)
+    if not 0.0 <= s <= hi:
+        raise _strength_error(what, hi, s)
+    return s
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -187,10 +207,19 @@ def _z_conjugation(num_qubits: int, qubit: int) -> np.ndarray:
     return _read_only(np.outer(signs, signs))
 
 
+@cache
+def _x_permutation(num_qubits: int, qubit: int) -> np.ndarray:
+    """Flat entry of rho behind each flat entry of X rho X: the qubit's
+    bit flipped in both indices."""
+    dim = 2**num_qubits
+    idx = np.arange(dim) ^ (1 << (num_qubits - 1 - qubit))
+    return _read_only((idx[:, None] * dim + idx).reshape(-1))
+
+
 def _x_conjugate(rho: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
     """X rho X on ``qubit`` of every row, as a fresh array."""
-    t = rho.reshape((len(rho),) + (2,) * (2 * num_qubits))
-    return np.flip(t, (1 + qubit, 1 + num_qubits + qubit)).copy().reshape(rho.shape)
+    flat = rho.reshape(len(rho), -1)
+    return flat.take(_x_permutation(num_qubits, qubit), axis=1).reshape(rho.shape)
 
 
 def apply_unitary(rho: np.ndarray, qubit: int, unitary) -> np.ndarray:
@@ -225,6 +254,22 @@ def apply_cz(rho: np.ndarray, q1: int, q2: int) -> np.ndarray:
     return rho * _cz_conjugation(n, q1, q2)
 
 
+def _depolarize(rho: np.ndarray, num_qubits: int, qubit: int, quarter, keep) -> np.ndarray:
+    """keep * rho + quarter * (rho + X rho X + Y rho Y + Z rho Z), the
+    twirl summed in that order; quarter is strength / 4, keep 1 - strength."""
+    zz = _z_conjugation(num_qubits, qubit)
+    term = _x_conjugate(rho, num_qubits, qubit)  # X rho X
+    twirled = rho + term
+    np.multiply(term, zz, out=term)  # Y rho Y = Z (X rho X) Z
+    twirled += term
+    np.multiply(rho, zz, out=term)  # Z rho Z
+    twirled += term
+    twirled *= quarter
+    out = keep * rho
+    out += twirled
+    return out
+
+
 def depolarize(rho: np.ndarray, qubit: int, strength) -> np.ndarray:
     """Replace ``qubit`` by the maximally mixed state with probability ``strength``.
 
@@ -235,17 +280,12 @@ def depolarize(rho: np.ndarray, qubit: int, strength) -> np.ndarray:
     n = _stack_qubits(rho)
     _check_qubit(qubit, n)
     s = _row_strengths(strength, len(rho), 1.0, "depolarize strength")
-    zz = _z_conjugation(n, qubit)
-    term = _x_conjugate(rho, n, qubit)  # X rho X
-    twirled = rho + term
-    np.multiply(term, zz, out=term)  # Y rho Y = Z (X rho X) Z
-    twirled += term
-    np.multiply(rho, zz, out=term)  # Z rho Z
-    twirled += term
-    twirled *= s / 4.0
-    out = (1.0 - s) * rho
-    out += twirled
-    return out
+    return _depolarize(rho, n, qubit, s / 4.0, 1.0 - s)
+
+
+def _dephase(rho: np.ndarray, num_qubits: int, qubit: int, strength) -> np.ndarray:
+    """(1 - strength) rho + strength Z rho Z."""
+    return (1.0 - strength) * rho + strength * (rho * _z_conjugation(num_qubits, qubit))
 
 
 def dephase(rho: np.ndarray, qubit: int, strength) -> np.ndarray:
@@ -256,31 +296,60 @@ def dephase(rho: np.ndarray, qubit: int, strength) -> np.ndarray:
     """
     n = _stack_qubits(rho)
     _check_qubit(qubit, n)
-    s = _row_strengths(strength, len(rho), 0.5, "dephase strength")
-    return (1.0 - s) * rho + s * (rho * _z_conjugation(n, qubit))
+    return _dephase(rho, n, qubit, _row_strengths(strength, len(rho), 0.5, "dephase strength"))
+
+
+@cache
+def _trace_table(num_qubits: int, removed: tuple[int, ...]) -> np.ndarray:
+    """Flat entries of rho behind a partial trace over the sorted ``removed``.
+
+    Row c of the (2^k, 4^(n-k)) table fixes the removed qubits to the bits
+    of c, the lowest qubit most significant, on both indices; its entries
+    are the flat indices of rho behind each flat entry of the reduced
+    matrix.
+    """
+    idx = np.arange(4**num_qubits).reshape((2,) * (2 * num_qubits))
+    rows = []
+    for bits in product((0, 1), repeat=len(removed)):
+        index: list = [slice(None)] * (2 * num_qubits)
+        for q, bit in zip(removed, bits):
+            index[q] = index[num_qubits + q] = bit
+        rows.append(idx[tuple(index)].reshape(-1))
+    return _read_only(np.array(rows))
 
 
 def _trace_out(rho: np.ndarray, num_qubits: int, removed: list[int]) -> np.ndarray:
-    """Trace the sorted ``removed`` qubits out of every row, highest first."""
-    t = rho.reshape((len(rho),) + (2,) * (2 * num_qubits))
-    m = num_qubits
-    for q in reversed(removed):
-        t = np.trace(t, axis1=1 + q, axis2=1 + q + m)
-        m -= 1
-    return t.reshape(len(rho), 2**m, 2**m)
+    """Trace the sorted ``removed`` qubits out of every row.
+
+    The terms are summed in adjacent pairs, then pairs of pairs, which is
+    the order of np.trace over the highest removed qubit first: with two
+    removed qubits, (A + B) + (C + D).  Each pair sum also gets + 0.0, as
+    np.trace's reduction starts from +0.0: it turns -0 + -0 into +0 and
+    changes nothing else.
+    """
+    rows = len(rho)
+    terms = rho.reshape(rows, -1).take(_trace_table(num_qubits, tuple(removed)), axis=1)
+    while terms.shape[1] > 1:
+        terms = terms[:, 0::2] + terms[:, 1::2]
+        terms += 0.0
+    dim = 2 ** (num_qubits - len(removed))
+    return terms.reshape(rows, dim, dim)
 
 
 def _reinsert_mixed(reduced: np.ndarray, num_qubits: int, removed: list[int]) -> np.ndarray:
     """reduced (x) I/2^k per row, with the k mixed qubits back at ``removed``."""
     rows, k = len(reduced), len(removed)
-    part = (reduced * (1.0 / 2**k)).reshape((rows,) + (2,) * (2 * (num_qubits - k)))
-    out = np.zeros((rows,) + (2,) * (2 * num_qubits), dtype=complex)
-    for bits in product((0, 1), repeat=k):
-        index: list = [slice(None)] * (1 + 2 * num_qubits)
-        for q, bit in zip(removed, bits):
-            index[1 + q] = index[1 + num_qubits + q] = bit
-        out[tuple(index)] = part
+    out = np.zeros((rows, 4**num_qubits), dtype=complex)
+    part = reduced * (1.0 / 2**k)
+    out[:, _trace_table(num_qubits, tuple(removed))] = part.reshape(rows, 1, -1)
     return out.reshape(rows, 2**num_qubits, 2**num_qubits)
+
+
+def _noisy_cz(rho: np.ndarray, num_qubits: int, q1: int, q2: int, fail_prob) -> np.ndarray:
+    """(1 - fail_prob) CZ rho CZ + fail_prob Tr_{q1,q2}(rho) (x) I/4."""
+    removed = sorted((q1, q2))
+    scrambled = _reinsert_mixed(_trace_out(rho, num_qubits, removed), num_qubits, removed)
+    return (1.0 - fail_prob) * (rho * _cz_conjugation(num_qubits, q1, q2)) + fail_prob * scrambled
 
 
 def noisy_cz(rho: np.ndarray, q1: int, q2: int, fail_prob) -> np.ndarray:
@@ -292,9 +361,7 @@ def noisy_cz(rho: np.ndarray, q1: int, q2: int, fail_prob) -> np.ndarray:
     n = _stack_qubits(rho)
     _check_pair(q1, q2, n)
     f = _row_strengths(fail_prob, len(rho), 1.0, "fail_prob")
-    removed = sorted((q1, q2))
-    scrambled = _reinsert_mixed(_trace_out(rho, n, removed), n, removed)
-    return (1.0 - f) * apply_cz(rho, q1, q2) + f * scrambled
+    return _noisy_cz(rho, n, q1, q2, f)
 
 
 def partial_trace(rho: np.ndarray, qubits: list[int]) -> np.ndarray:
@@ -308,6 +375,42 @@ def partial_trace(rho: np.ndarray, qubits: list[int]) -> np.ndarray:
     if len(removed) == n:
         raise ValueError("cannot trace out every qubit")
     return _trace_out(rho, n, removed)
+
+
+@cache
+def _projection(num_qubits: int, qubit: int, basis: str, outcome: int):
+    """Axis orders and read-only vectors of a projection of ``qubit``.
+
+    np.tensordot contracts by moving the contracted axis first (for the
+    bra) or last (for the ket), reshaping to a matrix and calling np.dot.
+    _measure does the same with these axis orders, so np.dot sees the
+    same shapes and sums in the same order.
+    """
+    n = num_qubits
+    row_axes = (1 + qubit,) + tuple(k for k in range(1 + 2 * n) if k != 1 + qubit)
+    col_axes = tuple(k for k in range(2 * n) if k != n + qubit) + (n + qubit,)
+    e = BASIS_EIGENVECTORS[(basis, outcome)]
+    return row_axes, col_axes, _read_only(e.conj().reshape(1, 2)), _read_only(e.reshape(2, 1))
+
+
+def _measure(
+    rho: np.ndarray, num_qubits: int, qubit: int, basis: str, outcome: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities and normalized post-measurement stack; see measure."""
+    rows, n = len(rho), num_qubits
+    row_axes, col_axes, bra, ket = _projection(n, qubit, basis, outcome)
+    t = rho.reshape((rows,) + (2,) * (2 * n)).transpose(row_axes).reshape(2, -1)
+    t = np.dot(bra, t).reshape((rows,) + (2,) * (2 * n - 1))
+    t = np.dot(t.transpose(col_axes).reshape(-1, 2), ket)
+    mat = t.reshape(rows, 2 ** (n - 1), 2 ** (n - 1))
+    probs = mat.trace(axis1=1, axis2=2).real
+    low = probs < ZERO_PROB_TOL
+    if low.any():
+        raise ZeroProbabilityError(
+            f"outcome {outcome:+d} of a {basis} measurement on qubit {qubit} "
+            f"has probability {probs[low][0]:.3e}"
+        )
+    return probs, mat / probs[:, None, None]
 
 
 def measure(
@@ -326,29 +429,21 @@ def measure(
         raise ValueError(f"basis must be one of X, Y, Z, got {basis!r}")
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
-    e = BASIS_EIGENVECTORS[(basis, outcome)]
-    t = rho.reshape((len(rho),) + (2,) * (2 * n))
-    t = np.tensordot(e.conj(), t, axes=([0], [1 + qubit]))
-    t = np.tensordot(t, e, axes=([n + qubit], [0]))
-    mat = t.reshape(len(rho), 2 ** (n - 1), 2 ** (n - 1))
-    probs = np.real(np.trace(mat, axis1=1, axis2=2))
-    low = probs < ZERO_PROB_TOL
-    if low.any():
-        raise ZeroProbabilityError(
-            f"outcome {outcome:+d} of a {basis} measurement on qubit {qubit} "
-            f"has probability {probs[low][0]:.3e}"
-        )
-    return probs, mat / probs[:, None, None]
+    return _measure(rho, n, qubit, basis, outcome)
 
 
-def fidelity(rho: np.ndarray, state) -> np.ndarray:
-    """Overlap <psi| rho |psi> of every row with one pure state."""
-    v = _as_amplitudes(state, rho.shape[-1])
+def _fidelity(rho: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """<v| rho |v> of every row for a normalized amplitude vector v."""
     # np.vecdot conjugates its first argument and, like np.vdot, sums each
     # row with BLAS zdotc, so every row is bit-identical to its one-row
     # np.vdot.  Elementwise products summed by np.sum or np.einsum are
     # not: they round and add in another order.
-    return np.vecdot(v, rho @ v).real
+    return np.vecdot(amplitudes, rho @ amplitudes).real
+
+
+def fidelity(rho: np.ndarray, state) -> np.ndarray:
+    """Overlap <psi| rho |psi> of every row with one pure state."""
+    return _fidelity(rho, _as_amplitudes(state, rho.shape[-1]))
 
 
 class DensityMatrix:

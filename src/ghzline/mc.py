@@ -43,8 +43,12 @@ def _geometric_block(rng: np.random.Generator, p: float, size: int) -> np.ndarra
     """Vector of geometric attempt counts; inverse CDF, same law as sample_geometric."""
     if p == 1.0:
         return np.ones(size)
-    u = rng.random(size)
-    return np.maximum(1.0, np.ceil(np.log1p(-u) / math.log1p(-p)))
+    x = rng.random(size)
+    np.negative(x, out=x)
+    np.log1p(x, out=x)
+    x /= math.log1p(-p)
+    np.ceil(x, out=x)
+    return np.maximum(1.0, x, out=x)
 
 
 def _mc_mean(
@@ -52,7 +56,11 @@ def _mc_mean(
     num_samples: int,
     seed: int,
 ) -> McResult:
-    """Chunked streaming mean/variance with per-chunk child seeds."""
+    """Chunked streaming mean/variance with per-chunk child seeds.
+
+    ``block_fn`` must return a fresh array: its values are overwritten
+    while the second moment is formed.
+    """
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     n_chunks = -(-num_samples // CHUNK)
@@ -65,7 +73,9 @@ def _mc_mean(
         values = block_fn(np.random.default_rng(child), size)
         c = values.size
         m = float(values.mean())
-        s = float(((values - m) ** 2).sum())
+        values -= m
+        np.square(values, out=values)
+        s = float(values.sum())
         total = count + c
         delta = m - mean
         mean += delta * c / total
@@ -92,7 +102,7 @@ def mc_expected_max(
     def block(rng: np.random.Generator, size: int) -> np.ndarray:
         n_a = _geometric_block(rng, p_a, size)
         n_c = _geometric_block(rng, p_c, size)
-        return np.maximum(n_a, n_c)
+        return np.maximum(n_a, n_c, out=n_a)
 
     return _mc_mean(block, num_samples, seed)
 
@@ -113,10 +123,14 @@ def mc_coherence_near(
     t_near = 2.0 * l_near / cfg.speed_of_light
 
     def block(rng: np.random.Generator, size: int) -> np.ndarray:
-        n_near = _geometric_block(rng, p_near, size)
-        n_far = _geometric_block(rng, p_far, size)
-        wait = np.abs(n_near - n_far) * tau_far + t_near
-        return np.exp(-wait / t2)
+        wait = _geometric_block(rng, p_near, size)
+        wait -= _geometric_block(rng, p_far, size)
+        np.abs(wait, out=wait)
+        wait *= tau_far
+        wait += t_near
+        np.negative(wait, out=wait)
+        wait /= t2
+        return np.exp(wait, out=wait)
 
     return _mc_mean(block, num_samples, seed)
 
@@ -134,6 +148,10 @@ def mc_yield_memoryless(
 
     def block(rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random((4, size))
-        return np.all(u < probs[:, None], axis=0).astype(float)
+        hit = u[0] < probs[0]
+        hit &= u[1] < probs[1]
+        hit &= u[2] < probs[2]
+        hit &= u[3] < probs[3]
+        return hit.astype(float)
 
     return _mc_mean(block, num_samples, seed)

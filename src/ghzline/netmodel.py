@@ -30,9 +30,14 @@ def db_from_transmission(transmission: float) -> float:
     return -10.0 * math.log10(transmission)
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str, *values) -> None:
+    """Raise ValueError(msg.format(*values)) unless cond holds.
+
+    The message is formatted only on failure: the hot paths run these
+    checks a dozen times per operating point.
+    """
     if not cond:
-        raise ValueError(msg)
+        raise ValueError(msg.format(*values))
 
 
 @dataclass(frozen=True)
@@ -47,12 +52,15 @@ class NodeParams:
         _require(bool(self.name), "node name must be nonempty")
         _require(
             0.0 < self.detector_efficiency <= 1.0,
-            f"{self.name}: detector_efficiency must be in (0, 1], "
-            f"got {self.detector_efficiency}",
+            "{}: detector_efficiency must be in (0, 1], got {}",
+            self.name,
+            self.detector_efficiency,
         )
         _require(
             0.0 <= self.dark_count_prob < 1.0,
-            f"{self.name}: dark_count_prob must be in [0, 1), got {self.dark_count_prob}",
+            "{}: dark_count_prob must be in [0, 1), got {}",
+            self.name,
+            self.dark_count_prob,
         )
 
 
@@ -68,10 +76,11 @@ class LinkParams:
     transmission: float
 
     def __post_init__(self) -> None:
-        _require(self.length >= 0.0, f"link length must be >= 0, got {self.length}")
+        _require(self.length >= 0.0, "link length must be >= 0, got {}", self.length)
         _require(
             0.0 < self.transmission <= 1.0,
-            f"link transmission must be in (0, 1], got {self.transmission}",
+            "link transmission must be in (0, 1], got {}",
+            self.transmission,
         )
 
     @property
@@ -89,9 +98,10 @@ class MemoryParams:
     def __post_init__(self) -> None:
         _require(
             0.0 < self.efficiency <= 1.0,
-            f"memory efficiency must be in (0, 1], got {self.efficiency}",
+            "memory efficiency must be in (0, 1], got {}",
+            self.efficiency,
         )
-        _require(self.t2 > 0.0, f"memory T2 must be > 0, got {self.t2}")
+        _require(self.t2 > 0.0, "memory T2 must be > 0, got {}", self.t2)
 
 
 @dataclass(frozen=True)
@@ -101,7 +111,7 @@ class SourceParams:
     frequency: float
 
     def __post_init__(self) -> None:
-        _require(self.frequency > 0.0, f"source frequency must be > 0, got {self.frequency}")
+        _require(self.frequency > 0.0, "source frequency must be > 0, got {}", self.frequency)
 
 
 @dataclass(frozen=True)
@@ -122,7 +132,8 @@ class TrioConfig:
         _require(bool(self.name), "segment name must be nonempty")
         _require(
             self.speed_of_light > 0.0,
-            f"speed_of_light must be > 0, got {self.speed_of_light}",
+            "speed_of_light must be > 0, got {}",
+            self.speed_of_light,
         )
 
 
@@ -163,8 +174,8 @@ def click_prob(detection: float, dark_count: float) -> float:
     A detection window holds two detectors; a click is a real detection or
     a dark count in either: xi' = 1 - (1 - xi)(1 - p_d)^2.
     """
-    _require(0.0 <= detection <= 1.0, f"detection must be in [0, 1], got {detection}")
-    _require(0.0 <= dark_count < 1.0, f"dark_count must be in [0, 1), got {dark_count}")
+    _require(0.0 <= detection <= 1.0, "detection must be in [0, 1], got {}", detection)
+    _require(0.0 <= dark_count < 1.0, "dark_count must be in [0, 1), got {}", dark_count)
     # the max() guards the xi' >= xi invariant against rounding at pd ~ 0
     return max(detection, 1.0 - (1.0 - detection) * (1.0 - dark_count) ** 2)
 
@@ -176,9 +187,9 @@ def dark_count_depolarization(detection: float, click: float, dark_count: float)
     xi (1 - p_d) / xi' and junk otherwise; the junk fraction is applied as
     a depolarization strength on the corresponding qubit.
     """
-    _require(0.0 < click <= 1.0, f"click must be in (0, 1], got {click}")
+    _require(0.0 < click <= 1.0, "click must be in (0, 1], got {}", click)
     _require(0.0 <= detection <= click, "detection cannot exceed the click probability")
-    _require(0.0 <= dark_count < 1.0, f"dark_count must be in [0, 1), got {dark_count}")
+    _require(0.0 <= dark_count < 1.0, "dark_count must be in [0, 1), got {}", dark_count)
     alpha = 1.0 - detection * (1.0 - dark_count) / click
     return min(1.0, max(0.0, alpha))
 
@@ -208,8 +219,8 @@ def expected_max_geometric(p_a: float, p_c: float) -> float:
     With survival P(N > k) = (1-p)^k, inclusion-exclusion gives
     1/p_a + 1/p_c - 1/(p_a + p_c - p_a p_c).
     """
-    _require(0.0 < p_a <= 1.0, f"p_a must be in (0, 1], got {p_a}")
-    _require(0.0 < p_c <= 1.0, f"p_c must be in (0, 1], got {p_c}")
+    _require(0.0 < p_a <= 1.0, "p_a must be in (0, 1], got {}", p_a)
+    _require(0.0 < p_c <= 1.0, "p_c must be in (0, 1], got {}", p_c)
     both = p_a + p_c - p_a * p_c
     return 1.0 / p_a + 1.0 / p_c - 1.0 / both
 
@@ -294,6 +305,6 @@ def expected_coherence_near(cfg: TrioConfig) -> float:
 
 def dephasing_prob(wait: float, t2: float) -> float:
     """Phase-flip probability (1 - e^(-t/T2)) / 2 after storing for ``wait``."""
-    _require(wait >= 0.0, f"wait must be >= 0, got {wait}")
-    _require(t2 > 0.0, f"T2 must be > 0, got {t2}")
+    _require(wait >= 0.0, "wait must be >= 0, got {}", wait)
+    _require(t2 > 0.0, "T2 must be > 0, got {}", t2)
     return 0.5 * (1.0 - math.exp(-wait / t2))

@@ -22,11 +22,12 @@ from .density import (
     DensityMatrix,
     PauliString,
     PureState,
-    dephase,
-    depolarize,
-    fidelity,
-    measure,
-    noisy_cz,
+    _checked_strength,
+    _dephase,
+    _depolarize,
+    _fidelity,
+    _measure,
+    _noisy_cz,
 )
 from .netmodel import (
     TrioConfig,
@@ -177,11 +178,16 @@ def run_stack(
     if use_memory and cfg.memory is None:
         raise ValueError(f"segment {cfg.name} has no memory parameters")
 
-    depol = np.array([n.channel_depol for n in noises], dtype=float)
-    fail = np.array([n.gate_fail for n in noises], dtype=float)
-    rho = np.broadcast_to(_initial_register(), (len(noises), 16, 16))
-    rho = depolarize(rho, 0, depol)
-    rho = depolarize(rho, 3, depol)
+    # Every strength is checked once here, with the message the public
+    # channel would give, and the channel kernels only compute.  NoiseParams
+    # has already checked channel_depol and gate_fail.
+    rows = len(noises)
+    depol = np.array([n.channel_depol for n in noises], dtype=float).reshape(rows, 1, 1)
+    fail = np.array([n.gate_fail for n in noises], dtype=float).reshape(rows, 1, 1)
+    rho = np.broadcast_to(_initial_register(), (rows, 16, 16))
+    quarter, keep = depol / 4.0, 1.0 - depol
+    rho = _depolarize(rho, 4, 0, quarter, keep)
+    rho = _depolarize(rho, 4, 3, quarter, keep)
 
     if use_memory:
         times = storage_times(cfg)
@@ -191,20 +197,22 @@ def run_stack(
         lam_near = 0.5 * (1.0 - expected_coherence_near(cfg))
         lam_far = dephasing_prob(times.t_far, cfg.memory.t2)
         near_qubit, far_qubit = (2, 1) if times.far_node == "A" else (1, 2)
-        rho = dephase(rho, near_qubit, lam_near)
-        rho = dephase(rho, far_qubit, lam_far)
+        rho = _dephase(rho, 4, near_qubit, _checked_strength(lam_near, 0.5, "dephase strength"))
+        rho = _dephase(rho, 4, far_qubit, _checked_strength(lam_far, 0.5, "dephase strength"))
 
-    rho = noisy_cz(rho, 1, 2, fail)
+    rho = _noisy_cz(rho, 4, 1, 2, fail)
 
-    for qubit, node in ((0, "A"), (1, "B"), (2, "B"), (3, "C")):
-        node_params = {"A": cfg.node_a, "B": cfg.node_b, "C": cfg.node_c}[node]
+    for qubit, node, node_params in (
+        (0, "A", cfg.node_a), (1, "B", cfg.node_b), (2, "B", cfg.node_b), (3, "C", cfg.node_c)
+    ):
         xi = detection_prob(cfg, node, with_memory=use_memory and node == "B")
         xi_click = click_prob(xi, node_params.dark_count_prob)
         alpha = dark_count_depolarization(xi, xi_click, node_params.dark_count_prob)
-        rho = depolarize(rho, qubit, alpha)
+        s = _checked_strength(alpha, 1.0, "depolarize strength")
+        rho = _depolarize(rho, 4, qubit, s / 4.0, 1.0 - s)
 
-    probs, rho_out = measure(rho, MEASURED_QUBIT, "Y", outcome)
-    return probs, rho_out, fidelity(rho_out, target_state(outcome))
+    probs, rho_out = _measure(rho, 4, MEASURED_QUBIT, "Y", outcome)
+    return probs, rho_out, _fidelity(rho_out, target_state(outcome).amplitudes)
 
 
 def run_pipeline(

@@ -11,6 +11,7 @@ from ghzline import MemoryParams
 from ghzline.cli import (
     CSV_COLUMNS,
     ConfigError,
+    SpecError,
     SweepSpec,
     data_path,
     emit,
@@ -25,7 +26,7 @@ from ghzline.cli import (
     validate_document,
     yields_report,
 )
-from ghzline.cli import _parse_axis
+from ghzline.cli import _build_parser, _parse_axis
 from ghzline.rates import RateReport, full_report
 from ghzline.protocol import NoiseParams
 from util import make_cfg
@@ -202,8 +203,11 @@ class TestSweepSpec:
         {"t2_values": (1.0, -2.0)},
     ])
     def test_rejects_bad_spec(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError) as info:
             SweepSpec(**kwargs)
+        (field,) = kwargs
+        assert info.value.field == field
+        assert str(info.value) == f"{field}: {info.value.problem}"
 
 
 class TestRunSweep:
@@ -564,6 +568,32 @@ class TestMain:
         assert out.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
         rows = parse_rows(out)
         assert rows[0].error is None and math.isnan(rows[1].fidelity)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--fd", "2"], "--fd: need 0 <= min <= max <= 1, got 2.0..2.0"),
+        (["sweep", "--fd", "0:0.3:0"], "--fd: steps must be >= 1, got 0"),
+        (["sweep", "--fg", "-0.5"], "--fg: need 0 <= min <= max <= 1, got -0.5..-0.5"),
+        (["sweep", "--t2", "-1"], "--t2: must be positive, got (-1.0,)"),
+        (["simulate", "--fg", "1.5"], "--fg: need 0 <= min <= max <= 1, got 1.5..1.5"),
+        (["simulate", "--memory", "--t2", "0"], "--t2: must be positive, got (0.0,)"),
+        (["mc-check", "--samples", "0"], "--samples: must be >= 1, got 0"),
+    ])
+    def test_range_errors_name_the_option(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_parser_is_reused_without_sharing_appended_values(self, tmp_path):
+        # the cached parser must not carry one call's --t2 list into the next
+        out = tmp_path / "grid.csv"
+        base = ["sweep", "--segment", "berlin-schaepe-koeckern", "--fd", "0", "--fg", "0",
+                "--memory", "--out", str(out)]
+        assert main(base + ["--t2", "2.5"]) == 0
+        assert main(base + ["--t2", "10"]) == 0
+        assert [r.t2_s for r in parse_rows(out)] == [10.0]
+        assert _build_parser() is _build_parser()
+        assert _build_parser().parse_args(["sweep", "--out", str(out)]).t2 is None
 
     def test_yields_table(self, capsys):
         assert main(["yields"]) == 0

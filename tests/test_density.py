@@ -1,5 +1,7 @@
 """Unit tests of the dense density-matrix engine."""
 
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -514,3 +516,184 @@ class TestStacks:
         one = DensityMatrix.from_pure([0.0, 1.0]).data
         with pytest.raises(ZeroProbabilityError):
             density.measure(np.stack([one, zero]), 0, "Z", -1)
+
+
+# ------------------------------------------------------- kernel references
+#
+# The engine's earlier formulations, kept as references: the index tables
+# and np.dot calls of the kernels must reproduce them bit for bit.
+
+
+def flip_x_conjugate(rho, n, qubit):
+    t = rho.reshape((len(rho),) + (2,) * (2 * n))
+    return np.flip(t, (1 + qubit, 1 + n + qubit)).copy().reshape(rho.shape)
+
+
+def np_trace_out(rho, n, removed):
+    t = rho.reshape((len(rho),) + (2,) * (2 * n))
+    m = n
+    for q in reversed(removed):
+        t = np.trace(t, axis1=1 + q, axis2=1 + q + m)
+        m -= 1
+    return t.reshape(len(rho), 2**m, 2**m)
+
+
+def loop_reinsert_mixed(reduced, n, removed):
+    rows, k = len(reduced), len(removed)
+    part = (reduced * (1.0 / 2**k)).reshape((rows,) + (2,) * (2 * (n - k)))
+    out = np.zeros((rows,) + (2,) * (2 * n), dtype=complex)
+    for bits in product((0, 1), repeat=k):
+        index = [slice(None)] * (1 + 2 * n)
+        for q, bit in zip(removed, bits):
+            index[1 + q] = index[1 + n + q] = bit
+        out[tuple(index)] = part
+    return out.reshape(rows, 2**n, 2**n)
+
+
+def tensordot_project(rho, n, qubit, basis, outcome):
+    e = BASIS_EIGENVECTORS[(basis, outcome)]
+    t = rho.reshape((len(rho),) + (2,) * (2 * n))
+    t = np.tensordot(e.conj(), t, axes=([0], [1 + qubit]))
+    t = np.tensordot(t, e, axes=([n + qubit], [0]))
+    mat = t.reshape(len(rho), 2 ** (n - 1), 2 ** (n - 1))
+    probs = np.real(np.trace(mat, axis1=1, axis2=2))
+    return probs, mat / probs[:, None, None]
+
+
+def z_signs(n, qubit):
+    signs = np.array([1.0 - 2.0 * ((i >> (n - 1 - qubit)) & 1) for i in range(2**n)])
+    return np.outer(signs, signs)
+
+
+def twirl_depolarize(rho, n, qubit, s):
+    """(1 - s) rho + (s/4) (((rho + X rho X) + Y rho Y) + Z rho Z)."""
+    x, zz = flip_x_conjugate(rho, n, qubit), z_signs(n, qubit)
+    return (1.0 - s) * rho + (s / 4.0) * (((rho + x) + x * zz) + rho * zz)
+
+
+def trace_reinsert_noisy_cz(rho, n, q1, q2, f):
+    """(1 - f) CZ rho CZ + f Tr_{q1,q2}(rho) (x) I/4, the earlier way."""
+    removed = sorted((q1, q2))
+    scrambled = loop_reinsert_mixed(np_trace_out(rho, n, removed), n, removed)
+    return (1.0 - f) * density.apply_cz(rho, q1, q2) + f * scrambled
+
+
+def same_bits(a, b):
+    """Equal shape and identical bytes, so signed zeros count too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestKernels:
+    """Each kernel against its public function and its earlier formulation,
+    bit for bit, on random stacks that also hold signed zeros."""
+
+    @staticmethod
+    def stack(seed, rows, n):
+        rng = np.random.default_rng(seed)
+        rho = np.stack([random_density_matrix(rng, n) for _ in range(rows)])
+        # signed zeros in both parts, where the order of operations shows;
+        # the diagonal keeps its populations, so every outcome stays possible
+        zeros = (rng.random(rho.shape) < 0.2) & ~np.eye(2**n, dtype=bool)
+        rho.real[zeros] = np.where(rng.random(rho.shape) < 0.5, 0.0, -0.0)[zeros]
+        zeros = rng.random(rho.shape) < 0.2
+        rho.imag[zeros] = np.where(rng.random(rho.shape) < 0.5, 0.0, -0.0)[zeros]
+        return rho, rng.uniform(0.0, 0.5, size=rows)
+
+    cases = pytest.mark.parametrize(
+        "rows, n", [(rows, n) for rows in (1, 5, 32) for n in (1, 2, 3, 4)]
+    )
+
+    @cases
+    def test_depolarize(self, rows, n):
+        rho, s = self.stack(10 * rows + n, rows, n)
+        s3 = s.reshape(rows, 1, 1)
+        for q in range(n):
+            out = density.depolarize(rho, q, s)
+            assert same_bits(out, twirl_depolarize(rho, n, q, s3))
+            assert same_bits(out, density._depolarize(rho, n, q, s3 / 4.0, 1.0 - s3))
+            scalar = float(s[0])
+            assert same_bits(density.depolarize(rho, q, scalar),
+                             density._depolarize(rho, n, q, scalar / 4.0, 1.0 - scalar))
+
+    @cases
+    def test_x_conjugation_matches_flip(self, rows, n):
+        rho, _ = self.stack(20 * rows + n, rows, n)
+        for q in range(n):
+            assert same_bits(density._x_conjugate(rho, n, q), flip_x_conjugate(rho, n, q))
+
+    @cases
+    def test_dephase(self, rows, n):
+        rho, s = self.stack(30 * rows + n, rows, n)
+        for q in range(n):
+            assert same_bits(density.dephase(rho, q, s),
+                             density._dephase(rho, n, q, s.reshape(rows, 1, 1)))
+            scalar = float(s[-1])
+            assert same_bits(density.dephase(rho, q, scalar),
+                             density._dephase(rho, n, q, scalar))
+
+    @pytest.mark.parametrize("rows, n", [(rows, n) for rows in (1, 5, 32) for n in (2, 3, 4)])
+    def test_noisy_cz(self, rows, n):
+        rho, f = self.stack(40 * rows + n, rows, n)
+        f3 = f.reshape(rows, 1, 1)
+        for q1, q2 in ((a, b) for a in range(n) for b in range(n) if a != b):
+            out = density.noisy_cz(rho, q1, q2, f)
+            assert same_bits(out, trace_reinsert_noisy_cz(rho, n, q1, q2, f3))
+            assert same_bits(out, density._noisy_cz(rho, n, q1, q2, f3))
+            removed = sorted((q1, q2))
+            reduced = density._trace_out(rho, n, removed)
+            assert same_bits(reduced, np_trace_out(rho, n, removed))
+            assert same_bits(density._reinsert_mixed(reduced, n, removed),
+                             loop_reinsert_mixed(reduced, n, removed))
+
+    @cases
+    def test_partial_trace_matches_np_trace(self, rows, n):
+        rho, _ = self.stack(50 * rows + n, rows, n)
+        for k in range(n):
+            for removed in map(list, combinations(range(n), k)):
+                assert same_bits(density.partial_trace(rho, removed),
+                                 np_trace_out(rho, n, removed))
+
+    @cases
+    def test_measure(self, rows, n):
+        rho, _ = self.stack(60 * rows + n, rows, n)
+        for q in range(n):
+            for basis in "XYZ":
+                for outcome in (1, -1):
+                    probs, post = density.measure(rho, q, basis, outcome)
+                    kernel = density._measure(rho, n, q, basis, outcome)
+                    reference = tensordot_project(rho, n, q, basis, outcome)
+                    for got in (kernel, reference):
+                        assert same_bits(probs, got[0]) and same_bits(post, got[1])
+
+    @cases
+    def test_fidelity(self, rows, n):
+        rho, _ = self.stack(70 * rows + n, rows, n)
+        rng = np.random.default_rng(rows + n)
+        psi = PureState(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
+        assert same_bits(density.fidelity(rho, psi), density._fidelity(rho, psi.amplitudes))
+
+    def test_tables_are_read_only(self):
+        tables = (
+            density._x_permutation(4, 1),
+            density._trace_table(4, (1, 2)),
+            *density._projection(4, 2, "Y", 1)[2:],
+        )
+        for table in tables:
+            with pytest.raises(ValueError):
+                table.flat[0] = 0
+
+    def test_checked_strength_matches_stack_check(self):
+        rho = np.eye(2, dtype=complex)[None] / 2
+        for value, hi, what, channel in (
+            (1.5, 1.0, "depolarize strength", density.depolarize),
+            (-0.25, 1.0, "depolarize strength", density.depolarize),
+            (0.6, 0.5, "dephase strength", density.dephase),
+            (float("nan"), 0.5, "dephase strength", density.dephase),
+        ):
+            with pytest.raises(ValueError) as public:
+                channel(rho, 0, value)
+            with pytest.raises(ValueError) as checked:
+                density._checked_strength(value, hi, what)
+            assert str(checked.value) == str(public.value)
+        assert density._checked_strength(0.5, 0.5, "dephase strength") == 0.5

@@ -22,6 +22,9 @@ from ghzline import (
     storage_times,
     target_state,
 )
+from ghzline import protocol
+from ghzline.protocol import run_stack
+from ghzline.cli import SweepSpec, run_sweep
 from util import make_cfg
 
 OUTCOMES = (+1, -1)
@@ -296,3 +299,53 @@ class TestMemoryBranch:
     def test_rejects_bad_outcome(self):
         with pytest.raises(ValueError):
             run_pipeline(make_cfg(), outcome=3)
+
+
+class TestCheckOnce:
+    """run_stack checks each strength once and then runs the channel
+    kernels; the result and the error texts are the public channels'."""
+
+    @pytest.mark.parametrize("use_memory", [False, True])
+    def test_stack_equals_public_channels_exactly(self, use_memory):
+        cfg = make_cfg(eta_a=0.9, eta_b=0.7, eta_c=0.8,
+                       dark_a=0.001, dark_b=0.003, dark_c=0.002,
+                       trans_ab=0.4, trans_bc=0.9, len_ab=120.0, len_bc=30.0,
+                       memory=MemoryParams(0.85, 0.01))
+        noises = [NoiseParams(0.0, 0.3), NoiseParams(0.08, 0.15), NoiseParams(0.3, 0.0)]
+        probs, states, fids = run_stack(cfg, noises, use_memory=use_memory)
+        times = storage_times(cfg)
+        for row, noise in enumerate(noises):
+            rho = source_pair_state().tensor(source_pair_state())
+            rho = rho.depolarize(0, noise.channel_depol)
+            rho = rho.depolarize(3, noise.channel_depol)
+            if use_memory:
+                rho = rho.dephase(2, 0.5 * (1.0 - expected_coherence_near(cfg)))
+                rho = rho.dephase(1, dephasing_prob(times.t_far, cfg.memory.t2))
+            rho = rho.noisy_cz(1, 2, noise.gate_fail)
+            for qubit, node in ((0, "A"), (1, "B"), (2, "B"), (3, "C")):
+                params = {"A": cfg.node_a, "B": cfg.node_b, "C": cfg.node_c}[node]
+                xi = detection_prob(cfg, node, with_memory=use_memory and node == "B")
+                xi_click = click_prob(xi, params.dark_count_prob)
+                rho = rho.depolarize(
+                    qubit, dark_count_depolarization(xi, xi_click, params.dark_count_prob))
+            prob, post = rho.measure(2, "Y", +1)
+            assert probs[row] == prob
+            assert states[row].tobytes() == post.data.tobytes()
+            assert fids[row] == post.fidelity(target_state(+1))
+
+    def sweep_error(self):
+        spec = SweepSpec(fd_range=(0.1, 0.1, 1), fg_range=(0.1, 0.1, 1), memory_modes=("on",))
+        (row,) = run_sweep([make_cfg(memory=MemoryParams(0.9, 0.5))], spec)
+        return row.error
+
+    def test_dark_count_strength_out_of_range(self, monkeypatch):
+        monkeypatch.setattr(protocol, "dark_count_depolarization", lambda *args: 1.5)
+        assert self.sweep_error() == "ValueError: depolarize strength must be in [0, 1], got 1.5"
+
+    def test_far_dephasing_out_of_range(self, monkeypatch):
+        monkeypatch.setattr(protocol, "dephasing_prob", lambda *args: 0.6)
+        assert self.sweep_error() == "ValueError: dephase strength must be in [0, 0.5], got 0.6"
+
+    def test_near_dephasing_out_of_range(self, monkeypatch):
+        monkeypatch.setattr(protocol, "expected_coherence_near", lambda cfg: float("nan"))
+        assert self.sweep_error() == "ValueError: dephase strength must be in [0, 0.5], got nan"
