@@ -218,7 +218,7 @@ def _x_permutation(num_qubits: int, qubit: int) -> np.ndarray:
 
 def _x_conjugate(rho: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
     """X rho X on ``qubit`` of every row, as a fresh array."""
-    flat = rho.reshape(len(rho), -1)
+    flat = rho.reshape(len(rho), 4**num_qubits)
     return flat.take(_x_permutation(num_qubits, qubit), axis=1).reshape(rho.shape)
 
 
@@ -328,7 +328,7 @@ def _trace_out(rho: np.ndarray, num_qubits: int, removed: list[int]) -> np.ndarr
     changes nothing else.
     """
     rows = len(rho)
-    terms = rho.reshape(rows, -1).take(_trace_table(num_qubits, tuple(removed)), axis=1)
+    terms = rho.reshape(rows, 4**num_qubits).take(_trace_table(num_qubits, tuple(removed)), axis=1)
     while terms.shape[1] > 1:
         terms = terms[:, 0::2] + terms[:, 1::2]
         terms += 0.0
@@ -341,7 +341,7 @@ def _reinsert_mixed(reduced: np.ndarray, num_qubits: int, removed: list[int]) ->
     rows, k = len(reduced), len(removed)
     out = np.zeros((rows, 4**num_qubits), dtype=complex)
     part = reduced * (1.0 / 2**k)
-    out[:, _trace_table(num_qubits, tuple(removed))] = part.reshape(rows, 1, -1)
+    out[:, _trace_table(num_qubits, tuple(removed))] = part.reshape(rows, 1, 4 ** (num_qubits - k))
     return out.reshape(rows, 2**num_qubits, 2**num_qubits)
 
 

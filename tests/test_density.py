@@ -673,6 +673,17 @@ class TestKernels:
         psi = PureState(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
         assert same_bits(density.fidelity(rho, psi), density._fidelity(rho, psi.amplitudes))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_empty_stack(self, n):
+        rho = np.zeros((0, 2**n, 2**n), dtype=complex)
+        assert density.depolarize(rho, 0, []).shape == rho.shape
+        assert density.dephase(rho, n - 1, []).shape == rho.shape
+        probs, post = density.measure(rho, n - 1, "Y", -1)
+        assert probs.shape == (0,) and post.shape == (0, 2 ** (n - 1), 2 ** (n - 1))
+        if n > 1:
+            assert density.noisy_cz(rho, 0, n - 1, []).shape == rho.shape
+            assert density.partial_trace(rho, [0]).shape == (0, 2 ** (n - 1), 2 ** (n - 1))
+
     def test_tables_are_read_only(self):
         tables = (
             density._x_permutation(4, 1),

@@ -333,6 +333,11 @@ class TestCheckOnce:
             assert states[row].tobytes() == post.data.tobytes()
             assert fids[row] == post.fidelity(target_state(+1))
 
+    def test_empty_stack(self):
+        cfg = make_cfg(memory=MemoryParams(0.9, 1.0))
+        probs, states, fids = run_stack(cfg, [], use_memory=True)
+        assert probs.shape == (0,) and states.shape == (0, 8, 8) and fids.shape == (0,)
+
     def sweep_error(self):
         spec = SweepSpec(fd_range=(0.1, 0.1, 1), fg_range=(0.1, 0.1, 1), memory_modes=("on",))
         (row,) = run_sweep([make_cfg(memory=MemoryParams(0.9, 0.5))], spec)
