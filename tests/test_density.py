@@ -617,12 +617,6 @@ class TestKernels:
                              density._depolarize(rho, n, q, scalar / 4.0, 1.0 - scalar))
 
     @cases
-    def test_x_conjugation_matches_flip(self, rows, n):
-        rho, _ = self.stack(20 * rows + n, rows, n)
-        for q in range(n):
-            assert same_bits(density._x_conjugate(rho, n, q), flip_x_conjugate(rho, n, q))
-
-    @cases
     def test_dephase(self, rows, n):
         rho, s = self.stack(30 * rows + n, rows, n)
         for q in range(n):
@@ -640,11 +634,6 @@ class TestKernels:
             out = density.noisy_cz(rho, q1, q2, f)
             assert same_bits(out, trace_reinsert_noisy_cz(rho, n, q1, q2, f3))
             assert same_bits(out, density._noisy_cz(rho, n, q1, q2, f3))
-            removed = sorted((q1, q2))
-            reduced = density._trace_out(rho, n, removed)
-            assert same_bits(reduced, np_trace_out(rho, n, removed))
-            assert same_bits(density._reinsert_mixed(reduced, n, removed),
-                             loop_reinsert_mixed(reduced, n, removed))
 
     @cases
     def test_partial_trace_matches_np_trace(self, rows, n):
