@@ -215,6 +215,8 @@ class SweepSpec:
         for label, rng in (("fd_range", self.fd_range), ("fg_range", self.fg_range)):
             lo, hi, steps = rng
             if not 0.0 <= lo <= hi <= 1.0:
+                if lo == hi and int(steps) == 1:  # one value, as simulate and `--fd X` give
+                    raise SpecError(label, f"need 0 <= value <= 1, got {lo}")
                 raise SpecError(label, f"need 0 <= min <= max <= 1, got {lo}..{hi}")
             if int(steps) < 1:
                 raise SpecError(label, f"steps must be >= 1, got {steps}")
@@ -236,7 +238,7 @@ def _eval_block(
     cfg: TrioConfig, grid: list[tuple[float, float]], memory: bool, t2: float | None
 ) -> list[RateReport]:
     """Rows of one (segment, memory, T2) block, in grid order, from one
-    engine call; raises ValueError if any point cannot be evaluated."""
+    engine call; raises ValueError if the block cannot be evaluated."""
     if memory and cfg.memory is None:
         raise ValueError(f"segment {cfg.name} has no memory parameters")
     if memory and t2 is not None:
@@ -245,39 +247,36 @@ def _eval_block(
     return rate_reports(cfg, noises, use_memory=memory)
 
 
-def _eval_point(
-    cfg: TrioConfig, fd: float, fg: float, memory: bool, t2: float | None
+def _failed_row(
+    cfg: TrioConfig, fd: float, fg: float, memory: bool, t2: float | None, error: str
 ) -> RateReport:
-    """One grid point on its own; a ValueError becomes a NaN row that
-    records the failure, so the rest of the sweep goes on."""
-    try:
-        (row,) = _eval_block(cfg, [(fd, fg)], memory, t2)
-        return row
-    except ValueError as exc:
-        nan = float("nan")
-        return RateReport(
-            segment=cfg.name,
-            f_d=fd,
-            f_g=fg,
-            memory=memory,
-            t2_s=t2,
-            yield_per_attempt=nan,
-            fidelity=nan,
-            q_x=nan,
-            q_ab=nan,
-            r_per_attempt=nan,
-            r_per_second=nan,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+    """NaN row of a grid point that could not be evaluated, with the reason."""
+    nan = float("nan")
+    return RateReport(
+        segment=cfg.name,
+        f_d=fd,
+        f_g=fg,
+        memory=memory,
+        t2_s=t2,
+        yield_per_attempt=nan,
+        fidelity=nan,
+        q_x=nan,
+        q_ab=nan,
+        r_per_attempt=nan,
+        r_per_second=nan,
+        error=error,
+    )
 
 
 def run_sweep(configs, spec: SweepSpec = SweepSpec()) -> list[RateReport]:
     """Evaluate the full grid, ordered by (segment, memory, T2, f_D, f_G).
 
     Each (segment, memory, T2) block of the (f_D, f_G) grid is evaluated
-    by one engine call.  If that call raises ValueError, the block's
-    points are evaluated one at a time, so each failed point gets its own
-    NaN row and error text.
+    by one engine call.  If that call raises ValueError, every point of
+    the block gets a NaN row carrying the error text, and the sweep goes
+    on.  Each ValueError the engine raises depends only on the block's
+    segment, memory mode and T2, never on f_D or f_G, so it is also each
+    point's own error.
     """
     grid = [(fd, fg) for fd in _axis(spec.fd_range) for fg in _axis(spec.fg_range)]
     rows: list[RateReport] = []
@@ -295,8 +294,9 @@ def run_sweep(configs, spec: SweepSpec = SweepSpec()) -> list[RateReport]:
             for t2 in t2s:
                 try:
                     rows += _eval_block(cfg, grid, memory, t2)
-                except ValueError:
-                    rows += [_eval_point(cfg, fd, fg, memory, t2) for fd, fg in grid]
+                except ValueError as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+                    rows += [_failed_row(cfg, fd, fg, memory, t2, error) for fd, fg in grid]
     return rows
 
 

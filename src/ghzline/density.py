@@ -118,19 +118,14 @@ class PureState:
         return self.amplitudes.size
 
 
-def _as_amplitudes(state, dim: int) -> np.ndarray:
-    """Normalized amplitude vector from a PureState or raw array, checked to length dim."""
-    if not isinstance(state, PureState):
-        state = PureState(state)
-    if state.dim != dim:
-        raise ValueError(f"state has dimension {state.dim}, expected {dim}")
-    return state.amplitudes
-
-
-# ---------------------------------------------------------------- stacks
+# --------------------------------------------------------------- kernels
 #
-# The engine works on stacks: arrays of shape (B, 2^n, 2^n), one state per
-# row, with a strength per row (or one scalar for every row).  Pauli
+# The channel kernels work on stacks: arrays of shape (B, 2^n, 2^n), one
+# state per row.  A kernel takes the qubit count and strengths that have
+# already been checked, shaped to broadcast over (B, 1, 1), and does only
+# the arithmetic.  The DensityMatrix methods check their arguments and run
+# a kernel on the state as a one-row stack; protocol.run_stack checks each
+# strength once and runs the kernels on a stack of noise settings.  Pauli
 # conjugations P rho P^dagger are applied as signed index permutations,
 # which are exact: X flips the qubit's bit on both indices, Z multiplies
 # entry (i, j) by the +-1 signs of that bit in i and j, and Y does both.
@@ -138,20 +133,6 @@ def _as_amplitudes(state, dim: int) -> np.ndarray:
 # how many other rows share its stack.  The index and sign tables depend
 # only on the register size and the qubits, so each is built once and
 # kept read-only.
-#
-# Each channel is split in two.  The public stack function checks the
-# stack, the qubits and every strength; its kernel (same name with a
-# leading underscore) takes the qubit count and strengths that already
-# passed those checks, shaped to broadcast over (B, 1, 1), and does only
-# the arithmetic.  A caller that validated its inputs once, such as
-# protocol.run_stack, calls the kernels directly.
-
-
-def _stack_qubits(rho: np.ndarray) -> int:
-    """Qubit count of a (B, 2^n, 2^n) stack, or raise ValueError."""
-    if rho.ndim != 3 or rho.shape[1] != rho.shape[2]:
-        raise ValueError(f"expected a (B, 2^n, 2^n) stack, got shape {rho.shape}")
-    return _qubit_count(rho.shape[1], allow_scalar=True)
 
 
 def _check_qubit(qubit: int, num_qubits: int) -> None:
@@ -166,31 +147,11 @@ def _check_pair(q1: int, q2: int, num_qubits: int) -> None:
         raise ValueError("CZ needs two distinct qubits")
 
 
-def _strength_error(what: str, hi: float, value) -> ValueError:
-    return ValueError(f"{what} must be in [0, {hi:g}], got {value}")
-
-
-def _row_strengths(strength, rows: int, hi: float, what: str) -> np.ndarray:
-    """Strengths shaped to broadcast over a stack of ``rows`` states.
-
-    A scalar applies to every row, a length-``rows`` vector one per row.
-    Every value must lie in [0, hi]; the first that does not is reported.
-    """
-    s = np.asarray(strength, dtype=float)
-    if s.ndim > 1 or (s.ndim == 1 and s.size != rows):
-        raise ValueError(f"{what}: expected a scalar or {rows} values, got shape {s.shape}")
-    bad = ~((s >= 0.0) & (s <= hi))
-    if bad.any():
-        raise _strength_error(what, hi, s[bad].flat[0])
-    return s.reshape(s.shape + (1, 1))
-
-
 def _checked_strength(value, hi: float, what: str) -> float:
-    """One strength for every row, as a float, checked as _row_strengths
-    checks a scalar and failing with the same message."""
+    """A channel strength as a float, or ValueError unless it lies in [0, hi]."""
     s = float(value)
     if not 0.0 <= s <= hi:
-        raise _strength_error(what, hi, s)
+        raise ValueError(f"{what} must be in [0, {hi:g}], got {s}")
     return s
 
 
@@ -222,21 +183,6 @@ def _x_conjugate(rho: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
     return flat.take(_x_permutation(num_qubits, qubit), axis=1).reshape(rho.shape)
 
 
-def apply_unitary(rho: np.ndarray, qubit: int, unitary) -> np.ndarray:
-    """Conjugate every row by a single-qubit unitary acting on ``qubit``."""
-    n = _stack_qubits(rho)
-    _check_qubit(qubit, n)
-    u = np.asarray(unitary, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if float(np.max(np.abs(u.conj().T @ u - np.eye(2)))) > UNITARITY_TOL:
-        raise ValueError("matrix is not unitary")
-    left, right = 2**qubit, 2 ** (n - 1 - qubit)
-    t = rho.reshape(len(rho), left, 2, right, left, 2, right)
-    t = np.einsum("ij,xajbcld,kl->xaibckd", u, t, u.conj())
-    return t.reshape(rho.shape)
-
-
 @cache
 def _cz_conjugation(num_qubits: int, q1: int, q2: int) -> np.ndarray:
     """Entrywise +-1 factors turning rho into CZ rho CZ."""
@@ -245,13 +191,6 @@ def _cz_conjugation(num_qubits: int, q1: int, q2: int) -> np.ndarray:
     b2 = (idx >> (num_qubits - 1 - q2)) & 1
     signs = 1.0 - 2.0 * (b1 & b2)
     return _read_only(np.outer(signs, signs))
-
-
-def apply_cz(rho: np.ndarray, q1: int, q2: int) -> np.ndarray:
-    """Controlled-Z between two distinct qubits of every row."""
-    n = _stack_qubits(rho)
-    _check_pair(q1, q2, n)
-    return rho * _cz_conjugation(n, q1, q2)
 
 
 def _depolarize(rho: np.ndarray, num_qubits: int, qubit: int, quarter, keep) -> np.ndarray:
@@ -270,33 +209,9 @@ def _depolarize(rho: np.ndarray, num_qubits: int, qubit: int, quarter, keep) -> 
     return out
 
 
-def depolarize(rho: np.ndarray, qubit: int, strength) -> np.ndarray:
-    """Replace ``qubit`` by the maximally mixed state with probability ``strength``.
-
-    The map (1-a) rho + a Tr_q(rho) (x) I/2 equals the uniform Pauli
-    twirl (1-a) rho + (a/4) sum_P P rho P, which is how it is applied,
-    summing the twirl in the order I, X, Y, Z.
-    """
-    n = _stack_qubits(rho)
-    _check_qubit(qubit, n)
-    s = _row_strengths(strength, len(rho), 1.0, "depolarize strength")
-    return _depolarize(rho, n, qubit, s / 4.0, 1.0 - s)
-
-
 def _dephase(rho: np.ndarray, num_qubits: int, qubit: int, strength) -> np.ndarray:
     """(1 - strength) rho + strength Z rho Z."""
     return (1.0 - strength) * rho + strength * (rho * _z_conjugation(num_qubits, qubit))
-
-
-def dephase(rho: np.ndarray, qubit: int, strength) -> np.ndarray:
-    """Apply a Z flip on ``qubit`` with probability ``strength`` in [0, 0.5].
-
-    0.5 erases all coherence with the rest of the register; values above
-    0.5 would overshoot into a net phase flip and are rejected.
-    """
-    n = _stack_qubits(rho)
-    _check_qubit(qubit, n)
-    return _dephase(rho, n, qubit, _row_strengths(strength, len(rho), 0.5, "dephase strength"))
 
 
 @cache
@@ -352,31 +267,6 @@ def _noisy_cz(rho: np.ndarray, num_qubits: int, q1: int, q2: int, fail_prob) -> 
     return (1.0 - fail_prob) * (rho * _cz_conjugation(num_qubits, q1, q2)) + fail_prob * scrambled
 
 
-def noisy_cz(rho: np.ndarray, q1: int, q2: int, fail_prob) -> np.ndarray:
-    """CZ that with probability ``fail_prob`` scrambles both qubits instead.
-
-    The failure branch traces out q1 and q2 and reinserts them maximally
-    mixed, so a fully failed gate carries no correlation at all.
-    """
-    n = _stack_qubits(rho)
-    _check_pair(q1, q2, n)
-    f = _row_strengths(fail_prob, len(rho), 1.0, "fail_prob")
-    return _noisy_cz(rho, n, q1, q2, f)
-
-
-def partial_trace(rho: np.ndarray, qubits: list[int]) -> np.ndarray:
-    """Trace out the listed qubits; the rest keep their relative order."""
-    n = _stack_qubits(rho)
-    removed = sorted(set(qubits))
-    if len(removed) != len(qubits):
-        raise ValueError("qubits to trace out must be distinct")
-    for q in removed:
-        _check_qubit(q, n)
-    if len(removed) == n:
-        raise ValueError("cannot trace out every qubit")
-    return _trace_out(rho, n, removed)
-
-
 @cache
 def _projection(num_qubits: int, qubit: int, basis: str, outcome: int):
     """Axis orders and read-only vectors of a projection of ``qubit``.
@@ -396,7 +286,8 @@ def _projection(num_qubits: int, qubit: int, basis: str, outcome: int):
 def _measure(
     rho: np.ndarray, num_qubits: int, qubit: int, basis: str, outcome: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities and normalized post-measurement stack; see measure."""
+    """Probabilities and normalized post-measurement stack, the measured
+    qubit removed; see DensityMatrix.measure."""
     rows, n = len(rho), num_qubits
     row_axes, col_axes, bra, ket = _projection(n, qubit, basis, outcome)
     t = rho.reshape((rows,) + (2,) * (2 * n)).transpose(row_axes).reshape(2, -1)
@@ -413,25 +304,6 @@ def _measure(
     return probs, mat / probs[:, None, None]
 
 
-def measure(
-    rho: np.ndarray, qubit: int, basis: str, outcome: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Project ``qubit`` of every row onto the ``outcome`` eigenvector of ``basis``.
-
-    Returns (probabilities, post-measurement stack); the measured qubit is
-    removed from the register.  A branch with probability below
-    ZERO_PROB_TOL in any row raises ZeroProbabilityError instead of
-    renormalizing numerical noise.
-    """
-    n = _stack_qubits(rho)
-    _check_qubit(qubit, n)
-    if basis not in ("X", "Y", "Z"):
-        raise ValueError(f"basis must be one of X, Y, Z, got {basis!r}")
-    if outcome not in (1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
-    return _measure(rho, n, qubit, basis, outcome)
-
-
 def _fidelity(rho: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     """<v| rho |v> of every row for a normalized amplitude vector v."""
     # np.vecdot conjugates its first argument and, like np.vdot, sums each
@@ -441,18 +313,14 @@ def _fidelity(rho: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     return np.vecdot(amplitudes, rho @ amplitudes).real
 
 
-def fidelity(rho: np.ndarray, state) -> np.ndarray:
-    """Overlap <psi| rho |psi> of every row with one pure state."""
-    return _fidelity(rho, _as_amplitudes(state, rho.shape[-1]))
-
-
 class DensityMatrix:
     """Mixed state of ``num_qubits`` qubits as a dense complex matrix.
 
     Instances are immutable: every channel or measurement returns a new
     object and the underlying array is read-only.  A zero-qubit (1 x 1)
     matrix is allowed as the residue of measuring out a lone qubit.  Each
-    operation is the one-row case of the stack function of the same name.
+    channel checks its arguments, then runs its kernel on the state as a
+    one-row stack.
     """
 
     def __init__(self, data, *, _copy: bool = True) -> None:
@@ -498,8 +366,9 @@ class DensityMatrix:
         if lo < EIGENVALUE_FLOOR:
             raise ValueError(f"negative eigenvalue {lo:.3e}")
 
-    def _one_row(self, stack_fn, *args) -> "DensityMatrix":
-        return DensityMatrix(stack_fn(self.data[None], *args)[0], _copy=False)
+    def _run(self, kernel, *args) -> "DensityMatrix":
+        """The state after ``kernel``, run on it as a one-row stack."""
+        return DensityMatrix(kernel(self.data[None], self.num_qubits, *args)[0], _copy=False)
 
     def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
         """Tensor product self (x) other; self's qubits come first."""
@@ -509,34 +378,77 @@ class DensityMatrix:
 
     def apply_unitary(self, qubit: int, unitary) -> "DensityMatrix":
         """Conjugate by a single-qubit unitary acting on ``qubit``."""
-        return self._one_row(apply_unitary, qubit, unitary)
+        n = self.num_qubits
+        _check_qubit(qubit, n)
+        u = np.asarray(unitary, dtype=complex)
+        if u.shape != (2, 2):
+            raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
+        if float(np.max(np.abs(u.conj().T @ u - np.eye(2)))) > UNITARITY_TOL:
+            raise ValueError("matrix is not unitary")
+        left, right = 2**qubit, 2 ** (n - 1 - qubit)
+        t = self.data.reshape(1, left, 2, right, left, 2, right)
+        t = np.einsum("ij,xajbcld,kl->xaibckd", u, t, u.conj())
+        return DensityMatrix(t.reshape(self.dim, self.dim), _copy=False)
 
     def apply_cz(self, q1: int, q2: int) -> "DensityMatrix":
         """Controlled-Z between two distinct qubits (symmetric in its arguments)."""
-        return self._one_row(apply_cz, q1, q2)
+        _check_pair(q1, q2, self.num_qubits)
+        return DensityMatrix(self.data * _cz_conjugation(self.num_qubits, q1, q2), _copy=False)
 
     def depolarize(self, qubit: int, strength: float) -> "DensityMatrix":
-        """Replace ``qubit`` by the maximally mixed state with probability ``strength``."""
-        return self._one_row(depolarize, qubit, strength)
+        """Replace ``qubit`` by the maximally mixed state with probability ``strength``.
+
+        The map (1-a) rho + a Tr_q(rho) (x) I/2 equals the uniform Pauli
+        twirl (1-a) rho + (a/4) sum_P P rho P, which is how it is applied,
+        summing the twirl in the order I, X, Y, Z.
+        """
+        _check_qubit(qubit, self.num_qubits)
+        s = _checked_strength(strength, 1.0, "depolarize strength")
+        return self._run(_depolarize, qubit, s / 4.0, 1.0 - s)
 
     def dephase(self, qubit: int, strength: float) -> "DensityMatrix":
-        """Apply a Z flip on ``qubit`` with probability ``strength`` in [0, 0.5]."""
-        return self._one_row(dephase, qubit, strength)
+        """Apply a Z flip on ``qubit`` with probability ``strength`` in [0, 0.5].
+
+        0.5 erases all coherence with the rest of the register; values above
+        0.5 would overshoot into a net phase flip and are rejected.
+        """
+        _check_qubit(qubit, self.num_qubits)
+        return self._run(_dephase, qubit, _checked_strength(strength, 0.5, "dephase strength"))
 
     def noisy_cz(self, q1: int, q2: int, fail_prob: float) -> "DensityMatrix":
-        """CZ that with probability ``fail_prob`` scrambles both qubits instead."""
-        return self._one_row(noisy_cz, q1, q2, fail_prob)
+        """CZ that with probability ``fail_prob`` scrambles both qubits instead.
+
+        The failure branch traces out q1 and q2 and reinserts them maximally
+        mixed, so a fully failed gate carries no correlation at all.
+        """
+        _check_pair(q1, q2, self.num_qubits)
+        return self._run(_noisy_cz, q1, q2, _checked_strength(fail_prob, 1.0, "fail_prob"))
 
     def partial_trace(self, qubits: list[int]) -> "DensityMatrix":
         """Trace out the listed qubits; the rest keep their relative order."""
-        return self._one_row(partial_trace, qubits)
+        removed = sorted(set(qubits))
+        if len(removed) != len(qubits):
+            raise ValueError("qubits to trace out must be distinct")
+        for q in removed:
+            _check_qubit(q, self.num_qubits)
+        if len(removed) == self.num_qubits:
+            raise ValueError("cannot trace out every qubit")
+        return self._run(_trace_out, removed)
 
     def measure(self, qubit: int, basis: str, outcome: int) -> tuple[float, "DensityMatrix"]:
         """Project ``qubit`` onto the ``outcome`` eigenvector of ``basis``.
 
-        Returns (probability, post-measurement state); see ``measure``.
+        Returns (probability, post-measurement state); the measured qubit
+        is removed from the register.  A branch with probability below
+        ZERO_PROB_TOL raises ZeroProbabilityError instead of renormalizing
+        numerical noise.
         """
-        probs, post = measure(self.data[None], qubit, basis, outcome)
+        _check_qubit(qubit, self.num_qubits)
+        if basis not in ("X", "Y", "Z"):
+            raise ValueError(f"basis must be one of X, Y, Z, got {basis!r}")
+        if outcome not in (1, -1):
+            raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
+        probs, post = _measure(self.data[None], self.num_qubits, qubit, basis, outcome)
         return float(probs[0]), DensityMatrix(post[0], _copy=False)
 
     def expectation(self, pauli: PauliString) -> float:
@@ -552,4 +464,8 @@ class DensityMatrix:
 
     def fidelity(self, state) -> float:
         """Overlap <psi| rho |psi> with a pure state."""
-        return float(fidelity(self.data[None], state)[0])
+        if not isinstance(state, PureState):
+            state = PureState(state)
+        if state.dim != self.dim:
+            raise ValueError(f"state has dimension {state.dim}, expected {self.dim}")
+        return float(_fidelity(self.data[None], state.amplitudes)[0])

@@ -43,12 +43,14 @@ MEASURED_QUBIT = 2  # B's C-side qubit, measured in Y to complete the merge
 
 STABILIZER_FACTORS = ("XZI", "XIY", "YXZ", "YYX", "ZXX", "ZYZ", "IZY", "III")
 
-# Signs making each string a +1 stabilizer of target_state(outcome).  The
-# four strings with a Y or Z acting on qubit 0 together with support on
-# qubit 3 pick up the measurement outcome; the rest are outcome-blind.
+# Signs making each string a +1 stabilizer of target_state(outcome).
+# target_state(-1) is the complex conjugate of target_state(+1), and
+# conjugation negates Y alone among the Paulis, so a string's -1 sign is
+# its +1 sign flipped once per Y factor.
+_PLUS_SIGNS = (1, 1, -1, 1, 1, 1, 1, 1)
 _STABILIZER_SIGNS = {
-    +1: (1, 1, -1, 1, 1, 1, 1, 1),
-    -1: (1, -1, 1, 1, 1, -1, -1, 1),
+    +1: _PLUS_SIGNS,
+    -1: tuple(s * (-1) ** f.count("Y") for f, s in zip(STABILIZER_FACTORS, _PLUS_SIGNS)),
 }
 
 
@@ -117,22 +119,18 @@ def target_state(outcome: int = +1) -> PureState:
     once per outcome; the amplitudes are read-only.
     """
     _check_outcome(outcome)
+    if outcome == -1:
+        return PureState(target_state(+1).amplitudes.conj())
     plus = BASIS_EIGENVECTORS[("X", +1)]
     minus = BASIS_EIGENVECTORS[("X", -1)]
     ket0 = BASIS_EIGENVECTORS[("Z", +1)]
     ket1 = BASIS_EIGENVECTORS[("Z", -1)]
     y_pos = BASIS_EIGENVECTORS[("Y", +1)]
     y_neg = BASIS_EIGENVECTORS[("Y", -1)]
-    if outcome == +1:
-        vec = 0.5 * (
-            (1.0 - 1.0j) * _kron3(plus, ket0, y_pos)
-            + (1.0 + 1.0j) * _kron3(minus, ket1, y_neg)
-        )
-    else:
-        vec = 0.5 * (
-            (1.0 + 1.0j) * _kron3(plus, ket0, y_neg)
-            + (1.0 - 1.0j) * _kron3(minus, ket1, y_pos)
-        )
+    vec = 0.5 * (
+        (1.0 - 1.0j) * _kron3(plus, ket0, y_pos)
+        + (1.0 + 1.0j) * _kron3(minus, ket1, y_neg)
+    )
     return PureState(vec)
 
 

@@ -18,12 +18,11 @@ import numpy as np
 
 from .density import (
     BASIS_EIGENVECTORS,
-    PAULI,
     DensityMatrix,
     PauliString,
     PureState,
-    apply_unitary,
-    fidelity,
+    _fidelity,
+    _x_conjugate,
 )
 from .netmodel import TrioConfig, yield_memoryless, yield_with_memory
 from .protocol import NoiseParams, run_stack, target_state
@@ -99,7 +98,7 @@ def _odd_parity_states() -> tuple[PureState, ...]:
 def _bipartite_errors(rho: np.ndarray) -> np.ndarray:
     """qber_bipartite of every row of a (B, 8, 8) stack."""
     psi_plus, psi_minus = _correlated_states()
-    q = 1.0 - fidelity(rho, psi_plus) - fidelity(rho, psi_minus)
+    q = 1.0 - _fidelity(rho, psi_plus.amplitudes) - _fidelity(rho, psi_minus.amplitudes)
     return np.minimum(1.0, np.maximum(0.0, q))
 
 
@@ -107,7 +106,7 @@ def _parity_errors(rho: np.ndarray) -> np.ndarray:
     """qber_parity of every row of a (B, 8, 8) stack."""
     total = 0.0
     for state in _odd_parity_states():
-        total = total + fidelity(rho, state)
+        total = total + _fidelity(rho, state.amplitudes)
     return np.minimum(1.0, np.maximum(0.0, total))
 
 
@@ -158,7 +157,7 @@ def _reports(
     target_state(+1).
     """
     if outcome == -1:
-        states = apply_unitary(states, 2, PAULI["X"])
+        states = _x_conjugate(states, 3, 2)
     q_x = _parity_errors(states)
     q_ab = _bipartite_errors(states)
     y = yield_with_memory(cfg) if use_memory else yield_memoryless(cfg)

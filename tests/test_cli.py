@@ -266,13 +266,25 @@ class TestRunSweep:
         assert row.r_per_second == rep.r_per_second
 
     def test_memory_rows_without_memory_fail_soft(self):
-        spec = SweepSpec(fd_range=(0.0, 0.0, 1), fg_range=(0.0, 0.0, 1))
+        # the memory-on block fails as a whole: each of its points gets a NaN
+        # row with the block's error text, and the memory-off block is kept
+        spec = SweepSpec(fd_range=(0.0, 0.1, 2), fg_range=(0.0, 0.2, 2))
         rows = run_sweep([make_cfg()], spec)
-        assert len(rows) == 2
-        assert rows[0].error is None
-        assert rows[1].memory and rows[1].error is not None
-        assert "memory" in rows[1].error
-        assert math.isnan(rows[1].fidelity)
+        points = [(0.0, 0.0), (0.0, 0.2), (0.1, 0.0), (0.1, 0.2)]
+        assert [(r.f_d, r.f_g, r.memory, r.t2_s) for r in rows] == (
+            [(fd, fg, False, None) for fd, fg in points] + [(fd, fg, True, None) for fd, fg in points]
+        )
+        assert [r.error for r in rows] == (
+            [None] * 4 + ["ValueError: segment test-segment has no memory parameters"] * 4
+        )
+        assert rows[1].fidelity == full_report(make_cfg(), NoiseParams(0.0, 0.2)).fidelity
+        for row in rows[4:]:
+            assert all(math.isnan(getattr(row, field)) for field in (
+                "yield_per_attempt", "fidelity", "q_x", "q_ab", "r_per_attempt", "r_per_second"))
+        # a failed T2 block keeps its T2 on every row
+        t2_rows = run_sweep([make_cfg()], SweepSpec(fd_range=(0.0, 0.1, 2), fg_range=(0.0, 0.2, 2),
+                                                    memory_modes=("on",), t2_values=(0.5,)))
+        assert [(r.t2_s, r.error) for r in t2_rows] == [(0.5, rows[4].error)] * 4
 
     def test_block_rows_equal_single_point_reports(self):
         # both memory blocks hold 16 rows, each evaluated as one stack; each
@@ -291,22 +303,6 @@ class TestRunSweep:
             assert row.q_ab == rep.q_ab
             assert row.r_per_attempt == rep.r_per_attempt
             assert row.r_per_second == rep.r_per_second
-
-    def test_failed_point_keeps_its_block_alive(self, monkeypatch):
-        # a ValueError from one point sends its block back to point-by-point
-        # evaluation: the bad points get their own error text, the rest values
-        def picky(channel_depol, gate_fail):
-            if channel_depol > 0.05:
-                raise ValueError(f"rejected f_D {channel_depol}")
-            return NoiseParams(channel_depol, gate_fail)
-
-        monkeypatch.setattr("ghzline.cli.NoiseParams", picky)
-        spec = SweepSpec(fd_range=(0.0, 0.1, 2), fg_range=(0.0, 0.2, 2),
-                         memory_modes=("off",))
-        rows = run_sweep([make_cfg()], spec)
-        assert [r.error for r in rows] == [None, None] + ["ValueError: rejected f_D 0.1"] * 2
-        assert rows[1].fidelity == full_report(make_cfg(), NoiseParams(0.0, 0.2)).fidelity
-        assert math.isnan(rows[2].fidelity) and math.isnan(rows[3].r_per_second)
 
     def test_engine_bug_propagates(self, monkeypatch):
         # only ValueError marks a point as failed; any other exception is a
@@ -570,13 +566,14 @@ class TestMain:
         assert rows[0].error is None and math.isnan(rows[1].fidelity)
 
     @pytest.mark.parametrize("argv, message", [
-        (["sweep", "--fd", "2"], "--fd: need 0 <= min <= max <= 1, got 2.0..2.0"),
+        (["sweep", "--fd", "2"], "--fd: need 0 <= value <= 1, got 2.0"),
         (["sweep", "--fd", "0:0.3:0"], "--fd: steps must be >= 1, got 0"),
-        (["sweep", "--fg", "-0.5"], "--fg: need 0 <= min <= max <= 1, got -0.5..-0.5"),
+        (["sweep", "--fg", "-0.5"], "--fg: need 0 <= value <= 1, got -0.5"),
         (["sweep", "--t2", "-1"], "--t2: must be positive, got (-1.0,)"),
-        (["simulate", "--fg", "1.5"], "--fg: need 0 <= min <= max <= 1, got 1.5..1.5"),
+        (["simulate", "--fg", "1.5"], "--fg: need 0 <= value <= 1, got 1.5"),
         (["simulate", "--memory", "--t2", "0"], "--t2: must be positive, got (0.0,)"),
         (["mc-check", "--samples", "0"], "--samples: must be >= 1, got 0"),
+        (["sweep", "--fd", "0:2:3"], "--fd: need 0 <= min <= max <= 1, got 0.0..2.0"),
     ])
     def test_range_errors_name_the_option(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

@@ -453,8 +453,8 @@ class TestExpectationAndFidelity:
 
 
 class TestStacks:
-    """The module-level channels act on (B, 2^n, 2^n) stacks, one strength
-    per row; each row must equal the one-row DensityMatrix result exactly."""
+    """The kernels act on (B, 2^n, 2^n) stacks, strengths broadcasting over
+    (B, 1, 1); each row must equal the one-row DensityMatrix result exactly."""
 
     def stack(self, seed, rows, n):
         rng = np.random.default_rng(seed)
@@ -464,31 +464,31 @@ class TestStacks:
     def test_rows_match_single_states_exactly(self, n):
         rho = self.stack(n, 5, n)
         strengths = np.array([0.0, 0.1, 0.25, 0.4, 0.5])
+        s = strengths.reshape(-1, 1, 1)
         q, other = n - 1, 0
-        for name, args in (
-            ("depolarize", (q, strengths)),
-            ("dephase", (q, strengths)),
-            ("noisy_cz", (other, q, strengths)),
+        for name, out, qubits in (
+            ("depolarize", density._depolarize(rho, n, q, s / 4.0, 1.0 - s), (q,)),
+            ("dephase", density._dephase(rho, n, q, s), (q,)),
+            ("noisy_cz", density._noisy_cz(rho, n, other, q, s), (other, q)),
         ):
-            out = getattr(density, name)(rho, *args)
-            for row, s in enumerate(strengths):
-                single = getattr(DensityMatrix(rho[row]), name)(*args[:-1], float(s))
-                assert np.array_equal(out[row], single.data), (name, row)
-        probs, post = density.measure(rho, q, "Y", -1)
+            for row, strength in enumerate(strengths):
+                single = getattr(DensityMatrix(rho[row]), name)(*qubits, float(strength))
+                assert same_bits(out[row], single.data), (name, row)
+        probs, post = density._measure(rho, n, q, "Y", -1)
         for row in range(len(rho)):
             p, single = DensityMatrix(rho[row]).measure(q, "Y", -1)
             assert probs[row] == p
-            assert np.array_equal(post[row], single.data)
+            assert same_bits(post[row], single.data)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_fidelity_rows_equal_vdot_exactly(self, n):
-        # the per-row np.vdot loop is the reference: same BLAS sum, same bits
         rho = self.stack(10 + n, 6, n)
         rng = np.random.default_rng(n)
         psi = PureState(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
         v = psi.amplitudes
-        expected = np.array([np.vdot(v, w) for w in rho @ v]).real
-        assert np.array_equal(density.fidelity(rho, psi), expected)
+        fids = density._fidelity(rho, v)
+        for row in range(len(rho)):
+            assert fids[row] == np.vdot(v, rho[row] @ v).real == DensityMatrix(rho[row]).fidelity(psi)
 
     def test_sign_tables_are_read_only(self):
         for table in (density._z_conjugation(4, 1), density._cz_conjugation(4, 1, 2)):
@@ -497,25 +497,17 @@ class TestStacks:
 
     def test_scalar_strength_applies_to_every_row(self):
         rho = self.stack(1, 3, 2)
-        assert np.array_equal(density.depolarize(rho, 0, 0.3),
-                              density.depolarize(rho, 0, np.full(3, 0.3)))
-
-    def test_every_row_is_range_checked(self):
-        rho = self.stack(2, 3, 2)
-        with pytest.raises(ValueError, match="got 1.5"):
-            density.depolarize(rho, 0, [0.1, 1.5, 0.2])
-        with pytest.raises(ValueError, match="dephase strength"):
-            density.dephase(rho, 0, [0.1, 0.2, 0.6])
-        with pytest.raises(ValueError, match="fail_prob"):
-            density.noisy_cz(rho, 0, 1, [0.1, float("nan"), 0.2])
-        with pytest.raises(ValueError, match="3 values"):
-            density.depolarize(rho, 0, [0.1, 0.2])
+        s = np.full((3, 1, 1), 0.3)
+        assert same_bits(density._depolarize(rho, 2, 0, 0.3 / 4.0, 1.0 - 0.3),
+                         density._depolarize(rho, 2, 0, s / 4.0, 1.0 - s))
+        assert same_bits(density._dephase(rho, 2, 1, 0.3), density._dephase(rho, 2, 1, s))
+        assert same_bits(density._noisy_cz(rho, 2, 0, 1, 0.3), density._noisy_cz(rho, 2, 0, 1, s))
 
     def test_zero_probability_in_any_row_raises(self):
         zero = DensityMatrix.from_pure([1.0, 0.0]).data
         one = DensityMatrix.from_pure([0.0, 1.0]).data
         with pytest.raises(ZeroProbabilityError):
-            density.measure(np.stack([one, zero]), 0, "Z", -1)
+            density._measure(np.stack([one, zero]), 1, 0, "Z", -1)
 
 
 # ------------------------------------------------------- kernel references
@@ -560,8 +552,17 @@ def tensordot_project(rho, n, qubit, basis, outcome):
     return probs, mat / probs[:, None, None]
 
 
+def bit(i, n, qubit):
+    return (i >> (n - 1 - qubit)) & 1
+
+
 def z_signs(n, qubit):
-    signs = np.array([1.0 - 2.0 * ((i >> (n - 1 - qubit)) & 1) for i in range(2**n)])
+    signs = np.array([1.0 - 2.0 * bit(i, n, qubit) for i in range(2**n)])
+    return np.outer(signs, signs)
+
+
+def cz_signs(n, q1, q2):
+    signs = np.array([1.0 - 2.0 * (bit(i, n, q1) & bit(i, n, q2)) for i in range(2**n)])
     return np.outer(signs, signs)
 
 
@@ -571,11 +572,21 @@ def twirl_depolarize(rho, n, qubit, s):
     return (1.0 - s) * rho + (s / 4.0) * (((rho + x) + x * zz) + rho * zz)
 
 
+def flip_dephase(rho, n, qubit, s):
+    """(1 - s) rho + s Z rho Z."""
+    return (1.0 - s) * rho + s * (rho * z_signs(n, qubit))
+
+
 def trace_reinsert_noisy_cz(rho, n, q1, q2, f):
     """(1 - f) CZ rho CZ + f Tr_{q1,q2}(rho) (x) I/4, the earlier way."""
     removed = sorted((q1, q2))
     scrambled = loop_reinsert_mixed(np_trace_out(rho, n, removed), n, removed)
-    return (1.0 - f) * density.apply_cz(rho, q1, q2) + f * scrambled
+    return (1.0 - f) * (rho * cz_signs(n, q1, q2)) + f * scrambled
+
+
+def vdot_fidelity(rho, v):
+    """<v| rho |v> per row by np.vdot, the same BLAS sum as np.vecdot."""
+    return np.array([np.vdot(v, w) for w in rho @ v]).real
 
 
 def same_bits(a, b):
@@ -585,8 +596,9 @@ def same_bits(a, b):
 
 
 class TestKernels:
-    """Each kernel against its public function and its earlier formulation,
-    bit for bit, on random stacks that also hold signed zeros."""
+    """Each kernel against its earlier formulation, bit for bit, on random
+    stacks that also hold signed zeros, with one strength per row and one
+    for every row."""
 
     @staticmethod
     def stack(seed, rows, n):
@@ -598,7 +610,7 @@ class TestKernels:
         rho.real[zeros] = np.where(rng.random(rho.shape) < 0.5, 0.0, -0.0)[zeros]
         zeros = rng.random(rho.shape) < 0.2
         rho.imag[zeros] = np.where(rng.random(rho.shape) < 0.5, 0.0, -0.0)[zeros]
-        return rho, rng.uniform(0.0, 0.5, size=rows)
+        return rho, rng.uniform(0.0, 0.5, size=rows).reshape(rows, 1, 1)
 
     cases = pytest.mark.parametrize(
         "rows, n", [(rows, n) for rows in (1, 5, 32) for n in (1, 2, 3, 4)]
@@ -607,40 +619,37 @@ class TestKernels:
     @cases
     def test_depolarize(self, rows, n):
         rho, s = self.stack(10 * rows + n, rows, n)
-        s3 = s.reshape(rows, 1, 1)
         for q in range(n):
-            out = density.depolarize(rho, q, s)
-            assert same_bits(out, twirl_depolarize(rho, n, q, s3))
-            assert same_bits(out, density._depolarize(rho, n, q, s3 / 4.0, 1.0 - s3))
-            scalar = float(s[0])
-            assert same_bits(density.depolarize(rho, q, scalar),
-                             density._depolarize(rho, n, q, scalar / 4.0, 1.0 - scalar))
+            assert same_bits(density._depolarize(rho, n, q, s / 4.0, 1.0 - s),
+                             twirl_depolarize(rho, n, q, s))
+            scalar = float(s[0, 0, 0])
+            assert same_bits(density._depolarize(rho, n, q, scalar / 4.0, 1.0 - scalar),
+                             twirl_depolarize(rho, n, q, scalar))
 
     @cases
     def test_dephase(self, rows, n):
         rho, s = self.stack(30 * rows + n, rows, n)
         for q in range(n):
-            assert same_bits(density.dephase(rho, q, s),
-                             density._dephase(rho, n, q, s.reshape(rows, 1, 1)))
-            scalar = float(s[-1])
-            assert same_bits(density.dephase(rho, q, scalar),
-                             density._dephase(rho, n, q, scalar))
+            assert same_bits(density._dephase(rho, n, q, s), flip_dephase(rho, n, q, s))
+            scalar = float(s[-1, 0, 0])
+            assert same_bits(density._dephase(rho, n, q, scalar), flip_dephase(rho, n, q, scalar))
 
     @pytest.mark.parametrize("rows, n", [(rows, n) for rows in (1, 5, 32) for n in (2, 3, 4)])
     def test_noisy_cz(self, rows, n):
         rho, f = self.stack(40 * rows + n, rows, n)
-        f3 = f.reshape(rows, 1, 1)
         for q1, q2 in ((a, b) for a in range(n) for b in range(n) if a != b):
-            out = density.noisy_cz(rho, q1, q2, f)
-            assert same_bits(out, trace_reinsert_noisy_cz(rho, n, q1, q2, f3))
-            assert same_bits(out, density._noisy_cz(rho, n, q1, q2, f3))
+            assert same_bits(density._noisy_cz(rho, n, q1, q2, f),
+                             trace_reinsert_noisy_cz(rho, n, q1, q2, f))
+        scalar = float(f[0, 0, 0])
+        assert same_bits(density._noisy_cz(rho, n, 0, n - 1, scalar),
+                         trace_reinsert_noisy_cz(rho, n, 0, n - 1, scalar))
 
     @cases
     def test_partial_trace_matches_np_trace(self, rows, n):
         rho, _ = self.stack(50 * rows + n, rows, n)
         for k in range(n):
             for removed in map(list, combinations(range(n), k)):
-                assert same_bits(density.partial_trace(rho, removed),
+                assert same_bits(density._trace_out(rho, n, removed),
                                  np_trace_out(rho, n, removed))
 
     @cases
@@ -649,29 +658,29 @@ class TestKernels:
         for q in range(n):
             for basis in "XYZ":
                 for outcome in (1, -1):
-                    probs, post = density.measure(rho, q, basis, outcome)
-                    kernel = density._measure(rho, n, q, basis, outcome)
-                    reference = tensordot_project(rho, n, q, basis, outcome)
-                    for got in (kernel, reference):
-                        assert same_bits(probs, got[0]) and same_bits(post, got[1])
+                    probs, post = density._measure(rho, n, q, basis, outcome)
+                    ref_probs, ref_post = tensordot_project(rho, n, q, basis, outcome)
+                    assert same_bits(probs, ref_probs) and same_bits(post, ref_post)
 
     @cases
     def test_fidelity(self, rows, n):
         rho, _ = self.stack(70 * rows + n, rows, n)
         rng = np.random.default_rng(rows + n)
         psi = PureState(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
-        assert same_bits(density.fidelity(rho, psi), density._fidelity(rho, psi.amplitudes))
+        assert same_bits(density._fidelity(rho, psi.amplitudes), vdot_fidelity(rho, psi.amplitudes))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_empty_stack(self, n):
         rho = np.zeros((0, 2**n, 2**n), dtype=complex)
-        assert density.depolarize(rho, 0, []).shape == rho.shape
-        assert density.dephase(rho, n - 1, []).shape == rho.shape
-        probs, post = density.measure(rho, n - 1, "Y", -1)
+        none = np.zeros((0, 1, 1))
+        assert density._depolarize(rho, n, 0, none, none).shape == rho.shape
+        assert density._dephase(rho, n, n - 1, none).shape == rho.shape
+        probs, post = density._measure(rho, n, n - 1, "Y", -1)
         assert probs.shape == (0,) and post.shape == (0, 2 ** (n - 1), 2 ** (n - 1))
+        assert density._fidelity(rho, np.ones(2**n) / 2 ** (n / 2)).shape == (0,)
         if n > 1:
-            assert density.noisy_cz(rho, 0, n - 1, []).shape == rho.shape
-            assert density.partial_trace(rho, [0]).shape == (0, 2 ** (n - 1), 2 ** (n - 1))
+            assert density._noisy_cz(rho, n, 0, n - 1, none).shape == rho.shape
+            assert density._trace_out(rho, n, [0]).shape == (0, 2 ** (n - 1), 2 ** (n - 1))
 
     def test_tables_are_read_only(self):
         tables = (
@@ -684,16 +693,24 @@ class TestKernels:
                 table.flat[0] = 0
 
     def test_checked_strength_matches_stack_check(self):
-        rho = np.eye(2, dtype=complex)[None] / 2
-        for value, hi, what, channel in (
-            (1.5, 1.0, "depolarize strength", density.depolarize),
-            (-0.25, 1.0, "depolarize strength", density.depolarize),
-            (0.6, 0.5, "dephase strength", density.dephase),
-            (float("nan"), 0.5, "dephase strength", density.dephase),
+        # _checked_strength is the one range check, behind the DensityMatrix
+        # channels and protocol.run_stack alike, with these exact texts
+        dm = DensityMatrix.maximally_mixed(2)
+        for value, hi, what, channel, expected in (
+            (1.5, 1.0, "depolarize strength", lambda s: dm.depolarize(0, s),
+             "depolarize strength must be in [0, 1], got 1.5"),
+            (-0.25, 1.0, "depolarize strength", lambda s: dm.depolarize(0, s),
+             "depolarize strength must be in [0, 1], got -0.25"),
+            (0.6, 0.5, "dephase strength", lambda s: dm.dephase(0, s),
+             "dephase strength must be in [0, 0.5], got 0.6"),
+            (float("nan"), 0.5, "dephase strength", lambda s: dm.dephase(0, s),
+             "dephase strength must be in [0, 0.5], got nan"),
+            (1.1, 1.0, "fail_prob", lambda s: dm.noisy_cz(0, 1, s),
+             "fail_prob must be in [0, 1], got 1.1"),
         ):
             with pytest.raises(ValueError) as public:
-                channel(rho, 0, value)
+                channel(value)
             with pytest.raises(ValueError) as checked:
                 density._checked_strength(value, hi, what)
-            assert str(checked.value) == str(public.value)
+            assert str(checked.value) == str(public.value) == expected
         assert density._checked_strength(0.5, 0.5, "dephase strength") == 0.5

@@ -354,3 +354,38 @@ class TestCheckOnce:
     def test_near_dephasing_out_of_range(self, monkeypatch):
         monkeypatch.setattr(protocol, "expected_coherence_near", lambda cfg: float("nan"))
         assert self.sweep_error() == "ValueError: dephase strength must be in [0, 0.5], got nan"
+
+
+def with_edges(lo, hi, *edges):
+    """Floats in [lo, hi], drawn often at the given edge values."""
+    return st.one_of(st.sampled_from(edges), st.floats(lo, hi, allow_nan=False))
+
+
+class TestOutcomeProbability:
+    """Every error the pipeline can pick up heralds either Y outcome with
+    probability 1/2, so the outcome probability is 0.5 whatever the
+    hardware, noise, memory mode or outcome.  cli.run_sweep relies on it:
+    the one engine error that could depend on f_D or f_G, a zero-probability
+    outcome, cannot happen."""
+
+    @given(
+        eta=st.tuples(*[with_edges(1e-6, 1.0, 1e-6, 1.0)] * 3),
+        dark=st.tuples(*[with_edges(0.0, 0.999, 0.0, 0.999)] * 3),
+        trans=st.tuples(*[with_edges(1e-9, 1.0, 1e-9, 1.0)] * 2),
+        lengths=st.tuples(*[with_edges(0.0, 300.0, 0.0)] * 2),
+        memory=st.tuples(with_edges(1e-6, 1.0, 1e-6, 1.0), with_edges(1e-9, 100.0, 1e-9)),
+        noise=st.lists(st.tuples(*[with_edges(0.0, 1.0, 0.0, 0.5, 1.0)] * 2),
+                       min_size=1, max_size=4),
+    )
+    def test_is_one_half(self, eta, dark, trans, lengths, memory, noise):
+        cfg = make_cfg(
+            eta_a=eta[0], eta_b=eta[1], eta_c=eta[2],
+            dark_a=dark[0], dark_b=dark[1], dark_c=dark[2],
+            trans_ab=trans[0], trans_bc=trans[1], len_ab=lengths[0], len_bc=lengths[1],
+            memory=MemoryParams(*memory),
+        )
+        noises = [NoiseParams(fd, fg) for fd, fg in noise]
+        for outcome in OUTCOMES:
+            for use_memory in (False, True):
+                probs, _, _ = run_stack(cfg, noises, use_memory=use_memory, outcome=outcome)
+                assert np.max(np.abs(probs - 0.5)) <= 1e-15
