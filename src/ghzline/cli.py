@@ -21,6 +21,9 @@ import csv
 import io
 import json
 import math
+import numbers
+import operator
+import re
 import sys
 from dataclasses import dataclass, replace
 from functools import cache
@@ -28,7 +31,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 import yaml
 
 from .mc import McResult, mc_coherence_near, mc_expected_max, mc_yield_memoryless
@@ -68,10 +70,26 @@ CSV_COLUMNS = tuple(column for column, _ in ROW_COLUMNS)
 
 DEFAULT_CONFIG = "network_segments.yaml"
 
-# libyaml's C parser when PyYAML was built with it.  Both loaders share the
-# safe resolver and constructor, so they build the same document; the C one
-# is several times faster.
-YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+# libyaml's C parser when PyYAML was built with it, else the pure one.  Both
+# share the safe resolver and constructor, so they build the same document;
+# the C one is several times faster.
+class _ConfigLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """Safe loader that also reads YAML 1.2 exponent floats.
+
+    The YAML 1.1 resolver reads ``1.0e7``, ``1e7`` and ``1E-3`` as strings;
+    only a signed exponent (``1.0e+7``) makes a float.  The resolver added
+    below goes to this class alone; PyYAML's loaders are left as they are.
+    A digit must follow a leading dot, as in PyYAML's own float pattern, so
+    that ``._e3`` stays a string rather than failing float().
+    """
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+YAML_LOADER = _ConfigLoader
 
 
 class ConfigError(ValueError):
@@ -87,21 +105,135 @@ def data_path(name: str = DEFAULT_CONFIG) -> Path:
     return Path(str(resources.files("ghzline") / "data" / name))
 
 
+# The JSON Schema types config.schema.json names; bool is no number, as in
+# jsonschema.
+_SCHEMA_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+}
+# The instance type each keyword applies to; others pass it unchecked.
+_KEYWORD_TYPES = {
+    "required": "object",
+    "properties": "object",
+    "additionalProperties": "object",
+    "items": "array",
+    "minItems": "array",
+    "minLength": "string",
+    "minimum": "number",
+    "maximum": "number",
+    "exclusiveMinimum": "number",
+    "exclusiveMaximum": "number",
+}
+# (violated when, message) of each numeric bound, in jsonschema's words.
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
+}
+# Every keyword the interpreter knows: the 13 it checks, then those that
+# only annotate or hold subschemas for $ref.
+_SCHEMA_KEYWORDS = {
+    "type", "$ref", "anyOf", *_KEYWORD_TYPES, "$schema", "title", "description", "$defs"
+}
+# The subschemas each keyword holds, if any.
+_SUBSCHEMAS = {
+    "properties": dict.values, "$defs": dict.values, "items": lambda s: [s], "anyOf": list
+}
+
+
+def _compile_schema(schema: dict, root: dict | None = None) -> dict:
+    """Check that ``schema`` uses only what _schema_errors interprets, and
+    replace each ``$ref`` by the subschema it points to, in place.
+
+    Raises ValueError on any other keyword, type name, reference form or
+    open object, so that an edit to the schema cannot be silently ignored.
+    """
+    root = schema if root is None else root
+    for key, value in schema.items():
+        if key not in _SCHEMA_KEYWORDS:
+            raise ValueError(f"config schema: unsupported keyword {key!r}")
+        if key == "type" and not (isinstance(value, str) and value in _SCHEMA_TYPES):
+            raise ValueError(f"config schema: unsupported type {value!r}")
+        if key == "additionalProperties" and value is not False:
+            raise ValueError(f"config schema: unsupported additionalProperties {value!r}")
+        if key == "$ref":
+            if not value.startswith("#/"):
+                raise ValueError(f"config schema: unsupported $ref {value!r}")
+            target = root
+            for part in value[2:].split("/"):
+                target = target[part]
+            schema[key] = target
+        for sub in _SUBSCHEMAS[key](value) if key in _SUBSCHEMAS else ():
+            _compile_schema(sub, root)
+    return schema
+
+
 @cache
-def _schema_validator() -> jsonschema.Draft202012Validator:
-    """The config schema's validator, built once per process."""
+def _config_schema() -> dict:
+    """config.schema.json, read and compiled once per process."""
     with (resources.files("ghzline") / "data" / "config.schema.json").open() as fh:
-        return jsonschema.Draft202012Validator(json.load(fh))
+        return _compile_schema(json.load(fh))
+
+
+def _schema_errors(schema: dict, node, path: tuple = ()):
+    """(path, message) of every violation of ``schema`` by ``node``.
+
+    Keywords are checked in the schema's order, depth first, with
+    jsonschema's Draft 2020-12 message texts.
+    """
+    for key, value in schema.items():
+        if key in _KEYWORD_TYPES and not _SCHEMA_TYPES[_KEYWORD_TYPES[key]](node):
+            continue
+        if key == "$ref":
+            yield from _schema_errors(value, node, path)
+        elif key == "type":
+            if not _SCHEMA_TYPES[value](node):
+                yield path, f"{node!r} is not of type {value!r}"
+        elif key == "required":
+            for name in value:
+                if name not in node:
+                    yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            for name, sub in value.items():
+                if name in node:
+                    yield from _schema_errors(sub, node[name], path + (name,))
+        elif key == "additionalProperties":
+            known = schema.get("properties", {})
+            extras = sorted({name for name in node if name not in known}, key=str)
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                names = ", ".join(repr(name) for name in extras)
+                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif key == "items":
+            for i, item in enumerate(node):
+                yield from _schema_errors(value, item, path + (i,))
+        elif key in ("minItems", "minLength"):
+            if len(node) < value:
+                yield path, f"{node!r} {'should be non-empty' if value == 1 else 'is too short'}"
+        elif key in _BOUNDS:
+            violated, text = _BOUNDS[key]
+            if violated(node, value):
+                yield path, f"{node!r} {text} {value!r}"
+        elif key == "anyOf":
+            if all(next(_schema_errors(sub, node, path), None) for sub in value):
+                yield path, f"{node!r} is not valid under any of the given schemas"
 
 
 def _non_finite(node, where: str) -> list[str]:
-    """Dotted paths of every inf or NaN number in a parsed document.
+    """Dotted paths of every number in a parsed document that a float
+    cannot hold: inf, NaN, or an integer beyond the float range.
 
-    YAML's .inf and .nan satisfy every numeric bound of the schema, so
-    they are caught here rather than surfacing as a NaN or null rate.
+    YAML's .inf and .nan satisfy every numeric bound of the schema, and a
+    huge integer would overflow only later, when the model converts it; so
+    they are caught here rather than surfacing as a NaN or null rate or as
+    a traceback.
     """
-    if isinstance(node, float):
-        return [] if math.isfinite(node) else [f"{where or '<root>'}: must be finite"]
+    if isinstance(node, (int, float)):
+        # NaN fails the comparison too; abs(True) is 1
+        return [] if abs(node) <= sys.float_info.max else [f"{where or '<root>'}: must be finite"]
     if isinstance(node, dict):
         items = node.items()
     elif isinstance(node, list):
@@ -114,12 +246,12 @@ def _non_finite(node, where: str) -> list[str]:
 
 def validate_document(doc) -> list[str]:
     """All schema and consistency violations of a parsed config document."""
-    problems = []
-    for err in sorted(
-        _schema_validator().iter_errors(doc), key=lambda e: [str(x) for x in e.absolute_path]
-    ):
-        where = ".".join(str(x) for x in err.absolute_path) or "<root>"
-        problems.append(f"{where}: {err.message}")
+    problems = [
+        f"{'.'.join(str(x) for x in path) or '<root>'}: {message}"
+        for path, message in sorted(
+            _schema_errors(_config_schema(), doc), key=lambda e: [str(x) for x in e[0]]
+        )
+    ]
     problems += _non_finite(doc, "")
     if problems:
         return problems

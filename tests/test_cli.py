@@ -1,11 +1,18 @@
 """Tests of config ingestion, the sweep driver, serialization, and the CLI."""
 
+import copy
 import csv
+import functools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzline import MemoryParams
 from ghzline.cli import (
@@ -26,7 +33,13 @@ from ghzline.cli import (
     validate_document,
     yields_report,
 )
-from ghzline.cli import _build_parser, _parse_axis
+from ghzline.cli import (
+    YAML_LOADER,
+    _build_parser,
+    _compile_schema,
+    _parse_axis,
+    _schema_errors,
+)
 from ghzline.rates import RateReport, full_report
 from ghzline.protocol import NoiseParams
 from util import make_cfg
@@ -55,6 +68,16 @@ def write_doc(tmp_path, doc, name="segments.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc))
     return path
+
+
+def _set(doc, where, value):
+    """Set the value at a dotted path below the first segment."""
+    *parents, key = where.split(".")
+    node = doc["segments"][0]
+    for part in parents:
+        node = node[part]
+    node[key] = value
+    return doc
 
 
 class TestLoadConfig:
@@ -168,22 +191,230 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="segments.0.links.AB.transmission"):
             load_config(path)
 
-    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize(
+        "value", [float("inf"), float("nan"), pytest.param(10**400, id="huge-int")]
+    )
     @pytest.mark.parametrize("where", ["links.AB.length", "source.frequency", "memory.T2"])
     def test_rejects_non_finite_numbers(self, tmp_path, where, value):
-        doc = minimal_doc(memory={"efficiency": 0.8, "T2": 1.5})
-        *parents, key = where.split(".")
-        node = doc["segments"][0]
-        for part in parents:
-            node = node[part]
-        node[key] = value
+        doc = _set(minimal_doc(memory={"efficiency": 0.8, "T2": 1.5}), where, value)
         with pytest.raises(ConfigError) as err:
             load_config(write_doc(tmp_path, doc))
         assert f"segments.0.{where}: must be finite" in err.value.problems
 
+    @pytest.mark.parametrize(
+        "spelling, signed", [("1.0e7", "1.0e+7"), ("1e7", "1e+7"), ("1E-3", "1.0e-3")]
+    )
+    def test_exponent_floats_without_sign(self, tmp_path, spelling, signed):
+        text = yaml.safe_dump(minimal_doc()).replace("40000000.0", "{}")
+        assert "{}" in text
+        loaded = []
+        for name, literal in (("bare.yaml", spelling), ("signed.yaml", signed)):
+            path = tmp_path / name
+            path.write_text(text.format(literal))
+            loaded.append(load_config(path))
+        assert loaded[0] == loaded[1]
+        assert loaded[0][0].source.frequency == float(signed)
+
+    def test_quoted_exponent_stays_a_string(self, tmp_path):
+        path = tmp_path / "quoted.yaml"
+        path.write_text(yaml.safe_dump(minimal_doc()).replace("40000000.0", "'1e7'"))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.problems == ["segments.0.source.frequency: '1e7' is not of type 'number'"]
+
+    def test_loader_adds_only_exponent_floats(self):
+        text = "[1e7, -1.5E-3, .5e2, 1_000e1, 1., 12, 0x1f, 1.5, abc, '1e7', e7, 1e, ._e3, 1.0e+7]"
+        assert yaml.load(text, Loader=YAML_LOADER) == [
+            1e7, -1.5e-3, 50.0, 1e4, 1.0, 12, 31, 1.5, "abc", "1e7", "e7", "1e", "._e3", 1e7
+        ]
+        # PyYAML's own loaders keep the YAML 1.1 reading
+        assert yaml.safe_load("1e7") == "1e7"
+
+    def test_huge_integer_exits_2(self, tmp_path, capsys):
+        doc = _set(minimal_doc(memory={"efficiency": 0.8, "T2": 1.5}), "links.AB.length", 10**400)
+        path = write_doc(tmp_path, doc)
+        assert main(["simulate", "--memory", "--config", str(path)]) == 2
+        assert "segments.0.links.AB.length: must be finite" in capsys.readouterr().err
+
     def test_validate_document_reports_root_problems(self):
         problems = validate_document({"wrong": []})
         assert problems and all("segments" in p or "<root>" in p for p in problems)
+
+
+def _doc_paths(node, path=()):
+    """Every path in a parsed document, the root's () first."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _doc_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _doc_paths(value, path + (i,))
+
+
+# Replacement values: wrong types, None, bools where numbers belong, empty
+# names, and every bound of the schema (0, 1, negatives, > 1).
+MUTANT_VALUES = [None, True, False, "", "x", "1.0e7", [], {}, {"a": 1}, [1],
+                 0, 0.0, 1, 1.0, -1, -0.5, 1.5, 2, 1e-5]
+EXTRA_KEYS = ["zz", "aa", "extra", "B", "length", 1]
+
+
+def _mutate(doc, data):
+    """Apply one to four drawn mutations to ``doc``; returns the result,
+    which is a replacement for a non-dict root."""
+    for _ in range(data.draw(st.integers(1, 4))):
+        kind = data.draw(st.sampled_from(["drop", "set", "extra", "budget", "root"]))
+        if kind == "root":
+            return data.draw(st.sampled_from(MUTANT_VALUES + ["segments"]))
+        if kind == "budget":
+            links = [p for p in _doc_paths(doc) if len(p) == 4 and p[2] == "links"]
+            if not links:
+                continue
+            (_, i, _, key) = data.draw(st.sampled_from(links))
+            link = doc["segments"][i]["links"][key]
+            if not isinstance(link, dict):
+                continue
+            for field in ("transmission", "loss_db"):
+                link.pop(field, None)
+            if data.draw(st.booleans()):  # both, not neither
+                link.update(transmission=0.1, loss_db=10.0)
+            continue
+        path = data.draw(st.sampled_from(list(_doc_paths(doc))))
+        nodes = [doc]  # the root, then each node down to the one at path
+        for part in path:
+            nodes.append(nodes[-1][part])
+        if kind == "extra" and isinstance(nodes[-1], dict):
+            for key in data.draw(st.lists(st.sampled_from(EXTRA_KEYS), min_size=1, max_size=3)):
+                nodes[-1][key] = 1
+        elif kind == "drop" and path and isinstance(nodes[-2], dict):
+            del nodes[-2][path[-1]]
+        elif kind == "set" and path:
+            nodes[-2][path[-1]] = copy.deepcopy(data.draw(st.sampled_from(MUTANT_VALUES)))
+    return doc
+
+
+@functools.cache
+def _valid_docs():
+    """Valid documents to mutate: the minimal one, with memory and the
+    loss_db form, and both bundled files."""
+    bundled = [yaml.load(data_path(name).read_text(), Loader=YAML_LOADER)
+               for name in ("network_segments.yaml", "yield_regression.yaml")]
+    with_memory = minimal_doc(memory={"efficiency": 0.8, "T2": 1.5})
+    with_memory["segments"][0]["links"]["BC"] = {"length": 20.0, "loss_db": 6.0}
+    return [minimal_doc(), with_memory] + bundled
+
+
+@functools.cache
+def _jsonschema_validator():
+    """jsonschema's validator of the config schema, the oracle; skips the
+    test where jsonschema is not installed."""
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(data_path("config.schema.json").read_text())
+    return jsonschema.Draft202012Validator(schema)
+
+
+class TestSchemaValidator:
+    @pytest.mark.parametrize("where, value, message", [
+        ("source.frequency", "4e7", "segments.0.source.frequency: '4e7' is not of type 'number'"),
+        ("nodes.A.detector_efficiency", True,
+         "segments.0.nodes.A.detector_efficiency: True is not of type 'number'"),
+        ("nodes.B", None, "segments.0.nodes.B: None is not of type 'object'"),
+        ("name", "", "segments.0.name: '' should be non-empty"),
+        ("links.AB.length", -1, "segments.0.links.AB.length: -1 is less than the minimum of 0"),
+        ("links.AB.transmission", 1.5,
+         "segments.0.links.AB.transmission: 1.5 is greater than the maximum of 1"),
+        ("source.frequency", 0,
+         "segments.0.source.frequency: 0 is less than or equal to the minimum of 0"),
+        ("nodes.B.dark_count_prob", 1,
+         "segments.0.nodes.B.dark_count_prob: 1 is greater than or equal to the maximum of 1"),
+        ("links.BC", {"length": 2.0},
+         "segments.0.links.BC: {'length': 2.0} is not valid under any of the given schemas"),
+        ("source", {}, "segments.0.source: 'frequency' is a required property"),
+        ("source.zz", 1,
+         "segments.0.source: Additional properties are not allowed ('zz' was unexpected)"),
+    ])
+    def test_message_per_keyword(self, where, value, message):
+        assert validate_document(_set(minimal_doc(), where, value)) == [message]
+
+    @pytest.mark.parametrize("doc, messages", [
+        ([], ["<root>: [] is not of type 'object'"]),
+        ({"segments": []}, ["segments: [] should be non-empty"]),
+        ({"segments": ["x"]}, ["segments.0: 'x' is not of type 'object'"]),
+        ({"segments": [{}], 1: 0, "B": 0, "zz": 0}, [
+            "<root>: Additional properties are not allowed (1, 'B', 'zz' were unexpected)",
+            "segments.0: 'name' is a required property",
+            "segments.0: 'nodes' is a required property",
+            "segments.0: 'links' is a required property",
+            "segments.0: 'source' is a required property",
+        ]),
+    ])
+    def test_messages_at_the_top(self, doc, messages):
+        assert validate_document(doc) == messages
+
+    def test_order_is_keyword_order_then_path(self):
+        doc = _set(minimal_doc(), "links.AB", {"length": -1, "zz": 1})
+        doc["segments"] = [copy.deepcopy(doc["segments"][0]) for _ in range(11)]
+        doc["segments"][2]["name"] = ""
+        expected = []
+        # a stable sort on the stringified path: segment 10 sorts before 2
+        for i in sorted(str(i) for i in range(11)):
+            expected += [
+                f"segments.{i}.links.AB: {{'length': -1, 'zz': 1}} is not valid under any "
+                "of the given schemas",
+                f"segments.{i}.links.AB: Additional properties are not allowed ('zz' was "
+                "unexpected)",
+                f"segments.{i}.links.AB.length: -1 is less than the minimum of 0",
+            ]
+            if i == "2":
+                expected.append("segments.2.name: '' should be non-empty")
+        assert validate_document(doc) == expected
+
+    def test_longer_bounds_say_too_short(self):
+        schema = _compile_schema({"minItems": 2, "items": {"minLength": 3}})
+        assert list(_schema_errors(schema, ["ab"])) == [
+            ((), "['ab'] is too short"), ((0,), "'ab' is too short")
+        ]
+
+    @pytest.mark.parametrize("edit", [
+        lambda s: s["$defs"]["node"]["properties"]["name"].update(pattern="^[A-Z]"),
+        lambda s: s["$defs"]["segment"].update(minProperties=1),
+        lambda s: s["$defs"]["link"]["properties"]["length"].update(type="integer"),
+        lambda s: s["$defs"]["link"].update(additionalProperties=True),
+        lambda s: s["properties"]["segments"].update(items={"$ref": "other.json#/x"}),
+    ], ids=["nested-keyword", "keyword", "type", "open-object", "remote-ref"])
+    def test_unknown_schema_features_raise(self, edit):
+        schema = json.loads(data_path("config.schema.json").read_text())
+        _compile_schema(copy.deepcopy(schema))
+        edit(schema)
+        with pytest.raises(ValueError, match="config schema: unsupported"):
+            _compile_schema(schema)
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(range(4)), st.data())
+    def test_matches_jsonschema(self, which, data):
+        doc = _mutate(copy.deepcopy(_valid_docs()[which]), data)
+        errors = _jsonschema_validator().iter_errors(doc)
+        expected = [
+            f"{'.'.join(str(x) for x in err.absolute_path) or '<root>'}: {err.message}"
+            for err in sorted(errors, key=lambda e: [str(x) for x in e.absolute_path])
+        ]
+        problems = validate_document(doc)
+        if expected:
+            assert problems == expected
+        else:  # a schema-valid document is only cross-checked
+            assert all("disagrees with loss_db" in p for p in problems)
+
+    def test_import_leaves_jsonschema_out(self):
+        code = (
+            "import sys, ghzline.cli as cli\n"
+            "cli.load_config(cli.data_path())\n"
+            "print(sorted({'jsonschema', 'referencing', 'rpds', 'attrs'} & set(sys.modules)))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout == "[]\n"
 
 
 class TestSweepSpec:
