@@ -43,6 +43,7 @@ from .netmodel import (
     TrioConfig,
     expected_coherence_near,
     expected_max_geometric,
+    require_memory,
     transmission_from_db,
     window_click_probs,
     yield_memoryless,
@@ -313,7 +314,8 @@ def load_config(path) -> list[TrioConfig]:
         raise ConfigError([f"cannot read {p}: {exc}"]) from exc
     try:
         doc = yaml.load(text, Loader=YAML_LOADER)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # a ValueError: an integer beyond Python's int-string conversion limit
         raise ConfigError([f"{p}: parse error: {exc}"]) from exc
     problems = validate_document(doc)
     if problems:
@@ -357,7 +359,7 @@ class SweepSpec:
             raise SpecError("memory_modes", f"must be nonempty and distinct, got {modes}")
         if any(m not in ("off", "on") for m in modes):
             raise SpecError("memory_modes", f"entries must be 'off' or 'on', got {modes}")
-        if any(t <= 0.0 for t in self.t2_values):
+        if any(not t > 0.0 for t in self.t2_values):  # NaN too
             raise SpecError("t2_values", f"must be positive, got {self.t2_values}")
 
 
@@ -366,28 +368,15 @@ def _axis(rng: tuple[float, float, int]) -> list[float]:
     return [float(x) for x in np.linspace(lo, hi, int(steps))]
 
 
-def _eval_block(
-    cfg: TrioConfig, grid: list[tuple[float, float]], memory: bool, t2: float | None
-) -> list[RateReport]:
-    """Rows of one (segment, memory, T2) block, in grid order, from one
-    engine call; raises ValueError if the block cannot be evaluated."""
-    if memory and cfg.memory is None:
-        raise ValueError(f"segment {cfg.name} has no memory parameters")
-    if memory and t2 is not None:
-        cfg = replace(cfg, memory=replace(cfg.memory, t2=t2))
-    noises = [NoiseParams(channel_depol=fd, gate_fail=fg) for fd, fg in grid]
-    return rate_reports(cfg, noises, use_memory=memory)
-
-
 def _failed_row(
-    cfg: TrioConfig, fd: float, fg: float, memory: bool, t2: float | None, error: str
+    cfg: TrioConfig, noise: NoiseParams, memory: bool, t2: float | None, error: str
 ) -> RateReport:
     """NaN row of a grid point that could not be evaluated, with the reason."""
     nan = float("nan")
     return RateReport(
         segment=cfg.name,
-        f_d=fd,
-        f_g=fg,
+        f_d=noise.channel_depol,
+        f_g=noise.gate_fail,
         memory=memory,
         t2_s=t2,
         yield_per_attempt=nan,
@@ -410,7 +399,11 @@ def run_sweep(configs, spec: SweepSpec = SweepSpec()) -> list[RateReport]:
     segment, memory mode and T2, never on f_D or f_G, so it is also each
     point's own error.
     """
-    grid = [(fd, fg) for fd in _axis(spec.fd_range) for fg in _axis(spec.fg_range)]
+    noises = [
+        NoiseParams(channel_depol=fd, gate_fail=fg)
+        for fd in _axis(spec.fd_range)
+        for fg in _axis(spec.fg_range)
+    ]
     rows: list[RateReport] = []
     for cfg in sorted(configs, key=lambda c: c.name):
         for mode in ("off", "on"):
@@ -425,15 +418,14 @@ def run_sweep(configs, spec: SweepSpec = SweepSpec()) -> list[RateReport]:
             memory = mode == "on"
             for t2 in t2s:
                 try:
-                    rows += _eval_block(cfg, grid, memory, t2)
+                    block = cfg
+                    if memory and t2 is not None:
+                        block = replace(cfg, memory=replace(require_memory(cfg), t2=t2))
+                    rows += rate_reports(block, noises, use_memory=memory)
                 except ValueError as exc:
                     error = f"{type(exc).__name__}: {exc}"
-                    rows += [_failed_row(cfg, fd, fg, memory, t2, error) for fd, fg in grid]
+                    rows += [_failed_row(cfg, noise, memory, t2, error) for noise in noises]
     return rows
-
-
-def _g17(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _json_float(x: float) -> float | None:
@@ -458,7 +450,7 @@ def _csv_cell(value) -> str:
         return value
     if isinstance(value, bool):
         return "true" if value else "false"
-    return "" if value is None else _g17(value)
+    return "" if value is None else f"{float(value):.17g}"
 
 
 def render_csv(rows) -> str:
@@ -685,14 +677,20 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_axis(text: str) -> tuple[float, float, int]:
+def _parse_axis(text: str, flag: str | None = None) -> tuple[float, float, int]:
+    """(min, max, steps) of a VALUE or MIN:MAX:STEPS axis; a malformed one
+    raises ValueError naming ``flag``."""
     parts = text.split(":")
-    if len(parts) == 1:
-        x = float(parts[0])
-        return (x, x, 1)
-    if len(parts) == 3:
-        return (float(parts[0]), float(parts[1]), int(parts[2]))
-    raise ValueError(f"axis must be VALUE or MIN:MAX:STEPS, got {text!r}")
+    try:
+        if len(parts) == 1:
+            x = float(parts[0])
+            return (x, x, 1)
+        if len(parts) == 3:
+            return (float(parts[0]), float(parts[1]), int(parts[2]))
+    except ValueError:
+        pass
+    prefix = f"{flag}: " if flag else ""
+    raise ValueError(f"{prefix}axis must be VALUE or MIN:MAX:STEPS, got {text!r}")
 
 
 def _cmd_sweep(args) -> int:
@@ -702,8 +700,8 @@ def _cmd_sweep(args) -> int:
     else:
         modes = ("on",) if args.memory else ("off",)
     spec = _sweep_spec(
-        fd_range=_parse_axis(args.fd),
-        fg_range=_parse_axis(args.fg),
+        fd_range=_parse_axis(args.fd, "--fd"),
+        fg_range=_parse_axis(args.fg, "--fg"),
         memory_modes=modes,
         t2_values=tuple(args.t2 or ()),
     )
@@ -722,16 +720,9 @@ def _cmd_yields(args) -> int:
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["segment", "yield", "yield_memory", "ratio"])
-        for r in report:
-            writer.writerow(
-                [
-                    r["segment"],
-                    _g17(r["yield"]),
-                    "" if r["yield_memory"] is None else _g17(r["yield_memory"]),
-                    "" if r["ratio"] is None else _g17(r["ratio"]),
-                ]
-            )
+        columns = ("segment", "yield", "yield_memory", "ratio")
+        writer.writerow(columns)
+        writer.writerows([_csv_cell(r[column]) for column in columns] for r in report)
         _write_out(buf.getvalue(), args.out)
     else:
         width = max(len(r["segment"]) for r in report)
@@ -748,6 +739,8 @@ def _cmd_mc_check(args) -> int:
     configs = _load_configs(args)
     if args.samples < 1:
         raise ValueError(f"--samples: must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise ValueError(f"--seed: must be >= 0, got {args.seed}")
     report = mc_report(configs, num_samples=args.samples, seed=args.seed)
     _write_out(json.dumps(report, indent=1) + "\n", args.out)
     if report["num_deviations"]:
@@ -845,10 +838,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

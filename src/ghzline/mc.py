@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .netmodel import TrioConfig, near_far_memory, window_click_probs
+from .netmodel import TrioConfig, near_far_memory, require_memory, window_click_probs
 
 CHUNK = 1 << 16
 
@@ -116,10 +116,8 @@ def mc_coherence_near(
     periods plus the near-side confirmation, and averages the coherence
     factor.  Oracle for expected_coherence_near.
     """
-    if cfg.memory is None:
-        raise ValueError(f"segment {cfg.name} has no memory parameters")
+    t2 = require_memory(cfg).t2
     p_near, p_far, tau_far, l_near = near_far_memory(cfg)
-    t2 = cfg.memory.t2
     t_near = 2.0 * l_near / cfg.speed_of_light
 
     def block(rng: np.random.Generator, size: int) -> np.ndarray:

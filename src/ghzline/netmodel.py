@@ -137,6 +137,13 @@ class TrioConfig:
         )
 
 
+def require_memory(cfg: TrioConfig) -> MemoryParams:
+    """The segment's memory parameters; ValueError if it has none."""
+    if cfg.memory is None:
+        raise ValueError(f"segment {cfg.name} has no memory parameters")
+    return cfg.memory
+
+
 @dataclass(frozen=True)
 class StorageTimes:
     """Per-success storage intervals of the two middle-station memories."""
@@ -161,9 +168,7 @@ def detection_prob(cfg: TrioConfig, node: str, with_memory: bool = False) -> flo
     if node == "B":
         xi = cfg.node_b.detector_efficiency
         if with_memory:
-            if cfg.memory is None:
-                raise ValueError(f"segment {cfg.name} has no memory parameters")
-            xi *= cfg.memory.efficiency
+            xi *= require_memory(cfg).efficiency
         return xi
     raise ValueError(f"node must be one of A, B, C, got {node!r}")
 
@@ -233,8 +238,7 @@ def yield_with_memory(cfg: TrioConfig) -> float:
     attempts and the two B-side retrievals must still click:
     Y_QM = (xi'_B,QM)^2 / E[max(N_A, N_C)].
     """
-    if cfg.memory is None:
-        raise ValueError(f"segment {cfg.name} has no memory parameters")
+    require_memory(cfg)
     p = window_click_probs(cfg, with_memory=True)
     return p["B"] ** 2 / expected_max_geometric(p["A"], p["C"])
 
@@ -289,10 +293,8 @@ def expected_coherence_near(cfg: TrioConfig) -> float:
 
     which this multiplies by the deterministic e^(-2 L_near / (c T2)).
     """
-    if cfg.memory is None:
-        raise ValueError(f"segment {cfg.name} has no memory parameters")
+    t2 = require_memory(cfg).t2
     p_near, p_far, tau_far, l_near = near_far_memory(cfg)
-    t2 = cfg.memory.t2
     beta = math.exp(-tau_far / t2)
     both = p_near + p_far - p_near * p_far
     gap_factor = (p_near * p_far / both) * (

@@ -29,10 +29,6 @@ from .protocol import NoiseParams, run_stack, target_state
 
 PARITY_TEST = PauliString("ZYZ")
 
-# Rows evaluated together by rate_reports: bounds the working set of one
-# stack to a few hundred KiB however many points a caller passes.
-CHUNK_ROWS = 32
-
 
 @dataclass(frozen=True)
 class RateReport:
@@ -141,21 +137,21 @@ def key_rate(yield_per_attempt: float, q_x: float, q_ab: float) -> float:
     return max(0.0, r)
 
 
-def _reports(
+def rate_reports(
     cfg: TrioConfig,
     noises: Sequence[NoiseParams],
-    use_memory: bool,
-    outcome: int,
-    states: np.ndarray,
-    fidelities: np.ndarray,
+    *,
+    use_memory: bool = False,
+    outcome: int = +1,
 ) -> list[RateReport]:
-    """One report per row of a stack of delivered states; row i ran noises[i].
+    """One report per entry of ``noises``, as full_report would give it.
 
     Both error tests are defined in the +1 outcome convention, so a -1
     heralding is first reconciled by the dealer's X correction on C's
     qubit (qubit 2 of the output): IIX maps target_state(-1) onto
     target_state(+1).
     """
+    _, states, fidelities = run_stack(cfg, noises, use_memory=use_memory, outcome=outcome)
     if outcome == -1:
         states = _x_conjugate(states, 3, 2)
     q_x = _parity_errors(states)
@@ -180,25 +176,6 @@ def _reports(
                 r_per_second=r * cfg.source.frequency,
             )
         )
-    return out
-
-
-def rate_reports(
-    cfg: TrioConfig,
-    noises: Sequence[NoiseParams],
-    *,
-    use_memory: bool = False,
-    outcome: int = +1,
-) -> list[RateReport]:
-    """One report per entry of ``noises``, as full_report would give it.
-
-    The pipeline runs on stacks of up to CHUNK_ROWS rows.
-    """
-    out: list[RateReport] = []
-    for start in range(0, len(noises), CHUNK_ROWS):
-        chunk = noises[start : start + CHUNK_ROWS]
-        _, states, fids = run_stack(cfg, chunk, use_memory=use_memory, outcome=outcome)
-        out += _reports(cfg, chunk, use_memory, outcome, states, fids)
     return out
 
 

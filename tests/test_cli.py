@@ -14,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzline import MemoryParams
+from ghzline import MemoryParams, McResult
 from ghzline.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -235,6 +235,18 @@ class TestLoadConfig:
         path = write_doc(tmp_path, doc)
         assert main(["simulate", "--memory", "--config", str(path)]) == 2
         assert "segments.0.links.AB.length: must be finite" in capsys.readouterr().err
+
+    def test_integer_beyond_conversion_limit_exits_2(self, tmp_path, capsys):
+        # 5000 digits exceed Python's int-string conversion limit inside the
+        # YAML parser, which raises a plain ValueError
+        text = yaml.safe_dump(minimal_doc())
+        assert "length: 10.0" in text
+        path = tmp_path / "huge.yaml"
+        path.write_text(text.replace("length: 10.0", "length: " + "9" * 5000))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid configuration:\n  - {path}: parse error: ")
+        assert "Exceeds the limit (4300 digits)" in err
 
     def test_validate_document_reports_root_problems(self):
         problems = validate_document({"wrong": []})
@@ -518,14 +530,16 @@ class TestRunSweep:
         assert [(r.t2_s, r.error) for r in t2_rows] == [(0.5, rows[4].error)] * 4
 
     def test_block_rows_equal_single_point_reports(self):
-        # both memory blocks hold 16 rows, each evaluated as one stack; each
-        # row must be the exact report of its point evaluated alone
+        # both memory blocks hold 16 rows, evaluated as one stack, then 72
+        # rows, evaluated as chunks of 32, 32 and 8; each row must be the
+        # exact report of its point evaluated alone
         cfg = make_cfg(eta_b=0.5, trans_ab=0.3, trans_bc=0.4, dark_b=0.002,
                        memory=MemoryParams(0.9, 0.05))
-        spec = SweepSpec(fd_range=(0.0, 0.3, 4), fg_range=(0.0, 0.3, 4))
-        rows = run_sweep([cfg], spec)
-        assert [r.memory for r in rows] == [False] * 16 + [True] * 16
-        for row in rows:
+        small = run_sweep([cfg], SweepSpec(fd_range=(0.0, 0.3, 4), fg_range=(0.0, 0.3, 4)))
+        assert [r.memory for r in small] == [False] * 16 + [True] * 16
+        large = run_sweep([cfg], SweepSpec(fd_range=(0.0, 0.3, 9), fg_range=(0.0, 0.3, 8)))
+        assert [r.memory for r in large] == [False] * 72 + [True] * 72
+        for row in small + large:
             rep = full_report(cfg, NoiseParams(row.f_d, row.f_g), use_memory=row.memory)
             assert row.error is None
             assert row.yield_per_attempt == rep.yield_per_attempt
@@ -805,6 +819,12 @@ class TestMain:
         (["simulate", "--memory", "--t2", "0"], "--t2: must be positive, got (0.0,)"),
         (["mc-check", "--samples", "0"], "--samples: must be >= 1, got 0"),
         (["sweep", "--fd", "0:2:3"], "--fd: need 0 <= min <= max <= 1, got 0.0..2.0"),
+        (["sweep", "--memory", "--t2", "nan"], "--t2: must be positive, got (nan,)"),
+        (["simulate", "--memory", "--t2", "nan"], "--t2: must be positive, got (nan,)"),
+        (["sweep", "--fd", "0:0.3:x"], "--fd: axis must be VALUE or MIN:MAX:STEPS, got '0:0.3:x'"),
+        (["sweep", "--fg", "a"], "--fg: axis must be VALUE or MIN:MAX:STEPS, got 'a'"),
+        (["sweep", "--fd", "0:1"], "--fd: axis must be VALUE or MIN:MAX:STEPS, got '0:1'"),
+        (["mc-check", "--seed", "-5"], "--seed: must be >= 0, got -5"),
     ])
     def test_range_errors_name_the_option(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
@@ -835,6 +855,12 @@ class TestMain:
         lines = out.read_text().splitlines()
         assert lines[0] == "segment,yield,yield_memory,ratio"
         assert len(lines) == 5
+        # a segment without memory leaves both memory cells empty
+        path = write_doc(tmp_path, minimal_doc())
+        assert main(["yields", "--config", str(path), "--format", "csv", "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "segment,yield,yield_memory,ratio\n" "test-segment,0.0078128125015624675,,\n"
+        )
 
     def test_yields_json(self, tmp_path):
         out = tmp_path / "yields.json"
@@ -842,6 +868,22 @@ class TestMain:
         report = json.loads(out.read_text())
         assert len(report) == 4
         assert all(r["ratio"] > 1.0 for r in report)
+
+    def test_mc_check_deviation_exits_1(self, tmp_path, capsys, monkeypatch):
+        def far_off(cfg, num_samples, seed):
+            return McResult(estimate=0.5, standard_error=1e-6, num_samples=num_samples, seed=seed)
+
+        monkeypatch.setattr("ghzline.cli.mc_yield_memoryless", far_off)
+        out = tmp_path / "mc.json"
+        code = main(["mc-check", "--segment", "berlin-schaepe-koeckern",
+                     "--samples", "1000", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "1 of 3 checks deviate by more than 3 standard errors\n")
+        report = json.loads(out.read_text())
+        assert report["num_deviations"] == 1
+        assert [c["check"] for c in report["checks"] if not c["within_3_sigma"]] == [
+            "yield_memoryless"]
 
     def test_mc_check_passes_on_bundled_segment(self, tmp_path):
         out = tmp_path / "mc.json"

@@ -19,7 +19,7 @@ from ghzline import (
     run_pipeline,
     target_state,
 )
-from ghzline import protocol, rates
+from ghzline import netmodel, protocol, rates
 from ghzline.cli import data_path, load_config, run_sweep
 from ghzline.density import BASIS_EIGENVECTORS
 from util import make_cfg, random_density_matrix
@@ -179,6 +179,26 @@ class TestReports:
         assert stored.memory is True and stored.t2_s == 2.5 and stored.error is None
         plain = full_report(cfg, NoiseParams(0.1, 0.2))
         assert plain.memory is False and plain.t2_s is None
+
+    def test_block_quantities_computed_once_per_call(self, monkeypatch):
+        # 72 rows run as chunks of 32, 32 and 8, yet the segment's memory
+        # coherence and yield are computed once for the whole call
+        calls = {"expected_coherence_near": 0, "yield_with_memory": 0}
+        for name in calls:
+            original = getattr(netmodel, name)
+
+            def counted(cfg, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(cfg)
+
+            for module in (netmodel, protocol, rates):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        cfg = make_cfg(eta_b=0.5, trans_ab=0.3, trans_bc=0.4, memory=MemoryParams(0.9, 0.05))
+        noises = [NoiseParams(0.3 * i / 8, 0.3 * j / 7) for i in range(9) for j in range(8)]
+        reports = rates.rate_reports(cfg, noises, use_memory=True)
+        assert len(reports) == 72
+        assert calls == {"expected_coherence_near": 1, "yield_with_memory": 1}
 
     def test_rate_never_exceeds_yield_on_noisy_runs(self):
         for depol, fail in [(0.0, 0.0), (0.05, 0.0), (0.0, 0.05), (0.1, 0.1)]:
