@@ -256,17 +256,23 @@ def validate_document(doc) -> list[str]:
     problems += _non_finite(doc, "")
     if problems:
         return problems
-    # The schema cannot cross-check redundant fields.
+    # The schema cannot cross-check redundant fields, nor see a loss so
+    # high that its transmission underflows to 0.
     for i, seg in enumerate(doc["segments"]):
         for key in ("AB", "BC"):
             raw = seg["links"][key]
-            if "transmission" in raw and "loss_db" in raw:
-                implied = transmission_from_db(raw["loss_db"])
-                if abs(implied - raw["transmission"]) > 1e-9:
-                    problems.append(
-                        f"segments.{i}.links.{key}: transmission {raw['transmission']} "
-                        f"disagrees with loss_db {raw['loss_db']} (implies {implied:.9g})"
-                    )
+            if "loss_db" not in raw:
+                continue
+            implied = transmission_from_db(raw["loss_db"])
+            if implied == 0.0:
+                problems.append(
+                    f"segments.{i}.links.{key}.loss_db: implies transmission 0.0, need > 0"
+                )
+            elif "transmission" in raw and abs(implied - raw["transmission"]) > 1e-9:
+                problems.append(
+                    f"segments.{i}.links.{key}: transmission {raw['transmission']} "
+                    f"disagrees with loss_db {raw['loss_db']} (implies {implied:.9g})"
+                )
     return problems
 
 
@@ -361,6 +367,8 @@ class SweepSpec:
             raise SpecError("memory_modes", f"entries must be 'off' or 'on', got {modes}")
         if any(not t > 0.0 for t in self.t2_values):  # NaN too
             raise SpecError("t2_values", f"must be positive, got {self.t2_values}")
+        if any(math.isinf(t) for t in self.t2_values):
+            raise SpecError("t2_values", f"must be finite, got {self.t2_values}")
 
 
 def _axis(rng: tuple[float, float, int]) -> list[float]:
@@ -453,13 +461,35 @@ def _csv_cell(value) -> str:
     return "" if value is None else f"{float(value):.17g}"
 
 
-def render_csv(rows) -> str:
+def _csv_quoted(text: str) -> str:
+    """``text`` as csv.writer writes it among other cells: quoted when it
+    holds a comma, quote or line break."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]  # less the empty cell's comma and the line end
+
+
+# One CSV line of a row, cells in ROW_COLUMNS order: the quoted segment,
+# f_D and f_G, the memory and T2 cells as text, then six floats.  '%.17g' % x
+# is the text of f"{float(x):.17g}", so every cell is _csv_cell's.
+_CSV_LINE = "%s,%.17g,%.17g,%s,%s" + ",%.17g" * 6 + "\n"
+
+
+def render_csv(rows) -> str:
+    """The header and one line per row, with the cells and quoting of
+    csv.writer over _csv_cell; each segment name is quoted once."""
+    quoted: dict[str, str] = {}
+    lines = [",".join(CSV_COLUMNS) + "\n"]
     for r in rows:
-        writer.writerow([_csv_cell(getattr(r, field)) for _, field in ROW_COLUMNS])
-    return buf.getvalue()
+        segment = quoted.get(r.segment)
+        if segment is None:
+            segment = quoted[r.segment] = _csv_quoted(r.segment)
+        lines.append(_CSV_LINE % (
+            segment, r.f_d, r.f_g, "true" if r.memory else "false",
+            "" if r.t2_s is None else "%.17g" % r.t2_s,
+            r.yield_per_attempt, r.fidelity, r.q_x, r.q_ab, r.r_per_attempt, r.r_per_second,
+        ))
+    return "".join(lines)
 
 
 def render_json(rows) -> str:
@@ -521,6 +551,11 @@ def yields_report(configs) -> list[dict]:
     for cfg in sorted(configs, key=lambda c: c.name):
         y = yield_memoryless(cfg)
         if cfg.memory is not None:
+            if y == 0.0:
+                raise ValueError(
+                    f"segment {cfg.name}: memoryless yield underflows to 0, "
+                    "so the memory ratio is undefined"
+                )
             y_qm = yield_with_memory(cfg)
             ratio = y_qm / y
         else:

@@ -2,6 +2,8 @@
 
 States are explicit 2^n x 2^n complex matrices, so every gate, noise
 channel, and measurement is applied exactly (no sampling, no truncation).
+The channel kernels also take real float64 stacks and keep them real;
+protocol.run_stack uses that up to its Y measurement.
 Qubit 0 is the most significant bit of a computational-basis index; a
 product register is laid out as ``kron(q0, q1, ..., q_{n-1})``.
 
@@ -130,9 +132,13 @@ class PureState:
 # which are exact: X flips the qubit's bit on both indices, Z multiplies
 # entry (i, j) by the +-1 signs of that bit in i and j, and Y does both.
 # Sums are formed in a fixed order, so a row's result does not depend on
-# how many other rows share its stack.  The index and sign tables depend
-# only on the register size and the qubits, so each is built once and
-# kept read-only.
+# how many other rows share its stack.  The channel kernels keep a real
+# float64 stack real, and on one give the real part of their complex128
+# result bit for bit (all but _dephase at strength -0.0, where the complex
+# product's cross terms can flip the sign of a zero; protocol.run_stack
+# never passes it).  _measure's np.dot promotes a real stack to complex.
+# The index and sign tables depend only on the register size and the
+# qubits, so each is built once and kept read-only.
 
 
 def _check_qubit(qubit: int, num_qubits: int) -> None:
@@ -254,7 +260,7 @@ def _trace_out(rho: np.ndarray, num_qubits: int, removed: list[int]) -> np.ndarr
 def _reinsert_mixed(reduced: np.ndarray, num_qubits: int, removed: list[int]) -> np.ndarray:
     """reduced (x) I/2^k per row, with the k mixed qubits back at ``removed``."""
     rows, k = len(reduced), len(removed)
-    out = np.zeros((rows, 4**num_qubits), dtype=complex)
+    out = np.zeros((rows, 4**num_qubits), dtype=reduced.dtype)
     part = reduced * (1.0 / 2**k)
     out[:, _trace_table(num_qubits, tuple(removed))] = part.reshape(rows, 1, 4 ** (num_qubits - k))
     return out.reshape(rows, 2**num_qubits, 2**num_qubits)

@@ -28,6 +28,7 @@ from .density import (
     _fidelity,
     _measure,
     _noisy_cz,
+    _read_only,
 )
 from .netmodel import (
     TrioConfig,
@@ -110,9 +111,11 @@ def source_pair_state() -> DensityMatrix:
 
 @cache
 def _initial_register() -> np.ndarray:
-    """Read-only 16x16 state of both source pairs, on qubits (0, 1) and (2, 3)."""
+    """Read-only real 16x16 state of both source pairs, on qubits (0, 1)
+    and (2, 3): the real part of the complex tensor product, whose
+    imaginary part is zero."""
     pair = source_pair_state()
-    return pair.tensor(pair).data
+    return _read_only(pair.tensor(pair).data.real.copy())
 
 
 @cache
@@ -179,7 +182,9 @@ def run_stack(
     ``outcome``.  Only the noise knobs vary between rows, so the segment's
     strengths are computed once, and the kernels run on chunks of up to
     CHUNK_ROWS rows.  Each row is summed in the same order whatever its
-    chunk.
+    chunk.  Every step before the Y measurement maps real matrices to real
+    matrices, so the stack stays real float64 until then, with the bits of
+    the complex DensityMatrix channels.
     """
     _check_outcome(outcome)
 

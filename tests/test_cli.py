@@ -3,6 +3,7 @@
 import copy
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -34,9 +35,11 @@ from ghzline.cli import (
     yields_report,
 )
 from ghzline.cli import (
+    ROW_COLUMNS,
     YAML_LOADER,
     _build_parser,
     _compile_schema,
+    _csv_cell,
     _parse_axis,
     _schema_errors,
 )
@@ -145,6 +148,23 @@ class TestLoadConfig:
         }
         with pytest.raises(ConfigError, match="disagrees"):
             load_config(write_doc(tmp_path, doc))
+
+    def test_rejects_loss_whose_transmission_underflows(self, tmp_path, capsys):
+        # 10**(-loss_db / 10) is 0.0 above about 3236.07 dB
+        doc = minimal_doc()
+        doc["segments"][0]["links"]["AB"] = {"length": 10.0, "loss_db": 3236.0}
+        (cfg,) = load_config(write_doc(tmp_path, doc))
+        assert cfg.link_ab.transmission > 0.0
+        doc["segments"][0]["links"]["AB"]["loss_db"] = 4000
+        path = write_doc(tmp_path, doc)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.problems == [
+            "segments.0.links.AB.loss_db: implies transmission 0.0, need > 0"]
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid configuration:\n"
+            "  - segments.0.links.AB.loss_db: implies transmission 0.0, need > 0\n")
 
     def test_accepts_consistent_loss_pair(self, tmp_path):
         doc = minimal_doc()
@@ -561,6 +581,33 @@ class TestRunSweep:
             run_sweep([make_cfg()], spec)
 
 
+def writer_render_csv(rows):
+    """The earlier renderer, kept as the reference: csv.writer over the
+    _csv_cell text of every cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for r in rows:
+        writer.writerow([_csv_cell(getattr(r, field)) for _, field in ROW_COLUMNS])
+    return buf.getvalue()
+
+
+csv_floats = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324,
+                     2.2250738585072009e-308, 1.0 / 3.0]),
+    st.floats(),
+)
+csv_rows = st.builds(
+    RateReport,
+    segment=st.text(st.one_of(st.sampled_from(',"\n\r'), st.characters())),
+    f_d=csv_floats, f_g=csv_floats,
+    memory=st.booleans(),
+    t2_s=st.one_of(st.none(), csv_floats),
+    yield_per_attempt=csv_floats, fidelity=csv_floats, q_x=csv_floats, q_ab=csv_floats,
+    r_per_attempt=csv_floats, r_per_second=csv_floats,
+)
+
+
 class TestRendering:
     def make_row(self, **overrides):
         base = dict(segment="s", f_d=0.0, f_g=0.0, memory=False, t2_s=None,
@@ -629,6 +676,19 @@ class TestRendering:
                 row.f_d, row.f_g, row.yield_per_attempt, row.fidelity, row.q_x,
                 row.q_ab, row.r_per_attempt, row.r_per_second]
 
+    @given(st.lists(csv_rows, max_size=6), st.data())
+    def test_csv_matches_writer_reference(self, rows, data):
+        # segment names repeat, as in a sweep, so cached quoting is reused
+        rows += [data.draw(st.sampled_from(rows)) for _ in range(len(rows) // 2)]
+        assert render_csv(rows) == writer_render_csv(rows)
+
+    def test_quoted_segment_round_trips(self, tmp_path):
+        rows = [self.make_row(segment='odd, name "q"', memory=memory, t2_s=t2, q_x=1.0 / 3.0)
+                for memory, t2 in ((False, None), (True, 2.5))]
+        path = emit(rows, "csv", tmp_path / "rows.csv")
+        assert path.read_text().splitlines()[1].startswith('"odd, name ""q""",0,0,false,,')
+        assert parse_rows(path) == rows
+
     def test_json_round_trip_keeps_errors(self, tmp_path):
         rows = run_sweep(
             [make_cfg()],
@@ -661,6 +721,18 @@ class TestYieldsReport:
         assert entry["yield"] == pytest.approx(1.0, abs=1e-12)
         assert entry["yield_memory"] is None
         assert entry["ratio"] is None
+
+    def test_underflowing_yield_has_no_ratio(self, tmp_path, capsys):
+        doc = minimal_doc(name="far", memory={"efficiency": 0.9, "T2": 1.0})
+        for key in ("AB", "BC"):
+            doc["segments"][0]["links"][key] = {"length": 10.0, "loss_db": 3000}
+        path = write_doc(tmp_path, doc)
+        message = "segment far: memoryless yield underflows to 0, so the memory ratio is undefined"
+        with pytest.raises(ValueError) as err:
+            yields_report(load_config(path))
+        assert str(err.value) == message
+        assert main(["yields", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bundled_segments_all_gain_from_memory(self):
         report = yields_report(load_config(data_path()))
@@ -825,6 +897,8 @@ class TestMain:
         (["sweep", "--fg", "a"], "--fg: axis must be VALUE or MIN:MAX:STEPS, got 'a'"),
         (["sweep", "--fd", "0:1"], "--fd: axis must be VALUE or MIN:MAX:STEPS, got '0:1'"),
         (["mc-check", "--seed", "-5"], "--seed: must be >= 0, got -5"),
+        (["sweep", "--memory", "--t2", "inf"], "--t2: must be finite, got (inf,)"),
+        (["simulate", "--memory", "--t2", "inf"], "--t2: must be finite, got (inf,)"),
     ])
     def test_range_errors_name_the_option(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

@@ -669,6 +669,34 @@ class TestKernels:
         psi = PureState(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
         assert same_bits(density._fidelity(rho, psi.amplitudes), vdot_fidelity(rho, psi.amplitudes))
 
+    @cases
+    def test_real_stack_gives_the_real_part(self, rows, n):
+        # protocol.run_stack keeps its stack real until the Y measurement:
+        # on a real stack each channel kernel gives the real part of its
+        # complex128 result, and _measure the complex result, bit for bit
+        rho, s = self.stack(80 * rows + n, rows, n)
+        real = rho.real.copy()
+        promoted = real.astype(complex)
+        # f_D and f_G may be -0.0.  The dephasing strengths are 0.5 (1 - x),
+        # never -0.0, which is as well: at -0.0 the cross terms of the
+        # complex product can flip the sign of a zero entry.
+        lam = s.copy()
+        s.flat[:3] = (1.0, -0.0, 0.0)[:rows]
+        lam.flat[:2] = (0.5, 0.0)[:rows]
+        for q in range(n):
+            assert same_bits(density._depolarize(real, n, q, s / 4.0, 1.0 - s),
+                             density._depolarize(promoted, n, q, s / 4.0, 1.0 - s).real)
+            assert same_bits(density._dephase(real, n, q, lam),
+                             density._dephase(promoted, n, q, lam).real)
+            for other in range(n):
+                if other != q:
+                    assert same_bits(density._noisy_cz(real, n, q, other, s),
+                                     density._noisy_cz(promoted, n, q, other, s).real)
+            for outcome in (1, -1):
+                for got, expected in zip(density._measure(real, n, q, "Y", outcome),
+                                         density._measure(promoted, n, q, "Y", outcome)):
+                    assert same_bits(got, expected)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_empty_stack(self, n):
         rho = np.zeros((0, 2**n, 2**n), dtype=complex)

@@ -301,37 +301,84 @@ class TestMemoryBranch:
             run_pipeline(make_cfg(), outcome=3)
 
 
+def with_edges(lo, hi, *edges):
+    """Floats in [lo, hi], drawn often at the given edge values."""
+    return st.one_of(st.sampled_from(edges), st.floats(lo, hi, allow_nan=False))
+
+
+def _cfg_from_draws(eta, dark, trans, lengths, memory):
+    return make_cfg(
+        eta_a=eta[0], eta_b=eta[1], eta_c=eta[2],
+        dark_a=dark[0], dark_b=dark[1], dark_c=dark[2],
+        trans_ab=trans[0], trans_bc=trans[1], len_ab=lengths[0], len_bc=lengths[1],
+        memory=MemoryParams(*memory),
+    )
+
+
+# Segments with memory across the whole hardware range, drawn often at its edges.
+configs = st.builds(
+    _cfg_from_draws,
+    eta=st.tuples(*[with_edges(1e-6, 1.0, 1e-6, 1.0)] * 3),
+    dark=st.tuples(*[with_edges(0.0, 0.999, 0.0, 0.999)] * 3),
+    trans=st.tuples(*[with_edges(1e-9, 1.0, 1e-9, 1.0)] * 2),
+    lengths=st.tuples(*[with_edges(0.0, 300.0, 0.0)] * 2),
+    memory=st.tuples(with_edges(1e-6, 1.0, 1e-6, 1.0), with_edges(1e-9, 100.0, 1e-9)),
+)
+
+
+def public_chain(cfg, noise, use_memory):
+    """The state just before the Y measurement, built with the public
+    DensityMatrix channels in run_stack's documented order."""
+    rho = source_pair_state().tensor(source_pair_state())
+    rho = rho.depolarize(0, noise.channel_depol)
+    rho = rho.depolarize(3, noise.channel_depol)
+    if use_memory:
+        times = storage_times(cfg)
+        near, far = (2, 1) if times.far_node == "A" else (1, 2)
+        rho = rho.dephase(near, 0.5 * (1.0 - expected_coherence_near(cfg)))
+        rho = rho.dephase(far, dephasing_prob(times.t_far, cfg.memory.t2))
+    rho = rho.noisy_cz(1, 2, noise.gate_fail)
+    for qubit, node in ((0, "A"), (1, "B"), (2, "B"), (3, "C")):
+        params = {"A": cfg.node_a, "B": cfg.node_b, "C": cfg.node_c}[node]
+        xi = detection_prob(cfg, node, with_memory=use_memory and node == "B")
+        xi_click = click_prob(xi, params.dark_count_prob)
+        rho = rho.depolarize(
+            qubit, dark_count_depolarization(xi, xi_click, params.dark_count_prob))
+    return rho
+
+
 class TestCheckOnce:
     """run_stack checks each strength once and then runs the channel
-    kernels; the result and the error texts are the public channels'."""
+    kernels on a real stack; the result and the error texts are the
+    public channels' on complex states."""
 
     @pytest.mark.parametrize("use_memory", [False, True])
-    def test_stack_equals_public_channels_exactly(self, use_memory):
-        cfg = make_cfg(eta_a=0.9, eta_b=0.7, eta_c=0.8,
-                       dark_a=0.001, dark_b=0.003, dark_c=0.002,
-                       trans_ab=0.4, trans_bc=0.9, len_ab=120.0, len_bc=30.0,
-                       memory=MemoryParams(0.85, 0.01))
-        noises = [NoiseParams(0.0, 0.3), NoiseParams(0.08, 0.15), NoiseParams(0.3, 0.0)]
-        probs, states, fids = run_stack(cfg, noises, use_memory=use_memory)
-        times = storage_times(cfg)
-        for row, noise in enumerate(noises):
-            rho = source_pair_state().tensor(source_pair_state())
-            rho = rho.depolarize(0, noise.channel_depol)
-            rho = rho.depolarize(3, noise.channel_depol)
-            if use_memory:
-                rho = rho.dephase(2, 0.5 * (1.0 - expected_coherence_near(cfg)))
-                rho = rho.dephase(1, dephasing_prob(times.t_far, cfg.memory.t2))
-            rho = rho.noisy_cz(1, 2, noise.gate_fail)
-            for qubit, node in ((0, "A"), (1, "B"), (2, "B"), (3, "C")):
-                params = {"A": cfg.node_a, "B": cfg.node_b, "C": cfg.node_c}[node]
-                xi = detection_prob(cfg, node, with_memory=use_memory and node == "B")
-                xi_click = click_prob(xi, params.dark_count_prob)
-                rho = rho.depolarize(
-                    qubit, dark_count_depolarization(xi, xi_click, params.dark_count_prob))
-            prob, post = rho.measure(2, "Y", +1)
-            assert probs[row] == prob
+    @given(
+        cfg=configs,
+        outcome=st.sampled_from(OUTCOMES),
+        noise=st.lists(st.tuples(*[with_edges(0.0, 1.0, 0.0, -0.0, 0.5, 1.0)] * 2),
+                       min_size=1, max_size=8),
+        rows=st.integers(1, 40),
+    )
+    def test_stack_equals_public_channels_exactly(self, use_memory, cfg, outcome, noise, rows):
+        # the drawn settings cycled over 1 to 40 rows, so stacks cross CHUNK_ROWS
+        noises = [NoiseParams(*noise[i % len(noise)]) for i in range(rows)]
+        probs, states, fids = run_stack(cfg, noises, use_memory=use_memory, outcome=outcome)
+        assert probs.dtype == fids.dtype == np.float64 and states.dtype == np.complex128
+        assert probs.shape == fids.shape == (rows,) and states.shape == (rows, 8, 8)
+        for row, params in enumerate(noises):
+            rho = public_chain(cfg, params, use_memory)
+            assert not rho.data.imag.any()  # real until the Y measurement
+            prob, post = rho.measure(2, "Y", outcome)
+            assert probs[row].tobytes() == np.float64(prob).tobytes()
             assert states[row].tobytes() == post.data.tobytes()
-            assert fids[row] == post.fidelity(target_state(+1))
+            assert fids[row].tobytes() == np.float64(post.fidelity(target_state(outcome))).tobytes()
+
+    def test_register_is_the_real_part_of_the_source_pairs(self):
+        reg = protocol._initial_register()
+        full = source_pair_state().tensor(source_pair_state()).data
+        assert reg.dtype == np.float64
+        assert not full.imag.any() and reg.tobytes() == full.real.tobytes()
 
     def test_empty_stack(self):
         cfg = make_cfg(memory=MemoryParams(0.9, 1.0))
@@ -356,11 +403,6 @@ class TestCheckOnce:
         assert self.sweep_error() == "ValueError: dephase strength must be in [0, 0.5], got nan"
 
 
-def with_edges(lo, hi, *edges):
-    """Floats in [lo, hi], drawn often at the given edge values."""
-    return st.one_of(st.sampled_from(edges), st.floats(lo, hi, allow_nan=False))
-
-
 class TestOutcomeProbability:
     """Every error the pipeline can pick up heralds either Y outcome with
     probability 1/2, so the outcome probability is 0.5 whatever the
@@ -369,21 +411,11 @@ class TestOutcomeProbability:
     outcome, cannot happen."""
 
     @given(
-        eta=st.tuples(*[with_edges(1e-6, 1.0, 1e-6, 1.0)] * 3),
-        dark=st.tuples(*[with_edges(0.0, 0.999, 0.0, 0.999)] * 3),
-        trans=st.tuples(*[with_edges(1e-9, 1.0, 1e-9, 1.0)] * 2),
-        lengths=st.tuples(*[with_edges(0.0, 300.0, 0.0)] * 2),
-        memory=st.tuples(with_edges(1e-6, 1.0, 1e-6, 1.0), with_edges(1e-9, 100.0, 1e-9)),
+        cfg=configs,
         noise=st.lists(st.tuples(*[with_edges(0.0, 1.0, 0.0, 0.5, 1.0)] * 2),
                        min_size=1, max_size=4),
     )
-    def test_is_one_half(self, eta, dark, trans, lengths, memory, noise):
-        cfg = make_cfg(
-            eta_a=eta[0], eta_b=eta[1], eta_c=eta[2],
-            dark_a=dark[0], dark_b=dark[1], dark_c=dark[2],
-            trans_ab=trans[0], trans_bc=trans[1], len_ab=lengths[0], len_bc=lengths[1],
-            memory=MemoryParams(*memory),
-        )
+    def test_is_one_half(self, cfg, noise):
         noises = [NoiseParams(fd, fg) for fd, fg in noise]
         for outcome in OUTCOMES:
             for use_memory in (False, True):
