@@ -256,9 +256,16 @@ def validate_document(doc) -> list[str]:
     problems += _non_finite(doc, "")
     if problems:
         return problems
-    # The schema cannot cross-check redundant fields, nor see a loss so
-    # high that its transmission underflows to 0.
+    # The schema cannot cross-check redundant fields, see a loss so high
+    # that its transmission underflows to 0, nor tell segments apart by name.
+    first_at: dict[str, int] = {}
     for i, seg in enumerate(doc["segments"]):
+        first = first_at.setdefault(seg["name"], i)
+        if first != i:
+            problems.append(
+                f"segments.{i}.name: duplicate segment name {seg['name']!r} "
+                f"(first at segments.{first})"
+            )
         for key in ("AB", "BC"):
             raw = seg["links"][key]
             if "loss_db" not in raw:
@@ -355,7 +362,8 @@ class SweepSpec:
         for label, rng in (("fd_range", self.fd_range), ("fg_range", self.fg_range)):
             lo, hi, steps = rng
             if not 0.0 <= lo <= hi <= 1.0:
-                if lo == hi and int(steps) == 1:  # one value, as simulate and `--fd X` give
+                # one value, as simulate and `--fd X` give; NaN too
+                if int(steps) == 1 and (lo == hi or math.isnan(lo) and math.isnan(hi)):
                     raise SpecError(label, f"need 0 <= value <= 1, got {lo}")
                 raise SpecError(label, f"need 0 <= min <= max <= 1, got {lo}..{hi}")
             if int(steps) < 1:
@@ -369,6 +377,8 @@ class SweepSpec:
             raise SpecError("t2_values", f"must be positive, got {self.t2_values}")
         if any(math.isinf(t) for t in self.t2_values):
             raise SpecError("t2_values", f"must be finite, got {self.t2_values}")
+        if len(set(self.t2_values)) != len(self.t2_values):
+            raise SpecError("t2_values", f"must be distinct, got {self.t2_values}")
 
 
 def _axis(rng: tuple[float, float, int]) -> list[float]:

@@ -266,11 +266,26 @@ def _reinsert_mixed(reduced: np.ndarray, num_qubits: int, removed: list[int]) ->
     return out.reshape(rows, 2**num_qubits, 2**num_qubits)
 
 
-def _noisy_cz(rho: np.ndarray, num_qubits: int, q1: int, q2: int, fail_prob) -> np.ndarray:
-    """(1 - fail_prob) CZ rho CZ + fail_prob Tr_{q1,q2}(rho) (x) I/4."""
+def _cz_terms(rho: np.ndarray, num_qubits: int, q1: int, q2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two branches of a noisy CZ, which do not depend on its failure
+    probability: CZ rho CZ and Tr_{q1,q2}(rho) (x) I/4."""
     removed = sorted((q1, q2))
     scrambled = _reinsert_mixed(_trace_out(rho, num_qubits, removed), num_qubits, removed)
-    return (1.0 - fail_prob) * (rho * _cz_conjugation(num_qubits, q1, q2)) + fail_prob * scrambled
+    return rho * _cz_conjugation(num_qubits, q1, q2), scrambled
+
+
+def _cz_mix(gate: np.ndarray, scrambled: np.ndarray, fail_prob) -> np.ndarray:
+    """(1 - fail_prob) gate + fail_prob scrambled, from _cz_terms, formed
+    in place in both arrays."""
+    gate *= 1.0 - fail_prob
+    scrambled *= fail_prob
+    gate += scrambled
+    return gate
+
+
+def _noisy_cz(rho: np.ndarray, num_qubits: int, q1: int, q2: int, fail_prob) -> np.ndarray:
+    """(1 - fail_prob) CZ rho CZ + fail_prob Tr_{q1,q2}(rho) (x) I/4."""
+    return _cz_mix(*_cz_terms(rho, num_qubits, q1, q2), fail_prob)
 
 
 @cache

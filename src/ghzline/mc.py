@@ -9,7 +9,7 @@ order.  The result is therefore bit-for-bit reproducible for a given
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -99,12 +99,24 @@ def mc_expected_max(
     if not 0.0 < p_c <= 1.0:
         raise ValueError(f"p_c must be in (0, 1], got {p_c}")
 
+    # The counts grow as 1 / min(p_a, p_c), and squared deviations from
+    # their mean overflow past about 2^512.  Counts that large are sampled
+    # as 2^-k times themselves, and the mean and standard error scaled back
+    # by 2^k.  A power of two scales exactly, and sqrt(4^-k x) = 2^-k sqrt(x).
+    k = max(0, math.ceil(-math.log2(min(p_a, p_c))) - 400)
+
     def block(rng: np.random.Generator, size: int) -> np.ndarray:
         n_a = _geometric_block(rng, p_a, size)
         n_c = _geometric_block(rng, p_c, size)
-        return np.maximum(n_a, n_c, out=n_a)
+        n_max = np.maximum(n_a, n_c, out=n_a)
+        return np.ldexp(n_max, -k, out=n_max) if k else n_max
 
-    return _mc_mean(block, num_samples, seed)
+    result = _mc_mean(block, num_samples, seed)
+    return replace(
+        result,
+        estimate=math.ldexp(result.estimate, k),
+        standard_error=math.ldexp(result.standard_error, k),
+    )
 
 
 def mc_coherence_near(

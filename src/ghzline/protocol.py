@@ -23,11 +23,12 @@ from .density import (
     PauliString,
     PureState,
     _checked_strength,
+    _cz_mix,
+    _cz_terms,
     _dephase,
     _depolarize,
     _fidelity,
     _measure,
-    _noisy_cz,
     _read_only,
 )
 from .netmodel import (
@@ -43,7 +44,8 @@ from .netmodel import (
 
 MEASURED_QUBIT = 2  # B's C-side qubit, measured in Y to complete the merge
 
-# Rows that run_stack passes through the channel kernels together: bounds
+# Rows that run_stack passes through the channel kernels together, and the
+# most distinct f_D values whose pre-CZ stages it runs as one stack: bounds
 # the working set of one stack to a few hundred KiB however many rows a
 # caller passes.  32 was the fastest of 8 to 121 on the bundled sweep.
 CHUNK_ROWS = 32
@@ -119,6 +121,13 @@ def _initial_register() -> np.ndarray:
 
 
 @cache
+def _register_stack(rows: int) -> np.ndarray:
+    """_initial_register() as a read-only stack of ``rows`` rows, one per
+    distinct f_D of a run_stack window, so at most CHUNK_ROWS."""
+    return np.broadcast_to(_initial_register(), (rows, 16, 16))
+
+
+@cache
 def target_state(outcome: int = +1) -> PureState:
     """Ideal post-merge state on qubits (0, 1, 3) for the given Y outcome.
 
@@ -180,11 +189,18 @@ def run_stack(
     merge CZ between qubits 1 and 2 with gate_fail; depolarize every
     qubit by its dark-count junk fraction; measure qubit 2 in Y and keep
     ``outcome``.  Only the noise knobs vary between rows, so the segment's
-    strengths are computed once, and the kernels run on chunks of up to
-    CHUNK_ROWS rows.  Each row is summed in the same order whatever its
-    chunk.  Every step before the Y measurement maps real matrices to real
-    matrices, so the stack stays real float64 until then, with the bits of
-    the complex DensityMatrix channels.
+    strengths are computed once.  The rows are taken in windows of
+    consecutive rows holding at most CHUNK_ROWS distinct channel_depol
+    values.  In each window every step before the gate_fail mix runs once
+    per distinct value: the source pairs, the transit depolarizations, the
+    memory dephasings, and the noisy CZ's two branches, CZ rho CZ and
+    Tr_{1,2}(rho) (x) I/4.  The mix and the later steps run on chunks of up
+    to CHUNK_ROWS rows.  This is exact: each step maps each row on its own
+    and sums it in the same order whatever its stack, so a row's branches
+    do not depend on which rows share them.  Every step before the Y
+    measurement maps real matrices to real matrices, so the stack stays
+    real float64 until then, with the bits of the complex DensityMatrix
+    channels.
     """
     _check_outcome(outcome)
 
@@ -217,27 +233,70 @@ def run_stack(
             dark_counts.append((qubit, s / 4.0, 1.0 - s))
 
     target = target_state(outcome).amplitudes
+    if not noises:
+        return np.zeros(0), np.zeros((0, 8, 8), dtype=complex), np.zeros(0)
     chunks = []
-    # at least one chunk, so that an empty stack gives empty arrays
-    for lo in range(0, max(len(noises), 1), CHUNK_ROWS):
-        part = noises[lo : lo + CHUNK_ROWS]
-        rows = len(part)
-        depol = np.array([n.channel_depol for n in part], dtype=float).reshape(rows, 1, 1)
-        fail = np.array([n.gate_fail for n in part], dtype=float).reshape(rows, 1, 1)
-        rho = np.broadcast_to(_initial_register(), (rows, 16, 16))
+    for lo, hi, values, index in _fd_windows([n.channel_depol for n in noises]):
+        # every step before the CZ mix, once per distinct f_D of the window
+        depol = np.array(values, dtype=float).reshape(-1, 1, 1)
         quarter, keep = depol / 4.0, 1.0 - depol
-        rho = _depolarize(rho, 4, 0, quarter, keep)
+        rho = _depolarize(_register_stack(len(values)), 4, 0, quarter, keep)
         rho = _depolarize(rho, 4, 3, quarter, keep)
         for qubit, lam in dephasings:
             rho = _dephase(rho, 4, qubit, lam)
-        rho = _noisy_cz(rho, 4, 1, 2, fail)
-        for qubit, quarter_s, keep_s in dark_counts:
-            rho = _depolarize(rho, 4, qubit, quarter_s, keep_s)
-        probs, rho_out = _measure(rho, 4, MEASURED_QUBIT, "Y", outcome)
-        chunks.append((probs, rho_out, _fidelity(rho_out, target)))
+        gate, scrambled = _cz_terms(rho, 4, 1, 2)
+        for start in range(lo, hi, CHUNK_ROWS):
+            stop = min(start + CHUNK_ROWS, hi)
+            fail = np.array([n.gate_fail for n in noises[start:stop]], dtype=float)
+            fail = fail.reshape(-1, 1, 1)
+            if index is None:  # one row per value: the window is this chunk
+                rho = _cz_mix(gate, scrambled, fail)
+            else:
+                rows = index[start - lo : stop - lo]
+                rho = _cz_mix(gate.take(rows, axis=0), scrambled.take(rows, axis=0), fail)
+            for qubit, quarter_s, keep_s in dark_counts:
+                rho = _depolarize(rho, 4, qubit, quarter_s, keep_s)
+            probs, rho_out = _measure(rho, 4, MEASURED_QUBIT, "Y", outcome)
+            chunks.append((probs, rho_out, _fidelity(rho_out, target)))
     if len(chunks) == 1:
         return chunks[0]
     return tuple(np.concatenate(parts) for parts in zip(*chunks))
+
+
+def _fd_windows(depols: list) -> list[tuple[int, int, list, np.ndarray | None]]:
+    """Runs of consecutive rows that hold at most CHUNK_ROWS distinct f_D
+    values, compared by value and sign: a set or dict of floats would
+    merge -0.0 with 0.0.
+
+    Each run is (lo, hi, values, index): its distinct values in order of
+    first appearance, and each row's position among them, or None when
+    every row of the run has a value of its own.
+    """
+    rows = len(depols)
+    if len(set(depols)) == rows:  # no repeats: a set merges only equal values
+        return [
+            (lo, min(lo + CHUNK_ROWS, rows), depols[lo : lo + CHUNK_ROWS], None)
+            for lo in range(0, rows, CHUNK_ROWS)
+        ]
+    keys = np.array(depols, dtype=float).view(np.int64).tolist()  # the bits
+    windows = []
+    lo = 0
+    while lo < rows:
+        slots: dict[int, int] = {}
+        values: list = []
+        index: list[int] = []
+        for row in range(lo, rows):
+            slot = slots.setdefault(keys[row], len(values))
+            if slot == len(values):
+                if slot == CHUNK_ROWS:
+                    break
+                values.append(depols[row])
+            index.append(slot)
+        hi = lo + len(index)
+        shared = len(values) < len(index)
+        windows.append((lo, hi, values, np.array(index) if shared else None))
+        lo = hi
+    return windows
 
 
 def run_pipeline(

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 import yaml
@@ -165,6 +166,21 @@ class TestLoadConfig:
         assert capsys.readouterr().err == (
             "error: invalid configuration:\n"
             "  - segments.0.links.AB.loss_db: implies transmission 0.0, need > 0\n")
+
+    def test_rejects_duplicate_segment_names(self, tmp_path, capsys):
+        doc = minimal_doc(name="berlin-schaepe-koeckern")
+        doc["segments"] += [dict(doc["segments"][0], name="other"), doc["segments"][0]]
+        path = write_doc(tmp_path, doc)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.problems == [
+            "segments.2.name: duplicate segment name 'berlin-schaepe-koeckern' "
+            "(first at segments.0)"]
+        assert main(["yields", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid configuration:\n"
+            "  - segments.2.name: duplicate segment name 'berlin-schaepe-koeckern' "
+            "(first at segments.0)\n")
 
     def test_accepts_consistent_loss_pair(self, tmp_path):
         doc = minimal_doc()
@@ -899,6 +915,9 @@ class TestMain:
         (["mc-check", "--seed", "-5"], "--seed: must be >= 0, got -5"),
         (["sweep", "--memory", "--t2", "inf"], "--t2: must be finite, got (inf,)"),
         (["simulate", "--memory", "--t2", "inf"], "--t2: must be finite, got (inf,)"),
+        (["sweep", "--memory", "--t2", "1", "--t2", "1"],
+         "--t2: must be distinct, got (1.0, 1.0)"),
+        (["simulate", "--fd", "nan"], "--fd: need 0 <= value <= 1, got nan"),
     ])
     def test_range_errors_name_the_option(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
@@ -958,6 +977,26 @@ class TestMain:
         assert report["num_deviations"] == 1
         assert [c["check"] for c in report["checks"] if not c["within_3_sigma"]] == [
             "yield_memoryless"]
+
+    def test_mc_check_writes_strict_json_for_huge_attempt_counts(self, tmp_path):
+        # E[max] is about 5e300 attempts: squaring such counts overflowed
+        # into a NaN standard error, which strict JSON cannot carry
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        nodes = {key: {"detector_efficiency": 0.5, "dark_count_prob": 0} for key in "ABC"}
+        links = {key: {"length": 90.0, "loss_db": 3000} for key in ("AB", "BC")}
+        doc = minimal_doc(nodes=nodes, links=links, memory={"efficiency": 0.9, "T2": 2.5})
+        out = tmp_path / "mc.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["mc-check", "--config", str(write_doc(tmp_path, doc)),
+                         "--samples", "1000", "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text(), parse_constant=reject)
+        (check,) = [c for c in report["checks"] if c["check"] == "expected_max_outer"]
+        assert 0.0 < check["standard_error"] < check["estimate"] / 10.0
+        assert check["within_3_sigma"]
 
     def test_mc_check_passes_on_bundled_segment(self, tmp_path):
         out = tmp_path / "mc.json"

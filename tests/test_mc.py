@@ -17,6 +17,7 @@ from ghzline import (
     sample_geometric,
     yield_memoryless,
 )
+from ghzline.mc import _geometric_block, _mc_mean
 from util import make_cfg
 
 
@@ -84,6 +85,22 @@ class TestExpectedMaxOracle:
         mc = mc_expected_max(pa, pc, num_samples=200000, seed=seed)
         formula = expected_max_geometric(pa, pc)
         assert abs(mc.estimate - formula) <= 3.0 * mc.standard_error
+
+    def test_huge_counts_are_scaled_exactly(self):
+        # counts near 2^1000 are sampled scaled by a power of two: the mean
+        # is the unscaled one bit for bit, and the standard error is finite
+        p = 2.0**-1000
+
+        def unscaled(rng, size):
+            n_a = _geometric_block(rng, p, size)
+            return np.maximum(n_a, _geometric_block(rng, p, size))
+
+        result = mc_expected_max(p, p, num_samples=100000, seed=4)
+        with np.errstate(over="ignore"):  # the unscaled squares overflow
+            assert result.estimate == _mc_mean(unscaled, 100000, 4).estimate
+        assert 0.0 < result.standard_error < math.inf
+        formula = expected_max_geometric(p, p)
+        assert abs(result.estimate - formula) <= 3.0 * result.standard_error
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):

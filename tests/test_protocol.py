@@ -22,9 +22,10 @@ from ghzline import (
     storage_times,
     target_state,
 )
-from ghzline import protocol
+from ghzline import density, protocol
 from ghzline.protocol import run_stack
-from ghzline.cli import SweepSpec, run_sweep
+from ghzline.rates import full_report
+from ghzline.cli import SweepSpec, data_path, load_config, run_sweep
 from util import make_cfg
 
 OUTCOMES = (+1, -1)
@@ -357,22 +358,63 @@ class TestCheckOnce:
         cfg=configs,
         outcome=st.sampled_from(OUTCOMES),
         noise=st.lists(st.tuples(*[with_edges(0.0, 1.0, 0.0, -0.0, 0.5, 1.0)] * 2),
-                       min_size=1, max_size=8),
-        rows=st.integers(1, 40),
+                       min_size=1, max_size=40),
+        rows=st.integers(1, 80),
+        shuffle=st.randoms(use_true_random=False),
     )
-    def test_stack_equals_public_channels_exactly(self, use_memory, cfg, outcome, noise, rows):
-        # the drawn settings cycled over 1 to 40 rows, so stacks cross CHUNK_ROWS
-        noises = [NoiseParams(*noise[i % len(noise)]) for i in range(rows)]
-        probs, states, fids = run_stack(cfg, noises, use_memory=use_memory, outcome=outcome)
+    def test_stack_equals_public_channels_exactly(
+        self, use_memory, cfg, outcome, noise, rows, shuffle
+    ):
+        # Up to 42 settings, both signed zeros among them, cycled over up to
+        # 80 rows and shuffled: windows split at CHUNK_ROWS distinct f_D
+        # values, and rows sharing an f_D need not be adjacent.
+        settings = [NoiseParams(*s) for s in noise]
+        settings += [NoiseParams(0.0, 0.5), NoiseParams(-0.0, 0.5)]
+        order = [i % len(settings) for i in range(max(rows, len(settings)))]
+        shuffle.shuffle(order)
+        probs, states, fids = run_stack(
+            cfg, [settings[i] for i in order], use_memory=use_memory, outcome=outcome)
         assert probs.dtype == fids.dtype == np.float64 and states.dtype == np.complex128
-        assert probs.shape == fids.shape == (rows,) and states.shape == (rows, 8, 8)
-        for row, params in enumerate(noises):
+        assert probs.shape == fids.shape == (len(order),) and states.shape == (len(order), 8, 8)
+        expected = []
+        for params in settings:
             rho = public_chain(cfg, params, use_memory)
             assert not rho.data.imag.any()  # real until the Y measurement
             prob, post = rho.measure(2, "Y", outcome)
-            assert probs[row].tobytes() == np.float64(prob).tobytes()
-            assert states[row].tobytes() == post.data.tobytes()
-            assert fids[row].tobytes() == np.float64(post.fidelity(target_state(outcome))).tobytes()
+            fid = post.fidelity(target_state(outcome))
+            expected.append((np.float64(prob).tobytes(), post.data.tobytes(),
+                             np.float64(fid).tobytes()))
+        for row, i in enumerate(order):
+            got = (probs[row].tobytes(), states[row].tobytes(), fids[row].tobytes())
+            assert got == expected[i]
+
+    def test_windows_split_at_chunk_rows_distinct_values(self):
+        values = [(i + 1) / 64 for i in range(40)] + [0.0, -0.0]
+        windows = protocol._fd_windows([values[i % 42] for i in range(84)])
+        assert [(lo, hi, len(v)) for lo, hi, v, _ in windows] == [
+            (0, 32, 32), (32, 64, 32), (64, 84, 20)]
+        assert all(index is None for *_, index in windows)
+        assert [np.copysign(1.0, v) for v in windows[1][2][8:10]] == [1.0, -1.0]
+        ((lo, hi, values, index),) = protocol._fd_windows([0.5, 0.0, 0.5, -0.0, 0.0])
+        assert (lo, hi, index.tolist()) == (0, 5, [0, 1, 0, 2, 1])
+        assert [np.copysign(1.0, v) for v in values] == [1.0, 1.0, -1.0]
+
+    @pytest.mark.parametrize("use_memory", [False, True])
+    def test_pre_cz_stages_run_once_per_distinct_fd(self, monkeypatch, use_memory):
+        seen = []
+
+        def counting_cz_terms(rho, *args):
+            seen.append(len(rho))
+            return density._cz_terms(rho, *args)
+
+        monkeypatch.setattr(protocol, "_cz_terms", counting_cz_terms)
+        cfg = load_config(data_path())[0]
+        spec = SweepSpec(memory_modes=("on",) if use_memory else ("off",))
+        assert len(run_sweep([cfg], spec)) == 121
+        assert seen == [11]
+        seen.clear()
+        full_report(cfg, NoiseParams(0.1, 0.2), use_memory=use_memory)
+        assert seen == [1]
 
     def test_register_is_the_real_part_of_the_source_pairs(self):
         reg = protocol._initial_register()
