@@ -29,11 +29,10 @@ from dataclasses import dataclass, replace
 from functools import cache
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
 import yaml
 
-from .mc import McResult, mc_coherence_near, mc_expected_max, mc_yield_memoryless
 from .netmodel import (
     SPEED_OF_LIGHT_FIBER,
     LinkParams,
@@ -49,8 +48,14 @@ from .netmodel import (
     yield_memoryless,
     yield_with_memory,
 )
-from .protocol import NoiseParams
-from .rates import RateReport, rate_reports
+
+# numpy and the engine modules (mc, protocol, rates) are imported in the
+# functions that use them, so that yields and config validation run
+# without loading numpy.
+if TYPE_CHECKING:
+    from .mc import McResult
+    from .protocol import NoiseParams
+    from .rates import RateReport
 
 # (column, RateReport field) of every value a CSV or JSON row carries, in
 # column order; rendering and parsing both go through this table.
@@ -382,29 +387,36 @@ class SweepSpec:
 
 
 def _axis(rng: tuple[float, float, int]) -> list[float]:
+    import numpy as np
+
     lo, hi, steps = rng
     return [float(x) for x in np.linspace(lo, hi, int(steps))]
 
 
-def _failed_row(
-    cfg: TrioConfig, noise: NoiseParams, memory: bool, t2: float | None, error: str
-) -> RateReport:
-    """NaN row of a grid point that could not be evaluated, with the reason."""
+def _failed_rows(
+    cfg: TrioConfig, noises: list[NoiseParams], memory: bool, t2: float | None, error: str
+) -> list[RateReport]:
+    """NaN rows of a block whose grid points could not be evaluated, with the reason."""
+    from .rates import RateReport
+
     nan = float("nan")
-    return RateReport(
-        segment=cfg.name,
-        f_d=noise.channel_depol,
-        f_g=noise.gate_fail,
-        memory=memory,
-        t2_s=t2,
-        yield_per_attempt=nan,
-        fidelity=nan,
-        q_x=nan,
-        q_ab=nan,
-        r_per_attempt=nan,
-        r_per_second=nan,
-        error=error,
-    )
+    return [
+        RateReport(
+            segment=cfg.name,
+            f_d=noise.channel_depol,
+            f_g=noise.gate_fail,
+            memory=memory,
+            t2_s=t2,
+            yield_per_attempt=nan,
+            fidelity=nan,
+            q_x=nan,
+            q_ab=nan,
+            r_per_attempt=nan,
+            r_per_second=nan,
+            error=error,
+        )
+        for noise in noises
+    ]
 
 
 def run_sweep(configs, spec: SweepSpec = SweepSpec()) -> list[RateReport]:
@@ -417,11 +429,11 @@ def run_sweep(configs, spec: SweepSpec = SweepSpec()) -> list[RateReport]:
     segment, memory mode and T2, never on f_D or f_G, so it is also each
     point's own error.
     """
-    noises = [
-        NoiseParams(channel_depol=fd, gate_fail=fg)
-        for fd in _axis(spec.fd_range)
-        for fg in _axis(spec.fg_range)
-    ]
+    from .protocol import NoiseParams
+    from .rates import rate_reports
+
+    fds, fgs = _axis(spec.fd_range), _axis(spec.fg_range)
+    noises = [NoiseParams(channel_depol=fd, gate_fail=fg) for fd in fds for fg in fgs]
     rows: list[RateReport] = []
     for cfg in sorted(configs, key=lambda c: c.name):
         for mode in ("off", "on"):
@@ -442,7 +454,7 @@ def run_sweep(configs, spec: SweepSpec = SweepSpec()) -> list[RateReport]:
                     rows += rate_reports(block, noises, use_memory=memory)
                 except ValueError as exc:
                     error = f"{type(exc).__name__}: {exc}"
-                    rows += [_failed_row(cfg, noise, memory, t2, error) for noise in noises]
+                    rows += _failed_rows(cfg, noises, memory, t2, error)
     return rows
 
 
@@ -526,12 +538,12 @@ def _require_float(value) -> float:
     return float("nan") if value is None else float(value)
 
 
-def _parse_row(values: dict, number, flag, error: str | None = None) -> RateReport:
-    """A row from its cells by column name; ``number`` reads the float
-    cells and ``flag`` the memory cell in the file format's encoding."""
+def _row_fields(values: dict, number, flag) -> dict:
+    """RateReport fields of a row from its cells by column name; ``number``
+    reads the float cells and ``flag`` the memory cell in the file format's
+    encoding."""
     read = {"segment": str, "memory": flag, "t2_s": _float_or_none}
-    fields = {field: read.get(field, number)(values[column]) for column, field in ROW_COLUMNS}
-    return RateReport(**fields, error=error)
+    return {field: read.get(field, number)(values[column]) for column, field in ROW_COLUMNS}
 
 
 def parse_rows(path, fmt: str | None = None) -> list[RateReport]:
@@ -540,19 +552,21 @@ def parse_rows(path, fmt: str | None = None) -> list[RateReport]:
     CSV cannot carry error messages, so failed rows come back with NaN
     metrics and error=None.
     """
+    from .rates import RateReport
+
     p = Path(path)
     if fmt is None:
         fmt = "json" if p.suffix == ".json" else "csv"
     if fmt == "json":
         return [
-            _parse_row(d, _require_float, bool, d.get("error"))
+            RateReport(**_row_fields(d, _require_float, bool), error=d.get("error"))
             for d in json.loads(p.read_text())
         ]
     with p.open(newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != list(CSV_COLUMNS):
             raise ValueError(f"unexpected CSV header in {p}: {reader.fieldnames}")
-        return [_parse_row(d, float, lambda cell: cell == "true") for d in reader]
+        return [RateReport(**_row_fields(d, float, lambda cell: cell == "true")) for d in reader]
 
 
 def yields_report(configs) -> list[dict]:
@@ -614,6 +628,8 @@ def mc_report(configs, num_samples: int = 10**6, seed: int = 0) -> dict:
     A check is flagged when the sampled mean sits more than three standard
     errors from the formula (zero-variance estimators must agree to 1e-12).
     """
+    from .mc import mc_coherence_near, mc_expected_max, mc_yield_memoryless
+
     checks = []
     for i, cfg in enumerate(sorted(configs, key=lambda c: c.name)):
         base = seed + 3 * i

@@ -302,7 +302,10 @@ def expected_coherence_near(cfg: TrioConfig) -> float:
         + 1.0 / (1.0 - beta * (1.0 - p_far))
         - 1.0
     )
-    return gap_factor * math.exp(-2.0 * l_near / (cfg.speed_of_light * t2))
+    # Exact, not a mask: E[beta^|dN|] <= 1 and exp(-x) <= 1 for x >= 0, so
+    # the product is at most 1.  Once beta rounds to 1 (a long T2), the
+    # float gap factor can still come out an ulp above 1.
+    return min(1.0, gap_factor * math.exp(-2.0 * l_near / (cfg.speed_of_light * t2)))
 
 
 def dephasing_prob(wait: float, t2: float) -> float:

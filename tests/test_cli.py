@@ -16,6 +16,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ghzline
 from ghzline import MemoryParams, McResult
 from ghzline.cli import (
     CSV_COLUMNS,
@@ -47,6 +48,15 @@ from ghzline.cli import (
 from ghzline.rates import RateReport, full_report
 from ghzline.protocol import NoiseParams
 from util import make_cfg
+
+
+def run_fresh(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter on this checkout's package."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return done.stdout
 
 
 def minimal_doc(**overrides):
@@ -458,11 +468,54 @@ class TestSchemaValidator:
             "cli.load_config(cli.data_path())\n"
             "print(sorted({'jsonschema', 'referencing', 'rpds', 'attrs'} & set(sys.modules)))\n"
         )
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=60, check=True)
-        assert done.stdout == "[]\n"
+        assert run_fresh(code) == "[]\n"
+
+    def test_config_paths_leave_numpy_out(self, tmp_path):
+        # yields and config errors need only netmodel's closed forms
+        out = tmp_path / "yields.json"
+        empty = tmp_path / "empty.yaml"
+        empty.write_text("segments: []\n")
+        code = (
+            "import sys, ghzline, ghzline.cli as cli\n"
+            "cli.yields_report(cli.load_config(cli.data_path()))\n"
+            f"assert cli.main(['yields', '--format', 'json', '--out', {str(out)!r}]) == 0\n"
+            f"assert cli.main(['yields', '--config', {str(empty)!r}]) == 2\n"
+            "print(sorted({'numpy', 'ghzline.density'} & set(sys.modules)))\n"
+        )
+        assert run_fresh(code) == "[]\n"
+        assert len(json.loads(out.read_text())) == 4
+
+    def test_engine_loads_on_first_access(self):
+        code = (
+            "import sys, ghzline\n"
+            "assert 'numpy' not in sys.modules\n"
+            "from ghzline import DensityMatrix\n"
+            "assert DensityMatrix is sys.modules['ghzline.density'].DensityMatrix\n"
+            "assert ghzline.mc.McResult is ghzline.McResult\n"
+            "assert ghzline.rates.full_report is ghzline.full_report\n"
+            "assert ghzline.protocol.NoiseParams is ghzline.NoiseParams\n"
+            "names = {}\n"
+            "exec('from ghzline import *', names)\n"
+            "print(all(names[n] is getattr(ghzline, n) for n in ghzline.__all__))\n"
+        )
+        assert run_fresh(code) == "True\n"
+
+
+class TestPackageNamespace:
+    def test_every_name_is_its_modules_object(self):
+        for name in ghzline.__all__:
+            obj = getattr(ghzline, name)
+            assert obj.__module__.startswith("ghzline.")
+            assert getattr(sys.modules[obj.__module__], name) is obj
+
+    def test_dir_lists_every_name_and_engine_module(self):
+        listed = dir(ghzline)
+        assert set(ghzline.__all__) | {"density", "protocol", "rates", "mc"} <= set(listed)
+        assert listed == sorted(listed)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'ghzline' has no attribute 'nonexistent'"):
+            ghzline.nonexistent
 
 
 class TestSweepSpec:
@@ -591,7 +644,7 @@ class TestRunSweep:
         def broken(*args, **kwargs):
             raise TypeError("engine bug")
 
-        monkeypatch.setattr("ghzline.cli.rate_reports", broken)
+        monkeypatch.setattr("ghzline.rates.rate_reports", broken)
         spec = SweepSpec(fd_range=(0.0, 0.1, 2), fg_range=(0.0, 0.0, 1))
         with pytest.raises(TypeError, match="engine bug"):
             run_sweep([make_cfg()], spec)
@@ -925,6 +978,25 @@ class TestMain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_simulate_long_t2_limit(self, tmp_path):
+        # the ideal-memory limit: coherence rounded above 1 once failed here
+        out = tmp_path / "report.json"
+        code = main(["simulate", "--memory", "--t2", "1e15", "--format", "json",
+                     "--out", str(out)])
+        assert code == 0
+        rows = json.loads(out.read_text())
+        assert len(rows) == 4
+        assert all(isinstance(v, float) and math.isfinite(v)
+                   for row in rows for k, v in row.items() if k not in ("segment", "memory"))
+
+    def test_sweep_long_t2_limit_has_no_failed_rows(self, tmp_path, capsys):
+        out = tmp_path / "grid.json"
+        code = main(["sweep", "--memory", "--t2", "1e15", "--fd", "0:0.3:3", "--fg", "0:0.3:3",
+                     "--format", "json", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == f"wrote 36 rows to {out}\n"
+        assert all(r.error is None for r in parse_rows(out))
+
     def test_parser_is_reused_without_sharing_appended_values(self, tmp_path):
         # the cached parser must not carry one call's --t2 list into the next
         out = tmp_path / "grid.csv"
@@ -966,7 +1038,7 @@ class TestMain:
         def far_off(cfg, num_samples, seed):
             return McResult(estimate=0.5, standard_error=1e-6, num_samples=num_samples, seed=seed)
 
-        monkeypatch.setattr("ghzline.cli.mc_yield_memoryless", far_off)
+        monkeypatch.setattr("ghzline.mc.mc_yield_memoryless", far_off)
         out = tmp_path / "mc.json"
         code = main(["mc-check", "--segment", "berlin-schaepe-koeckern",
                      "--samples", "1000", "--out", str(out)])

@@ -322,6 +322,15 @@ class TestExpectedCoherenceNear:
         value = expected_coherence_near(cfg)
         assert 0.0 < value <= 1.0
 
+    @given(tab=st.floats(min_value=0.01, max_value=1.0, allow_nan=False),
+           tbc=st.floats(min_value=0.01, max_value=1.0, allow_nan=False),
+           t2=st.floats(min_value=0.001, max_value=1e300, allow_nan=False))
+    def test_stays_in_unit_interval_up_to_long_t2(self, tab, tbc, t2):
+        # once beta = exp(-tau_far/T2) rounds to 1 the float gap factor can
+        # exceed 1; the exact value never does
+        cfg = make_cfg(trans_ab=tab, trans_bc=tbc, memory=MemoryParams(0.9, t2))
+        assert 0.0 <= expected_coherence_near(cfg) <= 1.0
+
 
 class TestDephasingProb:
     def test_zero_wait(self):
