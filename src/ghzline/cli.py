@@ -261,8 +261,11 @@ def validate_document(doc) -> list[str]:
     problems += _non_finite(doc, "")
     if problems:
         return problems
-    # The schema cannot cross-check redundant fields, see a loss so high
-    # that its transmission underflows to 0, nor tell segments apart by name.
+    # The schema cannot cross-check redundant fields, see a transmission so
+    # small that it is subnormal, nor tell segments apart by name.  A
+    # subnormal transmission, given or implied by a loss above about
+    # 3076.5 dB, makes the yields' products underflow into 0/0 = NaN later.
+    tiny = sys.float_info.min
     first_at: dict[str, int] = {}
     for i, seg in enumerate(doc["segments"]):
         first = first_at.setdefault(seg["name"], i)
@@ -273,16 +276,22 @@ def validate_document(doc) -> list[str]:
             )
         for key in ("AB", "BC"):
             raw = seg["links"][key]
+            where = f"segments.{i}.links.{key}"
+            if "transmission" in raw and raw["transmission"] < tiny:
+                problems.append(
+                    f"{where}.transmission: {raw['transmission']!r} is less than the "
+                    f"minimum of {tiny!r}"
+                )
             if "loss_db" not in raw:
                 continue
             implied = transmission_from_db(raw["loss_db"])
-            if implied == 0.0:
+            if implied < tiny:
                 problems.append(
-                    f"segments.{i}.links.{key}.loss_db: implies transmission 0.0, need > 0"
+                    f"{where}.loss_db: implies transmission {implied!r}, need >= {tiny!r}"
                 )
             elif "transmission" in raw and abs(implied - raw["transmission"]) > 1e-9:
                 problems.append(
-                    f"segments.{i}.links.{key}: transmission {raw['transmission']} "
+                    f"{where}: transmission {raw['transmission']} "
                     f"disagrees with loss_db {raw['loss_db']} (implies {implied:.9g})"
                 )
     return problems
@@ -401,20 +410,8 @@ def _failed_rows(
 
     nan = float("nan")
     return [
-        RateReport(
-            segment=cfg.name,
-            f_d=noise.channel_depol,
-            f_g=noise.gate_fail,
-            memory=memory,
-            t2_s=t2,
-            yield_per_attempt=nan,
-            fidelity=nan,
-            q_x=nan,
-            q_ab=nan,
-            r_per_attempt=nan,
-            r_per_second=nan,
-            error=error,
-        )
+        RateReport(cfg.name, noise.channel_depol, noise.gate_fail, memory, t2,
+                   nan, nan, nan, nan, nan, nan, error)
         for noise in noises
     ]
 
@@ -492,25 +489,32 @@ def _csv_quoted(text: str) -> str:
 
 
 # One CSV line of a row, cells in ROW_COLUMNS order: the quoted segment,
-# f_D and f_G, the memory and T2 cells as text, then six floats.  '%.17g' % x
-# is the text of f"{float(x):.17g}", so every cell is _csv_cell's.
-_CSV_LINE = "%s,%.17g,%.17g,%s,%s" + ",%.17g" * 6 + "\n"
+# f_D and f_G, the memory, T2 and yield cells as one text, then five floats.
+# '%.17g' % x is the text of f"{float(x):.17g}", so every cell is _csv_cell's.
+_CSV_LINE = "%s,%.17g,%.17g,%s" + ",%.17g" * 5 + "\n"
 
 
 def render_csv(rows) -> str:
     """The header and one line per row, with the cells and quoting of
-    csv.writer over _csv_cell; each segment name is quoted once."""
+    csv.writer over _csv_cell.
+
+    Consecutive rows holding the very same segment, memory, T2 and yield
+    objects, as every row of a run_sweep block does, share the text of
+    those cells.  The match is by identity, never by value: 0.0 == -0.0
+    but their texts differ.
+    """
     quoted: dict[str, str] = {}
     lines = [",".join(CSV_COLUMNS) + "\n"]
-    for r in rows:
-        segment = quoted.get(r.segment)
-        if segment is None:
-            segment = quoted[r.segment] = _csv_quoted(r.segment)
-        lines.append(_CSV_LINE % (
-            segment, r.f_d, r.f_g, "true" if r.memory else "false",
-            "" if r.t2_s is None else "%.17g" % r.t2_s,
-            r.yield_per_attempt, r.fidelity, r.q_x, r.q_ab, r.r_per_attempt, r.r_per_second,
-        ))
+    segment = memory = t2 = y = head = mid = None
+    for seg, f_d, f_g, mem, t2_s, y_, fid, q_x, q_ab, r_a, r_s, _ in rows:
+        if not (seg is segment and mem is memory and t2_s is t2 and y_ is y):
+            segment, memory, t2, y = seg, mem, t2_s, y_
+            head = quoted.get(segment)
+            if head is None:
+                head = quoted[segment] = _csv_quoted(segment)
+            mid = "%s,%s,%.17g" % (
+                "true" if memory else "false", "" if t2 is None else "%.17g" % t2, y)
+        lines.append(_CSV_LINE % (head, f_d, f_g, mid, fid, q_x, q_ab, r_a, r_s))
     return "".join(lines)
 
 

@@ -302,10 +302,17 @@ def expected_coherence_near(cfg: TrioConfig) -> float:
         + 1.0 / (1.0 - beta * (1.0 - p_far))
         - 1.0
     )
+    # c T2 can underflow to 0 (both tiny); exp(-2 L_near / (c T2)) then
+    # takes its exact limit, 0 for a near link of length > 0 and 1 for 0.
+    c_t2 = cfg.speed_of_light * t2
+    if c_t2 == 0.0:
+        storage = 0.0 if l_near > 0.0 else 1.0
+    else:
+        storage = math.exp(-2.0 * l_near / c_t2)
     # Exact, not a mask: E[beta^|dN|] <= 1 and exp(-x) <= 1 for x >= 0, so
     # the product is at most 1.  Once beta rounds to 1 (a long T2), the
     # float gap factor can still come out an ulp above 1.
-    return min(1.0, gap_factor * math.exp(-2.0 * l_near / (cfg.speed_of_light * t2)))
+    return min(1.0, gap_factor * storage)
 
 
 def dephasing_prob(wait: float, t2: float) -> float:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,14 +30,14 @@ from .protocol import NoiseParams, run_stack, target_state
 PARITY_TEST = PauliString("ZYZ")
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     """Yield, errors and key rates of one operating point.
 
     The point is the segment, the noise knobs f_D and f_G, the memory mode
     and, with memory, its T2.  Fields run in the sweep's column order.
     ``error`` is set, and the metrics NaN, when a sweep could not evaluate
-    the point.
+    the point.  A plain tuple of its fields: iterable, indexable, and equal
+    to a tuple of the same values.
     """
 
     segment: str
@@ -125,16 +125,24 @@ def qber_parity_from_expectation(rho: DensityMatrix) -> float:
     return 0.5 * (1.0 - rho.expectation(PARITY_TEST))
 
 
+def _check_yield(yield_per_attempt: float) -> None:
+    if not 0.0 <= yield_per_attempt <= 1.0:
+        raise ValueError(f"yield must be in [0, 1], got {yield_per_attempt}")
+
+
+def _key_rate(y: float, q_x: float, q_ab: float) -> float:
+    """key_rate on a yield already checked by _check_yield."""
+    return max(0.0, y * (1.0 - binary_entropy(q_x) - binary_entropy(q_ab)))
+
+
 def key_rate(yield_per_attempt: float, q_x: float, q_ab: float) -> float:
     """Asymptotic conference key per attempt, clamped at zero.
 
     r = Y (1 - h(Q_X) - h(Q_AB)); the parity error erodes the secrecy term
     and the bipartite error the correctness term.
     """
-    if not 0.0 <= yield_per_attempt <= 1.0:
-        raise ValueError(f"yield must be in [0, 1], got {yield_per_attempt}")
-    r = yield_per_attempt * (1.0 - binary_entropy(q_x) - binary_entropy(q_ab))
-    return max(0.0, r)
+    _check_yield(yield_per_attempt)
+    return _key_rate(yield_per_attempt, q_x, q_ab)
 
 
 def rate_reports(
@@ -157,25 +165,18 @@ def rate_reports(
     q_x = _parity_errors(states)
     q_ab = _bipartite_errors(states)
     y = yield_with_memory(cfg) if use_memory else yield_memoryless(cfg)
+    if noises:
+        _check_yield(y)
     t2 = cfg.memory.t2 if use_memory else None
+    # Every row holds the same segment, memory, T2 and yield objects, so
+    # render_csv writes those cells once per block.
     out = []
     for noise, fid, qx, qab in zip(noises, fidelities.tolist(), q_x.tolist(), q_ab.tolist()):
-        r = key_rate(y, qx, qab)
-        out.append(
-            RateReport(
-                segment=cfg.name,
-                f_d=noise.channel_depol,
-                f_g=noise.gate_fail,
-                memory=use_memory,
-                t2_s=t2,
-                yield_per_attempt=y,
-                fidelity=fid,
-                q_x=qx,
-                q_ab=qab,
-                r_per_attempt=r,
-                r_per_second=r * cfg.source.frequency,
-            )
-        )
+        r = _key_rate(y, qx, qab)
+        out.append(RateReport(
+            cfg.name, noise.channel_depol, noise.gate_fail, use_memory, t2, y, fid, qx, qab,
+            r, r * cfg.source.frequency,
+        ))
     return out
 
 

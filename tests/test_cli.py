@@ -161,21 +161,34 @@ class TestLoadConfig:
             load_config(write_doc(tmp_path, doc))
 
     def test_rejects_loss_whose_transmission_underflows(self, tmp_path, capsys):
-        # 10**(-loss_db / 10) is 0.0 above about 3236.07 dB
+        # 10**(-loss_db / 10) is subnormal above about 3076.53 dB and 0.0
+        # above about 3236.07 dB
         doc = minimal_doc()
-        doc["segments"][0]["links"]["AB"] = {"length": 10.0, "loss_db": 3236.0}
+        doc["segments"][0]["links"]["AB"] = {"length": 10.0, "loss_db": 3076.5}
         (cfg,) = load_config(write_doc(tmp_path, doc))
-        assert cfg.link_ab.transmission > 0.0
-        doc["segments"][0]["links"]["AB"]["loss_db"] = 4000
-        path = write_doc(tmp_path, doc)
+        assert cfg.link_ab.transmission >= sys.float_info.min
+        for loss_db, implied in ((3076.6, "2.187761623949713e-308"), (3230, "1e-323"),
+                                 (4000, "0.0")):
+            doc["segments"][0]["links"]["AB"]["loss_db"] = loss_db
+            path = write_doc(tmp_path, doc)
+            with pytest.raises(ConfigError) as err:
+                load_config(path)
+            problem = (f"segments.0.links.AB.loss_db: implies transmission {implied}, "
+                       "need >= 2.2250738585072014e-308")
+            assert err.value.problems == [problem]
+            assert main(["simulate", "--config", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: invalid configuration:\n  - {problem}\n"
+        # a given subnormal transmission too, and both fields when they agree
+        doc["segments"][0]["links"]["AB"] = {"length": 10.0, "transmission": 1e-323}
         with pytest.raises(ConfigError) as err:
-            load_config(path)
+            load_config(write_doc(tmp_path, doc))
         assert err.value.problems == [
-            "segments.0.links.AB.loss_db: implies transmission 0.0, need > 0"]
-        assert main(["simulate", "--config", str(path)]) == 2
-        assert capsys.readouterr().err == (
-            "error: invalid configuration:\n"
-            "  - segments.0.links.AB.loss_db: implies transmission 0.0, need > 0\n")
+            "segments.0.links.AB.transmission: 1e-323 is less than the minimum of "
+            "2.2250738585072014e-308"]
+        doc["segments"][0]["links"]["AB"]["loss_db"] = 3230
+        with pytest.raises(ConfigError) as err:
+            load_config(write_doc(tmp_path, doc))
+        assert len(err.value.problems) == 2
 
     def test_rejects_duplicate_segment_names(self, tmp_path, capsys):
         doc = minimal_doc(name="berlin-schaepe-koeckern")
@@ -747,9 +760,35 @@ class TestRendering:
 
     @given(st.lists(csv_rows, max_size=6), st.data())
     def test_csv_matches_writer_reference(self, rows, data):
-        # segment names repeat, as in a sweep, so cached quoting is reused
-        rows += [data.draw(st.sampled_from(rows)) for _ in range(len(rows) // 2)]
-        assert render_csv(rows) == writer_render_csv(rows)
+        assert RateReport._fields == tuple(field for _, field in ROW_COLUMNS) + ("error",)
+
+        def fresh(value):
+            """An equal value in a distinct object (bools and None are singletons)."""
+            if isinstance(value, str):
+                return (value + ".")[:-1]
+            return float(repr(value)) if isinstance(value, float) else value
+
+        # render_csv reuses the text of the segment, memory, T2 and yield
+        # cells while consecutive rows hold the very same objects: follow a
+        # row with one that keeps all four objects (a sweep block's next
+        # row), with one that differs in a single cell, and with an equal
+        # row of distinct objects
+        variants = [
+            lambda r: r._replace(f_d=data.draw(csv_floats), fidelity=data.draw(csv_floats)),
+            lambda r: r._replace(memory=not r.memory),
+            lambda r: r._replace(t2_s=None if r.t2_s is not None else data.draw(csv_floats)),
+            lambda r: r._replace(yield_per_attempt=data.draw(
+                st.sampled_from([0.0, -0.0, float("nan")]))),
+            lambda r: RateReport(*map(fresh, r)),
+        ]
+        runs = []
+        for row in rows:
+            runs.append(row)
+            for _ in range(data.draw(st.integers(0, 4))):
+                runs.append(data.draw(st.sampled_from(variants))(runs[-1]))
+        # segment names repeat across blocks, as in a sweep with several modes
+        runs += [data.draw(st.sampled_from(runs)) for _ in range(len(runs) // 2)]
+        assert render_csv(runs) == writer_render_csv(runs)
 
     def test_quoted_segment_round_trips(self, tmp_path):
         rows = [self.make_row(segment='odd, name "q"', memory=memory, t2_s=t2, q_x=1.0 / 3.0)
@@ -996,6 +1035,35 @@ class TestMain:
         assert code == 0
         assert capsys.readouterr().out == f"wrote 36 rows to {out}\n"
         assert all(r.error is None for r in parse_rows(out))
+
+    # the MC oracle's -wait/T2 overflows to -inf, whose exp is the exact 0
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    def test_underflowing_c_t2_gives_finite_output(self, tmp_path, capsys):
+        # c T2 = 1e-400 underflows to 0 and once raised ZeroDivisionError
+        doc = yaml.load(data_path().read_text(), Loader=YAML_LOADER)
+        seg = doc["segments"][0]
+        seg["memory"]["T2"] = seg["speed_of_light"] = 1.0e-200
+        path = write_doc(tmp_path, {"segments": [seg]})
+        base = ["--config", str(path), "--out"]
+        assert main(["simulate", "--memory", "--format", "json", *base,
+                     str(tmp_path / "sim.json")]) == 0
+        assert main(["sweep", "--memory", "--fd", "0:0.3:3", "--fg", "0:0.3:3", "--format",
+                     "json", *base, str(tmp_path / "grid.json")]) == 0
+        assert main(["mc-check", "--samples", "1000", *base, str(tmp_path / "mc.json")]) == 0
+        assert capsys.readouterr().err == ""
+
+        def reject(constant):
+            raise ValueError(f"non-finite number {constant} in output")
+
+        rows = [row for name in ("sim.json", "grid.json")
+                for row in json.loads((tmp_path / name).read_text(), parse_constant=reject)]
+        assert len(rows) == 10
+        assert all(isinstance(v, float) and math.isfinite(v)
+                   for row in rows for k, v in row.items() if k not in ("segment", "memory"))
+        checks = json.loads((tmp_path / "mc.json").read_text(), parse_constant=reject)["checks"]
+        assert [c["check"] for c in checks] == [
+            "expected_max_outer", "yield_memoryless", "coherence_near"]
+        assert checks[2]["formula"] == 0.0
 
     def test_parser_is_reused_without_sharing_appended_values(self, tmp_path):
         # the cached parser must not carry one call's --t2 list into the next

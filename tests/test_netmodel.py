@@ -290,6 +290,18 @@ class TestExpectedCoherenceNear:
         with pytest.raises(ValueError, match="memory"):
             expected_coherence_near(make_cfg())
 
+    @pytest.mark.parametrize("len_ab", [10.0, 0.0])
+    def test_underflowing_c_t2_takes_the_exact_limit(self, len_ab):
+        # c T2 = 1e-400 is 0.0; exp(-2 L_near / (c T2)) is then 0 for a near
+        # link of length > 0 and 1 for one of length 0, and beta = 0 leaves
+        # the gap factor p_n p_f / (p_n + p_f - p_n p_f)
+        cfg = make_cfg(trans_ab=0.5, trans_bc=0.4, len_ab=len_ab, len_bc=50.0,
+                       memory=MemoryParams(0.9, 1e-200), speed_of_light=1e-200)
+        p_near, p_far, _, l_near = near_far_memory(cfg)
+        assert l_near == len_ab
+        gap = p_near * p_far / (p_near + p_far - p_near * p_far)
+        assert expected_coherence_near(cfg) == (0.0 if len_ab else pytest.approx(gap, rel=1e-15))
+
     @pytest.mark.parametrize("p_near,p_far,t2", [
         (0.5, 0.5, 0.01),
         (0.3, 0.7, 0.002),

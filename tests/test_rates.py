@@ -22,7 +22,7 @@ from ghzline import (
 from ghzline import netmodel, protocol, rates
 from ghzline.cli import data_path, load_config, run_sweep
 from ghzline.density import BASIS_EIGENVECTORS
-from util import make_cfg, random_density_matrix
+from util import make_cfg, random_config, random_density_matrix
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -205,6 +205,36 @@ class TestReports:
             report = full_report(make_cfg(eta_b=0.5, trans_ab=0.3, trans_bc=0.4),
                                  NoiseParams(depol, fail))
             assert report.r_per_attempt <= report.yield_per_attempt + 1e-15
+
+
+class TestDegreeStructure:
+    """F, Q_X and Q_AB are quadratic in f_D (two transit qubits each
+    depolarized once) and affine in f_G (one merge gate), so their finite
+    differences vanish from the third in f_D and the second in f_G."""
+
+    @given(
+        which=st.one_of(st.integers(0, 3), st.integers(4, 2**32 - 1)),
+        use_memory=st.booleans(),
+        h=st.floats(min_value=0.02, max_value=0.25), u=unit_floats,
+        g=st.floats(min_value=0.02, max_value=0.3), v=unit_floats,
+    )
+    def test_quadratic_in_fd_and_affine_in_fg(self, which, use_memory, h, u, g, v):
+        # a bundled segment, or a random one seeded by ``which``
+        if which < 4:
+            cfg = load_config(data_path())[which]
+        else:
+            cfg = random_config(np.random.default_rng(which))
+        # f_G stays below 0.9: at f_G = 1 the merge depolarizes both gate
+        # qubits fully and F no longer depends on f_D
+        fd0, fg0 = u * 0.99 * (1.0 - 3.0 * h), v * (0.9 - 2.0 * g)
+        noises = [NoiseParams(fd0 + i * h, fg0 + j * g) for i in range(4) for j in range(3)]
+        rows = rates.rate_reports(cfg, noises, use_memory=use_memory)
+        # axes: f_D, f_G, (fidelity, Q_X, Q_AB)
+        grid = np.array([(r.fidelity, r.q_x, r.q_ab) for r in rows]).reshape(4, 3, 3)
+        assert np.abs(np.diff(grid, 3, axis=0)).max() <= 1e-14
+        assert np.abs(np.diff(grid, 2, axis=1)).max() <= 1e-14
+        # the degree in f_D really is 2, far above rounding
+        assert np.abs(np.diff(grid[:, :, 0], 2, axis=0)).max() > 1e-9
 
 
 class TestOutcomeReconciliation:
