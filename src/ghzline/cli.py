@@ -75,6 +75,11 @@ ROW_COLUMNS = (
 CSV_COLUMNS = tuple(column for column, _ in ROW_COLUMNS)
 
 DEFAULT_CONFIG = "network_segments.yaml"
+# Least click probability of an outer window (A or C).  A sampled attempt
+# count log1p(-u) / log1p(-p) reaches 53 ln 2 / p, about 36.7 / p, at the
+# largest uniform u = 1 - 2^-53, and passes the float maximum once p is
+# below 53 ln 2 / 1.797e308 = 2.0436e-307; this floor rounds that up.
+MIN_CLICK_PROB = 2.05e-307
 
 # libyaml's C parser when PyYAML was built with it, else the pure one.  Both
 # share the safe resolver and constructor, so they build the same document;
@@ -262,9 +267,10 @@ def validate_document(doc) -> list[str]:
     if problems:
         return problems
     # The schema cannot cross-check redundant fields, see a transmission so
-    # small that it is subnormal, nor tell segments apart by name.  A
-    # subnormal transmission, given or implied by a loss above about
-    # 3076.5 dB, makes the yields' products underflow into 0/0 = NaN later.
+    # small that it is subnormal, see an outer click probability below
+    # MIN_CLICK_PROB, nor tell segments apart by name.  A subnormal
+    # transmission, given or implied by a loss above about 3076.5 dB, makes
+    # the yields' products underflow into 0/0 = NaN later.
     tiny = sys.float_info.min
     first_at: dict[str, int] = {}
     for i, seg in enumerate(doc["segments"]):
@@ -274,6 +280,7 @@ def validate_document(doc) -> list[str]:
                 f"segments.{i}.name: duplicate segment name {seg['name']!r} "
                 f"(first at segments.{first})"
             )
+        found = len(problems)
         for key in ("AB", "BC"):
             raw = seg["links"][key]
             where = f"segments.{i}.links.{key}"
@@ -294,6 +301,15 @@ def validate_document(doc) -> list[str]:
                     f"{where}: transmission {raw['transmission']} "
                     f"disagrees with loss_db {raw['loss_db']} (implies {implied:.9g})"
                 )
+        if len(problems) > found:
+            continue
+        clicks = window_click_probs(_build_segment(seg), with_memory=False)
+        problems += [
+            f"segments.{i}.nodes.{node}: click probability {clicks[node]!r} is less "
+            f"than the minimum of {MIN_CLICK_PROB!r}"
+            for node in "AC"
+            if clicks[node] < MIN_CLICK_PROB
+        ]
     return problems
 
 

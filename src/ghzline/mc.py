@@ -4,6 +4,8 @@ Each estimator streams fixed-size chunks, drawing chunk k from child
 stream k of SeedSequence(seed) and merging running moments in chunk
 order.  The result is therefore bit-for-bit reproducible for a given
 (num_samples, seed) regardless of how the chunks might be scheduled.
+Each oracle call allocates its chunk buffers once and refills them for
+every chunk.
 """
 
 from __future__ import annotations
@@ -39,16 +41,30 @@ def sample_geometric(p: float, rng: np.random.Generator) -> int:
     return max(1, math.ceil(math.log1p(-u) / math.log1p(-p)))
 
 
-def _geometric_block(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
-    """Vector of geometric attempt counts; inverse CDF, same law as sample_geometric."""
+def _geometric_block(
+    rng: np.random.Generator, p: float, size: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Vector of geometric attempt counts; inverse CDF, same law as sample_geometric.
+
+    Fills and returns ``out`` (float64, length ``size``) when given.
+    """
+    x = np.empty(size) if out is None else out
     if p == 1.0:
-        return np.ones(size)
-    x = rng.random(size)
+        x.fill(1.0)
+        return x
+    rng.random(out=x)
     np.negative(x, out=x)
     np.log1p(x, out=x)
     x /= math.log1p(-p)
     np.ceil(x, out=x)
     return np.maximum(1.0, x, out=x)
+
+
+def _chunk_len(num_samples: int) -> int:
+    """Length of the largest chunk, hence of an oracle's buffers."""
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+    return min(CHUNK, num_samples)
 
 
 def _mc_mean(
@@ -58,11 +74,12 @@ def _mc_mean(
 ) -> McResult:
     """Chunked streaming mean/variance with per-chunk child seeds.
 
-    ``block_fn`` must return a fresh array: its values are overwritten
-    while the second moment is formed.
+    ``block_fn(rng, size)`` returns the ``size`` samples of one chunk as a
+    float64 array, which may be a view of a buffer it refills for every
+    chunk: this function overwrites the values while forming the second
+    moment, and is done with them before it asks for the next chunk.
     """
-    if num_samples < 1:
-        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+    _chunk_len(num_samples)
     n_chunks = -(-num_samples // CHUNK)
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     count = 0
@@ -104,10 +121,11 @@ def mc_expected_max(
     # as 2^-k times themselves, and the mean and standard error scaled back
     # by 2^k.  A power of two scales exactly, and sqrt(4^-k x) = 2^-k sqrt(x).
     k = max(0, math.ceil(-math.log2(min(p_a, p_c))) - 400)
+    counts = np.empty((2, _chunk_len(num_samples)))
 
     def block(rng: np.random.Generator, size: int) -> np.ndarray:
-        n_a = _geometric_block(rng, p_a, size)
-        n_c = _geometric_block(rng, p_c, size)
+        n_a = _geometric_block(rng, p_a, size, counts[0, :size])
+        n_c = _geometric_block(rng, p_c, size, counts[1, :size])
         n_max = np.maximum(n_a, n_c, out=n_a)
         return np.ldexp(n_max, -k, out=n_max) if k else n_max
 
@@ -131,15 +149,20 @@ def mc_coherence_near(
     t2 = require_memory(cfg).t2
     p_near, p_far, tau_far, l_near = near_far_memory(cfg)
     t_near = 2.0 * l_near / cfg.speed_of_light
+    counts = np.empty((2, _chunk_len(num_samples)))
 
     def block(rng: np.random.Generator, size: int) -> np.ndarray:
-        wait = _geometric_block(rng, p_near, size)
-        wait -= _geometric_block(rng, p_far, size)
+        wait = _geometric_block(rng, p_near, size, counts[0, :size])
+        wait -= _geometric_block(rng, p_far, size, counts[1, :size])
         np.abs(wait, out=wait)
-        wait *= tau_far
-        wait += t_near
-        np.negative(wait, out=wait)
-        wait /= t2
+        # The wait, or the wait over T2 (T2 near 1e-200 in a valid config),
+        # can pass the float maximum.  The +inf it then rounds to is exact
+        # for this estimator: exp(-inf) = 0 is the limit of exp(-t / T2).
+        with np.errstate(over="ignore"):
+            wait *= tau_far
+            wait += t_near
+            np.negative(wait, out=wait)
+            wait /= t2
         return np.exp(wait, out=wait)
 
     return _mc_mean(block, num_samples, seed)
@@ -150,18 +173,29 @@ def mc_yield_memoryless(
 ) -> McResult:
     """Sampled per-attempt success frequency without memories.
 
-    Each attempt draws four independent detection windows (A, two at B,
-    C) and succeeds when all click.  Oracle for yield_memoryless.
+    Each attempt has four independent detection windows (A, two at B, C)
+    and succeeds when all click.  The windows are drawn rarest first, and
+    an attempt stops at its first dark window: each window is drawn only
+    for the attempts whose earlier windows all clicked.  The law is that
+    of drawing all four, but a seed gives different estimates than the
+    four-draw sampler of earlier 0.1.0 builds.  Oracle for
+    yield_memoryless.
     """
     p = window_click_probs(cfg, with_memory=False)
-    probs = np.array([p["A"], p["B"], p["B"], p["C"]])
+    rarest_first = sorted((p["A"], p["B"], p["B"], p["C"]))
+    n = _chunk_len(num_samples)
+    uniforms = np.empty(n)
+    clicked = np.empty(n, dtype=bool)
+    hits = np.empty(n)
 
     def block(rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random((4, size))
-        hit = u[0] < probs[0]
-        hit &= u[1] < probs[1]
-        hit &= u[2] < probs[2]
-        hit &= u[3] < probs[3]
-        return hit.astype(float)
+        u = rng.random(out=uniforms[:size])
+        live = np.flatnonzero(np.less(u, rarest_first[0], out=clicked[:size]))
+        for q in rarest_first[1:]:
+            live = live[rng.random(out=uniforms[: live.size]) < q]
+        success = hits[:size]
+        success.fill(0.0)
+        success[live] = 1.0
+        return success
 
     return _mc_mean(block, num_samples, seed)

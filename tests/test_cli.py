@@ -37,6 +37,7 @@ from ghzline.cli import (
     yields_report,
 )
 from ghzline.cli import (
+    MIN_CLICK_PROB,
     ROW_COLUMNS,
     YAML_LOADER,
     _build_parser,
@@ -50,12 +51,18 @@ from ghzline.protocol import NoiseParams
 from util import make_cfg
 
 
-def run_fresh(code: str) -> str:
-    """Stdout of ``code`` run in a fresh interpreter on this checkout's package."""
+def fresh_process(code: str) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter on this checkout's package."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def run_fresh(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter on this checkout's package."""
+    done = fresh_process(code)
+    done.check_returncode()
     return done.stdout
 
 
@@ -162,8 +169,10 @@ class TestLoadConfig:
 
     def test_rejects_loss_whose_transmission_underflows(self, tmp_path, capsys):
         # 10**(-loss_db / 10) is subnormal above about 3076.53 dB and 0.0
-        # above about 3236.07 dB
+        # above about 3236.07 dB.  Dark counts keep node A's click
+        # probability above MIN_CLICK_PROB at any transmission.
         doc = minimal_doc()
+        doc["segments"][0]["nodes"]["A"]["dark_count_prob"] = 1.0e-5
         doc["segments"][0]["links"]["AB"] = {"length": 10.0, "loss_db": 3076.5}
         (cfg,) = load_config(write_doc(tmp_path, doc))
         assert cfg.link_ab.transmission >= sys.float_info.min
@@ -189,6 +198,39 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(write_doc(tmp_path, doc))
         assert len(err.value.problems) == 2
+
+    def test_rejects_outer_click_probability_below_floor(self, tmp_path, capsys):
+        # with no dark counts, 3070 dB leaves a click probability of 3e-308, a
+        # normal float, whose sampled attempt counts (up to about 36.7 / p)
+        # once overflowed into Infinity and NaN in mc-check's JSON
+        doc = yaml.load(data_path().read_text(), Loader=YAML_LOADER)
+        seg = doc["segments"][0]
+        seg["nodes"]["A"]["dark_count_prob"] = seg["nodes"]["C"]["dark_count_prob"] = 0
+        for loss_ab, loss_bc, nodes in ((3070, 3070, "AC"), (3070, 18.24, "A"),
+                                        (18.0, 3070, "C")):
+            seg["links"]["AB"]["loss_db"], seg["links"]["BC"]["loss_db"] = loss_ab, loss_bc
+            path = write_doc(tmp_path, {"segments": [seg]})
+            problems = [f"segments.0.nodes.{node}: click probability 2.9999999999999997e-308 "
+                        f"is less than the minimum of {MIN_CLICK_PROB!r}" for node in nodes]
+            with pytest.raises(ConfigError) as err:
+                load_config(path)
+            assert err.value.problems == problems
+            assert main(["mc-check", "--samples", "1000", "--config", str(path)]) == 2
+            assert capsys.readouterr().err == "error: invalid configuration:\n" + "".join(
+                f"  - {problem}\n" for problem in problems)
+
+        # 3060 dB leaves 3e-307, above the floor: finite, strict JSON
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        seg["links"]["AB"]["loss_db"] = seg["links"]["BC"]["loss_db"] = 3060
+        out = tmp_path / "mc.json"
+        assert main(["mc-check", "--samples", "1000", "--config",
+                     str(write_doc(tmp_path, {"segments": [seg]})), "--out", str(out)]) == 0
+        checks = json.loads(out.read_text(), parse_constant=reject)["checks"]
+        assert len(checks) == 3
+        assert all(math.isfinite(c[key]) for c in checks
+                   for key in ("formula", "estimate", "standard_error"))
 
     def test_rejects_duplicate_segment_names(self, tmp_path, capsys):
         doc = minimal_doc(name="berlin-schaepe-koeckern")
@@ -1036,8 +1078,6 @@ class TestMain:
         assert capsys.readouterr().out == f"wrote 36 rows to {out}\n"
         assert all(r.error is None for r in parse_rows(out))
 
-    # the MC oracle's -wait/T2 overflows to -inf, whose exp is the exact 0
-    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
     def test_underflowing_c_t2_gives_finite_output(self, tmp_path, capsys):
         # c T2 = 1e-400 underflows to 0 and once raised ZeroDivisionError
         doc = yaml.load(data_path().read_text(), Loader=YAML_LOADER)
@@ -1064,6 +1104,15 @@ class TestMain:
         assert [c["check"] for c in checks] == [
             "expected_max_outer", "yield_memoryless", "coherence_near"]
         assert checks[2]["formula"] == 0.0
+        # the values the oracles gave while -wait/T2 still warned on overflow
+        assert [(c["estimate"], c["standard_error"]) for c in checks] == [
+            (328.836, 7.744538784523258), (0.0, 0.0), (0.0, 0.0)]
+        # the oracle's -wait/T2 overflows to -inf, whose exp is the exact 0;
+        # a fresh interpreter shows any RuntimeWarning that says so on stderr
+        argv = ["mc-check", "--samples", "1000", *base, str(tmp_path / "mc2.json")]
+        done = fresh_process(f"import sys, ghzline.cli; sys.exit(ghzline.cli.main({argv!r}))")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        assert (tmp_path / "mc2.json").read_text() == (tmp_path / "mc.json").read_text()
 
     def test_parser_is_reused_without_sharing_appended_values(self, tmp_path):
         # the cached parser must not carry one call's --t2 list into the next

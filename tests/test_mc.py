@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzline import (
@@ -17,8 +17,17 @@ from ghzline import (
     sample_geometric,
     yield_memoryless,
 )
+from ghzline.cli import MIN_CLICK_PROB
 from ghzline.mc import _geometric_block, _mc_mean
 from util import make_cfg
+
+
+class LargestUniform:
+    """A Generator stand-in whose every uniform is 1 - 2^-53, the largest."""
+
+    def random(self, out):
+        out.fill(1.0 - 2.0**-53)
+        return out
 
 
 class TestSampleGeometric:
@@ -52,6 +61,24 @@ class TestSampleGeometric:
             sample_geometric(bad, np.random.default_rng(0))
 
 
+class TestGeometricBlock:
+    def test_fills_the_given_buffer(self):
+        buf = np.empty(1000)
+        assert _geometric_block(np.random.default_rng(3), 0.2, 1000, buf) is buf
+        assert np.array_equal(buf, _geometric_block(np.random.default_rng(3), 0.2, 1000))
+        assert _geometric_block(np.random.default_rng(3), 1.0, 1000, buf) is buf
+        assert np.all(buf == 1.0)
+
+    def test_click_floor_keeps_counts_finite(self):
+        # the largest uniform gives the largest count, about 36.7 / p: finite
+        # at the config boundary's floor, past the float maximum 2.5% below it
+        (count,) = _geometric_block(LargestUniform(), MIN_CLICK_PROB, 1)
+        assert 1.7e308 < count < math.inf
+        with np.errstate(over="ignore"):
+            (count,) = _geometric_block(LargestUniform(), 2.0e-307, 1)
+        assert count == math.inf
+
+
 class TestDeterminism:
     def test_same_seed_same_bits(self):
         a = mc_expected_max(0.3, 0.4, num_samples=150000, seed=42)
@@ -71,6 +98,37 @@ class TestDeterminism:
         a = mc_expected_max(0.5, 0.5, num_samples=100000, seed=9)
         b = mc_expected_max(0.5, 0.5, num_samples=100000, seed=9)
         assert a.estimate == b.estimate
+
+
+class TestPinnedBits:
+    """Bits of the expected-max and coherence oracles, pinned across rewrites.
+
+    The values are those of the sampler that allocated fresh arrays for
+    every chunk; 100000 and 70000 samples end in a partial chunk.
+    """
+
+    @pytest.mark.parametrize("p_a,p_c,n,seed,estimate,stderr", [
+        (0.3, 0.4, 100000, 7, "0x1.072dcb1465e89p+2", "0x1.2100ca95f6bcdp-7"),
+        (0.3, 0.4, 70000, 5, "0x1.0695e9e1b089ap+2", "0x1.58128bf3763d7p-7"),
+        (0.05, 0.2, 65536, 1, "0x1.4b39b00000000p+4", "0x1.2f3af2aed758cp-4"),
+        (0.5, 0.5, 1, 3, "0x1.0000000000000p+1", "0x0.0p+0"),
+        # counts near 2^1000, sampled as 2^-600 times themselves
+        (2.0**-1000, 2.0**-1000, 100000, 4,
+         "0x1.7e52d484a28d4p+1000", "0x1.cd3a9260763ccp+991"),
+    ])
+    def test_expected_max(self, p_a, p_c, n, seed, estimate, stderr):
+        result = mc_expected_max(p_a, p_c, num_samples=n, seed=seed)
+        assert (result.estimate.hex(), result.standard_error.hex()) == (estimate, stderr)
+
+    @pytest.mark.parametrize("tab,tbc,t2,n,seed,estimate,stderr", [
+        (0.3, 0.7, 0.002, 100000, 22, "0x1.44b7936fa7b11p-1", "0x1.b93b52e60a09ap-11"),
+        (0.7, 0.3, 0.005, 65537, 8, "0x1.9e4530bcd517ap-1", "0x1.59c482d814b3ap-11"),
+    ])
+    def test_coherence_near(self, tab, tbc, t2, n, seed, estimate, stderr):
+        cfg = make_cfg(trans_ab=tab, trans_bc=tbc, len_ab=10.0, len_bc=50.0,
+                       memory=MemoryParams(0.9, t2))
+        result = mc_coherence_near(cfg, num_samples=n, seed=seed)
+        assert (result.estimate.hex(), result.standard_error.hex()) == (estimate, stderr)
 
 
 class TestExpectedMaxOracle:
@@ -142,6 +200,23 @@ class TestYieldOracle:
         result = mc_yield_memoryless(make_cfg(), num_samples=10000, seed=0)
         assert result.estimate == 1.0
         assert result.standard_error == 0.0
+
+    # Windows that always click, common ones and, on one outer link, a rare
+    # one (the bundled segments' outer windows click about 0.0045 of the
+    # time).  A rarer yield would expect too few successes in n samples for
+    # a normal test: the product here keeps n y above 7.
+    common = st.one_of(st.just(1.0), st.floats(0.3, 1.0))
+
+    @settings(derandomize=True)
+    @given(p_a=common, p_b=common, p_c=common, p_rare=st.floats(0.001, 0.01),
+           rare=st.sampled_from(["", "A", "C"]), seed=st.integers(0, 2**32 - 1))
+    def test_thinned_draws_keep_the_law(self, p_a, p_b, p_c, p_rare, rare, seed):
+        cfg = make_cfg(trans_ab=p_rare if rare == "A" else p_a, eta_b=p_b,
+                       trans_bc=p_rare if rare == "C" else p_c)
+        n = 2**18 + 1000  # full chunks and a partial one
+        mc = mc_yield_memoryless(cfg, num_samples=n, seed=seed)
+        y = yield_memoryless(cfg)
+        assert abs(mc.estimate - y) <= 5.0 * math.sqrt(y * (1.0 - y) / n)
 
     def test_matches_formula_within_null_error(self):
         cfg = make_cfg(eta_a=0.8, eta_b=0.6, eta_c=0.7, trans_ab=0.5, trans_bc=0.4,
