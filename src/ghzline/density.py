@@ -199,9 +199,9 @@ def _cz_conjugation(num_qubits: int, q1: int, q2: int) -> np.ndarray:
     return _read_only(np.outer(signs, signs))
 
 
-def _depolarize(rho: np.ndarray, num_qubits: int, qubit: int, quarter, keep) -> np.ndarray:
-    """keep * rho + quarter * (rho + X rho X + Y rho Y + Z rho Z), the
-    twirl summed in that order; quarter is strength / 4, keep 1 - strength."""
+def _twirl(rho: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
+    """rho + X rho X + Y rho Y + Z rho Z on ``qubit``, summed in that
+    order, as a fresh array."""
     zz = _z_conjugation(num_qubits, qubit)
     term = _x_conjugate(rho, num_qubits, qubit)  # X rho X
     twirled = rho + term
@@ -209,6 +209,13 @@ def _depolarize(rho: np.ndarray, num_qubits: int, qubit: int, quarter, keep) -> 
     twirled += term
     np.multiply(rho, zz, out=term)  # Z rho Z
     twirled += term
+    return twirled
+
+
+def _depolarize(rho: np.ndarray, num_qubits: int, qubit: int, quarter, keep) -> np.ndarray:
+    """keep * rho + quarter * _twirl(rho); quarter is strength / 4, keep
+    1 - strength."""
+    twirled = _twirl(rho, num_qubits, qubit)
     twirled *= quarter
     out = keep * rho
     out += twirled
@@ -332,6 +339,18 @@ def _fidelity(rho: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     # np.vdot.  Elementwise products summed by np.sum or np.einsum are
     # not: they round and add in another order.
     return np.vecdot(amplitudes, rho @ amplitudes).real
+
+
+def _fidelities(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """<v| rho |v> of every row for each vector of a (K, 1, d) stack, as a
+    (K, B) array in one contraction.
+
+    Row k is bit-identical to _fidelity(rho, vectors[k, 0]): np.matmul
+    takes a vector operand as a one-column matrix, so every (row, vector)
+    product is the same (d, d) @ (d, 1) call, and np.vecdot sums each
+    pair with the same zdotc, however the operands broadcast.
+    """
+    return np.vecdot(vectors, (rho[None] @ vectors[..., None])[..., 0]).real
 
 
 class DensityMatrix:

@@ -15,6 +15,11 @@ from dataclasses import dataclass, field
 
 SPEED_OF_LIGHT_FIBER = 2.0e5  # km/s, group velocity in standard fiber
 
+# Below this a difference of two floats near 1 keeps fewer than half of
+# its 53 bits: expected_coherence_near then takes a form without the
+# cancellation.
+CANCELLATION_LIMIT = 2.0**-26
+
 
 def transmission_from_db(loss_db: float) -> float:
     """Power transmission 10^(-loss_db / 10) of a link with the given loss."""
@@ -295,13 +300,27 @@ def expected_coherence_near(cfg: TrioConfig) -> float:
     """
     t2 = require_memory(cfg).t2
     p_near, p_far, tau_far, l_near = near_far_memory(cfg)
-    beta = math.exp(-tau_far / t2)
+    x = tau_far / t2
+    beta = math.exp(-x)
     both = p_near + p_far - p_near * p_far
-    gap_factor = (p_near * p_far / both) * (
-        1.0 / (1.0 - beta * (1.0 - p_near))
-        + 1.0 / (1.0 - beta * (1.0 - p_far))
-        - 1.0
-    )
+    d_near = 1.0 - beta * (1.0 - p_near)
+    d_far = 1.0 - beta * (1.0 - p_far)
+    if min(d_near, d_far) >= CANCELLATION_LIMIT:
+        gap_factor = (p_near * p_far / both) * (1.0 / d_near + 1.0 / d_far - 1.0)
+    else:
+        # beta and 1 - p both lie within CANCELLATION_LIMIT of 1, so the
+        # plain 1 - beta (1 - p) has cancelled away at least half its
+        # digits, and all of them where it rounds to 0.  The same divisor
+        # is p - (1 - p) expm1(-x), a sum of two non-negative terms, and
+        # the gap factor is regrouped as quotients of at most 1 each, so
+        # that p_near * p_far cannot underflow on the way.
+        d_near = p_near - (1.0 - p_near) * math.expm1(-x)
+        d_far = p_far - (1.0 - p_far) * math.expm1(-x)
+        gap_factor = (
+            (p_far / both) * (p_near / d_near)
+            + (p_near / both) * (p_far / d_far)
+            - p_near * (p_far / both)
+        )
     # c T2 can underflow to 0 (both tiny); exp(-2 L_near / (c T2)) then
     # takes its exact limit, 0 for a near link of length > 0 and 1 for 0.
     c_t2 = cfg.speed_of_light * t2

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .density import (
     _fidelity,
     _measure,
     _read_only,
+    _twirl,
 )
 from .netmodel import (
     TrioConfig,
@@ -49,6 +50,11 @@ MEASURED_QUBIT = 2  # B's C-side qubit, measured in Y to complete the merge
 # the working set of one stack to a few hundred KiB however many rows a
 # caller passes.  32 was the fastest of 8 to 121 on the bundled sweep.
 CHUNK_ROWS = 32
+
+# Configs whose segment strengths (and, in rates, yields) are memoised,
+# the most recently used first: a caller that builds a fresh config per
+# point (a new T2, say) keeps the memo at this size.
+SEGMENT_MEMO_SIZE = 32
 
 STABILIZER_FACTORS = ("XZI", "XIY", "YXZ", "YYX", "ZXX", "ZYZ", "IZY", "III")
 
@@ -121,10 +127,11 @@ def _initial_register() -> np.ndarray:
 
 
 @cache
-def _register_stack(rows: int) -> np.ndarray:
-    """_initial_register() as a read-only stack of ``rows`` rows, one per
-    distinct f_D of a run_stack window, so at most CHUNK_ROWS."""
-    return np.broadcast_to(_initial_register(), (rows, 16, 16))
+def _source_twirl() -> np.ndarray:
+    """Read-only _twirl of the source register on qubit 0, the constant
+    part of its first transit depolarization, which run_stack finishes
+    with _depolarize's own two roundings per entry."""
+    return _read_only(_twirl(_initial_register()[None], 4, 0)[0])
 
 
 @cache
@@ -170,43 +177,21 @@ def _check_outcome(outcome: int) -> None:
         raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
 
 
-def run_stack(
-    cfg: TrioConfig,
-    noises: Sequence[NoiseParams],
-    *,
-    use_memory: bool = False,
-    outcome: int = +1,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run one merge attempt per entry of ``noises``, all as one stack.
+@lru_cache(maxsize=SEGMENT_MEMO_SIZE)
+def _segment_strengths(cfg: TrioConfig, use_memory: bool) -> tuple[tuple, tuple]:
+    """run_stack's checked segment strengths: the memory dephasings as
+    (qubit, strength) pairs, empty without memory, and each dark-count
+    depolarization as (qubit, strength / 4, 1 - strength) triples.
 
-    Returns, one row per entry: the probability of the Y ``outcome``, the
-    conditional three-qubit state on (0, 1, 3) as a (B, 8, 8) stack, and
-    its fidelity with target_state(outcome).
-
-    Steps, in order: prepare both source pairs; depolarize the transit
-    qubits (0 and 3) with channel_depol; if use_memory, dephase B's
-    stored qubits by their expected storage decoherence; apply the noisy
-    merge CZ between qubits 1 and 2 with gate_fail; depolarize every
-    qubit by its dark-count junk fraction; measure qubit 2 in Y and keep
-    ``outcome``.  Only the noise knobs vary between rows, so the segment's
-    strengths are computed once.  The rows are taken in windows of
-    consecutive rows holding at most CHUNK_ROWS distinct channel_depol
-    values.  In each window every step before the gate_fail mix runs once
-    per distinct value: the source pairs, the transit depolarizations, the
-    memory dephasings, and the noisy CZ's two branches, CZ rho CZ and
-    Tr_{1,2}(rho) (x) I/4.  The mix and the later steps run on chunks of up
-    to CHUNK_ROWS rows.  This is exact: each step maps each row on its own
-    and sums it in the same order whatever its stack, so a row's branches
-    do not depend on which rows share them.  Every step before the Y
-    measurement maps real matrices to real matrices, so the stack stays
-    real float64 until then, with the bits of the complex DensityMatrix
-    channels.
+    Memoised per (cfg, use_memory), the last SEGMENT_MEMO_SIZE of them.
+    The key compares by value, where 0.0 == -0.0, so a config that differs
+    from a memoised one only in the sign of a zero (a dark-count
+    probability or a link length) reuses its strengths; every such pair
+    gives bit-equal strengths.  A call that raises memoises nothing.
     """
-    _check_outcome(outcome)
-
-    # Every strength is checked once here, with the message the public
-    # channel would give, and the channel kernels only compute.  NoiseParams
-    # has already checked channel_depol and gate_fail.
+    # Every strength is checked here, with the message the public channel
+    # would give, and the channel kernels only compute.  NoiseParams has
+    # already checked channel_depol and gate_fail.
     dephasings = []
     if use_memory:
         t2 = require_memory(cfg).t2
@@ -231,7 +216,44 @@ def run_stack(
         s = _checked_strength(alpha, 1.0, "depolarize strength")
         for qubit in qubits:
             dark_counts.append((qubit, s / 4.0, 1.0 - s))
+    return tuple(dephasings), tuple(dark_counts)
 
+
+def run_stack(
+    cfg: TrioConfig,
+    noises: Sequence[NoiseParams],
+    *,
+    use_memory: bool = False,
+    outcome: int = +1,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run one merge attempt per entry of ``noises``, all as one stack.
+
+    Returns, one row per entry: the probability of the Y ``outcome``, the
+    conditional three-qubit state on (0, 1, 3) as a (B, 8, 8) stack, and
+    its fidelity with target_state(outcome).
+
+    Steps, in order: prepare both source pairs; depolarize the transit
+    qubits (0 and 3) with channel_depol; if use_memory, dephase B's
+    stored qubits by their expected storage decoherence; apply the noisy
+    merge CZ between qubits 1 and 2 with gate_fail; depolarize every
+    qubit by its dark-count junk fraction; measure qubit 2 in Y and keep
+    ``outcome``.  Only the noise knobs vary between rows, so the segment's
+    strengths are computed once, and memoised per config
+    (_segment_strengths).  The rows are taken in windows of
+    consecutive rows holding at most CHUNK_ROWS distinct channel_depol
+    values.  In each window every step before the gate_fail mix runs once
+    per distinct value: the source pairs, the transit depolarizations, the
+    memory dephasings, and the noisy CZ's two branches, CZ rho CZ and
+    Tr_{1,2}(rho) (x) I/4.  The mix and the later steps run on chunks of up
+    to CHUNK_ROWS rows.  This is exact: each step maps each row on its own
+    and sums it in the same order whatever its stack, so a row's branches
+    do not depend on which rows share them.  Every step before the Y
+    measurement maps real matrices to real matrices, so the stack stays
+    real float64 until then, with the bits of the complex DensityMatrix
+    channels.
+    """
+    _check_outcome(outcome)
+    dephasings, dark_counts = _segment_strengths(cfg, use_memory)
     target = target_state(outcome).amplitudes
     if not noises:
         return np.zeros(0), np.zeros((0, 8, 8), dtype=complex), np.zeros(0)
@@ -240,7 +262,8 @@ def run_stack(
         # every step before the CZ mix, once per distinct f_D of the window
         depol = np.array(values, dtype=float).reshape(-1, 1, 1)
         quarter, keep = depol / 4.0, 1.0 - depol
-        rho = _depolarize(_register_stack(len(values)), 4, 0, quarter, keep)
+        rho = keep * _initial_register()
+        rho += quarter * _source_twirl()  # _depolarize of qubit 0
         rho = _depolarize(rho, 4, 3, quarter, keep)
         for qubit, lam in dephasings:
             rho = _dephase(rho, 4, qubit, lam)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -21,11 +21,12 @@ from .density import (
     DensityMatrix,
     PauliString,
     PureState,
-    _fidelity,
+    _fidelities,
+    _read_only,
     _x_conjugate,
 )
 from .netmodel import TrioConfig, yield_memoryless, yield_with_memory
-from .protocol import NoiseParams, run_stack, target_state
+from .protocol import SEGMENT_MEMO_SIZE, NoiseParams, run_stack, target_state
 
 PARITY_TEST = PauliString("ZYZ")
 
@@ -91,24 +92,30 @@ def _odd_parity_states() -> tuple[PureState, ...]:
     return tuple(states)
 
 
-def _bipartite_errors(rho: np.ndarray) -> np.ndarray:
-    """qber_bipartite of every row of a (B, 8, 8) stack."""
-    psi_plus, psi_minus = _correlated_states()
-    q = 1.0 - _fidelity(rho, psi_plus.amplitudes) - _fidelity(rho, psi_minus.amplitudes)
-    return np.minimum(1.0, np.maximum(0.0, q))
+@cache
+def _error_vectors() -> np.ndarray:
+    """The four odd-parity states, then the two correlated states, as a
+    read-only (6, 1, 8) stack for _fidelities."""
+    states = _odd_parity_states() + _correlated_states()
+    return _read_only(np.array([s.amplitudes for s in states]).reshape(6, 1, 8))
 
 
-def _parity_errors(rho: np.ndarray) -> np.ndarray:
-    """qber_parity of every row of a (B, 8, 8) stack."""
-    total = 0.0
-    for state in _odd_parity_states():
-        total = total + _fidelity(rho, state.amplitudes)
-    return np.minimum(1.0, np.maximum(0.0, total))
+def _error_rates(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """qber_parity and qber_bipartite of every row of a (B, 8, 8) stack,
+    from one contraction with the six test states.
+
+    Q_X adds the odd-parity weights to 0.0 in their order, and Q_AB
+    subtracts the two correlated weights from 1.0 in theirs.
+    """
+    f = _fidelities(rho, _error_vectors())
+    q_x = (((0.0 + f[0]) + f[1]) + f[2]) + f[3]
+    q_ab = 1.0 - f[4] - f[5]
+    return np.minimum(1.0, np.maximum(0.0, q_x)), np.minimum(1.0, np.maximum(0.0, q_ab))
 
 
 def qber_bipartite(rho: DensityMatrix) -> float:
     """Dealer-to-A bit error: weight outside the correlated subspace."""
-    return float(_bipartite_errors(rho.data[None])[0])
+    return float(_error_rates(rho.data[None])[1][0])
 
 
 def qber_parity(rho: DensityMatrix) -> float:
@@ -117,7 +124,7 @@ def qber_parity(rho: DensityMatrix) -> float:
     Sums the weight on the odd-parity eigenvectors of Z (x) Y (x) Z, i.e.
     the product basis states whose eigenvalue product is -1.
     """
-    return float(_parity_errors(rho.data[None])[0])
+    return float(_error_rates(rho.data[None])[0][0])
 
 
 def qber_parity_from_expectation(rho: DensityMatrix) -> float:
@@ -145,6 +152,14 @@ def key_rate(yield_per_attempt: float, q_x: float, q_ab: float) -> float:
     return _key_rate(yield_per_attempt, q_x, q_ab)
 
 
+@lru_cache(maxsize=SEGMENT_MEMO_SIZE)
+def _yield(cfg: TrioConfig, use_memory: bool) -> float:
+    """The segment's yield per attempt in the memory mode, memoised like
+    protocol's segment strengths (see there) and kept apart from them so
+    that run_stack raises first, as it did before there was a memo."""
+    return yield_with_memory(cfg) if use_memory else yield_memoryless(cfg)
+
+
 def rate_reports(
     cfg: TrioConfig,
     noises: Sequence[NoiseParams],
@@ -162,9 +177,8 @@ def rate_reports(
     _, states, fidelities = run_stack(cfg, noises, use_memory=use_memory, outcome=outcome)
     if outcome == -1:
         states = _x_conjugate(states, 3, 2)
-    q_x = _parity_errors(states)
-    q_ab = _bipartite_errors(states)
-    y = yield_with_memory(cfg) if use_memory else yield_memoryless(cfg)
+    q_x, q_ab = _error_rates(states)
+    y = _yield(cfg, use_memory)
     if noises:
         _check_yield(y)
     t2 = cfg.memory.t2 if use_memory else None

@@ -1114,6 +1114,36 @@ class TestMain:
         assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
         assert (tmp_path / "mc2.json").read_text() == (tmp_path / "mc.json").read_text()
 
+    def test_cancelling_coherence_divisor_gives_finite_output(self, tmp_path, capsys):
+        # efficiency 1e-15 and no dark counts at A and C with T2 = 1e15 s:
+        # beta and 1 - p both round to 1, and the near memory's divisor
+        # 1 - beta (1 - p) once raised ZeroDivisionError
+        doc = yaml.load(data_path().read_text(), Loader=YAML_LOADER)
+        seg = doc["segments"][0]
+        for node in ("A", "C"):
+            seg["nodes"][node].update(detector_efficiency=1.0e-15, dark_count_prob=0.0)
+        seg["memory"]["T2"] = 1.0e15
+        path = write_doc(tmp_path, {"segments": [seg]})
+        base = ["--config", str(path), "--out"]
+        assert main(["simulate", "--memory", "--format", "json", *base,
+                     str(tmp_path / "sim.json")]) == 0
+        assert main(["sweep", "--fd", "0:0.3:3", "--fg", "0:0.3:3", "--format", "json",
+                     *base, str(tmp_path / "grid.json")]) == 0
+        assert main(["mc-check", "--samples", "1000", *base, str(tmp_path / "mc.json")]) == 0
+        assert capsys.readouterr().err == ""
+
+        def reject(constant):
+            raise ValueError(f"non-finite number {constant} in output")
+
+        rows = [row for name in ("sim.json", "grid.json")
+                for row in json.loads((tmp_path / name).read_text(), parse_constant=reject)]
+        assert len(rows) == 19 and not any("error" in row for row in rows)
+        assert all(isinstance(v, float) and math.isfinite(v)
+                   for row in rows for k, v in row.items()
+                   if k not in ("segment", "memory") and v is not None)
+        checks = json.loads((tmp_path / "mc.json").read_text(), parse_constant=reject)["checks"]
+        assert 0.9 < checks[2]["formula"] < 1.0 and checks[2]["within_3_sigma"]
+
     def test_parser_is_reused_without_sharing_appended_values(self, tmp_path):
         # the cached parser must not carry one call's --t2 list into the next
         out = tmp_path / "grid.csv"

@@ -1,6 +1,7 @@
 """Unit tests of the closed-form link, detector, and memory analytics."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from ghzline import (
     yield_memoryless,
     yield_with_memory,
 )
-from ghzline.netmodel import near_far_memory
+from ghzline.netmodel import CANCELLATION_LIMIT, near_far_memory
 from util import make_cfg, series_expected_max
 
 probs = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
@@ -342,6 +343,71 @@ class TestExpectedCoherenceNear:
         # exceed 1; the exact value never does
         cfg = make_cfg(trans_ab=tab, trans_bc=tbc, memory=MemoryParams(0.9, t2))
         assert 0.0 <= expected_coherence_near(cfg) <= 1.0
+
+
+def decimal_coherence_near(cfg):
+    """expected_coherence_near's closed form in 400-digit decimal
+    arithmetic, from the same float inputs."""
+    p_near, p_far, tau_far, l_near = near_far_memory(cfg)
+    with localcontext() as ctx:
+        ctx.prec = 400
+        pn, pf, t2 = Decimal(p_near), Decimal(p_far), Decimal(cfg.memory.t2)
+        beta = (-Decimal(tau_far / cfg.memory.t2)).exp()
+        gap = pn * pf / (pn + pf - pn * pf) * (
+            1 / (1 - beta * (1 - pn)) + 1 / (1 - beta * (1 - pf)) - 1)
+        storage = (-2 * Decimal(l_near) / (Decimal(cfg.speed_of_light) * t2)).exp()
+        return float(gap * storage)
+
+
+class TestCoherenceNearCancellation:
+    """Where beta = exp(-tau_far/T2) and 1 - p both round near 1, the
+    plain divisor 1 - beta (1 - p) cancels; it once rounded to 0 and
+    raised ZeroDivisionError on a config that validates."""
+
+    def test_tiny_click_probabilities_with_a_long_t2(self):
+        # the bundled first segment with efficiency 1e-15 at A and C, no
+        # dark counts there, and T2 = 1e15 s: the plain divisor is 0.0
+        cfg = make_cfg(eta_a=1e-15, eta_b=0.5, eta_c=1e-15, dark_b=1e-5,
+                       trans_ab=10 ** -1.8, trans_bc=10 ** -1.824, len_ab=90.0, len_bc=91.2,
+                       memory=MemoryParams(0.9, 1e15))
+        p_near, _, tau_far, _ = near_far_memory(cfg)
+        assert 1.0 - math.exp(-tau_far / 1e15) * (1.0 - p_near) == 0.0
+        value = expected_coherence_near(cfg)
+        assert value == pytest.approx(decimal_coherence_near(cfg), rel=1e-13)
+        assert 0.9 < value < 1.0
+
+    @given(log_pa=st.floats(-150.0, -9.1), log_pc=st.floats(-150.0, -9.1),
+           log_x=st.floats(-300.0, -9.1), lengths=st.tuples(*[st.floats(0.0, 300.0)] * 2))
+    def test_matches_high_precision_where_the_divisor_cancels(self, log_pa, log_pc, log_x,
+                                                              lengths):
+        # click probabilities and tau_far / T2 below 2**-30, so both
+        # divisors fall under CANCELLATION_LIMIT
+        def cfg_with(t2):
+            return make_cfg(eta_a=10.0**log_pa, eta_c=10.0**log_pc, len_ab=lengths[0],
+                            len_bc=lengths[1], memory=MemoryParams(0.9, t2))
+
+        _, _, tau_far, _ = near_far_memory(cfg_with(1.0))
+        cfg = cfg_with(tau_far / 10.0**log_x)
+        p_near, p_far, tau_far, _ = near_far_memory(cfg)
+        beta = math.exp(-tau_far / cfg.memory.t2)
+        assert max(1.0 - beta * (1.0 - p) for p in (p_near, p_far)) < CANCELLATION_LIMIT
+        value = expected_coherence_near(cfg)
+        assert 0.0 <= value <= 1.0
+        assert value == pytest.approx(decimal_coherence_near(cfg), rel=1e-12, abs=1e-300)
+
+    @given(p_near=st.floats(2.0**-25, 1.0), p_far=st.floats(2.0**-25, 1.0),
+           t2=st.floats(1e-3, 1e3))
+    def test_plain_form_elsewhere(self, p_near, p_far, t2):
+        # above the limit the plain form is kept, bit for bit
+        cfg = make_cfg(trans_ab=p_near, trans_bc=p_far, len_ab=10.0, len_bc=50.0,
+                       memory=MemoryParams(1.0, t2))
+        p_near, p_far, tau_far, l_near = near_far_memory(cfg)
+        beta = math.exp(-tau_far / t2)
+        both = p_near + p_far - p_near * p_far
+        gap = (p_near * p_far / both) * (
+            1.0 / (1.0 - beta * (1.0 - p_near)) + 1.0 / (1.0 - beta * (1.0 - p_far)) - 1.0)
+        storage = math.exp(-2.0 * l_near / (cfg.speed_of_light * t2))
+        assert expected_coherence_near(cfg) == min(1.0, gap * storage)
 
 
 class TestDephasingProb:

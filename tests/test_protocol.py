@@ -422,6 +422,17 @@ class TestCheckOnce:
         assert reg.dtype == np.float64
         assert not full.imag.any() and reg.tobytes() == full.real.tobytes()
 
+    @given(values=st.lists(with_edges(0.0, 1.0, 0.0, -0.0, 1.0), min_size=1, max_size=40))
+    def test_source_twirl_start_equals_depolarizing_the_register(self, values):
+        # run_stack's first transit depolarization, from the constant twirl
+        depol = np.array(values).reshape(-1, 1, 1)
+        quarter, keep = depol / 4.0, 1.0 - depol
+        reg = protocol._initial_register()
+        started = keep * reg
+        started += quarter * protocol._source_twirl()
+        stack = np.broadcast_to(reg, (len(values), 16, 16))
+        assert started.tobytes() == density._depolarize(stack, 4, 0, quarter, keep).tobytes()
+
     def test_empty_stack(self):
         cfg = make_cfg(memory=MemoryParams(0.9, 1.0))
         probs, states, fids = run_stack(cfg, [], use_memory=True)

@@ -1,5 +1,8 @@
 """Tests of the error estimators and the conference-key rate."""
 
+import inspect
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,7 +22,7 @@ from ghzline import (
     run_pipeline,
     target_state,
 )
-from ghzline import netmodel, protocol, rates
+from ghzline import density, netmodel, protocol, rates
 from ghzline.cli import data_path, load_config, run_sweep
 from ghzline.density import BASIS_EIGENVECTORS
 from util import make_cfg, random_config, random_density_matrix
@@ -105,6 +108,46 @@ class TestQberParity:
         assert qber_parity(rho) == pytest.approx(
             qber_parity_from_expectation(rho), abs=1e-12
         )
+
+
+def per_vector_error_rates(rho):
+    """Q_X and Q_AB of every row the way the engine formed them before the
+    stacked contraction: one _fidelity call per test state, Q_X summed from
+    0.0 in the states' order, Q_AB as 1 minus the correlated weights."""
+    total = 0.0
+    for state in rates._odd_parity_states():
+        total = total + density._fidelity(rho, state.amplitudes)
+    psi_plus, psi_minus = rates._correlated_states()
+    q_ab = 1.0 - density._fidelity(rho, psi_plus.amplitudes) - density._fidelity(
+        rho, psi_minus.amplitudes)
+    return (np.minimum(1.0, np.maximum(0.0, total)),
+            np.minimum(1.0, np.maximum(0.0, q_ab)))
+
+
+class TestStackedErrorRates:
+    """The six error projections of a stack come from one contraction,
+    bit-identical to six per-vector _fidelity calls."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), rows=st.integers(1, 40))
+    def test_equals_per_vector_fidelities_and_old_sums(self, seed, rows):
+        rng = np.random.default_rng(seed)
+        rho = np.array([random_density_matrix(rng, 3) for _ in range(rows)])
+        vectors = rates._error_vectors()
+        stacked = density._fidelities(rho, vectors)
+        assert stacked.shape == (6, rows)
+        for k in range(6):
+            assert stacked[k].tobytes() == density._fidelity(rho, vectors[k, 0]).tobytes()
+        got = rates._error_rates(rho)
+        for new, old in zip(got, per_vector_error_rates(rho)):
+            assert new.tobytes() == old.tobytes()
+        # each row as a one-row stack, as full_report and qber_* see it
+        for row in range(rows):
+            state = DensityMatrix(rho[row])
+            assert qber_parity(state) == got[0][row] and qber_bipartite(state) == got[1][row]
+
+    def test_vectors_are_the_test_states_in_order(self):
+        states = rates._odd_parity_states() + rates._correlated_states()
+        assert rates._error_vectors().tobytes() == b"".join(s.amplitudes.tobytes() for s in states)
 
 
 class TestKeyRate:
@@ -207,6 +250,96 @@ class TestReports:
             assert report.r_per_attempt <= report.yield_per_attempt + 1e-15
 
 
+def netmodel_functions():
+    return [name for name, f in vars(netmodel).items()
+            if inspect.isfunction(f) and f.__module__ == netmodel.__name__]
+
+
+def count_calls(monkeypatch, names, modules):
+    """Count calls of each function ``name`` through every module in
+    ``modules`` that holds it, into one shared dict."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(density if hasattr(density, name) else netmodel, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestSegmentMemo:
+    """run_stack's segment strengths and rate_reports' yield are memoised
+    per (config, memory mode), by value and for a bounded number of
+    configs, without changing a bit of any report."""
+
+    @pytest.mark.parametrize("use_memory", [False, True])
+    def test_second_report_on_a_config_calls_no_netmodel_function(
+            self, monkeypatch, use_memory):
+        calls = count_calls(monkeypatch, netmodel_functions(), (netmodel, protocol, rates))
+        cfg = load_config(data_path())[0]
+        noise = NoiseParams(0.1, 0.2)
+        first = full_report(cfg, noise, use_memory=use_memory)
+        assert calls["click_prob"] > 0
+        calls.update(dict.fromkeys(calls, 0))
+        assert full_report(cfg, noise, use_memory=use_memory) == first
+        assert set(calls.values()) == {0}
+
+    @pytest.mark.parametrize("use_memory", [False, True])
+    def test_one_report_runs_each_kernel_once_per_stage(self, monkeypatch, use_memory):
+        # transit qubit 3 and four dark-count qubits; qubit 0's transit
+        # depolarization starts from the precomputed source twirl
+        calls = count_calls(monkeypatch, ["_depolarize", "_fidelity", "_fidelities"],
+                            (density, protocol, rates))
+        cfg = load_config(data_path())[0]
+        full_report(cfg, NoiseParams(0.1, 0.2), use_memory=use_memory)
+        assert calls == {"_depolarize": 5, "_fidelity": 1, "_fidelities": 1}
+
+    @given(signs=st.tuples(*[st.booleans()] * 5), use_memory=st.booleans(),
+           fd=st.sampled_from([0.0, -0.0, 0.1]), fg=st.sampled_from([0.0, 0.2]))
+    def test_signed_zeros_share_a_memo_entry_with_equal_bits(self, signs, use_memory, fd, fg):
+        # dark counts of A, B and C and both link lengths at 0.0 or -0.0:
+        # equal configs under ==, so the second is served from the first's
+        # memo entry, and it must report what it reports on its own
+        def cfg(flip):
+            zero = [-0.0 if f else 0.0 for f in flip]
+            return make_cfg(eta_a=0.6, eta_b=0.7, eta_c=0.5, trans_ab=0.3, trans_bc=0.4,
+                            dark_a=zero[0], dark_b=zero[1], dark_c=zero[2],
+                            len_ab=zero[3], len_bc=zero[4], memory=MemoryParams(0.9, 0.5))
+
+        plain, signed = cfg((False,) * 5), cfg(signs)
+        assert plain == signed
+        noise = NoiseParams(fd, fg)
+        protocol._segment_strengths.cache_clear()
+        rates._yield.cache_clear()
+        alone = full_report(signed, noise, use_memory=use_memory)
+        full_report(plain, noise, use_memory=use_memory)
+        assert rates._yield.cache_info().currsize == 1
+        shared = full_report(signed, noise, use_memory=use_memory)
+        assert repr(tuple(shared)) == repr(tuple(alone))
+
+    def test_stays_bounded_over_fresh_configs(self):
+        cfg = load_config(data_path())[0]
+        for i in range(1000):
+            fresh = replace(cfg, memory=replace(cfg.memory, t2=0.01 + i / 100))
+            full_report(fresh, NoiseParams(0.1, 0.1), use_memory=True)
+        for memo in (protocol._segment_strengths, rates._yield):
+            assert memo.cache_info().currsize == protocol.SEGMENT_MEMO_SIZE
+
+    def test_memoryless_config_raises_the_same_error_every_call(self):
+        cfg = make_cfg()
+        for _ in range(3):
+            with pytest.raises(ValueError) as err:
+                full_report(cfg, use_memory=True)
+            assert str(err.value) == "segment test-segment has no memory parameters"
+        assert protocol._segment_strengths.cache_info().currsize == 0
+        assert rates._yield.cache_info().currsize == 0
+
+
 class TestDegreeStructure:
     """F, Q_X and Q_AB are quadratic in f_D (two transit qubits each
     depolarized once) and affine in f_G (one merge gate), so their finite
@@ -274,7 +407,10 @@ class TestConstantStates:
         lambda: rates._correlated_states()[0].amplitudes,
         lambda: rates._correlated_states()[1].amplitudes,
         lambda: rates._odd_parity_states()[0].amplitudes,
-    ], ids=["register", "target+1", "target-1", "psi_plus", "psi_minus", "odd_parity"])
+        lambda: rates._error_vectors(),
+        lambda: protocol._source_twirl(),
+    ], ids=["register", "target+1", "target-1", "psi_plus", "psi_minus", "odd_parity",
+            "error_vectors", "source_twirl"])
     def test_cached_arrays_are_read_only(self, get):
         with pytest.raises(ValueError):
             get()[0] = 0.0
