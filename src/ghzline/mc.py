@@ -3,14 +3,20 @@
 Each estimator streams fixed-size chunks, drawing chunk k from child
 stream k of SeedSequence(seed) and merging running moments in chunk
 order.  The result is therefore bit-for-bit reproducible for a given
-(num_samples, seed) regardless of how the chunks might be scheduled.
-Each oracle call allocates its chunk buffers once and refills them for
-every chunk.
+(num_samples, seed) however the chunks are scheduled.  An oracle call
+spreads its chunks over min(usable CPUs, chunks, MAX_WORKERS) workers:
+the calling thread plus one thread for each worker past the first.  The
+chunks' random fills and ufunc loops release the GIL, so the workers
+overlap.  Each worker refills one set of chunk buffers, allocated by
+the calling thread before any chunk runs.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -19,6 +25,13 @@ import numpy as np
 from .netmodel import TrioConfig, near_far_memory, require_memory, window_click_probs
 
 CHUNK = 1 << 16
+# Each worker holds one chunk's buffers (1 MiB for the two-count oracles),
+# so this caps an oracle call's buffer memory as well as its threads.
+MAX_WORKERS = 4
+
+# A string, so that importing this module leaves numpy.random (5 MiB of
+# RSS) unloaded until an oracle runs.
+Block = Callable[["np.random.Generator", int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -67,32 +80,90 @@ def _chunk_len(num_samples: int) -> int:
     return min(CHUNK, num_samples)
 
 
-def _mc_mean(
-    block_fn: Callable[[np.random.Generator, int], np.ndarray],
-    num_samples: int,
-    seed: int,
-) -> McResult:
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_moments(block: Block, child: np.random.SeedSequence, size: int):
+    """(count, mean, centred sum of squares) of one chunk's samples."""
+    values = block(np.random.default_rng(child), size)
+    m = float(values.mean())
+    values -= m
+    np.square(values, out=values)
+    return values.size, m, float(values.sum())
+
+
+def _run_chunks(blocks: list[Block], children: list, num_samples: int) -> list:
+    """Each chunk's moments, in chunk order, from one worker per block.
+
+    The calling thread works with ``blocks[0]``, alone when it is the only
+    block.  Each other block gets a thread that runs in a copy of the
+    caller's context, so that the caller's ``np.errstate`` holds in it
+    too.  Workers take chunks in increasing order.  After a chunk raises
+    they take no further chunk, and once all have stopped, the exception
+    of the lowest-numbered failing chunk, the one the serial loop would
+    have raised, is raised.
+    """
+    moments: list = [None] * len(children)
+    errors: dict[int, BaseException] = {}
+    pending = iter(range(len(children)))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def work(block: Block) -> None:
+        while not stop.is_set():
+            with lock:
+                k = next(pending, None)
+            if k is None:
+                return
+            try:
+                size = min(CHUNK, num_samples - k * CHUNK)
+                moments[k] = _chunk_moments(block, children[k], size)
+            except BaseException as exc:  # re-raised by the caller below
+                errors[k] = exc
+                stop.set()
+
+    helpers = [
+        threading.Thread(target=contextvars.copy_context().run, args=(work, block))
+        for block in blocks[1:]
+    ]
+    for helper in helpers:
+        helper.start()
+    try:
+        work(blocks[0])
+    finally:
+        stop.set()
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return moments
+
+
+def _mc_mean(new_block: Callable[[], Block], num_samples: int, seed: int) -> McResult:
     """Chunked streaming mean/variance with per-chunk child seeds.
 
-    ``block_fn(rng, size)`` returns the ``size`` samples of one chunk as a
-    float64 array, which may be a view of a buffer it refills for every
-    chunk: this function overwrites the values while forming the second
-    moment, and is done with them before it asks for the next chunk.
+    ``new_block()`` allocates one worker's buffers and returns its
+    ``block(rng, size)``, which gives the ``size`` samples of one chunk as
+    a float64 array.  That array may be a view of a buffer the block
+    refills for every chunk: the worker overwrites the values while
+    forming the second moment, and is done with them before it runs the
+    block again.  Buffers are allocated once per worker, all of them in
+    the calling thread.  With one worker no thread starts.
     """
     _chunk_len(num_samples)
     n_chunks = -(-num_samples // CHUNK)
     children = np.random.SeedSequence(seed).spawn(n_chunks)
+    workers = min(_usable_cpus(), n_chunks, MAX_WORKERS)
+    moments = _run_chunks([new_block() for _ in range(workers)], children, num_samples)
     count = 0
     mean = 0.0
     m2 = 0.0
-    for k, child in enumerate(children):
-        size = min(CHUNK, num_samples - k * CHUNK)
-        values = block_fn(np.random.default_rng(child), size)
-        c = values.size
-        m = float(values.mean())
-        values -= m
-        np.square(values, out=values)
-        s = float(values.sum())
+    for c, m, s in moments:
         total = count + c
         delta = m - mean
         mean += delta * c / total
@@ -121,15 +192,20 @@ def mc_expected_max(
     # as 2^-k times themselves, and the mean and standard error scaled back
     # by 2^k.  A power of two scales exactly, and sqrt(4^-k x) = 2^-k sqrt(x).
     k = max(0, math.ceil(-math.log2(min(p_a, p_c))) - 400)
-    counts = np.empty((2, _chunk_len(num_samples)))
+    n = _chunk_len(num_samples)
 
-    def block(rng: np.random.Generator, size: int) -> np.ndarray:
-        n_a = _geometric_block(rng, p_a, size, counts[0, :size])
-        n_c = _geometric_block(rng, p_c, size, counts[1, :size])
-        n_max = np.maximum(n_a, n_c, out=n_a)
-        return np.ldexp(n_max, -k, out=n_max) if k else n_max
+    def new_block() -> Block:
+        counts = np.empty((2, n))
 
-    result = _mc_mean(block, num_samples, seed)
+        def block(rng: np.random.Generator, size: int) -> np.ndarray:
+            n_a = _geometric_block(rng, p_a, size, counts[0, :size])
+            n_c = _geometric_block(rng, p_c, size, counts[1, :size])
+            n_max = np.maximum(n_a, n_c, out=n_a)
+            return np.ldexp(n_max, -k, out=n_max) if k else n_max
+
+        return block
+
+    result = _mc_mean(new_block, num_samples, seed)
     return replace(
         result,
         estimate=math.ldexp(result.estimate, k),
@@ -149,23 +225,33 @@ def mc_coherence_near(
     t2 = require_memory(cfg).t2
     p_near, p_far, tau_far, l_near = near_far_memory(cfg)
     t_near = 2.0 * l_near / cfg.speed_of_light
-    counts = np.empty((2, _chunk_len(num_samples)))
+    n = _chunk_len(num_samples)
 
-    def block(rng: np.random.Generator, size: int) -> np.ndarray:
-        wait = _geometric_block(rng, p_near, size, counts[0, :size])
-        wait -= _geometric_block(rng, p_far, size, counts[1, :size])
-        np.abs(wait, out=wait)
-        # The wait, or the wait over T2 (T2 near 1e-200 in a valid config),
-        # can pass the float maximum.  The +inf it then rounds to is exact
-        # for this estimator: exp(-inf) = 0 is the limit of exp(-t / T2).
-        with np.errstate(over="ignore"):
-            wait *= tau_far
-            wait += t_near
-            np.negative(wait, out=wait)
-            wait /= t2
-        return np.exp(wait, out=wait)
+    def new_block() -> Block:
+        counts = np.empty((2, n))
 
-    return _mc_mean(block, num_samples, seed)
+        def block(rng: np.random.Generator, size: int) -> np.ndarray:
+            wait = _geometric_block(rng, p_near, size, counts[0, :size])
+            wait -= _geometric_block(rng, p_far, size, counts[1, :size])
+            np.abs(wait, out=wait)
+            # The wait, or the wait over T2 (T2 near 1e-200 in a valid config),
+            # can pass the float maximum.  The +inf it then rounds to is exact
+            # for this estimator: exp(-inf) = 0 is the limit of exp(-t / T2).
+            with np.errstate(over="ignore"):
+                if tau_far == math.inf:
+                    # Tied counts wait no far-side period: 0, where the
+                    # product would form 0 * inf = NaN.
+                    np.multiply(wait, tau_far, out=wait, where=wait > 0.0)
+                else:
+                    wait *= tau_far
+                wait += t_near
+                np.negative(wait, out=wait)
+                wait /= t2
+            return np.exp(wait, out=wait)
+
+        return block
+
+    return _mc_mean(new_block, num_samples, seed)
 
 
 def mc_yield_memoryless(
@@ -184,18 +270,22 @@ def mc_yield_memoryless(
     p = window_click_probs(cfg, with_memory=False)
     rarest_first = sorted((p["A"], p["B"], p["B"], p["C"]))
     n = _chunk_len(num_samples)
-    uniforms = np.empty(n)
-    clicked = np.empty(n, dtype=bool)
-    hits = np.empty(n)
 
-    def block(rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(out=uniforms[:size])
-        live = np.flatnonzero(np.less(u, rarest_first[0], out=clicked[:size]))
-        for q in rarest_first[1:]:
-            live = live[rng.random(out=uniforms[: live.size]) < q]
-        success = hits[:size]
-        success.fill(0.0)
-        success[live] = 1.0
-        return success
+    def new_block() -> Block:
+        uniforms = np.empty(n)
+        clicked = np.empty(n, dtype=bool)
+        hits = np.empty(n)
 
-    return _mc_mean(block, num_samples, seed)
+        def block(rng: np.random.Generator, size: int) -> np.ndarray:
+            u = rng.random(out=uniforms[:size])
+            live = np.flatnonzero(np.less(u, rarest_first[0], out=clicked[:size]))
+            for q in rarest_first[1:]:
+                live = live[rng.random(out=uniforms[: live.size]) < q]
+            success = hits[:size]
+            success.fill(0.0)
+            success[live] = 1.0
+            return success
+
+        return block
+
+    return _mc_mean(new_block, num_samples, seed)

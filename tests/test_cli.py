@@ -535,10 +535,30 @@ class TestSchemaValidator:
             "cli.yields_report(cli.load_config(cli.data_path()))\n"
             f"assert cli.main(['yields', '--format', 'json', '--out', {str(out)!r}]) == 0\n"
             f"assert cli.main(['yields', '--config', {str(empty)!r}]) == 2\n"
-            "print(sorted({'numpy', 'ghzline.density'} & set(sys.modules)))\n"
+            "print(sorted({'numpy', 'ghzline.density', 'ghzline.mc'} & set(sys.modules)))\n"
         )
         assert run_fresh(code) == "[]\n"
         assert len(json.loads(out.read_text())) == 4
+
+    def test_engine_modules_leave_numpy_random_out(self):
+        # numpy.random costs about 5 MiB of RSS; only a running oracle needs it
+        code = (
+            "import sys, ghzline.density, ghzline.protocol, ghzline.rates, ghzline.mc\n"
+            "print(sorted({'numpy', 'numpy.random'} & set(sys.modules)))\n"
+        )
+        assert run_fresh(code) == "['numpy']\n"
+
+    def test_mc_check_leaves_executor_and_logging_out(self, tmp_path):
+        # the oracles' worker threads come from threading alone:
+        # concurrent.futures would load logging, about 0.6 MiB of RSS
+        out = tmp_path / "mc.json"
+        code = (
+            "import sys, ghzline.cli as cli\n"
+            f"assert cli.main(['mc-check', '--samples', '1000', '--out', {str(out)!r}]) == 0\n"
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+        )
+        assert run_fresh(code) == "[]\n"
+        assert json.loads(out.read_text())["num_checks"] == 12
 
     def test_engine_loads_on_first_access(self):
         code = (
@@ -1109,6 +1129,37 @@ class TestMain:
             (328.836, 7.744538784523258), (0.0, 0.0), (0.0, 0.0)]
         # the oracle's -wait/T2 overflows to -inf, whose exp is the exact 0;
         # a fresh interpreter shows any RuntimeWarning that says so on stderr
+        argv = ["mc-check", "--samples", "1000", *base, str(tmp_path / "mc2.json")]
+        done = fresh_process(f"import sys, ghzline.cli; sys.exit(ghzline.cli.main({argv!r}))")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        assert (tmp_path / "mc2.json").read_text() == (tmp_path / "mc.json").read_text()
+
+    def test_infinite_far_attempt_period_gives_finite_output(self, tmp_path, capsys):
+        # 2 L / c overflows to inf on the far link; where the two attempt
+        # counts tie, the coherence oracle once formed 0 * inf = NaN
+        doc = yaml.load(data_path().read_text(), Loader=YAML_LOADER)
+        seg = doc["segments"][0]
+        seg["links"]["BC"] = {"length": 1.0e300, "transmission": 0.5}
+        seg["speed_of_light"] = 1.0e-10
+        path = write_doc(tmp_path, {"segments": [seg]})
+        base = ["--config", str(path), "--out"]
+        assert main(["simulate", "--memory", "--format", "json", *base,
+                     str(tmp_path / "sim.json")]) == 0
+        assert main(["mc-check", "--samples", "1000", *base, str(tmp_path / "mc.json")]) == 0
+        assert capsys.readouterr().err == ""
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        (row,) = json.loads((tmp_path / "sim.json").read_text(), parse_constant=reject)
+        assert all(math.isfinite(v) for k, v in row.items() if isinstance(v, float))
+        checks = json.loads((tmp_path / "mc.json").read_text(), parse_constant=reject)["checks"]
+        assert checks[2]["check"] == "coherence_near"
+        assert (checks[2]["formula"], checks[2]["estimate"], checks[2]["standard_error"]) == (
+            0.0, 0.0, 0.0)
+        assert all(math.isfinite(c[key]) for c in checks
+                   for key in ("formula", "estimate", "standard_error"))
+        # a fresh interpreter shows any RuntimeWarning on stderr
         argv = ["mc-check", "--samples", "1000", *base, str(tmp_path / "mc2.json")]
         done = fresh_process(f"import sys, ghzline.cli; sys.exit(ghzline.cli.main({argv!r}))")
         assert (done.returncode, done.stdout, done.stderr) == (0, "", "")

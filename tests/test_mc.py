@@ -1,6 +1,9 @@
 """Tests of the Monte Carlo oracles: determinism, laws, and error bars."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,8 +20,9 @@ from ghzline import (
     sample_geometric,
     yield_memoryless,
 )
+from ghzline import mc
 from ghzline.cli import MIN_CLICK_PROB
-from ghzline.mc import _geometric_block, _mc_mean
+from ghzline.mc import CHUNK, _geometric_block, _mc_mean
 from util import make_cfg
 
 
@@ -131,6 +135,216 @@ class TestPinnedBits:
         assert (result.estimate.hex(), result.standard_error.hex()) == (estimate, stderr)
 
 
+@pytest.fixture
+def workers(monkeypatch):
+    """``workers(w)`` makes oracle calls run on min(w, chunks) workers."""
+
+    def force(w):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: w)
+        monkeypatch.setattr(mc, "MAX_WORKERS", w)
+
+    return force
+
+
+def bits(result):
+    return (result.estimate.hex(), result.standard_error.hex(), result.num_samples,
+            result.seed)
+
+
+def chunk_index(rng):
+    """k of the chunk whose child stream k seeded ``rng``."""
+    (k,) = rng.bit_generator.seed_seq.spawn_key
+    return k
+
+
+class TestWorkerInvariance:
+    COHERENCE_CFG = make_cfg(trans_ab=0.3, trans_bc=0.7, len_ab=10.0, len_bc=50.0,
+                             memory=MemoryParams(0.9, 0.002))
+    YIELD_CFG = make_cfg(eta_a=0.9, eta_b=0.8, eta_c=0.9, trans_ab=0.6, trans_bc=0.7)
+    ORACLES = {
+        "expected_max": lambda n, seed: mc_expected_max(0.3, 0.4, n, seed),
+        # counts near 2^1000, sampled as 2^-600 times themselves
+        "expected_max_scaled": lambda n, seed: mc_expected_max(2.0**-1000, 2.0**-1000, n, seed),
+        "coherence_near": lambda n, seed: mc_coherence_near(
+            TestWorkerInvariance.COHERENCE_CFG, n, seed),
+        "yield_memoryless": lambda n, seed: mc_yield_memoryless(
+            TestWorkerInvariance.YIELD_CFG, n, seed),
+    }
+
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    @pytest.mark.parametrize("n", [1, 65536, 65537, 200001])
+    def test_worker_count_moves_no_bit(self, workers, oracle, n):
+        # 1 worker, 2 workers, and a cap above the 1 to 4 chunks
+        results = []
+        for w in (1, 2, 16):
+            workers(w)
+            results.append(bits(self.ORACLES[oracle](n, 29)))
+        assert results[1] == results[0] and results[2] == results[0]
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("cpus,cap,chunks,expected", [
+        (1, 4, 4, 1), (2, 4, 4, 2), (8, 4, 8, 4), (8, 4, 3, 3), (8, 16, 1, 1),
+    ])
+    def test_count_is_min_of_cpus_chunks_and_cap(self, monkeypatch, cpus, cap, chunks,
+                                                 expected):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(mc, "MAX_WORKERS", cap)
+        allocated_in = []
+
+        def new_block():
+            allocated_in.append(threading.current_thread())
+            return lambda rng, size: np.ones(size)
+
+        assert _mc_mean(new_block, chunks * CHUNK, 0).estimate == 1.0
+        assert allocated_in == [threading.main_thread()] * expected
+
+    def test_moments_merge_in_chunk_order(self, monkeypatch, workers):
+        # chunks finish in the order 2, 1, 0 (merged in that order, these
+        # moments give another mean), and the result is still the serial one
+        def block(rng, size):
+            return rng.random(size) + 10.0 ** chunk_index(rng)
+
+        n = 3 * CHUNK - 12345
+        workers(1)
+        serial = bits(_mc_mean(lambda: block, n, 0))
+        done = [threading.Event() for _ in range(3)]
+        real = mc._chunk_moments
+
+        def last_first(block, child, size):
+            (k,) = child.spawn_key
+            if k < 2:
+                assert done[k + 1].wait(timeout=30)
+            moments = real(block, child, size)
+            done[k].set()
+            return moments
+
+        monkeypatch.setattr(mc, "_chunk_moments", last_first)
+        workers(3)
+        assert bits(_mc_mean(lambda: block, n, 0)) == serial
+
+    def test_every_chunk_runs_once_under_fast_switching(self, workers):
+        # more workers than cores, switching threads every microsecond: a
+        # lost update of the shared chunk queue would skip or repeat a chunk
+        def block(rng, size):
+            k = chunk_index(rng)
+            ran.append(k)
+            return np.full(size, float(k))
+
+        n = 64 * CHUNK
+        ran = []
+        workers(1)
+        serial = bits(_mc_mean(lambda: block, n, 0))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                ran = []
+                workers(8)
+                assert bits(_mc_mean(lambda: block, n, 0)) == serial
+                assert sorted(ran) == list(range(64))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_chunk_starts_no_thread(self, workers):
+        workers(4)
+        before = threading.active_count()
+        seen = []
+
+        def block(rng, size):
+            seen.append((threading.current_thread(), threading.active_count()))
+            return np.ones(size)
+
+        _mc_mean(lambda: block, CHUNK, 0)
+        assert seen == [(threading.main_thread(), before)]
+
+    def test_threads_end_with_the_call(self, workers):
+        workers(2)
+        before = threading.active_count()
+        mc_expected_max(0.3, 0.4, num_samples=4 * CHUNK, seed=1)
+        assert threading.active_count() == before
+
+    def test_chunk_exception_reaches_the_caller(self, workers):
+        workers(2)
+        before = threading.active_count()
+        boom = ValueError("chunk 2")
+
+        def block(rng, size):
+            if chunk_index(rng) == 2:
+                raise boom
+            return np.ones(size)
+
+        with pytest.raises(ValueError) as err:
+            _mc_mean(lambda: block, 4 * CHUNK, 0)
+        assert err.value is boom
+        assert threading.active_count() == before
+
+    def test_lowest_failing_chunk_wins(self, workers):
+        # chunk 1 fails only after chunk 3 has failed: the caller still sees
+        # chunk 1's exception, the one the serial loop raises
+        workers(2)
+        errors = {k: RuntimeError(f"chunk {k}") for k in (1, 3)}
+        chunk3_failed = threading.Event()
+
+        def block(rng, size):
+            k = chunk_index(rng)
+            if k == 1:
+                assert chunk3_failed.wait(timeout=30)
+            if k == 3:
+                chunk3_failed.set()
+            if k in errors:
+                raise errors[k]
+            return np.ones(size)
+
+        with pytest.raises(RuntimeError) as err:
+            _mc_mean(lambda: block, 6 * CHUNK, 0)
+        assert err.value is errors[1]
+
+    def test_failure_stops_workers_between_chunks(self, workers):
+        # chunk 1 is still running when chunk 0 fails; its worker then
+        # takes no further chunk, and neither does chunk 0's
+        workers(2)
+        chunk1_started = threading.Event()
+        ran = []
+
+        def block(rng, size):
+            k = chunk_index(rng)
+            ran.append(k)
+            if k == 0:
+                assert chunk1_started.wait(timeout=30)
+                raise KeyError(k)
+            chunk1_started.set()
+            time.sleep(0.2)
+            return np.ones(size)
+
+        with pytest.raises(KeyError):
+            _mc_mean(lambda: block, 10 * CHUNK, 0)
+        assert sorted(ran) == [0, 1]
+
+    @pytest.mark.parametrize("over,raised", [("raise", FloatingPointError), ("ignore", None)])
+    def test_helpers_keep_the_callers_errstate(self, workers, over, raised):
+        # each worker squares 1e300 - 5e299 in its first chunk, after both
+        # have started one, so a helper thread meets the overflow too
+        workers(2)
+        started = threading.Barrier(2, timeout=30)
+        first = threading.local()
+
+        def block(rng, size):
+            if not getattr(first, "done", False):
+                first.done = True
+                started.wait()
+            values = np.zeros(size)
+            values[0] = 1e300
+            return values
+
+        with np.errstate(over=over):
+            if raised is None:
+                _mc_mean(lambda: block, 2 * CHUNK, 0)
+            else:
+                with pytest.raises(raised):
+                    _mc_mean(lambda: block, 2 * CHUNK, 0)
+
+
 class TestExpectedMaxOracle:
     def test_deterministic_inputs(self):
         result = mc_expected_max(1.0, 1.0, num_samples=10000, seed=0)
@@ -155,7 +369,7 @@ class TestExpectedMaxOracle:
 
         result = mc_expected_max(p, p, num_samples=100000, seed=4)
         with np.errstate(over="ignore"):  # the unscaled squares overflow
-            assert result.estimate == _mc_mean(unscaled, 100000, 4).estimate
+            assert result.estimate == _mc_mean(lambda: unscaled, 100000, 4).estimate
         assert 0.0 < result.standard_error < math.inf
         formula = expected_max_geometric(p, p)
         assert abs(result.estimate - formula) <= 3.0 * result.standard_error
