@@ -74,7 +74,6 @@ __all__ = [
     "mc_coherence_near",
     "mc_expected_max",
     "mc_yield_memoryless",
-    "sample_geometric",
 ]
 
 # Each engine name of __all__ by the module that defines it.
@@ -104,7 +103,6 @@ _LAZY = {
             "mc_coherence_near",
             "mc_expected_max",
             "mc_yield_memoryless",
-            "sample_geometric",
         ),
     }.items()
     for name in names

@@ -1,19 +1,22 @@
 """Dense density-matrix engine for registers of up to four qubits.
 
-States are explicit 2^n x 2^n complex matrices, so every gate, noise
-channel, and measurement is applied exactly (no sampling, no truncation).
-The channel kernels also take real float64 stacks and keep them real;
-protocol.run_stack uses that up to its Y measurement.
+States are explicit 2^n x 2^n matrices, so every gate, noise channel,
+and measurement is applied exactly (no sampling, no truncation).  The
+channels and the measurement (``_measure``) are stack kernels, which
+protocol.run_stack runs on many noise settings at once; they also keep a
+real float64 stack real, which run_stack uses up to its Y measurement.
 Qubit 0 is the most significant bit of a computational-basis index; a
 product register is laid out as ``kron(q0, q1, ..., q_{n-1})``.
+DensityMatrix is the checked, read-only state the pipeline hands back.
 
 Three channel families cover everything the extraction pipeline needs:
 
-* ``depolarize`` replaces one qubit by the maximally mixed state with some
-  probability (fiber transit noise, dark-count noise),
-* ``dephase`` applies a Z flip with some probability (memory storage),
-* ``noisy_cz`` is a CZ gate that fails outright with some probability,
-  dumping both participating qubits into the maximally mixed state.
+* ``_depolarize`` replaces one qubit by the maximally mixed state with
+  some probability (fiber transit noise, dark-count noise),
+* ``_dephase`` applies a Z flip with some probability (memory storage),
+* ``_cz_terms`` and ``_cz_mix`` form a CZ gate that fails outright with
+  some probability, dumping both participating qubits into the maximally
+  mixed state.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ MAX_QUBITS = 4
 TRACE_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
-UNITARITY_TOL = 1e-10
 ZERO_PROB_TOL = 1e-12
 
 PAULI = {
@@ -125,9 +127,8 @@ class PureState:
 # The channel kernels work on stacks: arrays of shape (B, 2^n, 2^n), one
 # state per row.  A kernel takes the qubit count and strengths that have
 # already been checked, shaped to broadcast over (B, 1, 1), and does only
-# the arithmetic.  The DensityMatrix methods check their arguments and run
-# a kernel on the state as a one-row stack; protocol.run_stack checks each
-# strength once and runs the kernels on a stack of noise settings.  Pauli
+# the arithmetic.  protocol.run_stack checks each strength once and runs
+# the kernels on a stack of noise settings; it is their one caller.  Pauli
 # conjugations P rho P^dagger are applied as signed index permutations,
 # which are exact: X flips the qubit's bit on both indices, Z multiplies
 # entry (i, j) by the +-1 signs of that bit in i and j, and Y does both.
@@ -290,11 +291,6 @@ def _cz_mix(gate: np.ndarray, scrambled: np.ndarray, fail_prob) -> np.ndarray:
     return gate
 
 
-def _noisy_cz(rho: np.ndarray, num_qubits: int, q1: int, q2: int, fail_prob) -> np.ndarray:
-    """(1 - fail_prob) CZ rho CZ + fail_prob Tr_{q1,q2}(rho) (x) I/4."""
-    return _cz_mix(*_cz_terms(rho, num_qubits, q1, q2), fail_prob)
-
-
 @cache
 def _projection(num_qubits: int, qubit: int, basis: str, outcome: int):
     """Axis orders and read-only vectors of a projection of ``qubit``.
@@ -314,8 +310,9 @@ def _projection(num_qubits: int, qubit: int, basis: str, outcome: int):
 def _measure(
     rho: np.ndarray, num_qubits: int, qubit: int, basis: str, outcome: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities and normalized post-measurement stack, the measured
-    qubit removed; see DensityMatrix.measure."""
+    """Probabilities of ``outcome`` for a ``basis`` measurement of ``qubit``
+    in every row, and the normalized post-measurement stack without that
+    qubit; a probability below ZERO_PROB_TOL raises ZeroProbabilityError."""
     rows, n = len(rho), num_qubits
     row_axes, col_axes, bra, ket = _projection(n, qubit, basis, outcome)
     t = rho.reshape((rows,) + (2,) * (2 * n)).transpose(row_axes).reshape(2, -1)
@@ -356,11 +353,11 @@ def _fidelities(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """Mixed state of ``num_qubits`` qubits as a dense complex matrix.
 
-    Instances are immutable: every channel or measurement returns a new
-    object and the underlying array is read-only.  A zero-qubit (1 x 1)
-    matrix is allowed as the residue of measuring out a lone qubit.  Each
-    channel checks its arguments, then runs its kernel on the state as a
-    one-row stack.
+    Instances are immutable: the underlying array is read-only, and
+    tensor and apply_cz return new objects.  A zero-qubit (1 x 1) matrix
+    is allowed as the residue of measuring out a lone qubit.  The noise
+    channels and the measurement are the stack kernels above, which
+    protocol.run_stack runs; this class holds their result.
     """
 
     def __init__(self, data, *, _copy: bool = True) -> None:
@@ -406,90 +403,16 @@ class DensityMatrix:
         if lo < EIGENVALUE_FLOOR:
             raise ValueError(f"negative eigenvalue {lo:.3e}")
 
-    def _run(self, kernel, *args) -> "DensityMatrix":
-        """The state after ``kernel``, run on it as a one-row stack."""
-        return DensityMatrix(kernel(self.data[None], self.num_qubits, *args)[0], _copy=False)
-
     def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
         """Tensor product self (x) other; self's qubits come first."""
         if self.num_qubits + other.num_qubits > MAX_QUBITS:
             raise ValueError("tensor product exceeds the four-qubit register limit")
         return DensityMatrix(np.kron(self.data, other.data), _copy=False)
 
-    def apply_unitary(self, qubit: int, unitary) -> "DensityMatrix":
-        """Conjugate by a single-qubit unitary acting on ``qubit``."""
-        n = self.num_qubits
-        _check_qubit(qubit, n)
-        u = np.asarray(unitary, dtype=complex)
-        if u.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-        if float(np.max(np.abs(u.conj().T @ u - np.eye(2)))) > UNITARITY_TOL:
-            raise ValueError("matrix is not unitary")
-        left, right = 2**qubit, 2 ** (n - 1 - qubit)
-        t = self.data.reshape(1, left, 2, right, left, 2, right)
-        t = np.einsum("ij,xajbcld,kl->xaibckd", u, t, u.conj())
-        return DensityMatrix(t.reshape(self.dim, self.dim), _copy=False)
-
     def apply_cz(self, q1: int, q2: int) -> "DensityMatrix":
         """Controlled-Z between two distinct qubits (symmetric in its arguments)."""
         _check_pair(q1, q2, self.num_qubits)
         return DensityMatrix(self.data * _cz_conjugation(self.num_qubits, q1, q2), _copy=False)
-
-    def depolarize(self, qubit: int, strength: float) -> "DensityMatrix":
-        """Replace ``qubit`` by the maximally mixed state with probability ``strength``.
-
-        The map (1-a) rho + a Tr_q(rho) (x) I/2 equals the uniform Pauli
-        twirl (1-a) rho + (a/4) sum_P P rho P, which is how it is applied,
-        summing the twirl in the order I, X, Y, Z.
-        """
-        _check_qubit(qubit, self.num_qubits)
-        s = _checked_strength(strength, 1.0, "depolarize strength")
-        return self._run(_depolarize, qubit, s / 4.0, 1.0 - s)
-
-    def dephase(self, qubit: int, strength: float) -> "DensityMatrix":
-        """Apply a Z flip on ``qubit`` with probability ``strength`` in [0, 0.5].
-
-        0.5 erases all coherence with the rest of the register; values above
-        0.5 would overshoot into a net phase flip and are rejected.
-        """
-        _check_qubit(qubit, self.num_qubits)
-        return self._run(_dephase, qubit, _checked_strength(strength, 0.5, "dephase strength"))
-
-    def noisy_cz(self, q1: int, q2: int, fail_prob: float) -> "DensityMatrix":
-        """CZ that with probability ``fail_prob`` scrambles both qubits instead.
-
-        The failure branch traces out q1 and q2 and reinserts them maximally
-        mixed, so a fully failed gate carries no correlation at all.
-        """
-        _check_pair(q1, q2, self.num_qubits)
-        return self._run(_noisy_cz, q1, q2, _checked_strength(fail_prob, 1.0, "fail_prob"))
-
-    def partial_trace(self, qubits: list[int]) -> "DensityMatrix":
-        """Trace out the listed qubits; the rest keep their relative order."""
-        removed = sorted(set(qubits))
-        if len(removed) != len(qubits):
-            raise ValueError("qubits to trace out must be distinct")
-        for q in removed:
-            _check_qubit(q, self.num_qubits)
-        if len(removed) == self.num_qubits:
-            raise ValueError("cannot trace out every qubit")
-        return self._run(_trace_out, removed)
-
-    def measure(self, qubit: int, basis: str, outcome: int) -> tuple[float, "DensityMatrix"]:
-        """Project ``qubit`` onto the ``outcome`` eigenvector of ``basis``.
-
-        Returns (probability, post-measurement state); the measured qubit
-        is removed from the register.  A branch with probability below
-        ZERO_PROB_TOL raises ZeroProbabilityError instead of renormalizing
-        numerical noise.
-        """
-        _check_qubit(qubit, self.num_qubits)
-        if basis not in ("X", "Y", "Z"):
-            raise ValueError(f"basis must be one of X, Y, Z, got {basis!r}")
-        if outcome not in (1, -1):
-            raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
-        probs, post = _measure(self.data[None], self.num_qubits, qubit, basis, outcome)
-        return float(probs[0]), DensityMatrix(post[0], _copy=False)
 
     def expectation(self, pauli: PauliString) -> float:
         """Expectation value Tr(P rho) of a signed Pauli string."""

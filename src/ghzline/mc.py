@@ -44,20 +44,10 @@ class McResult:
     seed: int
 
 
-def sample_geometric(p: float, rng: np.random.Generator) -> int:
-    """One geometric attempt count (support 1, 2, ...) by inverse CDF."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
-    if p == 1.0:
-        return 1
-    u = rng.random()
-    return max(1, math.ceil(math.log1p(-u) / math.log1p(-p)))
-
-
 def _geometric_block(
     rng: np.random.Generator, p: float, size: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Vector of geometric attempt counts; inverse CDF, same law as sample_geometric.
+    """Vector of geometric attempt counts (support 1, 2, ...) by inverse CDF.
 
     Fills and returns ``out`` (float64, length ``size``) when given.
     """

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 SPEED_OF_LIGHT_FIBER = 2.0e5  # km/s, group velocity in standard fiber
 
 # Below this a difference of two floats near 1 keeps fewer than half of
-# its 53 bits: expected_coherence_near then takes a form without the
+# its 53 bits: click_prob, dark_count_depolarization and
+# expected_coherence_near then take exactly equal forms without the
 # cancellation.
 CANCELLATION_LIMIT = 2.0**-26
 
@@ -186,8 +187,12 @@ def click_prob(detection: float, dark_count: float) -> float:
     """
     _require(0.0 <= detection <= 1.0, "detection must be in [0, 1], got {}", detection)
     _require(0.0 <= dark_count < 1.0, "dark_count must be in [0, 1), got {}", dark_count)
+    click = 1.0 - (1.0 - detection) * (1.0 - dark_count) ** 2
+    if click < CANCELLATION_LIMIT:
+        # a sum of non-negative terms, equal to the cancelling form
+        return detection + (1.0 - detection) * dark_count * (2.0 - dark_count)
     # the max() guards the xi' >= xi invariant against rounding at pd ~ 0
-    return max(detection, 1.0 - (1.0 - detection) * (1.0 - dark_count) ** 2)
+    return max(detection, click)
 
 
 def dark_count_depolarization(detection: float, click: float, dark_count: float) -> float:
@@ -201,6 +206,11 @@ def dark_count_depolarization(detection: float, click: float, dark_count: float)
     _require(0.0 <= detection <= click, "detection cannot exceed the click probability")
     _require(0.0 <= dark_count < 1.0, "dark_count must be in [0, 1), got {}", dark_count)
     alpha = 1.0 - detection * (1.0 - dark_count) / click
+    if alpha * click < CANCELLATION_LIMIT:
+        # The plain form cancels and turns click's rounding, up to an ulp
+        # of 1, into a relative error of about 2^-53 / (alpha click); this
+        # equal form is exactly 0 without dark counts and as accurate as click.
+        alpha = dark_count * (detection + (1.0 - detection) * (2.0 - dark_count)) / click
     return min(1.0, max(0.0, alpha))
 
 

@@ -189,9 +189,9 @@ def _segment_strengths(cfg: TrioConfig, use_memory: bool) -> tuple[tuple, tuple]
     probability or a link length) reuses its strengths; every such pair
     gives bit-equal strengths.  A call that raises memoises nothing.
     """
-    # Every strength is checked here, with the message the public channel
-    # would give, and the channel kernels only compute.  NoiseParams has
-    # already checked channel_depol and gate_fail.
+    # Every strength is checked here, with _checked_strength's message,
+    # and the channel kernels only compute.  NoiseParams has already
+    # checked channel_depol and gate_fail.
     dephasings = []
     if use_memory:
         t2 = require_memory(cfg).t2
@@ -249,8 +249,8 @@ def run_stack(
     and sums it in the same order whatever its stack, so a row's branches
     do not depend on which rows share them.  Every step before the Y
     measurement maps real matrices to real matrices, so the stack stays
-    real float64 until then, with the bits of the complex DensityMatrix
-    channels.
+    real float64 until then, with the bits the kernels give on a complex
+    stack.
     """
     _check_outcome(outcome)
     dephasings, dark_counts = _segment_strengths(cfg, use_memory)

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from ghzline import (
-    DensityMatrix,
     NoiseParams,
     binary_entropy,
     click_prob,
@@ -34,6 +33,7 @@ from ghzline import (
     yield_with_memory,
 )
 from ghzline.cli import SweepSpec, data_path, load_config, main, run_sweep
+from ghzline.density import _cz_mix, _cz_terms, _dephase, _depolarize
 from util import make_cfg, random_config, random_density_matrix, series_expected_max
 
 
@@ -138,36 +138,37 @@ def test_4_channel_properties():
         rng = np.random.default_rng(2718)
         for idx in range(200):
             n = 2 + idx % 3
-            rho = DensityMatrix(random_density_matrix(rng, n))
+            rho = random_density_matrix(rng, n)[None]
             q = idx % n
             q2 = (q + 1) % n
             a = float(rng.uniform(0.0, 1.0))
             lam = float(rng.uniform(0.0, 0.5))
             fail = float(rng.uniform(0.0, 1.0))
 
-            outputs = (
-                rho.depolarize(q, a),
-                rho.dephase(q, lam),
-                rho.noisy_cz(q, q2, fail),
-            )
-            for out in outputs:
-                assert abs(out.trace() - 1.0) <= 1e-12
-                assert np.max(np.abs(out.data - out.data.conj().T)) <= 1e-12
+            def depolarize(s):
+                return _depolarize(rho, n, q, s / 4.0, 1.0 - s)
 
-            blend = (1.0 - a) * rho.data + a * rho.depolarize(q, 1.0).data
-            assert np.max(np.abs(rho.depolarize(q, a).data - blend)) <= 1e-12
-            blend = (1.0 - 2.0 * lam) * rho.data + 2.0 * lam * rho.dephase(q, 0.5).data
-            assert np.max(np.abs(rho.dephase(q, lam).data - blend)) <= 1e-12
-            blend = (
-                (1.0 - fail) * rho.noisy_cz(q, q2, 0.0).data
-                + fail * rho.noisy_cz(q, q2, 1.0).data
-            )
-            assert np.max(np.abs(rho.noisy_cz(q, q2, fail).data - blend)) <= 1e-12
+            def dephase(x, s):
+                return _dephase(x, n, q, s)
+
+            def noisy_cz(f):
+                return _cz_mix(*_cz_terms(rho, n, q, q2), f)
+
+            for out in (depolarize(a)[0], dephase(rho, lam)[0], noisy_cz(fail)[0]):
+                assert abs(np.trace(out).real - 1.0) <= 1e-12
+                assert np.max(np.abs(out - out.conj().T)) <= 1e-12
+
+            blend = (1.0 - a) * rho + a * depolarize(1.0)
+            assert np.max(np.abs(depolarize(a) - blend)) <= 1e-12
+            blend = (1.0 - 2.0 * lam) * rho + 2.0 * lam * dephase(rho, 0.5)
+            assert np.max(np.abs(dephase(rho, lam) - blend)) <= 1e-12
+            blend = (1.0 - fail) * noisy_cz(0.0) + fail * noisy_cz(1.0)
+            assert np.max(np.abs(noisy_cz(fail) - blend)) <= 1e-12
 
             lam2 = float(rng.uniform(0.0, 0.5))
             lam12 = lam + lam2 - 2.0 * lam * lam2
-            twice = rho.dephase(q, lam).dephase(q, lam2)
-            assert np.max(np.abs(twice.data - rho.dephase(q, lam12).data)) <= 1e-12
+            twice = dephase(dephase(rho, lam), lam2)
+            assert np.max(np.abs(twice - dephase(rho, lam12))) <= 1e-12
 
 
 def test_5_monotonicity(grid_rows):

@@ -1,5 +1,6 @@
 """Tests of config ingestion, the sweep driver, serialization, and the CLI."""
 
+import contextlib
 import copy
 import csv
 import functools
@@ -9,11 +10,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ghzline
@@ -591,6 +594,104 @@ class TestPackageNamespace:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="module 'ghzline' has no attribute 'nonexistent'"):
             ghzline.nonexistent
+
+
+def log_uniform(lo, hi):
+    """Floats 10^e for e uniform in [lo, hi], every decade alike, and
+    often one of the two ends."""
+    return st.one_of(st.sampled_from([10.0**lo, 10.0**hi]),
+                     st.floats(lo, hi).map(lambda e: 10.0**e))
+
+
+@st.composite
+def boundary_documents(draw):
+    """One-segment documents across many decades of every magnitude.
+
+    Each outer window's efficiency times transmission is drawn as one
+    product from 1 down to the click floor, then split between the two;
+    the link gives its transmission or its loss in dB."""
+    def node(efficiency):
+        raw = {"detector_efficiency": efficiency}
+        dark = draw(st.one_of(st.none(), st.just(0.0), log_uniform(-300.0, -0.001)))
+        if dark is not None:
+            raw["dark_count_prob"] = dark
+        return raw
+
+    def outer():
+        """A node and the log10 transmission of its link."""
+        product = draw(st.floats(math.log10(MIN_CLICK_PROB), 0.0))
+        share = draw(st.floats(0.0, 1.0))
+        return node(10.0 ** (product * share)), product * (1.0 - share)
+
+    def link(exponent):
+        raw = {"length": draw(st.one_of(st.just(0.0), log_uniform(-300.0, 300.0)))}
+        if draw(st.booleans()):
+            raw["loss_db"] = -10.0 * exponent
+        else:
+            raw["transmission"] = 10.0**exponent
+        return raw
+
+    (a, ab), (c, bc) = outer(), outer()
+    b = node(draw(st.one_of(st.just(1.0), log_uniform(-300.0, 0.0))))
+    seg = {
+        "name": "edge-segment",
+        "nodes": {"A": a, "B": b, "C": c},
+        "links": {"AB": link(ab), "BC": link(bc)},
+        "source": {"frequency": draw(log_uniform(-300.0, 300.0))},
+    }
+    if draw(st.booleans()):
+        seg["memory"] = {"efficiency": draw(log_uniform(-300.0, 0.0)),
+                         "T2": draw(log_uniform(-300.0, 300.0))}
+    if draw(st.booleans()):
+        seg["speed_of_light"] = draw(log_uniform(-300.0, 300.0))
+    return {"segments": [seg]}
+
+
+def strict_json(text):
+    """The parsed document, or ValueError on NaN or an infinity."""
+    def reject(constant):
+        raise ValueError(f"non-finite constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestBoundaryProperty:
+    """Every document that validates gives finite numbers in strict JSON,
+    or fails with exit status 2 and the segment named on stderr; never a
+    traceback, NaN or infinity."""
+
+    # Fields that are null by design: the T2 of a memory-off row, and the
+    # memory columns of a segment without a memory.
+    NULLABLE = {"T2_s", "yield_memory", "ratio"}
+
+    def run(self, path, *argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--config", str(path), "--format", "json"])
+        return code, out.getvalue(), err.getvalue()
+
+    # more than the profile's examples: an edge needs several fields at
+    # their ends at once
+    @settings(max_examples=100)
+    @given(doc=boundary_documents())
+    def test_finite_json_or_a_named_failure(self, doc):
+        assume(not validate_document(doc))
+        has_memory = "memory" in doc["segments"][0]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_doc(Path(tmp), doc)
+            for argv in (["yields"], ["simulate"], ["simulate", "--memory"]):
+                code, out, err = self.run(path, *argv)
+                if code == 2:
+                    assert "edge-segment" in err, (argv, err)
+                    continue
+                assert code == 0, (argv, err)
+                assert err == ""
+                for row in strict_json(out):
+                    for key, value in row.items():
+                        if value is None:
+                            assert key in self.NULLABLE, (argv, key)
+                            assert key == "T2_s" or not has_memory, (argv, key)
+                        elif not isinstance(value, (str, bool)):
+                            assert math.isfinite(value), (argv, key, value)
 
 
 class TestSweepSpec:

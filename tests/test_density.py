@@ -1,6 +1,6 @@
 """Unit tests of the dense density-matrix engine."""
 
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,17 +8,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ghzline import density
-from ghzline.density import (
-    BASIS_EIGENVECTORS,
-    PAULI,
-    DensityMatrix,
-    PauliString,
-    PureState,
-    ZeroProbabilityError,
+from ghzline.density import PAULI, DensityMatrix, PauliString, PureState, ZeroProbabilityError
+from util import (
+    flip_dephase,
+    np_trace_out,
+    random_density_matrix,
+    reinsert_mixed,
+    same_bits,
+    tensordot_project,
+    trace_reinsert_noisy_cz,
+    twirl_depolarize,
+    vdot_fidelity,
+    z_signs,
 )
-from util import random_density_matrix, reinsert_mixed
-
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 qubit_counts = st.integers(min_value=1, max_value=4)
@@ -32,6 +34,36 @@ def random_dm(seed, num_qubits):
 
 def max_abs(a, b):
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def noisy_cz(rho, n, q1, q2, fail):
+    """The noisy CZ of every row, as protocol.run_stack forms it."""
+    return density._cz_mix(*density._cz_terms(rho, n, q1, q2), fail)
+
+
+# Each channel kernel run on one state as a one-row stack.
+
+
+def depolarize_one(dm, qubit, s):
+    rho = density._depolarize(dm.data[None], dm.num_qubits, qubit, s / 4.0, 1.0 - s)
+    return DensityMatrix(rho[0])
+
+
+def dephase_one(dm, qubit, s):
+    return DensityMatrix(density._dephase(dm.data[None], dm.num_qubits, qubit, s)[0])
+
+
+def noisy_cz_one(dm, q1, q2, fail):
+    return DensityMatrix(noisy_cz(dm.data[None], dm.num_qubits, q1, q2, fail)[0])
+
+
+def trace_out_one(dm, qubits):
+    return DensityMatrix(density._trace_out(dm.data[None], dm.num_qubits, sorted(qubits))[0])
+
+
+def measure_one(dm, qubit, basis, outcome):
+    probs, post = density._measure(dm.data[None], dm.num_qubits, qubit, basis, outcome)
+    return float(probs[0]), DensityMatrix(post[0])
 
 
 class TestPureState:
@@ -138,31 +170,19 @@ class TestConstruction:
 
 
 class TestUnitaries:
-    def test_bit_flip(self):
-        dm = DensityMatrix.from_pure([1.0, 0.0]).apply_unitary(0, PAULI["X"])
-        assert max_abs(dm.data, [[0.0, 0.0], [0.0, 1.0]]) <= 1e-15
+    """X conjugation, the one single-qubit unitary the kernels apply alone."""
 
-    def test_hadamard_makes_plus(self):
-        dm = DensityMatrix.from_pure([1.0, 0.0]).apply_unitary(0, HADAMARD)
-        assert max_abs(dm.data, np.full((2, 2), 0.5)) <= 1e-15
+    def test_bit_flip(self):
+        dm = DensityMatrix.from_pure([1.0, 0.0])
+        flipped = density._x_conjugate(dm.data[None], 1, 0)[0]
+        assert max_abs(flipped, [[0.0, 0.0], [0.0, 1.0]]) <= 1e-15
 
     def test_acts_on_requested_qubit_only(self):
-        dm = DensityMatrix.from_pure([1.0, 0.0, 0.0, 0.0]).apply_unitary(1, PAULI["X"])
+        dm = DensityMatrix.from_pure([1.0, 0.0, 0.0, 0.0])
+        flipped = density._x_conjugate(dm.data[None], 2, 1)[0]
         expected = np.zeros((4, 4))
         expected[1, 1] = 1.0
-        assert max_abs(dm.data, expected) <= 1e-15
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError, match="unitary"):
-            DensityMatrix.maximally_mixed(1).apply_unitary(0, [[1.0, 0.0], [0.0, 2.0]])
-
-    def test_rejects_bad_index(self):
-        with pytest.raises(ValueError, match="out of range"):
-            DensityMatrix.maximally_mixed(1).apply_unitary(1, PAULI["X"])
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            DensityMatrix.maximally_mixed(2).apply_unitary(0, np.eye(4))
+        assert max_abs(flipped, expected) <= 1e-15
 
 
 class TestCz:
@@ -193,124 +213,119 @@ class TestCz:
     @given(seed=seeds, q=st.integers(min_value=0, max_value=1))
     def test_commutes_with_z(self, seed, q):
         rho = random_dm(seed, 2)
-        a = rho.apply_unitary(q, PAULI["Z"]).apply_cz(0, 1)
-        b = rho.apply_cz(0, 1).apply_unitary(q, PAULI["Z"])
-        assert max_abs(a.data, b.data) <= 1e-12
+        a = DensityMatrix(rho.data * z_signs(2, q)).apply_cz(0, 1)
+        b = rho.apply_cz(0, 1).data * z_signs(2, q)
+        assert max_abs(a.data, b) <= 1e-12
 
 
 class TestDepolarize:
     def test_zero_strength_is_identity(self):
         rho = random_dm(11, 2)
-        assert max_abs(rho.depolarize(0, 0.0).data, rho.data) == 0.0
+        assert max_abs(depolarize_one(rho, 0, 0.0).data, rho.data) == 0.0
 
     def test_full_strength_on_single_qubit(self):
-        dm = DensityMatrix.from_pure([1.0, 0.0]).depolarize(0, 1.0)
+        dm = depolarize_one(DensityMatrix.from_pure([1.0, 0.0]), 0, 1.0)
         assert max_abs(dm.data, np.eye(2) / 2.0) <= 1e-15
 
     def test_half_strength_on_plus(self):
-        dm = DensityMatrix.from_pure([1.0, 1.0]).depolarize(0, 0.5)
+        dm = depolarize_one(DensityMatrix.from_pure([1.0, 1.0]), 0, 0.5)
         expected = np.array([[0.5, 0.25], [0.25, 0.5]])
         assert max_abs(dm.data, expected) <= 1e-15
 
     @pytest.mark.parametrize("qubit", [0, 1, 2])
     def test_matches_partial_trace_route(self, qubit):
         rho = random_dm(qubit + 20, 3)
-        reduced = rho.partial_trace([qubit]).data
+        reduced = trace_out_one(rho, [qubit]).data
         expected = 0.3 * rho.data + 0.7 * reinsert_mixed(reduced, 3, [qubit])
-        assert max_abs(rho.depolarize(qubit, 0.7).data, expected) <= 1e-12
+        assert max_abs(depolarize_one(rho, qubit, 0.7).data, expected) <= 1e-12
 
     def test_rejects_strength_out_of_range(self):
-        dm = DensityMatrix.maximally_mixed(1)
         with pytest.raises(ValueError):
-            dm.depolarize(0, -0.1)
+            density._checked_strength(-0.1, 1.0, "depolarize strength")
         with pytest.raises(ValueError):
-            dm.depolarize(0, 1.1)
+            density._checked_strength(1.1, 1.0, "depolarize strength")
 
     @given(seed=seeds, n=qubit_counts, alpha=unit_floats)
     def test_preserves_state_invariants(self, seed, n, alpha):
         rho = random_dm(seed, n)
-        out = rho.depolarize(seed % n, alpha)
+        out = depolarize_one(rho, seed % n, alpha)
         out.validate()
 
     @given(seed=seeds, n=qubit_counts, alpha=unit_floats)
     def test_affine_in_strength(self, seed, n, alpha):
         rho = random_dm(seed, n)
         q = seed % n
-        expected = (1.0 - alpha) * rho.data + alpha * rho.depolarize(q, 1.0).data
-        assert max_abs(rho.depolarize(q, alpha).data, expected) <= 1e-12
+        expected = (1.0 - alpha) * rho.data + alpha * depolarize_one(rho, q, 1.0).data
+        assert max_abs(depolarize_one(rho, q, alpha).data, expected) <= 1e-12
 
 
 class TestDephase:
     def test_zero_strength_is_identity(self):
         rho = random_dm(12, 2)
-        assert max_abs(rho.dephase(1, 0.0).data, rho.data) == 0.0
+        assert max_abs(dephase_one(rho, 1, 0.0).data, rho.data) == 0.0
 
     def test_half_strength_kills_coherence(self):
-        dm = DensityMatrix.from_pure([1.0, 1.0]).dephase(0, 0.5)
+        dm = dephase_one(DensityMatrix.from_pure([1.0, 1.0]), 0, 0.5)
         assert max_abs(dm.data, np.eye(2) / 2.0) <= 1e-15
 
     def test_quarter_strength_on_plus(self):
-        dm = DensityMatrix.from_pure([1.0, 1.0]).dephase(0, 0.25)
+        dm = dephase_one(DensityMatrix.from_pure([1.0, 1.0]), 0, 0.25)
         expected = np.array([[0.5, 0.25], [0.25, 0.5]])
         assert max_abs(dm.data, expected) <= 1e-15
 
     def test_preserves_populations(self):
         rho = random_dm(13, 2)
-        out = rho.dephase(0, 0.37)
+        out = dephase_one(rho, 0, 0.37)
         assert max_abs(np.diag(out.data), np.diag(rho.data)) <= 1e-15
 
     def test_rejects_strength_above_half(self):
         with pytest.raises(ValueError):
-            DensityMatrix.maximally_mixed(1).dephase(0, 0.6)
+            density._checked_strength(0.6, 0.5, "dephase strength")
 
     def test_rejects_negative_strength(self):
         with pytest.raises(ValueError):
-            DensityMatrix.maximally_mixed(1).dephase(0, -0.01)
+            density._checked_strength(-0.01, 0.5, "dephase strength")
 
     @given(seed=seeds, n=qubit_counts, lam=half_floats, mu=half_floats)
     def test_composition_law(self, seed, n, lam, mu):
         rho = random_dm(seed, n)
         q = seed % n
         combined = lam + mu - 2.0 * lam * mu
-        a = rho.dephase(q, lam).dephase(q, mu)
-        b = rho.dephase(q, combined)
+        a = dephase_one(dephase_one(rho, q, lam), q, mu)
+        b = dephase_one(rho, q, combined)
         assert max_abs(a.data, b.data) <= 1e-12
 
     @given(seed=seeds, n=qubit_counts, lam=half_floats)
     def test_preserves_state_invariants(self, seed, n, lam):
         rho = random_dm(seed, n)
-        rho.dephase(seed % n, lam).validate()
+        dephase_one(rho, seed % n, lam).validate()
 
 
 class TestNoisyCz:
     def test_zero_failure_equals_clean_gate(self):
         rho = random_dm(14, 2)
-        assert max_abs(rho.noisy_cz(0, 1, 0.0).data, rho.apply_cz(0, 1).data) == 0.0
+        assert max_abs(noisy_cz_one(rho, 0, 1, 0.0).data, rho.apply_cz(0, 1).data) == 0.0
 
     def test_full_failure_two_qubits(self):
         rho = random_dm(15, 2)
-        assert max_abs(rho.noisy_cz(0, 1, 1.0).data, np.eye(4) / 4.0) <= 1e-12
+        assert max_abs(noisy_cz_one(rho, 0, 1, 1.0).data, np.eye(4) / 4.0) <= 1e-12
 
     def test_full_failure_middle_qubits(self):
         rho = random_dm(16, 4)
-        out = rho.noisy_cz(1, 2, 1.0)
-        expected = reinsert_mixed(rho.partial_trace([1, 2]).data, 4, [1, 2])
+        out = noisy_cz_one(rho, 1, 2, 1.0)
+        expected = reinsert_mixed(trace_out_one(rho, [1, 2]).data, 4, [1, 2])
         assert max_abs(out.data, expected) <= 1e-12
 
     @given(seed=seeds, fail=unit_floats)
     def test_affine_in_failure_probability(self, seed, fail):
         rho = random_dm(seed, 3)
-        expected = (1.0 - fail) * rho.noisy_cz(0, 2, 0.0).data + fail * rho.noisy_cz(0, 2, 1.0).data
-        assert max_abs(rho.noisy_cz(0, 2, fail).data, expected) <= 1e-12
+        expected = (1.0 - fail) * noisy_cz_one(rho, 0, 2, 0.0).data + fail * noisy_cz_one(rho, 0, 2, 1.0).data
+        assert max_abs(noisy_cz_one(rho, 0, 2, fail).data, expected) <= 1e-12
 
     @given(seed=seeds, n=st.integers(min_value=2, max_value=4), fail=unit_floats)
     def test_preserves_state_invariants(self, seed, n, fail):
         rho = random_dm(seed, n)
-        rho.noisy_cz(0, n - 1, fail).validate()
-
-    def test_rejects_equal_qubits(self):
-        with pytest.raises(ValueError, match="distinct"):
-            DensityMatrix.maximally_mixed(2).noisy_cz(0, 0, 0.5)
+        noisy_cz_one(rho, 0, n - 1, fail).validate()
 
 
 class TestPartialTrace:
@@ -318,25 +333,13 @@ class TestPartialTrace:
         zero = DensityMatrix.from_pure([1.0, 0.0])
         plus = DensityMatrix.from_pure([1.0, 1.0])
         joint = zero.tensor(plus)
-        assert max_abs(joint.partial_trace([1]).data, zero.data) <= 1e-15
-        assert max_abs(joint.partial_trace([0]).data, plus.data) <= 1e-15
+        assert max_abs(trace_out_one(joint, [1]).data, zero.data) <= 1e-15
+        assert max_abs(trace_out_one(joint, [0]).data, plus.data) <= 1e-15
 
     def test_bell_pair_reduces_to_mixed(self):
         bell = DensityMatrix.from_pure(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
         for q in (0, 1):
-            assert max_abs(bell.partial_trace([q]).data, np.eye(2) / 2.0) <= 1e-15
-
-    def test_rejects_tracing_everything(self):
-        with pytest.raises(ValueError):
-            DensityMatrix.maximally_mixed(2).partial_trace([0, 1])
-
-    def test_rejects_duplicate_indices(self):
-        with pytest.raises(ValueError, match="distinct"):
-            DensityMatrix.maximally_mixed(3).partial_trace([1, 1])
-
-    def test_rejects_bad_index(self):
-        with pytest.raises(ValueError, match="out of range"):
-            DensityMatrix.maximally_mixed(2).partial_trace([2])
+            assert max_abs(trace_out_one(bell, [q]).data, np.eye(2) / 2.0) <= 1e-15
 
 
 class TestTensor:
@@ -362,7 +365,7 @@ class TestTensor:
 
 class TestMeasure:
     def test_certain_outcome(self):
-        prob, post = DensityMatrix.from_pure([1.0, 0.0]).measure(0, "Z", +1)
+        prob, post = measure_one(DensityMatrix.from_pure([1.0, 0.0]), 0, "Z", +1)
         assert prob == pytest.approx(1.0, abs=1e-15)
         assert post.num_qubits == 0
         assert post.data.shape == (1, 1)
@@ -370,39 +373,31 @@ class TestMeasure:
 
     def test_impossible_outcome_raises(self):
         with pytest.raises(ZeroProbabilityError):
-            DensityMatrix.from_pure([1.0, 0.0]).measure(0, "Z", -1)
+            measure_one(DensityMatrix.from_pure([1.0, 0.0]), 0, "Z", -1)
 
     def test_y_basis_eigenstate(self):
-        prob, _ = DensityMatrix.from_pure([1.0, 1.0j]).measure(0, "Y", +1)
+        prob, _ = measure_one(DensityMatrix.from_pure([1.0, 1.0j]), 0, "Y", +1)
         assert prob == pytest.approx(1.0, abs=1e-12)
 
     def test_removes_measured_qubit(self):
         bell = DensityMatrix.from_pure(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
-        prob, post = bell.measure(0, "Z", +1)
+        prob, post = measure_one(bell, 0, "Z", +1)
         assert prob == pytest.approx(0.5, abs=1e-12)
         assert post.num_qubits == 1
         assert max_abs(post.data, [[1.0, 0.0], [0.0, 0.0]]) <= 1e-12
-
-    def test_rejects_bad_basis(self):
-        with pytest.raises(ValueError, match="basis"):
-            DensityMatrix.maximally_mixed(1).measure(0, "W", 1)
-
-    def test_rejects_bad_outcome(self):
-        with pytest.raises(ValueError, match="outcome"):
-            DensityMatrix.maximally_mixed(1).measure(0, "Z", 0)
 
     @given(seed=seeds, n=qubit_counts, basis=st.sampled_from("XYZ"))
     def test_branch_probabilities_sum_to_one(self, seed, n, basis):
         rho = random_dm(seed, n)
         q = seed % n
-        p_plus, _ = rho.measure(q, basis, +1)
-        p_minus, _ = rho.measure(q, basis, -1)
+        p_plus, _ = measure_one(rho, q, basis, +1)
+        p_minus, _ = measure_one(rho, q, basis, -1)
         assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
 
     @given(seed=seeds, n=qubit_counts, basis=st.sampled_from("XYZ"))
     def test_post_measurement_state_is_valid(self, seed, n, basis):
         rho = random_dm(seed, n)
-        _, post = rho.measure(seed % n, basis, +1)
+        _, post = measure_one(rho, seed % n, basis, +1)
         post.validate()
 
 
@@ -454,7 +449,8 @@ class TestExpectationAndFidelity:
 
 class TestStacks:
     """The kernels act on (B, 2^n, 2^n) stacks, strengths broadcasting over
-    (B, 1, 1); each row must equal the one-row DensityMatrix result exactly."""
+    (B, 1, 1); each row must equal the same kernel run on that row alone
+    exactly."""
 
     def stack(self, seed, rows, n):
         rng = np.random.default_rng(seed)
@@ -466,19 +462,20 @@ class TestStacks:
         strengths = np.array([0.0, 0.1, 0.25, 0.4, 0.5])
         s = strengths.reshape(-1, 1, 1)
         q, other = n - 1, 0
-        for name, out, qubits in (
-            ("depolarize", density._depolarize(rho, n, q, s / 4.0, 1.0 - s), (q,)),
-            ("dephase", density._dephase(rho, n, q, s), (q,)),
-            ("noisy_cz", density._noisy_cz(rho, n, other, q, s), (other, q)),
+        for name, channel in (
+            ("depolarize", lambda r, x: density._depolarize(r, n, q, x / 4.0, 1.0 - x)),
+            ("dephase", lambda r, x: density._dephase(r, n, q, x)),
+            ("noisy_cz", lambda r, x: noisy_cz(r, n, other, q, x)),
         ):
+            out = channel(rho, s)
             for row, strength in enumerate(strengths):
-                single = getattr(DensityMatrix(rho[row]), name)(*qubits, float(strength))
-                assert same_bits(out[row], single.data), (name, row)
+                single = channel(rho[row : row + 1], float(strength))
+                assert same_bits(out[row], single[0]), (name, row)
         probs, post = density._measure(rho, n, q, "Y", -1)
         for row in range(len(rho)):
-            p, single = DensityMatrix(rho[row]).measure(q, "Y", -1)
-            assert probs[row] == p
-            assert same_bits(post[row], single.data)
+            p, single = density._measure(rho[row : row + 1], n, q, "Y", -1)
+            assert probs[row] == p[0]
+            assert same_bits(post[row], single[0])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_fidelity_rows_equal_vdot_exactly(self, n):
@@ -501,98 +498,13 @@ class TestStacks:
         assert same_bits(density._depolarize(rho, 2, 0, 0.3 / 4.0, 1.0 - 0.3),
                          density._depolarize(rho, 2, 0, s / 4.0, 1.0 - s))
         assert same_bits(density._dephase(rho, 2, 1, 0.3), density._dephase(rho, 2, 1, s))
-        assert same_bits(density._noisy_cz(rho, 2, 0, 1, 0.3), density._noisy_cz(rho, 2, 0, 1, s))
+        assert same_bits(noisy_cz(rho, 2, 0, 1, 0.3), noisy_cz(rho, 2, 0, 1, s))
 
     def test_zero_probability_in_any_row_raises(self):
         zero = DensityMatrix.from_pure([1.0, 0.0]).data
         one = DensityMatrix.from_pure([0.0, 1.0]).data
         with pytest.raises(ZeroProbabilityError):
             density._measure(np.stack([one, zero]), 1, 0, "Z", -1)
-
-
-# ------------------------------------------------------- kernel references
-#
-# The engine's earlier formulations, kept as references: the index tables
-# and np.dot calls of the kernels must reproduce them bit for bit.
-
-
-def flip_x_conjugate(rho, n, qubit):
-    t = rho.reshape((len(rho),) + (2,) * (2 * n))
-    return np.flip(t, (1 + qubit, 1 + n + qubit)).copy().reshape(rho.shape)
-
-
-def np_trace_out(rho, n, removed):
-    t = rho.reshape((len(rho),) + (2,) * (2 * n))
-    m = n
-    for q in reversed(removed):
-        t = np.trace(t, axis1=1 + q, axis2=1 + q + m)
-        m -= 1
-    return t.reshape(len(rho), 2**m, 2**m)
-
-
-def loop_reinsert_mixed(reduced, n, removed):
-    rows, k = len(reduced), len(removed)
-    part = (reduced * (1.0 / 2**k)).reshape((rows,) + (2,) * (2 * (n - k)))
-    out = np.zeros((rows,) + (2,) * (2 * n), dtype=complex)
-    for bits in product((0, 1), repeat=k):
-        index = [slice(None)] * (1 + 2 * n)
-        for q, bit in zip(removed, bits):
-            index[1 + q] = index[1 + n + q] = bit
-        out[tuple(index)] = part
-    return out.reshape(rows, 2**n, 2**n)
-
-
-def tensordot_project(rho, n, qubit, basis, outcome):
-    e = BASIS_EIGENVECTORS[(basis, outcome)]
-    t = rho.reshape((len(rho),) + (2,) * (2 * n))
-    t = np.tensordot(e.conj(), t, axes=([0], [1 + qubit]))
-    t = np.tensordot(t, e, axes=([n + qubit], [0]))
-    mat = t.reshape(len(rho), 2 ** (n - 1), 2 ** (n - 1))
-    probs = np.real(np.trace(mat, axis1=1, axis2=2))
-    return probs, mat / probs[:, None, None]
-
-
-def bit(i, n, qubit):
-    return (i >> (n - 1 - qubit)) & 1
-
-
-def z_signs(n, qubit):
-    signs = np.array([1.0 - 2.0 * bit(i, n, qubit) for i in range(2**n)])
-    return np.outer(signs, signs)
-
-
-def cz_signs(n, q1, q2):
-    signs = np.array([1.0 - 2.0 * (bit(i, n, q1) & bit(i, n, q2)) for i in range(2**n)])
-    return np.outer(signs, signs)
-
-
-def twirl_depolarize(rho, n, qubit, s):
-    """(1 - s) rho + (s/4) (((rho + X rho X) + Y rho Y) + Z rho Z)."""
-    x, zz = flip_x_conjugate(rho, n, qubit), z_signs(n, qubit)
-    return (1.0 - s) * rho + (s / 4.0) * (((rho + x) + x * zz) + rho * zz)
-
-
-def flip_dephase(rho, n, qubit, s):
-    """(1 - s) rho + s Z rho Z."""
-    return (1.0 - s) * rho + s * (rho * z_signs(n, qubit))
-
-
-def trace_reinsert_noisy_cz(rho, n, q1, q2, f):
-    """(1 - f) CZ rho CZ + f Tr_{q1,q2}(rho) (x) I/4, the earlier way."""
-    removed = sorted((q1, q2))
-    scrambled = loop_reinsert_mixed(np_trace_out(rho, n, removed), n, removed)
-    return (1.0 - f) * (rho * cz_signs(n, q1, q2)) + f * scrambled
-
-
-def vdot_fidelity(rho, v):
-    """<v| rho |v> per row by np.vdot, the same BLAS sum as np.vecdot."""
-    return np.array([np.vdot(v, w) for w in rho @ v]).real
-
-
-def same_bits(a, b):
-    """Equal shape and identical bytes, so signed zeros count too."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestKernels:
@@ -638,10 +550,10 @@ class TestKernels:
     def test_noisy_cz(self, rows, n):
         rho, f = self.stack(40 * rows + n, rows, n)
         for q1, q2 in ((a, b) for a in range(n) for b in range(n) if a != b):
-            assert same_bits(density._noisy_cz(rho, n, q1, q2, f),
+            assert same_bits(noisy_cz(rho, n, q1, q2, f),
                              trace_reinsert_noisy_cz(rho, n, q1, q2, f))
         scalar = float(f[0, 0, 0])
-        assert same_bits(density._noisy_cz(rho, n, 0, n - 1, scalar),
+        assert same_bits(noisy_cz(rho, n, 0, n - 1, scalar),
                          trace_reinsert_noisy_cz(rho, n, 0, n - 1, scalar))
 
     @cases
@@ -690,8 +602,8 @@ class TestKernels:
                              density._dephase(promoted, n, q, lam).real)
             for other in range(n):
                 if other != q:
-                    assert same_bits(density._noisy_cz(real, n, q, other, s),
-                                     density._noisy_cz(promoted, n, q, other, s).real)
+                    assert same_bits(noisy_cz(real, n, q, other, s),
+                                     noisy_cz(promoted, n, q, other, s).real)
             for outcome in (1, -1):
                 for got, expected in zip(density._measure(real, n, q, "Y", outcome),
                                          density._measure(promoted, n, q, "Y", outcome)):
@@ -707,7 +619,7 @@ class TestKernels:
         assert probs.shape == (0,) and post.shape == (0, 2 ** (n - 1), 2 ** (n - 1))
         assert density._fidelity(rho, np.ones(2**n) / 2 ** (n / 2)).shape == (0,)
         if n > 1:
-            assert density._noisy_cz(rho, n, 0, n - 1, none).shape == rho.shape
+            assert noisy_cz(rho, n, 0, n - 1, none).shape == rho.shape
             assert density._trace_out(rho, n, [0]).shape == (0, 2 ** (n - 1), 2 ** (n - 1))
 
     def test_tables_are_read_only(self):
@@ -721,24 +633,17 @@ class TestKernels:
                 table.flat[0] = 0
 
     def test_checked_strength_matches_stack_check(self):
-        # _checked_strength is the one range check, behind the DensityMatrix
-        # channels and protocol.run_stack alike, with these exact texts
-        dm = DensityMatrix.maximally_mixed(2)
-        for value, hi, what, channel, expected in (
-            (1.5, 1.0, "depolarize strength", lambda s: dm.depolarize(0, s),
-             "depolarize strength must be in [0, 1], got 1.5"),
-            (-0.25, 1.0, "depolarize strength", lambda s: dm.depolarize(0, s),
-             "depolarize strength must be in [0, 1], got -0.25"),
-            (0.6, 0.5, "dephase strength", lambda s: dm.dephase(0, s),
-             "dephase strength must be in [0, 0.5], got 0.6"),
-            (float("nan"), 0.5, "dephase strength", lambda s: dm.dephase(0, s),
-             "dephase strength must be in [0, 0.5], got nan"),
-            (1.1, 1.0, "fail_prob", lambda s: dm.noisy_cz(0, 1, s),
-             "fail_prob must be in [0, 1], got 1.1"),
+        # _checked_strength is the one range check of a channel strength,
+        # with these exact texts; TestCheckOnce's *_out_of_range tests in
+        # test_protocol hold protocol.run_stack to the same texts
+        for value, hi, what, expected in (
+            (1.5, 1.0, "depolarize strength", "depolarize strength must be in [0, 1], got 1.5"),
+            (-0.25, 1.0, "depolarize strength", "depolarize strength must be in [0, 1], got -0.25"),
+            (0.6, 0.5, "dephase strength", "dephase strength must be in [0, 0.5], got 0.6"),
+            (float("nan"), 0.5, "dephase strength", "dephase strength must be in [0, 0.5], got nan"),
+            (1.1, 1.0, "fail_prob", "fail_prob must be in [0, 1], got 1.1"),
         ):
-            with pytest.raises(ValueError) as public:
-                channel(value)
             with pytest.raises(ValueError) as checked:
                 density._checked_strength(value, hi, what)
-            assert str(checked.value) == str(public.value) == expected
+            assert str(checked.value) == expected
         assert density._checked_strength(0.5, 0.5, "dephase strength") == 0.5

@@ -17,7 +17,6 @@ from ghzline import (
     mc_coherence_near,
     mc_expected_max,
     mc_yield_memoryless,
-    sample_geometric,
     yield_memoryless,
 )
 from ghzline import mc
@@ -35,34 +34,28 @@ class LargestUniform:
 
 
 class TestSampleGeometric:
+    """The law of _geometric_block's attempt counts."""
+
     def test_certain_success_is_always_one(self):
-        rng = np.random.default_rng(0)
-        assert all(sample_geometric(1.0, rng) == 1 for _ in range(50))
+        assert np.all(_geometric_block(np.random.default_rng(0), 1.0, 50) == 1.0)
 
     @given(p=st.floats(min_value=0.01, max_value=0.999, allow_nan=False),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_support_starts_at_one(self, p, seed):
-        value = sample_geometric(p, np.random.default_rng(seed))
-        assert isinstance(value, int) and value >= 1
+        values = _geometric_block(np.random.default_rng(seed), p, 1000)
+        assert np.all(values >= 1.0) and np.all(values == np.floor(values))
 
     def test_mean_matches_law(self):
         p, n = 0.25, 20000
-        rng = np.random.default_rng(123)
-        mean = sum(sample_geometric(p, rng) for _ in range(n)) / n
+        mean = float(_geometric_block(np.random.default_rng(123), p, n).mean())
         sigma = math.sqrt(1.0 - p) / p  # geometric standard deviation
         assert abs(mean - 1.0 / p) <= 3.0 * sigma / math.sqrt(n)
 
     def test_first_attempt_frequency(self):
         p, n = 0.3, 20000
-        rng = np.random.default_rng(7)
-        hits = sum(sample_geometric(p, rng) == 1 for _ in range(n)) / n
+        hits = float(np.mean(_geometric_block(np.random.default_rng(7), p, n) == 1.0))
         sigma = math.sqrt(p * (1.0 - p) / n)
         assert abs(hits - p) <= 3.0 * sigma
-
-    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5])
-    def test_rejects_bad_probability(self, bad):
-        with pytest.raises(ValueError):
-            sample_geometric(bad, np.random.default_rng(0))
 
 
 class TestGeometricBlock:

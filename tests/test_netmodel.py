@@ -166,6 +166,64 @@ class TestDarkCountDepolarization:
         assert 0.0 <= dark_count_depolarization(xi, click, pd) <= 1.0
 
 
+# The bound README "Configuration files" states for click_prob and
+# dark_count_depolarization.  The plain forms are kept where they lose
+# fewer than 26 of their 53 bits, so they stay within about 3 * 2^-53 /
+# 2^-26 = 4.5e-8; the forms that replace them are good to a few ulps.
+CLICK_REL_BOUND = 5e-8
+
+
+def decimal_click_and_alpha(xi, pd):
+    """xi' and alpha from the float inputs, to 50 digits.
+
+    Written as sums of non-negative terms: 50 digits of 1 - xi would
+    hold nothing of an xi below 1e-50."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x, p = Decimal(xi), Decimal(pd)
+        click = x + (1 - x) * p * (2 - p)
+        return click, p * (x + (1 - x) * (2 - p)) / click
+
+
+log_uniform = st.floats(min_value=-300.0, max_value=0.0).map(lambda e: 10.0**e)
+
+
+class TestClickCancellation:
+    """1 - (1 - xi)(1 - p_d)^2 cancels once the click probability is small,
+    and 1 - xi (1 - p_d) / xi' once the junk fraction is; with no dark
+    counts the rounding once depolarized a qubit that saw none."""
+
+    @given(xi=st.one_of(log_uniform, st.sampled_from([0.0, 1.0])),
+           pd=st.one_of(log_uniform.filter(lambda p: p <= 0.999), st.just(0.0)))
+    def test_matches_high_precision(self, xi, pd):
+        click = click_prob(xi, pd)
+        if click == 0.0:
+            return
+        ref_click, ref_alpha = decimal_click_and_alpha(xi, pd)
+        bound = Decimal(CLICK_REL_BOUND)
+        assert abs(Decimal(click) - ref_click) <= bound * ref_click
+        alpha = dark_count_depolarization(xi, click, pd)
+        assert abs(Decimal(alpha) - ref_alpha) <= bound * ref_alpha
+
+    @pytest.mark.parametrize("xi", [1e-300, 1.7e-16, 8.3e-13, 1e-9, 1.2e-7, 0.3])
+    def test_no_dark_counts_no_junk(self, xi):
+        # the plain forms gave xi' 31% high at xi = 1.7e-16, and alpha
+        # 3.3e-6 at xi = 8.3e-13
+        click = click_prob(xi, 0.0)
+        if xi < CANCELLATION_LIMIT:
+            assert click == xi
+        assert dark_count_depolarization(xi, click, 0.0) == 0.0
+
+    @given(xi=st.floats(2.0**-25, 1.0), pd=st.floats(0.0, 0.999))
+    def test_plain_forms_elsewhere(self, xi, pd):
+        # where neither form cancels the plain forms are kept, bit for bit
+        plain_click = max(xi, 1.0 - (1.0 - xi) * (1.0 - pd) ** 2)
+        plain_alpha = min(1.0, max(0.0, 1.0 - xi * (1.0 - pd) / plain_click))
+        assert click_prob(xi, pd) == plain_click
+        if plain_alpha * plain_click >= CANCELLATION_LIMIT:
+            assert dark_count_depolarization(xi, plain_click, pd) == plain_alpha
+
+
 class TestYieldMemoryless:
     def test_perfect_hardware(self):
         assert yield_memoryless(make_cfg()) == 1.0

@@ -26,7 +26,16 @@ from ghzline import density, protocol
 from ghzline.protocol import run_stack
 from ghzline.rates import full_report
 from ghzline.cli import SweepSpec, data_path, load_config, run_sweep
-from util import make_cfg
+from util import (
+    flip_dephase,
+    make_cfg,
+    same_bits,
+    source_register,
+    tensordot_project,
+    trace_reinsert_noisy_cz,
+    twirl_depolarize,
+    vdot_fidelity,
+)
 
 OUTCOMES = (+1, -1)
 
@@ -279,23 +288,24 @@ class TestMemoryBranch:
         times = storage_times(cfg)
         assert times.far_node == "A"
 
-        rho = source_pair_state().tensor(source_pair_state())
-        rho = rho.depolarize(0, noise.channel_depol)
-        rho = rho.depolarize(3, noise.channel_depol)
-        rho = rho.dephase(2, 0.5 * (1.0 - expected_coherence_near(cfg)))
-        rho = rho.dephase(1, dephasing_prob(times.t_far, cfg.memory.t2))
-        rho = rho.noisy_cz(1, 2, noise.gate_fail)
+        rho = source_register()
+        rho = twirl_depolarize(rho, 4, 0, noise.channel_depol)
+        rho = twirl_depolarize(rho, 4, 3, noise.channel_depol)
+        rho = flip_dephase(rho, 4, 2, 0.5 * (1.0 - expected_coherence_near(cfg)))
+        rho = flip_dephase(rho, 4, 1, dephasing_prob(times.t_far, cfg.memory.t2))
+        rho = trace_reinsert_noisy_cz(rho, 4, 1, 2, noise.gate_fail)
         for qubit, node in ((0, "A"), (1, "B"), (2, "B"), (3, "C")):
             params = {"A": cfg.node_a, "B": cfg.node_b, "C": cfg.node_c}[node]
             xi = detection_prob(cfg, node, with_memory=node == "B")
             xi_click = click_prob(xi, params.dark_count_prob)
             alpha = dark_count_depolarization(xi, xi_click, params.dark_count_prob)
-            rho = rho.depolarize(qubit, alpha)
-        prob, expected = rho.measure(2, "Y", +1)
+            rho = twirl_depolarize(rho, 4, qubit, alpha)
+        assert same_bits(rho, reference_chain(cfg, noise, use_memory=True))
+        prob, expected = tensordot_project(rho, 4, 2, "Y", +1)
 
         result = run_pipeline(cfg, noise, use_memory=True)
-        assert result.outcome_prob == pytest.approx(prob, abs=1e-14)
-        assert np.max(np.abs(result.rho_out.data - expected.data)) <= 1e-14
+        assert np.float64(result.outcome_prob).tobytes() == prob[0].tobytes()
+        assert same_bits(result.rho_out.data, expected[0])
 
     def test_rejects_bad_outcome(self):
         with pytest.raises(ValueError):
@@ -327,31 +337,32 @@ configs = st.builds(
 )
 
 
-def public_chain(cfg, noise, use_memory):
-    """The state just before the Y measurement, built with the public
-    DensityMatrix channels in run_stack's documented order."""
-    rho = source_pair_state().tensor(source_pair_state())
-    rho = rho.depolarize(0, noise.channel_depol)
-    rho = rho.depolarize(3, noise.channel_depol)
+def reference_chain(cfg, noise, use_memory):
+    """The state just before the Y measurement, as a one-row complex
+    stack: the tests' reference kernels, which share no code with
+    ghzline.density, chained in run_stack's documented order."""
+    rho = source_register()
+    rho = twirl_depolarize(rho, 4, 0, noise.channel_depol)
+    rho = twirl_depolarize(rho, 4, 3, noise.channel_depol)
     if use_memory:
         times = storage_times(cfg)
         near, far = (2, 1) if times.far_node == "A" else (1, 2)
-        rho = rho.dephase(near, 0.5 * (1.0 - expected_coherence_near(cfg)))
-        rho = rho.dephase(far, dephasing_prob(times.t_far, cfg.memory.t2))
-    rho = rho.noisy_cz(1, 2, noise.gate_fail)
+        rho = flip_dephase(rho, 4, near, 0.5 * (1.0 - expected_coherence_near(cfg)))
+        rho = flip_dephase(rho, 4, far, dephasing_prob(times.t_far, cfg.memory.t2))
+    rho = trace_reinsert_noisy_cz(rho, 4, 1, 2, noise.gate_fail)
     for qubit, node in ((0, "A"), (1, "B"), (2, "B"), (3, "C")):
         params = {"A": cfg.node_a, "B": cfg.node_b, "C": cfg.node_c}[node]
         xi = detection_prob(cfg, node, with_memory=use_memory and node == "B")
         xi_click = click_prob(xi, params.dark_count_prob)
-        rho = rho.depolarize(
-            qubit, dark_count_depolarization(xi, xi_click, params.dark_count_prob))
+        rho = twirl_depolarize(
+            rho, 4, qubit, dark_count_depolarization(xi, xi_click, params.dark_count_prob))
     return rho
 
 
 class TestCheckOnce:
     """run_stack checks each strength once and then runs the channel
-    kernels on a real stack; the result and the error texts are the
-    public channels' on complex states."""
+    kernels on a real stack; the result is reference_chain's on a complex
+    stack, bit for bit, and the error texts are _checked_strength's."""
 
     @pytest.mark.parametrize("use_memory", [False, True])
     @given(
@@ -378,12 +389,11 @@ class TestCheckOnce:
         assert probs.shape == fids.shape == (len(order),) and states.shape == (len(order), 8, 8)
         expected = []
         for params in settings:
-            rho = public_chain(cfg, params, use_memory)
-            assert not rho.data.imag.any()  # real until the Y measurement
-            prob, post = rho.measure(2, "Y", outcome)
-            fid = post.fidelity(target_state(outcome))
-            expected.append((np.float64(prob).tobytes(), post.data.tobytes(),
-                             np.float64(fid).tobytes()))
+            rho = reference_chain(cfg, params, use_memory)
+            assert not rho.imag.any()  # real until the Y measurement
+            prob, post = tensordot_project(rho, 4, 2, "Y", outcome)
+            fid = vdot_fidelity(post, target_state(outcome).amplitudes)
+            expected.append((prob[0].tobytes(), post[0].tobytes(), fid[0].tobytes()))
         for row, i in enumerate(order):
             got = (probs[row].tobytes(), states[row].tobytes(), fids[row].tobytes())
             assert got == expected[i]
@@ -419,6 +429,7 @@ class TestCheckOnce:
     def test_register_is_the_real_part_of_the_source_pairs(self):
         reg = protocol._initial_register()
         full = source_pair_state().tensor(source_pair_state()).data
+        assert same_bits(source_register()[0], full)  # reference_chain's start
         assert reg.dtype == np.float64
         assert not full.imag.any() and reg.tobytes() == full.real.tobytes()
 

@@ -21,9 +21,10 @@ from ghzline import (
     qber_parity_from_expectation,
     run_pipeline,
     target_state,
+    transmission_from_db,
 )
 from ghzline import density, netmodel, protocol, rates
-from ghzline.cli import data_path, load_config, run_sweep
+from ghzline.cli import MIN_CLICK_PROB, data_path, load_config, run_sweep
 from ghzline.density import BASIS_EIGENVECTORS
 from util import make_cfg, random_config, random_density_matrix
 
@@ -91,7 +92,7 @@ class TestQberParity:
     def test_local_flip_fails_every_parity_check(self):
         # X on the dealer qubit anticommutes with its Z factor
         rho = DensityMatrix.from_pure(target_state(+1))
-        flipped = rho.apply_unitary(0, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        flipped = DensityMatrix(density._x_conjugate(rho.data[None], 3, 0)[0])
         assert qber_parity(flipped) == pytest.approx(1.0, abs=1e-12)
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -148,6 +149,23 @@ class TestStackedErrorRates:
     def test_vectors_are_the_test_states_in_order(self):
         states = rates._odd_parity_states() + rates._correlated_states()
         assert rates._error_vectors().tobytes() == b"".join(s.amplitudes.tobytes() for s in states)
+
+
+class TestZeroDarkCounts:
+    """Without dark counts no click is junk, so at f_D = f_G = 0 the
+    memoryless state is the target state at any loss."""
+
+    @pytest.mark.parametrize("loss_db", [18.0, 100.0, 150.0, 155.0, 3061.5])
+    def test_memoryless_report_is_exact(self, loss_db):
+        # the bundled first segment's detectors and lengths; 3061.5 dB puts
+        # the outer click probabilities just above the config's floor
+        t = transmission_from_db(loss_db)
+        cfg = make_cfg(eta_a=0.3, eta_b=0.5, eta_c=0.3, trans_ab=t, trans_bc=t,
+                       len_ab=90.0, len_bc=91.2)
+        clicks = netmodel.window_click_probs(cfg, with_memory=False)
+        assert min(clicks["A"], clicks["C"]) >= MIN_CLICK_PROB
+        report = full_report(cfg, NoiseParams(0.0, 0.0), use_memory=False)
+        assert (report.fidelity, report.q_x, report.q_ab) == (1.0, 0.0, 0.0)
 
 
 class TestKeyRate:

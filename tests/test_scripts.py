@@ -1,7 +1,9 @@
-"""Smoke tests of the scripts: each runs end to end on a small grid."""
+"""Smoke tests of the scripts, each end to end on a small grid, and of the
+README's library example."""
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,8 @@ from pathlib import Path
 import ghzline
 from ghzline.cli import data_path, load_config
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 SEGMENTS = sorted(cfg.name for cfg in load_config(data_path()))
 
 
@@ -46,3 +49,16 @@ def test_memory_gain_scan(tmp_path):
     assert len(rows) == 8
     assert [row[0] for row in rows] == [name for name in SEGMENTS for _ in range(2)]
     assert [float(row[1]) for row in rows[:2]] == [0.5, 1.0]
+
+
+def test_readme_library_example():
+    # the python block under "## Library", as a reader would paste it
+    library = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    printed = [line.rsplit(" ", 1)[0] for line in done.stdout.splitlines()
+               if line.startswith("PauliString(")]
+    assert printed == [repr(p) for p in ghzline.stabilizer_suite(+1)]

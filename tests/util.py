@@ -1,5 +1,7 @@
 """Shared construction helpers for the test suite."""
 
+from itertools import product
+
 import numpy as np
 
 from ghzline import (
@@ -117,3 +119,110 @@ def reinsert_mixed(reduced, num_qubits, removed_qubits):
                 rj = 2 * rj + bj[q]
             out[i, j] = reduced[ri, rj] / 2**k
     return out
+
+
+# ------------------------------------------------------- kernel references
+#
+# The engine's earlier formulations of its channel kernels, kept as
+# references built from numpy alone: the kernels' index tables and np.dot
+# calls must reproduce them bit for bit, and chained in the pipeline's
+# order they must reproduce protocol.run_stack.
+
+EIGENVECTORS = {
+    ("Z", +1): np.array([1.0, 0.0], dtype=complex),
+    ("Z", -1): np.array([0.0, 1.0], dtype=complex),
+    ("X", +1): np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
+    ("X", -1): np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0),
+    ("Y", +1): np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
+    ("Y", -1): np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0),
+}
+
+
+def same_bits(a, b):
+    """Equal shape and identical bytes, so signed zeros count too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def flip_x_conjugate(rho, n, qubit):
+    """X rho X on ``qubit`` of every row, by flipping both of its axes."""
+    t = rho.reshape((len(rho),) + (2,) * (2 * n))
+    return np.flip(t, (1 + qubit, 1 + n + qubit)).copy().reshape(rho.shape)
+
+
+def np_trace_out(rho, n, removed):
+    t = rho.reshape((len(rho),) + (2,) * (2 * n))
+    m = n
+    for q in reversed(removed):
+        t = np.trace(t, axis1=1 + q, axis2=1 + q + m)
+        m -= 1
+    return t.reshape(len(rho), 2**m, 2**m)
+
+
+def loop_reinsert_mixed(reduced, n, removed):
+    rows, k = len(reduced), len(removed)
+    part = (reduced * (1.0 / 2**k)).reshape((rows,) + (2,) * (2 * (n - k)))
+    out = np.zeros((rows,) + (2,) * (2 * n), dtype=complex)
+    for bits in product((0, 1), repeat=k):
+        index = [slice(None)] * (1 + 2 * n)
+        for q, bit in zip(removed, bits):
+            index[1 + q] = index[1 + n + q] = bit
+        out[tuple(index)] = part
+    return out.reshape(rows, 2**n, 2**n)
+
+
+def tensordot_project(rho, n, qubit, basis, outcome):
+    """Probabilities and normalized post-measurement stack, the measured
+    qubit removed."""
+    e = EIGENVECTORS[(basis, outcome)]
+    t = rho.reshape((len(rho),) + (2,) * (2 * n))
+    t = np.tensordot(e.conj(), t, axes=([0], [1 + qubit]))
+    t = np.tensordot(t, e, axes=([n + qubit], [0]))
+    mat = t.reshape(len(rho), 2 ** (n - 1), 2 ** (n - 1))
+    probs = np.real(np.trace(mat, axis1=1, axis2=2))
+    return probs, mat / probs[:, None, None]
+
+
+def bit(i, n, qubit):
+    return (i >> (n - 1 - qubit)) & 1
+
+
+def z_signs(n, qubit):
+    signs = np.array([1.0 - 2.0 * bit(i, n, qubit) for i in range(2**n)])
+    return np.outer(signs, signs)
+
+
+def cz_signs(n, q1, q2):
+    signs = np.array([1.0 - 2.0 * (bit(i, n, q1) & bit(i, n, q2)) for i in range(2**n)])
+    return np.outer(signs, signs)
+
+
+def twirl_depolarize(rho, n, qubit, s):
+    """(1 - s) rho + (s/4) (((rho + X rho X) + Y rho Y) + Z rho Z)."""
+    x, zz = flip_x_conjugate(rho, n, qubit), z_signs(n, qubit)
+    return (1.0 - s) * rho + (s / 4.0) * (((rho + x) + x * zz) + rho * zz)
+
+
+def flip_dephase(rho, n, qubit, s):
+    """(1 - s) rho + s Z rho Z."""
+    return (1.0 - s) * rho + s * (rho * z_signs(n, qubit))
+
+
+def trace_reinsert_noisy_cz(rho, n, q1, q2, f):
+    """(1 - f) CZ rho CZ + f Tr_{q1,q2}(rho) (x) I/4, the earlier way."""
+    removed = sorted((q1, q2))
+    scrambled = loop_reinsert_mixed(np_trace_out(rho, n, removed), n, removed)
+    return (1.0 - f) * (rho * cz_signs(n, q1, q2)) + f * scrambled
+
+
+def vdot_fidelity(rho, v):
+    """<v| rho |v> per row by np.vdot, the same BLAS sum as np.vecdot."""
+    return np.array([np.vdot(v, w) for w in rho @ v]).real
+
+
+def source_register():
+    """Both source pairs CZ|+>|+> on qubits (0, 1) and (2, 3), as a
+    one-row complex stack: each pair's entries are exactly +-1/4."""
+    phases = np.array([1.0, 1.0, 1.0, -1.0])
+    pair = (np.outer(phases, phases) / 4.0).astype(complex)
+    return np.kron(pair, pair)[None]
