@@ -80,6 +80,9 @@ DEFAULT_CONFIG = "network_segments.yaml"
 # largest uniform u = 1 - 2^-53, and passes the float maximum once p is
 # below 53 ln 2 / 1.797e308 = 2.0436e-307; this floor rounds that up.
 MIN_CLICK_PROB = 2.05e-307
+# Most samples per mc-check: the yield oracle's binomial draws take counts
+# up to the int64 maximum.
+MAX_SAMPLES = 2**63 - 1
 
 # libyaml's C parser when PyYAML was built with it, else the pure one.  Both
 # share the safe resolver and constructor, so they build the same document;
@@ -268,7 +271,8 @@ def validate_document(doc) -> list[str]:
         return problems
     # The schema cannot cross-check redundant fields, see a transmission so
     # small that it is subnormal, see an outer click probability below
-    # MIN_CLICK_PROB, nor tell segments apart by name.  A subnormal
+    # MIN_CLICK_PROB or a B click probability with memory that underflows
+    # to 0, nor tell segments apart by name.  A subnormal
     # transmission, given or implied by a loss above about 3076.5 dB, makes
     # the yields' products underflow into 0/0 = NaN later.
     tiny = sys.float_info.min
@@ -303,13 +307,21 @@ def validate_document(doc) -> list[str]:
                 )
         if len(problems) > found:
             continue
-        clicks = window_click_probs(_build_segment(seg), with_memory=False)
+        cfg = _build_segment(seg)
+        clicks = window_click_probs(cfg, with_memory=False)
         problems += [
             f"segments.{i}.nodes.{node}: click probability {clicks[node]!r} is less "
             f"than the minimum of {MIN_CLICK_PROB!r}"
             for node in "AC"
             if clicks[node] < MIN_CLICK_PROB
         ]
+        # B's dark-count share divides by its click probability
+        if cfg.memory is not None and window_click_probs(cfg, with_memory=True)["B"] == 0.0:
+            problems.append(
+                f"segments.{i}.memory.efficiency: B's click probability with memory "
+                f"underflows to 0 (detector efficiency {cfg.node_b.detector_efficiency!r} "
+                f"times memory efficiency {cfg.memory.efficiency!r}, no dark counts)"
+            )
     return problems
 
 
@@ -820,6 +832,8 @@ def _cmd_mc_check(args) -> int:
     configs = _load_configs(args)
     if args.samples < 1:
         raise ValueError(f"--samples: must be >= 1, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples: must be <= {MAX_SAMPLES}, got {args.samples}")
     if args.seed < 0:
         raise ValueError(f"--seed: must be >= 0, got {args.seed}")
     report = mc_report(configs, num_samples=args.samples, seed=args.seed)

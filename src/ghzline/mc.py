@@ -1,8 +1,12 @@
-"""Attempt-level Monte Carlo oracles for the closed-form expectations.
+"""Seeded Monte Carlo oracles for the closed-form expectations.
 
-Each estimator streams fixed-size chunks, drawing chunk k from child
-stream k of SeedSequence(seed) and merging running moments in chunk
-order.  The result is therefore bit-for-bit reproducible for a given
+The yield oracle draws its success count directly: the attempts still
+alive after each detection window are a binomial draw from those alive
+before it, so a call costs the same for any sample count.  The
+expected-max and coherence oracles draw every attempt.  They stream
+fixed-size chunks, drawing chunk k from child stream k of
+SeedSequence(seed) and merging running moments in chunk order.  The
+result is therefore bit-for-bit reproducible for a given
 (num_samples, seed) however the chunks are scheduled.  An oracle call
 spreads its chunks over min(usable CPUs, chunks, MAX_WORKERS) workers:
 the calling thread plus one thread for each worker past the first.  The
@@ -87,8 +91,12 @@ def _chunk_moments(block: Block, child: np.random.SeedSequence, size: int):
     return values.size, m, float(values.sum())
 
 
-def _run_chunks(blocks: list[Block], children: list, num_samples: int) -> list:
+def _run_chunks(blocks: list[Block], seed: int, num_samples: int) -> list:
     """Each chunk's moments, in chunk order, from one worker per block.
+
+    Chunk k draws from child stream k of SeedSequence(seed), the stream
+    ``SeedSequence(seed).spawn`` gives as its k-th child, built when the
+    chunk starts rather than all at once.
 
     The calling thread works with ``blocks[0]``, alone when it is the only
     block.  Each other block gets a thread that runs in a copy of the
@@ -98,9 +106,10 @@ def _run_chunks(blocks: list[Block], children: list, num_samples: int) -> list:
     of the lowest-numbered failing chunk, the one the serial loop would
     have raised, is raised.
     """
-    moments: list = [None] * len(children)
+    n_chunks = -(-num_samples // CHUNK)
+    moments: list = [None] * n_chunks
     errors: dict[int, BaseException] = {}
-    pending = iter(range(len(children)))
+    pending = iter(range(n_chunks))
     lock = threading.Lock()
     stop = threading.Event()
 
@@ -112,7 +121,8 @@ def _run_chunks(blocks: list[Block], children: list, num_samples: int) -> list:
                 return
             try:
                 size = min(CHUNK, num_samples - k * CHUNK)
-                moments[k] = _chunk_moments(block, children[k], size)
+                child = np.random.SeedSequence(seed, spawn_key=(k,))
+                moments[k] = _chunk_moments(block, child, size)
             except BaseException as exc:  # re-raised by the caller below
                 errors[k] = exc
                 stop.set()
@@ -146,10 +156,8 @@ def _mc_mean(new_block: Callable[[], Block], num_samples: int, seed: int) -> McR
     the calling thread.  With one worker no thread starts.
     """
     _chunk_len(num_samples)
-    n_chunks = -(-num_samples // CHUNK)
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    workers = min(_usable_cpus(), n_chunks, MAX_WORKERS)
-    moments = _run_chunks([new_block() for _ in range(workers)], children, num_samples)
+    workers = min(_usable_cpus(), -(-num_samples // CHUNK), MAX_WORKERS)
+    moments = _run_chunks([new_block() for _ in range(workers)], seed, num_samples)
     count = 0
     mean = 0.0
     m2 = 0.0
@@ -250,32 +258,28 @@ def mc_yield_memoryless(
     """Sampled per-attempt success frequency without memories.
 
     Each attempt has four independent detection windows (A, two at B, C)
-    and succeeds when all click.  The windows are drawn rarest first, and
-    an attempt stops at its first dark window: each window is drawn only
-    for the attempts whose earlier windows all clicked.  The law is that
-    of drawing all four, but a seed gives different estimates than the
-    four-draw sampler of earlier 0.1.0 builds.  Oracle for
+    and succeeds when all click.  Of the ``num_samples`` attempts, those
+    still alive after a window are drawn as Binomial(alive, q) of those
+    alive before it, for the windows A, B, B, C in turn, from one
+    ``default_rng(seed)``.  The success count K then has the law of
+    drawing every window of every attempt, Binomial(n, q_A q_B^2 q_C),
+    without forming the product that yield_memoryless computes, and a
+    call costs the same for any ``num_samples``.  The standard error is
+    that of the n 0/1 outcomes, computed from K.  Oracle for
     yield_memoryless.
     """
+    n = num_samples
+    if n < 1:
+        raise ValueError(f"num_samples must be >= 1, got {n}")
     p = window_click_probs(cfg, with_memory=False)
-    rarest_first = sorted((p["A"], p["B"], p["B"], p["C"]))
-    n = _chunk_len(num_samples)
-
-    def new_block() -> Block:
-        uniforms = np.empty(n)
-        clicked = np.empty(n, dtype=bool)
-        hits = np.empty(n)
-
-        def block(rng: np.random.Generator, size: int) -> np.ndarray:
-            u = rng.random(out=uniforms[:size])
-            live = np.flatnonzero(np.less(u, rarest_first[0], out=clicked[:size]))
-            for q in rarest_first[1:]:
-                live = live[rng.random(out=uniforms[: live.size]) < q]
-            success = hits[:size]
-            success.fill(0.0)
-            success[live] = 1.0
-            return success
-
-        return block
-
-    return _mc_mean(new_block, num_samples, seed)
+    rng = np.random.default_rng(seed)
+    k = n
+    # One draw per window, never one Binomial(n, product): the product is
+    # the formula this oracle checks.
+    for q in (p["A"], p["B"], p["B"], p["C"]):
+        k = int(rng.binomial(k, q))
+    m = k / n
+    var = (k * (1.0 - m) ** 2 + (n - k) * m**2) / (n - 1) if n > 1 else 0.0
+    return McResult(
+        estimate=m, standard_error=math.sqrt(var / n), num_samples=n, seed=seed
+    )

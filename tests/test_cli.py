@@ -235,6 +235,35 @@ class TestLoadConfig:
         assert all(math.isfinite(c[key]) for c in checks
                    for key in ("formula", "estimate", "standard_error"))
 
+    def test_rejects_b_click_probability_with_memory_that_underflows(self, tmp_path, capsys):
+        # B's detection probability with memory, detector times memory
+        # efficiency, underflows to 0 with no dark count to lift its click
+        # probability; simulate --memory once failed on it with no field named
+        doc = yaml.load(data_path().read_text(), Loader=YAML_LOADER)
+        seg = doc["segments"][0]
+        seg["nodes"]["B"].update(detector_efficiency=1.0e-200, dark_count_prob=0.0)
+        seg["memory"]["efficiency"] = 1.0e-200
+        path = write_doc(tmp_path, {"segments": [seg]})
+        problem = ("segments.0.memory.efficiency: B's click probability with memory "
+                   "underflows to 0 (detector efficiency 1e-200 times memory efficiency "
+                   "1e-200, no dark counts)")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.problems == [problem]
+        assert main(["simulate", "--memory", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: invalid configuration:\n  - {problem}\n"
+        # a subnormal click probability, or a dark count, keeps the window
+        # clicking, however rarely: a finite row
+        for eta_b, efficiency, dark in ((1.0e-150, 1.0e-160, 0.0), (1.0e-200, 1.0e-200, 1e-9)):
+            seg["nodes"]["B"].update(detector_efficiency=eta_b, dark_count_prob=dark)
+            seg["memory"]["efficiency"] = efficiency
+            path = write_doc(tmp_path, {"segments": [seg]})
+            out = tmp_path / "simulate.json"
+            assert main(["simulate", "--memory", "--config", str(path), "--format", "json",
+                         "--out", str(out)]) == 0
+            (row,) = json.loads(out.read_text())
+            assert 0.0 <= row["yield"] < 1e-15 and math.isfinite(row["fidelity"])
+
     def test_rejects_duplicate_segment_names(self, tmp_path, capsys):
         doc = minimal_doc(name="berlin-schaepe-koeckern")
         doc["segments"] += [dict(doc["segments"][0], name="other"), doc["segments"][0]]
@@ -657,7 +686,8 @@ def strict_json(text):
 class TestBoundaryProperty:
     """Every document that validates gives finite numbers in strict JSON,
     or fails with exit status 2 and the segment named on stderr; never a
-    traceback, NaN or infinity."""
+    traceback, NaN or infinity.  mc-check may also exit 1, with strict
+    finite JSON, when a check deviates."""
 
     # Fields that are null by design: the T2 of a memory-off row, and the
     # memory columns of a segment without a memory.
@@ -666,20 +696,20 @@ class TestBoundaryProperty:
     def run(self, path, *argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, "--config", str(path), "--format", "json"])
+            code = main([*argv, "--config", str(path)])
         return code, out.getvalue(), err.getvalue()
 
     # more than the profile's examples: an edge needs several fields at
     # their ends at once
     @settings(max_examples=100)
-    @given(doc=boundary_documents())
-    def test_finite_json_or_a_named_failure(self, doc):
+    @given(doc=boundary_documents(), seed=st.integers(0, 2**32 - 1))
+    def test_finite_json_or_a_named_failure(self, doc, seed):
         assume(not validate_document(doc))
         has_memory = "memory" in doc["segments"][0]
         with tempfile.TemporaryDirectory() as tmp:
             path = write_doc(Path(tmp), doc)
             for argv in (["yields"], ["simulate"], ["simulate", "--memory"]):
-                code, out, err = self.run(path, *argv)
+                code, out, err = self.run(path, *argv, "--format", "json")
                 if code == 2:
                     assert "edge-segment" in err, (argv, err)
                     continue
@@ -692,6 +722,23 @@ class TestBoundaryProperty:
                             assert key == "T2_s" or not has_memory, (argv, key)
                         elif not isinstance(value, (str, bool)):
                             assert math.isfinite(value), (argv, key, value)
+            # a deviation is a result, not a failure: exit 1 reports it
+            code, out, err = self.run(path, "mc-check", "--samples", "1000", "--seed", str(seed))
+            if code == 2:
+                assert "edge-segment" in err, err
+                return
+            assert code in (0, 1), err
+            report = strict_json(out)
+            assert (code == 1) == (report["num_deviations"] > 0), err
+            assert (err == "") == (code == 0), err
+            assert report["num_checks"] == len(report["checks"]) == 2 + has_memory
+            for check in report["checks"]:
+                for key, value in check.items():
+                    if value is None:
+                        # a deterministic estimator has no z-score
+                        assert key == "z_score" and check["test_standard_error"] == 0.0, check
+                    elif not isinstance(value, (str, bool)):
+                        assert math.isfinite(value), (key, check)
 
 
 class TestSweepSpec:
@@ -1161,6 +1208,8 @@ class TestMain:
         (["simulate", "--fg", "1.5"], "--fg: need 0 <= value <= 1, got 1.5"),
         (["simulate", "--memory", "--t2", "0"], "--t2: must be positive, got (0.0,)"),
         (["mc-check", "--samples", "0"], "--samples: must be >= 1, got 0"),
+        (["mc-check", "--samples", str(2**63)],
+         f"--samples: must be <= {2**63 - 1}, got {2**63}"),
         (["sweep", "--fd", "0:2:3"], "--fd: need 0 <= min <= max <= 1, got 0.0..2.0"),
         (["sweep", "--memory", "--t2", "nan"], "--t2: must be positive, got (nan,)"),
         (["simulate", "--memory", "--t2", "nan"], "--t2: must be positive, got (nan,)"),

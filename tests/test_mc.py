@@ -22,7 +22,8 @@ from ghzline import (
 from ghzline import mc
 from ghzline.cli import MIN_CLICK_PROB
 from ghzline.mc import CHUNK, _geometric_block, _mc_mean
-from util import make_cfg
+from ghzline.netmodel import window_click_probs
+from util import attempt_level_successes, make_cfg
 
 
 class LargestUniform:
@@ -420,7 +421,7 @@ class TestYieldOracle:
     def test_thinned_draws_keep_the_law(self, p_a, p_b, p_c, p_rare, rare, seed):
         cfg = make_cfg(trans_ab=p_rare if rare == "A" else p_a, eta_b=p_b,
                        trans_bc=p_rare if rare == "C" else p_c)
-        n = 2**18 + 1000  # full chunks and a partial one
+        n = 2**18 + 1000
         mc = mc_yield_memoryless(cfg, num_samples=n, seed=seed)
         y = yield_memoryless(cfg)
         assert abs(mc.estimate - y) <= 5.0 * math.sqrt(y * (1.0 - y) / n)
@@ -448,3 +449,87 @@ class TestYieldOracle:
         large = mc_yield_memoryless(cfg, num_samples=262144, seed=17)
         ratio = large.standard_error / small.standard_error
         assert 0.45 <= ratio <= 0.55
+
+
+def chi_square_bound(df):
+    """Wilson-Hilferty approximation of chi-square's upper 1e-4 quantile.
+
+    It exceeds the exact quantile, by under 4% from 3 degrees of freedom
+    on, so a bound taken from it errs towards passing a correct sampler.
+    """
+    z = 3.719016485455709  # the standard normal's upper 1e-4 quantile
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+class TestYieldCountSampler:
+    """The yield oracle's success count, drawn by binomial thinning."""
+
+    # windows near 0.5: A 0.6, both B 0.75, C 0.7, so y = 0.23625
+    CFG = make_cfg(trans_ab=0.6, eta_b=0.75, trans_bc=0.7)
+
+    def test_count_follows_the_law_of_attempt_level_draws(self):
+        n, seeds = 20, range(4000)
+        p = window_click_probs(self.CFG, with_memory=False)
+        probs = (p["A"], p["B"], p["B"], p["C"])
+        y = math.prod(probs)
+        counts = [round(mc_yield_memoryless(self.CFG, n, seed).estimate * n)
+                  for seed in seeds]
+        reference = [int(attempt_level_successes(np.random.default_rng(seed), probs, n).sum())
+                     for seed in seeds]
+        # cells of 0..n, each tail merged into its neighbour until every
+        # cell expects at least 5 draws under Binomial(n, y)
+        pmf = [math.comb(n, k) * y**k * (1.0 - y) ** (n - k) for k in range(n + 1)]
+        lo, hi = 0, n
+        while sum(pmf[: lo + 1]) * len(seeds) < 5.0:
+            lo += 1
+        while sum(pmf[hi:]) * len(seeds) < 5.0:
+            hi -= 1
+        expected = np.array([sum(pmf[: lo + 1]), *pmf[lo + 1 : hi], sum(pmf[hi:])]) * len(seeds)
+        bound = chi_square_bound(expected.size - 1)
+        assert expected.size - 1 >= 3
+
+        def cells(values):
+            return np.bincount(np.clip(values, lo, hi), minlength=n + 1)[lo : hi + 1]
+
+        observed, ref = cells(counts), cells(reference)
+        assert np.sum((observed - expected) ** 2 / expected) <= bound
+        assert np.sum((ref - expected) ** 2 / expected) <= bound
+        # the two samples are equal in size: homogeneity over the same cells
+        assert np.sum((observed - ref) ** 2 / (observed + ref)) <= bound
+
+    def test_huge_sample_count_costs_no_more(self):
+        n = 10**15
+        start = time.perf_counter()
+        result = mc_yield_memoryless(self.CFG, num_samples=n, seed=3)
+        assert time.perf_counter() - start < 1.0
+        y = yield_memoryless(self.CFG)
+        null_stderr = math.sqrt(y * (1.0 - y) / n)
+        assert result.num_samples == n
+        assert abs(result.estimate - y) <= 5.0 * null_stderr
+        assert result.standard_error == pytest.approx(null_stderr, rel=1e-3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_one_sample_has_no_spread(self, seed):
+        result = mc_yield_memoryless(self.CFG, num_samples=1, seed=seed)
+        assert result.estimate in (0.0, 1.0)
+        assert result.standard_error == 0.0
+
+    def test_standard_error_is_that_of_the_outcomes(self):
+        # the sample standard deviation of K ones and n - K zeros, over sqrt(n)
+        n = 1000
+        result = mc_yield_memoryless(self.CFG, num_samples=n, seed=11)
+        k = round(result.estimate * n)
+        outcomes = np.repeat([1.0, 0.0], [k, n - k])
+        assert result.standard_error == pytest.approx(
+            float(outcomes.std(ddof=1)) / math.sqrt(n), rel=1e-12)
+
+    def test_pinned_bits(self):
+        # the draws A, B, B, C from one default_rng(seed), kept across rewrites
+        result = mc_yield_memoryless(self.CFG, num_samples=10**6, seed=7)
+        assert (result.estimate.hex(), result.standard_error.hex()) == (
+            "0x1.e4dec1c1d6cf8p-3", "0x1.bdbd214690778p-12")
+
+    def test_rejects_empty_sample(self):
+        with pytest.raises(ValueError, match="num_samples"):
+            mc_yield_memoryless(self.CFG, num_samples=0)

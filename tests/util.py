@@ -86,6 +86,22 @@ def series_expected_max(p_a, p_c):
         start += chunk
 
 
+def attempt_level_successes(rng, probs, size):
+    """0/1 outcomes of ``size`` attempts whose windows click with ``probs``.
+
+    The memoryless yield oracle's earlier sampler, kept as the reference
+    for its law: each attempt draws its windows rarest first, each window
+    only while all of its earlier ones clicked, and succeeds when all do.
+    """
+    rarest_first = sorted(probs)
+    live = np.flatnonzero(rng.random(size) < rarest_first[0])
+    for q in rarest_first[1:]:
+        live = live[rng.random(live.size) < q]
+    success = np.zeros(size)
+    success[live] = 1.0
+    return success
+
+
 def random_density_matrix(rng, num_qubits):
     """Full-rank random state from a complex Ginibre matrix."""
     dim = 2**num_qubits
