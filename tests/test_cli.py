@@ -1208,8 +1208,6 @@ class TestMain:
         (["simulate", "--fg", "1.5"], "--fg: need 0 <= value <= 1, got 1.5"),
         (["simulate", "--memory", "--t2", "0"], "--t2: must be positive, got (0.0,)"),
         (["mc-check", "--samples", "0"], "--samples: must be >= 1, got 0"),
-        (["mc-check", "--samples", str(2**63)],
-         f"--samples: must be <= {2**63 - 1}, got {2**63}"),
         (["sweep", "--fd", "0:2:3"], "--fd: need 0 <= min <= max <= 1, got 0.0..2.0"),
         (["sweep", "--memory", "--t2", "nan"], "--t2: must be positive, got (nan,)"),
         (["simulate", "--memory", "--t2", "nan"], "--t2: must be positive, got (nan,)"),
@@ -1222,6 +1220,8 @@ class TestMain:
         (["sweep", "--memory", "--t2", "1", "--t2", "1"],
          "--t2: must be distinct, got (1.0, 1.0)"),
         (["simulate", "--fd", "nan"], "--fd: need 0 <= value <= 1, got nan"),
+        (["mc-check", "--samples", str(2**63)],
+         f"--samples: must be <= {2**63 - 1}, got {2**63}"),
     ])
     def test_range_errors_name_the_option(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
