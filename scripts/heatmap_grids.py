@@ -11,7 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from ghzline.cli import SweepSpec, data_path, emit, load_config, run_sweep
+from ghzline.config import data_path, load_config
+from ghzline.sweep import SweepSpec, emit, run_sweep
 
 
 def parse_args(argv=None):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ghzline import yield_memoryless, yield_with_memory
-from ghzline.cli import data_path, load_config
+from ghzline.config import data_path, load_config
 
 
 def parse_args(argv=None):

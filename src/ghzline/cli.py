@@ -1,4 +1,4 @@
-"""Command-line interface: config ingestion, sweeps, yield tables, MC checks.
+"""The ghzline command line: the four subcommands, over config and sweep.
 
 Subcommands:
 
@@ -21,483 +21,27 @@ import csv
 import io
 import json
 import math
-import numbers
-import operator
-import re
 import sys
-from dataclasses import dataclass, replace
 from functools import cache
-from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-import yaml
-
+from .config import data_path, load_config
 from .netmodel import (
-    SPEED_OF_LIGHT_FIBER,
-    LinkParams,
-    MemoryParams,
-    NodeParams,
-    SourceParams,
     TrioConfig,
     expected_coherence_near,
     expected_max_geometric,
-    require_memory,
-    transmission_from_db,
     window_click_probs,
     yield_memoryless,
     yield_with_memory,
 )
 
-# numpy and the engine modules (mc, protocol, rates) are imported in the
-# functions that use them, so that yields and config validation run
+# numpy and the engine (sweep, mc) are imported in the functions that use
+# them, after the config has loaded, so that yields and config errors run
 # without loading numpy.
-if TYPE_CHECKING:
-    from .mc import McResult
-    from .protocol import NoiseParams
-    from .rates import RateReport
 
-# (column, RateReport field) of every value a CSV or JSON row carries, in
-# column order; rendering and parsing both go through this table.
-ROW_COLUMNS = (
-    ("segment", "segment"),
-    ("f_D", "f_d"),
-    ("f_G", "f_g"),
-    ("memory", "memory"),
-    ("T2_s", "t2_s"),
-    ("yield", "yield_per_attempt"),
-    ("fidelity", "fidelity"),
-    ("Q_X", "q_x"),
-    ("Q_AB", "q_ab"),
-    ("r_per_attempt", "r_per_attempt"),
-    ("r_per_second", "r_per_second"),
-)
-CSV_COLUMNS = tuple(column for column, _ in ROW_COLUMNS)
-
-DEFAULT_CONFIG = "network_segments.yaml"
-# Least click probability of an outer window (A or C).  A sampled attempt
-# count log1p(-u) / log1p(-p) reaches 53 ln 2 / p, about 36.7 / p, at the
-# largest uniform u = 1 - 2^-53, and passes the float maximum once p is
-# below 53 ln 2 / 1.797e308 = 2.0436e-307; this floor rounds that up.
-MIN_CLICK_PROB = 2.05e-307
 # Most samples per mc-check: the yield oracle's binomial draws take counts
 # up to the int64 maximum.
 MAX_SAMPLES = 2**63 - 1
-
-# libyaml's C parser when PyYAML was built with it, else the pure one.  Both
-# share the safe resolver and constructor, so they build the same document;
-# the C one is several times faster.
-class _ConfigLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
-    """Safe loader that also reads YAML 1.2 exponent floats.
-
-    The YAML 1.1 resolver reads ``1.0e7``, ``1e7`` and ``1E-3`` as strings;
-    only a signed exponent (``1.0e+7``) makes a float.  The resolver added
-    below goes to this class alone; PyYAML's loaders are left as they are.
-    A digit must follow a leading dot, as in PyYAML's own float pattern, so
-    that ``._e3`` stays a string rather than failing float().
-    """
-
-
-_ConfigLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
-    list("-+0123456789."),
-)
-YAML_LOADER = _ConfigLoader
-
-
-class ConfigError(ValueError):
-    """Configuration rejected; ``problems`` lists every violation found."""
-
-    def __init__(self, problems: list[str]) -> None:
-        self.problems = list(problems)
-        super().__init__("invalid configuration:\n" + "\n".join(f"  - {p}" for p in self.problems))
-
-
-def data_path(name: str = DEFAULT_CONFIG) -> Path:
-    """Filesystem path of a bundled data file."""
-    return Path(str(resources.files("ghzline") / "data" / name))
-
-
-# The JSON Schema types config.schema.json names; bool is no number, as in
-# jsonschema.
-_SCHEMA_TYPES = {
-    "object": lambda x: isinstance(x, dict),
-    "array": lambda x: isinstance(x, list),
-    "string": lambda x: isinstance(x, str),
-    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
-}
-# The instance type each keyword applies to; others pass it unchecked.
-_KEYWORD_TYPES = {
-    "required": "object",
-    "properties": "object",
-    "additionalProperties": "object",
-    "items": "array",
-    "minItems": "array",
-    "minLength": "string",
-    "minimum": "number",
-    "maximum": "number",
-    "exclusiveMinimum": "number",
-    "exclusiveMaximum": "number",
-}
-# (violated when, message) of each numeric bound, in jsonschema's words.
-_BOUNDS = {
-    "minimum": (operator.lt, "is less than the minimum of"),
-    "maximum": (operator.gt, "is greater than the maximum of"),
-    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
-    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
-}
-# Every keyword the interpreter knows: the 13 it checks, then those that
-# only annotate or hold subschemas for $ref.
-_SCHEMA_KEYWORDS = {
-    "type", "$ref", "anyOf", *_KEYWORD_TYPES, "$schema", "title", "description", "$defs"
-}
-# The subschemas each keyword holds, if any.
-_SUBSCHEMAS = {
-    "properties": dict.values, "$defs": dict.values, "items": lambda s: [s], "anyOf": list
-}
-
-
-def _compile_schema(schema: dict, root: dict | None = None) -> dict:
-    """Check that ``schema`` uses only what _schema_errors interprets, and
-    replace each ``$ref`` by the subschema it points to, in place.
-
-    Raises ValueError on any other keyword, type name, reference form or
-    open object, so that an edit to the schema cannot be silently ignored.
-    """
-    root = schema if root is None else root
-    for key, value in schema.items():
-        if key not in _SCHEMA_KEYWORDS:
-            raise ValueError(f"config schema: unsupported keyword {key!r}")
-        if key == "type" and not (isinstance(value, str) and value in _SCHEMA_TYPES):
-            raise ValueError(f"config schema: unsupported type {value!r}")
-        if key == "additionalProperties" and value is not False:
-            raise ValueError(f"config schema: unsupported additionalProperties {value!r}")
-        if key == "$ref":
-            if not value.startswith("#/"):
-                raise ValueError(f"config schema: unsupported $ref {value!r}")
-            target = root
-            for part in value[2:].split("/"):
-                target = target[part]
-            schema[key] = target
-        for sub in _SUBSCHEMAS[key](value) if key in _SUBSCHEMAS else ():
-            _compile_schema(sub, root)
-    return schema
-
-
-@cache
-def _config_schema() -> dict:
-    """config.schema.json, read and compiled once per process."""
-    with (resources.files("ghzline") / "data" / "config.schema.json").open() as fh:
-        return _compile_schema(json.load(fh))
-
-
-def _schema_errors(schema: dict, node, path: tuple = ()):
-    """(path, message) of every violation of ``schema`` by ``node``.
-
-    Keywords are checked in the schema's order, depth first, with
-    jsonschema's Draft 2020-12 message texts.
-    """
-    for key, value in schema.items():
-        if key in _KEYWORD_TYPES and not _SCHEMA_TYPES[_KEYWORD_TYPES[key]](node):
-            continue
-        if key == "$ref":
-            yield from _schema_errors(value, node, path)
-        elif key == "type":
-            if not _SCHEMA_TYPES[value](node):
-                yield path, f"{node!r} is not of type {value!r}"
-        elif key == "required":
-            for name in value:
-                if name not in node:
-                    yield path, f"{name!r} is a required property"
-        elif key == "properties":
-            for name, sub in value.items():
-                if name in node:
-                    yield from _schema_errors(sub, node[name], path + (name,))
-        elif key == "additionalProperties":
-            known = schema.get("properties", {})
-            extras = sorted({name for name in node if name not in known}, key=str)
-            if extras:
-                verb = "was" if len(extras) == 1 else "were"
-                names = ", ".join(repr(name) for name in extras)
-                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
-        elif key == "items":
-            for i, item in enumerate(node):
-                yield from _schema_errors(value, item, path + (i,))
-        elif key in ("minItems", "minLength"):
-            if len(node) < value:
-                yield path, f"{node!r} {'should be non-empty' if value == 1 else 'is too short'}"
-        elif key in _BOUNDS:
-            violated, text = _BOUNDS[key]
-            if violated(node, value):
-                yield path, f"{node!r} {text} {value!r}"
-        elif key == "anyOf":
-            if all(next(_schema_errors(sub, node, path), None) for sub in value):
-                yield path, f"{node!r} is not valid under any of the given schemas"
-
-
-def _non_finite(node, where: str) -> list[str]:
-    """Dotted paths of every number in a parsed document that a float
-    cannot hold: inf, NaN, or an integer beyond the float range.
-
-    YAML's .inf and .nan satisfy every numeric bound of the schema, and a
-    huge integer would overflow only later, when the model converts it; so
-    they are caught here rather than surfacing as a NaN or null rate or as
-    a traceback.
-    """
-    if isinstance(node, (int, float)):
-        # NaN fails the comparison too; abs(True) is 1
-        return [] if abs(node) <= sys.float_info.max else [f"{where or '<root>'}: must be finite"]
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        return []
-    prefix = f"{where}." if where else ""
-    return [p for key, value in items for p in _non_finite(value, f"{prefix}{key}")]
-
-
-def validate_document(doc) -> list[str]:
-    """All schema and consistency violations of a parsed config document."""
-    problems = [
-        f"{'.'.join(str(x) for x in path) or '<root>'}: {message}"
-        for path, message in sorted(
-            _schema_errors(_config_schema(), doc), key=lambda e: [str(x) for x in e[0]]
-        )
-    ]
-    problems += _non_finite(doc, "")
-    if problems:
-        return problems
-    # The schema cannot cross-check redundant fields, see a transmission so
-    # small that it is subnormal, see an outer click probability below
-    # MIN_CLICK_PROB or a B click probability with memory that underflows
-    # to 0, nor tell segments apart by name.  A subnormal
-    # transmission, given or implied by a loss above about 3076.5 dB, makes
-    # the yields' products underflow into 0/0 = NaN later.
-    tiny = sys.float_info.min
-    first_at: dict[str, int] = {}
-    for i, seg in enumerate(doc["segments"]):
-        first = first_at.setdefault(seg["name"], i)
-        if first != i:
-            problems.append(
-                f"segments.{i}.name: duplicate segment name {seg['name']!r} "
-                f"(first at segments.{first})"
-            )
-        found = len(problems)
-        for key in ("AB", "BC"):
-            raw = seg["links"][key]
-            where = f"segments.{i}.links.{key}"
-            if "transmission" in raw and raw["transmission"] < tiny:
-                problems.append(
-                    f"{where}.transmission: {raw['transmission']!r} is less than the "
-                    f"minimum of {tiny!r}"
-                )
-            if "loss_db" not in raw:
-                continue
-            implied = transmission_from_db(raw["loss_db"])
-            if implied < tiny:
-                problems.append(
-                    f"{where}.loss_db: implies transmission {implied!r}, need >= {tiny!r}"
-                )
-            elif "transmission" in raw and abs(implied - raw["transmission"]) > 1e-9:
-                problems.append(
-                    f"{where}: transmission {raw['transmission']} "
-                    f"disagrees with loss_db {raw['loss_db']} (implies {implied:.9g})"
-                )
-        if len(problems) > found:
-            continue
-        cfg = _build_segment(seg)
-        clicks = window_click_probs(cfg, with_memory=False)
-        problems += [
-            f"segments.{i}.nodes.{node}: click probability {clicks[node]!r} is less "
-            f"than the minimum of {MIN_CLICK_PROB!r}"
-            for node in "AC"
-            if clicks[node] < MIN_CLICK_PROB
-        ]
-        # B's dark-count share divides by its click probability
-        if cfg.memory is not None and window_click_probs(cfg, with_memory=True)["B"] == 0.0:
-            problems.append(
-                f"segments.{i}.memory.efficiency: B's click probability with memory "
-                f"underflows to 0 (detector efficiency {cfg.node_b.detector_efficiency!r} "
-                f"times memory efficiency {cfg.memory.efficiency!r}, no dark counts)"
-            )
-    return problems
-
-
-def _build_link(raw: dict) -> LinkParams:
-    if "loss_db" in raw:
-        transmission = transmission_from_db(raw["loss_db"])
-    else:
-        transmission = raw["transmission"]
-    return LinkParams(length=raw["length"], transmission=transmission)
-
-
-def _build_node(key: str, raw: dict) -> NodeParams:
-    return NodeParams(
-        name=raw.get("name", key),
-        detector_efficiency=raw["detector_efficiency"],
-        dark_count_prob=raw.get("dark_count_prob", 0.0),
-    )
-
-
-def _build_segment(seg: dict) -> TrioConfig:
-    mem = seg.get("memory")
-    return TrioConfig(
-        name=seg["name"],
-        node_a=_build_node("A", seg["nodes"]["A"]),
-        node_b=_build_node("B", seg["nodes"]["B"]),
-        node_c=_build_node("C", seg["nodes"]["C"]),
-        link_ab=_build_link(seg["links"]["AB"]),
-        link_bc=_build_link(seg["links"]["BC"]),
-        source=SourceParams(frequency=seg["source"]["frequency"]),
-        memory=MemoryParams(efficiency=mem["efficiency"], t2=mem["T2"]) if mem else None,
-        speed_of_light=seg.get("speed_of_light", SPEED_OF_LIGHT_FIBER),
-    )
-
-
-def load_config(path) -> list[TrioConfig]:
-    """Parse and validate a segment configuration file.
-
-    Violations are collected and reported all at once in a ConfigError
-    instead of stopping at the first.
-    """
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ConfigError([f"cannot read {p}: {exc}"]) from exc
-    try:
-        doc = yaml.load(text, Loader=YAML_LOADER)
-    except (yaml.YAMLError, ValueError) as exc:
-        # a ValueError: an integer beyond Python's int-string conversion limit
-        raise ConfigError([f"{p}: parse error: {exc}"]) from exc
-    problems = validate_document(doc)
-    if problems:
-        raise ConfigError(problems)
-    return [_build_segment(seg) for seg in doc["segments"]]
-
-
-class SpecError(ValueError):
-    """A SweepSpec field is out of range: ``field`` names it, ``problem`` says how."""
-
-    def __init__(self, field: str, problem: str) -> None:
-        super().__init__(f"{field}: {problem}")
-        self.field = field
-        self.problem = problem
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Cartesian sweep over the noise knobs and memory settings.
-
-    Each range is (min, max, steps).  t2_values applies to memory-on rows;
-    empty means each segment's configured T2.
-    """
-
-    fd_range: tuple[float, float, int] = (0.0, 0.3, 11)
-    fg_range: tuple[float, float, int] = (0.0, 0.3, 11)
-    memory_modes: tuple[str, ...] = ("off", "on")
-    t2_values: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        for label, rng in (("fd_range", self.fd_range), ("fg_range", self.fg_range)):
-            lo, hi, steps = rng
-            if not 0.0 <= lo <= hi <= 1.0:
-                # one value, as simulate and `--fd X` give; NaN too
-                if int(steps) == 1 and (lo == hi or math.isnan(lo) and math.isnan(hi)):
-                    raise SpecError(label, f"need 0 <= value <= 1, got {lo}")
-                raise SpecError(label, f"need 0 <= min <= max <= 1, got {lo}..{hi}")
-            if int(steps) < 1:
-                raise SpecError(label, f"steps must be >= 1, got {steps}")
-        modes = self.memory_modes
-        if not modes or len(set(modes)) != len(modes):
-            raise SpecError("memory_modes", f"must be nonempty and distinct, got {modes}")
-        if any(m not in ("off", "on") for m in modes):
-            raise SpecError("memory_modes", f"entries must be 'off' or 'on', got {modes}")
-        if any(not t > 0.0 for t in self.t2_values):  # NaN too
-            raise SpecError("t2_values", f"must be positive, got {self.t2_values}")
-        if any(math.isinf(t) for t in self.t2_values):
-            raise SpecError("t2_values", f"must be finite, got {self.t2_values}")
-        if len(set(self.t2_values)) != len(self.t2_values):
-            raise SpecError("t2_values", f"must be distinct, got {self.t2_values}")
-
-
-def _axis(rng: tuple[float, float, int]) -> list[float]:
-    import numpy as np
-
-    lo, hi, steps = rng
-    return [float(x) for x in np.linspace(lo, hi, int(steps))]
-
-
-def _failed_rows(
-    cfg: TrioConfig, noises: list[NoiseParams], memory: bool, t2: float | None, error: str
-) -> list[RateReport]:
-    """NaN rows of a block whose grid points could not be evaluated, with the reason."""
-    from .rates import RateReport
-
-    nan = float("nan")
-    return [
-        RateReport(cfg.name, noise.channel_depol, noise.gate_fail, memory, t2,
-                   nan, nan, nan, nan, nan, nan, error)
-        for noise in noises
-    ]
-
-
-def run_sweep(configs, spec: SweepSpec = SweepSpec()) -> list[RateReport]:
-    """Evaluate the full grid, ordered by (segment, memory, T2, f_D, f_G).
-
-    Each (segment, memory, T2) block of the (f_D, f_G) grid is evaluated
-    by one engine call.  If that call raises ValueError, every point of
-    the block gets a NaN row carrying the error text, and the sweep goes
-    on.  Each ValueError the engine raises depends only on the block's
-    segment, memory mode and T2, never on f_D or f_G, so it is also each
-    point's own error.
-    """
-    from .protocol import NoiseParams
-    from .rates import rate_reports
-
-    fds, fgs = _axis(spec.fd_range), _axis(spec.fg_range)
-    noises = [NoiseParams(channel_depol=fd, gate_fail=fg) for fd in fds for fg in fgs]
-    rows: list[RateReport] = []
-    for cfg in sorted(configs, key=lambda c: c.name):
-        for mode in ("off", "on"):
-            if mode not in spec.memory_modes:
-                continue
-            if mode == "off":
-                t2s: list[float | None] = [None]
-            elif spec.t2_values:
-                t2s = sorted(spec.t2_values)
-            else:
-                t2s = [cfg.memory.t2 if cfg.memory else None]
-            memory = mode == "on"
-            for t2 in t2s:
-                try:
-                    block = cfg
-                    if memory and t2 is not None:
-                        block = replace(cfg, memory=replace(require_memory(cfg), t2=t2))
-                    rows += rate_reports(block, noises, use_memory=memory)
-                except ValueError as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                    rows += _failed_rows(cfg, noises, memory, t2, error)
-    return rows
-
-
-def _json_float(x: float) -> float | None:
-    x = float(x)
-    return x if math.isfinite(x) else None
-
-
-def _json_value(value):
-    return value if value is None or isinstance(value, (str, bool)) else _json_float(value)
-
-
-def row_as_dict(row: RateReport) -> dict:
-    """Row as a JSON-ready mapping with the canonical column names."""
-    d = {column: _json_value(getattr(row, field)) for column, field in ROW_COLUMNS}
-    if row.error is not None:
-        d["error"] = row.error
-    return d
 
 
 def _csv_cell(value) -> str:
@@ -506,99 +50,6 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return "" if value is None else f"{float(value):.17g}"
-
-
-def _csv_quoted(text: str) -> str:
-    """``text`` as csv.writer writes it among other cells: quoted when it
-    holds a comma, quote or line break."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]  # less the empty cell's comma and the line end
-
-
-# One CSV line of a row, cells in ROW_COLUMNS order: the quoted segment,
-# f_D and f_G, the memory, T2 and yield cells as one text, then five floats.
-# '%.17g' % x is the text of f"{float(x):.17g}", so every cell is _csv_cell's.
-_CSV_LINE = "%s,%.17g,%.17g,%s" + ",%.17g" * 5 + "\n"
-
-
-def render_csv(rows) -> str:
-    """The header and one line per row, with the cells and quoting of
-    csv.writer over _csv_cell.
-
-    Consecutive rows holding the very same segment, memory, T2 and yield
-    objects, as every row of a run_sweep block does, share the text of
-    those cells.  The match is by identity, never by value: 0.0 == -0.0
-    but their texts differ.
-    """
-    quoted: dict[str, str] = {}
-    lines = [",".join(CSV_COLUMNS) + "\n"]
-    segment = memory = t2 = y = head = mid = None
-    for seg, f_d, f_g, mem, t2_s, y_, fid, q_x, q_ab, r_a, r_s, _ in rows:
-        if not (seg is segment and mem is memory and t2_s is t2 and y_ is y):
-            segment, memory, t2, y = seg, mem, t2_s, y_
-            head = quoted.get(segment)
-            if head is None:
-                head = quoted[segment] = _csv_quoted(segment)
-            mid = "%s,%s,%.17g" % (
-                "true" if memory else "false", "" if t2 is None else "%.17g" % t2, y)
-        lines.append(_CSV_LINE % (head, f_d, f_g, mid, fid, q_x, q_ab, r_a, r_s))
-    return "".join(lines)
-
-
-def render_json(rows) -> str:
-    return json.dumps([row_as_dict(r) for r in rows], indent=1) + "\n"
-
-
-def emit(rows, fmt: str, path) -> Path:
-    """Write rows to ``path``.  CSV floats carry 17 significant digits;
-    JSON uses shortest round-trip rendering, which loses nothing."""
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
-    out = Path(path)
-    out.write_text(render_csv(rows) if fmt == "csv" else render_json(rows))
-    return out
-
-
-def _float_or_none(value) -> float | None:
-    if value is None or value == "":
-        return None
-    return float(value)
-
-
-def _require_float(value) -> float:
-    return float("nan") if value is None else float(value)
-
-
-def _row_fields(values: dict, number, flag) -> dict:
-    """RateReport fields of a row from its cells by column name; ``number``
-    reads the float cells and ``flag`` the memory cell in the file format's
-    encoding."""
-    read = {"segment": str, "memory": flag, "t2_s": _float_or_none}
-    return {field: read.get(field, number)(values[column]) for column, field in ROW_COLUMNS}
-
-
-def parse_rows(path, fmt: str | None = None) -> list[RateReport]:
-    """Read back an emit() file (format inferred from the suffix if omitted).
-
-    CSV cannot carry error messages, so failed rows come back with NaN
-    metrics and error=None.
-    """
-    from .rates import RateReport
-
-    p = Path(path)
-    if fmt is None:
-        fmt = "json" if p.suffix == ".json" else "csv"
-    if fmt == "json":
-        return [
-            RateReport(**_row_fields(d, _require_float, bool), error=d.get("error"))
-            for d in json.loads(p.read_text())
-        ]
-    with p.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != list(CSV_COLUMNS):
-            raise ValueError(f"unexpected CSV header in {p}: {reader.fieldnames}")
-        return [RateReport(**_row_fields(d, float, lambda cell: cell == "true")) for d in reader]
 
 
 def yields_report(configs) -> list[dict]:
@@ -741,6 +192,8 @@ SPEC_FLAGS = {"fd_range": "--fd", "fg_range": "--fg", "t2_values": "--t2"}
 def _sweep_spec(**fields) -> SweepSpec:
     """SweepSpec from command-line values; a field out of range is
     reported by the option the user typed."""
+    from .sweep import SpecError, SweepSpec
+
     try:
         return SweepSpec(**fields)
     except SpecError as exc:
@@ -749,6 +202,8 @@ def _sweep_spec(**fields) -> SweepSpec:
 
 def _cmd_simulate(args) -> int:
     configs = _load_configs(args)
+    from .sweep import render_json, run_sweep
+
     spec = _sweep_spec(
         fd_range=(args.fd, args.fd, 1),
         fg_range=(args.fg, args.fg, 1),
@@ -788,6 +243,8 @@ def _parse_axis(text: str, flag: str | None = None) -> tuple[float, float, int]:
 
 def _cmd_sweep(args) -> int:
     configs = _load_configs(args)
+    from .sweep import emit, run_sweep
+
     if args.memory is None:
         modes: tuple[str, ...] = ("off", "on")
     else:

@@ -1,0 +1,326 @@
+"""Segment config files: YAML loading, schema and consistency checks, and
+one TrioConfig per segment.  Nothing here needs numpy."""
+
+from __future__ import annotations
+
+import json
+import numbers
+import operator
+import re
+import sys
+from functools import cache
+from importlib import resources
+from pathlib import Path
+
+import yaml
+
+from .netmodel import (
+    SPEED_OF_LIGHT_FIBER,
+    LinkParams,
+    MemoryParams,
+    NodeParams,
+    SourceParams,
+    TrioConfig,
+    transmission_from_db,
+    window_click_probs,
+)
+
+DEFAULT_CONFIG = "network_segments.yaml"
+# Least click probability of an outer window (A or C).  A sampled attempt
+# count log1p(-u) / log1p(-p) reaches 53 ln 2 / p, about 36.7 / p, at the
+# largest uniform u = 1 - 2^-53, and passes the float maximum once p is
+# below 53 ln 2 / 1.797e308 = 2.0436e-307; this floor rounds that up.
+MIN_CLICK_PROB = 2.05e-307
+
+# libyaml's C parser when PyYAML was built with it, else the pure one.  Both
+# share the safe resolver and constructor, so they build the same document;
+# the C one is several times faster.
+class _ConfigLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """Safe loader that also reads YAML 1.2 exponent floats.
+
+    The YAML 1.1 resolver reads ``1.0e7``, ``1e7`` and ``1E-3`` as strings;
+    only a signed exponent (``1.0e+7``) makes a float.  The resolver added
+    below goes to this class alone; PyYAML's loaders are left as they are.
+    A digit must follow a leading dot, as in PyYAML's own float pattern, so
+    that ``._e3`` stays a string rather than failing float().
+    """
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+YAML_LOADER = _ConfigLoader
+
+
+class ConfigError(ValueError):
+    """Configuration rejected; ``problems`` lists every violation found."""
+
+    def __init__(self, problems: list[str]) -> None:
+        self.problems = list(problems)
+        super().__init__("invalid configuration:\n" + "\n".join(f"  - {p}" for p in self.problems))
+
+
+def data_path(name: str = DEFAULT_CONFIG) -> Path:
+    """Filesystem path of a bundled data file."""
+    return Path(str(resources.files("ghzline") / "data" / name))
+
+
+# The JSON Schema types config.schema.json names; bool is no number, as in
+# jsonschema.
+_SCHEMA_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+}
+# The instance type each keyword applies to; others pass it unchecked.
+_KEYWORD_TYPES = {
+    "required": "object",
+    "properties": "object",
+    "additionalProperties": "object",
+    "items": "array",
+    "minItems": "array",
+    "minLength": "string",
+    "minimum": "number",
+    "maximum": "number",
+    "exclusiveMinimum": "number",
+    "exclusiveMaximum": "number",
+}
+# (violated when, message) of each numeric bound, in jsonschema's words.
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
+}
+# Every keyword the interpreter knows: the 13 it checks, then those that
+# only annotate or hold subschemas for $ref.
+_SCHEMA_KEYWORDS = {
+    "type", "$ref", "anyOf", *_KEYWORD_TYPES, "$schema", "title", "description", "$defs"
+}
+# The subschemas each keyword holds, if any.
+_SUBSCHEMAS = {
+    "properties": dict.values, "$defs": dict.values, "items": lambda s: [s], "anyOf": list
+}
+
+
+def _compile_schema(schema: dict, root: dict | None = None) -> dict:
+    """Check that ``schema`` uses only what _schema_errors interprets, and
+    replace each ``$ref`` by the subschema it points to, in place.
+
+    Raises ValueError on any other keyword, type name, reference form or
+    open object, so that an edit to the schema cannot be silently ignored.
+    """
+    root = schema if root is None else root
+    for key, value in schema.items():
+        if key not in _SCHEMA_KEYWORDS:
+            raise ValueError(f"config schema: unsupported keyword {key!r}")
+        if key == "type" and not (isinstance(value, str) and value in _SCHEMA_TYPES):
+            raise ValueError(f"config schema: unsupported type {value!r}")
+        if key == "additionalProperties" and value is not False:
+            raise ValueError(f"config schema: unsupported additionalProperties {value!r}")
+        if key == "$ref":
+            if not value.startswith("#/"):
+                raise ValueError(f"config schema: unsupported $ref {value!r}")
+            target = root
+            for part in value[2:].split("/"):
+                target = target[part]
+            schema[key] = target
+        for sub in _SUBSCHEMAS[key](value) if key in _SUBSCHEMAS else ():
+            _compile_schema(sub, root)
+    return schema
+
+
+@cache
+def _config_schema() -> dict:
+    """config.schema.json, read and compiled once per process."""
+    with (resources.files("ghzline") / "data" / "config.schema.json").open() as fh:
+        return _compile_schema(json.load(fh))
+
+
+def _schema_errors(schema: dict, node, path: tuple = ()):
+    """(path, message) of every violation of ``schema`` by ``node``.
+
+    Keywords are checked in the schema's order, depth first, with
+    jsonschema's Draft 2020-12 message texts.
+    """
+    for key, value in schema.items():
+        if key in _KEYWORD_TYPES and not _SCHEMA_TYPES[_KEYWORD_TYPES[key]](node):
+            continue
+        if key == "$ref":
+            yield from _schema_errors(value, node, path)
+        elif key == "type":
+            if not _SCHEMA_TYPES[value](node):
+                yield path, f"{node!r} is not of type {value!r}"
+        elif key == "required":
+            for name in value:
+                if name not in node:
+                    yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            for name, sub in value.items():
+                if name in node:
+                    yield from _schema_errors(sub, node[name], path + (name,))
+        elif key == "additionalProperties":
+            known = schema.get("properties", {})
+            extras = sorted({name for name in node if name not in known}, key=str)
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                names = ", ".join(repr(name) for name in extras)
+                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif key == "items":
+            for i, item in enumerate(node):
+                yield from _schema_errors(value, item, path + (i,))
+        elif key in ("minItems", "minLength"):
+            if len(node) < value:
+                yield path, f"{node!r} {'should be non-empty' if value == 1 else 'is too short'}"
+        elif key in _BOUNDS:
+            violated, text = _BOUNDS[key]
+            if violated(node, value):
+                yield path, f"{node!r} {text} {value!r}"
+        elif key == "anyOf":
+            if all(next(_schema_errors(sub, node, path), None) for sub in value):
+                yield path, f"{node!r} is not valid under any of the given schemas"
+
+
+def _non_finite(node, where: str) -> list[str]:
+    """Dotted paths of every number in a parsed document that a float
+    cannot hold: inf, NaN, or an integer beyond the float range.
+
+    YAML's .inf and .nan satisfy every numeric bound of the schema, and a
+    huge integer would overflow only later, when the model converts it; so
+    they are caught here rather than surfacing as a NaN or null rate or as
+    a traceback.
+    """
+    if isinstance(node, (int, float)):
+        # NaN fails the comparison too; abs(True) is 1
+        return [] if abs(node) <= sys.float_info.max else [f"{where or '<root>'}: must be finite"]
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    prefix = f"{where}." if where else ""
+    return [p for key, value in items for p in _non_finite(value, f"{prefix}{key}")]
+
+
+def validate_document(doc) -> list[str]:
+    """All schema and consistency violations of a parsed config document."""
+    problems = [
+        f"{'.'.join(str(x) for x in path) or '<root>'}: {message}"
+        for path, message in sorted(
+            _schema_errors(_config_schema(), doc), key=lambda e: [str(x) for x in e[0]]
+        )
+    ]
+    problems += _non_finite(doc, "")
+    if problems:
+        return problems
+    # The schema cannot cross-check redundant fields, see a transmission so
+    # small that it is subnormal, see an outer click probability below
+    # MIN_CLICK_PROB or a B click probability with memory that underflows
+    # to 0, nor tell segments apart by name.  A subnormal
+    # transmission, given or implied by a loss above about 3076.5 dB, makes
+    # the yields' products underflow into 0/0 = NaN later.
+    tiny = sys.float_info.min
+    first_at: dict[str, int] = {}
+    for i, seg in enumerate(doc["segments"]):
+        first = first_at.setdefault(seg["name"], i)
+        if first != i:
+            problems.append(
+                f"segments.{i}.name: duplicate segment name {seg['name']!r} "
+                f"(first at segments.{first})"
+            )
+        found = len(problems)
+        for key in ("AB", "BC"):
+            raw = seg["links"][key]
+            where = f"segments.{i}.links.{key}"
+            if "transmission" in raw and raw["transmission"] < tiny:
+                problems.append(
+                    f"{where}.transmission: {raw['transmission']!r} is less than the "
+                    f"minimum of {tiny!r}"
+                )
+            if "loss_db" not in raw:
+                continue
+            implied = transmission_from_db(raw["loss_db"])
+            if implied < tiny:
+                problems.append(
+                    f"{where}.loss_db: implies transmission {implied!r}, need >= {tiny!r}"
+                )
+            elif "transmission" in raw and abs(implied - raw["transmission"]) > 1e-9:
+                problems.append(
+                    f"{where}: transmission {raw['transmission']} "
+                    f"disagrees with loss_db {raw['loss_db']} (implies {implied:.9g})"
+                )
+        if len(problems) > found:
+            continue
+        cfg = _build_segment(seg)
+        clicks = window_click_probs(cfg, with_memory=False)
+        problems += [
+            f"segments.{i}.nodes.{node}: click probability {clicks[node]!r} is less "
+            f"than the minimum of {MIN_CLICK_PROB!r}"
+            for node in "AC"
+            if clicks[node] < MIN_CLICK_PROB
+        ]
+        # B's dark-count share divides by its click probability
+        if cfg.memory is not None and window_click_probs(cfg, with_memory=True)["B"] == 0.0:
+            problems.append(
+                f"segments.{i}.memory.efficiency: B's click probability with memory "
+                f"underflows to 0 (detector efficiency {cfg.node_b.detector_efficiency!r} "
+                f"times memory efficiency {cfg.memory.efficiency!r}, no dark counts)"
+            )
+    return problems
+
+
+def _build_link(raw: dict) -> LinkParams:
+    if "loss_db" in raw:
+        transmission = transmission_from_db(raw["loss_db"])
+    else:
+        transmission = raw["transmission"]
+    return LinkParams(length=raw["length"], transmission=transmission)
+
+
+def _build_node(key: str, raw: dict) -> NodeParams:
+    return NodeParams(
+        name=raw.get("name", key),
+        detector_efficiency=raw["detector_efficiency"],
+        dark_count_prob=raw.get("dark_count_prob", 0.0),
+    )
+
+
+def _build_segment(seg: dict) -> TrioConfig:
+    mem = seg.get("memory")
+    return TrioConfig(
+        name=seg["name"],
+        node_a=_build_node("A", seg["nodes"]["A"]),
+        node_b=_build_node("B", seg["nodes"]["B"]),
+        node_c=_build_node("C", seg["nodes"]["C"]),
+        link_ab=_build_link(seg["links"]["AB"]),
+        link_bc=_build_link(seg["links"]["BC"]),
+        source=SourceParams(frequency=seg["source"]["frequency"]),
+        memory=MemoryParams(efficiency=mem["efficiency"], t2=mem["T2"]) if mem else None,
+        speed_of_light=seg.get("speed_of_light", SPEED_OF_LIGHT_FIBER),
+    )
+
+
+def load_config(path) -> list[TrioConfig]:
+    """Parse and validate a segment configuration file.
+
+    Violations are collected and reported all at once in a ConfigError
+    instead of stopping at the first.
+    """
+    p = Path(path)
+    try:
+        text = p.read_text()
+    except OSError as exc:
+        raise ConfigError([f"cannot read {p}: {exc}"]) from exc
+    try:
+        doc = yaml.load(text, Loader=YAML_LOADER)
+    except (yaml.YAMLError, ValueError) as exc:
+        # a ValueError: an integer beyond Python's int-string conversion limit
+        raise ConfigError([f"{p}: parse error: {exc}"]) from exc
+    problems = validate_document(doc)
+    if problems:
+        raise ConfigError(problems)
+    return [_build_segment(seg) for seg in doc["segments"]]

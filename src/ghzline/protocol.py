@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -50,11 +50,6 @@ MEASURED_QUBIT = 2  # B's C-side qubit, measured in Y to complete the merge
 # the working set of one stack to a few hundred KiB however many rows a
 # caller passes.  32 was the fastest of 8 to 121 on the bundled sweep.
 CHUNK_ROWS = 32
-
-# Configs whose segment strengths (and, in rates, yields) are memoised,
-# the most recently used first: a caller that builds a fresh config per
-# point (a new T2, say) keeps the memo at this size.
-SEGMENT_MEMO_SIZE = 32
 
 STABILIZER_FACTORS = ("XZI", "XIY", "YXZ", "YYX", "ZXX", "ZYZ", "IZY", "III")
 
@@ -177,17 +172,10 @@ def _check_outcome(outcome: int) -> None:
         raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
 
 
-@lru_cache(maxsize=SEGMENT_MEMO_SIZE)
 def _segment_strengths(cfg: TrioConfig, use_memory: bool) -> tuple[tuple, tuple]:
     """run_stack's checked segment strengths: the memory dephasings as
     (qubit, strength) pairs, empty without memory, and each dark-count
     depolarization as (qubit, strength / 4, 1 - strength) triples.
-
-    Memoised per (cfg, use_memory), the last SEGMENT_MEMO_SIZE of them.
-    The key compares by value, where 0.0 == -0.0, so a config that differs
-    from a memoised one only in the sign of a zero (a dark-count
-    probability or a link length) reuses its strengths; every such pair
-    gives bit-equal strengths.  A call that raises memoises nothing.
     """
     # Every strength is checked here, with _checked_strength's message,
     # and the channel kernels only compute.  NoiseParams has already
@@ -238,7 +226,7 @@ def run_stack(
     merge CZ between qubits 1 and 2 with gate_fail; depolarize every
     qubit by its dark-count junk fraction; measure qubit 2 in Y and keep
     ``outcome``.  Only the noise knobs vary between rows, so the segment's
-    strengths are computed once, and memoised per config
+    strengths are computed once per call
     (_segment_strengths).  The rows are taken in windows of
     consecutive rows holding at most CHUNK_ROWS distinct channel_depol
     values.  In each window every step before the gate_fail mix runs once
@@ -296,11 +284,6 @@ def _fd_windows(depols: list) -> list[tuple[int, int, list, np.ndarray | None]]:
     every row of the run has a value of its own.
     """
     rows = len(depols)
-    if len(set(depols)) == rows:  # no repeats: a set merges only equal values
-        return [
-            (lo, min(lo + CHUNK_ROWS, rows), depols[lo : lo + CHUNK_ROWS], None)
-            for lo in range(0, rows, CHUNK_ROWS)
-        ]
     keys = np.array(depols, dtype=float).view(np.int64).tolist()  # the bits
     windows = []
     lo = 0

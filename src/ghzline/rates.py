@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from functools import cache, lru_cache
+from functools import cache
 from itertools import product
 from typing import NamedTuple
 
@@ -26,7 +26,7 @@ from .density import (
     _x_conjugate,
 )
 from .netmodel import TrioConfig, yield_memoryless, yield_with_memory
-from .protocol import SEGMENT_MEMO_SIZE, NoiseParams, run_stack, target_state
+from .protocol import NoiseParams, run_stack, target_state
 
 PARITY_TEST = PauliString("ZYZ")
 
@@ -152,14 +152,6 @@ def key_rate(yield_per_attempt: float, q_x: float, q_ab: float) -> float:
     return _key_rate(yield_per_attempt, q_x, q_ab)
 
 
-@lru_cache(maxsize=SEGMENT_MEMO_SIZE)
-def _yield(cfg: TrioConfig, use_memory: bool) -> float:
-    """The segment's yield per attempt in the memory mode, memoised like
-    protocol's segment strengths (see there) and kept apart from them so
-    that run_stack raises first, as it did before there was a memo."""
-    return yield_with_memory(cfg) if use_memory else yield_memoryless(cfg)
-
-
 def rate_reports(
     cfg: TrioConfig,
     noises: Sequence[NoiseParams],
@@ -178,7 +170,7 @@ def rate_reports(
     if outcome == -1:
         states = _x_conjugate(states, 3, 2)
     q_x, q_ab = _error_rates(states)
-    y = _yield(cfg, use_memory)
+    y = yield_with_memory(cfg) if use_memory else yield_memoryless(cfg)
     if noises:
         _check_yield(y)
     t2 = cfg.memory.t2 if use_memory else None

@@ -32,8 +32,10 @@ from ghzline import (
     yield_memoryless,
     yield_with_memory,
 )
-from ghzline.cli import SweepSpec, data_path, load_config, main, run_sweep
+from ghzline.cli import main
+from ghzline.config import data_path, load_config
 from ghzline.density import _cz_mix, _cz_terms, _dephase, _depolarize
+from ghzline.sweep import SweepSpec, run_sweep
 from util import make_cfg, random_config, random_density_matrix, series_expected_max
 
 

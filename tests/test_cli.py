@@ -21,33 +21,28 @@ from hypothesis import strategies as st
 
 import ghzline
 from ghzline import MemoryParams, McResult
-from ghzline.cli import (
-    CSV_COLUMNS,
+from ghzline.cli import _build_parser, _csv_cell, _parse_axis, main, mc_report, yields_report
+from ghzline.config import (
+    MIN_CLICK_PROB,
+    YAML_LOADER,
     ConfigError,
+    _compile_schema,
+    _schema_errors,
+    data_path,
+    load_config,
+    validate_document,
+)
+from ghzline.sweep import (
+    CSV_COLUMNS,
+    ROW_COLUMNS,
     SpecError,
     SweepSpec,
-    data_path,
     emit,
-    load_config,
-    main,
-    mc_report,
     parse_rows,
     render_csv,
     render_json,
     row_as_dict,
     run_sweep,
-    validate_document,
-    yields_report,
-)
-from ghzline.cli import (
-    MIN_CLICK_PROB,
-    ROW_COLUMNS,
-    YAML_LOADER,
-    _build_parser,
-    _compile_schema,
-    _csv_cell,
-    _parse_axis,
-    _schema_errors,
 )
 from ghzline.rates import RateReport, full_report
 from ghzline.protocol import NoiseParams
@@ -306,13 +301,13 @@ class TestLoadConfig:
             load_config(path)
 
     def test_unparseable_yaml_without_libyaml(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("ghzline.cli.YAML_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr("ghzline.config.YAML_LOADER", yaml.SafeLoader)
         self.test_unparseable_yaml(tmp_path)
 
     @pytest.mark.parametrize("name", ["network_segments.yaml", "yield_regression.yaml"])
     def test_bundled_files_load_alike_through_both_loaders(self, monkeypatch, name):
         fast = load_config(data_path(name))
-        monkeypatch.setattr("ghzline.cli.YAML_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr("ghzline.config.YAML_LOADER", yaml.SafeLoader)
         assert load_config(data_path(name)) == fast
 
     def test_every_load_reads_and_validates_the_file(self, tmp_path):
@@ -562,12 +557,17 @@ class TestSchemaValidator:
         out = tmp_path / "yields.json"
         empty = tmp_path / "empty.yaml"
         empty.write_text("segments: []\n")
+        rows = tmp_path / "rows.csv"
         code = (
-            "import sys, ghzline, ghzline.cli as cli\n"
-            "cli.yields_report(cli.load_config(cli.data_path()))\n"
+            "import sys, ghzline, ghzline.cli as cli, ghzline.config as config\n"
+            "cli.yields_report(config.load_config(config.data_path()))\n"
             f"assert cli.main(['yields', '--format', 'json', '--out', {str(out)!r}]) == 0\n"
             f"assert cli.main(['yields', '--config', {str(empty)!r}]) == 2\n"
-            "print(sorted({'numpy', 'ghzline.density', 'ghzline.mc'} & set(sys.modules)))\n"
+            f"assert cli.main(['simulate', '--config', {str(empty)!r}]) == 2\n"
+            f"assert cli.main(['sweep', '--config', {str(empty)!r}, '--out', {str(rows)!r}]) == 2\n"
+            "engine = {'numpy', 'ghzline.density', 'ghzline.protocol', 'ghzline.rates',\n"
+            "          'ghzline.mc', 'ghzline.sweep'}\n"
+            "print(sorted(engine & set(sys.modules)))\n"
         )
         assert run_fresh(code) == "[]\n"
         assert len(json.loads(out.read_text())) == 4
@@ -687,7 +687,8 @@ class TestBoundaryProperty:
     """Every document that validates gives finite numbers in strict JSON,
     or fails with exit status 2 and the segment named on stderr; never a
     traceback, NaN or infinity.  mc-check may also exit 1, with strict
-    finite JSON, when a check deviates."""
+    finite JSON, when a check deviates, and sweep when a block fails, with
+    the error on each of its rows."""
 
     # Fields that are null by design: the T2 of a memory-off row, and the
     # memory columns of a segment without a memory.
@@ -722,6 +723,23 @@ class TestBoundaryProperty:
                             assert key == "T2_s" or not has_memory, (argv, key)
                         elif not isinstance(value, (str, bool)):
                             assert math.isfinite(value), (argv, key, value)
+            # a block that cannot be evaluated is a result too: exit 1, with
+            # the error on each of its rows
+            rows_path = Path(tmp) / "rows.json"
+            code, out, err = self.run(path, "sweep", "--fd", "0:0.3:2", "--fg", "0:0.3:2",
+                                      "--format", "json", "--out", str(rows_path))
+            if code == 2:
+                assert "edge-segment" in err, err
+            else:
+                assert code in (0, 1) and err == "", (code, err)
+                rows = strict_json(rows_path.read_text())
+                assert (code == 1) == any("error" in row for row in rows)
+                for row in rows:
+                    for key, value in row.items():
+                        if value is None:
+                            assert "error" in row or key == "T2_s" and not row["memory"], row
+                        elif not isinstance(value, (str, bool)):
+                            assert math.isfinite(value), (key, row)
             # a deviation is a result, not a failure: exit 1 reports it
             code, out, err = self.run(path, "mc-check", "--samples", "1000", "--seed", str(seed))
             if code == 2:
@@ -867,7 +885,7 @@ class TestRunSweep:
         def broken(*args, **kwargs):
             raise TypeError("engine bug")
 
-        monkeypatch.setattr("ghzline.rates.rate_reports", broken)
+        monkeypatch.setattr("ghzline.sweep.rate_reports", broken)
         spec = SweepSpec(fd_range=(0.0, 0.1, 2), fg_range=(0.0, 0.0, 1))
         with pytest.raises(TypeError, match="engine bug"):
             run_sweep([make_cfg()], spec)

@@ -20,7 +20,7 @@ from ghzline import (
     yield_memoryless,
 )
 from ghzline import mc
-from ghzline.cli import MIN_CLICK_PROB
+from ghzline.config import MIN_CLICK_PROB
 from ghzline.mc import CHUNK, _geometric_block, _mc_mean
 from ghzline.netmodel import window_click_probs
 from util import attempt_level_successes, make_cfg

@@ -25,7 +25,8 @@ from ghzline import (
 from ghzline import density, protocol
 from ghzline.protocol import run_stack
 from ghzline.rates import full_report
-from ghzline.cli import SweepSpec, data_path, load_config, run_sweep
+from ghzline.config import data_path, load_config
+from ghzline.sweep import SweepSpec, run_sweep
 from util import (
     flip_dephase,
     make_cfg,
@@ -470,7 +471,7 @@ class TestCheckOnce:
 class TestOutcomeProbability:
     """Every error the pipeline can pick up heralds either Y outcome with
     probability 1/2, so the outcome probability is 0.5 whatever the
-    hardware, noise, memory mode or outcome.  cli.run_sweep relies on it:
+    hardware, noise, memory mode or outcome.  sweep.run_sweep relies on it:
     the one engine error that could depend on f_D or f_G, a zero-probability
     outcome, cannot happen."""
 

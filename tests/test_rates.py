@@ -1,8 +1,5 @@
 """Tests of the error estimators and the conference-key rate."""
 
-import inspect
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,8 +21,9 @@ from ghzline import (
     transmission_from_db,
 )
 from ghzline import density, netmodel, protocol, rates
-from ghzline.cli import MIN_CLICK_PROB, data_path, load_config, run_sweep
+from ghzline.config import MIN_CLICK_PROB, data_path, load_config
 from ghzline.density import BASIS_EIGENVECTORS
+from ghzline.sweep import run_sweep
 from util import make_cfg, random_config, random_density_matrix
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -268,11 +266,6 @@ class TestReports:
             assert report.r_per_attempt <= report.yield_per_attempt + 1e-15
 
 
-def netmodel_functions():
-    return [name for name, f in vars(netmodel).items()
-            if inspect.isfunction(f) and f.__module__ == netmodel.__name__]
-
-
 def count_calls(monkeypatch, names, modules):
     """Count calls of each function ``name`` through every module in
     ``modules`` that holds it, into one shared dict."""
@@ -291,21 +284,8 @@ def count_calls(monkeypatch, names, modules):
 
 
 class TestSegmentMemo:
-    """run_stack's segment strengths and rate_reports' yield are memoised
-    per (config, memory mode), by value and for a bounded number of
-    configs, without changing a bit of any report."""
-
-    @pytest.mark.parametrize("use_memory", [False, True])
-    def test_second_report_on_a_config_calls_no_netmodel_function(
-            self, monkeypatch, use_memory):
-        calls = count_calls(monkeypatch, netmodel_functions(), (netmodel, protocol, rates))
-        cfg = load_config(data_path())[0]
-        noise = NoiseParams(0.1, 0.2)
-        first = full_report(cfg, noise, use_memory=use_memory)
-        assert calls["click_prob"] > 0
-        calls.update(dict.fromkeys(calls, 0))
-        assert full_report(cfg, noise, use_memory=use_memory) == first
-        assert set(calls.values()) == {0}
+    """A report computes its segment's strengths once per engine call, and a
+    config run_stack rejects is rejected on every call."""
 
     @pytest.mark.parametrize("use_memory", [False, True])
     def test_one_report_runs_each_kernel_once_per_stage(self, monkeypatch, use_memory):
@@ -317,45 +297,12 @@ class TestSegmentMemo:
         full_report(cfg, NoiseParams(0.1, 0.2), use_memory=use_memory)
         assert calls == {"_depolarize": 5, "_fidelity": 1, "_fidelities": 1}
 
-    @given(signs=st.tuples(*[st.booleans()] * 5), use_memory=st.booleans(),
-           fd=st.sampled_from([0.0, -0.0, 0.1]), fg=st.sampled_from([0.0, 0.2]))
-    def test_signed_zeros_share_a_memo_entry_with_equal_bits(self, signs, use_memory, fd, fg):
-        # dark counts of A, B and C and both link lengths at 0.0 or -0.0:
-        # equal configs under ==, so the second is served from the first's
-        # memo entry, and it must report what it reports on its own
-        def cfg(flip):
-            zero = [-0.0 if f else 0.0 for f in flip]
-            return make_cfg(eta_a=0.6, eta_b=0.7, eta_c=0.5, trans_ab=0.3, trans_bc=0.4,
-                            dark_a=zero[0], dark_b=zero[1], dark_c=zero[2],
-                            len_ab=zero[3], len_bc=zero[4], memory=MemoryParams(0.9, 0.5))
-
-        plain, signed = cfg((False,) * 5), cfg(signs)
-        assert plain == signed
-        noise = NoiseParams(fd, fg)
-        protocol._segment_strengths.cache_clear()
-        rates._yield.cache_clear()
-        alone = full_report(signed, noise, use_memory=use_memory)
-        full_report(plain, noise, use_memory=use_memory)
-        assert rates._yield.cache_info().currsize == 1
-        shared = full_report(signed, noise, use_memory=use_memory)
-        assert repr(tuple(shared)) == repr(tuple(alone))
-
-    def test_stays_bounded_over_fresh_configs(self):
-        cfg = load_config(data_path())[0]
-        for i in range(1000):
-            fresh = replace(cfg, memory=replace(cfg.memory, t2=0.01 + i / 100))
-            full_report(fresh, NoiseParams(0.1, 0.1), use_memory=True)
-        for memo in (protocol._segment_strengths, rates._yield):
-            assert memo.cache_info().currsize == protocol.SEGMENT_MEMO_SIZE
-
     def test_memoryless_config_raises_the_same_error_every_call(self):
         cfg = make_cfg()
         for _ in range(3):
             with pytest.raises(ValueError) as err:
                 full_report(cfg, use_memory=True)
             assert str(err.value) == "segment test-segment has no memory parameters"
-        assert protocol._segment_strengths.cache_info().currsize == 0
-        assert rates._yield.cache_info().currsize == 0
 
 
 class TestDegreeStructure:

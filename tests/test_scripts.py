@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import ghzline
-from ghzline.cli import data_path, load_config
+from ghzline.config import data_path, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
