@@ -91,41 +91,68 @@ def _chunk_moments(block: Block, child: np.random.SeedSequence, size: int):
     return values.size, m, float(values.sum())
 
 
-def _run_chunks(blocks: list[Block], seed: int, num_samples: int) -> list:
-    """Each chunk's moments, in chunk order, from one worker per block.
+def _run_chunks(blocks: list[Block], seed: int, num_samples: int) -> tuple[int, float, float]:
+    """(count, mean, centred sum of squares) of all chunks, merged in
+    chunk order, from one worker per block.
 
     Chunk k draws from child stream k of SeedSequence(seed), the stream
     ``SeedSequence(seed).spawn`` gives as its k-th child, built when the
-    chunk starts rather than all at once.
+    chunk starts rather than all at once.  A finished chunk is merged as
+    soon as every earlier chunk has been.  Workers take chunks in
+    increasing order, and none takes a chunk 2 * len(blocks) or more past
+    the first one not yet merged, so at most that many finished chunks
+    wait to be merged, whatever the chunk count.
 
     The calling thread works with ``blocks[0]``, alone when it is the only
     block.  Each other block gets a thread that runs in a copy of the
     caller's context, so that the caller's ``np.errstate`` holds in it
-    too.  Workers take chunks in increasing order.  After a chunk raises
-    they take no further chunk, and once all have stopped, the exception
-    of the lowest-numbered failing chunk, the one the serial loop would
-    have raised, is raised.
+    too.  After a chunk raises, workers take no further chunk, and once
+    all have stopped, the exception of the lowest-numbered failing chunk,
+    the one the serial loop would have raised, is raised.
     """
     n_chunks = -(-num_samples // CHUNK)
-    moments: list = [None] * n_chunks
+    ahead = 2 * len(blocks)
+    early: dict[int, tuple] = {}  # finished chunks waiting for an earlier one
+    taken = merged = count = 0
+    mean = m2 = 0.0
+    stopped = False
     errors: dict[int, BaseException] = {}
-    pending = iter(range(n_chunks))
-    lock = threading.Lock()
-    stop = threading.Event()
+    turn = threading.Condition()
+
+    def stop() -> None:
+        nonlocal stopped
+        with turn:
+            stopped = True
+            turn.notify_all()
 
     def work(block: Block) -> None:
-        while not stop.is_set():
-            with lock:
-                k = next(pending, None)
-            if k is None:
-                return
+        nonlocal taken, merged, count, mean, m2
+        while True:
+            with turn:
+                turn.wait_for(lambda: stopped or taken < merged + ahead)
+                if stopped or taken == n_chunks:
+                    return
+                k = taken
+                taken += 1
             try:
                 size = min(CHUNK, num_samples - k * CHUNK)
                 child = np.random.SeedSequence(seed, spawn_key=(k,))
-                moments[k] = _chunk_moments(block, child, size)
+                moments = _chunk_moments(block, child, size)
             except BaseException as exc:  # re-raised by the caller below
                 errors[k] = exc
-                stop.set()
+                stop()
+                return
+            with turn:
+                early[k] = moments
+                while merged in early:
+                    c, m, s = early.pop(merged)
+                    total = count + c
+                    delta = m - mean
+                    mean += delta * c / total
+                    m2 += s + delta * delta * count * c / total
+                    count = total
+                    merged += 1
+                turn.notify_all()
 
     helpers = [
         threading.Thread(target=contextvars.copy_context().run, args=(work, block))
@@ -136,12 +163,12 @@ def _run_chunks(blocks: list[Block], seed: int, num_samples: int) -> list:
     try:
         work(blocks[0])
     finally:
-        stop.set()
+        stop()
         for helper in helpers:
             helper.join()
     if errors:
         raise errors[min(errors)]
-    return moments
+    return count, mean, m2
 
 
 def _mc_mean(new_block: Callable[[], Block], num_samples: int, seed: int) -> McResult:
@@ -157,16 +184,7 @@ def _mc_mean(new_block: Callable[[], Block], num_samples: int, seed: int) -> McR
     """
     _chunk_len(num_samples)
     workers = min(_usable_cpus(), -(-num_samples // CHUNK), MAX_WORKERS)
-    moments = _run_chunks([new_block() for _ in range(workers)], seed, num_samples)
-    count = 0
-    mean = 0.0
-    m2 = 0.0
-    for c, m, s in moments:
-        total = count + c
-        delta = m - mean
-        mean += delta * c / total
-        m2 += s + delta * delta * count * c / total
-        count = total
+    count, mean, m2 = _run_chunks([new_block() for _ in range(workers)], seed, num_samples)
     var = m2 / (count - 1) if count > 1 else 0.0
     return McResult(
         estimate=mean,

@@ -34,19 +34,19 @@ from .density import (
 )
 from .netmodel import (
     TrioConfig,
-    click_prob,
     dark_count_depolarization,
     dephasing_prob,
     detection_prob,
     expected_coherence_near,
     require_memory,
     storage_times,
+    window_click_probs,
 )
 
 MEASURED_QUBIT = 2  # B's C-side qubit, measured in Y to complete the merge
 
 # Rows that run_stack passes through the channel kernels together, and the
-# most distinct f_D values whose pre-CZ stages it runs as one stack: bounds
+# most f_D entries whose pre-CZ stages it runs as one stack: bounds
 # the working set of one stack to a few hundred KiB however many rows a
 # caller passes.  32 was the fastest of 8 to 121 on the bundled sweep.
 CHUNK_ROWS = 32
@@ -178,8 +178,7 @@ def _segment_strengths(cfg: TrioConfig, use_memory: bool) -> tuple[tuple, tuple]
     depolarization as (qubit, strength / 4, 1 - strength) triples.
     """
     # Every strength is checked here, with _checked_strength's message,
-    # and the channel kernels only compute.  NoiseParams has already
-    # checked channel_depol and gate_fail.
+    # and the channel kernels only compute.  run_stack checks f_D and f_G.
     dephasings = []
     if use_memory:
         t2 = require_memory(cfg).t2
@@ -195,12 +194,12 @@ def _segment_strengths(cfg: TrioConfig, use_memory: bool) -> tuple[tuple, tuple]
             (far_qubit, _checked_strength(lam_far, 0.5, "dephase strength")),
         ]
     dark_counts = []
+    clicks = window_click_probs(cfg, use_memory)
     for qubits, node, node_params in (
         ((0,), "A", cfg.node_a), ((1, 2), "B", cfg.node_b), ((3,), "C", cfg.node_c)
     ):
-        xi = detection_prob(cfg, node, with_memory=use_memory and node == "B")
-        xi_click = click_prob(xi, node_params.dark_count_prob)
-        alpha = dark_count_depolarization(xi, xi_click, node_params.dark_count_prob)
+        xi = detection_prob(cfg, node, use_memory)
+        alpha = dark_count_depolarization(xi, clicks[node], node_params.dark_count_prob)
         s = _checked_strength(alpha, 1.0, "depolarize strength")
         for qubit in qubits:
             dark_counts.append((qubit, s / 4.0, 1.0 - s))
@@ -209,46 +208,52 @@ def _segment_strengths(cfg: TrioConfig, use_memory: bool) -> tuple[tuple, tuple]
 
 def run_stack(
     cfg: TrioConfig,
-    noises: Sequence[NoiseParams],
+    fds: Sequence[float],
+    fgs: Sequence[float],
     *,
     use_memory: bool = False,
     outcome: int = +1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run one merge attempt per entry of ``noises``, all as one stack.
+    """Run one merge attempt per point of the grid ``fds`` x ``fgs``, all
+    as one stack.
 
-    Returns, one row per entry: the probability of the Y ``outcome``, the
-    conditional three-qubit state on (0, 1, 3) as a (B, 8, 8) stack, and
-    its fidelity with target_state(outcome).
+    Returns, one row per point in f_D-major order (row r is f_D entry
+    r // len(fgs) with f_G entry r % len(fgs)): the probability of the Y
+    ``outcome``, the conditional three-qubit state on (0, 1, 3) as a
+    (B, 8, 8) stack, and its fidelity with target_state(outcome).
 
     Steps, in order: prepare both source pairs; depolarize the transit
-    qubits (0 and 3) with channel_depol; if use_memory, dephase B's
-    stored qubits by their expected storage decoherence; apply the noisy
-    merge CZ between qubits 1 and 2 with gate_fail; depolarize every
-    qubit by its dark-count junk fraction; measure qubit 2 in Y and keep
-    ``outcome``.  Only the noise knobs vary between rows, so the segment's
-    strengths are computed once per call
-    (_segment_strengths).  The rows are taken in windows of
-    consecutive rows holding at most CHUNK_ROWS distinct channel_depol
-    values.  In each window every step before the gate_fail mix runs once
-    per distinct value: the source pairs, the transit depolarizations, the
-    memory dephasings, and the noisy CZ's two branches, CZ rho CZ and
-    Tr_{1,2}(rho) (x) I/4.  The mix and the later steps run on chunks of up
-    to CHUNK_ROWS rows.  This is exact: each step maps each row on its own
-    and sums it in the same order whatever its stack, so a row's branches
-    do not depend on which rows share them.  Every step before the Y
-    measurement maps real matrices to real matrices, so the stack stays
-    real float64 until then, with the bits the kernels give on a complex
-    stack.
+    qubits (0 and 3) with f_D; if use_memory, dephase B's stored qubits by
+    their expected storage decoherence; apply the noisy merge CZ between
+    qubits 1 and 2 with f_G; depolarize every qubit by its dark-count junk
+    fraction; measure qubit 2 in Y and keep ``outcome``.  Each axis value
+    is checked once, and the segment's strengths once per call
+    (_segment_strengths).  Every step before the f_G mix runs once per
+    f_D entry, on runs of up to CHUNK_ROWS consecutive entries: the source
+    pairs, the transit depolarizations, the memory dephasings, and the
+    noisy CZ's two branches, CZ rho CZ and Tr_{1,2}(rho) (x) I/4.  The mix
+    and the later steps run on chunks of up to CHUNK_ROWS rows.  This is
+    exact: each step maps each row on its own and sums it in the same
+    order whatever its stack.  Every step before the Y measurement maps
+    real matrices to real matrices, so the stack stays real float64 until
+    then, with the bits the kernels give on a complex stack.
     """
     _check_outcome(outcome)
+    fds = [_checked_strength(v, 1.0, "channel_depol") for v in fds]
+    fgs = [_checked_strength(v, 1.0, "gate_fail") for v in fgs]
     dephasings, dark_counts = _segment_strengths(cfg, use_memory)
     target = target_state(outcome).amplitudes
-    if not noises:
+    if not fds or not fgs:
         return np.zeros(0), np.zeros((0, 8, 8), dtype=complex), np.zeros(0)
+    fail = np.array(fgs).reshape(-1, 1, 1)
+    # Row i of a run, counted from the run's first row, takes the run's
+    # f_D entry fd_index[i] and f_G entry fg_index[i]; a shorter last run
+    # takes a prefix.
+    fd_index, fg_index = np.divmod(np.arange(min(len(fds), CHUNK_ROWS) * len(fgs)), len(fgs))
     chunks = []
-    for lo, hi, values, index in _fd_windows([n.channel_depol for n in noises]):
-        # every step before the CZ mix, once per distinct f_D of the window
-        depol = np.array(values, dtype=float).reshape(-1, 1, 1)
+    for lo in range(0, len(fds), CHUNK_ROWS):
+        # every step before the CZ mix, once per f_D entry of the run
+        depol = np.array(fds[lo : lo + CHUNK_ROWS]).reshape(-1, 1, 1)
         quarter, keep = depol / 4.0, 1.0 - depol
         rho = keep * _initial_register()
         rho += quarter * _source_twirl()  # _depolarize of qubit 0
@@ -256,15 +261,15 @@ def run_stack(
         for qubit, lam in dephasings:
             rho = _dephase(rho, 4, qubit, lam)
         gate, scrambled = _cz_terms(rho, 4, 1, 2)
-        for start in range(lo, hi, CHUNK_ROWS):
-            stop = min(start + CHUNK_ROWS, hi)
-            fail = np.array([n.gate_fail for n in noises[start:stop]], dtype=float)
-            fail = fail.reshape(-1, 1, 1)
-            if index is None:  # one row per value: the window is this chunk
-                rho = _cz_mix(gate, scrambled, fail)
-            else:
-                rows = index[start - lo : stop - lo]
-                rho = _cz_mix(gate.take(rows, axis=0), scrambled.take(rows, axis=0), fail)
+        end = len(depol) * len(fgs)
+        for start in range(0, end, CHUNK_ROWS):
+            stop = min(start + CHUNK_ROWS, end)
+            rows = fd_index[start:stop]
+            rho = _cz_mix(
+                gate.take(rows, axis=0),
+                scrambled.take(rows, axis=0),
+                fail.take(fg_index[start:stop], axis=0),
+            )
             for qubit, quarter_s, keep_s in dark_counts:
                 rho = _depolarize(rho, 4, qubit, quarter_s, keep_s)
             probs, rho_out = _measure(rho, 4, MEASURED_QUBIT, "Y", outcome)
@@ -272,37 +277,6 @@ def run_stack(
     if len(chunks) == 1:
         return chunks[0]
     return tuple(np.concatenate(parts) for parts in zip(*chunks))
-
-
-def _fd_windows(depols: list) -> list[tuple[int, int, list, np.ndarray | None]]:
-    """Runs of consecutive rows that hold at most CHUNK_ROWS distinct f_D
-    values, compared by value and sign: a set or dict of floats would
-    merge -0.0 with 0.0.
-
-    Each run is (lo, hi, values, index): its distinct values in order of
-    first appearance, and each row's position among them, or None when
-    every row of the run has a value of its own.
-    """
-    rows = len(depols)
-    keys = np.array(depols, dtype=float).view(np.int64).tolist()  # the bits
-    windows = []
-    lo = 0
-    while lo < rows:
-        slots: dict[int, int] = {}
-        values: list = []
-        index: list[int] = []
-        for row in range(lo, rows):
-            slot = slots.setdefault(keys[row], len(values))
-            if slot == len(values):
-                if slot == CHUNK_ROWS:
-                    break
-                values.append(depols[row])
-            index.append(slot)
-        hi = lo + len(index)
-        shared = len(values) < len(index)
-        windows.append((lo, hi, values, np.array(index) if shared else None))
-        lo = hi
-    return windows
 
 
 def run_pipeline(
@@ -316,7 +290,9 @@ def run_pipeline(
 
     The one-row case of run_stack, which lists the steps.
     """
-    probs, states, fids = run_stack(cfg, [noise], use_memory=use_memory, outcome=outcome)
+    probs, states, fids = run_stack(
+        cfg, [noise.channel_depol], [noise.gate_fail], use_memory=use_memory, outcome=outcome
+    )
     return ProtocolOutcome(
         rho_out=DensityMatrix(states[0], _copy=False),
         outcome=outcome,

@@ -154,34 +154,38 @@ def key_rate(yield_per_attempt: float, q_x: float, q_ab: float) -> float:
 
 def rate_reports(
     cfg: TrioConfig,
-    noises: Sequence[NoiseParams],
+    fds: Sequence[float],
+    fgs: Sequence[float],
     *,
     use_memory: bool = False,
     outcome: int = +1,
 ) -> list[RateReport]:
-    """One report per entry of ``noises``, as full_report would give it.
+    """One report per point of the grid ``fds`` x ``fgs``, in f_D-major
+    order (report k is at f_D entry k // len(fgs) and f_G entry
+    k % len(fgs)), each as full_report would give it.
 
     Both error tests are defined in the +1 outcome convention, so a -1
     heralding is first reconciled by the dealer's X correction on C's
     qubit (qubit 2 of the output): IIX maps target_state(-1) onto
     target_state(+1).
     """
-    _, states, fidelities = run_stack(cfg, noises, use_memory=use_memory, outcome=outcome)
+    _, states, fidelities = run_stack(cfg, fds, fgs, use_memory=use_memory, outcome=outcome)
     if outcome == -1:
         states = _x_conjugate(states, 3, 2)
     q_x, q_ab = _error_rates(states)
     y = yield_with_memory(cfg) if use_memory else yield_memoryless(cfg)
-    if noises:
+    if len(fidelities):
         _check_yield(y)
     t2 = cfg.memory.t2 if use_memory else None
     # Every row holds the same segment, memory, T2 and yield objects, so
     # render_csv writes those cells once per block.
     out = []
-    for noise, fid, qx, qab in zip(noises, fidelities.tolist(), q_x.tolist(), q_ab.tolist()):
+    for (fd, fg), fid, qx, qab in zip(
+        product(fds, fgs), fidelities.tolist(), q_x.tolist(), q_ab.tolist()
+    ):
         r = _key_rate(y, qx, qab)
         out.append(RateReport(
-            cfg.name, noise.channel_depol, noise.gate_fail, use_memory, t2, y, fid, qx, qab,
-            r, r * cfg.source.frequency,
+            cfg.name, fd, fg, use_memory, t2, y, fid, qx, qab, r, r * cfg.source.frequency,
         ))
     return out
 
@@ -194,5 +198,7 @@ def full_report(
     outcome: int = +1,
 ) -> RateReport:
     """Run the pipeline on ``cfg`` and summarize yield, errors, and rates."""
-    (report,) = rate_reports(cfg, [noise], use_memory=use_memory, outcome=outcome)
+    (report,) = rate_reports(
+        cfg, [noise.channel_depol], [noise.gate_fail], use_memory=use_memory, outcome=outcome
+    )
     return report

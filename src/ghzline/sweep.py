@@ -11,12 +11,12 @@ import io
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from .netmodel import TrioConfig, require_memory
-from .protocol import NoiseParams
 from .rates import RateReport, rate_reports
 
 CSV_COLUMNS = (
@@ -80,14 +80,14 @@ def _axis(rng: tuple[float, float, int]) -> list[float]:
 
 
 def _failed_rows(
-    cfg: TrioConfig, noises: list[NoiseParams], memory: bool, t2: float | None, error: str
+    cfg: TrioConfig, fds: list[float], fgs: list[float], memory: bool, t2: float | None,
+    error: str,
 ) -> list[RateReport]:
     """NaN rows of a block whose grid points could not be evaluated, with the reason."""
     nan = float("nan")
     return [
-        RateReport(cfg.name, noise.channel_depol, noise.gate_fail, memory, t2,
-                   nan, nan, nan, nan, nan, nan, error)
-        for noise in noises
+        RateReport(cfg.name, fd, fg, memory, t2, nan, nan, nan, nan, nan, nan, error)
+        for fd, fg in product(fds, fgs)
     ]
 
 
@@ -102,7 +102,6 @@ def run_sweep(configs, spec: SweepSpec = SweepSpec()) -> list[RateReport]:
     point's own error.
     """
     fds, fgs = _axis(spec.fd_range), _axis(spec.fg_range)
-    noises = [NoiseParams(channel_depol=fd, gate_fail=fg) for fd in fds for fg in fgs]
     rows: list[RateReport] = []
     for cfg in sorted(configs, key=lambda c: c.name):
         for mode in ("off", "on"):
@@ -120,10 +119,10 @@ def run_sweep(configs, spec: SweepSpec = SweepSpec()) -> list[RateReport]:
                     block = cfg
                     if memory and t2 is not None:
                         block = replace(cfg, memory=replace(require_memory(cfg), t2=t2))
-                    rows += rate_reports(block, noises, use_memory=memory)
+                    rows += rate_reports(block, fds, fgs, use_memory=memory)
                 except ValueError as exc:
                     error = f"{type(exc).__name__}: {exc}"
-                    rows += _failed_rows(cfg, noises, memory, t2, error)
+                    rows += _failed_rows(cfg, fds, fgs, memory, t2, error)
     return rows
 
 

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +315,42 @@ class TestWorkers:
         with pytest.raises(KeyError):
             _mc_mean(lambda: block, 10 * CHUNK, 0)
         assert sorted(ran) == [0, 1]
+
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_memory_does_not_grow_with_the_chunk_count(self, monkeypatch, workers, w):
+        # one-sample chunks with stand-in moments: merging each chunk once
+        # the chunks before it are merged keeps the peak over 20000 chunks
+        # that of 2000, where one kept entry per chunk adds about 2 MiB
+        monkeypatch.setattr(mc, "CHUNK", 1)
+        monkeypatch.setattr(mc, "_chunk_moments",
+                            lambda block, child, size: (size, float(child.spawn_key[0]), 0.0))
+        workers(w)
+        peaks = []
+        for n_chunks in (2000, 20000):
+            tracemalloc.start()
+            try:
+                _mc_mean(lambda: None, n_chunks, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 64 * 1024
+
+    def test_a_slow_chunk_holds_back_the_other_workers(self, workers):
+        # while chunk 0 runs, the other worker runs chunks 1 to 3 and then
+        # waits: no chunk 2 * workers past the first unmerged one starts
+        workers(2)
+        ran, seen = [], []
+
+        def block(rng, size):
+            k = chunk_index(rng)
+            if k == 0:
+                time.sleep(0.5)
+                seen.extend(ran)
+            ran.append(k)
+            return np.ones(size)
+
+        _mc_mean(lambda: block, 20 * CHUNK, 0)
+        assert seen == [1, 2, 3] and sorted(ran) == list(range(20))
 
     @pytest.mark.parametrize("over,raised", [("raise", FloatingPointError), ("ignore", None)])
     def test_helpers_keep_the_callers_errstate(self, workers, over, raised):

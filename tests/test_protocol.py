@@ -1,5 +1,7 @@
 """Tests of the merge pipeline against an independent statevector oracle."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -369,49 +371,43 @@ class TestCheckOnce:
     @given(
         cfg=configs,
         outcome=st.sampled_from(OUTCOMES),
-        noise=st.lists(st.tuples(*[with_edges(0.0, 1.0, 0.0, -0.0, 0.5, 1.0)] * 2),
-                       min_size=1, max_size=40),
-        rows=st.integers(1, 80),
+        fd_values=st.lists(with_edges(0.0, 1.0, 0.0, -0.0, 0.5, 1.0), max_size=6),
+        fg_values=st.lists(with_edges(0.0, 1.0, 0.0, -0.0, 0.5, 1.0), max_size=3),
+        fd_len=st.integers(1, 72),
+        fg_len=st.integers(1, 9),
         shuffle=st.randoms(use_true_random=False),
     )
     def test_stack_equals_public_channels_exactly(
-        self, use_memory, cfg, outcome, noise, rows, shuffle
+        self, use_memory, cfg, outcome, fd_values, fg_values, fd_len, fg_len, shuffle
     ):
-        # Up to 42 settings, both signed zeros among them, cycled over up to
-        # 80 rows and shuffled: windows split at CHUNK_ROWS distinct f_D
-        # values, and rows sharing an f_D need not be adjacent.
-        settings = [NoiseParams(*s) for s in noise]
-        settings += [NoiseParams(0.0, 0.5), NoiseParams(-0.0, 0.5)]
-        order = [i % len(settings) for i in range(max(rows, len(settings)))]
-        shuffle.shuffle(order)
+        # Each axis cycles its drawn values and both signed zeros up to its
+        # drawn length, shuffled: f_D axes run past CHUNK_ROWS entries,
+        # grids past CHUNK_ROWS rows, and both axes repeat values, not
+        # always next to each other.
+        fd_pool, fg_pool = fd_values + [0.0, -0.0], fg_values + [0.0, -0.0]
+        fd_index = [i % len(fd_pool) for i in range(max(fd_len, len(fd_pool)))]
+        fg_index = [j % len(fg_pool) for j in range(max(fg_len, len(fg_pool)))]
+        shuffle.shuffle(fd_index)
+        shuffle.shuffle(fg_index)
         probs, states, fids = run_stack(
-            cfg, [settings[i] for i in order], use_memory=use_memory, outcome=outcome)
+            cfg, [fd_pool[i] for i in fd_index], [fg_pool[j] for j in fg_index],
+            use_memory=use_memory, outcome=outcome)
+        rows = len(fd_index) * len(fg_index)
         assert probs.dtype == fids.dtype == np.float64 and states.dtype == np.complex128
-        assert probs.shape == fids.shape == (len(order),) and states.shape == (len(order), 8, 8)
-        expected = []
-        for params in settings:
-            rho = reference_chain(cfg, params, use_memory)
-            assert not rho.imag.any()  # real until the Y measurement
-            prob, post = tensordot_project(rho, 4, 2, "Y", outcome)
-            fid = vdot_fidelity(post, target_state(outcome).amplitudes)
-            expected.append((prob[0].tobytes(), post[0].tobytes(), fid[0].tobytes()))
-        for row, i in enumerate(order):
+        assert probs.shape == fids.shape == (rows,) and states.shape == (rows, 8, 8)
+        expected = {}
+        for row, (i, j) in enumerate(product(fd_index, fg_index)):
+            if (i, j) not in expected:
+                rho = reference_chain(cfg, NoiseParams(fd_pool[i], fg_pool[j]), use_memory)
+                assert not rho.imag.any()  # real until the Y measurement
+                prob, post = tensordot_project(rho, 4, 2, "Y", outcome)
+                fid = vdot_fidelity(post, target_state(outcome).amplitudes)
+                expected[i, j] = (prob[0].tobytes(), post[0].tobytes(), fid[0].tobytes())
             got = (probs[row].tobytes(), states[row].tobytes(), fids[row].tobytes())
-            assert got == expected[i]
-
-    def test_windows_split_at_chunk_rows_distinct_values(self):
-        values = [(i + 1) / 64 for i in range(40)] + [0.0, -0.0]
-        windows = protocol._fd_windows([values[i % 42] for i in range(84)])
-        assert [(lo, hi, len(v)) for lo, hi, v, _ in windows] == [
-            (0, 32, 32), (32, 64, 32), (64, 84, 20)]
-        assert all(index is None for *_, index in windows)
-        assert [np.copysign(1.0, v) for v in windows[1][2][8:10]] == [1.0, -1.0]
-        ((lo, hi, values, index),) = protocol._fd_windows([0.5, 0.0, 0.5, -0.0, 0.0])
-        assert (lo, hi, index.tolist()) == (0, 5, [0, 1, 0, 2, 1])
-        assert [np.copysign(1.0, v) for v in values] == [1.0, 1.0, -1.0]
+            assert got == expected[i, j]
 
     @pytest.mark.parametrize("use_memory", [False, True])
-    def test_pre_cz_stages_run_once_per_distinct_fd(self, monkeypatch, use_memory):
+    def test_pre_cz_stages_run_once_per_fd_entry(self, monkeypatch, use_memory):
         seen = []
 
         def counting_cz_terms(rho, *args):
@@ -424,8 +420,25 @@ class TestCheckOnce:
         assert len(run_sweep([cfg], spec)) == 121
         assert seen == [11]
         seen.clear()
+        # 40 entries, each value twice: runs of CHUNK_ROWS entries, repeats run again
+        run_stack(cfg, [(i % 20) / 20 for i in range(40)], [0.1, 0.2, 0.3],
+                  use_memory=use_memory)
+        assert seen == [32, 8]
+        seen.clear()
         full_report(cfg, NoiseParams(0.1, 0.2), use_memory=use_memory)
         assert seen == [1]
+
+    @pytest.mark.parametrize("fds,fgs", [
+        ([0.1, 1.5], [0.0]), ([0.1], [0.2, -0.5]), ([float("nan")], [0.0]),
+        ([0.0], [float("inf")]),
+    ])
+    def test_axis_values_are_checked_as_noise_params_checks_them(self, fds, fgs):
+        with pytest.raises(ValueError) as expected:
+            for fd, fg in product(fds, fgs):
+                NoiseParams(fd, fg)
+        with pytest.raises(ValueError) as err:
+            run_stack(make_cfg(), fds, fgs)
+        assert str(err.value) == str(expected.value)
 
     def test_register_is_the_real_part_of_the_source_pairs(self):
         reg = protocol._initial_register()
@@ -447,8 +460,9 @@ class TestCheckOnce:
 
     def test_empty_stack(self):
         cfg = make_cfg(memory=MemoryParams(0.9, 1.0))
-        probs, states, fids = run_stack(cfg, [], use_memory=True)
-        assert probs.shape == (0,) and states.shape == (0, 8, 8) and fids.shape == (0,)
+        for fds, fgs in ([], []), ([], [0.1]), ([0.1, 0.2], []):
+            probs, states, fids = run_stack(cfg, fds, fgs, use_memory=True)
+            assert probs.shape == (0,) and states.shape == (0, 8, 8) and fids.shape == (0,)
 
     def sweep_error(self):
         spec = SweepSpec(fd_range=(0.1, 0.1, 1), fg_range=(0.1, 0.1, 1), memory_modes=("on",))
@@ -477,12 +491,11 @@ class TestOutcomeProbability:
 
     @given(
         cfg=configs,
-        noise=st.lists(st.tuples(*[with_edges(0.0, 1.0, 0.0, 0.5, 1.0)] * 2),
-                       min_size=1, max_size=4),
+        fds=st.lists(with_edges(0.0, 1.0, 0.0, 0.5, 1.0), min_size=1, max_size=2),
+        fgs=st.lists(with_edges(0.0, 1.0, 0.0, 0.5, 1.0), min_size=1, max_size=2),
     )
-    def test_is_one_half(self, cfg, noise):
-        noises = [NoiseParams(fd, fg) for fd, fg in noise]
+    def test_is_one_half(self, cfg, fds, fgs):
         for outcome in OUTCOMES:
             for use_memory in (False, True):
-                probs, _, _ = run_stack(cfg, noises, use_memory=use_memory, outcome=outcome)
+                probs, _, _ = run_stack(cfg, fds, fgs, use_memory=use_memory, outcome=outcome)
                 assert np.max(np.abs(probs - 0.5)) <= 1e-15

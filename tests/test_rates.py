@@ -254,10 +254,28 @@ class TestReports:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         cfg = make_cfg(eta_b=0.5, trans_ab=0.3, trans_bc=0.4, memory=MemoryParams(0.9, 0.05))
-        noises = [NoiseParams(0.3 * i / 8, 0.3 * j / 7) for i in range(9) for j in range(8)]
-        reports = rates.rate_reports(cfg, noises, use_memory=True)
+        fds, fgs = [0.3 * i / 8 for i in range(9)], [0.3 * j / 7 for j in range(8)]
+        reports = rates.rate_reports(cfg, fds, fgs, use_memory=True)
         assert len(reports) == 72
         assert calls == {"expected_coherence_near": 1, "yield_with_memory": 1}
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        fds=st.lists(st.sampled_from([0.0, -0.0, 0.05, 0.3, 1.0]) | unit_floats,
+                     min_size=1, max_size=40),
+        fgs=st.lists(st.sampled_from([0.0, -0.0, 0.05, 1.0]) | unit_floats,
+                     min_size=1, max_size=3),
+        use_memory=st.booleans(),
+        outcome=st.sampled_from([1, -1]),
+    )
+    def test_grid_rows_are_the_point_reports(self, seed, fds, fgs, use_memory, outcome):
+        cfg = random_config(np.random.default_rng(seed))
+        rows = rates.rate_reports(cfg, fds, fgs, use_memory=use_memory, outcome=outcome)
+        assert len(rows) == len(fds) * len(fgs)
+        for k, row in enumerate(rows):
+            noise = NoiseParams(fds[k // len(fgs)], fgs[k % len(fgs)])
+            point = full_report(cfg, noise, use_memory=use_memory, outcome=outcome)
+            assert repr(row) == repr(point)
 
     def test_rate_never_exceeds_yield_on_noisy_runs(self):
         for depol, fail in [(0.0, 0.0), (0.05, 0.0), (0.0, 0.05), (0.1, 0.1)]:
@@ -325,8 +343,8 @@ class TestDegreeStructure:
         # f_G stays below 0.9: at f_G = 1 the merge depolarizes both gate
         # qubits fully and F no longer depends on f_D
         fd0, fg0 = u * 0.99 * (1.0 - 3.0 * h), v * (0.9 - 2.0 * g)
-        noises = [NoiseParams(fd0 + i * h, fg0 + j * g) for i in range(4) for j in range(3)]
-        rows = rates.rate_reports(cfg, noises, use_memory=use_memory)
+        fds, fgs = [fd0 + i * h for i in range(4)], [fg0 + j * g for j in range(3)]
+        rows = rates.rate_reports(cfg, fds, fgs, use_memory=use_memory)
         # axes: f_D, f_G, (fidelity, Q_X, Q_AB)
         grid = np.array([(r.fidelity, r.q_x, r.q_ab) for r in rows]).reshape(4, 3, 3)
         assert np.abs(np.diff(grid, 3, axis=0)).max() <= 1e-14
