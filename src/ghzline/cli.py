@@ -39,9 +39,9 @@ from .netmodel import (
 # them, after the config has loaded, so that yields and config errors run
 # without loading numpy.
 
-# Most samples per mc-check: the yield oracle's binomial draws take counts
-# up to the int64 maximum.
-MAX_SAMPLES = 2**63 - 1
+# Most samples per mc-check: a count a run can finish.  A report on the
+# bundled file takes about 0.1 s per 10^6 samples, so 10^12 is about a day.
+MAX_SAMPLES = 10**12
 
 
 def _csv_cell(value) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 SPEED_OF_LIGHT_FIBER = 2.0e5  # km/s, group velocity in standard fiber
 
 # Below this a difference of two floats near 1 keeps fewer than half of
-# its 53 bits: click_prob, dark_count_depolarization and
+# its 53 bits: click_prob, dark_count_depolarization, dephasing_prob and
 # expected_coherence_near then take exactly equal forms without the
 # cancellation.
 CANCELLATION_LIMIT = 2.0**-26
@@ -348,4 +348,8 @@ def dephasing_prob(wait: float, t2: float) -> float:
     """Phase-flip probability (1 - e^(-t/T2)) / 2 after storing for ``wait``."""
     _require(wait >= 0.0, "wait must be >= 0, got {}", wait)
     _require(t2 > 0.0, "T2 must be > 0, got {}", t2)
-    return 0.5 * (1.0 - math.exp(-wait / t2))
+    lam = 0.5 * (1.0 - math.exp(-wait / t2))
+    if lam < CANCELLATION_LIMIT:
+        # the plain form has cancelled; this exactly equal form does not
+        return -0.5 * math.expm1(-wait / t2)
+    return lam

@@ -212,21 +212,21 @@ def run_stack(
     fgs: Sequence[float],
     *,
     use_memory: bool = False,
-    outcome: int = +1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run one merge attempt per point of the grid ``fds`` x ``fgs``, all
     as one stack.
 
     Returns, one row per point in f_D-major order (row r is f_D entry
     r // len(fgs) with f_G entry r % len(fgs)): the probability of the Y
-    ``outcome``, the conditional three-qubit state on (0, 1, 3) as a
-    (B, 8, 8) stack, and its fidelity with target_state(outcome).
+    outcome +1, the conditional three-qubit state on (0, 1, 3) as a
+    (B, 8, 8) stack, and its fidelity with target_state(+1).  The -1
+    branch is its conjugate (run_pipeline).
 
     Steps, in order: prepare both source pairs; depolarize the transit
     qubits (0 and 3) with f_D; if use_memory, dephase B's stored qubits by
     their expected storage decoherence; apply the noisy merge CZ between
     qubits 1 and 2 with f_G; depolarize every qubit by its dark-count junk
-    fraction; measure qubit 2 in Y and keep ``outcome``.  Each axis value
+    fraction; measure qubit 2 in Y and keep the +1 outcome.  Each axis value
     is checked once, and the segment's strengths once per call
     (_segment_strengths).  Every step before the f_G mix runs once per
     f_D entry, on runs of up to CHUNK_ROWS consecutive entries: the source
@@ -238,11 +238,10 @@ def run_stack(
     real matrices to real matrices, so the stack stays real float64 until
     then, with the bits the kernels give on a complex stack.
     """
-    _check_outcome(outcome)
     fds = [_checked_strength(v, 1.0, "channel_depol") for v in fds]
     fgs = [_checked_strength(v, 1.0, "gate_fail") for v in fgs]
     dephasings, dark_counts = _segment_strengths(cfg, use_memory)
-    target = target_state(outcome).amplitudes
+    target = target_state(+1).amplitudes
     if not fds or not fgs:
         return np.zeros(0), np.zeros((0, 8, 8), dtype=complex), np.zeros(0)
     fail = np.array(fgs).reshape(-1, 1, 1)
@@ -272,7 +271,7 @@ def run_stack(
             )
             for qubit, quarter_s, keep_s in dark_counts:
                 rho = _depolarize(rho, 4, qubit, quarter_s, keep_s)
-            probs, rho_out = _measure(rho, 4, MEASURED_QUBIT, "Y", outcome)
+            probs, rho_out = _measure(rho, 4, MEASURED_QUBIT, "Y", +1)
             chunks.append((probs, rho_out, _fidelity(rho_out, target)))
     if len(chunks) == 1:
         return chunks[0]
@@ -290,11 +289,18 @@ def run_pipeline(
 
     The one-row case of run_stack, which lists the steps.
     """
+    _check_outcome(outcome)
     probs, states, fids = run_stack(
-        cfg, [noise.channel_depol], [noise.gate_fail], use_memory=use_memory, outcome=outcome
+        cfg, [noise.channel_depol], [noise.gate_fail], use_memory=use_memory
     )
+    # The two Y outcomes differ by a local Clifford correction (the
+    # Y-measurement rule for graph states, Hein, Eisert & Briegel, PRA 69,
+    # 062311 (2004)).  The state before the measurement is real, and Y's -1
+    # eigenvector is the conjugate of its +1 one, so the -1 branch is the
+    # conjugate state with the same probability and fidelity.
+    rho = states[0] if outcome == +1 else states[0].conj()
     return ProtocolOutcome(
-        rho_out=DensityMatrix(states[0], _copy=False),
+        rho_out=DensityMatrix(rho, _copy=False),
         outcome=outcome,
         outcome_prob=float(probs[0]),
         fidelity=float(fids[0]),

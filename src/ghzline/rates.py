@@ -23,7 +23,6 @@ from .density import (
     PureState,
     _fidelities,
     _read_only,
-    _x_conjugate,
 )
 from .netmodel import TrioConfig, yield_memoryless, yield_with_memory
 from .protocol import NoiseParams, run_stack, target_state
@@ -158,20 +157,12 @@ def rate_reports(
     fgs: Sequence[float],
     *,
     use_memory: bool = False,
-    outcome: int = +1,
 ) -> list[RateReport]:
     """One report per point of the grid ``fds`` x ``fgs``, in f_D-major
     order (report k is at f_D entry k // len(fgs) and f_G entry
     k % len(fgs)), each as full_report would give it.
-
-    Both error tests are defined in the +1 outcome convention, so a -1
-    heralding is first reconciled by the dealer's X correction on C's
-    qubit (qubit 2 of the output): IIX maps target_state(-1) onto
-    target_state(+1).
     """
-    _, states, fidelities = run_stack(cfg, fds, fgs, use_memory=use_memory, outcome=outcome)
-    if outcome == -1:
-        states = _x_conjugate(states, 3, 2)
+    _, states, fidelities = run_stack(cfg, fds, fgs, use_memory=use_memory)
     q_x, q_ab = _error_rates(states)
     y = yield_with_memory(cfg) if use_memory else yield_memoryless(cfg)
     if len(fidelities):
@@ -195,10 +186,7 @@ def full_report(
     noise: NoiseParams = NoiseParams(),
     *,
     use_memory: bool = False,
-    outcome: int = +1,
 ) -> RateReport:
     """Run the pipeline on ``cfg`` and summarize yield, errors, and rates."""
-    (report,) = rate_reports(
-        cfg, [noise.channel_depol], [noise.gate_fail], use_memory=use_memory, outcome=outcome
-    )
+    (report,) = rate_reports(cfg, [noise.channel_depol], [noise.gate_fail], use_memory=use_memory)
     return report

@@ -166,10 +166,11 @@ class TestDarkCountDepolarization:
         assert 0.0 <= dark_count_depolarization(xi, click, pd) <= 1.0
 
 
-# The bound README "Configuration files" states for click_prob and
-# dark_count_depolarization.  The plain forms are kept where they lose
-# fewer than 26 of their 53 bits, so they stay within about 3 * 2^-53 /
-# 2^-26 = 4.5e-8; the forms that replace them are good to a few ulps.
+# The bound README "Configuration files" states for click_prob,
+# dark_count_depolarization and dephasing_prob.  The plain forms are kept
+# where they lose fewer than 26 of their 53 bits, so they stay within
+# about 3 * 2^-53 / 2^-26 = 4.5e-8; the forms that replace them are good
+# to a few ulps.
 CLICK_REL_BOUND = 5e-8
 
 
@@ -482,3 +483,12 @@ class TestDephasingProb:
     def test_rejects_negative_wait(self):
         with pytest.raises(ValueError):
             dephasing_prob(-1.0, 2.5)
+
+    @given(x=st.one_of(st.floats(-300.0, 300.0).map(lambda e: 10.0**e), st.just(0.0)))
+    def test_matches_high_precision(self, x):
+        # 1 - e^(-x) cancels for small x (8.3e-8 relative at 1e-11 once),
+        # so the reference carries 50 digits beyond x's own scale
+        with localcontext() as ctx:
+            ctx.prec = 50 + max(0, -Decimal(x).adjusted())
+            ref = (1 - (-Decimal(x)).exp()) / 2
+        assert abs(Decimal(dephasing_prob(x, 1.0)) - ref) <= Decimal(CLICK_REL_BOUND) * ref

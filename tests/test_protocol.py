@@ -370,7 +370,6 @@ class TestCheckOnce:
     @pytest.mark.parametrize("use_memory", [False, True])
     @given(
         cfg=configs,
-        outcome=st.sampled_from(OUTCOMES),
         fd_values=st.lists(with_edges(0.0, 1.0, 0.0, -0.0, 0.5, 1.0), max_size=6),
         fg_values=st.lists(with_edges(0.0, 1.0, 0.0, -0.0, 0.5, 1.0), max_size=3),
         fd_len=st.integers(1, 72),
@@ -378,7 +377,7 @@ class TestCheckOnce:
         shuffle=st.randoms(use_true_random=False),
     )
     def test_stack_equals_public_channels_exactly(
-        self, use_memory, cfg, outcome, fd_values, fg_values, fd_len, fg_len, shuffle
+        self, use_memory, cfg, fd_values, fg_values, fd_len, fg_len, shuffle
     ):
         # Each axis cycles its drawn values and both signed zeros up to its
         # drawn length, shuffled: f_D axes run past CHUNK_ROWS entries,
@@ -391,7 +390,7 @@ class TestCheckOnce:
         shuffle.shuffle(fg_index)
         probs, states, fids = run_stack(
             cfg, [fd_pool[i] for i in fd_index], [fg_pool[j] for j in fg_index],
-            use_memory=use_memory, outcome=outcome)
+            use_memory=use_memory)
         rows = len(fd_index) * len(fg_index)
         assert probs.dtype == fids.dtype == np.float64 and states.dtype == np.complex128
         assert probs.shape == fids.shape == (rows,) and states.shape == (rows, 8, 8)
@@ -400,8 +399,8 @@ class TestCheckOnce:
             if (i, j) not in expected:
                 rho = reference_chain(cfg, NoiseParams(fd_pool[i], fg_pool[j]), use_memory)
                 assert not rho.imag.any()  # real until the Y measurement
-                prob, post = tensordot_project(rho, 4, 2, "Y", outcome)
-                fid = vdot_fidelity(post, target_state(outcome).amplitudes)
+                prob, post = tensordot_project(rho, 4, 2, "Y", +1)
+                fid = vdot_fidelity(post, target_state(+1).amplitudes)
                 expected[i, j] = (prob[0].tobytes(), post[0].tobytes(), fid[0].tobytes())
             got = (probs[row].tobytes(), states[row].tobytes(), fids[row].tobytes())
             assert got == expected[i, j]
@@ -482,6 +481,31 @@ class TestCheckOnce:
         assert self.sweep_error() == "ValueError: dephase strength must be in [0, 0.5], got nan"
 
 
+class TestMinusOneBranch:
+    """run_pipeline derives the -1 heralding from the +1 run by complex
+    conjugation; the reference route measures the -1 outcome itself."""
+
+    @pytest.mark.parametrize("use_memory", [False, True])
+    @given(
+        cfg=configs,
+        fd=with_edges(0.0, 1.0, 0.0, -0.0, 0.5, 1.0),
+        fg=with_edges(0.0, 1.0, 0.0, -0.0, 0.5, 1.0),
+    )
+    def test_equals_the_reference_measurement(self, use_memory, cfg, fd, fg):
+        noise = NoiseParams(fd, fg)
+        result = run_pipeline(cfg, noise, use_memory=use_memory, outcome=-1)
+        rho = reference_chain(cfg, noise, use_memory)
+        prob, post = tensordot_project(rho, 4, 2, "Y", -1)
+        fid = vdot_fidelity(post, target_state(-1).amplitudes)
+        assert result.outcome == -1
+        assert np.float64(result.outcome_prob).tobytes() == prob[0].tobytes()
+        assert np.float64(result.fidelity).tobytes() == fid[0].tobytes()
+        # Equal by value, not byte for byte: conjugation turns a +0.0
+        # imaginary part into -0.0, where the reference measurement of the
+        # -1 outcome may give +0.0.
+        assert np.array_equal(result.rho_out.data, post[0])
+
+
 class TestOutcomeProbability:
     """Every error the pipeline can pick up heralds either Y outcome with
     probability 1/2, so the outcome probability is 0.5 whatever the
@@ -495,7 +519,11 @@ class TestOutcomeProbability:
         fgs=st.lists(with_edges(0.0, 1.0, 0.0, 0.5, 1.0), min_size=1, max_size=2),
     )
     def test_is_one_half(self, cfg, fds, fgs):
-        for outcome in OUTCOMES:
-            for use_memory in (False, True):
-                probs, _, _ = run_stack(cfg, fds, fgs, use_memory=use_memory, outcome=outcome)
-                assert np.max(np.abs(probs - 0.5)) <= 1e-15
+        # run_stack keeps the +1 outcome; the -1 one takes the reference route
+        for use_memory in (False, True):
+            probs, _, _ = run_stack(cfg, fds, fgs, use_memory=use_memory)
+            assert np.max(np.abs(probs - 0.5)) <= 1e-15
+            for fd, fg in product(fds, fgs):
+                rho = reference_chain(cfg, NoiseParams(fd, fg), use_memory)
+                prob, _ = tensordot_project(rho, 4, 2, "Y", -1)
+                assert abs(prob[0] - 0.5) <= 1e-15

@@ -266,15 +266,14 @@ class TestReports:
         fgs=st.lists(st.sampled_from([0.0, -0.0, 0.05, 1.0]) | unit_floats,
                      min_size=1, max_size=3),
         use_memory=st.booleans(),
-        outcome=st.sampled_from([1, -1]),
     )
-    def test_grid_rows_are_the_point_reports(self, seed, fds, fgs, use_memory, outcome):
+    def test_grid_rows_are_the_point_reports(self, seed, fds, fgs, use_memory):
         cfg = random_config(np.random.default_rng(seed))
-        rows = rates.rate_reports(cfg, fds, fgs, use_memory=use_memory, outcome=outcome)
+        rows = rates.rate_reports(cfg, fds, fgs, use_memory=use_memory)
         assert len(rows) == len(fds) * len(fgs)
         for k, row in enumerate(rows):
             noise = NoiseParams(fds[k // len(fgs)], fgs[k % len(fgs)])
-            point = full_report(cfg, noise, use_memory=use_memory, outcome=outcome)
+            point = full_report(cfg, noise, use_memory=use_memory)
             assert repr(row) == repr(point)
 
     def test_rate_never_exceeds_yield_on_noisy_runs(self):
@@ -353,16 +352,28 @@ class TestDegreeStructure:
         assert np.abs(np.diff(grid[:, :, 0], 2, axis=0)).max() > 1e-9
 
 
+def x_corrected(rho):
+    """The dealer's X correction on C's qubit (qubit 2 of the output), which
+    maps target_state(-1) onto target_state(+1)."""
+    return DensityMatrix(density._x_conjugate(rho.data[None], 3, 2)[0])
+
+
 class TestOutcomeReconciliation:
+    """Both error tests are defined on the +1 herald, the one the reports
+    use; a -1 heralding, once the dealer's X correction reconciles it,
+    gives the same errors."""
+
     def test_minus_one_heralding_is_corrected(self):
         # the raw -1 state fails the +1-convention tests (Q_X 0.859 and a
         # spurious positive rate before the dealer's X correction)
         cfg = make_cfg(eta_b=0.8, trans_ab=0.5, trans_bc=0.4, dark_b=0.005)
         noise = NoiseParams(0.1, 0.1)
-        minus = full_report(cfg, noise, outcome=-1)
-        assert minus.q_x == pytest.approx(0.14093, abs=1e-5)
-        assert minus.q_ab == pytest.approx(0.16864, abs=1e-5)
-        assert minus.r_per_attempt == 0.0
+        minus = x_corrected(run_pipeline(cfg, noise, outcome=-1).rho_out)
+        q_x, q_ab = qber_parity(minus), qber_bipartite(minus)
+        assert q_x == pytest.approx(0.14093, abs=1e-5)
+        assert q_ab == pytest.approx(0.16864, abs=1e-5)
+        report = full_report(cfg, noise)
+        assert (report.q_x, report.q_ab, report.r_per_attempt) == (q_x, q_ab, 0.0)
 
     @given(depol=unit_floats, fail=unit_floats, use_memory=st.booleans(),
            dark=st.floats(min_value=0.0, max_value=0.01, allow_nan=False))
@@ -371,13 +382,12 @@ class TestOutcomeReconciliation:
                        dark_c=0.5 * dark, trans_ab=0.5, trans_bc=0.4,
                        len_ab=30.0, len_bc=80.0, memory=MemoryParams(0.9, 0.01))
         noise = NoiseParams(depol, fail)
-        plus = full_report(cfg, noise, use_memory=use_memory, outcome=+1)
-        minus = full_report(cfg, noise, use_memory=use_memory, outcome=-1)
-        for field in ("yield_per_attempt", "fidelity", "q_x", "q_ab",
-                      "r_per_attempt", "r_per_second"):
-            assert getattr(minus, field) == pytest.approx(
-                getattr(plus, field), rel=1e-12, abs=1e-12
-            ), field
+        plus = full_report(cfg, noise, use_memory=use_memory)
+        minus = run_pipeline(cfg, noise, use_memory=use_memory, outcome=-1)
+        rho = x_corrected(minus.rho_out)
+        assert minus.fidelity == pytest.approx(plus.fidelity, rel=1e-12, abs=1e-12)
+        assert qber_parity(rho) == pytest.approx(plus.q_x, rel=1e-12, abs=1e-12)
+        assert qber_bipartite(rho) == pytest.approx(plus.q_ab, rel=1e-12, abs=1e-12)
 
 
 class TestConstantStates:
@@ -412,9 +422,7 @@ class TestConstantStates:
         cfg = make_cfg(eta_b=0.8, trans_ab=0.5, trans_bc=0.4, dark_b=0.005,
                        memory=MemoryParams(0.9, 0.05))
         noise = NoiseParams(0.1, 0.2)
-        before = [full_report(cfg, noise, use_memory=m, outcome=o)
-                  for m in (False, True) for o in (+1, -1)]
+        before = [full_report(cfg, noise, use_memory=m) for m in (False, True)]
         run_sweep(load_config(data_path()))
-        after = [full_report(cfg, noise, use_memory=m, outcome=o)
-                 for m in (False, True) for o in (+1, -1)]
+        after = [full_report(cfg, noise, use_memory=m) for m in (False, True)]
         assert after == before
