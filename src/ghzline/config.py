@@ -43,7 +43,20 @@ class _ConfigLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoad
     below goes to this class alone; PyYAML's loaders are left as they are.
     A digit must follow a leading dot, as in PyYAML's own float pattern, so
     that ``._e3`` stays a string rather than failing float().
+
+    Mappings and sequences are built whole, with their contents, rather
+    than by SafeConstructor's generators, which hand out an empty
+    collection first and fill it once the rest of the document is built.
+    The objects, aliases and merge keys are the same; a collection that
+    holds itself through an alias, which only the generators can build,
+    is a yaml.YAMLError here.
     """
+
+    def construct_whole_mapping(self, node) -> dict:
+        return self.construct_mapping(node, deep=True)
+
+    def construct_whole_sequence(self, node) -> list:
+        return self.construct_sequence(node, deep=True)
 
 
 _ConfigLoader.add_implicit_resolver(
@@ -51,6 +64,8 @@ _ConfigLoader.add_implicit_resolver(
     re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
     list("-+0123456789."),
 )
+_ConfigLoader.add_constructor("tag:yaml.org,2002:map", _ConfigLoader.construct_whole_mapping)
+_ConfigLoader.add_constructor("tag:yaml.org,2002:seq", _ConfigLoader.construct_whole_sequence)
 YAML_LOADER = _ConfigLoader
 
 
@@ -75,6 +90,13 @@ _SCHEMA_TYPES = {
     "string": lambda x: isinstance(x, str),
     "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
 }
+# The schema types of the plain Python types a YAML document holds; a value
+# of any other type (a date, bytes, a set, a subclass) goes through
+# _SCHEMA_TYPES' tests.
+_TYPES_OF = {
+    dict: ("object",), list: ("array",), str: ("string",),
+    int: ("number",), float: ("number",), bool: (), type(None): (),
+}
 # The instance type each keyword applies to; others pass it unchecked.
 _KEYWORD_TYPES = {
     "required": "object",
@@ -95,25 +117,106 @@ _BOUNDS = {
     "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
     "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
 }
-# Every keyword the interpreter knows: the 13 it checks, then those that
-# only annotate or hold subschemas for $ref.
-_SCHEMA_KEYWORDS = {
-    "type", "$ref", "anyOf", *_KEYWORD_TYPES, "$schema", "title", "description", "$defs"
-}
-# The subschemas each keyword holds, if any.
-_SUBSCHEMAS = {
-    "properties": dict.values, "$defs": dict.values, "items": lambda s: [s], "anyOf": list
-}
+# Keywords that only annotate, or hold subschemas for $ref: they check nothing.
+_ANNOTATIONS = {"$schema", "title", "description", "$defs"}
+# Every keyword the compiler knows: the 13 it checks, then the annotations.
+_SCHEMA_KEYWORDS = {"type", "$ref", "anyOf", *_KEYWORD_TYPES, *_ANNOTATIONS}
 
 
-def _compile_schema(schema: dict, root: dict | None = None) -> dict:
-    """Check that ``schema`` uses only what _schema_errors interprets, and
-    replace each ``$ref`` by the subschema it points to, in place.
+def _keyword_check(key, value, schema: dict, compile_sub):
+    """(applies, check) of one keyword of ``schema``; ``value`` is the
+    keyword's value, a ``$ref`` already resolved to its target.
 
-    Raises ValueError on any other keyword, type name, reference form or
-    open object, so that an edit to the schema cannot be silently ignored.
+    ``applies(types)`` tells whether the keyword checks a node of those
+    schema types; ``check(node, path, out)`` appends the (path, message)
+    of each violation to ``out``, in jsonschema's Draft 2020-12 words.
+    """
+    if key == "type":
+        def check(node, path, out):
+            out.append((path, f"{node!r} is not of type {value!r}"))
+
+        return (lambda types: value not in types), check
+    if key == "$ref":
+        return (lambda types: True), compile_sub(value)
+    if key == "anyOf":
+        subs = [compile_sub(sub) for sub in value]
+
+        def check(node, path, out):
+            for sub in subs:
+                found = []
+                sub(node, path, found)
+                if not found:
+                    return
+            out.append((path, f"{node!r} is not valid under any of the given schemas"))
+
+        return (lambda types: True), check
+    if key == "required":
+        def check(node, path, out):
+            for name in value:
+                if name not in node:
+                    out.append((path, f"{name!r} is a required property"))
+    elif key == "properties":
+        subs = [(name, compile_sub(sub)) for name, sub in value.items()]
+
+        def check(node, path, out):
+            for name, sub in subs:
+                if name in node:
+                    sub(node[name], path + (name,), out)
+    elif key == "additionalProperties":
+        known = frozenset(schema.get("properties", {}))
+
+        def check(node, path, out):
+            if known.issuperset(node):
+                return
+            extras = sorted({name for name in node if name not in known}, key=str)
+            verb = "was" if len(extras) == 1 else "were"
+            names = ", ".join(repr(name) for name in extras)
+            out.append((path, f"Additional properties are not allowed ({names} {verb} unexpected)"))
+    elif key == "items":
+        sub = compile_sub(value)
+
+        def check(node, path, out):
+            for i, item in enumerate(node):
+                sub(item, path + (i,), out)
+    elif key in ("minItems", "minLength"):
+        text = "should be non-empty" if value == 1 else "is too short"
+
+        def check(node, path, out):
+            if len(node) < value:
+                out.append((path, f"{node!r} {text}"))
+    else:
+        violated, text = _BOUNDS[key]
+
+        def check(node, path, out):
+            if violated(node, value):
+                out.append((path, f"{node!r} {text} {value!r}"))
+    kind = _KEYWORD_TYPES[key]
+    return (lambda types: kind in types), check
+
+
+def _compile_schema(schema: dict, root: dict | None = None, compiled: dict | None = None):
+    """Compile ``schema`` into one check(node, path, out) that appends the
+    (path, message) of each violation by ``node`` to ``out``.
+
+    Keywords are checked in the schema's order, depth first.  Raises
+    ValueError on any other keyword, type name, reference form, open
+    object or recursive reference, so that an edit to the schema cannot be
+    silently ignored.  ``compiled`` maps the id of each subschema compiled
+    so far to its check, None while it compiles, so that each ``$ref``
+    target is compiled once.
     """
     root = schema if root is None else root
+    compiled = {} if compiled is None else compiled
+    if id(schema) in compiled:
+        if compiled[id(schema)] is None:
+            raise ValueError("config schema: unsupported recursive $ref")
+        return compiled[id(schema)]
+    compiled[id(schema)] = None
+
+    def compile_sub(sub):
+        return _compile_schema(sub, root, compiled)
+
+    keyword_checks = []
     for key, value in schema.items():
         if key not in _SCHEMA_KEYWORDS:
             raise ValueError(f"config schema: unsupported keyword {key!r}")
@@ -127,96 +230,89 @@ def _compile_schema(schema: dict, root: dict | None = None) -> dict:
             target = root
             for part in value[2:].split("/"):
                 target = target[part]
-            schema[key] = target
-        for sub in _SUBSCHEMAS[key](value) if key in _SUBSCHEMAS else ():
-            _compile_schema(sub, root)
-    return schema
+            value = target
+        if key == "$defs":
+            for sub in value.values():
+                compile_sub(sub)
+        elif key not in _ANNOTATIONS:
+            keyword_checks.append(_keyword_check(key, value, schema, compile_sub))
+    # the checks that apply to a node of each Python type, in keyword order
+    checks_of = {
+        python_type: tuple(keyword for applies, keyword in keyword_checks if applies(types))
+        for python_type, types in _TYPES_OF.items()
+    }
+
+    def check(node, path, out):
+        checks = checks_of.get(type(node))
+        if checks is None:  # a date, bytes, a set or a subclass
+            types = tuple(name for name, test in _SCHEMA_TYPES.items() if test(node))
+            checks = [keyword for applies, keyword in keyword_checks if applies(types)]
+        for keyword in checks:
+            keyword(node, path, out)
+
+    compiled[id(schema)] = check
+    return check
 
 
 @cache
-def _config_schema() -> dict:
+def _config_schema():
     """config.schema.json, read and compiled once per process."""
     with (resources.files("ghzline") / "data" / "config.schema.json").open() as fh:
         return _compile_schema(json.load(fh))
 
 
-def _schema_errors(schema: dict, node, path: tuple = ()):
-    """(path, message) of every violation of ``schema`` by ``node``.
-
-    Keywords are checked in the schema's order, depth first, with
-    jsonschema's Draft 2020-12 message texts.
-    """
-    for key, value in schema.items():
-        if key in _KEYWORD_TYPES and not _SCHEMA_TYPES[_KEYWORD_TYPES[key]](node):
-            continue
-        if key == "$ref":
-            yield from _schema_errors(value, node, path)
-        elif key == "type":
-            if not _SCHEMA_TYPES[value](node):
-                yield path, f"{node!r} is not of type {value!r}"
-        elif key == "required":
-            for name in value:
-                if name not in node:
-                    yield path, f"{name!r} is a required property"
-        elif key == "properties":
-            for name, sub in value.items():
-                if name in node:
-                    yield from _schema_errors(sub, node[name], path + (name,))
-        elif key == "additionalProperties":
-            known = schema.get("properties", {})
-            extras = sorted({name for name in node if name not in known}, key=str)
-            if extras:
-                verb = "was" if len(extras) == 1 else "were"
-                names = ", ".join(repr(name) for name in extras)
-                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
-        elif key == "items":
-            for i, item in enumerate(node):
-                yield from _schema_errors(value, item, path + (i,))
-        elif key in ("minItems", "minLength"):
-            if len(node) < value:
-                yield path, f"{node!r} {'should be non-empty' if value == 1 else 'is too short'}"
-        elif key in _BOUNDS:
-            violated, text = _BOUNDS[key]
-            if violated(node, value):
-                yield path, f"{node!r} {text} {value!r}"
-        elif key == "anyOf":
-            if all(next(_schema_errors(sub, node, path), None) for sub in value):
-                yield path, f"{node!r} is not valid under any of the given schemas"
+def _schema_errors(schema, node, path: tuple = ()) -> list[tuple]:
+    """(path, message) of every violation by ``node`` of ``schema``, a
+    check that _compile_schema made."""
+    out: list[tuple] = []
+    schema(node, path, out)
+    return out
 
 
-def _non_finite(node, where: str) -> list[str]:
-    """Dotted paths of every number in a parsed document that a float
-    cannot hold: inf, NaN, or an integer beyond the float range.
+def _non_finite(node) -> list[tuple]:
+    """Key paths of every number in a parsed document that a float cannot
+    hold: inf, NaN, or an integer beyond the float range.
 
     YAML's .inf and .nan satisfy every numeric bound of the schema, and a
     huge integer would overflow only later, when the model converts it; so
     they are caught here rather than surfacing as a NaN or null rate or as
-    a traceback.
+    a traceback.  A path is built only for a number rejected.
     """
     if isinstance(node, (int, float)):
         # NaN fails the comparison too; abs(True) is 1
-        return [] if abs(node) <= sys.float_info.max else [f"{where or '<root>'}: must be finite"]
+        return [] if abs(node) <= sys.float_info.max else [()]
     if isinstance(node, dict):
         items = node.items()
     elif isinstance(node, list):
         items = enumerate(node)
     else:
         return []
-    prefix = f"{where}." if where else ""
-    return [p for key, value in items for p in _non_finite(value, f"{prefix}{key}")]
+    return [(key, *path) for key, value in items for path in _non_finite(value)]
+
+
+def _dotted(path: tuple) -> str:
+    return ".".join(str(x) for x in path) or "<root>"
 
 
 def validate_document(doc) -> list[str]:
     """All schema and consistency violations of a parsed config document."""
+    return _check_document(doc)[0]
+
+
+def _check_document(doc) -> tuple[list[str], list[TrioConfig]]:
+    """validate_document's problems, and the TrioConfig of each segment
+    that its consistency pass built: of every segment when there are no
+    problems."""
     problems = [
-        f"{'.'.join(str(x) for x in path) or '<root>'}: {message}"
+        f"{_dotted(path)}: {message}"
         for path, message in sorted(
             _schema_errors(_config_schema(), doc), key=lambda e: [str(x) for x in e[0]]
         )
     ]
-    problems += _non_finite(doc, "")
+    problems += [f"{_dotted(path)}: must be finite" for path in _non_finite(doc)]
+    configs: list[TrioConfig] = []
     if problems:
-        return problems
+        return problems, configs
     # The schema cannot cross-check redundant fields, see a transmission so
     # small that it is subnormal, see an outer click probability below
     # MIN_CLICK_PROB or a B click probability with memory that underflows
@@ -270,7 +366,8 @@ def validate_document(doc) -> list[str]:
                 f"underflows to 0 (detector efficiency {cfg.node_b.detector_efficiency!r} "
                 f"times memory efficiency {cfg.memory.efficiency!r}, no dark counts)"
             )
-    return problems
+        configs.append(cfg)
+    return problems, configs
 
 
 def _build_link(raw: dict) -> LinkParams:
@@ -305,10 +402,14 @@ def _build_segment(seg: dict) -> TrioConfig:
 
 
 def load_config(path) -> list[TrioConfig]:
-    """Parse and validate a segment configuration file.
+    """Read, parse and validate a segment configuration file; one
+    TrioConfig per segment, in file order.
 
-    Violations are collected and reported all at once in a ConfigError
-    instead of stopping at the first.
+    Every call reads the file anew.  Violations are collected and reported
+    all at once in a ConfigError instead of stopping at the first; so are
+    a file that cannot be read or parsed, and a document that refers to
+    itself or nests too deeply to build.  Each segment is built once, by
+    the consistency checks, and those configs are returned.
     """
     p = Path(path)
     try:
@@ -318,9 +419,12 @@ def load_config(path) -> list[TrioConfig]:
     try:
         doc = yaml.load(text, Loader=YAML_LOADER)
     except (yaml.YAMLError, ValueError) as exc:
-        # a ValueError: an integer beyond Python's int-string conversion limit
+        # a ValueError: an integer beyond Python's int-string conversion
+        # limit; a self-referential alias is a yaml.YAMLError
         raise ConfigError([f"{p}: parse error: {exc}"]) from exc
-    problems = validate_document(doc)
+    except RecursionError as exc:
+        raise ConfigError([f"{p}: parse error: document nests too deeply"]) from exc
+    problems, configs = _check_document(doc)
     if problems:
         raise ConfigError(problems)
-    return [_build_segment(seg) for seg in doc["segments"]]
+    return configs

@@ -107,17 +107,17 @@ def run_sweep(configs, spec: SweepSpec = SweepSpec()) -> list[RateReport]:
         for mode in ("off", "on"):
             if mode not in spec.memory_modes:
                 continue
-            if mode == "off":
+            memory = mode == "on"
+            if not memory:
                 t2s: list[float | None] = [None]
             elif spec.t2_values:
                 t2s = sorted(spec.t2_values)
-            else:
+            else:  # the configured T2: the config as it is
                 t2s = [cfg.memory.t2 if cfg.memory else None]
-            memory = mode == "on"
             for t2 in t2s:
                 try:
                     block = cfg
-                    if memory and t2 is not None:
+                    if memory and spec.t2_values:
                         block = replace(cfg, memory=replace(require_memory(cfg), t2=t2))
                     rows += rate_reports(block, fds, fgs, use_memory=memory)
                 except ValueError as exc:
@@ -156,7 +156,7 @@ def _csv_quoted(text: str) -> str:
 # One CSV line of a row, cells in ROW_COLUMNS order: the quoted segment,
 # f_D and f_G, the memory, T2 and yield cells as one text, then five floats.
 # '%.17g' % x is the text of f"{float(x):.17g}", so every cell is cli._csv_cell's.
-_CSV_LINE = "%s,%.17g,%.17g,%s" + ",%.17g" * 5 + "\n"
+_CSV_LINE = "%s,%s,%s,%s" + ",%.17g" * 5 + "\n"
 
 
 def render_csv(rows) -> str:
@@ -165,10 +165,14 @@ def render_csv(rows) -> str:
 
     Consecutive rows holding the very same segment, memory, T2 and yield
     objects, as every row of a run_sweep block does, share the text of
-    those cells.  The match is by identity, never by value: 0.0 == -0.0
-    but their texts differ.
+    those cells, and each f_D and f_G float object, of which a run_sweep
+    grid holds one per axis value, is written once.  The match is by
+    identity, never by value: 0.0 == -0.0 but their texts differ.
     """
     quoted: dict[str, str] = {}
+    # id of each f_D and f_G object written -> (the object, its text); the
+    # entry holds the object, so that no other object can take its id
+    axis: dict[int, tuple[float, str]] = {}
     lines = [",".join(CSV_COLUMNS) + "\n"]
     segment = memory = t2 = y = head = mid = None
     for seg, f_d, f_g, mem, t2_s, y_, fid, q_x, q_ab, r_a, r_s, _ in rows:
@@ -179,7 +183,13 @@ def render_csv(rows) -> str:
                 head = quoted[segment] = _csv_quoted(segment)
             mid = "%s,%s,%.17g" % (
                 "true" if memory else "false", "" if t2 is None else "%.17g" % t2, y)
-        lines.append(_CSV_LINE % (head, f_d, f_g, mid, fid, q_x, q_ab, r_a, r_s))
+        fd_cell = axis.get(id(f_d))
+        if fd_cell is None:
+            fd_cell = axis[id(f_d)] = (f_d, "%.17g" % f_d)
+        fg_cell = axis.get(id(f_g))
+        if fg_cell is None:
+            fg_cell = axis[id(f_g)] = (f_g, "%.17g" % f_g)
+        lines.append(_CSV_LINE % (head, fd_cell[1], fg_cell[1], mid, fid, q_x, q_ab, r_a, r_s))
     return "".join(lines)
 
 

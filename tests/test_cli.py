@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ghzline
-from ghzline import MemoryParams, McResult
+from ghzline import MemoryParams, McResult, config
 from ghzline.cli import _build_parser, _csv_cell, _parse_axis, main, mc_report, yields_report
 from ghzline.config import (
     MIN_CLICK_PROB,
@@ -379,6 +379,36 @@ class TestLoadConfig:
     def test_validate_document_reports_root_problems(self):
         problems = validate_document({"wrong": []})
         assert problems and all("segments" in p or "<root>" in p for p in problems)
+
+    @pytest.mark.parametrize("text", [
+        "segments: &s [*s]\n",
+        "segments: " + "[" * 900 + "]" * 900 + "\n",
+    ], ids=["self-referential", "900-deep"])
+    def test_self_referential_or_deep_document_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "loop.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        (problem,) = err.value.problems
+        assert problem.startswith(f"{path}: parse error: ")
+        assert main(["yields", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: invalid configuration:\n  - {path}: parse error: "
+        )
+
+    def test_each_segment_is_built_once_per_load(self, monkeypatch):
+        built = []
+        build = config._build_segment
+
+        def counting_build(seg):
+            built.append(seg["name"])
+            return build(seg)
+
+        monkeypatch.setattr(config, "_build_segment", counting_build)
+        configs = load_config(data_path())
+        doc = yaml.load(data_path().read_text(), Loader=YAML_LOADER)
+        assert len(built) == len(doc["segments"]) == 4
+        assert built == [cfg.name for cfg in configs]
 
 
 def _doc_paths(node, path=()):
@@ -1017,6 +1047,31 @@ class TestRendering:
         # segment names repeat across blocks, as in a sweep with several modes
         runs += [data.draw(st.sampled_from(runs)) for _ in range(len(runs) // 2)]
         assert render_csv(runs) == writer_render_csv(runs)
+
+    def test_axis_cells_follow_identity_not_value(self):
+        shared = 0.1
+        equal = [float(repr(0.1)) for _ in range(2)]
+        assert equal[0] == equal[1] and equal[0] is not equal[1]
+        zero, negative_zero = 0.0, -0.0
+        cases = [
+            # rows sharing one f_D object, as a sweep block's rows do
+            ([self.make_row(f_d=shared, f_g=fg) for fg in (zero, 0.3)],
+             ["s,0.10000000000000001,0,", "s,0.10000000000000001,0.29999999999999999,"]),
+            # equal f_D and f_G values in distinct objects
+            ([self.make_row(f_d=x, f_g=x) for x in equal],
+             ["s,0.10000000000000001,0.10000000000000001,"] * 2),
+            # 0.0 == -0.0, but their cells differ
+            ([self.make_row(f_d=zero, f_g=negative_zero),
+              self.make_row(f_d=negative_zero, f_g=zero),
+              self.make_row(f_d=zero, f_g=negative_zero)],
+             ["s,0,-0,", "s,-0,0,", "s,0,-0,"]),
+        ]
+        for rows, starts in cases:
+            text = render_csv(rows)
+            assert text == writer_render_csv(rows)
+            lines = text.splitlines()[1:]
+            assert [line[:len(start)] for line, start in zip(lines, starts)] == starts
+            assert len(lines) == len(starts)
 
     def test_quoted_segment_round_trips(self, tmp_path):
         rows = [self.make_row(segment='odd, name "q"', memory=memory, t2_s=t2, q_x=1.0 / 3.0)
