@@ -3,6 +3,7 @@ one TrioConfig per segment.  Nothing here needs numpy."""
 
 from __future__ import annotations
 
+import io
 import json
 import numbers
 import operator
@@ -413,11 +414,13 @@ def load_config(path) -> list[TrioConfig]:
     """
     p = Path(path)
     try:
-        text = p.read_text()
+        stream = io.StringIO(p.read_text())
     except OSError as exc:
         raise ConfigError([f"cannot read {p}: {exc}"]) from exc
+    # the parser names its stream in every error mark, "in <name>, line L"
+    stream.name = str(p)
     try:
-        doc = yaml.load(text, Loader=YAML_LOADER)
+        doc = yaml.load(stream, Loader=YAML_LOADER)
     except (yaml.YAMLError, ValueError) as exc:
         # a ValueError: an integer beyond Python's int-string conversion
         # limit; a self-referential alias is a yaml.YAMLError

@@ -1,22 +1,21 @@
-"""Dense density-matrix engine for registers of up to four qubits.
+"""Density-matrix engine for registers of up to four qubits.
 
-States are explicit 2^n x 2^n matrices, so every gate, noise channel,
-and measurement is applied exactly (no sampling, no truncation).  The
-channels and the measurement (``_measure``) are stack kernels, which
-protocol.run_stack runs on many noise settings at once; they also keep a
-real float64 stack real, which run_stack uses up to its Y measurement.
-Qubit 0 is the most significant bit of a computational-basis index; a
-product register is laid out as ``kron(q0, q1, ..., q_{n-1})``.
-DensityMatrix is the checked, read-only state the pipeline hands back.
+Every gate, noise channel and measurement is applied exactly (no
+sampling, no truncation).  Qubit 0 is the most significant bit of a
+computational-basis index; a product register is laid out as
+``kron(q0, q1, ..., q_{n-1})``.  DensityMatrix is the checked, read-only
+state the pipeline hands back.
 
-Three channel families cover everything the extraction pipeline needs:
-
-* ``_depolarize`` replaces one qubit by the maximally mixed state with
-  some probability (fiber transit noise, dark-count noise),
-* ``_dephase`` applies a Z flip with some probability (memory storage),
-* ``_cz_terms`` and ``_cz_mix`` form a CZ gate that fails outright with
-  some probability, dumping both participating qubits into the maximally
-  mixed state.
+Before its Y measurement every state of the extraction pipeline is
+diagonal in a graph-state basis, so row 0 of its matrix fixes it: entry
+(i, j) is S[i, j] * rho[0, i ^ j] for a +-1 table S of the graph
+(_graph_signs).  The channels run on such rows (the row kernels), and
+_unpack rebuilds the dense 2^n x 2^n stack that the measurement
+(``_measure``) takes.  Three channel families cover the pipeline:
+``_row_depolarize`` (fiber transit and dark-count noise), ``_row_dephase``
+(memory storage), and ``_row_cz_terms`` with ``_cz_mix``, a CZ gate that
+fails outright with some probability, dumping both participating qubits
+into the maximally mixed state.
 """
 
 from __future__ import annotations
@@ -124,22 +123,28 @@ class PureState:
 
 # --------------------------------------------------------------- kernels
 #
-# The channel kernels work on stacks: arrays of shape (B, 2^n, 2^n), one
-# state per row.  A kernel takes the qubit count and strengths that have
-# already been checked, shaped to broadcast over (B, 1, 1), and does only
-# the arithmetic.  protocol.run_stack checks each strength once and runs
-# the kernels on a stack of noise settings; it is their one caller.  Pauli
-# conjugations P rho P^dagger are applied as signed index permutations,
-# which are exact: X flips the qubit's bit on both indices, Z multiplies
-# entry (i, j) by the +-1 signs of that bit in i and j, and Y does both.
-# Sums are formed in a fixed order, so a row's result does not depend on
-# how many other rows share its stack.  The channel kernels keep a real
-# float64 stack real, and on one give the real part of their complex128
-# result bit for bit (all but _dephase at strength -0.0, where the complex
-# product's cross terms can flip the sign of a zero; protocol.run_stack
-# never passes it).  _measure's np.dot promotes a real stack to complex.
-# The index and sign tables depend only on the register size and the
-# qubits, so each is built once and kept read-only.
+# Under Pauli noise a graph state |G> becomes a mixture of Z^k |G><G| Z^k
+# (a Pauli on |G> is a Z string up to sign), whose entry (i, j) is
+# S_G[i, j] * rho[0, i ^ j].  Every channel before the Y measurement
+# combines only entries of one XOR class i ^ j, each times +-1.  So a row
+# kernel, on a (B, 2^n) stack of rows 0, does the dense channel's
+# arithmetic on entry (0, d) in the same order, reading each other entry
+# it needs as a +-1 sign times entry d of the row: a product with +-1 is
+# exact, so on a state whose entries are S_G[i, j] * rho[0, i ^ j] it
+# gives row 0 of the dense result bit for bit, with 1/2^n of the work.
+# (Along the pipeline a zero of the dense state may carry the other sign;
+# no nonzero entry and no output of protocol.run_stack depends on it.)
+#
+# A kernel takes the qubit count, the graph's edges and strengths already
+# checked, shaped to broadcast over (B, 1), and only computes, summing in
+# a fixed order, so a row's result does not depend on how many other rows
+# share its stack.  On real float64 rows the kernels give the real part of
+# the complex128 dense result bit for bit (all but _row_dephase at
+# strength -0.0, where the complex product's cross terms can flip the sign
+# of a zero; protocol.run_stack never passes it), and _measure's np.dot
+# promotes the unpacked real stack to complex.  The sign and index tables
+# depend only on the register size, the graph and the qubits, so each is
+# built on first use and kept read-only.
 
 
 def _check_qubit(qubit: int, num_qubits: int) -> None:
@@ -168,26 +173,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _z_conjugation(num_qubits: int, qubit: int) -> np.ndarray:
-    """Entrywise +-1 factors turning rho into Z rho Z."""
+def _bit_signs(num_qubits: int, qubit: int) -> np.ndarray:
+    """+-1 per basis index, -1 where ``qubit``'s bit is set: entry (0, d)
+    of Z rho Z is _bit_signs[d] * rho[0, d]."""
     idx = np.arange(2**num_qubits)
-    signs = 1.0 - 2.0 * ((idx >> (num_qubits - 1 - qubit)) & 1)
-    return _read_only(np.outer(signs, signs))
-
-
-@cache
-def _x_permutation(num_qubits: int, qubit: int) -> np.ndarray:
-    """Flat entry of rho behind each flat entry of X rho X: the qubit's
-    bit flipped in both indices."""
-    dim = 2**num_qubits
-    idx = np.arange(dim) ^ (1 << (num_qubits - 1 - qubit))
-    return _read_only((idx[:, None] * dim + idx).reshape(-1))
-
-
-def _x_conjugate(rho: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
-    """X rho X on ``qubit`` of every row, as a fresh array."""
-    flat = rho.reshape(len(rho), 4**num_qubits)
-    return flat.take(_x_permutation(num_qubits, qubit), axis=1).reshape(rho.shape)
+    return _read_only(1.0 - 2.0 * ((idx >> (num_qubits - 1 - qubit)) & 1))
 
 
 @cache
@@ -200,95 +190,136 @@ def _cz_conjugation(num_qubits: int, q1: int, q2: int) -> np.ndarray:
     return _read_only(np.outer(signs, signs))
 
 
-def _twirl(rho: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
-    """rho + X rho X + Y rho Y + Z rho Z on ``qubit``, summed in that
-    order, as a fresh array."""
-    zz = _z_conjugation(num_qubits, qubit)
-    term = _x_conjugate(rho, num_qubits, qubit)  # X rho X
-    twirled = rho + term
-    np.multiply(term, zz, out=term)  # Y rho Y = Z (X rho X) Z
+@cache
+def _xor_table(num_qubits: int) -> np.ndarray:
+    """i ^ j at entry (i, j)."""
+    idx = np.arange(2**num_qubits)
+    return _read_only(idx[:, None] ^ idx)
+
+
+@cache
+def _graph_signs(num_qubits: int, edges: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """S[i, j] = (-1)^popcount((i ^ j) & N(i)) for the graph ``edges``,
+    where N(i) is the XOR of the neighbourhoods of the qubits set in i.
+
+    Entry (i, j) of |G><G| is (-1)^(q(i) + q(j)) / 2^n, with q(i) the
+    number of edges inside i.  q(i ^ j) = q(i) + q(j) + popcount(j & N(i))
+    mod 2, and i & N(i) has an even popcount, so entry (i, j) is
+    S[i, j] times entry (0, i ^ j).  Z^k multiplies entry (i, j) by a sign
+    of i ^ j alone, so this holds for every mixture of Z^k |G><G| Z^k too.
+    """
+    n = num_qubits
+    idx = np.arange(2**n)
+    neighbours = np.zeros_like(idx)
+    for a, b in edges:
+        bit_a, bit_b = 1 << (n - 1 - a), 1 << (n - 1 - b)
+        neighbours ^= np.where(idx & bit_a, bit_b, 0) ^ np.where(idx & bit_b, bit_a, 0)
+    parity = np.bitwise_count(_xor_table(n) & neighbours[:, None]) & 1
+    return _read_only(1.0 - 2.0 * parity)
+
+
+@cache
+def _partner_signs(num_qubits: int, edges: tuple[tuple[int, int], ...], qubit: int) -> np.ndarray:
+    """tau[d] = S[e, e ^ d], e the basis index of ``qubit`` alone: entry
+    (0, d) of X rho X is rho[e, e ^ d] = tau[d] * rho[0, d]."""
+    e = 1 << (num_qubits - 1 - qubit)
+    return _read_only(_graph_signs(num_qubits, edges)[e, e ^ np.arange(2**num_qubits)])
+
+
+def _row_twirl(rows: np.ndarray, num_qubits: int, edges, qubit: int) -> np.ndarray:
+    """Rows of rho + X rho X + Y rho Y + Z rho Z on ``qubit``, summed in
+    that order, as a fresh array."""
+    z = _bit_signs(num_qubits, qubit)
+    term = rows * _partner_signs(num_qubits, edges, qubit)  # X rho X
+    twirled = rows + term
+    term *= z  # Y rho Y = Z (X rho X) Z
     twirled += term
-    np.multiply(rho, zz, out=term)  # Z rho Z
+    np.multiply(rows, z, out=term)  # Z rho Z
     twirled += term
     return twirled
 
 
-def _depolarize(rho: np.ndarray, num_qubits: int, qubit: int, quarter, keep) -> np.ndarray:
-    """keep * rho + quarter * _twirl(rho); quarter is strength / 4, keep
-    1 - strength."""
-    twirled = _twirl(rho, num_qubits, qubit)
+def _row_depolarize(rows: np.ndarray, num_qubits: int, edges, qubit: int, quarter, keep) -> np.ndarray:
+    """keep * rho + quarter * twirl, on rows; quarter is strength / 4,
+    keep 1 - strength."""
+    twirled = _row_twirl(rows, num_qubits, edges, qubit)
     twirled *= quarter
-    out = keep * rho
+    out = keep * rows
     out += twirled
     return out
 
 
-def _dephase(rho: np.ndarray, num_qubits: int, qubit: int, strength) -> np.ndarray:
-    """(1 - strength) rho + strength Z rho Z."""
-    return (1.0 - strength) * rho + strength * (rho * _z_conjugation(num_qubits, qubit))
+def _row_dephase(rows: np.ndarray, num_qubits: int, qubit: int, strength) -> np.ndarray:
+    """(1 - strength) rho + strength Z rho Z, on rows."""
+    return (1.0 - strength) * rows + strength * (rows * _bit_signs(num_qubits, qubit))
 
 
 @cache
-def _trace_table(num_qubits: int, removed: tuple[int, ...]) -> np.ndarray:
-    """Flat entries of rho behind a partial trace over the sorted ``removed``.
+def _trace_signs(num_qubits: int, edges: tuple[tuple[int, int], ...], removed: tuple[int, ...]):
+    """The columns of row 0 that a partial trace over the sorted
+    ``removed`` and reinsertion of I/2^k leaves nonzero, and the signs of
+    the terms each of them sums.
 
-    Row c of the (2^k, 4^(n-k)) table fixes the removed qubits to the bits
-    of c, the lowest qubit most significant, on both indices; its entries
-    are the flat indices of rho behind each flat entry of the reduced
-    matrix.
+    The columns d are those whose removed bits are 0.  Row c of the
+    (2^k, columns) sign table fixes the removed qubits to the bits of c,
+    the lowest qubit most significant, on both indices: its term of
+    column d is rho[c, c ^ d] = S[c, c ^ d] * rho[0, d], with c read as
+    the basis index of those bits.
     """
-    idx = np.arange(4**num_qubits).reshape((2,) * (2 * num_qubits))
-    rows = []
-    for bits in product((0, 1), repeat=len(removed)):
-        index: list = [slice(None)] * (2 * num_qubits)
-        for q, bit in zip(removed, bits):
-            index[q] = index[num_qubits + q] = bit
-        rows.append(idx[tuple(index)].reshape(-1))
-    return _read_only(np.array(rows))
+    signs = _graph_signs(num_qubits, edges)
+    bits = [1 << (num_qubits - 1 - q) for q in removed]
+    cols = np.flatnonzero((np.arange(2**num_qubits) & sum(bits)) == 0)
+    table = []
+    for pattern in product((0, 1), repeat=len(removed)):
+        c = sum(b for b, on in zip(bits, pattern) if on)
+        table.append(signs[c, c ^ cols])
+    return _read_only(cols), _read_only(np.array(table))
 
 
-def _trace_out(rho: np.ndarray, num_qubits: int, removed: list[int]) -> np.ndarray:
-    """Trace the sorted ``removed`` qubits out of every row.
+def _row_trace_reinsert(rows: np.ndarray, num_qubits: int, edges, removed: list[int]) -> np.ndarray:
+    """Rows of Tr_removed(rho) (x) I/2^k, the k mixed qubits back at the
+    sorted ``removed``.
 
     The terms are summed in adjacent pairs, then pairs of pairs, which is
     the order of np.trace over the highest removed qubit first: with two
     removed qubits, (A + B) + (C + D).  Each pair sum also gets + 0.0, as
     np.trace's reduction starts from +0.0: it turns -0 + -0 into +0 and
-    changes nothing else.
+    changes nothing else.  The sum is scaled by 1/2^k, and every other
+    entry is +0.0.
     """
-    rows = len(rho)
-    terms = rho.reshape(rows, 4**num_qubits).take(_trace_table(num_qubits, tuple(removed)), axis=1)
+    cols, signs = _trace_signs(num_qubits, edges, tuple(removed))
+    terms = rows[:, None, cols] * signs
     while terms.shape[1] > 1:
         terms = terms[:, 0::2] + terms[:, 1::2]
         terms += 0.0
-    dim = 2 ** (num_qubits - len(removed))
-    return terms.reshape(rows, dim, dim)
+    out = np.zeros(rows.shape, dtype=rows.dtype)
+    out[:, cols] = terms[:, 0] * (1.0 / 2 ** len(removed))
+    return out
 
 
-def _reinsert_mixed(reduced: np.ndarray, num_qubits: int, removed: list[int]) -> np.ndarray:
-    """reduced (x) I/2^k per row, with the k mixed qubits back at ``removed``."""
-    rows, k = len(reduced), len(removed)
-    out = np.zeros((rows, 4**num_qubits), dtype=reduced.dtype)
-    part = reduced * (1.0 / 2**k)
-    out[:, _trace_table(num_qubits, tuple(removed))] = part.reshape(rows, 1, 4 ** (num_qubits - k))
-    return out.reshape(rows, 2**num_qubits, 2**num_qubits)
-
-
-def _cz_terms(rho: np.ndarray, num_qubits: int, q1: int, q2: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two branches of a noisy CZ, which do not depend on its failure
-    probability: CZ rho CZ and Tr_{q1,q2}(rho) (x) I/4."""
-    removed = sorted((q1, q2))
-    scrambled = _reinsert_mixed(_trace_out(rho, num_qubits, removed), num_qubits, removed)
-    return rho * _cz_conjugation(num_qubits, q1, q2), scrambled
+def _row_cz_terms(rows: np.ndarray, num_qubits: int, edges, q1: int, q2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two branches of a noisy CZ, on rows of a state of the graph
+    ``edges``, which do not depend on its failure probability: CZ rho CZ
+    and Tr_{q1,q2}(rho) (x) I/4.  Both are states of the graph with the
+    edge q1-q2 toggled: CZ maps one graph state to the other, and the
+    failed branch, full depolarization of both qubits, commutes with CZ."""
+    gate = rows * _cz_conjugation(num_qubits, q1, q2)[0]
+    return gate, _row_trace_reinsert(rows, num_qubits, edges, sorted((q1, q2)))
 
 
 def _cz_mix(gate: np.ndarray, scrambled: np.ndarray, fail_prob) -> np.ndarray:
-    """(1 - fail_prob) gate + fail_prob scrambled, from _cz_terms, formed
-    in place in both arrays."""
+    """(1 - fail_prob) gate + fail_prob scrambled, from _row_cz_terms,
+    formed in place in both arrays."""
     gate *= 1.0 - fail_prob
     scrambled *= fail_prob
     gate += scrambled
     return gate
+
+
+def _unpack(rows: np.ndarray, num_qubits: int, edges) -> np.ndarray:
+    """The dense (B, 2^n, 2^n) stack of rows of a state of the graph
+    ``edges``: entry (i, j) is S[i, j] * row[i ^ j]."""
+    return rows.take(_xor_table(num_qubits), axis=1) * _graph_signs(num_qubits, edges)
 
 
 @cache
@@ -356,8 +387,8 @@ class DensityMatrix:
     Instances are immutable: the underlying array is read-only, and
     tensor and apply_cz return new objects.  A zero-qubit (1 x 1) matrix
     is allowed as the residue of measuring out a lone qubit.  The noise
-    channels and the measurement are the stack kernels above, which
-    protocol.run_stack runs; this class holds their result.
+    channels (row kernels) and the measurement are the kernels above,
+    which protocol.run_stack runs; this class holds their result.
     """
 
     def __init__(self, data, *, _copy: bool = True) -> None:

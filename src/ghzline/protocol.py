@@ -24,13 +24,14 @@ from .density import (
     PureState,
     _checked_strength,
     _cz_mix,
-    _cz_terms,
-    _dephase,
-    _depolarize,
     _fidelity,
     _measure,
     _read_only,
-    _twirl,
+    _row_cz_terms,
+    _row_dephase,
+    _row_depolarize,
+    _row_twirl,
+    _unpack,
 )
 from .netmodel import (
     TrioConfig,
@@ -45,10 +46,17 @@ from .netmodel import (
 
 MEASURED_QUBIT = 2  # B's C-side qubit, measured in Y to complete the merge
 
-# Rows that run_stack passes through the channel kernels together, and the
-# most f_D entries whose pre-CZ stages it runs as one stack: bounds
-# the working set of one stack to a few hundred KiB however many rows a
-# caller passes.  32 was the fastest of 8 to 121 on the bundled sweep.
+# The graphs whose graph-state basis diagonalizes the register: the two
+# source pairs before the merge CZ, the linear chain 0-1-2-3 after it.
+PRE_CZ_EDGES = ((0, 1), (2, 3))
+POST_CZ_EDGES = ((0, 1), (1, 2), (2, 3))
+
+# The most f_D entries whose steps run_stack runs as one row stack, and the
+# most rows it rebuilds as dense 16x16 states and measures together: bounds
+# each dense stack to a few hundred KiB however many rows a caller passes.
+# A row stack takes 128 B per row, an eighth of the (8, 8) complex state
+# each row returns.  32 and 48 tied as the fastest of 16 to 64 on the
+# bundled 121-row blocks.
 CHUNK_ROWS = 32
 
 STABILIZER_FACTORS = ("XZI", "XIY", "YXZ", "YYX", "ZXX", "ZYZ", "IZY", "III")
@@ -123,10 +131,10 @@ def _initial_register() -> np.ndarray:
 
 @cache
 def _source_twirl() -> np.ndarray:
-    """Read-only _twirl of the source register on qubit 0, the constant
-    part of its first transit depolarization, which run_stack finishes
-    with _depolarize's own two roundings per entry."""
-    return _read_only(_twirl(_initial_register()[None], 4, 0)[0])
+    """Read-only twirl of row 0 of the source register on qubit 0, the
+    constant part of its first transit depolarization, which run_stack
+    finishes with _row_depolarize's own two roundings per entry."""
+    return _read_only(_row_twirl(_initial_register()[:1], 4, PRE_CZ_EDGES, 0)[0])
 
 
 @cache
@@ -228,15 +236,22 @@ def run_stack(
     qubits 1 and 2 with f_G; depolarize every qubit by its dark-count junk
     fraction; measure qubit 2 in Y and keep the +1 outcome.  Each axis value
     is checked once, and the segment's strengths once per call
-    (_segment_strengths).  Every step before the f_G mix runs once per
-    f_D entry, on runs of up to CHUNK_ROWS consecutive entries: the source
+    (_segment_strengths).
+
+    Every step before the measurement runs on row 0 of each state, a
+    (B, 16) stack (the row kernels of ghzline.density).  This is exact:
+    each state is diagonal in the basis of the graph state PRE_CZ_EDGES
+    before the CZ and POST_CZ_EDGES after it, each step combines only
+    entries of one XOR class i ^ j, each times +-1, and a product with
+    +-1 rounds nothing.  Every step before the f_G mix runs once per f_D
+    entry, on runs of up to CHUNK_ROWS consecutive entries: the source
     pairs, the transit depolarizations, the memory dephasings, and the
-    noisy CZ's two branches, CZ rho CZ and Tr_{1,2}(rho) (x) I/4.  The mix
-    and the later steps run on chunks of up to CHUNK_ROWS rows.  This is
-    exact: each step maps each row on its own and sums it in the same
-    order whatever its stack.  Every step before the Y measurement maps
-    real matrices to real matrices, so the stack stays real float64 until
-    then, with the bits the kernels give on a complex stack.
+    noisy CZ's two branches.  The mix and the dark-count depolarizations
+    run on all rows of a run, and the dense stack is rebuilt and measured
+    on chunks of up to CHUNK_ROWS rows.  Each step maps each row on its
+    own and sums it in the same order whatever its stack, and the rows
+    are real float64 until the measurement, with the bits the dense
+    channels give on a complex stack.
     """
     fds = [_checked_strength(v, 1.0, "channel_depol") for v in fds]
     fgs = [_checked_strength(v, 1.0, "gate_fail") for v in fgs]
@@ -244,7 +259,7 @@ def run_stack(
     target = target_state(+1).amplitudes
     if not fds or not fgs:
         return np.zeros(0), np.zeros((0, 8, 8), dtype=complex), np.zeros(0)
-    fail = np.array(fgs).reshape(-1, 1, 1)
+    fail = np.array(fgs).reshape(-1, 1)
     # Row i of a run, counted from the run's first row, takes the run's
     # f_D entry fd_index[i] and f_G entry fg_index[i]; a shorter last run
     # takes a prefix.
@@ -252,25 +267,24 @@ def run_stack(
     chunks = []
     for lo in range(0, len(fds), CHUNK_ROWS):
         # every step before the CZ mix, once per f_D entry of the run
-        depol = np.array(fds[lo : lo + CHUNK_ROWS]).reshape(-1, 1, 1)
+        depol = np.array(fds[lo : lo + CHUNK_ROWS]).reshape(-1, 1)
         quarter, keep = depol / 4.0, 1.0 - depol
-        rho = keep * _initial_register()
-        rho += quarter * _source_twirl()  # _depolarize of qubit 0
-        rho = _depolarize(rho, 4, 3, quarter, keep)
+        rows = keep * _initial_register()[0]
+        rows += quarter * _source_twirl()  # _row_depolarize of qubit 0
+        rows = _row_depolarize(rows, 4, PRE_CZ_EDGES, 3, quarter, keep)
         for qubit, lam in dephasings:
-            rho = _dephase(rho, 4, qubit, lam)
-        gate, scrambled = _cz_terms(rho, 4, 1, 2)
+            rows = _row_dephase(rows, 4, qubit, lam)
+        gate, scrambled = _row_cz_terms(rows, 4, PRE_CZ_EDGES, 1, 2)
         end = len(depol) * len(fgs)
+        rows = _cz_mix(
+            gate.take(fd_index[:end], axis=0),
+            scrambled.take(fd_index[:end], axis=0),
+            fail.take(fg_index[:end], axis=0),
+        )
+        for qubit, quarter_s, keep_s in dark_counts:
+            rows = _row_depolarize(rows, 4, POST_CZ_EDGES, qubit, quarter_s, keep_s)
         for start in range(0, end, CHUNK_ROWS):
-            stop = min(start + CHUNK_ROWS, end)
-            rows = fd_index[start:stop]
-            rho = _cz_mix(
-                gate.take(rows, axis=0),
-                scrambled.take(rows, axis=0),
-                fail.take(fg_index[start:stop], axis=0),
-            )
-            for qubit, quarter_s, keep_s in dark_counts:
-                rho = _depolarize(rho, 4, qubit, quarter_s, keep_s)
+            rho = _unpack(rows[start : start + CHUNK_ROWS], 4, POST_CZ_EDGES)
             probs, rho_out = _measure(rho, 4, MEASURED_QUBIT, "Y", +1)
             chunks.append((probs, rho_out, _fidelity(rho_out, target)))
     if len(chunks) == 1:

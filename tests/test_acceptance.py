@@ -34,9 +34,16 @@ from ghzline import (
 )
 from ghzline.cli import main
 from ghzline.config import data_path, load_config
-from ghzline.density import _cz_mix, _cz_terms, _dephase, _depolarize
 from ghzline.sweep import SweepSpec, run_sweep
-from util import make_cfg, random_config, random_density_matrix, series_expected_max
+from util import (
+    flip_dephase,
+    make_cfg,
+    random_config,
+    random_density_matrix,
+    series_expected_max,
+    trace_reinsert_noisy_cz,
+    twirl_depolarize,
+)
 
 
 @contextmanager
@@ -147,14 +154,16 @@ def test_4_channel_properties():
             lam = float(rng.uniform(0.0, 0.5))
             fail = float(rng.uniform(0.0, 1.0))
 
+            # the channels' dense reference kernels, which the row
+            # kernels of ghzline.density reproduce bit for bit
             def depolarize(s):
-                return _depolarize(rho, n, q, s / 4.0, 1.0 - s)
+                return twirl_depolarize(rho, n, q, s)
 
             def dephase(x, s):
-                return _dephase(x, n, q, s)
+                return flip_dephase(x, n, q, s)
 
             def noisy_cz(f):
-                return _cz_mix(*_cz_terms(rho, n, q, q2), f)
+                return trace_reinsert_noisy_cz(rho, n, q, q2, f)
 
             for out in (depolarize(a)[0], dephase(rho, lam)[0], noisy_cz(fail)[0]):
                 assert abs(np.trace(out).real - 1.0) <= 1e-12

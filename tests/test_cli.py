@@ -396,6 +396,27 @@ class TestLoadConfig:
             f"error: invalid configuration:\n  - {path}: parse error: "
         )
 
+    @pytest.mark.parametrize("text, loader", [
+        ("segments: &s [*s]\n", None),
+        ("segments:\n  - [unclosed\n", None),
+        ("segments:\n  - [unclosed\n", yaml.SafeLoader),
+    ], ids=["self-referential", "unclosed", "unclosed-pure-python"])
+    def test_parse_error_names_the_file(self, tmp_path, capsys, monkeypatch, text, loader):
+        # every mark line names the file, not the parser's "<unicode string>"
+        if loader is not None:
+            monkeypatch.setattr("ghzline.config.YAML_LOADER", loader)
+        path = tmp_path / "broken.yaml"
+        path.write_text(text)
+        assert main(["yields", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert lines[0] == "error: invalid configuration:"
+        assert lines[1].startswith(f"  - {path}: parse error: ")
+        assert lines[2].startswith(f'  in "{path}", line ')
+        marks = [line for line in lines if line.startswith("  in ")]
+        assert marks and all(line.startswith(f'  in "{path}", line ') for line in marks)
+        assert "<unicode string>" not in err
+
     def test_each_segment_is_built_once_per_load(self, monkeypatch):
         built = []
         build = config._build_segment

@@ -11,6 +11,9 @@ from ghzline import density
 from ghzline.density import PAULI, DensityMatrix, PauliString, PureState, ZeroProbabilityError
 from util import (
     flip_dephase,
+    flip_x_conjugate,
+    graph_diagonal_stack,
+    loop_reinsert_mixed,
     np_trace_out,
     random_density_matrix,
     reinsert_mixed,
@@ -36,29 +39,35 @@ def max_abs(a, b):
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
-def noisy_cz(rho, n, q1, q2, fail):
+def noisy_cz(rows, n, edges, q1, q2, fail):
     """The noisy CZ of every row, as protocol.run_stack forms it."""
-    return density._cz_mix(*density._cz_terms(rho, n, q1, q2), fail)
+    return density._cz_mix(*density._row_cz_terms(rows, n, edges, q1, q2), fail)
 
 
-# Each channel kernel run on one state as a one-row stack.
+# The channels' dense reference kernels (tests/util.py) run on one state
+# as a one-row stack: the physics below holds them, and the row kernels
+# must give row 0 of their results bit for bit (TestKernels).
 
 
 def depolarize_one(dm, qubit, s):
-    rho = density._depolarize(dm.data[None], dm.num_qubits, qubit, s / 4.0, 1.0 - s)
-    return DensityMatrix(rho[0])
+    return DensityMatrix(twirl_depolarize(dm.data[None], dm.num_qubits, qubit, s)[0])
 
 
 def dephase_one(dm, qubit, s):
-    return DensityMatrix(density._dephase(dm.data[None], dm.num_qubits, qubit, s)[0])
+    return DensityMatrix(flip_dephase(dm.data[None], dm.num_qubits, qubit, s)[0])
 
 
 def noisy_cz_one(dm, q1, q2, fail):
-    return DensityMatrix(noisy_cz(dm.data[None], dm.num_qubits, q1, q2, fail)[0])
+    return DensityMatrix(trace_reinsert_noisy_cz(dm.data[None], dm.num_qubits, q1, q2, fail)[0])
 
 
 def trace_out_one(dm, qubits):
-    return DensityMatrix(density._trace_out(dm.data[None], dm.num_qubits, sorted(qubits))[0])
+    return DensityMatrix(np_trace_out(dm.data[None], dm.num_qubits, sorted(qubits))[0])
+
+
+def chain(n):
+    """The edges of the linear graph 0-1-...-(n-1)."""
+    return tuple((q, q + 1) for q in range(n - 1))
 
 
 def measure_one(dm, qubit, basis, outcome):
@@ -170,16 +179,17 @@ class TestConstruction:
 
 
 class TestUnitaries:
-    """X conjugation, the one single-qubit unitary the kernels apply alone."""
+    """X conjugation, the one single-qubit unitary the reference kernels
+    apply alone."""
 
     def test_bit_flip(self):
         dm = DensityMatrix.from_pure([1.0, 0.0])
-        flipped = density._x_conjugate(dm.data[None], 1, 0)[0]
+        flipped = flip_x_conjugate(dm.data[None], 1, 0)[0]
         assert max_abs(flipped, [[0.0, 0.0], [0.0, 1.0]]) <= 1e-15
 
     def test_acts_on_requested_qubit_only(self):
         dm = DensityMatrix.from_pure([1.0, 0.0, 0.0, 0.0])
-        flipped = density._x_conjugate(dm.data[None], 2, 1)[0]
+        flipped = flip_x_conjugate(dm.data[None], 2, 1)[0]
         expected = np.zeros((4, 4))
         expected[1, 1] = 1.0
         assert max_abs(flipped, expected) <= 1e-15
@@ -448,8 +458,9 @@ class TestExpectationAndFidelity:
 
 
 class TestStacks:
-    """The kernels act on (B, 2^n, 2^n) stacks, strengths broadcasting over
-    (B, 1, 1); each row must equal the same kernel run on that row alone
+    """The kernels act on stacks, strengths broadcasting over the rows:
+    (B, 2^n) rows for the channels, (B, 2^n, 2^n) states for _measure and
+    _fidelity; each row must equal the same kernel run on that row alone
     exactly."""
 
     def stack(self, seed, rows, n):
@@ -458,19 +469,20 @@ class TestStacks:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_rows_match_single_states_exactly(self, n):
-        rho = self.stack(n, 5, n)
+        rows = np.random.default_rng(n).normal(size=(5, 2**n))
         strengths = np.array([0.0, 0.1, 0.25, 0.4, 0.5])
-        s = strengths.reshape(-1, 1, 1)
-        q, other = n - 1, 0
+        s = strengths.reshape(-1, 1)
+        q, other, edges = n - 1, 0, chain(n)
         for name, channel in (
-            ("depolarize", lambda r, x: density._depolarize(r, n, q, x / 4.0, 1.0 - x)),
-            ("dephase", lambda r, x: density._dephase(r, n, q, x)),
-            ("noisy_cz", lambda r, x: noisy_cz(r, n, other, q, x)),
+            ("depolarize", lambda r, x: density._row_depolarize(r, n, edges, q, x / 4.0, 1.0 - x)),
+            ("dephase", lambda r, x: density._row_dephase(r, n, q, x)),
+            ("noisy_cz", lambda r, x: noisy_cz(r, n, edges, other, q, x)),
         ):
-            out = channel(rho, s)
+            out = channel(rows, s)
             for row, strength in enumerate(strengths):
-                single = channel(rho[row : row + 1], float(strength))
+                single = channel(rows[row : row + 1], float(strength))
                 assert same_bits(out[row], single[0]), (name, row)
+        rho = self.stack(n, 5, n)
         probs, post = density._measure(rho, n, q, "Y", -1)
         for row in range(len(rho)):
             p, single = density._measure(rho[row : row + 1], n, q, "Y", -1)
@@ -488,17 +500,18 @@ class TestStacks:
             assert fids[row] == np.vdot(v, rho[row] @ v).real == DensityMatrix(rho[row]).fidelity(psi)
 
     def test_sign_tables_are_read_only(self):
-        for table in (density._z_conjugation(4, 1), density._cz_conjugation(4, 1, 2)):
+        for table in (density._bit_signs(4, 1), density._cz_conjugation(4, 1, 2)):
             with pytest.raises(ValueError):
-                table[0, 0] = 2.0
+                table.flat[0] = 2.0
 
     def test_scalar_strength_applies_to_every_row(self):
-        rho = self.stack(1, 3, 2)
-        s = np.full((3, 1, 1), 0.3)
-        assert same_bits(density._depolarize(rho, 2, 0, 0.3 / 4.0, 1.0 - 0.3),
-                         density._depolarize(rho, 2, 0, s / 4.0, 1.0 - s))
-        assert same_bits(density._dephase(rho, 2, 1, 0.3), density._dephase(rho, 2, 1, s))
-        assert same_bits(noisy_cz(rho, 2, 0, 1, 0.3), noisy_cz(rho, 2, 0, 1, s))
+        rows = np.random.default_rng(1).normal(size=(3, 4))
+        s = np.full((3, 1), 0.3)
+        edges = ((0, 1),)
+        assert same_bits(density._row_depolarize(rows, 2, edges, 0, 0.3 / 4.0, 1.0 - 0.3),
+                         density._row_depolarize(rows, 2, edges, 0, s / 4.0, 1.0 - s))
+        assert same_bits(density._row_dephase(rows, 2, 1, 0.3), density._row_dephase(rows, 2, 1, s))
+        assert same_bits(noisy_cz(rows, 2, edges, 0, 1, 0.3), noisy_cz(rows, 2, edges, 0, 1, s))
 
     def test_zero_probability_in_any_row_raises(self):
         zero = DensityMatrix.from_pure([1.0, 0.0]).data
@@ -508,9 +521,13 @@ class TestStacks:
 
 
 class TestKernels:
-    """Each kernel against its earlier formulation, bit for bit, on random
-    stacks that also hold signed zeros, with one strength per row and one
-    for every row."""
+    """Each row kernel against the dense reference kernel of tests/util.py,
+    on states diagonal in a graph basis (the empty graph, the chain and a
+    random graph), given as rows and as their dense stacks, with signed
+    zeros, one strength per row and one for every row: the row kernel must
+    give row 0 of the reference's result bit for bit.  _measure and
+    _fidelity against their earlier formulations, on random stacks that
+    also hold signed zeros."""
 
     @staticmethod
     def stack(seed, rows, n):
@@ -524,45 +541,59 @@ class TestKernels:
         rho.imag[zeros] = np.where(rng.random(rho.shape) < 0.5, 0.0, -0.0)[zeros]
         return rho, rng.uniform(0.0, 0.5, size=rows).reshape(rows, 1, 1)
 
+    @staticmethod
+    def graph_stacks(seed, rows, n):
+        """(edges, rows, dense stack, strengths) for each of three graphs."""
+        rng = np.random.default_rng(seed)
+        random_graph = tuple(e for e in combinations(range(n), 2) if rng.random() < 0.5)
+        for edges in ((), chain(n), random_graph):
+            r, rho = graph_diagonal_stack(rng, rows, n, edges)
+            yield edges, r, rho, rng.uniform(0.0, 0.5, size=rows).reshape(rows, 1)
+
     cases = pytest.mark.parametrize(
         "rows, n", [(rows, n) for rows in (1, 5, 32) for n in (1, 2, 3, 4)]
     )
 
     @cases
     def test_depolarize(self, rows, n):
-        rho, s = self.stack(10 * rows + n, rows, n)
-        for q in range(n):
-            assert same_bits(density._depolarize(rho, n, q, s / 4.0, 1.0 - s),
-                             twirl_depolarize(rho, n, q, s))
-            scalar = float(s[0, 0, 0])
-            assert same_bits(density._depolarize(rho, n, q, scalar / 4.0, 1.0 - scalar),
-                             twirl_depolarize(rho, n, q, scalar))
+        for edges, r, rho, s in self.graph_stacks(10 * rows + n, rows, n):
+            for q in range(n):
+                assert same_bits(density._row_depolarize(r, n, edges, q, s / 4.0, 1.0 - s),
+                                 twirl_depolarize(rho, n, q, s[..., None])[:, 0])
+                scalar = float(s[0, 0])
+                assert same_bits(
+                    density._row_depolarize(r, n, edges, q, scalar / 4.0, 1.0 - scalar),
+                    twirl_depolarize(rho, n, q, scalar)[:, 0])
 
     @cases
     def test_dephase(self, rows, n):
-        rho, s = self.stack(30 * rows + n, rows, n)
-        for q in range(n):
-            assert same_bits(density._dephase(rho, n, q, s), flip_dephase(rho, n, q, s))
-            scalar = float(s[-1, 0, 0])
-            assert same_bits(density._dephase(rho, n, q, scalar), flip_dephase(rho, n, q, scalar))
+        for edges, r, rho, s in self.graph_stacks(30 * rows + n, rows, n):
+            for q in range(n):
+                assert same_bits(density._row_dephase(r, n, q, s),
+                                 flip_dephase(rho, n, q, s[..., None])[:, 0])
+                scalar = float(s[-1, 0])
+                assert same_bits(density._row_dephase(r, n, q, scalar),
+                                 flip_dephase(rho, n, q, scalar)[:, 0])
 
     @pytest.mark.parametrize("rows, n", [(rows, n) for rows in (1, 5, 32) for n in (2, 3, 4)])
     def test_noisy_cz(self, rows, n):
-        rho, f = self.stack(40 * rows + n, rows, n)
-        for q1, q2 in ((a, b) for a in range(n) for b in range(n) if a != b):
-            assert same_bits(noisy_cz(rho, n, q1, q2, f),
-                             trace_reinsert_noisy_cz(rho, n, q1, q2, f))
-        scalar = float(f[0, 0, 0])
-        assert same_bits(noisy_cz(rho, n, 0, n - 1, scalar),
-                         trace_reinsert_noisy_cz(rho, n, 0, n - 1, scalar))
+        for edges, r, rho, f in self.graph_stacks(40 * rows + n, rows, n):
+            for q1, q2 in ((a, b) for a in range(n) for b in range(n) if a != b):
+                assert same_bits(noisy_cz(r, n, edges, q1, q2, f),
+                                 trace_reinsert_noisy_cz(rho, n, q1, q2, f[..., None]).real[:, 0])
+            scalar = float(f[0, 0])
+            assert same_bits(noisy_cz(r, n, edges, 0, n - 1, scalar),
+                             trace_reinsert_noisy_cz(rho, n, 0, n - 1, scalar).real[:, 0])
 
     @cases
     def test_partial_trace_matches_np_trace(self, rows, n):
-        rho, _ = self.stack(50 * rows + n, rows, n)
-        for k in range(n):
-            for removed in map(list, combinations(range(n), k)):
-                assert same_bits(density._trace_out(rho, n, removed),
-                                 np_trace_out(rho, n, removed))
+        # the failed CZ's trace and reinsert, over every set of removed qubits
+        for edges, r, rho, _ in self.graph_stacks(50 * rows + n, rows, n):
+            for k in range(n):
+                for removed in map(list, combinations(range(n), k)):
+                    expected = loop_reinsert_mixed(np_trace_out(rho, n, removed), n, removed)
+                    assert same_bits(density._row_trace_reinsert(r, n, edges, removed),
+                                     expected.real[:, 0])
 
     @cases
     def test_measure(self, rows, n):
@@ -583,49 +614,54 @@ class TestKernels:
 
     @cases
     def test_real_stack_gives_the_real_part(self, rows, n):
-        # protocol.run_stack keeps its stack real until the Y measurement:
-        # on a real stack each channel kernel gives the real part of its
-        # complex128 result, and _measure the complex result, bit for bit
-        rho, s = self.stack(80 * rows + n, rows, n)
-        real = rho.real.copy()
-        promoted = real.astype(complex)
-        # f_D and f_G may be -0.0.  The dephasing strengths are 0.5 (1 - x),
-        # never -0.0, which is as well: at -0.0 the cross terms of the
-        # complex product can flip the sign of a zero entry.
-        lam = s.copy()
-        s.flat[:3] = (1.0, -0.0, 0.0)[:rows]
-        lam.flat[:2] = (0.5, 0.0)[:rows]
-        for q in range(n):
-            assert same_bits(density._depolarize(real, n, q, s / 4.0, 1.0 - s),
-                             density._depolarize(promoted, n, q, s / 4.0, 1.0 - s).real)
-            assert same_bits(density._dephase(real, n, q, lam),
-                             density._dephase(promoted, n, q, lam).real)
-            for other in range(n):
-                if other != q:
-                    assert same_bits(noisy_cz(real, n, q, other, s),
-                                     noisy_cz(promoted, n, q, other, s).real)
-            for outcome in (1, -1):
-                for got, expected in zip(density._measure(real, n, q, "Y", outcome),
-                                         density._measure(promoted, n, q, "Y", outcome)):
-                    assert same_bits(got, expected)
+        # protocol.run_stack keeps its rows real until the Y measurement:
+        # on real rows each row kernel gives the real part of row 0 of the
+        # reference's complex128 result, _unpack gives the real dense stack,
+        # and _measure on it the complex result, bit for bit
+        for edges, r, real, s in self.graph_stacks(80 * rows + n, rows, n):
+            promoted = real.astype(complex)
+            # f_D and f_G may be -0.0.  The dephasing strengths are
+            # 0.5 (1 - x), never -0.0, which is as well: at -0.0 the cross
+            # terms of the complex product can flip the sign of a zero entry.
+            lam = s.copy()
+            s.flat[:3] = (1.0, -0.0, 0.0)[:rows]
+            lam.flat[:2] = (0.5, 0.0)[:rows]
+            assert same_bits(density._unpack(r, n, edges), real)
+            for q in range(n):
+                assert same_bits(density._row_depolarize(r, n, edges, q, s / 4.0, 1.0 - s),
+                                 twirl_depolarize(promoted, n, q, s[..., None]).real[:, 0])
+                assert same_bits(density._row_dephase(r, n, q, lam),
+                                 flip_dephase(promoted, n, q, lam[..., None]).real[:, 0])
+                for other in range(n):
+                    if other != q:
+                        expected = trace_reinsert_noisy_cz(promoted, n, q, other, s[..., None])
+                        assert same_bits(noisy_cz(r, n, edges, q, other, s), expected.real[:, 0])
+                for outcome in (1, -1):
+                    for got, expected in zip(density._measure(real, n, q, "Y", outcome),
+                                             density._measure(promoted, n, q, "Y", outcome)):
+                        assert same_bits(got, expected)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_empty_stack(self, n):
         rho = np.zeros((0, 2**n, 2**n), dtype=complex)
-        none = np.zeros((0, 1, 1))
-        assert density._depolarize(rho, n, 0, none, none).shape == rho.shape
-        assert density._dephase(rho, n, n - 1, none).shape == rho.shape
+        rows, none, edges = np.zeros((0, 2**n)), np.zeros((0, 1)), chain(n)
+        assert density._row_depolarize(rows, n, edges, 0, none, none).shape == rows.shape
+        assert density._row_dephase(rows, n, n - 1, none).shape == rows.shape
+        assert density._unpack(rows, n, edges).shape == rho.shape
         probs, post = density._measure(rho, n, n - 1, "Y", -1)
         assert probs.shape == (0,) and post.shape == (0, 2 ** (n - 1), 2 ** (n - 1))
         assert density._fidelity(rho, np.ones(2**n) / 2 ** (n / 2)).shape == (0,)
         if n > 1:
-            assert noisy_cz(rho, n, 0, n - 1, none).shape == rho.shape
-            assert density._trace_out(rho, n, [0]).shape == (0, 2 ** (n - 1), 2 ** (n - 1))
+            assert noisy_cz(rows, n, edges, 0, n - 1, none).shape == rows.shape
+            assert density._row_trace_reinsert(rows, n, edges, [0]).shape == rows.shape
 
     def test_tables_are_read_only(self):
         tables = (
-            density._x_permutation(4, 1),
-            density._trace_table(4, (1, 2)),
+            density._bit_signs(4, 1),
+            density._xor_table(4),
+            density._graph_signs(4, chain(4)),
+            density._partner_signs(4, chain(4), 1),
+            *density._trace_signs(4, chain(4), (1, 2)),
             *density._projection(4, 2, "Y", 1)[2:],
         )
         for table in tables:

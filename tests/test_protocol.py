@@ -1,6 +1,6 @@
 """Tests of the merge pipeline against an independent statevector oracle."""
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -31,9 +31,11 @@ from ghzline.config import data_path, load_config
 from ghzline.sweep import SweepSpec, run_sweep
 from util import (
     flip_dephase,
+    graph_state,
     make_cfg,
     same_bits,
     source_register,
+    state_signs,
     tensordot_project,
     trace_reinsert_noisy_cz,
     twirl_depolarize,
@@ -43,8 +45,9 @@ from util import (
 OUTCOMES = (+1, -1)
 
 
-def ideal_post_measurement(outcome):
-    """Statevector route: two pairs, merge CZ, project qubit 2 in Y.
+def ideal_register(merged):
+    """Statevector route: the two source pairs, followed by the merge CZ
+    if ``merged``.
 
     Works on raw amplitude arrays (qubit 0 = most significant bit) so it
     shares no code with the density-matrix engine.
@@ -53,8 +56,14 @@ def ideal_post_measurement(outcome):
     chi = np.kron(plus, plus) * np.array([1.0, 1.0, 1.0, -1.0])
     psi = np.kron(chi, chi).astype(complex)
     for i in range(16):
-        if ((i >> 2) & 1) and ((i >> 1) & 1):
+        if merged and ((i >> 2) & 1) and ((i >> 1) & 1):
             psi[i] = -psi[i]
+    return psi
+
+
+def ideal_post_measurement(outcome):
+    """Statevector route: two pairs, merge CZ, project qubit 2 in Y."""
+    psi = ideal_register(merged=True)
     e = np.array([1.0, outcome * 1.0j]) / np.sqrt(2.0)
     t = np.tensordot(psi.reshape(2, 2, 2, 2), e.conj(), axes=([2], [0]))
     vec = t.reshape(8)
@@ -340,26 +349,68 @@ configs = st.builds(
 )
 
 
-def reference_chain(cfg, noise, use_memory):
-    """The state just before the Y measurement, as a one-row complex
-    stack: the tests' reference kernels, which share no code with
-    ghzline.density, chained in run_stack's documented order."""
+# The graphs of the register: the two source pairs, and the linear chain
+# the merge CZ makes of them.
+SOURCE_PAIRS = ((0, 1), (2, 3))
+CHAIN = ((0, 1), (1, 2), (2, 3))
+
+
+def reference_stages(cfg, noise, use_memory):
+    """The state after each step of run_stack's documented order, up to
+    the Y measurement, as (graph, one-row complex stack) pairs: the tests'
+    reference kernels, which share no code with ghzline.density."""
     rho = source_register()
+    stages = [(SOURCE_PAIRS, rho)]
     rho = twirl_depolarize(rho, 4, 0, noise.channel_depol)
+    stages.append((SOURCE_PAIRS, rho))
     rho = twirl_depolarize(rho, 4, 3, noise.channel_depol)
+    stages.append((SOURCE_PAIRS, rho))
     if use_memory:
         times = storage_times(cfg)
         near, far = (2, 1) if times.far_node == "A" else (1, 2)
         rho = flip_dephase(rho, 4, near, 0.5 * (1.0 - expected_coherence_near(cfg)))
+        stages.append((SOURCE_PAIRS, rho))
         rho = flip_dephase(rho, 4, far, dephasing_prob(times.t_far, cfg.memory.t2))
+        stages.append((SOURCE_PAIRS, rho))
     rho = trace_reinsert_noisy_cz(rho, 4, 1, 2, noise.gate_fail)
+    stages.append((CHAIN, rho))
     for qubit, node in ((0, "A"), (1, "B"), (2, "B"), (3, "C")):
         params = {"A": cfg.node_a, "B": cfg.node_b, "C": cfg.node_c}[node]
         xi = detection_prob(cfg, node, with_memory=use_memory and node == "B")
         xi_click = click_prob(xi, params.dark_count_prob)
         rho = twirl_depolarize(
             rho, 4, qubit, dark_count_depolarization(xi, xi_click, params.dark_count_prob))
-    return rho
+        stages.append((CHAIN, rho))
+    return stages
+
+
+def reference_chain(cfg, noise, use_memory):
+    """The state just before the Y measurement, as a one-row complex
+    stack: the last of reference_stages."""
+    return reference_stages(cfg, noise, use_memory)[-1][1]
+
+
+def row_stages(cfg, noise, use_memory):
+    """The row of each of reference_stages' states from the row kernels,
+    run on one point the way run_stack runs them."""
+    dephasings, dark_counts = protocol._segment_strengths(cfg, use_memory)
+    s = noise.channel_depol
+    rows = protocol._initial_register()[:1]
+    stages = [rows]
+    rows = (1.0 - s) * rows
+    rows += (s / 4.0) * protocol._source_twirl()
+    stages.append(rows)
+    rows = density._row_depolarize(rows, 4, SOURCE_PAIRS, 3, s / 4.0, 1.0 - s)
+    stages.append(rows)
+    for qubit, lam in dephasings:
+        rows = density._row_dephase(rows, 4, qubit, lam)
+        stages.append(rows)
+    rows = density._cz_mix(*density._row_cz_terms(rows, 4, SOURCE_PAIRS, 1, 2), noise.gate_fail)
+    stages.append(rows)
+    for qubit, quarter, keep in dark_counts:
+        rows = density._row_depolarize(rows, 4, CHAIN, qubit, quarter, keep)
+        stages.append(rows)
+    return stages
 
 
 class TestCheckOnce:
@@ -409,11 +460,11 @@ class TestCheckOnce:
     def test_pre_cz_stages_run_once_per_fd_entry(self, monkeypatch, use_memory):
         seen = []
 
-        def counting_cz_terms(rho, *args):
-            seen.append(len(rho))
-            return density._cz_terms(rho, *args)
+        def counting_cz_terms(rows, *args):
+            seen.append(len(rows))
+            return density._row_cz_terms(rows, *args)
 
-        monkeypatch.setattr(protocol, "_cz_terms", counting_cz_terms)
+        monkeypatch.setattr(protocol, "_row_cz_terms", counting_cz_terms)
         cfg = load_config(data_path())[0]
         spec = SweepSpec(memory_modes=("on",) if use_memory else ("off",))
         assert len(run_sweep([cfg], spec)) == 121
@@ -449,13 +500,14 @@ class TestCheckOnce:
     @given(values=st.lists(with_edges(0.0, 1.0, 0.0, -0.0, 1.0), min_size=1, max_size=40))
     def test_source_twirl_start_equals_depolarizing_the_register(self, values):
         # run_stack's first transit depolarization, from the constant twirl
-        depol = np.array(values).reshape(-1, 1, 1)
+        depol = np.array(values).reshape(-1, 1)
         quarter, keep = depol / 4.0, 1.0 - depol
         reg = protocol._initial_register()
-        started = keep * reg
+        started = keep * reg[0]
         started += quarter * protocol._source_twirl()
         stack = np.broadcast_to(reg, (len(values), 16, 16))
-        assert started.tobytes() == density._depolarize(stack, 4, 0, quarter, keep).tobytes()
+        expected = twirl_depolarize(stack, 4, 0, depol[..., None])[:, 0]
+        assert started.tobytes() == expected.tobytes()
 
     def test_empty_stack(self):
         cfg = make_cfg(memory=MemoryParams(0.9, 1.0))
@@ -479,6 +531,54 @@ class TestCheckOnce:
     def test_near_dephasing_out_of_range(self, monkeypatch):
         monkeypatch.setattr(protocol, "expected_coherence_near", lambda cfg: float("nan"))
         assert self.sweep_error() == "ValueError: dephase strength must be in [0, 0.5], got nan"
+
+
+class TestRowInvariant:
+    """Before the Y measurement every state of the pipeline is diagonal in
+    a graph-state basis, so entry (i, j) is S[i, j] * rho[0, i ^ j], and
+    run_stack runs every step on row 0 alone."""
+
+    @pytest.mark.parametrize("use_memory", [False, True])
+    @given(
+        cfg=configs,
+        fd=with_edges(0.0, 1.0, 0.0, -0.0, 0.5, 1.0),
+        fg=with_edges(0.0, 1.0, 0.0, -0.0, 0.5, 1.0),
+    )
+    def test_every_stage_is_its_row(self, use_memory, cfg, fd, fg):
+        # A zero may carry either sign: a row kernel reads a zero partner
+        # entry as +-1 times a zero of the row, and the dense state need
+        # not give it that sign (f_D = 1 with no dark counts shows it).
+        # No nonzero entry depends on it, and no output of run_stack:
+        # TestCheckOnce holds those to reference_chain bit for bit.
+        noise = NoiseParams(fd, fg)
+        xor = np.arange(16)[:, None] ^ np.arange(16)
+        stages = reference_stages(cfg, noise, use_memory)
+        rows = row_stages(cfg, noise, use_memory)
+        assert len(rows) == len(stages) == (10 if use_memory else 8)
+        for step, ((edges, rho), row) in enumerate(zip(stages, rows)):
+            assert not rho.imag.any()
+            ref = rho[0].real
+            nonzero = ref != 0
+            expected = density._graph_signs(4, edges) * ref[0, xor]
+            assert same_bits(ref[nonzero], expected[nonzero]), step
+            assert np.array_equal(row[0], ref[0]), step
+            assert same_bits(row[0][nonzero[0]], ref[0][nonzero[0]]), step
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_signs_match_the_graph_states(self, n):
+        # every graph on n qubits, from its adjacency and from |G>
+        pairs = list(combinations(range(n), 2))
+        for chosen in product((False, True), repeat=len(pairs)):
+            edges = tuple(e for e, keep in zip(pairs, chosen) if keep)
+            assert same_bits(density._graph_signs(n, edges), state_signs(graph_state(n, edges)))
+
+    def test_signs_match_the_ideal_register(self):
+        # the source pairs and the merged register of the statevector route
+        assert protocol.PRE_CZ_EDGES == SOURCE_PAIRS and protocol.POST_CZ_EDGES == CHAIN
+        for edges, merged in ((SOURCE_PAIRS, False), (CHAIN, True)):
+            signs = state_signs(ideal_register(merged))
+            assert not signs.imag.any()
+            assert np.array_equal(density._graph_signs(4, edges), signs.real)
 
 
 class TestMinusOneBranch:

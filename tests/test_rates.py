@@ -24,7 +24,7 @@ from ghzline import density, netmodel, protocol, rates
 from ghzline.config import MIN_CLICK_PROB, data_path, load_config
 from ghzline.density import BASIS_EIGENVECTORS
 from ghzline.sweep import run_sweep
-from util import make_cfg, random_config, random_density_matrix
+from util import flip_x_conjugate, make_cfg, random_config, random_density_matrix
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -90,7 +90,7 @@ class TestQberParity:
     def test_local_flip_fails_every_parity_check(self):
         # X on the dealer qubit anticommutes with its Z factor
         rho = DensityMatrix.from_pure(target_state(+1))
-        flipped = DensityMatrix(density._x_conjugate(rho.data[None], 3, 0)[0])
+        flipped = DensityMatrix(flip_x_conjugate(rho.data[None], 3, 0)[0])
         assert qber_parity(flipped) == pytest.approx(1.0, abs=1e-12)
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -308,11 +308,11 @@ class TestSegmentMemo:
     def test_one_report_runs_each_kernel_once_per_stage(self, monkeypatch, use_memory):
         # transit qubit 3 and four dark-count qubits; qubit 0's transit
         # depolarization starts from the precomputed source twirl
-        calls = count_calls(monkeypatch, ["_depolarize", "_fidelity", "_fidelities"],
+        calls = count_calls(monkeypatch, ["_row_depolarize", "_fidelity", "_fidelities"],
                             (density, protocol, rates))
         cfg = load_config(data_path())[0]
         full_report(cfg, NoiseParams(0.1, 0.2), use_memory=use_memory)
-        assert calls == {"_depolarize": 5, "_fidelity": 1, "_fidelities": 1}
+        assert calls == {"_row_depolarize": 5, "_fidelity": 1, "_fidelities": 1}
 
     def test_memoryless_config_raises_the_same_error_every_call(self):
         cfg = make_cfg()
@@ -355,7 +355,7 @@ class TestDegreeStructure:
 def x_corrected(rho):
     """The dealer's X correction on C's qubit (qubit 2 of the output), which
     maps target_state(-1) onto target_state(+1)."""
-    return DensityMatrix(density._x_conjugate(rho.data[None], 3, 2)[0])
+    return DensityMatrix(flip_x_conjugate(rho.data[None], 3, 2)[0])
 
 
 class TestOutcomeReconciliation:

@@ -242,3 +242,35 @@ def source_register():
     phases = np.array([1.0, 1.0, 1.0, -1.0])
     pair = (np.outer(phases, phases) / 4.0).astype(complex)
     return np.kron(pair, pair)[None]
+
+
+def graph_state(n, edges):
+    """|G> up to normalization: a CZ on every edge of |+>^n, as the +-1
+    signs of the computational-basis amplitudes."""
+    idx = np.arange(2**n)
+    phase = np.zeros(2**n, dtype=int)
+    for a, b in edges:
+        phase += bit(idx, n, a) & bit(idx, n, b)
+    return 1.0 - 2.0 * (phase & 1)
+
+
+def state_signs(psi):
+    """rho[i, j] / rho[0, i ^ j] for rho = |psi><psi|, entry by entry."""
+    rho = np.outer(psi, psi.conj())
+    idx = np.arange(len(psi))
+    return rho / rho[0, idx[:, None] ^ idx]
+
+
+def graph_diagonal_stack(rng, rows, n, edges):
+    """Random rows of unit-trace states diagonal in the graph basis of
+    ``edges``, a fifth of their entries signed zeros, and the dense stack
+    they stand for: entry (i, j) is S[i, j] * row[i ^ j], with S from the
+    statevector (state_signs of graph_state)."""
+    dim = 2**n
+    r = rng.normal(size=(rows, dim)) / dim
+    r[:, 0] = 1.0 / dim
+    zeros = rng.random(r.shape) < 0.2
+    zeros[:, 0] = False
+    r[zeros] = np.where(rng.random(r.shape) < 0.5, 0.0, -0.0)[zeros]
+    idx = np.arange(dim)
+    return r, state_signs(graph_state(n, edges)) * r[:, idx[:, None] ^ idx]
