@@ -3,6 +3,7 @@ one TrioConfig per segment.  Nothing here needs numpy."""
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import numbers
@@ -33,17 +34,23 @@ DEFAULT_CONFIG = "network_segments.yaml"
 # below 53 ln 2 / 1.797e308 = 2.0436e-307; this floor rounds that up.
 MIN_CLICK_PROB = 2.05e-307
 
-# libyaml's C parser when PyYAML was built with it, else the pure one.  Both
-# share the safe resolver and constructor, so they build the same document;
-# the C one is several times faster.
-class _ConfigLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
-    """Safe loader that also reads YAML 1.2 exponent floats.
+# The most collections a config document may nest before load_config stops
+# reading it (a valid one nests five).  libyaml's C composer recurses on the
+# C stack and crashed the process near 30,000 levels; from about 250 the
+# constructor runs out of Python recursion, with the same parse error.
+MAX_NESTING = 1000
 
-    The YAML 1.1 resolver reads ``1.0e7``, ``1e7`` and ``1E-3`` as strings;
+
+def _config_loader(base: type) -> type:
+    """The config loader on PyYAML's safe loader ``base``, yaml.CSafeLoader
+    or yaml.SafeLoader.
+
+    It is a safe loader that also reads YAML 1.2 exponent floats.  The
+    YAML 1.1 resolver reads ``1.0e7``, ``1e7`` and ``1E-3`` as strings;
     only a signed exponent (``1.0e+7``) makes a float.  The resolver added
-    below goes to this class alone; PyYAML's loaders are left as they are.
-    A digit must follow a leading dot, as in PyYAML's own float pattern, so
-    that ``._e3`` stays a string rather than failing float().
+    below goes to the new class alone; PyYAML's loaders are left as they
+    are.  A digit must follow a leading dot, as in PyYAML's own float
+    pattern, so that ``._e3`` stays a string rather than failing float().
 
     Mappings and sequences are built whole, with their contents, rather
     than by SafeConstructor's generators, which hand out an empty
@@ -53,21 +60,43 @@ class _ConfigLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoad
     is a yaml.YAMLError here.
     """
 
-    def construct_whole_mapping(self, node) -> dict:
-        return self.construct_mapping(node, deep=True)
+    loader = type("_ConfigLoader", (base,), {})
+    loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
+        list("-+0123456789."),
+    )
+    loader.add_constructor(
+        "tag:yaml.org,2002:map", lambda ld, node: ld.construct_mapping(node, deep=True))
+    loader.add_constructor(
+        "tag:yaml.org,2002:seq", lambda ld, node: ld.construct_sequence(node, deep=True))
+    return loader
 
-    def construct_whole_sequence(self, node) -> list:
-        return self.construct_sequence(node, deep=True)
+
+# libyaml's C parser when PyYAML was built with it, else the pure one.  Both
+# share the safe resolver and constructor, so they build the same document;
+# the C one is several times faster.
+YAML_LOADER = _config_loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
 
 
-_ConfigLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
-    list("-+0123456789."),
-)
-_ConfigLoader.add_constructor("tag:yaml.org,2002:map", _ConfigLoader.construct_whole_mapping)
-_ConfigLoader.add_constructor("tag:yaml.org,2002:seq", _ConfigLoader.construct_whole_sequence)
-YAML_LOADER = _ConfigLoader
+def _nests_too_deeply(text: str) -> bool:
+    """Whether ``text`` nests more than MAX_NESTING collections, read from
+    the parser's events up to the first one past the bound.  A parse error
+    ends the walk; yaml.load then reports it, or a composer error before
+    it, as it would have."""
+    # Each collection opens with a character of its own among these: a flow
+    # "[" or "{", a block entry's "-", a key's ":" or "?".  A text with no
+    # more of them than the bound cannot pass it, and needs no walk.
+    if sum(map(text.count, "[{-:?")) <= MAX_NESTING:
+        return False
+    depth = 0
+    with contextlib.suppress(yaml.YAMLError):
+        for event in yaml.parse(text, Loader=YAML_LOADER):
+            depth += isinstance(event, yaml.CollectionStartEvent)
+            depth -= isinstance(event, yaml.CollectionEndEvent)
+            if depth > MAX_NESTING:
+                return True
+    return False
 
 
 class ConfigError(ValueError):
@@ -414,10 +443,14 @@ def load_config(path) -> list[TrioConfig]:
     """
     p = Path(path)
     try:
-        stream = io.StringIO(p.read_text())
+        text = p.read_text()
     except OSError as exc:
         raise ConfigError([f"cannot read {p}: {exc}"]) from exc
+    too_deep = f"{p}: parse error: document nests too deeply"
+    if _nests_too_deeply(text):
+        raise ConfigError([too_deep])
     # the parser names its stream in every error mark, "in <name>, line L"
+    stream = io.StringIO(text)
     stream.name = str(p)
     try:
         doc = yaml.load(stream, Loader=YAML_LOADER)
@@ -426,7 +459,8 @@ def load_config(path) -> list[TrioConfig]:
         # limit; a self-referential alias is a yaml.YAMLError
         raise ConfigError([f"{p}: parse error: {exc}"]) from exc
     except RecursionError as exc:
-        raise ConfigError([f"{p}: parse error: document nests too deeply"]) from exc
+        # within MAX_NESTING, when the caller's stack is already deep
+        raise ConfigError([too_deep]) from exc
     problems, configs = _check_document(doc)
     if problems:
         raise ConfigError(problems)

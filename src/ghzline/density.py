@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 
 import numpy as np
 
@@ -132,8 +131,11 @@ class PureState:
 # it needs as a +-1 sign times entry d of the row: a product with +-1 is
 # exact, so on a state whose entries are S_G[i, j] * rho[0, i ^ j] it
 # gives row 0 of the dense result bit for bit, with 1/2^n of the work.
-# (Along the pipeline a zero of the dense state may carry the other sign;
-# no nonzero entry and no output of protocol.run_stack depends on it.)
+# Where the dense channel sums four such terms (the twirl, the partial
+# trace), the sum is exactly +0.0 or 4 times entry d, so the kernel is one
+# product with a 0/1 table.  (Along the pipeline a zero of the dense state
+# may carry the other sign; no nonzero entry and no output of
+# protocol.run_stack depends on it.)
 #
 # A kernel takes the qubit count, the graph's edges and strengths already
 # checked, shaped to broadcast over (B, 1), and only computes, summing in
@@ -142,9 +144,9 @@ class PureState:
 # the complex128 dense result bit for bit (all but _row_dephase at
 # strength -0.0, where the complex product's cross terms can flip the sign
 # of a zero; protocol.run_stack never passes it), and _measure's np.dot
-# promotes the unpacked real stack to complex.  The sign and index tables
-# depend only on the register size, the graph and the qubits, so each is
-# built on first use and kept read-only.
+# promotes the unpacked real stack to complex.  The tables depend only on
+# the register size, the graph and the qubits, so each is built on first
+# use and kept read-only.
 
 
 def _check_qubit(qubit: int, num_qubits: int) -> None:
@@ -219,33 +221,27 @@ def _graph_signs(num_qubits: int, edges: tuple[tuple[int, int], ...]) -> np.ndar
 
 
 @cache
-def _partner_signs(num_qubits: int, edges: tuple[tuple[int, int], ...], qubit: int) -> np.ndarray:
-    """tau[d] = S[e, e ^ d], e the basis index of ``qubit`` alone: entry
-    (0, d) of X rho X is rho[e, e ^ d] = tau[d] * rho[0, d]."""
+def _depolarize_mask(num_qubits: int, edges: tuple[tuple[int, int], ...], qubit: int) -> np.ndarray:
+    """Where the twirl rho + X rho X + Y rho Y + Z rho Z on ``qubit`` is
+    4 rho[0, d] at entry (0, d): its terms are r, tau r, z tau r and z r,
+    with tau = S[e, e ^ d] for e the index of ``qubit`` alone and z the
+    Z sign _bit_signs[d], and (1 + tau)(1 + z) is 4 or 0."""
     e = 1 << (num_qubits - 1 - qubit)
-    return _read_only(_graph_signs(num_qubits, edges)[e, e ^ np.arange(2**num_qubits)])
-
-
-def _row_twirl(rows: np.ndarray, num_qubits: int, edges, qubit: int) -> np.ndarray:
-    """Rows of rho + X rho X + Y rho Y + Z rho Z on ``qubit``, summed in
-    that order, as a fresh array."""
-    z = _bit_signs(num_qubits, qubit)
-    term = rows * _partner_signs(num_qubits, edges, qubit)  # X rho X
-    twirled = rows + term
-    term *= z  # Y rho Y = Z (X rho X) Z
-    twirled += term
-    np.multiply(rows, z, out=term)  # Z rho Z
-    twirled += term
-    return twirled
+    tau = _graph_signs(num_qubits, edges)[e, e ^ np.arange(2**num_qubits)]
+    return _read_only((tau > 0) & (_bit_signs(num_qubits, qubit) > 0))
 
 
 def _row_depolarize(rows: np.ndarray, num_qubits: int, edges, qubit: int, quarter, keep) -> np.ndarray:
     """keep * rho + quarter * twirl, on rows; quarter is strength / 4,
-    keep 1 - strength."""
-    twirled = _row_twirl(rows, num_qubits, edges, qubit)
-    twirled *= quarter
+    keep 1 - strength.
+
+    The dense twirl sums its terms in order: r + r + r + r rounds to 4r
+    (the rounded 3r is within half an ulp of 4r, and a tie breaks towards
+    it, as 3r rounded to even), and any other signs sum to +0.0, which
+    np.where keeps where r * 0.0 would give -0.0.
+    """
     out = keep * rows
-    out += twirled
+    out += quarter * np.where(_depolarize_mask(num_qubits, edges, qubit), 4.0 * rows, 0.0)
     return out
 
 
@@ -255,46 +251,17 @@ def _row_dephase(rows: np.ndarray, num_qubits: int, qubit: int, strength) -> np.
 
 
 @cache
-def _trace_signs(num_qubits: int, edges: tuple[tuple[int, int], ...], removed: tuple[int, ...]):
-    """The columns of row 0 that a partial trace over the sorted
-    ``removed`` and reinsertion of I/2^k leaves nonzero, and the signs of
-    the terms each of them sums.
-
-    The columns d are those whose removed bits are 0.  Row c of the
-    (2^k, columns) sign table fixes the removed qubits to the bits of c,
-    the lowest qubit most significant, on both indices: its term of
-    column d is rho[c, c ^ d] = S[c, c ^ d] * rho[0, d], with c read as
-    the basis index of those bits.
-    """
+def _trace_weights(num_qubits: int, edges: tuple[tuple[int, int], ...], q1: int, q2: int):
+    """w with entry (0, d) of Tr_{q1,q2}(rho) (x) I/4 = rho[0, d] * w[d] + 0.0:
+    where d's two bits are 0, the mean of the trace terms' signs S[c, c ^ d]
+    over the four c of those bits, else 0.  c -> S[c, c ^ d] is a character,
+    so w is 1 or 0, and np.trace's pairwise sum, + 0.0 after each pair, is
+    4r or +0.0 without rounding, its quarter r or +0.0."""
+    b1, b2 = 1 << (num_qubits - 1 - q1), 1 << (num_qubits - 1 - q2)
+    idx = np.arange(2**num_qubits)
     signs = _graph_signs(num_qubits, edges)
-    bits = [1 << (num_qubits - 1 - q) for q in removed]
-    cols = np.flatnonzero((np.arange(2**num_qubits) & sum(bits)) == 0)
-    table = []
-    for pattern in product((0, 1), repeat=len(removed)):
-        c = sum(b for b, on in zip(bits, pattern) if on)
-        table.append(signs[c, c ^ cols])
-    return _read_only(cols), _read_only(np.array(table))
-
-
-def _row_trace_reinsert(rows: np.ndarray, num_qubits: int, edges, removed: list[int]) -> np.ndarray:
-    """Rows of Tr_removed(rho) (x) I/2^k, the k mixed qubits back at the
-    sorted ``removed``.
-
-    The terms are summed in adjacent pairs, then pairs of pairs, which is
-    the order of np.trace over the highest removed qubit first: with two
-    removed qubits, (A + B) + (C + D).  Each pair sum also gets + 0.0, as
-    np.trace's reduction starts from +0.0: it turns -0 + -0 into +0 and
-    changes nothing else.  The sum is scaled by 1/2^k, and every other
-    entry is +0.0.
-    """
-    cols, signs = _trace_signs(num_qubits, edges, tuple(removed))
-    terms = rows[:, None, cols] * signs
-    while terms.shape[1] > 1:
-        terms = terms[:, 0::2] + terms[:, 1::2]
-        terms += 0.0
-    out = np.zeros(rows.shape, dtype=rows.dtype)
-    out[:, cols] = terms[:, 0] * (1.0 / 2 ** len(removed))
-    return out
+    w = sum(signs[c, c ^ idx] for c in (0, b1, b2, b1 | b2)) / 4.0
+    return _read_only(np.where(idx & (b1 | b2), 0.0, w))
 
 
 def _row_cz_terms(rows: np.ndarray, num_qubits: int, edges, q1: int, q2: int) -> tuple[np.ndarray, np.ndarray]:
@@ -304,7 +271,7 @@ def _row_cz_terms(rows: np.ndarray, num_qubits: int, edges, q1: int, q2: int) ->
     edge q1-q2 toggled: CZ maps one graph state to the other, and the
     failed branch, full depolarization of both qubits, commutes with CZ."""
     gate = rows * _cz_conjugation(num_qubits, q1, q2)[0]
-    return gate, _row_trace_reinsert(rows, num_qubits, edges, sorted((q1, q2)))
+    return gate, rows * _trace_weights(num_qubits, edges, q1, q2) + 0.0
 
 
 def _cz_mix(gate: np.ndarray, scrambled: np.ndarray, fail_prob) -> np.ndarray:

@@ -30,7 +30,6 @@ from .density import (
     _row_cz_terms,
     _row_dephase,
     _row_depolarize,
-    _row_twirl,
     _unpack,
 )
 from .netmodel import (
@@ -127,14 +126,6 @@ def _initial_register() -> np.ndarray:
     imaginary part is zero."""
     pair = source_pair_state()
     return _read_only(pair.tensor(pair).data.real.copy())
-
-
-@cache
-def _source_twirl() -> np.ndarray:
-    """Read-only twirl of row 0 of the source register on qubit 0, the
-    constant part of its first transit depolarization, which run_stack
-    finishes with _row_depolarize's own two roundings per entry."""
-    return _read_only(_row_twirl(_initial_register()[:1], 4, PRE_CZ_EDGES, 0)[0])
 
 
 @cache
@@ -244,8 +235,9 @@ def run_stack(
     before the CZ and POST_CZ_EDGES after it, each step combines only
     entries of one XOR class i ^ j, each times +-1, and a product with
     +-1 rounds nothing.  Every step before the f_G mix runs once per f_D
-    entry, on runs of up to CHUNK_ROWS consecutive entries: the source
-    pairs, the transit depolarizations, the memory dephasings, and the
+    entry, on runs of up to CHUNK_ROWS consecutive entries: the transit
+    depolarizations (the first takes the one row of the source pairs and
+    broadcasts it over the run's entries), the memory dephasings, and the
     noisy CZ's two branches.  The mix and the dark-count depolarizations
     run on all rows of a run, and the dense stack is rebuilt and measured
     on chunks of up to CHUNK_ROWS rows.  Each step maps each row on its
@@ -269,8 +261,7 @@ def run_stack(
         # every step before the CZ mix, once per f_D entry of the run
         depol = np.array(fds[lo : lo + CHUNK_ROWS]).reshape(-1, 1)
         quarter, keep = depol / 4.0, 1.0 - depol
-        rows = keep * _initial_register()[0]
-        rows += quarter * _source_twirl()  # _row_depolarize of qubit 0
+        rows = _row_depolarize(_initial_register()[:1], 4, PRE_CZ_EDGES, 0, quarter, keep)
         rows = _row_depolarize(rows, 4, PRE_CZ_EDGES, 3, quarter, keep)
         for qubit, lam in dephasings:
             rows = _row_dephase(rows, 4, qubit, lam)

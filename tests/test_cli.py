@@ -24,9 +24,11 @@ from ghzline import MemoryParams, McResult, config
 from ghzline.cli import _build_parser, _csv_cell, _parse_axis, main, mc_report, yields_report
 from ghzline.config import (
     MIN_CLICK_PROB,
+    MAX_NESTING,
     YAML_LOADER,
     ConfigError,
     _compile_schema,
+    _config_loader,
     _schema_errors,
     data_path,
     load_config,
@@ -47,6 +49,10 @@ from ghzline.sweep import (
 from ghzline.rates import RateReport, full_report
 from ghzline.protocol import NoiseParams
 from util import make_cfg
+
+# The config loader of an install without libyaml: the same class on
+# PyYAML's pure-Python safe loader.
+PURE_LOADER = _config_loader(yaml.SafeLoader)
 
 
 def fresh_process(code: str) -> subprocess.CompletedProcess:
@@ -301,13 +307,13 @@ class TestLoadConfig:
             load_config(path)
 
     def test_unparseable_yaml_without_libyaml(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("ghzline.config.YAML_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr("ghzline.config.YAML_LOADER", PURE_LOADER)
         self.test_unparseable_yaml(tmp_path)
 
     @pytest.mark.parametrize("name", ["network_segments.yaml", "yield_regression.yaml"])
     def test_bundled_files_load_alike_through_both_loaders(self, monkeypatch, name):
         fast = load_config(data_path(name))
-        monkeypatch.setattr("ghzline.config.YAML_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr("ghzline.config.YAML_LOADER", PURE_LOADER)
         assert load_config(data_path(name)) == fast
 
     def test_every_load_reads_and_validates_the_file(self, tmp_path):
@@ -352,9 +358,10 @@ class TestLoadConfig:
 
     def test_loader_adds_only_exponent_floats(self):
         text = "[1e7, -1.5E-3, .5e2, 1_000e1, 1., 12, 0x1f, 1.5, abc, '1e7', e7, 1e, ._e3, 1.0e+7]"
-        assert yaml.load(text, Loader=YAML_LOADER) == [
-            1e7, -1.5e-3, 50.0, 1e4, 1.0, 12, 31, 1.5, "abc", "1e7", "e7", "1e", "._e3", 1e7
-        ]
+        for loader in (YAML_LOADER, PURE_LOADER):
+            assert yaml.load(text, Loader=loader) == [
+                1e7, -1.5e-3, 50.0, 1e4, 1.0, 12, 31, 1.5, "abc", "1e7", "e7", "1e", "._e3", 1e7
+            ]
         # PyYAML's own loaders keep the YAML 1.1 reading
         assert yaml.safe_load("1e7") == "1e7"
 
@@ -396,11 +403,44 @@ class TestLoadConfig:
             f"error: invalid configuration:\n  - {path}: parse error: "
         )
 
+    @pytest.mark.parametrize("loader", [None, PURE_LOADER], ids=["default", "pure-python"])
+    def test_nesting_bound(self, monkeypatch, loader):
+        # MAX_NESTING collections pass, one more does not, in either shape,
+        # with the text's count of opening characters at the depth or, by a
+        # comment, past it, which the walk must then read
+        if loader is not None:
+            monkeypatch.setattr("ghzline.config.YAML_LOADER", loader)
+        for depth in (MAX_NESTING, MAX_NESTING + 1):
+            for text in ("[" * depth + "]" * depth, "- " * depth + "x"):
+                for tail in ("", "\n# -"):
+                    deep = config._nests_too_deeply(text + tail)
+                    assert deep == (depth > MAX_NESTING), (depth, text[:3], tail)
+        shallow = "segments: [" + "{a: -1}, " * MAX_NESTING + "]"
+        assert not config._nests_too_deeply(shallow)
+        assert not config._nests_too_deeply(shallow.replace("]", ""))  # a parse error
+
+    @pytest.mark.parametrize("shape", ["flow", "block"])
+    def test_100000_deep_document_exits_2(self, tmp_path, shape):
+        # libyaml's composer, which recurses on the C stack, once crashed
+        # the process on these (exit 139); the bound stops before it
+        depth = 100_000
+        inner = "[" * depth + "]" * depth if shape == "flow" else "\n" + "- " * depth + "x"
+        path = tmp_path / "deep.yaml"
+        path.write_text("segments: " + inner + "\n")
+        argv = ["yields", "--config", str(path)]
+        done = fresh_process(f"import sys; from ghzline.cli import main; sys.exit(main({argv!r}))")
+        assert done.returncode == 2, done.stderr[-500:]
+        assert done.stderr == (
+            f"error: invalid configuration:\n  - {path}: parse error: document nests too deeply\n"
+        )
+
     @pytest.mark.parametrize("text, loader", [
         ("segments: &s [*s]\n", None),
         ("segments:\n  - [unclosed\n", None),
-        ("segments:\n  - [unclosed\n", yaml.SafeLoader),
-    ], ids=["self-referential", "unclosed", "unclosed-pure-python"])
+        ("segments:\n  - [unclosed\n", PURE_LOADER),
+        ("segments: &s [*s]\n", PURE_LOADER),
+    ], ids=["self-referential", "unclosed", "unclosed-pure-python",
+            "self-referential-pure-python"])
     def test_parse_error_names_the_file(self, tmp_path, capsys, monkeypatch, text, loader):
         # every mark line names the file, not the parser's "<unicode string>"
         if loader is not None:

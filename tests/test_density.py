@@ -585,15 +585,33 @@ class TestKernels:
             assert same_bits(noisy_cz(r, n, edges, 0, n - 1, scalar),
                              trace_reinsert_noisy_cz(rho, n, 0, n - 1, scalar).real[:, 0])
 
-    @cases
+    @pytest.mark.parametrize("rows, n", [(rows, n) for rows in (1, 5, 32) for n in (2, 3, 4)])
     def test_partial_trace_matches_np_trace(self, rows, n):
-        # the failed CZ's trace and reinsert, over every set of removed qubits
+        # the failed CZ's branch on its own, before the mix scales it:
+        # Tr_{q1,q2}(rho) (x) I/4 through np.trace, on every pair
         for edges, r, rho, _ in self.graph_stacks(50 * rows + n, rows, n):
-            for k in range(n):
-                for removed in map(list, combinations(range(n), k)):
-                    expected = loop_reinsert_mixed(np_trace_out(rho, n, removed), n, removed)
-                    assert same_bits(density._row_trace_reinsert(r, n, edges, removed),
-                                     expected.real[:, 0])
+            for q1, q2 in combinations(range(n), 2):
+                expected = loop_reinsert_mixed(np_trace_out(rho, n, [q1, q2]), n, [q1, q2])
+                for pair in ((q1, q2), (q2, q1)):
+                    _, scrambled = density._row_cz_terms(r, n, edges, *pair)
+                    assert same_bits(scrambled, expected.real[:, 0])
+
+    @pytest.mark.parametrize("rows", [1, 5, 32])
+    def test_failed_merge_leaves_the_pairs_maximally_mixed(self, rows):
+        # On the source pairs' graph the trace weights of the merge CZ are
+        # e_0: the failed branch keeps rho[0, 0] and sets every other entry
+        # of its row to +0.0, which _unpack turns into rho[0, 0] * I on the
+        # chain (equal by value: a sign of the chain turns some +0.0 into
+        # -0.0), the maximally mixed state of a unit-trace row.
+        source_pairs = ((0, 1), (2, 3))
+        r, _ = graph_diagonal_stack(np.random.default_rng(rows), rows, 4, source_pairs)
+        _, scrambled = density._row_cz_terms(r, 4, source_pairs, 1, 2)
+        expected = np.zeros_like(r)
+        expected[:, 0] = r[:, 0]
+        assert same_bits(density._trace_weights(4, source_pairs, 1, 2), np.eye(16)[0])
+        assert same_bits(scrambled, expected)
+        assert np.array_equal(density._unpack(scrambled, 4, chain(4)),
+                              np.broadcast_to(np.eye(16) / 16, (rows, 16, 16)))
 
     @cases
     def test_measure(self, rows, n):
@@ -653,15 +671,16 @@ class TestKernels:
         assert density._fidelity(rho, np.ones(2**n) / 2 ** (n / 2)).shape == (0,)
         if n > 1:
             assert noisy_cz(rows, n, edges, 0, n - 1, none).shape == rows.shape
-            assert density._row_trace_reinsert(rows, n, edges, [0]).shape == rows.shape
+            for branch in density._row_cz_terms(rows, n, edges, 0, n - 1):
+                assert branch.shape == rows.shape
 
     def test_tables_are_read_only(self):
         tables = (
             density._bit_signs(4, 1),
             density._xor_table(4),
             density._graph_signs(4, chain(4)),
-            density._partner_signs(4, chain(4), 1),
-            *density._trace_signs(4, chain(4), (1, 2)),
+            density._depolarize_mask(4, chain(4), 1),
+            density._trace_weights(4, chain(4), 1, 2),
             *density._projection(4, 2, "Y", 1)[2:],
         )
         for table in tables:

@@ -397,8 +397,7 @@ def row_stages(cfg, noise, use_memory):
     s = noise.channel_depol
     rows = protocol._initial_register()[:1]
     stages = [rows]
-    rows = (1.0 - s) * rows
-    rows += (s / 4.0) * protocol._source_twirl()
+    rows = density._row_depolarize(rows, 4, SOURCE_PAIRS, 0, s / 4.0, 1.0 - s)
     stages.append(rows)
     rows = density._row_depolarize(rows, 4, SOURCE_PAIRS, 3, s / 4.0, 1.0 - s)
     stages.append(rows)
@@ -498,13 +497,13 @@ class TestCheckOnce:
         assert not full.imag.any() and reg.tobytes() == full.real.tobytes()
 
     @given(values=st.lists(with_edges(0.0, 1.0, 0.0, -0.0, 1.0), min_size=1, max_size=40))
-    def test_source_twirl_start_equals_depolarizing_the_register(self, values):
-        # run_stack's first transit depolarization, from the constant twirl
+    def test_first_transit_equals_depolarizing_the_register(self, values):
+        # run_stack's first transit depolarization, one register row for
+        # every f_D entry
         depol = np.array(values).reshape(-1, 1)
         quarter, keep = depol / 4.0, 1.0 - depol
         reg = protocol._initial_register()
-        started = keep * reg[0]
-        started += quarter * protocol._source_twirl()
+        started = density._row_depolarize(reg[:1], 4, SOURCE_PAIRS, 0, quarter, keep)
         stack = np.broadcast_to(reg, (len(values), 16, 16))
         expected = twirl_depolarize(stack, 4, 0, depol[..., None])[:, 0]
         assert started.tobytes() == expected.tobytes()

@@ -306,13 +306,12 @@ class TestSegmentMemo:
 
     @pytest.mark.parametrize("use_memory", [False, True])
     def test_one_report_runs_each_kernel_once_per_stage(self, monkeypatch, use_memory):
-        # transit qubit 3 and four dark-count qubits; qubit 0's transit
-        # depolarization starts from the precomputed source twirl
+        # the two transit qubits and the four dark-count qubits
         calls = count_calls(monkeypatch, ["_row_depolarize", "_fidelity", "_fidelities"],
                             (density, protocol, rates))
         cfg = load_config(data_path())[0]
         full_report(cfg, NoiseParams(0.1, 0.2), use_memory=use_memory)
-        assert calls == {"_row_depolarize": 5, "_fidelity": 1, "_fidelities": 1}
+        assert calls == {"_row_depolarize": 6, "_fidelity": 1, "_fidelities": 1}
 
     def test_memoryless_config_raises_the_same_error_every_call(self):
         cfg = make_cfg()
@@ -401,9 +400,8 @@ class TestConstantStates:
         lambda: rates._correlated_states()[1].amplitudes,
         lambda: rates._odd_parity_states()[0].amplitudes,
         lambda: rates._error_vectors(),
-        lambda: protocol._source_twirl(),
     ], ids=["register", "target+1", "target-1", "psi_plus", "psi_minus", "odd_parity",
-            "error_vectors", "source_twirl"])
+            "error_vectors"])
     def test_cached_arrays_are_read_only(self, get):
         with pytest.raises(ValueError):
             get()[0] = 0.0
