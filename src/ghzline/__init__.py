@@ -60,7 +60,6 @@ __all__ = [
     "NoiseParams",
     "ProtocolOutcome",
     "run_pipeline",
-    "source_pair_state",
     "stabilizer_suite",
     "target_state",
     "RateReport",
@@ -85,7 +84,6 @@ _LAZY = {
             "NoiseParams",
             "ProtocolOutcome",
             "run_pipeline",
-            "source_pair_state",
             "stabilizer_suite",
             "target_state",
         ),

@@ -24,6 +24,7 @@ import math
 import sys
 from functools import cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .config import data_path, load_config
 from .netmodel import (
@@ -38,6 +39,10 @@ from .netmodel import (
 # numpy and the engine (sweep, mc) are imported in the functions that use
 # them, after the config has loaded, so that yields and config errors run
 # without loading numpy.
+if TYPE_CHECKING:
+    from .mc import McResult
+    from .rates import RateReport
+    from .sweep import SweepSpec
 
 # Most samples per mc-check: a count a run can finish.  A report on the
 # bundled file takes about 0.1 s per 10^6 samples, so 10^12 is about a day.

@@ -35,10 +35,11 @@ DEFAULT_CONFIG = "network_segments.yaml"
 MIN_CLICK_PROB = 2.05e-307
 
 # The most collections a config document may nest before load_config stops
-# reading it (a valid one nests five).  libyaml's C composer recurses on the
-# C stack and crashed the process near 30,000 levels; from about 250 the
-# constructor runs out of Python recursion, with the same parse error.
-MAX_NESTING = 1000
+# reading it (a valid one nests five).  It lies below the ~240 levels, fewer
+# on a deeper stack, where building a document runs out of Python recursion
+# (libyaml's composer crashed near 30,000), so it alone sets the cut, and
+# above the 167 opening characters of each bundled file, which skip the walk.
+MAX_NESTING = 200
 
 
 def _config_loader(base: type) -> type:

@@ -1,10 +1,10 @@
-"""Density-matrix engine for registers of up to four qubits.
-
-Every gate, noise channel and measurement is applied exactly (no
-sampling, no truncation).  Qubit 0 is the most significant bit of a
-computational-basis index; a product register is laid out as
-``kron(q0, q1, ..., q_{n-1})``.  DensityMatrix is the checked, read-only
+"""Exact channel kernels for registers of up to four qubits, and the
 state the pipeline hands back.
+
+Every noise channel and measurement is applied exactly (no sampling, no
+truncation).  Qubit 0 is the most significant bit of a computational-basis
+index; a product register is laid out as ``kron(q0, q1, ..., q_{n-1})``.
+protocol.run_stack runs the kernels below; DensityMatrix holds its result.
 
 Before its Y measurement every state of the extraction pipeline is
 diagonal in a graph-state basis, so row 0 of its matrix fixes it: entry
@@ -27,11 +27,6 @@ import numpy as np
 
 MAX_QUBITS = 4
 
-# Numerical tolerances.  State invariants (trace, Hermiticity) are held
-# tighter than derived scalars, which accumulate error over a pipeline.
-TRACE_TOL = 1e-12
-HERMITICITY_TOL = 1e-12
-EIGENVALUE_FLOOR = -1e-10
 ZERO_PROB_TOL = 1e-12
 
 PAULI = {
@@ -149,18 +144,6 @@ class PureState:
 # use and kept read-only.
 
 
-def _check_qubit(qubit: int, num_qubits: int) -> None:
-    if not 0 <= qubit < num_qubits:
-        raise ValueError(f"qubit index {qubit} out of range for {num_qubits} qubits")
-
-
-def _check_pair(q1: int, q2: int, num_qubits: int) -> None:
-    _check_qubit(q1, num_qubits)
-    _check_qubit(q2, num_qubits)
-    if q1 == q2:
-        raise ValueError("CZ needs two distinct qubits")
-
-
 def _checked_strength(value, hi: float, what: str) -> float:
     """A channel strength as a float, or ValueError unless it lies in [0, hi]."""
     s = float(value)
@@ -184,12 +167,12 @@ def _bit_signs(num_qubits: int, qubit: int) -> np.ndarray:
 
 @cache
 def _cz_conjugation(num_qubits: int, q1: int, q2: int) -> np.ndarray:
-    """Entrywise +-1 factors turning rho into CZ rho CZ."""
+    """+-1 per basis index, -1 where the bits of ``q1`` and ``q2`` are both
+    set: entry (0, d) of CZ rho CZ is _cz_conjugation[d] * rho[0, d]."""
     idx = np.arange(2**num_qubits)
     b1 = (idx >> (num_qubits - 1 - q1)) & 1
     b2 = (idx >> (num_qubits - 1 - q2)) & 1
-    signs = 1.0 - 2.0 * (b1 & b2)
-    return _read_only(np.outer(signs, signs))
+    return _read_only(1.0 - 2.0 * (b1 & b2))
 
 
 @cache
@@ -270,7 +253,7 @@ def _row_cz_terms(rows: np.ndarray, num_qubits: int, edges, q1: int, q2: int) ->
     and Tr_{q1,q2}(rho) (x) I/4.  Both are states of the graph with the
     edge q1-q2 toggled: CZ maps one graph state to the other, and the
     failed branch, full depolarization of both qubits, commutes with CZ."""
-    gate = rows * _cz_conjugation(num_qubits, q1, q2)[0]
+    gate = rows * _cz_conjugation(num_qubits, q1, q2)
     return gate, rows * _trace_weights(num_qubits, edges, q1, q2) + 0.0
 
 
@@ -349,14 +332,10 @@ def _fidelities(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 
 class DensityMatrix:
-    """Mixed state of ``num_qubits`` qubits as a dense complex matrix.
-
-    Instances are immutable: the underlying array is read-only, and
-    tensor and apply_cz return new objects.  A zero-qubit (1 x 1) matrix
-    is allowed as the residue of measuring out a lone qubit.  The noise
-    channels (row kernels) and the measurement are the kernels above,
-    which protocol.run_stack runs; this class holds their result.
-    """
+    """Mixed state of ``num_qubits`` qubits as a dense complex matrix, as
+    protocol.run_pipeline returns it: shape-checked and read-only.  A
+    zero-qubit (1 x 1) matrix is allowed as the residue of measuring out a
+    lone qubit."""
 
     def __init__(self, data, *, _copy: bool = True) -> None:
         mat = np.array(data, dtype=complex, copy=_copy)
@@ -366,51 +345,9 @@ class DensityMatrix:
         mat.flags.writeable = False
         self.data = mat
 
-    @classmethod
-    def from_pure(cls, state) -> "DensityMatrix":
-        """Rank-1 projector |psi><psi| from a PureState or raw amplitudes."""
-        v = state.amplitudes if isinstance(state, PureState) else PureState(state).amplitudes
-        return cls(np.outer(v, v.conj()), _copy=False)
-
-    @classmethod
-    def maximally_mixed(cls, num_qubits: int) -> "DensityMatrix":
-        """Identity / 2^n."""
-        if not 1 <= num_qubits <= MAX_QUBITS:
-            raise ValueError(f"num_qubits must be 1..{MAX_QUBITS}, got {num_qubits}")
-        dim = 2**num_qubits
-        return cls(np.eye(dim, dtype=complex) / dim, _copy=False)
-
     @property
     def dim(self) -> int:
         return self.data.shape[0]
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.data)))
-
-    def validate(self) -> None:
-        """Raise ValueError unless trace, Hermiticity, and positivity hold."""
-        tr = complex(np.trace(self.data))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        herm = float(np.max(np.abs(self.data - self.data.conj().T))) if self.dim > 1 else abs(
-            self.data[0, 0].imag
-        )
-        if herm > HERMITICITY_TOL:
-            raise ValueError(f"Hermiticity violated by {herm:.3e}")
-        lo = float(np.linalg.eigvalsh(self.data).min())
-        if lo < EIGENVALUE_FLOOR:
-            raise ValueError(f"negative eigenvalue {lo:.3e}")
-
-    def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
-        """Tensor product self (x) other; self's qubits come first."""
-        if self.num_qubits + other.num_qubits > MAX_QUBITS:
-            raise ValueError("tensor product exceeds the four-qubit register limit")
-        return DensityMatrix(np.kron(self.data, other.data), _copy=False)
-
-    def apply_cz(self, q1: int, q2: int) -> "DensityMatrix":
-        """Controlled-Z between two distinct qubits (symmetric in its arguments)."""
-        _check_pair(q1, q2, self.num_qubits)
-        return DensityMatrix(self.data * _cz_conjugation(self.num_qubits, q1, q2), _copy=False)
 
     def expectation(self, pauli: PauliString) -> float:
         """Expectation value Tr(P rho) of a signed Pauli string."""

@@ -112,20 +112,14 @@ def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.kron(np.kron(a, b), c)
 
 
-def source_pair_state() -> DensityMatrix:
-    """The two-qubit state each source emits: CZ applied to |+>|+>."""
-    plus = BASIS_EIGENVECTORS[("X", +1)]
-    pair = DensityMatrix.from_pure(np.kron(plus, plus))
-    return pair.apply_cz(0, 1)
-
-
 @cache
 def _initial_register() -> np.ndarray:
-    """Read-only real 16x16 state of both source pairs, on qubits (0, 1)
-    and (2, 3): the real part of the complex tensor product, whose
-    imaginary part is zero."""
-    pair = source_pair_state()
-    return _read_only(pair.tensor(pair).data.real.copy())
+    """Read-only (1, 16) row 0 of both source pairs, CZ|+>|+> on qubits
+    (0, 1) and (2, 3): the graph state of PRE_CZ_EDGES, whose entry
+    (0, d) is (-1)^(number of its edges inside d) / 16, exactly."""
+    idx = np.arange(16)
+    inside = sum((idx >> (3 - a)) & (idx >> (3 - b)) & 1 for a, b in PRE_CZ_EDGES)
+    return _read_only(((1.0 - 2.0 * (inside & 1)) / 16.0).reshape(1, 16))
 
 
 @cache
@@ -261,7 +255,7 @@ def run_stack(
         # every step before the CZ mix, once per f_D entry of the run
         depol = np.array(fds[lo : lo + CHUNK_ROWS]).reshape(-1, 1)
         quarter, keep = depol / 4.0, 1.0 - depol
-        rows = _row_depolarize(_initial_register()[:1], 4, PRE_CZ_EDGES, 0, quarter, keep)
+        rows = _row_depolarize(_initial_register(), 4, PRE_CZ_EDGES, 0, quarter, keep)
         rows = _row_depolarize(rows, 4, PRE_CZ_EDGES, 3, quarter, keep)
         for qubit, lam in dephasings:
             rows = _row_dephase(rows, 4, qubit, lam)

@@ -1,9 +1,11 @@
 """Tests of config ingestion, the sweep driver, serialization, and the CLI."""
 
+import ast
 import contextlib
 import copy
 import csv
 import functools
+import inspect
 import io
 import json
 import math
@@ -11,6 +13,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import typing
 import warnings
 from pathlib import Path
 
@@ -20,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ghzline
-from ghzline import MemoryParams, McResult, config
+from ghzline import MemoryParams, McResult, cli, config
 from ghzline.cli import _build_parser, _csv_cell, _parse_axis, main, mc_report, yields_report
 from ghzline.config import (
     MIN_CLICK_PROB,
@@ -419,6 +422,27 @@ class TestLoadConfig:
         assert not config._nests_too_deeply(shallow)
         assert not config._nests_too_deeply(shallow.replace("]", ""))  # a parse error
 
+    @pytest.mark.parametrize("loader", [None, PURE_LOADER], ids=["default", "pure-python"])
+    def test_bound_alone_decides_the_cut(self, tmp_path, monkeypatch, loader):
+        # MAX_NESTING lies below the depth at which building a document
+        # runs out of Python recursion, which moves with the caller's
+        # stack: a document at the bound is built and reaches the schema
+        # check, one a level deeper is not read
+        if loader is not None:
+            monkeypatch.setattr("ghzline.config.YAML_LOADER", loader)
+        for depth in (MAX_NESTING, MAX_NESTING + 1):
+            # the root mapping is one level, each flow sequence one more
+            path = tmp_path / f"deep{depth}.yaml"
+            path.write_text("segments: " + "[" * (depth - 1) + "]" * (depth - 1) + "\n")
+            with pytest.raises(ConfigError) as err:
+                load_config(path)
+            (problem,) = err.value.problems
+            if depth == MAX_NESTING:
+                assert problem.startswith("segments.0: [[")
+                assert problem.endswith(" is not of type 'object'")
+            else:
+                assert problem == f"{path}: parse error: document nests too deeply"
+
     @pytest.mark.parametrize("shape", ["flow", "block"])
     def test_100000_deep_document_exits_2(self, tmp_path, shape):
         # libyaml's composer, which recurses on the C stack, once crashed
@@ -714,6 +738,24 @@ class TestPackageNamespace:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="module 'ghzline' has no attribute 'nonexistent'"):
             ghzline.nonexistent
+
+
+class TestAnnotations:
+    def test_every_cli_annotation_resolves(self):
+        # cli imports the engine types its annotations name for type
+        # checkers alone, so that numpy stays lazy: run that block in a copy
+        # of the module's namespace and resolve every function's hints there
+        tree = ast.parse(inspect.getsource(cli))
+        (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                    and ast.unparse(node.test) == "TYPE_CHECKING"]
+        namespace = dict(vars(cli))
+        exec(compile(ast.Module(block.body, type_ignores=[]), cli.__file__, "exec"), namespace)
+        functions = [f for _, f in inspect.getmembers(cli, inspect.isfunction)
+                     if f.__module__ == cli.__name__]
+        assert {"_mc_check_entry", "_format_report_text", "_sweep_spec"} <= {
+            f.__name__ for f in functions}
+        for fn in functions:
+            typing.get_type_hints(fn, globalns=namespace)
 
 
 def log_uniform(lo, hi):

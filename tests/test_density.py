@@ -1,6 +1,6 @@
 """Unit tests of the dense density-matrix engine."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from ghzline import density
 from ghzline.density import PAULI, DensityMatrix, PauliString, PureState, ZeroProbabilityError
 from util import (
+    assert_valid_state,
+    cz_signs,
     flip_dephase,
     flip_x_conjugate,
     graph_diagonal_stack,
     loop_reinsert_mixed,
     np_trace_out,
+    pure_dm,
     random_density_matrix,
     reinsert_mixed,
     same_bits,
@@ -130,24 +133,6 @@ class TestPauliString:
 
 
 class TestConstruction:
-    def test_from_pure_computational_zero(self):
-        dm = DensityMatrix.from_pure([1.0, 0.0])
-        assert max_abs(dm.data, [[1.0, 0.0], [0.0, 0.0]]) == 0.0
-
-    def test_from_pure_plus_state(self):
-        dm = DensityMatrix.from_pure([1.0, 1.0])
-        assert max_abs(dm.data, np.full((2, 2), 0.5)) <= 1e-15
-
-    def test_from_pure_y_eigenstate(self):
-        dm = DensityMatrix.from_pure([1.0, 1.0j])
-        expected = np.array([[0.5, -0.5j], [0.5j, 0.5]])
-        assert max_abs(dm.data, expected) <= 1e-15
-
-    def test_maximally_mixed(self):
-        dm = DensityMatrix.maximally_mixed(3)
-        assert max_abs(dm.data, np.eye(8) / 8.0) == 0.0
-        dm.validate()
-
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.zeros((2, 4)))
@@ -161,21 +146,9 @@ class TestConstruction:
             DensityMatrix(np.eye(32) / 32.0)
 
     def test_data_read_only(self):
-        dm = DensityMatrix.maximally_mixed(1)
+        dm = DensityMatrix(np.eye(2) / 2.0)
         with pytest.raises(ValueError):
             dm.data[0, 0] = 2.0
-
-    def test_validate_rejects_wrong_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.eye(2)).validate()
-
-    def test_validate_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermiticity"):
-            DensityMatrix([[0.5, 0.5], [-0.5, 0.5]]).validate()
-
-    def test_validate_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValueError, match="eigenvalue"):
-            DensityMatrix([[1.5, 0.0], [0.0, -0.5]]).validate()
 
 
 class TestUnitaries:
@@ -183,12 +156,12 @@ class TestUnitaries:
     apply alone."""
 
     def test_bit_flip(self):
-        dm = DensityMatrix.from_pure([1.0, 0.0])
+        dm = pure_dm([1.0, 0.0])
         flipped = flip_x_conjugate(dm.data[None], 1, 0)[0]
         assert max_abs(flipped, [[0.0, 0.0], [0.0, 1.0]]) <= 1e-15
 
     def test_acts_on_requested_qubit_only(self):
-        dm = DensityMatrix.from_pure([1.0, 0.0, 0.0, 0.0])
+        dm = pure_dm([1.0, 0.0, 0.0, 0.0])
         flipped = flip_x_conjugate(dm.data[None], 2, 1)[0]
         expected = np.zeros((4, 4))
         expected[1, 1] = 1.0
@@ -196,36 +169,34 @@ class TestUnitaries:
 
 
 class TestCz:
+    """CZ rho CZ as the entrywise signs cz_signs, the reference the noisy
+    CZ kernel is held to (TestKernels)."""
+
     def test_leaves_00_alone(self):
-        dm = DensityMatrix.from_pure([1.0, 0.0, 0.0, 0.0]).apply_cz(0, 1)
+        rho = pure_dm([1.0, 0.0, 0.0, 0.0]).data * cz_signs(2, 0, 1)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
-        assert max_abs(dm.data, expected) <= 1e-15
+        assert max_abs(rho, expected) <= 1e-15
 
     def test_flips_phase_of_11(self):
-        plus_plus = DensityMatrix.from_pure([0.5, 0.5, 0.5, 0.5])
-        dm = plus_plus.apply_cz(0, 1)
-        expected = DensityMatrix.from_pure([0.5, 0.5, 0.5, -0.5])
-        assert max_abs(dm.data, expected.data) <= 1e-15
+        rho = pure_dm([0.5, 0.5, 0.5, 0.5]).data * cz_signs(2, 0, 1)
+        expected = pure_dm([0.5, 0.5, 0.5, -0.5])
+        assert max_abs(rho, expected.data) <= 1e-15
 
     def test_symmetric_in_arguments(self):
-        rho = random_dm(3, 3)
-        assert max_abs(rho.apply_cz(0, 2).data, rho.apply_cz(2, 0).data) == 0.0
+        rho = random_dm(3, 3).data
+        assert max_abs(rho * cz_signs(3, 0, 2), rho * cz_signs(3, 2, 0)) == 0.0
 
     def test_involution(self):
-        rho = random_dm(4, 2)
-        assert max_abs(rho.apply_cz(0, 1).apply_cz(0, 1).data, rho.data) <= 1e-15
-
-    def test_rejects_equal_qubits(self):
-        with pytest.raises(ValueError, match="distinct"):
-            DensityMatrix.maximally_mixed(2).apply_cz(1, 1)
+        rho = random_dm(4, 2).data
+        assert max_abs(rho * cz_signs(2, 0, 1) * cz_signs(2, 0, 1), rho) <= 1e-15
 
     @given(seed=seeds, q=st.integers(min_value=0, max_value=1))
     def test_commutes_with_z(self, seed, q):
-        rho = random_dm(seed, 2)
-        a = DensityMatrix(rho.data * z_signs(2, q)).apply_cz(0, 1)
-        b = rho.apply_cz(0, 1).data * z_signs(2, q)
-        assert max_abs(a.data, b) <= 1e-12
+        rho = random_dm(seed, 2).data
+        a = rho * z_signs(2, q) * cz_signs(2, 0, 1)
+        b = rho * cz_signs(2, 0, 1) * z_signs(2, q)
+        assert max_abs(a, b) <= 1e-12
 
 
 class TestDepolarize:
@@ -234,11 +205,11 @@ class TestDepolarize:
         assert max_abs(depolarize_one(rho, 0, 0.0).data, rho.data) == 0.0
 
     def test_full_strength_on_single_qubit(self):
-        dm = depolarize_one(DensityMatrix.from_pure([1.0, 0.0]), 0, 1.0)
+        dm = depolarize_one(pure_dm([1.0, 0.0]), 0, 1.0)
         assert max_abs(dm.data, np.eye(2) / 2.0) <= 1e-15
 
     def test_half_strength_on_plus(self):
-        dm = depolarize_one(DensityMatrix.from_pure([1.0, 1.0]), 0, 0.5)
+        dm = depolarize_one(pure_dm([1.0, 1.0]), 0, 0.5)
         expected = np.array([[0.5, 0.25], [0.25, 0.5]])
         assert max_abs(dm.data, expected) <= 1e-15
 
@@ -258,8 +229,7 @@ class TestDepolarize:
     @given(seed=seeds, n=qubit_counts, alpha=unit_floats)
     def test_preserves_state_invariants(self, seed, n, alpha):
         rho = random_dm(seed, n)
-        out = depolarize_one(rho, seed % n, alpha)
-        out.validate()
+        assert_valid_state(depolarize_one(rho, seed % n, alpha))
 
     @given(seed=seeds, n=qubit_counts, alpha=unit_floats)
     def test_affine_in_strength(self, seed, n, alpha):
@@ -275,11 +245,11 @@ class TestDephase:
         assert max_abs(dephase_one(rho, 1, 0.0).data, rho.data) == 0.0
 
     def test_half_strength_kills_coherence(self):
-        dm = dephase_one(DensityMatrix.from_pure([1.0, 1.0]), 0, 0.5)
+        dm = dephase_one(pure_dm([1.0, 1.0]), 0, 0.5)
         assert max_abs(dm.data, np.eye(2) / 2.0) <= 1e-15
 
     def test_quarter_strength_on_plus(self):
-        dm = dephase_one(DensityMatrix.from_pure([1.0, 1.0]), 0, 0.25)
+        dm = dephase_one(pure_dm([1.0, 1.0]), 0, 0.25)
         expected = np.array([[0.5, 0.25], [0.25, 0.5]])
         assert max_abs(dm.data, expected) <= 1e-15
 
@@ -308,13 +278,13 @@ class TestDephase:
     @given(seed=seeds, n=qubit_counts, lam=half_floats)
     def test_preserves_state_invariants(self, seed, n, lam):
         rho = random_dm(seed, n)
-        dephase_one(rho, seed % n, lam).validate()
+        assert_valid_state(dephase_one(rho, seed % n, lam))
 
 
 class TestNoisyCz:
     def test_zero_failure_equals_clean_gate(self):
         rho = random_dm(14, 2)
-        assert max_abs(noisy_cz_one(rho, 0, 1, 0.0).data, rho.apply_cz(0, 1).data) == 0.0
+        assert max_abs(noisy_cz_one(rho, 0, 1, 0.0).data, rho.data * cz_signs(2, 0, 1)) == 0.0
 
     def test_full_failure_two_qubits(self):
         rho = random_dm(15, 2)
@@ -335,47 +305,26 @@ class TestNoisyCz:
     @given(seed=seeds, n=st.integers(min_value=2, max_value=4), fail=unit_floats)
     def test_preserves_state_invariants(self, seed, n, fail):
         rho = random_dm(seed, n)
-        noisy_cz_one(rho, 0, n - 1, fail).validate()
+        assert_valid_state(noisy_cz_one(rho, 0, n - 1, fail))
 
 
 class TestPartialTrace:
     def test_product_state(self):
-        zero = DensityMatrix.from_pure([1.0, 0.0])
-        plus = DensityMatrix.from_pure([1.0, 1.0])
-        joint = zero.tensor(plus)
+        zero = pure_dm([1.0, 0.0])
+        plus = pure_dm([1.0, 1.0])
+        joint = DensityMatrix(np.kron(zero.data, plus.data))
         assert max_abs(trace_out_one(joint, [1]).data, zero.data) <= 1e-15
         assert max_abs(trace_out_one(joint, [0]).data, plus.data) <= 1e-15
 
     def test_bell_pair_reduces_to_mixed(self):
-        bell = DensityMatrix.from_pure(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
+        bell = pure_dm(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
         for q in (0, 1):
             assert max_abs(trace_out_one(bell, [q]).data, np.eye(2) / 2.0) <= 1e-15
 
 
-class TestTensor:
-    def test_dimensions(self):
-        a = DensityMatrix.maximally_mixed(1)
-        b = DensityMatrix.maximally_mixed(2)
-        assert a.tensor(b).num_qubits == 3
-
-    def test_rejects_overflow(self):
-        a = DensityMatrix.maximally_mixed(3)
-        b = DensityMatrix.maximally_mixed(2)
-        with pytest.raises(ValueError):
-            a.tensor(b)
-
-    def test_self_qubits_come_first(self):
-        zero = DensityMatrix.from_pure([1.0, 0.0])
-        one = DensityMatrix.from_pure([0.0, 1.0])
-        joint = zero.tensor(one)
-        expected = np.zeros((4, 4))
-        expected[1, 1] = 1.0  # basis index 01
-        assert max_abs(joint.data, expected) <= 1e-15
-
-
 class TestMeasure:
     def test_certain_outcome(self):
-        prob, post = measure_one(DensityMatrix.from_pure([1.0, 0.0]), 0, "Z", +1)
+        prob, post = measure_one(pure_dm([1.0, 0.0]), 0, "Z", +1)
         assert prob == pytest.approx(1.0, abs=1e-15)
         assert post.num_qubits == 0
         assert post.data.shape == (1, 1)
@@ -383,14 +332,14 @@ class TestMeasure:
 
     def test_impossible_outcome_raises(self):
         with pytest.raises(ZeroProbabilityError):
-            measure_one(DensityMatrix.from_pure([1.0, 0.0]), 0, "Z", -1)
+            measure_one(pure_dm([1.0, 0.0]), 0, "Z", -1)
 
     def test_y_basis_eigenstate(self):
-        prob, _ = measure_one(DensityMatrix.from_pure([1.0, 1.0j]), 0, "Y", +1)
+        prob, _ = measure_one(pure_dm([1.0, 1.0j]), 0, "Y", +1)
         assert prob == pytest.approx(1.0, abs=1e-12)
 
     def test_removes_measured_qubit(self):
-        bell = DensityMatrix.from_pure(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
+        bell = pure_dm(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
         prob, post = measure_one(bell, 0, "Z", +1)
         assert prob == pytest.approx(0.5, abs=1e-12)
         assert post.num_qubits == 1
@@ -408,12 +357,12 @@ class TestMeasure:
     def test_post_measurement_state_is_valid(self, seed, n, basis):
         rho = random_dm(seed, n)
         _, post = measure_one(rho, seed % n, basis, +1)
-        post.validate()
+        assert_valid_state(post)
 
 
 class TestExpectationAndFidelity:
     def test_z_on_zero(self):
-        dm = DensityMatrix.from_pure([1.0, 0.0])
+        dm = pure_dm([1.0, 0.0])
         assert dm.expectation(PauliString("Z")) == pytest.approx(1.0, abs=1e-15)
 
     def test_identity_string_is_trace(self):
@@ -421,32 +370,32 @@ class TestExpectationAndFidelity:
         assert rho.expectation(PauliString("III")) == pytest.approx(1.0, abs=1e-12)
 
     def test_signed_string(self):
-        dm = DensityMatrix.from_pure([0.0, 1.0])
+        dm = pure_dm([0.0, 1.0])
         assert dm.expectation(PauliString("Z", -1)) == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
-            DensityMatrix.maximally_mixed(2).expectation(PauliString("X"))
+            DensityMatrix(np.eye(4) / 4.0).expectation(PauliString("X"))
 
     def test_fidelity_with_itself(self):
         psi = PureState(np.array([1.0, 1.0j, 0.0, 1.0]))
-        dm = DensityMatrix.from_pure(psi)
+        dm = pure_dm(psi)
         assert dm.fidelity(psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_fidelity_orthogonal(self):
-        dm = DensityMatrix.from_pure([1.0, 0.0])
+        dm = pure_dm([1.0, 0.0])
         assert dm.fidelity([0.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
 
     def test_fidelity_of_mixture(self):
         psi = PureState(np.arange(1.0, 9.0))
         mix = DensityMatrix(
-            0.9 * DensityMatrix.from_pure(psi).data + 0.1 * np.eye(8) / 8.0
+            0.9 * pure_dm(psi).data + 0.1 * np.eye(8) / 8.0
         )
         assert mix.fidelity(psi) == pytest.approx(0.9125, abs=1e-12)
 
     def test_fidelity_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
-            DensityMatrix.maximally_mixed(2).fidelity([1.0, 0.0])
+            DensityMatrix(np.eye(4) / 4.0).fidelity([1.0, 0.0])
 
     @given(seed=seeds, n=qubit_counts)
     def test_fidelity_bounded(self, seed, n):
@@ -514,8 +463,8 @@ class TestStacks:
         assert same_bits(noisy_cz(rows, 2, edges, 0, 1, 0.3), noisy_cz(rows, 2, edges, 0, 1, s))
 
     def test_zero_probability_in_any_row_raises(self):
-        zero = DensityMatrix.from_pure([1.0, 0.0]).data
-        one = DensityMatrix.from_pure([0.0, 1.0]).data
+        zero = pure_dm([1.0, 0.0]).data
+        one = pure_dm([0.0, 1.0]).data
         with pytest.raises(ZeroProbabilityError):
             density._measure(np.stack([one, zero]), 1, 0, "Z", -1)
 
@@ -584,6 +533,21 @@ class TestKernels:
             scalar = float(f[0, 0])
             assert same_bits(noisy_cz(r, n, edges, 0, n - 1, scalar),
                              trace_reinsert_noisy_cz(rho, n, 0, n - 1, scalar).real[:, 0])
+
+    @given(seed=seeds, rows=st.integers(min_value=1, max_value=40),
+           n=st.integers(min_value=2, max_value=4))
+    def test_row_kernels_on_drawn_stacks(self, seed, rows, n):
+        # test_depolarize, test_dephase and test_noisy_cz on drawn stacks,
+        # so that a deeper hypothesis profile draws more of them
+        for edges, r, rho, s in self.graph_stacks(seed, rows, n):
+            for q1, q2 in permutations(range(n), 2):
+                assert same_bits(noisy_cz(r, n, edges, q1, q2, s),
+                                 trace_reinsert_noisy_cz(rho, n, q1, q2, s[..., None]).real[:, 0])
+            q = seed % n
+            assert same_bits(density._row_depolarize(r, n, edges, q, s / 4.0, 1.0 - s),
+                             twirl_depolarize(rho, n, q, s[..., None])[:, 0])
+            assert same_bits(density._row_dephase(r, n, q, s),
+                             flip_dephase(rho, n, q, s[..., None])[:, 0])
 
     @pytest.mark.parametrize("rows, n", [(rows, n) for rows in (1, 5, 32) for n in (2, 3, 4)])
     def test_partial_trace_matches_np_trace(self, rows, n):

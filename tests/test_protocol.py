@@ -19,7 +19,6 @@ from ghzline import (
     detection_prob,
     expected_coherence_near,
     run_pipeline,
-    source_pair_state,
     stabilizer_suite,
     storage_times,
     target_state,
@@ -30,9 +29,12 @@ from ghzline.rates import full_report
 from ghzline.config import data_path, load_config
 from ghzline.sweep import SweepSpec, run_sweep
 from util import (
+    assert_valid_state,
+    cz_signs,
     flip_dephase,
     graph_state,
     make_cfg,
+    pure_dm,
     same_bits,
     source_register,
     state_signs,
@@ -71,12 +73,17 @@ def ideal_post_measurement(outcome):
 
 
 class TestSourcePair:
+    """The register run_stack starts from: row 0 of both source pairs,
+    built from the graph PRE_CZ_EDGES."""
+
     def test_matches_cz_on_plus_plus(self):
-        expected = DensityMatrix.from_pure([0.5, 0.5, 0.5, -0.5])
-        assert np.allclose(source_pair_state().data, expected.data, atol=1e-15)
+        psi = ideal_register(merged=False)
+        expected = np.outer(psi, psi.conj())[:1]
+        assert np.allclose(protocol._initial_register(), expected, atol=1e-15)
 
     def test_is_valid(self):
-        source_pair_state().validate()
+        rho = density._unpack(protocol._initial_register(), 4, SOURCE_PAIRS)
+        assert_valid_state(DensityMatrix(rho[0]))
 
 
 class TestTargetState:
@@ -110,13 +117,13 @@ class TestStabilizerSuite:
 
     @pytest.mark.parametrize("outcome", OUTCOMES)
     def test_all_stabilize_target(self, outcome):
-        rho = DensityMatrix.from_pure(target_state(outcome))
+        rho = pure_dm(target_state(outcome))
         for pauli in stabilizer_suite(outcome):
             assert rho.expectation(pauli) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("outcome", OUTCOMES)
     def test_all_stabilize_circuit_oracle(self, outcome):
-        rho = DensityMatrix.from_pure(ideal_post_measurement(outcome))
+        rho = pure_dm(ideal_post_measurement(outcome))
         for pauli in stabilizer_suite(outcome):
             assert rho.expectation(pauli) == pytest.approx(1.0, abs=1e-12)
 
@@ -183,11 +190,11 @@ class TestNoiselessPipeline:
     @pytest.mark.parametrize("outcome", OUTCOMES)
     def test_output_matches_circuit_oracle(self, outcome):
         result = run_pipeline(make_cfg(), outcome=outcome)
-        expected = DensityMatrix.from_pure(ideal_post_measurement(outcome))
+        expected = pure_dm(ideal_post_measurement(outcome))
         assert np.allclose(result.rho_out.data, expected.data, atol=1e-12)
 
     def test_output_state_is_valid(self):
-        run_pipeline(make_cfg()).rho_out.validate()
+        assert_valid_state(run_pipeline(make_cfg()).rho_out)
 
 
 class TestNoisyPipeline:
@@ -217,7 +224,7 @@ class TestNoisyPipeline:
            fail=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     def test_output_always_valid(self, depol, fail):
         result = run_pipeline(make_cfg(), NoiseParams(depol, fail))
-        result.rho_out.validate()
+        assert_valid_state(result.rho_out)
         assert 0.0 <= result.fidelity <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("depol", [0.05, 0.2, 0.6])
@@ -395,7 +402,7 @@ def row_stages(cfg, noise, use_memory):
     run on one point the way run_stack runs them."""
     dephasings, dark_counts = protocol._segment_strengths(cfg, use_memory)
     s = noise.channel_depol
-    rows = protocol._initial_register()[:1]
+    rows = protocol._initial_register()
     stages = [rows]
     rows = density._row_depolarize(rows, 4, SOURCE_PAIRS, 0, s / 4.0, 1.0 - s)
     stages.append(rows)
@@ -490,11 +497,12 @@ class TestCheckOnce:
         assert str(err.value) == str(expected.value)
 
     def test_register_is_the_real_part_of_the_source_pairs(self):
-        reg = protocol._initial_register()
-        full = source_pair_state().tensor(source_pair_state()).data
-        assert same_bits(source_register()[0], full)  # reference_chain's start
-        assert reg.dtype == np.float64
-        assert not full.imag.any() and reg.tobytes() == full.real.tobytes()
+        # row 0 of reference_chain's start, which is real, bit for bit; and
+        # the merge CZ's signs, which _row_cz_terms reads as a 1-D table
+        full = source_register()
+        assert not full.imag.any()
+        assert same_bits(protocol._initial_register(), full[0, :1].real)
+        assert same_bits(density._cz_conjugation(4, 1, 2), cz_signs(4, 1, 2)[0])
 
     @given(values=st.lists(with_edges(0.0, 1.0, 0.0, -0.0, 1.0), min_size=1, max_size=40))
     def test_first_transit_equals_depolarizing_the_register(self, values):
@@ -502,9 +510,9 @@ class TestCheckOnce:
         # every f_D entry
         depol = np.array(values).reshape(-1, 1)
         quarter, keep = depol / 4.0, 1.0 - depol
-        reg = protocol._initial_register()
-        started = density._row_depolarize(reg[:1], 4, SOURCE_PAIRS, 0, quarter, keep)
-        stack = np.broadcast_to(reg, (len(values), 16, 16))
+        started = density._row_depolarize(
+            protocol._initial_register(), 4, SOURCE_PAIRS, 0, quarter, keep)
+        stack = np.broadcast_to(source_register()[0].real, (len(values), 16, 16))
         expected = twirl_depolarize(stack, 4, 0, depol[..., None])[:, 0]
         assert started.tobytes() == expected.tobytes()
 

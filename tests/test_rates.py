@@ -24,7 +24,7 @@ from ghzline import density, netmodel, protocol, rates
 from ghzline.config import MIN_CLICK_PROB, data_path, load_config
 from ghzline.density import BASIS_EIGENVECTORS
 from ghzline.sweep import run_sweep
-from util import flip_x_conjugate, make_cfg, random_config, random_density_matrix
+from util import flip_x_conjugate, make_cfg, pure_dm, random_config, random_density_matrix
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -56,11 +56,11 @@ class TestQberBipartite:
         assert qber_bipartite(rho) <= 1e-12
 
     def test_zero_on_target_state(self):
-        rho = DensityMatrix.from_pure(target_state(+1))
+        rho = pure_dm(target_state(+1))
         assert qber_bipartite(rho) <= 1e-12
 
     def test_maximally_mixed(self):
-        assert qber_bipartite(DensityMatrix.maximally_mixed(3)) == pytest.approx(
+        assert qber_bipartite(DensityMatrix(np.eye(8) / 8.0)) == pytest.approx(
             0.75, abs=1e-12
         )
 
@@ -83,13 +83,13 @@ class TestQberParity:
         assert qber_bipartite(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        assert qber_parity(DensityMatrix.maximally_mixed(3)) == pytest.approx(
+        assert qber_parity(DensityMatrix(np.eye(8) / 8.0)) == pytest.approx(
             0.5, abs=1e-12
         )
 
     def test_local_flip_fails_every_parity_check(self):
         # X on the dealer qubit anticommutes with its Z factor
-        rho = DensityMatrix.from_pure(target_state(+1))
+        rho = pure_dm(target_state(+1))
         flipped = DensityMatrix(flip_x_conjugate(rho.data[None], 3, 0)[0])
         assert qber_parity(flipped) == pytest.approx(1.0, abs=1e-12)
 

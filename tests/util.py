@@ -5,12 +5,20 @@ from itertools import product
 import numpy as np
 
 from ghzline import (
+    DensityMatrix,
     LinkParams,
     MemoryParams,
     NodeParams,
+    PureState,
     SourceParams,
     TrioConfig,
 )
+
+# State invariants of assert_valid_state.  Trace and Hermiticity are held
+# tighter than the eigenvalues, which accumulate error over a pipeline.
+TRACE_TOL = 1e-12
+HERMITICITY_TOL = 1e-12
+EIGENVALUE_FLOOR = -1e-10
 
 
 def make_cfg(
@@ -100,6 +108,26 @@ def attempt_level_successes(rng, probs, size):
     success = np.zeros(size)
     success[live] = 1.0
     return success
+
+
+def pure_dm(amplitudes):
+    """DensityMatrix |v><v| of a PureState, or of raw amplitudes after
+    PureState normalizes them."""
+    if not isinstance(amplitudes, PureState):
+        amplitudes = PureState(amplitudes)
+    v = amplitudes.amplitudes
+    return DensityMatrix(np.outer(v, v.conj()))
+
+
+def assert_valid_state(dm):
+    """Unit trace, Hermiticity and no eigenvalue below EIGENVALUE_FLOOR."""
+    rho = dm.data
+    tr = complex(np.trace(rho))
+    assert abs(tr - 1.0) <= TRACE_TOL, f"trace deviates from 1 by {abs(tr - 1.0):.3e}"
+    herm = float(np.max(np.abs(rho - rho.conj().T)))
+    assert herm <= HERMITICITY_TOL, f"Hermiticity violated by {herm:.3e}"
+    lo = float(np.linalg.eigvalsh(rho).min())
+    assert lo >= EIGENVALUE_FLOOR, f"negative eigenvalue {lo:.3e}"
 
 
 def random_density_matrix(rng, num_qubits):
