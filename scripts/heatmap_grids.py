@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from ghzline.config import data_path, load_config
-from ghzline.sweep import SweepSpec, emit, run_sweep
+from ghzline.sweep import SpecError, SweepSpec, emit, run_sweep
 
 
 def parse_args(argv=None):
@@ -31,11 +31,16 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     configs = load_config(args.config if args.config else data_path())
-    spec = SweepSpec(
-        fd_range=(0.0, 0.3, args.steps),
-        fg_range=(0.0, 0.3, args.steps),
-        t2_values=tuple(args.t2 or ()),
-    )
+    try:
+        spec = SweepSpec(
+            fd_range=(0.0, 0.3, args.steps),
+            fg_range=(0.0, 0.3, args.steps),
+            t2_values=tuple(args.t2 or ()),
+        )
+    except SpecError as exc:
+        flag = "--t2" if exc.field == "t2_values" else "--steps"
+        print(f"error: {flag}: {exc.problem}", file=sys.stderr)
+        return 2
     args.outdir.mkdir(parents=True, exist_ok=True)
     failed_total = 0
     for cfg in configs:

@@ -35,47 +35,7 @@ from .netmodel import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DensityMatrix",
-    "PauliString",
-    "PureState",
-    "ZeroProbabilityError",
-    "LinkParams",
-    "MemoryParams",
-    "NodeParams",
-    "SourceParams",
-    "StorageTimes",
-    "TrioConfig",
-    "click_prob",
-    "dark_count_depolarization",
-    "db_from_transmission",
-    "dephasing_prob",
-    "detection_prob",
-    "expected_coherence_near",
-    "expected_max_geometric",
-    "storage_times",
-    "transmission_from_db",
-    "yield_memoryless",
-    "yield_with_memory",
-    "NoiseParams",
-    "ProtocolOutcome",
-    "run_pipeline",
-    "stabilizer_suite",
-    "target_state",
-    "RateReport",
-    "binary_entropy",
-    "full_report",
-    "key_rate",
-    "qber_bipartite",
-    "qber_parity",
-    "qber_parity_from_expectation",
-    "McResult",
-    "mc_coherence_near",
-    "mc_expected_max",
-    "mc_yield_memoryless",
-]
-
-# Each engine name of __all__ by the module that defines it.
+# Each engine name by the module that defines it.
 _LAZY = {
     name: module
     for module, names in {
@@ -106,6 +66,27 @@ _LAZY = {
     for name in names
 }
 _ENGINE_MODULES = frozenset(_LAZY.values())
+
+__all__ = [
+    "LinkParams",
+    "MemoryParams",
+    "NodeParams",
+    "SourceParams",
+    "StorageTimes",
+    "TrioConfig",
+    "click_prob",
+    "dark_count_depolarization",
+    "db_from_transmission",
+    "dephasing_prob",
+    "detection_prob",
+    "expected_coherence_near",
+    "expected_max_geometric",
+    "storage_times",
+    "transmission_from_db",
+    "yield_memoryless",
+    "yield_with_memory",
+    *_LAZY,
+]
 
 
 def __getattr__(name: str):

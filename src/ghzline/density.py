@@ -310,23 +310,17 @@ def _measure(
     return probs, mat / probs[:, None, None]
 
 
-def _fidelity(rho: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-    """<v| rho |v> of every row for a normalized amplitude vector v."""
-    # np.vecdot conjugates its first argument and, like np.vdot, sums each
-    # row with BLAS zdotc, so every row is bit-identical to its one-row
-    # np.vdot.  Elementwise products summed by np.sum or np.einsum are
-    # not: they round and add in another order.
-    return np.vecdot(amplitudes, rho @ amplitudes).real
-
-
 def _fidelities(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """<v| rho |v> of every row for each vector of a (K, 1, d) stack, as a
     (K, B) array in one contraction.
 
-    Row k is bit-identical to _fidelity(rho, vectors[k, 0]): np.matmul
-    takes a vector operand as a one-column matrix, so every (row, vector)
-    product is the same (d, d) @ (d, 1) call, and np.vecdot sums each
-    pair with the same zdotc, however the operands broadcast.
+    Entry (k, b) is bit-identical to np.vdot(v, rho[b] @ v).real for
+    v = vectors[k, 0]: np.matmul takes a vector operand as a one-column
+    matrix, so every (row, vector) product is the same (d, d) @ (d, 1)
+    call however the operands broadcast, and np.vecdot conjugates its
+    first argument and, like np.vdot, sums each pair with BLAS zdotc.
+    Elementwise products summed by np.sum or np.einsum are not
+    bit-identical: they round and add in another order.
     """
     return np.vecdot(vectors, (rho[None] @ vectors[..., None])[..., 0]).real
 
@@ -366,4 +360,4 @@ class DensityMatrix:
             state = PureState(state)
         if state.dim != self.dim:
             raise ValueError(f"state has dimension {state.dim}, expected {self.dim}")
-        return float(_fidelity(self.data[None], state.amplitudes)[0])
+        return float(_fidelities(self.data[None], state.amplitudes.reshape(1, 1, -1))[0, 0])

@@ -24,7 +24,7 @@ from .density import (
     PureState,
     _checked_strength,
     _cz_mix,
-    _fidelity,
+    _fidelities,
     _measure,
     _read_only,
     _row_cz_terms,
@@ -50,12 +50,12 @@ MEASURED_QUBIT = 2  # B's C-side qubit, measured in Y to complete the merge
 PRE_CZ_EDGES = ((0, 1), (2, 3))
 POST_CZ_EDGES = ((0, 1), (1, 2), (2, 3))
 
-# The most f_D entries whose steps run_stack runs as one row stack, and the
-# most rows it rebuilds as dense 16x16 states and measures together: bounds
-# each dense stack to a few hundred KiB however many rows a caller passes.
-# A row stack takes 128 B per row, an eighth of the (8, 8) complex state
-# each row returns.  32 and 48 tied as the fastest of 16 to 64 on the
-# bundled 121-row blocks.
+# The most rows run_stack rebuilds as dense 16x16 states and measures
+# together: a dense stack takes 4 KiB per row, so this bounds it to
+# 128 KiB however many rows a caller passes.  Every other stack of
+# run_stack takes at most the 1 KiB per row of the (8, 8) complex state
+# it returns.  32 and 48 tied as the fastest of 16 to 64 on the bundled
+# 121-row blocks.
 CHUNK_ROWS = 32
 
 STABILIZER_FACTORS = ("XZI", "XIY", "YXZ", "YYX", "ZXX", "ZYZ", "IZY", "III")
@@ -205,15 +205,14 @@ def run_stack(
     fgs: Sequence[float],
     *,
     use_memory: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Run one merge attempt per point of the grid ``fds`` x ``fgs``, all
     as one stack.
 
     Returns, one row per point in f_D-major order (row r is f_D entry
     r // len(fgs) with f_G entry r % len(fgs)): the probability of the Y
-    outcome +1, the conditional three-qubit state on (0, 1, 3) as a
-    (B, 8, 8) stack, and its fidelity with target_state(+1).  The -1
-    branch is its conjugate (run_pipeline).
+    outcome +1, and the conditional three-qubit state on (0, 1, 3) as a
+    (B, 8, 8) stack.  The -1 branch is its conjugate (run_pipeline).
 
     Steps, in order: prepare both source pairs; depolarize the transit
     qubits (0 and 3) with f_D; if use_memory, dephase B's stored qubits by
@@ -228,53 +227,43 @@ def run_stack(
     each state is diagonal in the basis of the graph state PRE_CZ_EDGES
     before the CZ and POST_CZ_EDGES after it, each step combines only
     entries of one XOR class i ^ j, each times +-1, and a product with
-    +-1 rounds nothing.  Every step before the f_G mix runs once per f_D
-    entry, on runs of up to CHUNK_ROWS consecutive entries: the transit
-    depolarizations (the first takes the one row of the source pairs and
-    broadcasts it over the run's entries), the memory dephasings, and the
-    noisy CZ's two branches.  The mix and the dark-count depolarizations
-    run on all rows of a run, and the dense stack is rebuilt and measured
-    on chunks of up to CHUNK_ROWS rows.  Each step maps each row on its
-    own and sums it in the same order whatever its stack, and the rows
-    are real float64 until the measurement, with the bits the dense
-    channels give on a complex stack.
+    +-1 rounds nothing.  Every step before the f_G mix runs once, with
+    one row per f_D entry: the transit depolarizations (the first takes
+    the one row of the source pairs and broadcasts it over the entries),
+    the memory dephasings, and the noisy CZ's two branches.  The mix and
+    the dark-count depolarizations run once on all rows, and the dense
+    stack is rebuilt and measured on chunks of up to CHUNK_ROWS rows.
+    Each step maps each row on its own and sums it in the same order
+    whatever its stack, and the rows are real float64 until the
+    measurement, with the bits the dense channels give on a complex stack.
     """
     fds = [_checked_strength(v, 1.0, "channel_depol") for v in fds]
     fgs = [_checked_strength(v, 1.0, "gate_fail") for v in fgs]
     dephasings, dark_counts = _segment_strengths(cfg, use_memory)
-    target = target_state(+1).amplitudes
     if not fds or not fgs:
-        return np.zeros(0), np.zeros((0, 8, 8), dtype=complex), np.zeros(0)
-    fail = np.array(fgs).reshape(-1, 1)
-    # Row i of a run, counted from the run's first row, takes the run's
-    # f_D entry fd_index[i] and f_G entry fg_index[i]; a shorter last run
-    # takes a prefix.
-    fd_index, fg_index = np.divmod(np.arange(min(len(fds), CHUNK_ROWS) * len(fgs)), len(fgs))
-    chunks = []
-    for lo in range(0, len(fds), CHUNK_ROWS):
-        # every step before the CZ mix, once per f_D entry of the run
-        depol = np.array(fds[lo : lo + CHUNK_ROWS]).reshape(-1, 1)
-        quarter, keep = depol / 4.0, 1.0 - depol
-        rows = _row_depolarize(_initial_register(), 4, PRE_CZ_EDGES, 0, quarter, keep)
-        rows = _row_depolarize(rows, 4, PRE_CZ_EDGES, 3, quarter, keep)
-        for qubit, lam in dephasings:
-            rows = _row_dephase(rows, 4, qubit, lam)
-        gate, scrambled = _row_cz_terms(rows, 4, PRE_CZ_EDGES, 1, 2)
-        end = len(depol) * len(fgs)
-        rows = _cz_mix(
-            gate.take(fd_index[:end], axis=0),
-            scrambled.take(fd_index[:end], axis=0),
-            fail.take(fg_index[:end], axis=0),
-        )
-        for qubit, quarter_s, keep_s in dark_counts:
-            rows = _row_depolarize(rows, 4, POST_CZ_EDGES, qubit, quarter_s, keep_s)
-        for start in range(0, end, CHUNK_ROWS):
-            rho = _unpack(rows[start : start + CHUNK_ROWS], 4, POST_CZ_EDGES)
-            probs, rho_out = _measure(rho, 4, MEASURED_QUBIT, "Y", +1)
-            chunks.append((probs, rho_out, _fidelity(rho_out, target)))
-    if len(chunks) == 1:
-        return chunks[0]
-    return tuple(np.concatenate(parts) for parts in zip(*chunks))
+        return np.zeros(0), np.zeros((0, 8, 8), dtype=complex)
+    # every step before the CZ mix, once per f_D entry
+    depol = np.array(fds).reshape(-1, 1)
+    quarter, keep = depol / 4.0, 1.0 - depol
+    rows = _row_depolarize(_initial_register(), 4, PRE_CZ_EDGES, 0, quarter, keep)
+    rows = _row_depolarize(rows, 4, PRE_CZ_EDGES, 3, quarter, keep)
+    for qubit, lam in dephasings:
+        rows = _row_dephase(rows, 4, qubit, lam)
+    gate, scrambled = _row_cz_terms(rows, 4, PRE_CZ_EDGES, 1, 2)
+    # row r takes f_D entry fd_index[r] and f_G entry fg_index[r]
+    fd_index, fg_index = np.divmod(np.arange(len(fds) * len(fgs)), len(fgs))
+    rows = _cz_mix(
+        gate.take(fd_index, axis=0),
+        scrambled.take(fd_index, axis=0),
+        np.array(fgs).reshape(-1, 1).take(fg_index, axis=0),
+    )
+    for qubit, quarter_s, keep_s in dark_counts:
+        rows = _row_depolarize(rows, 4, POST_CZ_EDGES, qubit, quarter_s, keep_s)
+    chunks = [rows[lo : lo + CHUNK_ROWS] for lo in range(0, len(rows), CHUNK_ROWS)]
+    probs, states = zip(*(
+        _measure(_unpack(chunk, 4, POST_CZ_EDGES), 4, MEASURED_QUBIT, "Y", +1) for chunk in chunks
+    ))
+    return np.concatenate(probs), np.concatenate(states)
 
 
 def run_pipeline(
@@ -289,7 +278,7 @@ def run_pipeline(
     The one-row case of run_stack, which lists the steps.
     """
     _check_outcome(outcome)
-    probs, states, fids = run_stack(
+    probs, states = run_stack(
         cfg, [noise.channel_depol], [noise.gate_fail], use_memory=use_memory
     )
     # The two Y outcomes differ by a local Clifford correction (the
@@ -302,6 +291,6 @@ def run_pipeline(
         rho_out=DensityMatrix(rho, _copy=False),
         outcome=outcome,
         outcome_prob=float(probs[0]),
-        fidelity=float(fids[0]),
+        fidelity=float(_fidelities(states, target_state(+1).amplitudes.reshape(1, 1, 8))[0, 0]),
         used_memory=use_memory,
     )

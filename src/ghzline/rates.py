@@ -94,14 +94,15 @@ def _odd_parity_states() -> tuple[PureState, ...]:
 @cache
 def _error_vectors() -> np.ndarray:
     """The four odd-parity states, then the two correlated states, as a
-    read-only (6, 1, 8) stack for _fidelities."""
+    read-only (6, 1, 8) stack for _fidelities; entry 4 is target_state(+1)."""
     states = _odd_parity_states() + _correlated_states()
     return _read_only(np.array([s.amplitudes for s in states]).reshape(6, 1, 8))
 
 
-def _error_rates(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """qber_parity and qber_bipartite of every row of a (B, 8, 8) stack,
-    from one contraction with the six test states.
+def _error_rates(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fidelity with target_state(+1), qber_parity and qber_bipartite
+    of every row of a (B, 8, 8) stack, from one contraction with the six
+    test states.
 
     Q_X adds the odd-parity weights to 0.0 in their order, and Q_AB
     subtracts the two correlated weights from 1.0 in theirs.
@@ -109,12 +110,12 @@ def _error_rates(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     f = _fidelities(rho, _error_vectors())
     q_x = (((0.0 + f[0]) + f[1]) + f[2]) + f[3]
     q_ab = 1.0 - f[4] - f[5]
-    return np.minimum(1.0, np.maximum(0.0, q_x)), np.minimum(1.0, np.maximum(0.0, q_ab))
+    return f[4], np.minimum(1.0, np.maximum(0.0, q_x)), np.minimum(1.0, np.maximum(0.0, q_ab))
 
 
 def qber_bipartite(rho: DensityMatrix) -> float:
     """Dealer-to-A bit error: weight outside the correlated subspace."""
-    return float(_error_rates(rho.data[None])[1][0])
+    return float(_error_rates(rho.data[None])[2][0])
 
 
 def qber_parity(rho: DensityMatrix) -> float:
@@ -123,7 +124,7 @@ def qber_parity(rho: DensityMatrix) -> float:
     Sums the weight on the odd-parity eigenvectors of Z (x) Y (x) Z, i.e.
     the product basis states whose eigenvalue product is -1.
     """
-    return float(_error_rates(rho.data[None])[0][0])
+    return float(_error_rates(rho.data[None])[1][0])
 
 
 def qber_parity_from_expectation(rho: DensityMatrix) -> float:
@@ -162,8 +163,8 @@ def rate_reports(
     order (report k is at f_D entry k // len(fgs) and f_G entry
     k % len(fgs)), each as full_report would give it.
     """
-    _, states, fidelities = run_stack(cfg, fds, fgs, use_memory=use_memory)
-    q_x, q_ab = _error_rates(states)
+    _, states = run_stack(cfg, fds, fgs, use_memory=use_memory)
+    fidelities, q_x, q_ab = _error_rates(states)
     y = yield_with_memory(cfg) if use_memory else yield_memoryless(cfg)
     if len(fidelities):
         _check_yield(y)

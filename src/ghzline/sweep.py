@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
@@ -54,13 +55,17 @@ class SweepSpec:
     def __post_init__(self) -> None:
         for label, rng in (("fd_range", self.fd_range), ("fg_range", self.fg_range)):
             lo, hi, steps = rng
+            if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+                raise SpecError(label, f"steps must be an integer, got {steps!r}")
+            if steps < 1:
+                raise SpecError(label, f"steps must be >= 1, got {steps}")
             if not 0.0 <= lo <= hi <= 1.0:
                 # one value, as simulate and `--fd X` give; NaN too
-                if int(steps) == 1 and (lo == hi or math.isnan(lo) and math.isnan(hi)):
+                if steps == 1 and (lo == hi or math.isnan(lo) and math.isnan(hi)):
                     raise SpecError(label, f"need 0 <= value <= 1, got {lo}")
                 raise SpecError(label, f"need 0 <= min <= max <= 1, got {lo}..{hi}")
-            if int(steps) < 1:
-                raise SpecError(label, f"steps must be >= 1, got {steps}")
+            if steps == 1 and lo != hi:
+                raise SpecError(label, f"one step needs min == max, got {lo}..{hi}")
         modes = self.memory_modes
         if not modes or len(set(modes)) != len(modes):
             raise SpecError("memory_modes", f"must be nonempty and distinct, got {modes}")
@@ -76,7 +81,7 @@ class SweepSpec:
 
 def _axis(rng: tuple[float, float, int]) -> list[float]:
     lo, hi, steps = rng
-    return [float(x) for x in np.linspace(lo, hi, int(steps))]
+    return [float(x) for x in np.linspace(lo, hi, steps)]
 
 
 def _failed_rows(

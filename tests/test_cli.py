@@ -907,6 +907,10 @@ class TestSweepSpec:
         {"memory_modes": ("off", "off")},
         {"memory_modes": ("sometimes",)},
         {"t2_values": (1.0, -2.0)},
+        {"fd_range": (0.0, 0.3, 1)},
+        {"fd_range": (0.0, 0.3, 2.5)},
+        {"fg_range": (0.0, 0.3, True)},
+        {"fd_range": (0.0, 0.3, float("nan"))},
     ])
     def test_rejects_bad_spec(self, kwargs):
         with pytest.raises(SpecError) as info:
@@ -1398,6 +1402,8 @@ class TestMain:
         (["simulate", "--fd", "nan"], "--fd: need 0 <= value <= 1, got nan"),
         (["mc-check", "--samples", str(10**12 + 1)],
          f"--samples: must be <= {10**12}, got {10**12 + 1}"),
+        (["sweep", "--no-memory", "--fd", "0:0.3:1", "--fg", "0"],
+         "--fd: one step needs min == max, got 0.0..0.3"),
     ])
     def test_range_errors_name_the_option(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

@@ -409,7 +409,7 @@ class TestExpectationAndFidelity:
 class TestStacks:
     """The kernels act on stacks, strengths broadcasting over the rows:
     (B, 2^n) rows for the channels, (B, 2^n, 2^n) states for _measure and
-    _fidelity; each row must equal the same kernel run on that row alone
+    _fidelities; each row must equal the same kernel run on that row alone
     exactly."""
 
     def stack(self, seed, rows, n):
@@ -444,7 +444,7 @@ class TestStacks:
         rng = np.random.default_rng(n)
         psi = PureState(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
         v = psi.amplitudes
-        fids = density._fidelity(rho, v)
+        (fids,) = density._fidelities(rho, v.reshape(1, 1, -1))
         for row in range(len(rho)):
             assert fids[row] == np.vdot(v, rho[row] @ v).real == DensityMatrix(rho[row]).fidelity(psi)
 
@@ -475,7 +475,7 @@ class TestKernels:
     random graph), given as rows and as their dense stacks, with signed
     zeros, one strength per row and one for every row: the row kernel must
     give row 0 of the reference's result bit for bit.  _measure and
-    _fidelity against their earlier formulations, on random stacks that
+    _fidelities against their earlier formulations, on random stacks that
     also hold signed zeros."""
 
     @staticmethod
@@ -591,8 +591,12 @@ class TestKernels:
     def test_fidelity(self, rows, n):
         rho, _ = self.stack(70 * rows + n, rows, n)
         rng = np.random.default_rng(rows + n)
-        psi = PureState(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
-        assert same_bits(density._fidelity(rho, psi.amplitudes), vdot_fidelity(rho, psi.amplitudes))
+        vectors = np.array([PureState(rng.normal(size=2**n) + 1j * rng.normal(size=2**n)).amplitudes
+                            for _ in range(3)])
+        fids = density._fidelities(rho, vectors.reshape(3, 1, -1))
+        assert fids.shape == (3, rows)
+        for k, v in enumerate(vectors):
+            assert same_bits(fids[k], vdot_fidelity(rho, v))
 
     @cases
     def test_real_stack_gives_the_real_part(self, rows, n):
@@ -632,7 +636,7 @@ class TestKernels:
         assert density._unpack(rows, n, edges).shape == rho.shape
         probs, post = density._measure(rho, n, n - 1, "Y", -1)
         assert probs.shape == (0,) and post.shape == (0, 2 ** (n - 1), 2 ** (n - 1))
-        assert density._fidelity(rho, np.ones(2**n) / 2 ** (n / 2)).shape == (0,)
+        assert density._fidelities(rho, np.ones((1, 1, 2**n)) / 2 ** (n / 2)).shape == (1, 0)
         if n > 1:
             assert noisy_cz(rows, n, edges, 0, n - 1, none).shape == rows.shape
             for branch in density._row_cz_terms(rows, n, edges, 0, n - 1):

@@ -25,7 +25,7 @@ from ghzline import (
 )
 from ghzline import density, protocol
 from ghzline.protocol import run_stack
-from ghzline.rates import full_report
+from ghzline.rates import full_report, rate_reports
 from ghzline.config import data_path, load_config
 from ghzline.sweep import SweepSpec, run_sweep
 from util import (
@@ -439,15 +439,15 @@ class TestCheckOnce:
         # Each axis cycles its drawn values and both signed zeros up to its
         # drawn length, shuffled: f_D axes run past CHUNK_ROWS entries,
         # grids past CHUNK_ROWS rows, and both axes repeat values, not
-        # always next to each other.
+        # always next to each other.  F is rate_reports' fidelity column.
         fd_pool, fg_pool = fd_values + [0.0, -0.0], fg_values + [0.0, -0.0]
         fd_index = [i % len(fd_pool) for i in range(max(fd_len, len(fd_pool)))]
         fg_index = [j % len(fg_pool) for j in range(max(fg_len, len(fg_pool)))]
         shuffle.shuffle(fd_index)
         shuffle.shuffle(fg_index)
-        probs, states, fids = run_stack(
-            cfg, [fd_pool[i] for i in fd_index], [fg_pool[j] for j in fg_index],
-            use_memory=use_memory)
+        fds, fgs = [fd_pool[i] for i in fd_index], [fg_pool[j] for j in fg_index]
+        probs, states = run_stack(cfg, fds, fgs, use_memory=use_memory)
+        fids = np.array([r.fidelity for r in rate_reports(cfg, fds, fgs, use_memory=use_memory)])
         rows = len(fd_index) * len(fg_index)
         assert probs.dtype == fids.dtype == np.float64 and states.dtype == np.complex128
         assert probs.shape == fids.shape == (rows,) and states.shape == (rows, 8, 8)
@@ -464,22 +464,30 @@ class TestCheckOnce:
 
     @pytest.mark.parametrize("use_memory", [False, True])
     def test_pre_cz_stages_run_once_per_fd_entry(self, monkeypatch, use_memory):
-        seen = []
+        seen, measured = [], []
 
         def counting_cz_terms(rows, *args):
             seen.append(len(rows))
             return density._row_cz_terms(rows, *args)
 
+        def counting_measure(rho, *args):
+            measured.append(len(rho))
+            return density._measure(rho, *args)
+
         monkeypatch.setattr(protocol, "_row_cz_terms", counting_cz_terms)
+        monkeypatch.setattr(protocol, "_measure", counting_measure)
         cfg = load_config(data_path())[0]
         spec = SweepSpec(memory_modes=("on",) if use_memory else ("off",))
         assert len(run_sweep([cfg], spec)) == 121
         assert seen == [11]
         seen.clear()
-        # 40 entries, each value twice: runs of CHUNK_ROWS entries, repeats run again
+        measured.clear()
+        # 40 entries, each value twice: all in one stack, repeats run again;
+        # only the dense stacks are bounded, to CHUNK_ROWS rows each
         run_stack(cfg, [(i % 20) / 20 for i in range(40)], [0.1, 0.2, 0.3],
                   use_memory=use_memory)
-        assert seen == [32, 8]
+        assert seen == [40]
+        assert measured == [32, 32, 32, 24]
         seen.clear()
         full_report(cfg, NoiseParams(0.1, 0.2), use_memory=use_memory)
         assert seen == [1]
@@ -519,8 +527,9 @@ class TestCheckOnce:
     def test_empty_stack(self):
         cfg = make_cfg(memory=MemoryParams(0.9, 1.0))
         for fds, fgs in ([], []), ([], [0.1]), ([0.1, 0.2], []):
-            probs, states, fids = run_stack(cfg, fds, fgs, use_memory=True)
-            assert probs.shape == (0,) and states.shape == (0, 8, 8) and fids.shape == (0,)
+            probs, states = run_stack(cfg, fds, fgs, use_memory=True)
+            assert probs.shape == (0,) and states.shape == (0, 8, 8)
+            assert rate_reports(cfg, fds, fgs, use_memory=True) == []
 
     def sweep_error(self):
         spec = SweepSpec(fd_range=(0.1, 0.1, 1), fg_range=(0.1, 0.1, 1), memory_modes=("on",))
@@ -628,7 +637,7 @@ class TestOutcomeProbability:
     def test_is_one_half(self, cfg, fds, fgs):
         # run_stack keeps the +1 outcome; the -1 one takes the reference route
         for use_memory in (False, True):
-            probs, _, _ = run_stack(cfg, fds, fgs, use_memory=use_memory)
+            probs, _ = run_stack(cfg, fds, fgs, use_memory=use_memory)
             assert np.max(np.abs(probs - 0.5)) <= 1e-15
             for fd, fg in product(fds, fgs):
                 rho = reference_chain(cfg, NoiseParams(fd, fg), use_memory)

@@ -24,7 +24,14 @@ from ghzline import density, netmodel, protocol, rates
 from ghzline.config import MIN_CLICK_PROB, data_path, load_config
 from ghzline.density import BASIS_EIGENVECTORS
 from ghzline.sweep import run_sweep
-from util import flip_x_conjugate, make_cfg, pure_dm, random_config, random_density_matrix
+from util import (
+    flip_x_conjugate,
+    make_cfg,
+    pure_dm,
+    random_config,
+    random_density_matrix,
+    vdot_fidelity,
+)
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -110,22 +117,24 @@ class TestQberParity:
 
 
 def per_vector_error_rates(rho):
-    """Q_X and Q_AB of every row the way the engine formed them before the
-    stacked contraction: one _fidelity call per test state, Q_X summed from
-    0.0 in the states' order, Q_AB as 1 minus the correlated weights."""
+    """F, Q_X and Q_AB of every row the way the engine formed them before
+    the stacked contraction, with the np.vdot reference for each overlap:
+    F with target_state(+1), Q_X summed from 0.0 in the odd-parity states'
+    order, Q_AB as 1 minus the correlated weights."""
     total = 0.0
     for state in rates._odd_parity_states():
-        total = total + density._fidelity(rho, state.amplitudes)
+        total = total + vdot_fidelity(rho, state.amplitudes)
     psi_plus, psi_minus = rates._correlated_states()
-    q_ab = 1.0 - density._fidelity(rho, psi_plus.amplitudes) - density._fidelity(
+    q_ab = 1.0 - vdot_fidelity(rho, psi_plus.amplitudes) - vdot_fidelity(
         rho, psi_minus.amplitudes)
-    return (np.minimum(1.0, np.maximum(0.0, total)),
+    return (vdot_fidelity(rho, target_state(+1).amplitudes),
+            np.minimum(1.0, np.maximum(0.0, total)),
             np.minimum(1.0, np.maximum(0.0, q_ab)))
 
 
 class TestStackedErrorRates:
-    """The six error projections of a stack come from one contraction,
-    bit-identical to six per-vector _fidelity calls."""
+    """F and the six error projections of a stack come from one
+    contraction, bit-identical to six per-vector np.vdot loops."""
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1), rows=st.integers(1, 40))
     def test_equals_per_vector_fidelities_and_old_sums(self, seed, rows):
@@ -135,14 +144,17 @@ class TestStackedErrorRates:
         stacked = density._fidelities(rho, vectors)
         assert stacked.shape == (6, rows)
         for k in range(6):
-            assert stacked[k].tobytes() == density._fidelity(rho, vectors[k, 0]).tobytes()
+            assert stacked[k].tobytes() == vdot_fidelity(rho, vectors[k, 0]).tobytes()
         got = rates._error_rates(rho)
-        for new, old in zip(got, per_vector_error_rates(rho)):
+        expected = per_vector_error_rates(rho)
+        assert len(got) == len(expected) == 3
+        for new, old in zip(got, expected):
             assert new.tobytes() == old.tobytes()
         # each row as a one-row stack, as full_report and qber_* see it
         for row in range(rows):
             state = DensityMatrix(rho[row])
-            assert qber_parity(state) == got[0][row] and qber_bipartite(state) == got[1][row]
+            assert state.fidelity(target_state(+1)) == got[0][row]
+            assert qber_parity(state) == got[1][row] and qber_bipartite(state) == got[2][row]
 
     def test_vectors_are_the_test_states_in_order(self):
         states = rates._odd_parity_states() + rates._correlated_states()
@@ -307,11 +319,11 @@ class TestSegmentMemo:
     @pytest.mark.parametrize("use_memory", [False, True])
     def test_one_report_runs_each_kernel_once_per_stage(self, monkeypatch, use_memory):
         # the two transit qubits and the four dark-count qubits
-        calls = count_calls(monkeypatch, ["_row_depolarize", "_fidelity", "_fidelities"],
+        calls = count_calls(monkeypatch, ["_row_depolarize", "_fidelities"],
                             (density, protocol, rates))
         cfg = load_config(data_path())[0]
         full_report(cfg, NoiseParams(0.1, 0.2), use_memory=use_memory)
-        assert calls == {"_row_depolarize": 6, "_fidelity": 1, "_fidelities": 1}
+        assert calls == {"_row_depolarize": 6, "_fidelities": 1}
 
     def test_memoryless_config_raises_the_same_error_every_call(self):
         cfg = make_cfg()

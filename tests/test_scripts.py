@@ -38,6 +38,14 @@ def test_heatmap_grids(tmp_path):
         assert all(line.startswith(f"{name},") for line in lines[1:])
 
 
+def test_heatmap_grids_rejects_a_one_step_grid(tmp_path):
+    # one step cannot span [0, 0.3]
+    done = run_script("heatmap_grids.py", "--steps", "1", "--outdir", str(tmp_path / "out"))
+    assert done.returncode == 2
+    assert done.stderr == "error: --steps: one step needs min == max, got 0.0..0.3\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_memory_gain_scan(tmp_path):
     out = tmp_path / "scan" / "gain.csv"
     done = run_script("memory_gain_scan.py", "--points", "2", "--out", str(out))
