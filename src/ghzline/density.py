@@ -9,13 +9,12 @@ protocol.run_stack runs the kernels below; DensityMatrix holds its result.
 Before its Y measurement every state of the extraction pipeline is
 diagonal in a graph-state basis, so row 0 of its matrix fixes it: entry
 (i, j) is S[i, j] * rho[0, i ^ j] for a +-1 table S of the graph
-(_graph_signs).  The channels run on such rows (the row kernels), and
-_unpack rebuilds the dense 2^n x 2^n stack that the measurement
-(``_measure``) takes.  Three channel families cover the pipeline:
-``_row_depolarize`` (fiber transit and dark-count noise), ``_row_dephase``
-(memory storage), and ``_row_cz_terms`` with ``_cz_mix``, a CZ gate that
-fails outright with some probability, dumping both participating qubits
-into the maximally mixed state.
+(_graph_signs).  The channels and the measurement (``_measure_rows``) run
+on such rows, the row kernels.  Three channel families cover the
+pipeline: ``_row_depolarize`` (fiber transit and dark-count noise),
+``_row_dephase`` (memory storage), and ``_row_cz_terms``, the two branches
+of a CZ gate that fails outright with some probability, dumping both
+participating qubits into the maximally mixed state.
 """
 
 from __future__ import annotations
@@ -138,8 +137,8 @@ class PureState:
 # share its stack.  On real float64 rows the kernels give the real part of
 # the complex128 dense result bit for bit (all but _row_dephase at
 # strength -0.0, where the complex product's cross terms can flip the sign
-# of a zero; protocol.run_stack never passes it), and _measure's np.dot
-# promotes the unpacked real stack to complex.  The tables depend only on
+# of a zero; protocol.run_stack never passes it), and _measure_rows
+# gathers real rows into a complex buffer.  The tables depend only on
 # the register size, the graph and the qubits, so each is built on first
 # use and kept read-only.
 
@@ -257,49 +256,46 @@ def _row_cz_terms(rows: np.ndarray, num_qubits: int, edges, q1: int, q2: int) ->
     return gate, rows * _trace_weights(num_qubits, edges, q1, q2) + 0.0
 
 
-def _cz_mix(gate: np.ndarray, scrambled: np.ndarray, fail_prob) -> np.ndarray:
-    """(1 - fail_prob) gate + fail_prob scrambled, from _row_cz_terms,
-    formed in place in both arrays."""
-    gate *= 1.0 - fail_prob
-    scrambled *= fail_prob
-    gate += scrambled
-    return gate
-
-
-def _unpack(rows: np.ndarray, num_qubits: int, edges) -> np.ndarray:
-    """The dense (B, 2^n, 2^n) stack of rows of a state of the graph
-    ``edges``: entry (i, j) is S[i, j] * row[i ^ j]."""
-    return rows.take(_xor_table(num_qubits), axis=1) * _graph_signs(num_qubits, edges)
+@cache
+def _measure_tables(num_qubits: int, edges: tuple[tuple[int, int], ...], qubit: int):
+    """Read-only (2, 2^(2n-1)) index and +-1 sign tables of _measure_rows:
+    the _xor_table and _graph_signs entries of each (i, j), with axes in
+    the order the projection contracts them: ``qubit``'s row bit, the
+    other row bits, the other column bits, ``qubit``'s column bit."""
+    n = num_qubits
+    order = (qubit, *(k for k in range(2 * n) if k not in (qubit, n + qubit)), n + qubit)
+    return tuple(_read_only(table.reshape((2,) * (2 * n)).transpose(order).reshape(2, -1))
+                 for table in (_xor_table(n), _graph_signs(n, edges)))
 
 
 @cache
-def _projection(num_qubits: int, qubit: int, basis: str, outcome: int):
-    """Axis orders and read-only vectors of a projection of ``qubit``.
-
-    np.tensordot contracts by moving the contracted axis first (for the
-    bra) or last (for the ket), reshaping to a matrix and calling np.dot.
-    _measure does the same with these axis orders, so np.dot sees the
-    same shapes and sums in the same order.
-    """
-    n = num_qubits
-    row_axes = (1 + qubit,) + tuple(k for k in range(1 + 2 * n) if k != 1 + qubit)
-    col_axes = tuple(k for k in range(2 * n) if k != n + qubit) + (n + qubit,)
+def _projection(basis: str, outcome: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only bra (1, 2) and ket (2, 1) of a projection."""
     e = BASIS_EIGENVECTORS[(basis, outcome)]
-    return row_axes, col_axes, _read_only(e.conj().reshape(1, 2)), _read_only(e.reshape(2, 1))
+    return _read_only(e.conj().reshape(1, 2)), _read_only(e.reshape(2, 1))
 
 
-def _measure(
-    rho: np.ndarray, num_qubits: int, qubit: int, basis: str, outcome: int
+def _measure_rows(
+    rows: np.ndarray, num_qubits: int, edges, qubit: int, basis: str, outcome: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities of ``outcome`` for a ``basis`` measurement of ``qubit``
-    in every row, and the normalized post-measurement stack without that
-    qubit; a probability below ZERO_PROB_TOL raises ZeroProbabilityError."""
-    rows, n = len(rho), num_qubits
-    row_axes, col_axes, bra, ket = _projection(n, qubit, basis, outcome)
-    t = rho.reshape((rows,) + (2,) * (2 * n)).transpose(row_axes).reshape(2, -1)
-    t = np.dot(bra, t).reshape((rows,) + (2,) * (2 * n - 1))
-    t = np.dot(t.transpose(col_axes).reshape(-1, 2), ket)
-    mat = t.reshape(rows, 2 ** (n - 1), 2 ** (n - 1))
+    in every row of a state of the graph ``edges``, and the normalized
+    post-measurement (B, 2^(n-1), 2^(n-1)) stack without that qubit; a
+    probability below ZERO_PROB_TOL raises ZeroProbabilityError.
+
+    np.tensordot of the dense stack casts it to complex and calls np.dot
+    with the bra's axis moved first, then with the ket's moved last.  The
+    tables gather each dense entry S[i, j] * row[i ^ j], exactly, into that
+    order, beside the cast's +0.0 imaginary parts.  The first np.dot works
+    column by column, so its results are tensordot's, moved; the second
+    sees tensordot's matrix."""
+    index, signs = _measure_tables(num_qubits, edges, qubit)
+    bra, ket = _projection(basis, outcome)
+    count, half = len(rows), 2 ** (num_qubits - 1)
+    t = np.zeros((2, count, index.shape[1]), dtype=complex)
+    np.multiply(rows.take(index, axis=1).swapaxes(0, 1), signs[:, None], out=t.real)
+    t = np.dot(bra, t.reshape(2, -1))
+    mat = np.dot(t.reshape(-1, 2), ket).reshape(count, half, half)
     probs = mat.trace(axis1=1, axis2=2).real
     low = probs < ZERO_PROB_TOL
     if low.any():

@@ -23,14 +23,12 @@ from .density import (
     PauliString,
     PureState,
     _checked_strength,
-    _cz_mix,
     _fidelities,
-    _measure,
+    _measure_rows,
     _read_only,
     _row_cz_terms,
     _row_dephase,
     _row_depolarize,
-    _unpack,
 )
 from .netmodel import (
     TrioConfig,
@@ -50,12 +48,12 @@ MEASURED_QUBIT = 2  # B's C-side qubit, measured in Y to complete the merge
 PRE_CZ_EDGES = ((0, 1), (2, 3))
 POST_CZ_EDGES = ((0, 1), (1, 2), (2, 3))
 
-# The most rows run_stack rebuilds as dense 16x16 states and measures
-# together: a dense stack takes 4 KiB per row, so this bounds it to
-# 128 KiB however many rows a caller passes.  Every other stack of
+# The most rows run_stack measures together: _measure_rows gathers them
+# into a complex (2, B, 128) buffer of 4 KiB per row, so this bounds it
+# to 128 KiB however many rows a caller passes.  Every other stack of
 # run_stack takes at most the 1 KiB per row of the (8, 8) complex state
-# it returns.  32 and 48 tied as the fastest of 16 to 64 on the bundled
-# 121-row blocks.
+# it returns.  On the bundled 121-row blocks 48 and 64 led 32 by no
+# more than the spread between rounds.
 CHUNK_ROWS = 32
 
 STABILIZER_FACTORS = ("XZI", "XIY", "YXZ", "YYX", "ZXX", "ZYZ", "IZY", "III")
@@ -230,18 +228,16 @@ def run_stack(
     +-1 rounds nothing.  Every step before the f_G mix runs once, with
     one row per f_D entry: the transit depolarizations (the first takes
     the one row of the source pairs and broadcasts it over the entries),
-    the memory dephasings, and the noisy CZ's two branches.  The mix and
-    the dark-count depolarizations run once on all rows, and the dense
-    stack is rebuilt and measured on chunks of up to CHUNK_ROWS rows.
-    Each step maps each row on its own and sums it in the same order
-    whatever its stack, and the rows are real float64 until the
-    measurement, with the bits the dense channels give on a complex stack.
+    the memory dephasings, and the noisy CZ's two branches.  The mix (by
+    broadcasting) and the dark-count depolarizations run once on all
+    rows, and the measurement on chunks of up to CHUNK_ROWS rows.  Each
+    step maps each row on its own and sums it in the same order whatever
+    its stack, and the rows are real float64 until the measurement, with
+    the bits the dense channels give on a complex stack.
     """
     fds = [_checked_strength(v, 1.0, "channel_depol") for v in fds]
     fgs = [_checked_strength(v, 1.0, "gate_fail") for v in fgs]
     dephasings, dark_counts = _segment_strengths(cfg, use_memory)
-    if not fds or not fgs:
-        return np.zeros(0), np.zeros((0, 8, 8), dtype=complex)
     # every step before the CZ mix, once per f_D entry
     depol = np.array(fds).reshape(-1, 1)
     quarter, keep = depol / 4.0, 1.0 - depol
@@ -250,20 +246,19 @@ def run_stack(
     for qubit, lam in dephasings:
         rows = _row_dephase(rows, 4, qubit, lam)
     gate, scrambled = _row_cz_terms(rows, 4, PRE_CZ_EDGES, 1, 2)
-    # row r takes f_D entry fd_index[r] and f_G entry fg_index[r]
-    fd_index, fg_index = np.divmod(np.arange(len(fds) * len(fgs)), len(fgs))
-    rows = _cz_mix(
-        gate.take(fd_index, axis=0),
-        scrambled.take(fd_index, axis=0),
-        np.array(fgs).reshape(-1, 1).take(fg_index, axis=0),
-    )
+    # row (i, j) takes f_D entry i and f_G entry j
+    fail = np.array(fgs).reshape(1, -1, 1)
+    rows = gate[:, None] * (1.0 - fail)
+    rows += scrambled[:, None] * fail
+    rows = rows.reshape(-1, 16)
     for qubit, quarter_s, keep_s in dark_counts:
         rows = _row_depolarize(rows, 4, POST_CZ_EDGES, qubit, quarter_s, keep_s)
-    chunks = [rows[lo : lo + CHUNK_ROWS] for lo in range(0, len(rows), CHUNK_ROWS)]
-    probs, states = zip(*(
-        _measure(_unpack(chunk, 4, POST_CZ_EDGES), 4, MEASURED_QUBIT, "Y", +1) for chunk in chunks
-    ))
-    return np.concatenate(probs), np.concatenate(states)
+    probs, states = np.empty(len(rows)), np.empty((len(rows), 8, 8), dtype=complex)
+    for lo in range(0, len(rows), CHUNK_ROWS):
+        chunk = slice(lo, lo + CHUNK_ROWS)
+        probs[chunk], states[chunk] = _measure_rows(rows[chunk], 4, POST_CZ_EDGES,
+                                                    MEASURED_QUBIT, "Y", +1)
+    return probs, states
 
 
 def run_pipeline(

@@ -113,9 +113,16 @@ def _error_rates(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return f[4], np.minimum(1.0, np.maximum(0.0, q_x)), np.minimum(1.0, np.maximum(0.0, q_ab))
 
 
+def _three_qubit_stack(rho: DensityMatrix) -> np.ndarray:
+    """rho as a one-row stack, or ValueError unless it has three qubits."""
+    if rho.num_qubits != 3:
+        raise ValueError(f"operator acts on 3 qubits, state has {rho.num_qubits}")
+    return rho.data[None]
+
+
 def qber_bipartite(rho: DensityMatrix) -> float:
     """Dealer-to-A bit error: weight outside the correlated subspace."""
-    return float(_error_rates(rho.data[None])[2][0])
+    return float(_error_rates(_three_qubit_stack(rho))[2][0])
 
 
 def qber_parity(rho: DensityMatrix) -> float:
@@ -124,7 +131,7 @@ def qber_parity(rho: DensityMatrix) -> float:
     Sums the weight on the odd-parity eigenvectors of Z (x) Y (x) Z, i.e.
     the product basis states whose eigenvalue product is -1.
     """
-    return float(_error_rates(rho.data[None])[1][0])
+    return float(_error_rates(_three_qubit_stack(rho))[1][0])
 
 
 def qber_parity_from_expectation(rho: DensityMatrix) -> float:

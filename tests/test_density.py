@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ghzline import density
 from ghzline.density import PAULI, DensityMatrix, PauliString, PureState, ZeroProbabilityError
+from ghzline.protocol import CHUNK_ROWS
 from util import (
     assert_valid_state,
     cz_signs,
@@ -24,6 +25,7 @@ from util import (
     tensordot_project,
     trace_reinsert_noisy_cz,
     twirl_depolarize,
+    unpack,
     vdot_fidelity,
     z_signs,
 )
@@ -43,8 +45,9 @@ def max_abs(a, b):
 
 
 def noisy_cz(rows, n, edges, q1, q2, fail):
-    """The noisy CZ of every row, as protocol.run_stack forms it."""
-    return density._cz_mix(*density._row_cz_terms(rows, n, edges, q1, q2), fail)
+    """The noisy CZ of every row, mixed as protocol.run_stack mixes it."""
+    gate, scrambled = density._row_cz_terms(rows, n, edges, q1, q2)
+    return gate * (1.0 - fail) + scrambled * fail
 
 
 # The channels' dense reference kernels (tests/util.py) run on one state
@@ -74,7 +77,10 @@ def chain(n):
 
 
 def measure_one(dm, qubit, basis, outcome):
-    probs, post = density._measure(dm.data[None], dm.num_qubits, qubit, basis, outcome)
+    """The dense reference measurement of one state.  The package measures
+    rows of graph-diagonal states only (density._measure_rows), and
+    TestKernels holds it to this reference bit for bit."""
+    probs, post = tensordot_project(dm.data[None], dm.num_qubits, qubit, basis, outcome)
     return float(probs[0]), DensityMatrix(post[0])
 
 
@@ -331,8 +337,9 @@ class TestMeasure:
         assert abs(post.data[0, 0] - 1.0) <= 1e-12
 
     def test_impossible_outcome_raises(self):
+        # |+><+|, the one-qubit graph state, as its row
         with pytest.raises(ZeroProbabilityError):
-            measure_one(pure_dm([1.0, 0.0]), 0, "Z", -1)
+            density._measure_rows(np.array([[0.5, 0.5]]), 1, (), 0, "X", -1)
 
     def test_y_basis_eigenstate(self):
         prob, _ = measure_one(pure_dm([1.0, 1.0j]), 0, "Y", +1)
@@ -408,9 +415,9 @@ class TestExpectationAndFidelity:
 
 class TestStacks:
     """The kernels act on stacks, strengths broadcasting over the rows:
-    (B, 2^n) rows for the channels, (B, 2^n, 2^n) states for _measure and
-    _fidelities; each row must equal the same kernel run on that row alone
-    exactly."""
+    (B, 2^n) rows for the channels and _measure_rows, (B, 2^n, 2^n) states
+    for _fidelities; each row must equal the same kernel run on that row
+    alone exactly."""
 
     def stack(self, seed, rows, n):
         rng = np.random.default_rng(seed)
@@ -431,10 +438,10 @@ class TestStacks:
             for row, strength in enumerate(strengths):
                 single = channel(rows[row : row + 1], float(strength))
                 assert same_bits(out[row], single[0]), (name, row)
-        rho = self.stack(n, 5, n)
-        probs, post = density._measure(rho, n, q, "Y", -1)
-        for row in range(len(rho)):
-            p, single = density._measure(rho[row : row + 1], n, q, "Y", -1)
+        r, _ = graph_diagonal_stack(np.random.default_rng(n), 5, n, edges)
+        probs, post = density._measure_rows(r, n, edges, q, "Y", -1)
+        for row in range(len(r)):
+            p, single = density._measure_rows(r[row : row + 1], n, edges, q, "Y", -1)
             assert probs[row] == p[0]
             assert same_bits(post[row], single[0])
 
@@ -463,10 +470,9 @@ class TestStacks:
         assert same_bits(noisy_cz(rows, 2, edges, 0, 1, 0.3), noisy_cz(rows, 2, edges, 0, 1, s))
 
     def test_zero_probability_in_any_row_raises(self):
-        zero = pure_dm([1.0, 0.0]).data
-        one = pure_dm([0.0, 1.0]).data
+        # the rows of |-><-| and |+><+|, states of the one-qubit graph
         with pytest.raises(ZeroProbabilityError):
-            density._measure(np.stack([one, zero]), 1, 0, "Z", -1)
+            density._measure_rows(np.array([[0.5, -0.5], [0.5, 0.5]]), 1, (), 0, "X", -1)
 
 
 class TestKernels:
@@ -474,9 +480,10 @@ class TestKernels:
     on states diagonal in a graph basis (the empty graph, the chain and a
     random graph), given as rows and as their dense stacks, with signed
     zeros, one strength per row and one for every row: the row kernel must
-    give row 0 of the reference's result bit for bit.  _measure and
-    _fidelities against their earlier formulations, on random stacks that
-    also hold signed zeros."""
+    give row 0 of the reference's result bit for bit.  _measure_rows
+    against the dense reference measurement of the same states, and
+    _fidelities against its earlier formulation on random stacks that also
+    hold signed zeros."""
 
     @staticmethod
     def stack(seed, rows, n):
@@ -498,6 +505,26 @@ class TestKernels:
         for edges in ((), chain(n), random_graph):
             r, rho = graph_diagonal_stack(rng, rows, n, edges)
             yield edges, r, rho, rng.uniform(0.0, 0.5, size=rows).reshape(rows, 1)
+
+    @staticmethod
+    def assert_measures_as_dense(r, rho, n, edges):
+        """_measure_rows on rows ``r`` against tensordot_project of their
+        dense stack ``rho``, bit for bit, on each qubit, basis and outcome.
+        Rows of graph_diagonal_stack need not be positive: where the
+        reference gives a row a probability below ZERO_PROB_TOL, the stack
+        must raise, and its other rows must still match."""
+        for q in range(n):
+            for basis in "XYZ":
+                for outcome in (1, -1):
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        ref_probs, _ = tensordot_project(rho, n, q, basis, outcome)
+                    ok = ref_probs >= density.ZERO_PROB_TOL
+                    if not ok.all():
+                        with pytest.raises(ZeroProbabilityError):
+                            density._measure_rows(r, n, edges, q, basis, outcome)
+                    probs, post = density._measure_rows(r[ok], n, edges, q, basis, outcome)
+                    ref_probs, ref_post = tensordot_project(rho[ok], n, q, basis, outcome)
+                    assert same_bits(probs, ref_probs) and same_bits(post, ref_post)
 
     cases = pytest.mark.parametrize(
         "rows, n", [(rows, n) for rows in (1, 5, 32) for n in (1, 2, 3, 4)]
@@ -564,7 +591,7 @@ class TestKernels:
     def test_failed_merge_leaves_the_pairs_maximally_mixed(self, rows):
         # On the source pairs' graph the trace weights of the merge CZ are
         # e_0: the failed branch keeps rho[0, 0] and sets every other entry
-        # of its row to +0.0, which _unpack turns into rho[0, 0] * I on the
+        # of its row to +0.0, which unpacks to rho[0, 0] * I on the
         # chain (equal by value: a sign of the chain turns some +0.0 into
         # -0.0), the maximally mixed state of a unit-trace row.
         source_pairs = ((0, 1), (2, 3))
@@ -574,18 +601,22 @@ class TestKernels:
         expected[:, 0] = r[:, 0]
         assert same_bits(density._trace_weights(4, source_pairs, 1, 2), np.eye(16)[0])
         assert same_bits(scrambled, expected)
-        assert np.array_equal(density._unpack(scrambled, 4, chain(4)),
+        assert np.array_equal(unpack(scrambled, 4, chain(4)),
                               np.broadcast_to(np.eye(16) / 16, (rows, 16, 16)))
 
     @cases
     def test_measure(self, rows, n):
-        rho, _ = self.stack(60 * rows + n, rows, n)
-        for q in range(n):
-            for basis in "XYZ":
-                for outcome in (1, -1):
-                    probs, post = density._measure(rho, n, q, basis, outcome)
-                    ref_probs, ref_post = tensordot_project(rho, n, q, basis, outcome)
-                    assert same_bits(probs, ref_probs) and same_bits(post, ref_post)
+        for edges, r, rho, _ in self.graph_stacks(60 * rows + n, rows, n):
+            self.assert_measures_as_dense(r, rho, n, edges)
+
+    @pytest.mark.parametrize(
+        "rows, n", [(rows, n) for rows in (0, 1, CHUNK_ROWS + 9) for n in (1, 2, 3, 4)]
+    )
+    def test_measure_rows_is_the_dense_measurement(self, rows, n):
+        # the unpacked stack, signed zeros included; more rows than
+        # protocol.run_stack passes in one call
+        for edges, r, _, _ in self.graph_stacks(90 * rows + n, rows, n):
+            self.assert_measures_as_dense(r, unpack(r, n, edges), n, edges)
 
     @cases
     def test_fidelity(self, rows, n):
@@ -602,8 +633,9 @@ class TestKernels:
     def test_real_stack_gives_the_real_part(self, rows, n):
         # protocol.run_stack keeps its rows real until the Y measurement:
         # on real rows each row kernel gives the real part of row 0 of the
-        # reference's complex128 result, _unpack gives the real dense stack,
-        # and _measure on it the complex result, bit for bit
+        # reference's complex128 result, unpack gives the real dense stack,
+        # and _measure_rows the measurement of its complex promotion, bit
+        # for bit
         for edges, r, real, s in self.graph_stacks(80 * rows + n, rows, n):
             promoted = real.astype(complex)
             # f_D and f_G may be -0.0.  The dephasing strengths are
@@ -612,7 +644,7 @@ class TestKernels:
             lam = s.copy()
             s.flat[:3] = (1.0, -0.0, 0.0)[:rows]
             lam.flat[:2] = (0.5, 0.0)[:rows]
-            assert same_bits(density._unpack(r, n, edges), real)
+            assert same_bits(unpack(r, n, edges), real)
             for q in range(n):
                 assert same_bits(density._row_depolarize(r, n, edges, q, s / 4.0, 1.0 - s),
                                  twirl_depolarize(promoted, n, q, s[..., None]).real[:, 0])
@@ -623,8 +655,8 @@ class TestKernels:
                         expected = trace_reinsert_noisy_cz(promoted, n, q, other, s[..., None])
                         assert same_bits(noisy_cz(r, n, edges, q, other, s), expected.real[:, 0])
                 for outcome in (1, -1):
-                    for got, expected in zip(density._measure(real, n, q, "Y", outcome),
-                                             density._measure(promoted, n, q, "Y", outcome)):
+                    for got, expected in zip(density._measure_rows(r, n, edges, q, "Y", outcome),
+                                             tensordot_project(promoted, n, q, "Y", outcome)):
                         assert same_bits(got, expected)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -633,8 +665,8 @@ class TestKernels:
         rows, none, edges = np.zeros((0, 2**n)), np.zeros((0, 1)), chain(n)
         assert density._row_depolarize(rows, n, edges, 0, none, none).shape == rows.shape
         assert density._row_dephase(rows, n, n - 1, none).shape == rows.shape
-        assert density._unpack(rows, n, edges).shape == rho.shape
-        probs, post = density._measure(rho, n, n - 1, "Y", -1)
+        assert unpack(rows, n, edges).shape == rho.shape
+        probs, post = density._measure_rows(rows, n, edges, n - 1, "Y", -1)
         assert probs.shape == (0,) and post.shape == (0, 2 ** (n - 1), 2 ** (n - 1))
         assert density._fidelities(rho, np.ones((1, 1, 2**n)) / 2 ** (n / 2)).shape == (1, 0)
         if n > 1:
@@ -649,7 +681,8 @@ class TestKernels:
             density._graph_signs(4, chain(4)),
             density._depolarize_mask(4, chain(4), 1),
             density._trace_weights(4, chain(4), 1, 2),
-            *density._projection(4, 2, "Y", 1)[2:],
+            *density._measure_tables(4, chain(4), 2),
+            *density._projection("Y", 1),
         )
         for table in tables:
             with pytest.raises(ValueError):

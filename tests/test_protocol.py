@@ -41,6 +41,7 @@ from util import (
     tensordot_project,
     trace_reinsert_noisy_cz,
     twirl_depolarize,
+    unpack,
     vdot_fidelity,
 )
 
@@ -82,7 +83,7 @@ class TestSourcePair:
         assert np.allclose(protocol._initial_register(), expected, atol=1e-15)
 
     def test_is_valid(self):
-        rho = density._unpack(protocol._initial_register(), 4, SOURCE_PAIRS)
+        rho = unpack(protocol._initial_register(), 4, SOURCE_PAIRS)
         assert_valid_state(DensityMatrix(rho[0]))
 
 
@@ -411,7 +412,8 @@ def row_stages(cfg, noise, use_memory):
     for qubit, lam in dephasings:
         rows = density._row_dephase(rows, 4, qubit, lam)
         stages.append(rows)
-    rows = density._cz_mix(*density._row_cz_terms(rows, 4, SOURCE_PAIRS, 1, 2), noise.gate_fail)
+    gate, scrambled = density._row_cz_terms(rows, 4, SOURCE_PAIRS, 1, 2)
+    rows = gate * (1.0 - noise.gate_fail) + scrambled * noise.gate_fail
     stages.append(rows)
     for qubit, quarter, keep in dark_counts:
         rows = density._row_depolarize(rows, 4, CHAIN, qubit, quarter, keep)
@@ -470,12 +472,12 @@ class TestCheckOnce:
             seen.append(len(rows))
             return density._row_cz_terms(rows, *args)
 
-        def counting_measure(rho, *args):
-            measured.append(len(rho))
-            return density._measure(rho, *args)
+        def counting_measure(rows, *args):
+            measured.append(len(rows))
+            return density._measure_rows(rows, *args)
 
         monkeypatch.setattr(protocol, "_row_cz_terms", counting_cz_terms)
-        monkeypatch.setattr(protocol, "_measure", counting_measure)
+        monkeypatch.setattr(protocol, "_measure_rows", counting_measure)
         cfg = load_config(data_path())[0]
         spec = SweepSpec(memory_modes=("on",) if use_memory else ("off",))
         assert len(run_sweep([cfg], spec)) == 121
@@ -483,7 +485,7 @@ class TestCheckOnce:
         seen.clear()
         measured.clear()
         # 40 entries, each value twice: all in one stack, repeats run again;
-        # only the dense stacks are bounded, to CHUNK_ROWS rows each
+        # only the measurement's gathers are bounded, to CHUNK_ROWS rows each
         run_stack(cfg, [(i % 20) / 20 for i in range(40)], [0.1, 0.2, 0.3],
                   use_memory=use_memory)
         assert seen == [40]

@@ -77,6 +77,15 @@ class TestQberBipartite:
         assert 0.0 <= qber_bipartite(rho) <= 1.0
 
 
+@pytest.mark.parametrize("qber", [qber_parity, qber_bipartite, qber_parity_from_expectation])
+@pytest.mark.parametrize("num_qubits", [1, 2, 4])
+def test_error_rates_reject_a_state_not_of_three_qubits(qber, num_qubits):
+    dim = 2**num_qubits
+    with pytest.raises(ValueError) as rejected:
+        qber(DensityMatrix(np.eye(dim) / dim))
+    assert str(rejected.value) == f"operator acts on 3 qubits, state has {num_qubits}"
+
+
 class TestQberParity:
     def test_zero_on_noiseless_output(self):
         rho = run_pipeline(make_cfg()).rho_out

@@ -289,6 +289,14 @@ def state_signs(psi):
     return rho / rho[0, idx[:, None] ^ idx]
 
 
+def unpack(rows, n, edges):
+    """The dense (B, 2^n, 2^n) stack that rows of states diagonal in the
+    graph basis of ``edges`` stand for: entry (i, j) is
+    S[i, j] * row[i ^ j], with S from the statevector."""
+    idx = np.arange(2**n)
+    return rows.take(idx[:, None] ^ idx, axis=1) * state_signs(graph_state(n, edges))
+
+
 def graph_diagonal_stack(rng, rows, n, edges):
     """Random rows of unit-trace states diagonal in the graph basis of
     ``edges``, a fifth of their entries signed zeros, and the dense stack
