@@ -341,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the memory-assisted variant",
     )
     sim.add_argument(
-        "--t2", type=float, default=None, help="memory T2 in seconds for --memory rows"
+        "--t2", type=float, default=None, help="memory T2 in seconds; needs --memory"
     )
     sim.add_argument("--format", choices=("text", "json"), default="text")
     sim.add_argument("--out", type=Path, default=None, help="write to file instead of stdout")

@@ -383,7 +383,8 @@ def _check_document(doc) -> tuple[list[str], list[TrioConfig]]:
         if len(problems) > found:
             continue
         cfg = _build_segment(seg)
-        clicks = window_click_probs(cfg, with_memory=False)
+        # A's and C's windows do not depend on the memory, B's does
+        clicks = window_click_probs(cfg, with_memory=cfg.memory is not None)
         problems += [
             f"segments.{i}.nodes.{node}: click probability {clicks[node]!r} is less "
             f"than the minimum of {MIN_CLICK_PROB!r}"
@@ -391,7 +392,7 @@ def _check_document(doc) -> tuple[list[str], list[TrioConfig]]:
             if clicks[node] < MIN_CLICK_PROB
         ]
         # B's dark-count share divides by its click probability
-        if cfg.memory is not None and window_click_probs(cfg, with_memory=True)["B"] == 0.0:
+        if cfg.memory is not None and clicks["B"] == 0.0:
             problems.append(
                 f"segments.{i}.memory.efficiency: B's click probability with memory "
                 f"underflows to 0 (detector efficiency {cfg.node_b.detector_efficiency!r} "

@@ -11,7 +11,7 @@ Lengths are in km, times in seconds, the signal velocity in km/s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SPEED_OF_LIGHT_FIBER = 2.0e5  # km/s, group velocity in standard fiber
 
@@ -152,12 +152,13 @@ def require_memory(cfg: TrioConfig) -> MemoryParams:
 
 @dataclass(frozen=True)
 class StorageTimes:
-    """Per-success storage intervals of the two middle-station memories."""
+    """Which middle-station memory is near and which far, and what each waits."""
 
-    tau_a: float  # full attempt period of the A-side pair, seconds
-    tau_c: float  # full attempt period of the C-side pair, seconds
+    near_node: str  # "A" or "C", the outer node of the shorter link
+    far_node: str  # the other outer node
+    tau_far: float  # full attempt period of the far-side pair, seconds
     t_far: float  # confirmation wait of the far-side memory, seconds
-    far_node: str  # "A" or "C"
+    l_near: float  # length of the near-side link, km
 
 
 def detection_prob(cfg: TrioConfig, node: str, with_memory: bool = False) -> float:
@@ -259,41 +260,22 @@ def yield_with_memory(cfg: TrioConfig) -> float:
 
 
 def storage_times(cfg: TrioConfig) -> StorageTimes:
-    """Attempt periods and the far-side confirmation wait.
+    """The near and far memory, the far attempt period and both waits.
 
     One attempt on link X takes tau_X = 1/f + 2 L_X / c (emission plus the
     round-trip heralding signal).  The memory paired with the longer link
     is "far"; after its last attempt it only waits out its own confirmation
     t_far = 2 L_far / c, while the near memory also idles through the
     attempt-count difference.  A length tie resolves to C as the far side.
+    This is the only place that decides which side is near.
     """
-    tau_a = 1.0 / cfg.source.frequency + 2.0 * cfg.link_ab.length / cfg.speed_of_light
-    tau_c = 1.0 / cfg.source.frequency + 2.0 * cfg.link_bc.length / cfg.speed_of_light
     if cfg.link_ab.length > cfg.link_bc.length:
-        far_node, far_len = "A", cfg.link_ab.length
+        near_node, far_node, near, far = "C", "A", cfg.link_bc, cfg.link_ab
     else:
-        far_node, far_len = "C", cfg.link_bc.length
-    return StorageTimes(
-        tau_a=tau_a,
-        tau_c=tau_c,
-        t_far=2.0 * far_len / cfg.speed_of_light,
-        far_node=far_node,
-    )
-
-
-def near_far_memory(cfg: TrioConfig) -> tuple[float, float, float, float]:
-    """(p_near, p_far, tau_far, l_near) of the two middle-station memories.
-
-    p_near and p_far are the click probabilities of the outer windows on
-    the near and far side, tau_far is the far link's attempt period and
-    l_near the near link's length.  The far side is the one storage_times
-    picks: the longer link, C on a tie.
-    """
-    p = window_click_probs(cfg, with_memory=True)
-    times = storage_times(cfg)
-    if times.far_node == "A":
-        return p["C"], p["A"], times.tau_a, cfg.link_bc.length
-    return p["A"], p["C"], times.tau_c, cfg.link_ab.length
+        near_node, far_node, near, far = "A", "C", cfg.link_ab, cfg.link_bc
+    t_far = 2.0 * far.length / cfg.speed_of_light
+    tau_far = 1.0 / cfg.source.frequency + t_far
+    return StorageTimes(near_node, far_node, tau_far, t_far, near.length)
 
 
 def expected_coherence_near(cfg: TrioConfig) -> float:
@@ -309,8 +291,10 @@ def expected_coherence_near(cfg: TrioConfig) -> float:
     which this multiplies by the deterministic e^(-2 L_near / (c T2)).
     """
     t2 = require_memory(cfg).t2
-    p_near, p_far, tau_far, l_near = near_far_memory(cfg)
-    x = tau_far / t2
+    p = window_click_probs(cfg, with_memory=True)
+    times = storage_times(cfg)
+    p_near, p_far = p[times.near_node], p[times.far_node]
+    x = times.tau_far / t2
     beta = math.exp(-x)
     both = p_near + p_far - p_near * p_far
     d_near = 1.0 - beta * (1.0 - p_near)
@@ -335,9 +319,9 @@ def expected_coherence_near(cfg: TrioConfig) -> float:
     # takes its exact limit, 0 for a near link of length > 0 and 1 for 0.
     c_t2 = cfg.speed_of_light * t2
     if c_t2 == 0.0:
-        storage = 0.0 if l_near > 0.0 else 1.0
+        storage = 0.0 if times.l_near > 0.0 else 1.0
     else:
-        storage = math.exp(-2.0 * l_near / c_t2)
+        storage = math.exp(-2.0 * times.l_near / c_t2)
     # Exact, not a mask: E[beta^|dN|] <= 1 and exp(-x) <= 1 for x >= 0, so
     # the product is at most 1.  Once beta rounds to 1 (a long T2), the
     # float gap factor can still come out an ulp above 1.

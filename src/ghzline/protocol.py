@@ -42,6 +42,7 @@ from .netmodel import (
 )
 
 MEASURED_QUBIT = 2  # B's C-side qubit, measured in Y to complete the merge
+MEMORY_QUBITS = {"A": 1, "C": 2}  # B's qubit of each outer node's pair, held in memory
 
 # The graphs whose graph-state basis diagonalizes the register: the two
 # source pairs before the merge CZ, the linear chain 0-1-2-3 after it.
@@ -179,10 +180,10 @@ def _segment_strengths(cfg: TrioConfig, use_memory: bool) -> tuple[tuple, tuple]
         # folded in as the expected coherence factor.
         lam_near = 0.5 * (1.0 - expected_coherence_near(cfg))
         lam_far = dephasing_prob(times.t_far, t2)
-        near_qubit, far_qubit = (2, 1) if times.far_node == "A" else (1, 2)
+        # near first: the dephasings commute, but not their roundings
         dephasings = [
-            (near_qubit, _checked_strength(lam_near, 0.5, "dephase strength")),
-            (far_qubit, _checked_strength(lam_far, 0.5, "dephase strength")),
+            (MEMORY_QUBITS[node], _checked_strength(lam, 0.5, "dephase strength"))
+            for node, lam in ((times.near_node, lam_near), (times.far_node, lam_far))
         ]
     dark_counts = []
     clicks = window_click_probs(cfg, use_memory)

@@ -43,8 +43,8 @@ class SpecError(ValueError):
 class SweepSpec:
     """Cartesian sweep over the noise knobs and memory settings.
 
-    Each range is (min, max, steps).  t2_values applies to memory-on rows;
-    empty means each segment's configured T2.
+    Each range is (min, max, steps).  t2_values applies to memory-on rows
+    and needs "on" in memory_modes; empty means each segment's configured T2.
     """
 
     fd_range: tuple[float, float, int] = (0.0, 0.3, 11)
@@ -77,6 +77,8 @@ class SweepSpec:
             raise SpecError("t2_values", f"must be finite, got {self.t2_values}")
         if len(set(self.t2_values)) != len(self.t2_values):
             raise SpecError("t2_values", f"must be distinct, got {self.t2_values}")
+        if self.t2_values and "on" not in modes:
+            raise SpecError("t2_values", f"needs memory-on rows, got memory modes {modes}")
 
 
 def _axis(rng: tuple[float, float, int]) -> list[float]:

@@ -911,11 +911,12 @@ class TestSweepSpec:
         {"fd_range": (0.0, 0.3, 2.5)},
         {"fg_range": (0.0, 0.3, True)},
         {"fd_range": (0.0, 0.3, float("nan"))},
+        {"t2_values": (1.0,), "memory_modes": ("off",)},
     ])
     def test_rejects_bad_spec(self, kwargs):
         with pytest.raises(SpecError) as info:
             SweepSpec(**kwargs)
-        (field,) = kwargs
+        field = next(iter(kwargs))  # the first key is the field at fault
         assert info.value.field == field
         assert str(info.value) == f"{field}: {info.value.problem}"
 
@@ -1313,15 +1314,15 @@ class TestMain:
         assert "no segment named" in capsys.readouterr().err
 
     def test_simulate_t2_without_memory(self, tmp_path, capsys):
-        # --t2 applies to memory-on rows only, as in sweep
+        # --t2 applies to memory-on rows only, as in sweep, and is refused
+        # without --memory
         path = write_doc(tmp_path, minimal_doc())
         out = tmp_path / "report.json"
         code = main(["simulate", "--config", str(path), "--t2", "0.5",
                      "--format", "json", "--out", str(out)])
-        assert code == 0
-        (row,) = json.loads(out.read_text())
-        assert row["memory"] is False and row["T2_s"] is None
-        out.unlink()
+        assert code == 2
+        assert "--t2: needs memory-on rows" in capsys.readouterr().err
+        assert not out.exists()
         code = main(["simulate", "--config", str(path), "--memory", "--t2", "0.5",
                      "--out", str(out)])
         assert code == 2
@@ -1404,6 +1405,10 @@ class TestMain:
          f"--samples: must be <= {10**12}, got {10**12 + 1}"),
         (["sweep", "--no-memory", "--fd", "0:0.3:1", "--fg", "0"],
          "--fd: one step needs min == max, got 0.0..0.3"),
+        (["simulate", "--t2", "5"],
+         "--t2: needs memory-on rows, got memory modes ('off',)"),
+        (["sweep", "--no-memory", "--t2", "3", "--fd", "0", "--fg", "0"],
+         "--t2: needs memory-on rows, got memory modes ('off',)"),
     ])
     def test_range_errors_name_the_option(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

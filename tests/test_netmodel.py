@@ -1,6 +1,7 @@
 """Unit tests of the closed-form link, detector, and memory analytics."""
 
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -13,6 +14,7 @@ from ghzline import (
     MemoryParams,
     NodeParams,
     SourceParams,
+    TrioConfig,
     click_prob,
     dark_count_depolarization,
     db_from_transmission,
@@ -25,8 +27,9 @@ from ghzline import (
     yield_memoryless,
     yield_with_memory,
 )
-from ghzline.netmodel import CANCELLATION_LIMIT, near_far_memory
-from util import make_cfg, series_expected_max
+from ghzline.netmodel import CANCELLATION_LIMIT
+from ghzline.protocol import _segment_strengths
+from util import make_cfg, near_far, series_expected_max
 
 probs = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
 
@@ -298,17 +301,23 @@ class TestYieldWithMemory:
 
 class TestStorageTimes:
     def test_attempt_period_with_colocated_node(self):
-        cfg = make_cfg(len_ab=0.0, len_bc=90.0)
-        times = storage_times(cfg)
-        assert times.tau_a == pytest.approx(2.5e-8, abs=1e-20)
-        assert times.tau_c == pytest.approx(2.5e-8 + 9e-4, rel=1e-12)
+        # a co-located node's pair takes the bare emission period 1/f
+        times = storage_times(make_cfg(len_ab=0.0, len_bc=0.0))
+        assert times.tau_far == pytest.approx(2.5e-8, abs=1e-20)
+        for len_ab, len_bc, far in ((0.0, 90.0, "C"), (90.0, 0.0, "A")):
+            times = storage_times(make_cfg(len_ab=len_ab, len_bc=len_bc))
+            assert times.far_node == far and times.l_near == 0.0
+            assert times.tau_far == pytest.approx(2.5e-8 + 9e-4, rel=1e-12)
 
     def test_far_side_is_longer_link(self):
-        assert storage_times(make_cfg(len_ab=120.0, len_bc=50.0)).far_node == "A"
-        assert storage_times(make_cfg(len_ab=50.0, len_bc=120.0)).far_node == "C"
+        times = storage_times(make_cfg(len_ab=120.0, len_bc=50.0))
+        assert (times.near_node, times.far_node, times.l_near) == ("C", "A", 50.0)
+        times = storage_times(make_cfg(len_ab=50.0, len_bc=120.0))
+        assert (times.near_node, times.far_node, times.l_near) == ("A", "C", 50.0)
 
     def test_tie_resolves_to_c(self):
-        assert storage_times(make_cfg(len_ab=70.0, len_bc=70.0)).far_node == "C"
+        times = storage_times(make_cfg(len_ab=70.0, len_bc=70.0))
+        assert (times.near_node, times.far_node) == ("A", "C")
 
     def test_far_confirmation_wait(self):
         times = storage_times(make_cfg(len_ab=10.0, len_bc=90.0))
@@ -317,23 +326,79 @@ class TestStorageTimes:
 
 class TestNearFarMemory:
     # eta 1 and no darks make the click probs equal the transmissions
-    def near_far(self, len_ab, len_bc):
-        return near_far_memory(make_cfg(trans_ab=0.3, trans_bc=0.6, len_ab=len_ab,
-                                        len_bc=len_bc, memory=MemoryParams(0.9, 2.5)))
+    def memories(self, len_ab, len_bc):
+        return near_far(make_cfg(trans_ab=0.3, trans_bc=0.6, len_ab=len_ab, len_bc=len_bc,
+                                 memory=MemoryParams(0.9, 2.5)))
 
     def test_swaps_with_the_link_lengths(self):
         tau_50 = 1.0 / 4.0e7 + 2.0 * 50.0 / 2.0e5
-        p_near, p_far, tau_far, l_near = self.near_far(10.0, 50.0)  # C far
+        p_near, p_far, tau_far, l_near = self.memories(10.0, 50.0)  # C far
         assert (p_near, p_far) == (pytest.approx(0.3, rel=1e-12), pytest.approx(0.6, rel=1e-12))
         assert tau_far == pytest.approx(tau_50, rel=1e-12) and l_near == 10.0
-        p_near, p_far, tau_far, l_near = self.near_far(50.0, 10.0)  # A far
+        p_near, p_far, tau_far, l_near = self.memories(50.0, 10.0)  # A far
         assert (p_near, p_far) == (pytest.approx(0.6, rel=1e-12), pytest.approx(0.3, rel=1e-12))
         assert tau_far == pytest.approx(tau_50, rel=1e-12) and l_near == 10.0
 
     def test_tie_resolves_to_c_as_far_side(self):
-        p_near, p_far, tau_far, l_near = self.near_far(70.0, 70.0)
+        p_near, p_far, tau_far, l_near = self.memories(70.0, 70.0)
         assert (p_near, p_far) == (pytest.approx(0.3, rel=1e-12), pytest.approx(0.6, rel=1e-12))
         assert l_near == 70.0
+
+
+def nodes(name):
+    return st.builds(NodeParams, st.just(name), st.floats(0.01, 1.0), st.floats(0.0, 0.1))
+
+
+links = st.builds(LinkParams, st.floats(0.0, 300.0), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def segments_and_mirrors(draw):
+    """A memory segment with links of unequal length, and its A<->C mirror:
+    the A and C node parameters swapped, and the AB and BC links."""
+    link_ab, link_bc = draw(st.lists(links, min_size=2, max_size=2,
+                                     unique_by=lambda link: link.length))
+    node_a, node_c = draw(nodes("A")), draw(nodes("C"))
+    cfg = TrioConfig(
+        name="segment",
+        node_a=node_a,
+        node_b=draw(nodes("B")),
+        node_c=node_c,
+        link_ab=link_ab,
+        link_bc=link_bc,
+        source=SourceParams(draw(st.floats(1e5, 1e8))),
+        memory=MemoryParams(draw(st.floats(0.1, 1.0)), draw(st.floats(1e-4, 1e3))),
+    )
+    mirror = replace(cfg, node_a=replace(node_c, name="A"), node_c=replace(node_a, name="C"),
+                     link_ab=link_bc, link_bc=link_ab)
+    return cfg, mirror
+
+
+class TestMirrorSymmetry:
+    """Mirroring a segment end for end swaps which memory is near and
+    which far, and changes nothing else, bit for bit."""
+
+    @given(segments_and_mirrors())
+    def test_storage_times_swap_the_nodes(self, pair):
+        times, mirrored = (storage_times(cfg) for cfg in pair)
+        assert (mirrored.near_node, mirrored.far_node) == (times.far_node, times.near_node)
+        assert (mirrored.tau_far, mirrored.t_far, mirrored.l_near) == (
+            times.tau_far, times.t_far, times.l_near)
+
+    @given(segments_and_mirrors())
+    def test_coherence_near_is_unchanged(self, pair):
+        cfg, mirror = pair
+        assert expected_coherence_near(mirror) == expected_coherence_near(cfg)
+
+    @given(segments_and_mirrors())
+    def test_segment_strengths_swap_the_qubits(self, pair):
+        (dephasings, darks), (mirrored_dephasings, mirrored_darks) = (
+            _segment_strengths(cfg, use_memory=True) for cfg in pair)
+        # near first, on B's other qubit
+        assert [(3 - q, lam) for q, lam in mirrored_dephasings] == list(dephasings)
+        # dark counts by qubit 0 (A), 1 and 2 (B) and 3 (C)
+        assert [d[1:] for d in mirrored_darks] == [d[1:] for d in reversed(darks)]
+        assert [d[0] for d in mirrored_darks] == [d[0] for d in darks] == [0, 1, 2, 3]
 
 
 class TestExpectedCoherenceNear:
@@ -357,7 +422,7 @@ class TestExpectedCoherenceNear:
         # the gap factor p_n p_f / (p_n + p_f - p_n p_f)
         cfg = make_cfg(trans_ab=0.5, trans_bc=0.4, len_ab=len_ab, len_bc=50.0,
                        memory=MemoryParams(0.9, 1e-200), speed_of_light=1e-200)
-        p_near, p_far, _, l_near = near_far_memory(cfg)
+        p_near, p_far, _, l_near = near_far(cfg)
         assert l_near == len_ab
         gap = p_near * p_far / (p_near + p_far - p_near * p_far)
         assert expected_coherence_near(cfg) == (0.0 if len_ab else pytest.approx(gap, rel=1e-15))
@@ -374,7 +439,7 @@ class TestExpectedCoherenceNear:
                        memory=MemoryParams(1.0, t2))
         times = storage_times(cfg)
         assert times.far_node == "C"
-        beta = math.exp(-times.tau_c / t2)
+        beta = math.exp(-times.tau_far / t2)
         expected = series_gap_coherence(p_near, p_far, beta) * math.exp(
             -2.0 * 10.0 / (2.0e5 * t2)
         )
@@ -407,7 +472,7 @@ class TestExpectedCoherenceNear:
 def decimal_coherence_near(cfg):
     """expected_coherence_near's closed form in 400-digit decimal
     arithmetic, from the same float inputs."""
-    p_near, p_far, tau_far, l_near = near_far_memory(cfg)
+    p_near, p_far, tau_far, l_near = near_far(cfg)
     with localcontext() as ctx:
         ctx.prec = 400
         pn, pf, t2 = Decimal(p_near), Decimal(p_far), Decimal(cfg.memory.t2)
@@ -429,7 +494,7 @@ class TestCoherenceNearCancellation:
         cfg = make_cfg(eta_a=1e-15, eta_b=0.5, eta_c=1e-15, dark_b=1e-5,
                        trans_ab=10 ** -1.8, trans_bc=10 ** -1.824, len_ab=90.0, len_bc=91.2,
                        memory=MemoryParams(0.9, 1e15))
-        p_near, _, tau_far, _ = near_far_memory(cfg)
+        p_near, _, tau_far, _ = near_far(cfg)
         assert 1.0 - math.exp(-tau_far / 1e15) * (1.0 - p_near) == 0.0
         value = expected_coherence_near(cfg)
         assert value == pytest.approx(decimal_coherence_near(cfg), rel=1e-13)
@@ -445,9 +510,9 @@ class TestCoherenceNearCancellation:
             return make_cfg(eta_a=10.0**log_pa, eta_c=10.0**log_pc, len_ab=lengths[0],
                             len_bc=lengths[1], memory=MemoryParams(0.9, t2))
 
-        _, _, tau_far, _ = near_far_memory(cfg_with(1.0))
+        _, _, tau_far, _ = near_far(cfg_with(1.0))
         cfg = cfg_with(tau_far / 10.0**log_x)
-        p_near, p_far, tau_far, _ = near_far_memory(cfg)
+        p_near, p_far, tau_far, _ = near_far(cfg)
         beta = math.exp(-tau_far / cfg.memory.t2)
         assert max(1.0 - beta * (1.0 - p) for p in (p_near, p_far)) < CANCELLATION_LIMIT
         value = expected_coherence_near(cfg)
@@ -460,7 +525,7 @@ class TestCoherenceNearCancellation:
         # above the limit the plain form is kept, bit for bit
         cfg = make_cfg(trans_ab=p_near, trans_bc=p_far, len_ab=10.0, len_bc=50.0,
                        memory=MemoryParams(1.0, t2))
-        p_near, p_far, tau_far, l_near = near_far_memory(cfg)
+        p_near, p_far, tau_far, l_near = near_far(cfg)
         beta = math.exp(-tau_far / t2)
         both = p_near + p_far - p_near * p_far
         gap = (p_near * p_far / both) * (

@@ -12,7 +12,9 @@ from ghzline import (
     PureState,
     SourceParams,
     TrioConfig,
+    storage_times,
 )
+from ghzline.netmodel import window_click_probs
 
 # State invariants of assert_valid_state.  Trace and Hermiticity are held
 # tighter than the eigenvalues, which accumulate error over a pipeline.
@@ -49,6 +51,15 @@ def make_cfg(
         memory=memory,
         speed_of_light=speed_of_light,
     )
+
+
+def near_far(cfg):
+    """(p_near, p_far, tau_far, l_near) of the two middle-station memories:
+    the memory-on click probabilities of the outer windows on the near and
+    far side, as storage_times names them, and its tau_far and l_near."""
+    p = window_click_probs(cfg, with_memory=True)
+    times = storage_times(cfg)
+    return p[times.near_node], p[times.far_node], times.tau_far, times.l_near
 
 
 def random_config(rng, with_memory=True):
