@@ -48,23 +48,18 @@ class McResult:
     seed: int
 
 
-def _geometric_block(
-    rng: np.random.Generator, p: float, size: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Vector of geometric attempt counts (support 1, 2, ...) by inverse CDF.
-
-    Fills and returns ``out`` (float64, length ``size``) when given.
-    """
-    x = np.empty(size) if out is None else out
+def _geometric_block(rng: np.random.Generator, p: float, out: np.ndarray) -> np.ndarray:
+    """Fill the float64 vector ``out`` with geometric attempt counts
+    (support 1, 2, ...) by inverse CDF, and return it."""
     if p == 1.0:
-        x.fill(1.0)
-        return x
-    rng.random(out=x)
-    np.negative(x, out=x)
-    np.log1p(x, out=x)
-    x /= math.log1p(-p)
-    np.ceil(x, out=x)
-    return np.maximum(1.0, x, out=x)
+        out.fill(1.0)
+        return out
+    rng.random(out=out)
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    out /= math.log1p(-p)
+    np.ceil(out, out=out)
+    return np.maximum(1.0, out, out=out)
 
 
 def _chunk_len(num_samples: int) -> int:
@@ -214,8 +209,8 @@ def mc_expected_max(
         counts = np.empty((2, n))
 
         def block(rng: np.random.Generator, size: int) -> np.ndarray:
-            n_a = _geometric_block(rng, p_a, size, counts[0, :size])
-            n_c = _geometric_block(rng, p_c, size, counts[1, :size])
+            n_a = _geometric_block(rng, p_a, counts[0, :size])
+            n_c = _geometric_block(rng, p_c, counts[1, :size])
             n_max = np.maximum(n_a, n_c, out=n_a)
             return np.ldexp(n_max, -k, out=n_max) if k else n_max
 
@@ -249,8 +244,8 @@ def mc_coherence_near(
         counts = np.empty((2, n))
 
         def block(rng: np.random.Generator, size: int) -> np.ndarray:
-            wait = _geometric_block(rng, p_near, size, counts[0, :size])
-            wait -= _geometric_block(rng, p_far, size, counts[1, :size])
+            wait = _geometric_block(rng, p_near, counts[0, :size])
+            wait -= _geometric_block(rng, p_far, counts[1, :size])
             np.abs(wait, out=wait)
             # The wait, or the wait over T2 (T2 near 1e-200 in a valid config),
             # can pass the float maximum.  The +inf it then rounds to is exact

@@ -294,6 +294,8 @@ def expected_coherence_near(cfg: TrioConfig) -> float:
     p = window_click_probs(cfg, with_memory=True)
     times = storage_times(cfg)
     p_near, p_far = p[times.near_node], p[times.far_node]
+    _require(min(p_near, p_far) > 0.0,
+             "outer click probabilities must be > 0, got {} near and {} far", p_near, p_far)
     x = times.tau_far / t2
     beta = math.exp(-x)
     both = p_near + p_far - p_near * p_far

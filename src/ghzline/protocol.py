@@ -107,10 +107,6 @@ class ProtocolOutcome:
         return tuple((p, self.rho_out.expectation(p)) for p in stabilizer_suite(self.outcome))
 
 
-def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return np.kron(np.kron(a, b), c)
-
-
 @cache
 def _initial_register() -> np.ndarray:
     """Read-only (1, 16) row 0 of both source pairs, CZ|+>|+> on qubits
@@ -133,15 +129,10 @@ def target_state(outcome: int = +1) -> PureState:
     _check_outcome(outcome)
     if outcome == -1:
         return PureState(target_state(+1).amplitudes.conj())
-    plus = BASIS_EIGENVECTORS[("X", +1)]
-    minus = BASIS_EIGENVECTORS[("X", -1)]
-    ket0 = BASIS_EIGENVECTORS[("Z", +1)]
-    ket1 = BASIS_EIGENVECTORS[("Z", -1)]
-    y_pos = BASIS_EIGENVECTORS[("Y", +1)]
-    y_neg = BASIS_EIGENVECTORS[("Y", -1)]
+    e = BASIS_EIGENVECTORS
     vec = 0.5 * (
-        (1.0 - 1.0j) * _kron3(plus, ket0, y_pos)
-        + (1.0 + 1.0j) * _kron3(minus, ket1, y_neg)
+        (1.0 - 1.0j) * np.kron(np.kron(e["X", +1], e["Z", +1]), e["Y", +1])
+        + (1.0 + 1.0j) * np.kron(np.kron(e["X", -1], e["Z", -1]), e["Y", -1])
     )
     return PureState(vec)
 
@@ -198,6 +189,43 @@ def _segment_strengths(cfg: TrioConfig, use_memory: bool) -> tuple[tuple, tuple]
     return tuple(dephasings), tuple(dark_counts)
 
 
+def _stages(cfg: TrioConfig, fds: Sequence[float], fgs: Sequence[float], use_memory: bool):
+    """Yield (name, rows) for the source register and after each step
+    before the Y measurement, in order, for checked f_D and f_G values.
+
+    The rows are row 0 of each state, a real (B, 16) stack, and this is
+    exact: each state is diagonal in the graph-state basis of PRE_CZ_EDGES
+    before the CZ and POST_CZ_EDGES after it, and each step combines only
+    entries of one XOR class i ^ j, each times +-1.  B is the f_D count
+    before the f_G mix (the first transit step broadcasts the register)
+    and the point count, f_D-major, from the mix on.  Each step maps each
+    row alone in a fixed order: the dense channels' bits, whatever the stack.
+    """
+    dephasings, dark_counts = _segment_strengths(cfg, use_memory)
+    rows = _initial_register()
+    yield "source pairs", rows
+    depol = np.array(fds).reshape(-1, 1)
+    quarter, keep = depol / 4.0, 1.0 - depol
+    for name, qubit in (("transit 0", 0), ("transit 3", 3)):
+        rows = _row_depolarize(rows, 4, PRE_CZ_EDGES, qubit, quarter, keep)
+        yield name, rows
+    for name, (qubit, lam) in zip(("near memory", "far memory"), dephasings):
+        rows = _row_dephase(rows, 4, qubit, lam)
+        yield name, rows
+    gate, scrambled = _row_cz_terms(rows, 4, PRE_CZ_EDGES, 1, 2)
+    # row (i, j) takes f_D entry i and f_G entry j
+    fail = np.array(fgs).reshape(1, -1, 1)
+    rows = gate[:, None] * (1.0 - fail)
+    rows += scrambled[:, None] * fail
+    rows = rows.reshape(-1, 16)
+    yield "merge CZ", rows
+    # _segment_strengths gives qubits 0 to 3 in order
+    names = ("dark counts 0", "dark counts 1", "dark counts 2", "dark counts 3")
+    for name, (qubit, quarter_s, keep_s) in zip(names, dark_counts):
+        rows = _row_depolarize(rows, 4, POST_CZ_EDGES, qubit, quarter_s, keep_s)
+        yield name, rows
+
+
 def run_stack(
     cfg: TrioConfig,
     fds: Sequence[float],
@@ -213,47 +241,14 @@ def run_stack(
     outcome +1, and the conditional three-qubit state on (0, 1, 3) as a
     (B, 8, 8) stack.  The -1 branch is its conjugate (run_pipeline).
 
-    Steps, in order: prepare both source pairs; depolarize the transit
-    qubits (0 and 3) with f_D; if use_memory, dephase B's stored qubits by
-    their expected storage decoherence; apply the noisy merge CZ between
-    qubits 1 and 2 with f_G; depolarize every qubit by its dark-count junk
-    fraction; measure qubit 2 in Y and keep the +1 outcome.  Each axis value
-    is checked once, and the segment's strengths once per call
-    (_segment_strengths).
-
-    Every step before the measurement runs on row 0 of each state, a
-    (B, 16) stack (the row kernels of ghzline.density).  This is exact:
-    each state is diagonal in the basis of the graph state PRE_CZ_EDGES
-    before the CZ and POST_CZ_EDGES after it, each step combines only
-    entries of one XOR class i ^ j, each times +-1, and a product with
-    +-1 rounds nothing.  Every step before the f_G mix runs once, with
-    one row per f_D entry: the transit depolarizations (the first takes
-    the one row of the source pairs and broadcasts it over the entries),
-    the memory dephasings, and the noisy CZ's two branches.  The mix (by
-    broadcasting) and the dark-count depolarizations run once on all
-    rows, and the measurement on chunks of up to CHUNK_ROWS rows.  Each
-    step maps each row on its own and sums it in the same order whatever
-    its stack, and the rows are real float64 until the measurement, with
-    the bits the dense channels give on a complex stack.
+    Checks each axis value once, runs each of _stages' steps once on its
+    whole stack, and then measures qubit 2 in Y, keeping the +1 outcome,
+    on chunks of up to CHUNK_ROWS rows.
     """
     fds = [_checked_strength(v, 1.0, "channel_depol") for v in fds]
     fgs = [_checked_strength(v, 1.0, "gate_fail") for v in fgs]
-    dephasings, dark_counts = _segment_strengths(cfg, use_memory)
-    # every step before the CZ mix, once per f_D entry
-    depol = np.array(fds).reshape(-1, 1)
-    quarter, keep = depol / 4.0, 1.0 - depol
-    rows = _row_depolarize(_initial_register(), 4, PRE_CZ_EDGES, 0, quarter, keep)
-    rows = _row_depolarize(rows, 4, PRE_CZ_EDGES, 3, quarter, keep)
-    for qubit, lam in dephasings:
-        rows = _row_dephase(rows, 4, qubit, lam)
-    gate, scrambled = _row_cz_terms(rows, 4, PRE_CZ_EDGES, 1, 2)
-    # row (i, j) takes f_D entry i and f_G entry j
-    fail = np.array(fgs).reshape(1, -1, 1)
-    rows = gate[:, None] * (1.0 - fail)
-    rows += scrambled[:, None] * fail
-    rows = rows.reshape(-1, 16)
-    for qubit, quarter_s, keep_s in dark_counts:
-        rows = _row_depolarize(rows, 4, POST_CZ_EDGES, qubit, quarter_s, keep_s)
+    for _, rows in _stages(cfg, fds, fgs, use_memory):
+        pass
     probs, states = np.empty(len(rows)), np.empty((len(rows), 8, 8), dtype=complex)
     for lo in range(0, len(rows), CHUNK_ROWS):
         chunk = slice(lo, lo + CHUNK_ROWS)
@@ -271,7 +266,7 @@ def run_pipeline(
 ) -> ProtocolOutcome:
     """Run one merge attempt and return the conditional three-qubit state.
 
-    The one-row case of run_stack, which lists the steps.
+    The one-row case of run_stack; _stages lists the steps.
     """
     _check_outcome(outcome)
     probs, states = run_stack(

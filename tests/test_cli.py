@@ -921,7 +921,24 @@ class TestSweepSpec:
         assert str(info.value) == f"{field}: {info.value.problem}"
 
 
+def raw_configs():
+    """Hand-built segments across the dataclasses' whole accepted ranges,
+    each magnitude drawn log-uniformly: far past what a config file may
+    hold (MIN_CLICK_PROB), so that only the engine's own checks stand
+    between them and a row."""
+    unit, positive = log_uniform(-323.0, 0.0), log_uniform(-323.0, 308.0)
+    dark = st.one_of(st.just(0.0), log_uniform(-323.0, -1e-16))
+    length = st.one_of(st.just(0.0), positive)
+    return st.builds(
+        make_cfg, eta_a=unit, eta_b=unit, eta_c=unit, dark_a=dark, dark_b=dark, dark_c=dark,
+        trans_ab=unit, trans_bc=unit, len_ab=length, len_bc=length, frequency=positive,
+        memory=st.builds(MemoryParams, unit, positive), speed_of_light=positive,
+    )
+
+
 class TestRunSweep:
+    METRICS = ("yield_per_attempt", "fidelity", "q_x", "q_ab", "r_per_attempt", "r_per_second")
+
     def test_single_point(self):
         spec = SweepSpec(fd_range=(0.0, 0.0, 1), fg_range=(0.0, 0.0, 1),
                          memory_modes=("off",))
@@ -990,12 +1007,34 @@ class TestRunSweep:
         )
         assert rows[1].fidelity == full_report(make_cfg(), NoiseParams(0.0, 0.2)).fidelity
         for row in rows[4:]:
-            assert all(math.isnan(getattr(row, field)) for field in (
-                "yield_per_attempt", "fidelity", "q_x", "q_ab", "r_per_attempt", "r_per_second"))
+            assert all(math.isnan(getattr(row, field)) for field in self.METRICS)
         # a failed T2 block keeps its T2 on every row
         t2_rows = run_sweep([make_cfg()], SweepSpec(fd_range=(0.0, 0.1, 2), fg_range=(0.0, 0.2, 2),
                                                     memory_modes=("on",), t2_values=(0.5,)))
         assert [(r.t2_s, r.error) for r in t2_rows] == [(0.5, rows[4].error)] * 4
+
+    def test_zero_outer_click_probabilities_fail_soft(self):
+        # both outer click probabilities underflow to 0, which MIN_CLICK_PROB
+        # keeps out of config files: the memory-on block fails as a whole
+        cfg = make_cfg(eta_a=1e-200, eta_c=1e-200, trans_ab=1e-200, trans_bc=1e-200,
+                       memory=MemoryParams(0.9, 1.0))
+        error = "outer click probabilities must be > 0, got 0.0 near and 0.0 far"
+        rows = run_sweep([cfg], SweepSpec(fd_range=(0.1, 0.1, 1), fg_range=(0.1, 0.1, 1)))
+        assert [r.memory for r in rows] == [False, True]
+        assert rows[1].error == f"ValueError: {error}"
+        assert all(math.isnan(getattr(rows[1], field)) for field in self.METRICS)
+        with pytest.raises(ValueError) as err:
+            full_report(cfg, NoiseParams(0.1, 0.1), use_memory=True)
+        assert str(err.value) == error
+
+    @given(cfg=raw_configs())
+    def test_every_row_is_finite_or_carries_an_error(self, cfg):
+        # pyproject's error::RuntimeWarning filter makes a numpy overflow or
+        # invalid value raise here, and run_sweep lets all but ValueError out
+        rows = run_sweep([cfg], SweepSpec(fd_range=(0.0, 1.0, 2), fg_range=(0.0, 1.0, 2)))
+        assert [r.memory for r in rows] == [False] * 4 + [True] * 4
+        for row in rows:
+            assert row.error or all(math.isfinite(getattr(row, f)) for f in self.METRICS), row
 
     def test_block_rows_equal_single_point_reports(self):
         # both memory blocks hold 16 rows, evaluated as one stack, then 72

@@ -475,6 +475,7 @@ class TestStacks:
             density._measure_rows(np.array([[0.5, -0.5], [0.5, 0.5]]), 1, (), 0, "X", -1)
 
 
+@pytest.mark.engine
 class TestKernels:
     """Each row kernel against the dense reference kernel of tests/util.py,
     on states diagonal in a graph basis (the empty graph, the chain and a

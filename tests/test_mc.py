@@ -39,23 +39,23 @@ class TestSampleGeometric:
     """The law of _geometric_block's attempt counts."""
 
     def test_certain_success_is_always_one(self):
-        assert np.all(_geometric_block(np.random.default_rng(0), 1.0, 50) == 1.0)
+        assert np.all(_geometric_block(np.random.default_rng(0), 1.0, np.empty(50)) == 1.0)
 
     @given(p=st.floats(min_value=0.01, max_value=0.999, allow_nan=False),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_support_starts_at_one(self, p, seed):
-        values = _geometric_block(np.random.default_rng(seed), p, 1000)
+        values = _geometric_block(np.random.default_rng(seed), p, np.empty(1000))
         assert np.all(values >= 1.0) and np.all(values == np.floor(values))
 
     def test_mean_matches_law(self):
         p, n = 0.25, 20000
-        mean = float(_geometric_block(np.random.default_rng(123), p, n).mean())
+        mean = float(_geometric_block(np.random.default_rng(123), p, np.empty(n)).mean())
         sigma = math.sqrt(1.0 - p) / p  # geometric standard deviation
         assert abs(mean - 1.0 / p) <= 3.0 * sigma / math.sqrt(n)
 
     def test_first_attempt_frequency(self):
         p, n = 0.3, 20000
-        hits = float(np.mean(_geometric_block(np.random.default_rng(7), p, n) == 1.0))
+        hits = float(np.mean(_geometric_block(np.random.default_rng(7), p, np.empty(n)) == 1.0))
         sigma = math.sqrt(p * (1.0 - p) / n)
         assert abs(hits - p) <= 3.0 * sigma
 
@@ -63,18 +63,18 @@ class TestSampleGeometric:
 class TestGeometricBlock:
     def test_fills_the_given_buffer(self):
         buf = np.empty(1000)
-        assert _geometric_block(np.random.default_rng(3), 0.2, 1000, buf) is buf
-        assert np.array_equal(buf, _geometric_block(np.random.default_rng(3), 0.2, 1000))
-        assert _geometric_block(np.random.default_rng(3), 1.0, 1000, buf) is buf
+        assert _geometric_block(np.random.default_rng(3), 0.2, buf) is buf
+        assert np.array_equal(buf, _geometric_block(np.random.default_rng(3), 0.2, np.empty(1000)))
+        assert _geometric_block(np.random.default_rng(3), 1.0, buf) is buf
         assert np.all(buf == 1.0)
 
     def test_click_floor_keeps_counts_finite(self):
         # the largest uniform gives the largest count, about 36.7 / p: finite
         # at the config boundary's floor, past the float maximum 2.5% below it
-        (count,) = _geometric_block(LargestUniform(), MIN_CLICK_PROB, 1)
+        (count,) = _geometric_block(LargestUniform(), MIN_CLICK_PROB, np.empty(1))
         assert 1.7e308 < count < math.inf
         with np.errstate(over="ignore"):
-            (count,) = _geometric_block(LargestUniform(), 2.0e-307, 1)
+            (count,) = _geometric_block(LargestUniform(), 2.0e-307, np.empty(1))
         assert count == math.inf
 
 
@@ -395,8 +395,8 @@ class TestExpectedMaxOracle:
         p = 2.0**-1000
 
         def unscaled(rng, size):
-            n_a = _geometric_block(rng, p, size)
-            return np.maximum(n_a, _geometric_block(rng, p, size))
+            n_a = _geometric_block(rng, p, np.empty(size))
+            return np.maximum(n_a, _geometric_block(rng, p, np.empty(size)))
 
         result = mc_expected_max(p, p, num_samples=100000, seed=4)
         with np.errstate(over="ignore"):  # the unscaled squares overflow

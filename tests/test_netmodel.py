@@ -374,6 +374,7 @@ def segments_and_mirrors(draw):
     return cfg, mirror
 
 
+@pytest.mark.engine
 class TestMirrorSymmetry:
     """Mirroring a segment end for end swaps which memory is near and
     which far, and changes nothing else, bit for bit."""

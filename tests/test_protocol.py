@@ -298,31 +298,17 @@ class TestMemoryBranch:
         with pytest.raises(ValueError, match="memory"):
             run_pipeline(make_cfg(), use_memory=True)
 
-    def test_manual_wiring_reproduces_pipeline(self):
-        # rebuild the documented step order by hand for a far-side-A layout
+    def test_far_side_a_layout_matches_the_reference(self):
+        # A far: the near memory dephases qubit 2 first, then the far one qubit 1
         noise = NoiseParams(0.08, 0.15)
         cfg = make_cfg(eta_a=0.9, eta_b=0.7, eta_c=0.8,
                        dark_a=0.001, dark_b=0.003, dark_c=0.002,
                        trans_ab=0.4, trans_bc=0.9, len_ab=120.0, len_bc=30.0,
                        memory=MemoryParams(0.85, 0.01))
-        times = storage_times(cfg)
-        assert times.far_node == "A"
-
-        rho = source_register()
-        rho = twirl_depolarize(rho, 4, 0, noise.channel_depol)
-        rho = twirl_depolarize(rho, 4, 3, noise.channel_depol)
-        rho = flip_dephase(rho, 4, 2, 0.5 * (1.0 - expected_coherence_near(cfg)))
-        rho = flip_dephase(rho, 4, 1, dephasing_prob(times.t_far, cfg.memory.t2))
-        rho = trace_reinsert_noisy_cz(rho, 4, 1, 2, noise.gate_fail)
-        for qubit, node in ((0, "A"), (1, "B"), (2, "B"), (3, "C")):
-            params = {"A": cfg.node_a, "B": cfg.node_b, "C": cfg.node_c}[node]
-            xi = detection_prob(cfg, node, with_memory=node == "B")
-            xi_click = click_prob(xi, params.dark_count_prob)
-            alpha = dark_count_depolarization(xi, xi_click, params.dark_count_prob)
-            rho = twirl_depolarize(rho, 4, qubit, alpha)
-        assert same_bits(rho, reference_chain(cfg, noise, use_memory=True))
-        prob, expected = tensordot_project(rho, 4, 2, "Y", +1)
-
+        assert storage_times(cfg).far_node == "A"
+        dephasings, _ = protocol._segment_strengths(cfg, use_memory=True)
+        assert [qubit for qubit, _ in dephasings] == [2, 1]
+        prob, expected = tensordot_project(reference_chain(cfg, noise, True), 4, 2, "Y", +1)
         result = run_pipeline(cfg, noise, use_memory=True)
         assert np.float64(result.outcome_prob).tobytes() == prob[0].tobytes()
         assert same_bits(result.rho_out.data, expected[0])
@@ -364,63 +350,41 @@ CHAIN = ((0, 1), (1, 2), (2, 3))
 
 
 def reference_stages(cfg, noise, use_memory):
-    """The state after each step of run_stack's documented order, up to
-    the Y measurement, as (graph, one-row complex stack) pairs: the tests'
-    reference kernels, which share no code with ghzline.density."""
+    """The state after each step of run_stack's order, up to the Y
+    measurement, as (name, graph, one-row complex stack) triples under
+    protocol._stages' names: the tests' reference kernels, which share
+    no code with ghzline.density."""
     rho = source_register()
-    stages = [(SOURCE_PAIRS, rho)]
-    rho = twirl_depolarize(rho, 4, 0, noise.channel_depol)
-    stages.append((SOURCE_PAIRS, rho))
-    rho = twirl_depolarize(rho, 4, 3, noise.channel_depol)
-    stages.append((SOURCE_PAIRS, rho))
+    stages = [("source pairs", SOURCE_PAIRS, rho)]
+    for qubit in (0, 3):
+        rho = twirl_depolarize(rho, 4, qubit, noise.channel_depol)
+        stages.append((f"transit {qubit}", SOURCE_PAIRS, rho))
     if use_memory:
         times = storage_times(cfg)
         near, far = (2, 1) if times.far_node == "A" else (1, 2)
         rho = flip_dephase(rho, 4, near, 0.5 * (1.0 - expected_coherence_near(cfg)))
-        stages.append((SOURCE_PAIRS, rho))
+        stages.append(("near memory", SOURCE_PAIRS, rho))
         rho = flip_dephase(rho, 4, far, dephasing_prob(times.t_far, cfg.memory.t2))
-        stages.append((SOURCE_PAIRS, rho))
+        stages.append(("far memory", SOURCE_PAIRS, rho))
     rho = trace_reinsert_noisy_cz(rho, 4, 1, 2, noise.gate_fail)
-    stages.append((CHAIN, rho))
+    stages.append(("merge CZ", CHAIN, rho))
     for qubit, node in ((0, "A"), (1, "B"), (2, "B"), (3, "C")):
         params = {"A": cfg.node_a, "B": cfg.node_b, "C": cfg.node_c}[node]
         xi = detection_prob(cfg, node, with_memory=use_memory and node == "B")
         xi_click = click_prob(xi, params.dark_count_prob)
         rho = twirl_depolarize(
             rho, 4, qubit, dark_count_depolarization(xi, xi_click, params.dark_count_prob))
-        stages.append((CHAIN, rho))
+        stages.append((f"dark counts {qubit}", CHAIN, rho))
     return stages
 
 
 def reference_chain(cfg, noise, use_memory):
     """The state just before the Y measurement, as a one-row complex
     stack: the last of reference_stages."""
-    return reference_stages(cfg, noise, use_memory)[-1][1]
+    return reference_stages(cfg, noise, use_memory)[-1][2]
 
 
-def row_stages(cfg, noise, use_memory):
-    """The row of each of reference_stages' states from the row kernels,
-    run on one point the way run_stack runs them."""
-    dephasings, dark_counts = protocol._segment_strengths(cfg, use_memory)
-    s = noise.channel_depol
-    rows = protocol._initial_register()
-    stages = [rows]
-    rows = density._row_depolarize(rows, 4, SOURCE_PAIRS, 0, s / 4.0, 1.0 - s)
-    stages.append(rows)
-    rows = density._row_depolarize(rows, 4, SOURCE_PAIRS, 3, s / 4.0, 1.0 - s)
-    stages.append(rows)
-    for qubit, lam in dephasings:
-        rows = density._row_dephase(rows, 4, qubit, lam)
-        stages.append(rows)
-    gate, scrambled = density._row_cz_terms(rows, 4, SOURCE_PAIRS, 1, 2)
-    rows = gate * (1.0 - noise.gate_fail) + scrambled * noise.gate_fail
-    stages.append(rows)
-    for qubit, quarter, keep in dark_counts:
-        rows = density._row_depolarize(rows, 4, CHAIN, qubit, quarter, keep)
-        stages.append(rows)
-    return stages
-
-
+@pytest.mark.engine
 class TestCheckOnce:
     """run_stack checks each strength once and then runs the channel
     kernels on a real stack; the result is reference_chain's on a complex
@@ -518,12 +482,9 @@ class TestCheckOnce:
     def test_first_transit_equals_depolarizing_the_register(self, values):
         # run_stack's first transit depolarization, one register row for
         # every f_D entry
-        depol = np.array(values).reshape(-1, 1)
-        quarter, keep = depol / 4.0, 1.0 - depol
-        started = density._row_depolarize(
-            protocol._initial_register(), 4, SOURCE_PAIRS, 0, quarter, keep)
+        started = dict(protocol._stages(make_cfg(), values, [0.0], False))["transit 0"]
         stack = np.broadcast_to(source_register()[0].real, (len(values), 16, 16))
-        expected = twirl_depolarize(stack, 4, 0, depol[..., None])[:, 0]
+        expected = twirl_depolarize(stack, 4, 0, np.array(values).reshape(-1, 1, 1))[:, 0]
         assert started.tobytes() == expected.tobytes()
 
     def test_empty_stack(self):
@@ -551,6 +512,7 @@ class TestCheckOnce:
         assert self.sweep_error() == "ValueError: dephase strength must be in [0, 0.5], got nan"
 
 
+@pytest.mark.engine
 class TestRowInvariant:
     """Before the Y measurement every state of the pipeline is diagonal in
     a graph-state basis, so entry (i, j) is S[i, j] * rho[0, i ^ j], and
@@ -568,19 +530,18 @@ class TestRowInvariant:
         # not give it that sign (f_D = 1 with no dark counts shows it).
         # No nonzero entry depends on it, and no output of run_stack:
         # TestCheckOnce holds those to reference_chain bit for bit.
-        noise = NoiseParams(fd, fg)
         xor = np.arange(16)[:, None] ^ np.arange(16)
-        stages = reference_stages(cfg, noise, use_memory)
-        rows = row_stages(cfg, noise, use_memory)
-        assert len(rows) == len(stages) == (10 if use_memory else 8)
-        for step, ((edges, rho), row) in enumerate(zip(stages, rows)):
+        stages = reference_stages(cfg, NoiseParams(fd, fg), use_memory)
+        rows = list(protocol._stages(cfg, [fd], [fg], use_memory))
+        assert [name for name, _ in rows] == [name for name, _, _ in stages]
+        for (name, row), (_, edges, rho) in zip(rows, stages):
             assert not rho.imag.any()
             ref = rho[0].real
             nonzero = ref != 0
             expected = density._graph_signs(4, edges) * ref[0, xor]
-            assert same_bits(ref[nonzero], expected[nonzero]), step
-            assert np.array_equal(row[0], ref[0]), step
-            assert same_bits(row[0][nonzero[0]], ref[0][nonzero[0]]), step
+            assert same_bits(ref[nonzero], expected[nonzero]), name
+            assert np.array_equal(row[0], ref[0]), name
+            assert same_bits(row[0][nonzero[0]], ref[0][nonzero[0]]), name
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_signs_match_the_graph_states(self, n):
@@ -599,6 +560,7 @@ class TestRowInvariant:
             assert np.array_equal(density._graph_signs(4, edges), signs.real)
 
 
+@pytest.mark.engine
 class TestMinusOneBranch:
     """run_pipeline derives the -1 heralding from the +1 run by complex
     conjugation; the reference route measures the -1 outcome itself."""

@@ -141,6 +141,7 @@ def per_vector_error_rates(rho):
             np.minimum(1.0, np.maximum(0.0, q_ab)))
 
 
+@pytest.mark.engine
 class TestStackedErrorRates:
     """F and the six error projections of a stack come from one
     contraction, bit-identical to six per-vector np.vdot loops."""
