@@ -162,7 +162,7 @@ def _write_out(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _load_configs(args) -> list[TrioConfig]:

@@ -10,6 +10,7 @@ import numbers
 import operator
 import re
 import sys
+from collections.abc import Hashable
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -35,11 +36,74 @@ DEFAULT_CONFIG = "network_segments.yaml"
 MIN_CLICK_PROB = 2.05e-307
 
 # The most collections a config document may nest before load_config stops
-# reading it (a valid one nests five).  It lies below the ~240 levels, fewer
-# on a deeper stack, where building a document runs out of Python recursion
-# (libyaml's composer crashed near 30,000), so it alone sets the cut, and
-# above the 167 opening characters of each bundled file, which skip the walk.
+# reading it (a valid one nests five).  It lies below the depth, fewer on a
+# deeper stack, where reading a document runs out of Python recursion:
+# ~990 levels in _construct_document, one frame each, with libyaml, and
+# ~490 in the pure-Python composer (libyaml's composer crashed near
+# 30,000), so it alone sets the cut; and above the 167 opening characters
+# of each bundled file, which skip the walk.
 MAX_NESTING = 200
+
+
+_STR, _SEQ, _MAP = (f"tag:yaml.org,2002:{kind}" for kind in ("str", "seq", "map"))
+# The other scalar tags whose safe constructors build a value in one call.
+_SCALAR_TAGS = frozenset(
+    f"tag:yaml.org,2002:{kind}" for kind in ("null", "bool", "int", "float", "binary", "timestamp")
+)
+# The (node type, tag) of the collections _construct_document builds itself.
+_COLLECTIONS = frozenset({(yaml.MappingNode, _MAP), (yaml.SequenceNode, _SEQ)})
+
+
+def _construct_document(loader, node):
+    """The document under ``node``, built in one recursive walk over the
+    composed node tree in place of SafeConstructor's generic construction.
+
+    Plain mappings (their merge keys flattened first), sequences and
+    scalars are built here; every other tag, such as ``!!set``, ``!!omap``
+    or an unknown one, goes to PyYAML's deep construct_object.  Both share
+    the loader's table of built nodes, so that aliases share one object,
+    and its table of nodes still being built, so that a collection that
+    holds itself is PyYAML's "found unconstructable recursive node".  The
+    objects, errors and their marks are those of SafeConstructor's deep
+    construction, and each level of nesting costs one Python frame.
+    """
+    built, building = loader.constructed_objects, loader.recursive_objects
+    constructors = loader.yaml_constructors
+
+    def construct(node):
+        if type(node) is yaml.ScalarNode:
+            if node.tag == _STR:
+                return node.value
+            if node.tag in _SCALAR_TAGS:
+                return constructors[node.tag](loader, node)
+            return loader.construct_object(node, deep=True)
+        if node in built:
+            return built[node]
+        if (type(node), node.tag) not in _COLLECTIONS:
+            return loader.construct_object(node, deep=True)
+        if node in building:
+            raise yaml.constructor.ConstructorError(
+                None, None, "found unconstructable recursive node", node.start_mark)
+        building[node] = None
+        if node.tag == _SEQ:
+            data = list(map(construct, node.value))
+        else:
+            loader.flatten_mapping(node)
+            data = {}
+            for key_node, value_node in node.value:
+                key = construct(key_node)
+                if not isinstance(key, Hashable):
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        "found unhashable key", key_node.start_mark)
+                data[key] = construct(value_node)
+        built[node] = data
+        del building[node]
+        return data
+
+    data = construct(node)
+    loader.constructed_objects, loader.recursive_objects = {}, {}
+    return data
 
 
 def _config_loader(base: type) -> type:
@@ -52,25 +116,15 @@ def _config_loader(base: type) -> type:
     below goes to the new class alone; PyYAML's loaders are left as they
     are.  A digit must follow a leading dot, as in PyYAML's own float
     pattern, so that ``._e3`` stays a string rather than failing float().
-
-    Mappings and sequences are built whole, with their contents, rather
-    than by SafeConstructor's generators, which hand out an empty
-    collection first and fill it once the rest of the document is built.
-    The objects, aliases and merge keys are the same; a collection that
-    holds itself through an alias, which only the generators can build,
-    is a yaml.YAMLError here.
+    Documents are built by _construct_document.
     """
 
-    loader = type("_ConfigLoader", (base,), {})
+    loader = type("_ConfigLoader", (base,), {"construct_document": _construct_document})
     loader.add_implicit_resolver(
         "tag:yaml.org,2002:float",
         re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
         list("-+0123456789."),
     )
-    loader.add_constructor(
-        "tag:yaml.org,2002:map", lambda ld, node: ld.construct_mapping(node, deep=True))
-    loader.add_constructor(
-        "tag:yaml.org,2002:seq", lambda ld, node: ld.construct_sequence(node, deep=True))
     return loader
 
 
@@ -288,8 +342,8 @@ def _compile_schema(schema: dict, root: dict | None = None, compiled: dict | Non
 @cache
 def _config_schema():
     """config.schema.json, read and compiled once per process."""
-    with (resources.files("ghzline") / "data" / "config.schema.json").open() as fh:
-        return _compile_schema(json.load(fh))
+    schema = resources.files("ghzline") / "data" / "config.schema.json"
+    return _compile_schema(json.loads(schema.read_text(encoding="utf-8")))
 
 
 def _schema_errors(schema, node, path: tuple = ()) -> list[tuple]:
@@ -445,8 +499,8 @@ def load_config(path) -> list[TrioConfig]:
     """
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read {p}: {exc}"]) from exc
     too_deep = f"{p}: parse error: document nests too deeply"
     if _nests_too_deeply(text):

@@ -26,7 +26,13 @@ from typing import Callable
 
 import numpy as np
 
-from .netmodel import TrioConfig, require_memory, storage_times, window_click_probs
+from .netmodel import (
+    TrioConfig,
+    _outer_click_probs,
+    require_memory,
+    storage_times,
+    window_click_probs,
+)
 
 CHUNK = 1 << 16
 # Each worker holds one chunk's buffers (1 MiB for the two-count oracles),
@@ -234,9 +240,9 @@ def mc_coherence_near(
     factor.  Oracle for expected_coherence_near.
     """
     t2 = require_memory(cfg).t2
-    p = window_click_probs(cfg, with_memory=True)
     times = storage_times(cfg)
-    p_near, p_far, tau_far = p[times.near_node], p[times.far_node], times.tau_far
+    p_near, p_far = _outer_click_probs(cfg, times)
+    tau_far = times.tau_far
     t_near = 2.0 * times.l_near / cfg.speed_of_light
     n = _chunk_len(num_samples)
 

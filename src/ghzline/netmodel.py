@@ -278,6 +278,19 @@ def storage_times(cfg: TrioConfig) -> StorageTimes:
     return StorageTimes(near_node, far_node, tau_far, t_far, near.length)
 
 
+def _outer_click_probs(cfg: TrioConfig, times: StorageTimes) -> tuple[float, float]:
+    """The near and far outer windows' click probabilities with memory.
+
+    Raises ValueError unless both are > 0: the attempt counts they set are
+    finite only then, in the closed form and in its Monte Carlo oracle.
+    """
+    p = window_click_probs(cfg, with_memory=True)
+    p_near, p_far = p[times.near_node], p[times.far_node]
+    _require(min(p_near, p_far) > 0.0,
+             "outer click probabilities must be > 0, got {} near and {} far", p_near, p_far)
+    return p_near, p_far
+
+
 def expected_coherence_near(cfg: TrioConfig) -> float:
     """Expected e^(-t/T2) retained by the near-side memory over its random wait.
 
@@ -291,11 +304,8 @@ def expected_coherence_near(cfg: TrioConfig) -> float:
     which this multiplies by the deterministic e^(-2 L_near / (c T2)).
     """
     t2 = require_memory(cfg).t2
-    p = window_click_probs(cfg, with_memory=True)
     times = storage_times(cfg)
-    p_near, p_far = p[times.near_node], p[times.far_node]
-    _require(min(p_near, p_far) > 0.0,
-             "outer click probabilities must be > 0, got {} near and {} far", p_near, p_far)
+    p_near, p_far = _outer_click_probs(cfg, times)
     x = times.tau_far / t2
     beta = math.exp(-x)
     both = p_near + p_far - p_near * p_far

@@ -210,7 +210,7 @@ def emit(rows, fmt: str, path) -> Path:
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
     out = Path(path)
-    out.write_text(render_csv(rows) if fmt == "csv" else render_json(rows))
+    out.write_text(render_csv(rows) if fmt == "csv" else render_json(rows), encoding="utf-8")
     return out
 
 
@@ -244,9 +244,9 @@ def parse_rows(path, fmt: str | None = None) -> list[RateReport]:
     if fmt == "json":
         return [
             RateReport(**_row_fields(d, _require_float, bool), error=d.get("error"))
-            for d in json.loads(p.read_text())
+            for d in json.loads(p.read_text(encoding="utf-8"))
         ]
-    with p.open(newline="") as fh:
+    with p.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != list(CSV_COLUMNS):
             raise ValueError(f"unexpected CSV header in {p}: {reader.fieldnames}")

@@ -57,11 +57,12 @@ from util import make_cfg
 # PyYAML's pure-Python safe loader.
 PURE_LOADER = _config_loader(yaml.SafeLoader)
 
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
 
 def fresh_process(code: str) -> subprocess.CompletedProcess:
     """``code`` run in a fresh interpreter on this checkout's package."""
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
 
@@ -302,6 +303,66 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.yaml")
+
+    def test_undecodable_file_names_the_path(self, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"segments: [\xff]\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.problems == [
+            f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 11: "
+            "invalid start byte"
+        ]
+
+    def test_files_are_utf8_in_any_locale(self, tmp_path):
+        # Files are read and written as UTF-8 whatever the locale: a
+        # non-ASCII station and segment name load, the CLI's files hold the
+        # same bytes in an ASCII locale as in a UTF-8 one, and an
+        # undecodable file is a config error that names it.
+        text = data_path().read_text(encoding="utf-8")
+        assert "Schaepe" in text and "berlin-schaepe" in text
+        cfg = tmp_path / "umlaut.yaml"
+        umlaut = text.replace("Schaepe", "Schäpe").replace("berlin-schaepe", "berlin-schäpe")
+        cfg.write_text(umlaut, encoding="utf-8")
+        bad = tmp_path / "latin1.yaml"
+        bad.write_bytes(b"segments: [\xff]\n")
+        sweep = ["sweep", "--config", str(cfg), "--fd", "0", "--fg", "0"]
+        argvs = [
+            ["yields", "--config", str(cfg), "--format", "csv", "--out", "yields.csv"],
+            sweep + ["--out", "sweep.csv"],
+            sweep + ["--format", "json", "--out", "sweep.json"],
+            ["yields", "--config", str(bad)],
+        ]
+        code = (
+            "from ghzline.cli import main; from ghzline.sweep import parse_rows\n"
+            f"codes = [main(argv) for argv in {argvs!r}]\n"
+            "rows = parse_rows('sweep.csv') + parse_rows('sweep.json')\n"
+            "print(codes, ascii(sorted({r.segment for r in rows})))\n"
+        )
+        # an ASCII locale in which Python keeps the locale's encoding, and a
+        # UTF-8 one
+        locales = {
+            "ascii": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+            "utf-8": {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"},
+        }
+        runs = {}
+        for locale, env in locales.items():
+            cwd = tmp_path / locale
+            cwd.mkdir()
+            done = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
+                                  env=dict(os.environ, PYTHONPATH=SRC_DIR, **env), timeout=60)
+            outputs = {out: (cwd / out).read_bytes()
+                       for out in ("yields.csv", "sweep.csv", "sweep.json")}
+            runs[locale] = (done.returncode, done.stdout, done.stderr, outputs)
+        returncode, stdout, stderr, outputs = runs["ascii"]
+        assert (returncode, stderr) == (0, (
+            f"error: invalid configuration:\n  - cannot read {bad}: 'utf-8' codec can't decode "
+            "byte 0xff in position 11: invalid start byte\n").encode())
+        assert stdout.endswith(b"[0, 0, 0, 2] ['berlin-sch\\xe4pe-koeckern', "
+                               b"'eiterfeld-schuechtern-frankfurt', "
+                               b"'erfurt-waltershausen-eiterfeld', 'koeckern-eulau-erfurt']\n")
+        assert "berlin-schäpe-koeckern,".encode() in outputs["sweep.csv"]
+        assert runs["ascii"] == runs["utf-8"]
 
     def test_unparseable_yaml(self, tmp_path):
         path = tmp_path / "broken.yaml"

@@ -439,6 +439,17 @@ class TestCoherenceOracle:
         with pytest.raises(ValueError, match="memory"):
             mc_coherence_near(make_cfg())
 
+    def test_rejects_outer_clicks_that_underflow(self):
+        # A's and C's efficiency times transmission underflow to 0, so no
+        # attempt count is finite; both routes refuse before any draw
+        cfg = make_cfg(eta_a=1e-200, eta_c=1e-200, trans_ab=1e-200, trans_bc=1e-200,
+                       memory=MemoryParams(0.9, 2.5))
+        error = "outer click probabilities must be > 0, got 0.0 near and 0.0 far"
+        with pytest.raises(ValueError, match=error):
+            expected_coherence_near(cfg)
+        with pytest.raises(ValueError, match=error):
+            mc_coherence_near(cfg, 1000, 1)
+
 
 class TestYieldOracle:
     def test_perfect_hardware_is_exact(self):
