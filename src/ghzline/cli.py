@@ -159,10 +159,16 @@ def mc_report(configs, num_samples: int = 10**6, seed: int = 0) -> dict:
 
 
 def _write_out(text: str, out: Path | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
+    """Write ``text`` to ``out`` or to stdout, as UTF-8 in any locale."""
+    if out is not None:
         Path(out).write_text(text, encoding="utf-8")
+        return
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # a text-only stream, as contextlib.redirect_stdout sets
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()  # what print wrote before goes out first
+    buffer.write(text.encode("utf-8"))
 
 
 def _load_configs(args) -> list[TrioConfig]:

@@ -45,21 +45,33 @@ MIN_CLICK_PROB = 2.05e-307
 MAX_NESTING = 200
 
 
-_STR, _SEQ, _MAP = (f"tag:yaml.org,2002:{kind}" for kind in ("str", "seq", "map"))
+_STR, _SEQ, _MAP, _FLOAT = (
+    f"tag:yaml.org,2002:{kind}" for kind in ("str", "seq", "map", "float")
+)
 # The other scalar tags whose safe constructors build a value in one call.
 _SCALAR_TAGS = frozenset(
     f"tag:yaml.org,2002:{kind}" for kind in ("null", "bool", "int", "float", "binary", "timestamp")
 )
 # The (node type, tag) of the collections _construct_document builds itself.
 _COLLECTIONS = frozenset({(yaml.MappingNode, _MAP), (yaml.SequenceNode, _SEQ)})
+# The key tags that flatten_mapping acts on: a merge (<<) and a value (=).
+_FLATTENED = frozenset({"tag:yaml.org,2002:merge", "tag:yaml.org,2002:value"})
+# A float tag's text that float() reads as construct_yaml_float does: a
+# sign, digits with at most one dot, and an optional exponent.  Anything
+# else (an underscore, a sexagesimal ":", .inf, .nan, no digit at all)
+# goes to the safe constructor.
+_DECIMAL = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+# The tag of a node that no implicit resolver matched, by node kind.
+_DEFAULT_TAGS = {yaml.ScalarNode: _STR, yaml.SequenceNode: _SEQ, yaml.MappingNode: _MAP}
 
 
 def _construct_document(loader, node):
     """The document under ``node``, built in one recursive walk over the
     composed node tree in place of SafeConstructor's generic construction.
 
-    Plain mappings (their merge keys flattened first), sequences and
-    scalars are built here; every other tag, such as ``!!set``, ``!!omap``
+    Plain mappings (flattened first when a key is a merge ``<<`` or a
+    value ``=``), sequences and scalars are built here, a plain decimal
+    float by float() alone; every other tag, such as ``!!set``, ``!!omap``
     or an unknown one, goes to PyYAML's deep construct_object.  Both share
     the loader's table of built nodes, so that aliases share one object,
     and its table of nodes still being built, so that a collection that
@@ -72,10 +84,13 @@ def _construct_document(loader, node):
 
     def construct(node):
         if type(node) is yaml.ScalarNode:
-            if node.tag == _STR:
+            tag = node.tag
+            if tag == _STR:
                 return node.value
-            if node.tag in _SCALAR_TAGS:
-                return constructors[node.tag](loader, node)
+            if tag == _FLOAT and _DECIMAL.fullmatch(node.value):
+                return float(node.value)
+            if tag in _SCALAR_TAGS:
+                return constructors[tag](loader, node)
             return loader.construct_object(node, deep=True)
         if node in built:
             return built[node]
@@ -88,11 +103,15 @@ def _construct_document(loader, node):
         if node.tag == _SEQ:
             data = list(map(construct, node.value))
         else:
-            loader.flatten_mapping(node)
+            for key_node, _ in node.value:
+                if key_node.tag in _FLATTENED:
+                    loader.flatten_mapping(node)
+                    break
             data = {}
             for key_node, value_node in node.value:
                 key = construct(key_node)
-                if not isinstance(key, Hashable):
+                # a str key, the usual one, skips the slower ABC check
+                if type(key) is not str and not isinstance(key, Hashable):
                     raise yaml.constructor.ConstructorError(
                         "while constructing a mapping", node.start_mark,
                         "found unhashable key", key_node.start_mark)
@@ -117,14 +136,38 @@ def _config_loader(base: type) -> type:
     are.  A digit must follow a leading dot, as in PyYAML's own float
     pattern, so that ``._e3`` stays a string rather than failing float().
     Documents are built by _construct_document.
-    """
 
-    loader = type("_ConfigLoader", (base,), {"construct_document": _construct_document})
+    Tags are resolved as BaseResolver.resolve resolves them, from a table
+    built here once: each first character's (tag, regexp) pairs, then the
+    wildcard ones.  The table is not rebuilt, so it ignores an implicit
+    resolver added to the class later.  BaseResolver's path resolvers
+    would need the descend and ascend steps, which are no-ops here, so a
+    base class with any is refused.
+    """
+    loader = type("_ConfigLoader", (base,), {
+        "construct_document": _construct_document,
+        "descend_resolver": lambda self, parent, index: None,
+        "ascend_resolver": lambda self: None,
+    })
+    if loader.yaml_path_resolvers:
+        raise TypeError(f"{base.__name__} has path resolvers, which the config loader ignores")
     loader.add_implicit_resolver(
         "tag:yaml.org,2002:float",
         re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
         list("-+0123456789."),
     )
+    implicit = loader.yaml_implicit_resolvers
+    wildcards = tuple(implicit.get(None, ()))
+    table = {first: (*pairs, *wildcards) for first, pairs in implicit.items() if first is not None}
+
+    def resolve(self, kind, value, implicit):
+        if kind is yaml.ScalarNode and implicit[0]:
+            for tag, regexp in table.get(value[:1], wildcards):
+                if regexp.match(value):
+                    return tag
+        return _DEFAULT_TAGS.get(kind)
+
+    loader.resolve = resolve
     return loader
 
 
@@ -354,6 +397,9 @@ def _schema_errors(schema, node, path: tuple = ()) -> list[tuple]:
     return out
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def _non_finite(node) -> list[tuple]:
     """Key paths of every number in a parsed document that a float cannot
     hold: inf, NaN, or an integer beyond the float range.
@@ -363,16 +409,26 @@ def _non_finite(node) -> list[tuple]:
     they are caught here rather than surfacing as a NaN or null rate or as
     a traceback.  A path is built only for a number rejected.
     """
-    if isinstance(node, (int, float)):
-        # NaN fails the comparison too; abs(True) is 1
-        return [] if abs(node) <= sys.float_info.max else [()]
+    # NaN fails the comparisons too; abs(True) is 1
     if isinstance(node, dict):
         items = node.items()
     elif isinstance(node, list):
         items = enumerate(node)
+    elif isinstance(node, (int, float)):
+        return [] if abs(node) <= _FLOAT_MAX else [()]
     else:
         return []
-    return [(key, *path) for key, value in items for path in _non_finite(value)]
+    # each number is checked in this loop, and only a collection costs a call
+    found = []
+    for key, value in items:
+        if isinstance(value, (int, float)):
+            if not abs(value) <= _FLOAT_MAX:
+                found.append((key,))
+        elif isinstance(value, (dict, list)):
+            below = _non_finite(value)
+            if below:
+                found += [(key, *path) for path in below]
+    return found
 
 
 def _dotted(path: tuple) -> str:
@@ -514,6 +570,14 @@ def load_config(path) -> list[TrioConfig]:
         # a ValueError: an integer beyond Python's int-string conversion
         # limit; a self-referential alias is a yaml.YAMLError
         raise ConfigError([f"{p}: parse error: {exc}"]) from exc
+    except (LookupError, AttributeError) as exc:
+        # PyYAML's safe constructors on an explicitly tagged scalar they
+        # cannot read: !!bool maybe (KeyError), !!int '' (IndexError),
+        # !!timestamp 2001-99 (AttributeError)
+        raise ConfigError([
+            f"{p}: parse error: a tagged scalar does not fit its tag "
+            f"({type(exc).__name__}: {exc})"
+        ]) from exc
     except RecursionError as exc:
         # within MAX_NESTING, when the caller's stack is already deep
         raise ConfigError([too_deep]) from exc

@@ -144,11 +144,6 @@ def _check_yield(yield_per_attempt: float) -> None:
         raise ValueError(f"yield must be in [0, 1], got {yield_per_attempt}")
 
 
-def _key_rate(y: float, q_x: float, q_ab: float) -> float:
-    """key_rate on a yield already checked by _check_yield."""
-    return max(0.0, y * (1.0 - binary_entropy(q_x) - binary_entropy(q_ab)))
-
-
 def key_rate(yield_per_attempt: float, q_x: float, q_ab: float) -> float:
     """Asymptotic conference key per attempt, clamped at zero.
 
@@ -156,7 +151,7 @@ def key_rate(yield_per_attempt: float, q_x: float, q_ab: float) -> float:
     and the bipartite error the correctness term.
     """
     _check_yield(yield_per_attempt)
-    return _key_rate(yield_per_attempt, q_x, q_ab)
+    return max(0.0, yield_per_attempt * (1.0 - binary_entropy(q_x) - binary_entropy(q_ab)))
 
 
 def rate_reports(
@@ -176,16 +171,24 @@ def rate_reports(
     if len(fidelities):
         _check_yield(y)
     t2 = cfg.memory.t2 if use_memory else None
+    name, frequency = cfg.name, cfg.source.frequency
+    log2, make = math.log2, RateReport._make
     # Every row holds the same segment, memory, T2 and yield objects, so
-    # render_csv writes those cells once per block.
+    # render_csv writes those cells once per block.  Each rate is
+    # key_rate's expression in key_rate's order: y is checked above, and
+    # _error_rates has clamped each Q to [0, 1] (run_stack's states are
+    # finite: it checks every strength), where binary_entropy's range
+    # check always passes.  "r if r > 0.0 else 0.0" is max(0.0, r).
     out = []
     for (fd, fg), fid, qx, qab in zip(
         product(fds, fgs), fidelities.tolist(), q_x.tolist(), q_ab.tolist()
     ):
-        r = _key_rate(y, qx, qab)
-        out.append(RateReport(
-            cfg.name, fd, fg, use_memory, t2, y, fid, qx, qab, r, r * cfg.source.frequency,
-        ))
+        h_x = 0.0 if qx == 0.0 or qx == 1.0 else -qx * log2(qx) - (1.0 - qx) * log2(1.0 - qx)
+        h_ab = (0.0 if qab == 0.0 or qab == 1.0
+                else -qab * log2(qab) - (1.0 - qab) * log2(1.0 - qab))
+        r = y * (1.0 - h_x - h_ab)
+        r = r if r > 0.0 else 0.0
+        out.append(make((name, fd, fg, use_memory, t2, y, fid, qx, qab, r, r * frequency, None)))
     return out
 
 

@@ -315,10 +315,11 @@ class TestLoadConfig:
         ]
 
     def test_files_are_utf8_in_any_locale(self, tmp_path):
-        # Files are read and written as UTF-8 whatever the locale: a
-        # non-ASCII station and segment name load, the CLI's files hold the
-        # same bytes in an ASCII locale as in a UTF-8 one, and an
-        # undecodable file is a config error that names it.
+        # Files and stdout are read and written as UTF-8 whatever the
+        # locale: a non-ASCII station and segment name load, the CLI's files
+        # and stdout hold the same bytes in an ASCII locale as in a UTF-8
+        # one, stdout in order with print's lines, and an undecodable file
+        # is a config error that names it.
         text = data_path().read_text(encoding="utf-8")
         assert "Schaepe" in text and "berlin-schaepe" in text
         cfg = tmp_path / "umlaut.yaml"
@@ -327,11 +328,13 @@ class TestLoadConfig:
         bad = tmp_path / "latin1.yaml"
         bad.write_bytes(b"segments: [\xff]\n")
         sweep = ["sweep", "--config", str(cfg), "--fd", "0", "--fg", "0"]
+        yields = ["yields", "--config", str(cfg), "--format", "csv"]
         argvs = [
-            ["yields", "--config", str(cfg), "--format", "csv", "--out", "yields.csv"],
+            yields + ["--out", "yields.csv"],
             sweep + ["--out", "sweep.csv"],
             sweep + ["--format", "json", "--out", "sweep.json"],
             ["yields", "--config", str(bad)],
+            yields,
         ]
         code = (
             "from ghzline.cli import main; from ghzline.sweep import parse_rows\n"
@@ -358,9 +361,14 @@ class TestLoadConfig:
         assert (returncode, stderr) == (0, (
             f"error: invalid configuration:\n  - cannot read {bad}: 'utf-8' codec can't decode "
             "byte 0xff in position 11: invalid start byte\n").encode())
-        assert stdout.endswith(b"[0, 0, 0, 2] ['berlin-sch\\xe4pe-koeckern', "
-                               b"'eiterfeld-schuechtern-frankfurt', "
-                               b"'erfurt-waltershausen-eiterfeld', 'koeckern-eulau-erfurt']\n")
+        # stdout holds the sweeps' two print lines, then the bytes that
+        # --out wrote, then the last print line
+        sweep_lines = b"wrote 8 rows to sweep.csv\nwrote 8 rows to sweep.json\n"
+        assert stdout == sweep_lines + outputs["yields.csv"] + (
+            b"[0, 0, 0, 2, 0] ['berlin-sch\\xe4pe-koeckern', "
+            b"'eiterfeld-schuechtern-frankfurt', "
+            b"'erfurt-waltershausen-eiterfeld', 'koeckern-eulau-erfurt']\n")
+        assert "berlin-schäpe-koeckern,".encode() in outputs["yields.csv"]
         assert "berlin-schäpe-koeckern,".encode() in outputs["sweep.csv"]
         assert runs["ascii"] == runs["utf-8"]
 
@@ -541,6 +549,26 @@ class TestLoadConfig:
         marks = [line for line in lines if line.startswith("  in ")]
         assert marks and all(line.startswith(f'  in "{path}", line ') for line in marks)
         assert "<unicode string>" not in err
+
+    @pytest.mark.parametrize("text, error", [
+        ("segments: !!bool maybe\n", "KeyError: 'maybe'"),
+        ("segments: !!timestamp 2001-99\n", "AttributeError: "),
+        ("segments: !!int ''\n", "IndexError: "),
+    ], ids=["bool", "timestamp", "int"])
+    @pytest.mark.parametrize("loader", [None, PURE_LOADER], ids=["default", "pure-python"])
+    def test_malformed_tagged_scalar_exits_2(self, tmp_path, capsys, monkeypatch, text, error,
+                                             loader):
+        # PyYAML's safe constructors raise neither a YAMLError nor a
+        # ValueError on these, yet each is a parse error of the file
+        if loader is not None:
+            monkeypatch.setattr("ghzline.config.YAML_LOADER", loader)
+        path = tmp_path / "tagged.yaml"
+        path.write_text(text)
+        assert main(["yields", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: invalid configuration:\n  - {path}: parse error: a tagged scalar does "
+            f"not fit its tag ({error}"
+        )
 
     def test_each_segment_is_built_once_per_load(self, monkeypatch):
         built = []

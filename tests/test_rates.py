@@ -1,8 +1,10 @@
 """Tests of the error estimators and the conference-key rate."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ghzline import (
@@ -34,6 +36,10 @@ from util import (
 )
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+# a probability at its ends, subnormal, a rounding step from an end, or anywhere
+edge_unit_floats = st.sampled_from(
+    [0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, 2.0**-53, 0.5, 1.0 - 2.0**-53]
+) | unit_floats
 
 
 class TestBinaryEntropy:
@@ -297,6 +303,28 @@ class TestReports:
             noise = NoiseParams(fds[k // len(fgs)], fgs[k % len(fgs)])
             point = full_report(cfg, noise, use_memory=use_memory)
             assert repr(row) == repr(point)
+
+    @given(
+        y=st.sampled_from([0.0, 1.0, 5e-324]) | unit_floats,
+        qs=st.lists(st.tuples(edge_unit_floats, edge_unit_floats), min_size=1, max_size=12),
+    )
+    # a zero yield times a negative bracket is -0.0, which key_rate clamps
+    @example(y=0.0, qs=[(0.5, 0.5), (0.0, 1.0), (5e-324, 1e-310), (2.0**-53, 1.0 - 2.0**-53)])
+    def test_rate_is_key_rate_bit_for_bit(self, y, qs):
+        # rate_reports inlines key_rate's expression: each row's rate has
+        # key_rate's bits for its yield and Qs, at Q = 0, Q = 1, subnormal Q
+        # and anywhere between
+        cfg = make_cfg(frequency=4.0e7)
+        q_x, q_ab = (np.array(column) for column in zip(*qs))
+        with mock.patch.object(rates, "yield_memoryless", lambda cfg: y), \
+                mock.patch.object(rates, "_error_rates",
+                                  lambda states: (np.zeros(len(states)), q_x, q_ab)):
+            rows = rates.rate_reports(cfg, [0.0] * len(qs), [0.0])
+        assert [(r.yield_per_attempt, r.q_x, r.q_ab) for r in rows] == [(y, *q) for q in qs]
+        for row in rows:
+            expected = key_rate(y, row.q_x, row.q_ab)
+            assert row.r_per_attempt.hex() == expected.hex()
+            assert row.r_per_second.hex() == (expected * 4.0e7).hex()
 
     def test_rate_never_exceeds_yield_on_noisy_runs(self):
         for depol, fail in [(0.0, 0.0), (0.05, 0.0), (0.0, 0.05), (0.1, 0.1)]:
