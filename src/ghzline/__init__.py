@@ -17,6 +17,7 @@ from .netmodel import (
     LinkParams,
     MemoryParams,
     NodeParams,
+    SegmentPhysics,
     SourceParams,
     StorageTimes,
     TrioConfig,
@@ -27,6 +28,7 @@ from .netmodel import (
     detection_prob,
     expected_coherence_near,
     expected_max_geometric,
+    segment_physics,
     storage_times,
     transmission_from_db,
     yield_memoryless,
@@ -71,6 +73,7 @@ __all__ = [
     "LinkParams",
     "MemoryParams",
     "NodeParams",
+    "SegmentPhysics",
     "SourceParams",
     "StorageTimes",
     "TrioConfig",
@@ -81,6 +84,7 @@ __all__ = [
     "detection_prob",
     "expected_coherence_near",
     "expected_max_geometric",
+    "segment_physics",
     "storage_times",
     "transmission_from_db",
     "yield_memoryless",

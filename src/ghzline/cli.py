@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -31,7 +32,7 @@ from .netmodel import (
     TrioConfig,
     expected_coherence_near,
     expected_max_geometric,
-    window_click_probs,
+    segment_physics,
     yield_memoryless,
     yield_with_memory,
 )
@@ -121,7 +122,8 @@ def mc_report(configs, num_samples: int = 10**6, seed: int = 0) -> dict:
     checks = []
     for i, cfg in enumerate(sorted(configs, key=lambda c: c.name)):
         base = seed + 3 * i
-        p = window_click_probs(cfg, with_memory=False)
+        memoryless = segment_physics(cfg, use_memory=False)
+        p = memoryless.clicks
         checks.append(
             _mc_check_entry(
                 "expected_max_outer",
@@ -130,7 +132,7 @@ def mc_report(configs, num_samples: int = 10**6, seed: int = 0) -> dict:
                 mc_expected_max(p["A"], p["C"], num_samples, base),
             )
         )
-        y = yield_memoryless(cfg)
+        y = memoryless.yield_per_attempt
         checks.append(
             _mc_check_entry(
                 "yield_memoryless",
@@ -175,9 +177,15 @@ def _load_configs(args) -> list[TrioConfig]:
     path = args.config if args.config is not None else data_path()
     configs = load_config(path)
     if args.segment is not None:
-        configs = [c for c in configs if c.name == args.segment]
+        name = args.segment
+        # Python decodes argv in the locale's encoding and escapes each byte
+        # it cannot decode as a lone surrogate; the file's names are UTF-8,
+        # so such a name is read back from its bytes as UTF-8.
+        if any("\udc80" <= ch <= "\udcff" for ch in name):
+            name = os.fsencode(name).decode("utf-8", "surrogateescape")
+        configs = [c for c in configs if c.name == name]
         if not configs:
-            raise ValueError(f"no segment named {args.segment!r} in {path}")
+            raise ValueError(f"no segment named {name!r} in {path}")
     return configs
 
 

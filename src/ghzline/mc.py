@@ -26,13 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .netmodel import (
-    TrioConfig,
-    _outer_click_probs,
-    require_memory,
-    storage_times,
-    window_click_probs,
-)
+from .netmodel import TrioConfig, segment_physics
 
 CHUNK = 1 << 16
 # Each worker holds one chunk's buffers (1 MiB for the two-count oracles),
@@ -239,9 +233,9 @@ def mc_coherence_near(
     periods plus the near-side confirmation, and averages the coherence
     factor.  Oracle for expected_coherence_near.
     """
-    t2 = require_memory(cfg).t2
-    times = storage_times(cfg)
-    p_near, p_far = _outer_click_probs(cfg, times)
+    physics = segment_physics(cfg, use_memory=True)
+    t2, times = cfg.memory.t2, physics.times
+    p_near, p_far = physics.clicks[times.near_node], physics.clicks[times.far_node]
     tau_far = times.tau_far
     t_near = 2.0 * times.l_near / cfg.speed_of_light
     n = _chunk_len(num_samples)
@@ -292,7 +286,7 @@ def mc_yield_memoryless(
     n = num_samples
     if n < 1:
         raise ValueError(f"num_samples must be >= 1, got {n}")
-    p = window_click_probs(cfg, with_memory=False)
+    p = segment_physics(cfg, use_memory=False).clicks
     rng = np.random.default_rng(seed)
     k = n
     # One draw per window, never one Binomial(n, product): the product is

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 SPEED_OF_LIGHT_FIBER = 2.0e5  # km/s, group velocity in standard fiber
 
@@ -224,16 +225,6 @@ def window_click_probs(cfg: TrioConfig, with_memory: bool) -> dict[str, float]:
     }
 
 
-def yield_memoryless(cfg: TrioConfig) -> float:
-    """Per-attempt success probability without memories.
-
-    All four windows (A, two at B, C) must click in the same attempt:
-    Y = xi'_A (xi'_B)^2 xi'_C.
-    """
-    p = window_click_probs(cfg, with_memory=False)
-    return p["A"] * p["B"] ** 2 * p["C"]
-
-
 def expected_max_geometric(p_a: float, p_c: float) -> float:
     """E[max(N_A, N_C)] for independent geometric attempt counts.
 
@@ -244,19 +235,6 @@ def expected_max_geometric(p_a: float, p_c: float) -> float:
     _require(0.0 < p_c <= 1.0, "p_c must be in (0, 1], got {}", p_c)
     both = p_a + p_c - p_a * p_c
     return 1.0 / p_a + 1.0 / p_c - 1.0 / both
-
-
-def yield_with_memory(cfg: TrioConfig) -> float:
-    """Per-attempt success probability with both memories in use.
-
-    The outer links are heralded independently and the merge fires once
-    both sides are loaded, so the cost per success is E[max] outer
-    attempts and the two B-side retrievals must still click:
-    Y_QM = (xi'_B,QM)^2 / E[max(N_A, N_C)].
-    """
-    require_memory(cfg)
-    p = window_click_probs(cfg, with_memory=True)
-    return p["B"] ** 2 / expected_max_geometric(p["A"], p["C"])
 
 
 def storage_times(cfg: TrioConfig) -> StorageTimes:
@@ -278,34 +256,10 @@ def storage_times(cfg: TrioConfig) -> StorageTimes:
     return StorageTimes(near_node, far_node, tau_far, t_far, near.length)
 
 
-def _outer_click_probs(cfg: TrioConfig, times: StorageTimes) -> tuple[float, float]:
-    """The near and far outer windows' click probabilities with memory.
-
-    Raises ValueError unless both are > 0: the attempt counts they set are
-    finite only then, in the closed form and in its Monte Carlo oracle.
-    """
-    p = window_click_probs(cfg, with_memory=True)
-    p_near, p_far = p[times.near_node], p[times.far_node]
-    _require(min(p_near, p_far) > 0.0,
-             "outer click probabilities must be > 0, got {} near and {} far", p_near, p_far)
-    return p_near, p_far
-
-
-def expected_coherence_near(cfg: TrioConfig) -> float:
-    """Expected e^(-t/T2) retained by the near-side memory over its random wait.
-
-    The near memory sits loaded for t = |N_near - N_far| tau_far plus its
-    own confirmation 2 L_near / c, with N geometric in the outer click
-    probabilities.  For independent geometrics and beta = e^(-tau_far/T2),
-
-        E[beta^|dN|] = p_n p_f / (p_n + p_f - p_n p_f)
-                       * (1/(1 - beta(1-p_n)) + 1/(1 - beta(1-p_f)) - 1),
-
-    which this multiplies by the deterministic e^(-2 L_near / (c T2)).
-    """
-    t2 = require_memory(cfg).t2
-    times = storage_times(cfg)
-    p_near, p_far = _outer_click_probs(cfg, times)
+def _coherence_near(cfg: TrioConfig, times: StorageTimes, p_near: float, p_far: float) -> float:
+    """expected_coherence_near from the storage times and the outer click
+    probabilities p_near, p_far > 0 of the near and far side."""
+    t2 = cfg.memory.t2
     x = times.tau_far / t2
     beta = math.exp(-x)
     both = p_near + p_far - p_near * p_far
@@ -338,6 +292,82 @@ def expected_coherence_near(cfg: TrioConfig) -> float:
     # the product is at most 1.  Once beta rounds to 1 (a long T2), the
     # float gap factor can still come out an ulp above 1.
     return min(1.0, gap_factor * storage)
+
+
+class SegmentPhysics(NamedTuple):
+    """What every report of one segment in one memory mode reads, built
+    by segment_physics, the one place each field is computed.  Without
+    memory, times and coherence_near are None.  A NamedTuple, like
+    rates.RateReport: immutable, and cheaper to build than a frozen
+    dataclass, which counts once per report.
+    """
+
+    cfg: TrioConfig
+    use_memory: bool
+    detection: dict[str, float]  # detection_prob of the A, B and C windows
+    clicks: dict[str, float]  # window_click_probs of the same windows
+    times: StorageTimes | None  # storage_times
+    coherence_near: float | None  # the near memory's expected coherence
+    yield_per_attempt: float
+
+
+def segment_physics(cfg: TrioConfig, use_memory: bool) -> SegmentPhysics:
+    """The detection and click probabilities, with memory the storage
+    times and the near coherence, and the yield of ``cfg``.
+
+    With memory, raises ValueError unless the segment has memory
+    parameters and both outer click probabilities are > 0: the attempt
+    counts they set are finite only then, in the closed forms and in
+    their Monte Carlo oracles.
+    """
+    detection = {node: detection_prob(cfg, node, use_memory) for node in "ABC"}
+    p = window_click_probs(cfg, use_memory)
+    if use_memory:
+        times = storage_times(cfg)
+        p_near, p_far = p[times.near_node], p[times.far_node]
+        _require(min(p_near, p_far) > 0.0,
+                 "outer click probabilities must be > 0, got {} near and {} far", p_near, p_far)
+        coherence = _coherence_near(cfg, times, p_near, p_far)
+        y = p["B"] ** 2 / expected_max_geometric(p["A"], p["C"])
+    else:
+        times = coherence = None
+        y = p["A"] * p["B"] ** 2 * p["C"]
+    return SegmentPhysics(cfg, use_memory, detection, p, times, coherence, y)
+
+
+def yield_memoryless(cfg: TrioConfig) -> float:
+    """Per-attempt success probability without memories.
+
+    All four windows (A, two at B, C) must click in the same attempt:
+    Y = xi'_A (xi'_B)^2 xi'_C.
+    """
+    return segment_physics(cfg, False).yield_per_attempt
+
+
+def yield_with_memory(cfg: TrioConfig) -> float:
+    """Per-attempt success probability with both memories in use.
+
+    The outer links are heralded independently and the merge fires once
+    both sides are loaded, so the cost per success is E[max] outer
+    attempts and the two B-side retrievals must still click:
+    Y_QM = (xi'_B,QM)^2 / E[max(N_A, N_C)].
+    """
+    return segment_physics(cfg, True).yield_per_attempt
+
+
+def expected_coherence_near(cfg: TrioConfig) -> float:
+    """Expected e^(-t/T2) retained by the near-side memory over its random wait.
+
+    The near memory sits loaded for t = |N_near - N_far| tau_far plus its
+    own confirmation 2 L_near / c, with N geometric in the outer click
+    probabilities.  For independent geometrics and beta = e^(-tau_far/T2),
+
+        E[beta^|dN|] = p_n p_f / (p_n + p_f - p_n p_f)
+                       * (1/(1 - beta(1-p_n)) + 1/(1 - beta(1-p_f)) - 1),
+
+    which this multiplies by the deterministic e^(-2 L_near / (c T2)).
+    """
+    return segment_physics(cfg, True).coherence_near
 
 
 def dephasing_prob(wait: float, t2: float) -> float:

@@ -31,14 +31,11 @@ from .density import (
     _row_depolarize,
 )
 from .netmodel import (
+    SegmentPhysics,
     TrioConfig,
     dark_count_depolarization,
     dephasing_prob,
-    detection_prob,
-    expected_coherence_near,
-    require_memory,
-    storage_times,
-    window_click_probs,
+    segment_physics,
 )
 
 MEASURED_QUBIT = 2  # B's C-side qubit, measured in Y to complete the merge
@@ -155,41 +152,40 @@ def _check_outcome(outcome: int) -> None:
         raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
 
 
-def _segment_strengths(cfg: TrioConfig, use_memory: bool) -> tuple[tuple, tuple]:
+def _segment_strengths(physics: SegmentPhysics) -> tuple[tuple, tuple]:
     """run_stack's checked segment strengths: the memory dephasings as
     (qubit, strength) pairs, empty without memory, and each dark-count
     depolarization as (qubit, strength / 4, 1 - strength) triples.
     """
     # Every strength is checked here, with _checked_strength's message,
     # and the channel kernels only compute.  run_stack checks f_D and f_G.
+    cfg = physics.cfg
     dephasings = []
-    if use_memory:
-        t2 = require_memory(cfg).t2
-        times = storage_times(cfg)
+    if physics.use_memory:
+        times = physics.times
         # Far-side memory only waits out its own confirmation signal; the
         # near-side one also idles through the attempt-count gap, which is
         # folded in as the expected coherence factor.
-        lam_near = 0.5 * (1.0 - expected_coherence_near(cfg))
-        lam_far = dephasing_prob(times.t_far, t2)
+        lam_near = 0.5 * (1.0 - physics.coherence_near)
+        lam_far = dephasing_prob(times.t_far, cfg.memory.t2)
         # near first: the dephasings commute, but not their roundings
         dephasings = [
             (MEMORY_QUBITS[node], _checked_strength(lam, 0.5, "dephase strength"))
             for node, lam in ((times.near_node, lam_near), (times.far_node, lam_far))
         ]
     dark_counts = []
-    clicks = window_click_probs(cfg, use_memory)
     for qubits, node, node_params in (
         ((0,), "A", cfg.node_a), ((1, 2), "B", cfg.node_b), ((3,), "C", cfg.node_c)
     ):
-        xi = detection_prob(cfg, node, use_memory)
-        alpha = dark_count_depolarization(xi, clicks[node], node_params.dark_count_prob)
+        alpha = dark_count_depolarization(
+            physics.detection[node], physics.clicks[node], node_params.dark_count_prob)
         s = _checked_strength(alpha, 1.0, "depolarize strength")
         for qubit in qubits:
             dark_counts.append((qubit, s / 4.0, 1.0 - s))
     return tuple(dephasings), tuple(dark_counts)
 
 
-def _stages(cfg: TrioConfig, fds: Sequence[float], fgs: Sequence[float], use_memory: bool):
+def _stages(physics: SegmentPhysics, fds: Sequence[float], fgs: Sequence[float]):
     """Yield (name, rows) for the source register and after each step
     before the Y measurement, in order, for checked f_D and f_G values.
 
@@ -201,7 +197,7 @@ def _stages(cfg: TrioConfig, fds: Sequence[float], fgs: Sequence[float], use_mem
     and the point count, f_D-major, from the mix on.  Each step maps each
     row alone in a fixed order: the dense channels' bits, whatever the stack.
     """
-    dephasings, dark_counts = _segment_strengths(cfg, use_memory)
+    dephasings, dark_counts = _segment_strengths(physics)
     rows = _initial_register()
     yield "source pairs", rows
     depol = np.array(fds).reshape(-1, 1)
@@ -227,14 +223,10 @@ def _stages(cfg: TrioConfig, fds: Sequence[float], fgs: Sequence[float], use_mem
 
 
 def run_stack(
-    cfg: TrioConfig,
-    fds: Sequence[float],
-    fgs: Sequence[float],
-    *,
-    use_memory: bool = False,
+    physics: SegmentPhysics, fds: Sequence[float], fgs: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run one merge attempt per point of the grid ``fds`` x ``fgs``, all
-    as one stack.
+    """Run one merge attempt per point of the grid ``fds`` x ``fgs`` on the
+    segment and memory mode of ``physics``, all as one stack.
 
     Returns, one row per point in f_D-major order (row r is f_D entry
     r // len(fgs) with f_G entry r % len(fgs)): the probability of the Y
@@ -247,7 +239,7 @@ def run_stack(
     """
     fds = [_checked_strength(v, 1.0, "channel_depol") for v in fds]
     fgs = [_checked_strength(v, 1.0, "gate_fail") for v in fgs]
-    for _, rows in _stages(cfg, fds, fgs, use_memory):
+    for _, rows in _stages(physics, fds, fgs):
         pass
     probs, states = np.empty(len(rows)), np.empty((len(rows), 8, 8), dtype=complex)
     for lo in range(0, len(rows), CHUNK_ROWS):
@@ -270,7 +262,7 @@ def run_pipeline(
     """
     _check_outcome(outcome)
     probs, states = run_stack(
-        cfg, [noise.channel_depol], [noise.gate_fail], use_memory=use_memory
+        segment_physics(cfg, use_memory), [noise.channel_depol], [noise.gate_fail]
     )
     # The two Y outcomes differ by a local Clifford correction (the
     # Y-measurement rule for graph states, Hein, Eisert & Briegel, PRA 69,

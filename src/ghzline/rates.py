@@ -24,7 +24,7 @@ from .density import (
     _fidelities,
     _read_only,
 )
-from .netmodel import TrioConfig, yield_memoryless, yield_with_memory
+from .netmodel import TrioConfig, segment_physics
 from .protocol import NoiseParams, run_stack, target_state
 
 PARITY_TEST = PauliString("ZYZ")
@@ -99,30 +99,34 @@ def _error_vectors() -> np.ndarray:
     return _read_only(np.array([s.amplitudes for s in states]).reshape(6, 1, 8))
 
 
-def _error_rates(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fidelity with target_state(+1), qber_parity and qber_bipartite
-    of every row of a (B, 8, 8) stack, from one contraction with the six
-    test states.
+def _error_row(f0: float, f1: float, f2: float, f3: float, f4: float,
+               f5: float) -> tuple[float, float, float]:
+    """F, Q_X and Q_AB of one state from its weights on the six test
+    states of _error_vectors, in their order.
 
-    Q_X adds the odd-parity weights to 0.0 in their order, and Q_AB
-    subtracts the two correlated weights from 1.0 in theirs.
+    F is the weight on target_state(+1).  Q_X adds the odd-parity weights
+    to 0.0 in their order, and Q_AB subtracts the two correlated weights
+    from 1.0 in theirs.  Each Q is clamped to [0, 1] as
+    np.minimum(1.0, np.maximum(0.0, q)) clamps it: a NaN and a -0.0 pass
+    unchanged.
     """
-    f = _fidelities(rho, _error_vectors())
-    q_x = (((0.0 + f[0]) + f[1]) + f[2]) + f[3]
-    q_ab = 1.0 - f[4] - f[5]
-    return f[4], np.minimum(1.0, np.maximum(0.0, q_x)), np.minimum(1.0, np.maximum(0.0, q_ab))
+    q_x = (((0.0 + f0) + f1) + f2) + f3
+    q_ab = 1.0 - f4 - f5
+    return (f4,
+            0.0 if q_x < 0.0 else 1.0 if q_x > 1.0 else q_x,
+            0.0 if q_ab < 0.0 else 1.0 if q_ab > 1.0 else q_ab)
 
 
-def _three_qubit_stack(rho: DensityMatrix) -> np.ndarray:
-    """rho as a one-row stack, or ValueError unless it has three qubits."""
+def _state_error_rates(rho: DensityMatrix) -> tuple[float, float, float]:
+    """_error_row of rho, or ValueError unless it has three qubits."""
     if rho.num_qubits != 3:
         raise ValueError(f"operator acts on 3 qubits, state has {rho.num_qubits}")
-    return rho.data[None]
+    return _error_row(*_fidelities(rho.data[None], _error_vectors())[:, 0].tolist())
 
 
 def qber_bipartite(rho: DensityMatrix) -> float:
     """Dealer-to-A bit error: weight outside the correlated subspace."""
-    return float(_error_rates(_three_qubit_stack(rho))[2][0])
+    return _state_error_rates(rho)[2]
 
 
 def qber_parity(rho: DensityMatrix) -> float:
@@ -131,7 +135,7 @@ def qber_parity(rho: DensityMatrix) -> float:
     Sums the weight on the odd-parity eigenvectors of Z (x) Y (x) Z, i.e.
     the product basis states whose eigenvalue product is -1.
     """
-    return float(_error_rates(_three_qubit_stack(rho))[1][0])
+    return _state_error_rates(rho)[1]
 
 
 def qber_parity_from_expectation(rho: DensityMatrix) -> float:
@@ -165,10 +169,10 @@ def rate_reports(
     order (report k is at f_D entry k // len(fgs) and f_G entry
     k % len(fgs)), each as full_report would give it.
     """
-    _, states = run_stack(cfg, fds, fgs, use_memory=use_memory)
-    fidelities, q_x, q_ab = _error_rates(states)
-    y = yield_with_memory(cfg) if use_memory else yield_memoryless(cfg)
-    if len(fidelities):
+    physics = segment_physics(cfg, use_memory)
+    _, states = run_stack(physics, fds, fgs)
+    y = physics.yield_per_attempt
+    if len(states):
         _check_yield(y)
     t2 = cfg.memory.t2 if use_memory else None
     name, frequency = cfg.name, cfg.source.frequency
@@ -176,13 +180,12 @@ def rate_reports(
     # Every row holds the same segment, memory, T2 and yield objects, so
     # render_csv writes those cells once per block.  Each rate is
     # key_rate's expression in key_rate's order: y is checked above, and
-    # _error_rates has clamped each Q to [0, 1] (run_stack's states are
+    # _error_row has clamped each Q to [0, 1] (run_stack's states are
     # finite: it checks every strength), where binary_entropy's range
     # check always passes.  "r if r > 0.0 else 0.0" is max(0.0, r).
     out = []
-    for (fd, fg), fid, qx, qab in zip(
-        product(fds, fgs), fidelities.tolist(), q_x.tolist(), q_ab.tolist()
-    ):
+    weights = _fidelities(states, _error_vectors()).tolist()
+    for (fd, fg), (fid, qx, qab) in zip(product(fds, fgs), map(_error_row, *weights)):
         h_x = 0.0 if qx == 0.0 or qx == 1.0 else -qx * log2(qx) - (1.0 - qx) * log2(1.0 - qx)
         h_ab = (0.0 if qab == 0.0 or qab == 1.0
                 else -qab * log2(qab) - (1.0 - qab) * log2(1.0 - qab))

@@ -372,6 +372,30 @@ class TestLoadConfig:
         assert "berlin-schäpe-koeckern,".encode() in outputs["sweep.csv"]
         assert runs["ascii"] == runs["utf-8"]
 
+    def test_non_ascii_segment_selected_in_any_locale(self, tmp_path):
+        # --segment picks a non-ASCII segment name in an ASCII locale, where
+        # argv arrives surrogate-escaped, as it does in a UTF-8 one: the same
+        # exit status and the same stdout bytes
+        text = data_path().read_text(encoding="utf-8")
+        cfg = tmp_path / "umlaut.yaml"
+        cfg.write_text(text.replace("berlin-schaepe", "berlin-schäpe"), encoding="utf-8")
+        argv = [sys.executable, "-m", "ghzline.cli", "yields", "--config", str(cfg),
+                "--segment", "berlin-schäpe-koeckern"]
+        locales = {
+            "ascii": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+            "utf-8": {"LC_ALL": "C.UTF-8"},
+        }
+        runs = {}
+        for locale, env in locales.items():
+            done = subprocess.run(argv, capture_output=True, timeout=60,
+                                  env=dict(os.environ, PYTHONPATH=SRC_DIR, **env))
+            runs[locale] = (done.returncode, done.stdout, done.stderr)
+        returncode, stdout, stderr = runs["ascii"]
+        assert (returncode, stderr) == (0, b"")
+        assert stdout.splitlines()[1].startswith("berlin-schäpe-koeckern ".encode())
+        assert len(stdout.splitlines()) == 2
+        assert runs["ascii"] == runs["utf-8"]
+
     def test_unparseable_yaml(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("segments: [unclosed\n")

@@ -22,6 +22,7 @@ from ghzline import (
     detection_prob,
     expected_coherence_near,
     expected_max_geometric,
+    segment_physics,
     storage_times,
     transmission_from_db,
     yield_memoryless,
@@ -394,7 +395,7 @@ class TestMirrorSymmetry:
     @given(segments_and_mirrors())
     def test_segment_strengths_swap_the_qubits(self, pair):
         (dephasings, darks), (mirrored_dephasings, mirrored_darks) = (
-            _segment_strengths(cfg, use_memory=True) for cfg in pair)
+            _segment_strengths(segment_physics(cfg, use_memory=True)) for cfg in pair)
         # near first, on B's other qubit
         assert [(3 - q, lam) for q, lam in mirrored_dephasings] == list(dephasings)
         # dark counts by qubit 0 (A), 1 and 2 (B) and 3 (C)

@@ -19,11 +19,12 @@ from ghzline import (
     detection_prob,
     expected_coherence_near,
     run_pipeline,
+    segment_physics,
     stabilizer_suite,
     storage_times,
     target_state,
 )
-from ghzline import density, protocol
+from ghzline import density, netmodel, protocol
 from ghzline.protocol import run_stack
 from ghzline.rates import full_report, rate_reports
 from ghzline.config import data_path, load_config
@@ -306,7 +307,7 @@ class TestMemoryBranch:
                        trans_ab=0.4, trans_bc=0.9, len_ab=120.0, len_bc=30.0,
                        memory=MemoryParams(0.85, 0.01))
         assert storage_times(cfg).far_node == "A"
-        dephasings, _ = protocol._segment_strengths(cfg, use_memory=True)
+        dephasings, _ = protocol._segment_strengths(segment_physics(cfg, use_memory=True))
         assert [qubit for qubit, _ in dephasings] == [2, 1]
         prob, expected = tensordot_project(reference_chain(cfg, noise, True), 4, 2, "Y", +1)
         result = run_pipeline(cfg, noise, use_memory=True)
@@ -412,7 +413,7 @@ class TestCheckOnce:
         shuffle.shuffle(fd_index)
         shuffle.shuffle(fg_index)
         fds, fgs = [fd_pool[i] for i in fd_index], [fg_pool[j] for j in fg_index]
-        probs, states = run_stack(cfg, fds, fgs, use_memory=use_memory)
+        probs, states = run_stack(segment_physics(cfg, use_memory), fds, fgs)
         fids = np.array([r.fidelity for r in rate_reports(cfg, fds, fgs, use_memory=use_memory)])
         rows = len(fd_index) * len(fg_index)
         assert probs.dtype == fids.dtype == np.float64 and states.dtype == np.complex128
@@ -450,8 +451,8 @@ class TestCheckOnce:
         measured.clear()
         # 40 entries, each value twice: all in one stack, repeats run again;
         # only the measurement's gathers are bounded, to CHUNK_ROWS rows each
-        run_stack(cfg, [(i % 20) / 20 for i in range(40)], [0.1, 0.2, 0.3],
-                  use_memory=use_memory)
+        run_stack(segment_physics(cfg, use_memory), [(i % 20) / 20 for i in range(40)],
+                  [0.1, 0.2, 0.3])
         assert seen == [40]
         assert measured == [32, 32, 32, 24]
         seen.clear()
@@ -467,7 +468,7 @@ class TestCheckOnce:
             for fd, fg in product(fds, fgs):
                 NoiseParams(fd, fg)
         with pytest.raises(ValueError) as err:
-            run_stack(make_cfg(), fds, fgs)
+            run_stack(segment_physics(make_cfg(), False), fds, fgs)
         assert str(err.value) == str(expected.value)
 
     def test_register_is_the_real_part_of_the_source_pairs(self):
@@ -482,7 +483,8 @@ class TestCheckOnce:
     def test_first_transit_equals_depolarizing_the_register(self, values):
         # run_stack's first transit depolarization, one register row for
         # every f_D entry
-        started = dict(protocol._stages(make_cfg(), values, [0.0], False))["transit 0"]
+        stages = protocol._stages(segment_physics(make_cfg(), False), values, [0.0])
+        started = dict(stages)["transit 0"]
         stack = np.broadcast_to(source_register()[0].real, (len(values), 16, 16))
         expected = twirl_depolarize(stack, 4, 0, np.array(values).reshape(-1, 1, 1))[:, 0]
         assert started.tobytes() == expected.tobytes()
@@ -490,7 +492,7 @@ class TestCheckOnce:
     def test_empty_stack(self):
         cfg = make_cfg(memory=MemoryParams(0.9, 1.0))
         for fds, fgs in ([], []), ([], [0.1]), ([0.1, 0.2], []):
-            probs, states = run_stack(cfg, fds, fgs, use_memory=True)
+            probs, states = run_stack(segment_physics(cfg, True), fds, fgs)
             assert probs.shape == (0,) and states.shape == (0, 8, 8)
             assert rate_reports(cfg, fds, fgs, use_memory=True) == []
 
@@ -508,7 +510,8 @@ class TestCheckOnce:
         assert self.sweep_error() == "ValueError: dephase strength must be in [0, 0.5], got 0.6"
 
     def test_near_dephasing_out_of_range(self, monkeypatch):
-        monkeypatch.setattr(protocol, "expected_coherence_near", lambda cfg: float("nan"))
+        # the record builder's near coherence, which _segment_strengths reads
+        monkeypatch.setattr(netmodel, "_coherence_near", lambda *args: float("nan"))
         assert self.sweep_error() == "ValueError: dephase strength must be in [0, 0.5], got nan"
 
 
@@ -532,7 +535,7 @@ class TestRowInvariant:
         # TestCheckOnce holds those to reference_chain bit for bit.
         xor = np.arange(16)[:, None] ^ np.arange(16)
         stages = reference_stages(cfg, NoiseParams(fd, fg), use_memory)
-        rows = list(protocol._stages(cfg, [fd], [fg], use_memory))
+        rows = list(protocol._stages(segment_physics(cfg, use_memory), [fd], [fg]))
         assert [name for name, _ in rows] == [name for name, _, _ in stages]
         for (name, row), (_, edges, rho) in zip(rows, stages):
             assert not rho.imag.any()
@@ -601,7 +604,7 @@ class TestOutcomeProbability:
     def test_is_one_half(self, cfg, fds, fgs):
         # run_stack keeps the +1 outcome; the -1 one takes the reference route
         for use_memory in (False, True):
-            probs, _ = run_stack(cfg, fds, fgs, use_memory=use_memory)
+            probs, _ = run_stack(segment_physics(cfg, use_memory), fds, fgs)
             assert np.max(np.abs(probs - 0.5)) <= 1e-15
             for fd, fg in product(fds, fgs):
                 rho = reference_chain(cfg, NoiseParams(fd, fg), use_memory)

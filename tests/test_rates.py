@@ -161,7 +161,8 @@ class TestStackedErrorRates:
         assert stacked.shape == (6, rows)
         for k in range(6):
             assert stacked[k].tobytes() == vdot_fidelity(rho, vectors[k, 0]).tobytes()
-        got = rates._error_rates(rho)
+        # _error_row of each row, as rate_reports reads it, as three columns
+        got = tuple(np.array(column) for column in zip(*map(rates._error_row, *stacked.tolist())))
         expected = per_vector_error_rates(rho)
         assert len(got) == len(expected) == 3
         for new, old in zip(got, expected):
@@ -171,6 +172,25 @@ class TestStackedErrorRates:
             state = DensityMatrix(rho[row])
             assert state.fidelity(target_state(+1)) == got[0][row]
             assert qber_parity(state) == got[1][row] and qber_bipartite(state) == got[2][row]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        fds=st.lists(st.sampled_from([0.0, 1.0]) | unit_floats, min_size=1, max_size=4),
+        fgs=st.lists(st.sampled_from([0.0, 1.0]) | unit_floats, min_size=1, max_size=3),
+        use_memory=st.booleans(),
+    )
+    def test_report_errors_are_the_qbers_of_the_pipeline_state(self, seed, fds, fgs,
+                                                                use_memory):
+        # the row loop and qber_* read the same per-row function, so each
+        # report's Q_X and Q_AB have the bits qber_parity and qber_bipartite
+        # give on the state run_pipeline delivers at its point
+        cfg = random_config(np.random.default_rng(seed))
+        rows = rates.rate_reports(cfg, fds, fgs, use_memory=use_memory)
+        for row in rows:
+            noise = NoiseParams(row.f_d, row.f_g)
+            rho = run_pipeline(cfg, noise, use_memory=use_memory).rho_out
+            assert row.q_x.hex() == qber_parity(rho).hex()
+            assert row.q_ab.hex() == qber_bipartite(rho).hex()
 
     def test_vectors_are_the_test_states_in_order(self):
         states = rates._odd_parity_states() + rates._correlated_states()
@@ -268,24 +288,32 @@ class TestReports:
         assert plain.memory is False and plain.t2_s is None
 
     def test_block_quantities_computed_once_per_call(self, monkeypatch):
-        # 72 rows run as chunks of 32, 32 and 8, yet the segment's memory
-        # coherence and yield are computed once for the whole call
-        calls = {"expected_coherence_near": 0, "yield_with_memory": 0}
-        for name in calls:
-            original = getattr(netmodel, name)
-
-            def counted(cfg, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(cfg)
-
-            for module in (netmodel, protocol, rates):
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted)
+        # 72 rows run as chunks of 32, 32 and 8, yet the segment's record,
+        # and with it its memory coherence and yield, is built once for the
+        # whole call
+        calls = count_calls(monkeypatch,
+                            ["segment_physics", "_coherence_near", "expected_max_geometric"],
+                            (netmodel, protocol, rates))
         cfg = make_cfg(eta_b=0.5, trans_ab=0.3, trans_bc=0.4, memory=MemoryParams(0.9, 0.05))
         fds, fgs = [0.3 * i / 8 for i in range(9)], [0.3 * j / 7 for j in range(8)]
         reports = rates.rate_reports(cfg, fds, fgs, use_memory=True)
         assert len(reports) == 72
-        assert calls == {"expected_coherence_near": 1, "yield_with_memory": 1}
+        assert calls == {"segment_physics": 1, "_coherence_near": 1, "expected_max_geometric": 1}
+
+    @pytest.mark.parametrize("use_memory", [False, True])
+    def test_one_report_computes_each_closed_form_once(self, monkeypatch, use_memory):
+        # one point's record, its detection windows, storage times, near
+        # coherence and memory yield (the E[max] of yield_with_memory), each
+        # computed once, by segment_physics
+        cfg = load_config(data_path())[0]
+        names = ["segment_physics", "detection_prob", "window_click_probs", "storage_times",
+                 "_coherence_near", "expected_max_geometric"]
+        calls = count_calls(monkeypatch, names, (netmodel, protocol, rates))
+        full_report(cfg, NoiseParams(0.1, 0.2), use_memory=use_memory)
+        with_memory = int(use_memory)
+        assert calls == {"segment_physics": 1, "detection_prob": 6, "window_click_probs": 1,
+                         "storage_times": with_memory, "_coherence_near": with_memory,
+                         "expected_max_geometric": with_memory}
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -315,10 +343,10 @@ class TestReports:
         # key_rate's bits for its yield and Qs, at Q = 0, Q = 1, subnormal Q
         # and anywhere between
         cfg = make_cfg(frequency=4.0e7)
-        q_x, q_ab = (np.array(column) for column in zip(*qs))
-        with mock.patch.object(rates, "yield_memoryless", lambda cfg: y), \
-                mock.patch.object(rates, "_error_rates",
-                                  lambda states: (np.zeros(len(states)), q_x, q_ab)):
+        rows_qs = iter(qs)
+        physics = netmodel.segment_physics(cfg, False)._replace(yield_per_attempt=y)
+        with mock.patch.object(rates, "segment_physics", lambda cfg, use_memory: physics), \
+                mock.patch.object(rates, "_error_row", lambda *weights: (0.0, *next(rows_qs))):
             rows = rates.rate_reports(cfg, [0.0] * len(qs), [0.0])
         assert [(r.yield_per_attempt, r.q_x, r.q_ab) for r in rows] == [(y, *q) for q in qs]
         for row in rows:
