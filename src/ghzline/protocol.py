@@ -22,13 +22,17 @@ from .density import (
     DensityMatrix,
     PauliString,
     PureState,
+    _bit_signs,
     _checked_strength,
+    _cz_conjugation,
+    _depolarize_mask,
     _fidelities,
     _measure_rows,
     _read_only,
     _row_cz_terms,
     _row_dephase,
     _row_depolarize,
+    _trace_weights,
 )
 from .netmodel import (
     SegmentPhysics,
@@ -222,6 +226,54 @@ def _stages(physics: SegmentPhysics, fds: Sequence[float], fgs: Sequence[float])
         yield name, rows
 
 
+@cache
+def _point_tables() -> tuple:
+    """The tables _stages reads, as tuples of Python floats (bools for the
+    depolarization masks), for _point_row: the source register row, the
+    masks of each qubit before and after the CZ, each qubit's Z signs,
+    and the merge CZ's signs and trace weights."""
+    def listed(table: np.ndarray) -> tuple:
+        return tuple(table.tolist())
+
+    return (
+        listed(_initial_register()[0]),
+        tuple(listed(_depolarize_mask(4, PRE_CZ_EDGES, q)) for q in range(4)),
+        tuple(listed(_depolarize_mask(4, POST_CZ_EDGES, q)) for q in range(4)),
+        tuple(listed(_bit_signs(4, q)) for q in range(4)),
+        listed(_cz_conjugation(4, 1, 2)),
+        listed(_trace_weights(4, PRE_CZ_EDGES, 1, 2)),
+    )
+
+
+def _depolarized(row, mask, quarter: float, keep: float) -> list[float]:
+    # _row_depolarize's two products and sum per entry; the 0.0 branch is
+    # the +0.0 np.where gives
+    return [keep * x + quarter * (4.0 * x if m else 0.0) for x, m in zip(row, mask)]
+
+
+def _point_row(physics: SegmentPhysics, fd: float, fg: float) -> list[float]:
+    """_stages' last row for the one point (fd, fg) of checked strengths,
+    as a list of 16 Python floats, bit for bit.
+
+    Each step does its row kernel's operations on each entry in the same
+    order, and every one is one IEEE operation, which a CPython float
+    rounds as a numpy float64 ufunc does; neither fuses two into one.
+    """
+    register, pre_masks, post_masks, z_signs, cz_signs, trace_weights = _point_tables()
+    dephasings, dark_counts = _segment_strengths(physics)
+    quarter, keep = fd / 4.0, 1.0 - fd
+    row = _depolarized(register, pre_masks[0], quarter, keep)
+    row = _depolarized(row, pre_masks[3], quarter, keep)
+    for qubit, lam in dephasings:
+        keep = 1.0 - lam
+        row = [keep * x + lam * (x * z) for x, z in zip(row, z_signs[qubit])]
+    keep = 1.0 - fg
+    row = [(x * s) * keep + (x * w + 0.0) * fg for x, s, w in zip(row, cz_signs, trace_weights)]
+    for qubit, quarter, keep in dark_counts:
+        row = _depolarized(row, post_masks[qubit], quarter, keep)
+    return row
+
+
 def run_stack(
     physics: SegmentPhysics, fds: Sequence[float], fgs: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -233,14 +285,20 @@ def run_stack(
     outcome +1, and the conditional three-qubit state on (0, 1, 3) as a
     (B, 8, 8) stack.  The -1 branch is its conjugate (run_pipeline).
 
-    Checks each axis value once, runs each of _stages' steps once on its
-    whole stack, and then measures qubit 2 in Y, keeping the +1 outcome,
-    on chunks of up to CHUNK_ROWS rows.
+    Checks each axis value once and runs the steps of _stages.  A grid of
+    one point runs them on 16 Python floats (_point_row), where numpy's
+    per-call cost would be most of the work; any other grid runs each of
+    _stages' steps once on its whole stack.  Both give the same bits.
+    Then measures qubit 2 in Y, keeping the +1 outcome, on chunks of up
+    to CHUNK_ROWS rows.
     """
     fds = [_checked_strength(v, 1.0, "channel_depol") for v in fds]
     fgs = [_checked_strength(v, 1.0, "gate_fail") for v in fgs]
-    for _, rows in _stages(physics, fds, fgs):
-        pass
+    if len(fds) == len(fgs) == 1:
+        rows = np.array([_point_row(physics, fds[0], fgs[0])])
+    else:
+        for _, rows in _stages(physics, fds, fgs):
+            pass
     probs, states = np.empty(len(rows)), np.empty((len(rows), 8, 8), dtype=complex)
     for lo in range(0, len(rows), CHUNK_ROWS):
         chunk = slice(lo, lo + CHUNK_ROWS)
@@ -258,7 +316,8 @@ def run_pipeline(
 ) -> ProtocolOutcome:
     """Run one merge attempt and return the conditional three-qubit state.
 
-    The one-row case of run_stack; _stages lists the steps.
+    The one-point case of run_stack, which runs it on Python floats
+    (_point_row); _stages lists the steps.
     """
     _check_outcome(outcome)
     probs, states = run_stack(

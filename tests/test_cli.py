@@ -1442,6 +1442,10 @@ class TestParseAxis:
             _parse_axis(bad)
 
 
+# sweep axis ends: [0, 1], drawn often at 0, 1 and the least subnormal
+axis_ends = st.sampled_from([0.0, 1.0, 5e-324]) | st.floats(0.0, 1.0)
+
+
 class TestMain:
     def test_simulate_text_report(self, capsys):
         assert main(["simulate", "--segment", "berlin-schaepe-koeckern"]) == 0
@@ -1490,6 +1494,31 @@ class TestMain:
         spec = SweepSpec(fd_range=(0.05, 0.05, 1), fg_range=(0.1, 0.1, 1),
                          memory_modes=("on",), t2_values=(10.0,))
         assert out.read_text() == render_json(run_sweep(load_config(data_path()), spec))
+
+    @given(
+        fd_axis=st.lists(axis_ends, min_size=2, max_size=2).map(sorted),
+        fg_axis=st.lists(axis_ends, min_size=2, max_size=2).map(sorted),
+        fd_end=st.integers(0, 1), fg_end=st.integers(0, 1),
+    )
+    def test_simulate_equals_the_corner_of_a_2x2_sweep(self, fd_axis, fg_axis, fd_end, fg_end):
+        # simulate runs one point on Python floats, a 2x2 sweep runs each
+        # block on the numpy stack; np.linspace gives the axis ends exactly
+        fd, fg = fd_axis[fd_end], fg_axis[fg_end]
+        with tempfile.TemporaryDirectory() as tmp:
+            grid, point = Path(tmp) / "grid.json", Path(tmp) / "point.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["sweep", "--fd", "{!r}:{!r}:2".format(*fd_axis),
+                             "--fg", "{!r}:{!r}:2".format(*fg_axis),
+                             "--format", "json", "--out", str(grid)]) == 0
+            corners = {(r["segment"], r["memory"]): r for r in json.loads(grid.read_text())
+                       if r["f_D"] == fd and r["f_G"] == fg}
+            assert len(corners) == 8  # every bundled segment in both memory modes
+            for memory in ([], ["--memory"]):
+                assert main(["simulate", "--fd", repr(fd), "--fg", repr(fg), *memory,
+                             "--format", "json", "--out", str(point)]) == 0
+                rows = json.loads(point.read_text())
+                assert len(rows) == 4
+                assert rows == [corners[r["segment"], r["memory"]] for r in rows]
 
     def test_simulate_keeps_file_order(self, tmp_path):
         doc = minimal_doc(name="zeta")

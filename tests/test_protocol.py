@@ -456,8 +456,11 @@ class TestCheckOnce:
         assert seen == [40]
         assert measured == [32, 32, 32, 24]
         seen.clear()
+        measured.clear()
+        # a one-point report runs no row kernel before the measurement
         full_report(cfg, NoiseParams(0.1, 0.2), use_memory=use_memory)
-        assert seen == [1]
+        assert seen == []
+        assert measured == [1]
 
     @pytest.mark.parametrize("fds,fgs", [
         ([0.1, 1.5], [0.0]), ([0.1], [0.2, -0.5]), ([float("nan")], [0.0]),
@@ -513,6 +516,32 @@ class TestCheckOnce:
         # the record builder's near coherence, which _segment_strengths reads
         monkeypatch.setattr(netmodel, "_coherence_near", lambda *args: float("nan"))
         assert self.sweep_error() == "ValueError: dephase strength must be in [0, 0.5], got nan"
+
+
+# f_D and f_G on [0, 1], drawn often at both signed zeros, 1 and subnormals
+point_strengths = with_edges(0.0, 1.0, 0.0, -0.0, 1.0, 5e-324, 2.0**-1030,
+                             2.0**-1022 - 2.0**-1074)
+
+
+@pytest.mark.engine
+class TestOnePointPath:
+    """run_stack runs a one-point grid on Python floats (_point_row) and
+    every larger grid on _stages' numpy stack; both give the same bits."""
+
+    @pytest.mark.parametrize("use_memory", [False, True])
+    @given(cfg=configs, fd=point_strengths, fg=point_strengths, other=point_strengths,
+           first=st.booleans())
+    def test_point_row_equals_the_stack(self, use_memory, cfg, fd, fg, other, first):
+        physics = segment_physics(cfg, use_memory)
+        *_, (name, rows) = protocol._stages(physics, [fd], [fg])
+        assert name == "dark counts 3"
+        assert np.array([protocol._point_row(physics, fd, fg)]).tobytes() == rows.tobytes()
+        # the 1x1 grid against its row of a 2x1 grid holding the point
+        probs, states = run_stack(physics, [fd], [fg])
+        row = 0 if first else 1
+        grid_probs, grid_states = run_stack(physics, [fd, other] if first else [other, fd], [fg])
+        assert probs.tobytes() == grid_probs[row:row + 1].tobytes()
+        assert states.tobytes() == grid_states[row:row + 1].tobytes()
 
 
 @pytest.mark.engine

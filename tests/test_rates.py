@@ -384,11 +384,15 @@ class TestSegmentMemo:
 
     @pytest.mark.parametrize("use_memory", [False, True])
     def test_one_report_runs_each_kernel_once_per_stage(self, monkeypatch, use_memory):
-        # the two transit qubits and the four dark-count qubits
+        # a one-point report runs its stages on Python floats, no row kernel
         calls = count_calls(monkeypatch, ["_row_depolarize", "_fidelities"],
                             (density, protocol, rates))
         cfg = load_config(data_path())[0]
         full_report(cfg, NoiseParams(0.1, 0.2), use_memory=use_memory)
+        assert calls == {"_row_depolarize": 0, "_fidelities": 1}
+        # a larger grid: the two transit qubits and the four dark-count qubits
+        calls.update(dict.fromkeys(calls, 0))
+        rates.rate_reports(cfg, [0.1, 0.2], [0.2], use_memory=use_memory)
         assert calls == {"_row_depolarize": 6, "_fidelities": 1}
 
     def test_memoryless_config_raises_the_same_error_every_call(self):
