@@ -1,17 +1,16 @@
-"""Segment config files: YAML loading, schema and consistency checks, and
-one TrioConfig per segment.  Nothing here needs numpy."""
+"""Segment config files: YAML loading, the field check against the format
+that data/config.schema.json publishes, consistency checks, and one
+TrioConfig per segment.  Nothing here needs numpy or jsonschema."""
 
 from __future__ import annotations
 
 import contextlib
 import io
-import json
-import numbers
+import math
 import operator
 import re
 import sys
 from collections.abc import Hashable
-from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -210,191 +209,83 @@ def data_path(name: str = DEFAULT_CONFIG) -> Path:
     return Path(str(resources.files("ghzline") / "data" / name))
 
 
-# The JSON Schema types config.schema.json names; bool is no number, as in
-# jsonschema.
-_SCHEMA_TYPES = {
-    "object": lambda x: isinstance(x, dict),
-    "array": lambda x: isinstance(x, list),
-    "string": lambda x: isinstance(x, str),
-    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+# The config format that data/config.schema.json publishes, as one table:
+# each record's required fields, the fields of which it needs at least one
+# (a link's transmission or loss_db), and the (kind, detail) of each field it
+# allows, in the schema's order; a record is closed to every other key.  A
+# number's detail is its bounds, (violated when, words, limit); an object's,
+# its record; an array's, the record of its items.  _TYPES gives each kind's
+# Python types; bool, an int, is no number, as in jsonschema.
+# tests/test_cli.py holds the table to the schema through jsonschema.
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float)}
+_ABOVE_0 = (operator.le, "is less than or equal to the minimum of", 0)
+_AT_LEAST_0 = (operator.lt, "is less than the minimum of", 0)
+_AT_MOST_1 = (operator.gt, "is greater than the maximum of", 1)
+_BELOW_1 = (operator.ge, "is greater than or equal to the maximum of", 1)
+_NAME = ("string", None)
+_RECORDS = {
+    "document": (("segments",), (), {"segments": ("array", "segment")}),
+    "segment": (("name", "nodes", "links", "source"), (), {
+        "name": _NAME,
+        "nodes": ("object", "nodes"),
+        "links": ("object", "links"),
+        "source": ("object", "source"),
+        "memory": ("object", "memory"),
+        "speed_of_light": ("number", (_ABOVE_0,)),
+    }),
+    "nodes": (("A", "B", "C"), (), dict.fromkeys("ABC", ("object", "node"))),
+    "links": (("AB", "BC"), (), dict.fromkeys(("AB", "BC"), ("object", "link"))),
+    "source": (("frequency",), (), {"frequency": ("number", (_ABOVE_0,))}),
+    "memory": (("efficiency", "T2"), (), {
+        "efficiency": ("number", (_ABOVE_0, _AT_MOST_1)),
+        "T2": ("number", (_ABOVE_0,)),
+    }),
+    "node": (("detector_efficiency",), (), {
+        "name": _NAME,
+        "detector_efficiency": ("number", (_ABOVE_0, _AT_MOST_1)),
+        "dark_count_prob": ("number", (_AT_LEAST_0, _BELOW_1)),
+    }),
+    "link": (("length",), ("transmission", "loss_db"), {
+        "length": ("number", (_AT_LEAST_0,)),
+        "transmission": ("number", (_ABOVE_0, _AT_MOST_1)),
+        "loss_db": ("number", (_AT_LEAST_0,)),
+    }),
 }
-# The schema types of the plain Python types a YAML document holds; a value
-# of any other type (a date, bytes, a set, a subclass) goes through
-# _SCHEMA_TYPES' tests.
-_TYPES_OF = {
-    dict: ("object",), list: ("array",), str: ("string",),
-    int: ("number",), float: ("number",), bool: (), type(None): (),
-}
-# The instance type each keyword applies to; others pass it unchecked.
-_KEYWORD_TYPES = {
-    "required": "object",
-    "properties": "object",
-    "additionalProperties": "object",
-    "items": "array",
-    "minItems": "array",
-    "minLength": "string",
-    "minimum": "number",
-    "maximum": "number",
-    "exclusiveMinimum": "number",
-    "exclusiveMaximum": "number",
-}
-# (violated when, message) of each numeric bound, in jsonschema's words.
-_BOUNDS = {
-    "minimum": (operator.lt, "is less than the minimum of"),
-    "maximum": (operator.gt, "is greater than the maximum of"),
-    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
-    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
-}
-# Keywords that only annotate, or hold subschemas for $ref: they check nothing.
-_ANNOTATIONS = {"$schema", "title", "description", "$defs"}
-# Every keyword the compiler knows: the 13 it checks, then the annotations.
-_SCHEMA_KEYWORDS = {"type", "$ref", "anyOf", *_KEYWORD_TYPES, *_ANNOTATIONS}
 
 
-def _keyword_check(key, value, schema: dict, compile_sub):
-    """(applies, check) of one keyword of ``schema``; ``value`` is the
-    keyword's value, a ``$ref`` already resolved to its target.
-
-    ``applies(types)`` tells whether the keyword checks a node of those
-    schema types; ``check(node, path, out)`` appends the (path, message)
-    of each violation to ``out``, in jsonschema's Draft 2020-12 words.
-    """
-    if key == "type":
-        def check(node, path, out):
-            out.append((path, f"{node!r} is not of type {value!r}"))
-
-        return (lambda types: value not in types), check
-    if key == "$ref":
-        return (lambda types: True), compile_sub(value)
-    if key == "anyOf":
-        subs = [compile_sub(sub) for sub in value]
-
-        def check(node, path, out):
-            for sub in subs:
-                found = []
-                sub(node, path, found)
-                if not found:
-                    return
-            out.append((path, f"{node!r} is not valid under any of the given schemas"))
-
-        return (lambda types: True), check
-    if key == "required":
-        def check(node, path, out):
-            for name in value:
-                if name not in node:
-                    out.append((path, f"{name!r} is a required property"))
-    elif key == "properties":
-        subs = [(name, compile_sub(sub)) for name, sub in value.items()]
-
-        def check(node, path, out):
-            for name, sub in subs:
-                if name in node:
-                    sub(node[name], path + (name,), out)
-    elif key == "additionalProperties":
-        known = frozenset(schema.get("properties", {}))
-
-        def check(node, path, out):
-            if known.issuperset(node):
-                return
-            extras = sorted({name for name in node if name not in known}, key=str)
-            verb = "was" if len(extras) == 1 else "were"
-            names = ", ".join(repr(name) for name in extras)
-            out.append((path, f"Additional properties are not allowed ({names} {verb} unexpected)"))
-    elif key == "items":
-        sub = compile_sub(value)
-
-        def check(node, path, out):
+def _field_errors(node, kind: str, detail, path: tuple, out: list) -> None:
+    """Append the (path, message) of each violation by ``node`` of a field
+    of ``kind`` and ``detail`` to ``out``, in jsonschema's Draft 2020-12
+    words and, within one path, in the schema's keyword order: type,
+    required, anyOf, additionalProperties."""
+    if not isinstance(node, _TYPES[kind]) or type(node) is bool:
+        out.append((path, f"{node!r} is not of type {kind!r}"))
+    elif kind == "number":
+        for violated, words, limit in detail:
+            if violated(node, limit):
+                out.append((path, f"{node!r} {words} {limit!r}"))
+    elif kind != "object":  # a string or an array: both must be non-empty
+        if not node:
+            out.append((path, f"{node!r} should be non-empty"))
+        if kind == "array":
             for i, item in enumerate(node):
-                sub(item, path + (i,), out)
-    elif key in ("minItems", "minLength"):
-        text = "should be non-empty" if value == 1 else "is too short"
-
-        def check(node, path, out):
-            if len(node) < value:
-                out.append((path, f"{node!r} {text}"))
+                _field_errors(item, "object", detail, path + (i,), out)
     else:
-        violated, text = _BOUNDS[key]
-
-        def check(node, path, out):
-            if violated(node, value):
-                out.append((path, f"{node!r} {text} {value!r}"))
-    kind = _KEYWORD_TYPES[key]
-    return (lambda types: kind in types), check
-
-
-def _compile_schema(schema: dict, root: dict | None = None, compiled: dict | None = None):
-    """Compile ``schema`` into one check(node, path, out) that appends the
-    (path, message) of each violation by ``node`` to ``out``.
-
-    Keywords are checked in the schema's order, depth first.  Raises
-    ValueError on any other keyword, type name, reference form, open
-    object or recursive reference, so that an edit to the schema cannot be
-    silently ignored.  ``compiled`` maps the id of each subschema compiled
-    so far to its check, None while it compiles, so that each ``$ref``
-    target is compiled once.
-    """
-    root = schema if root is None else root
-    compiled = {} if compiled is None else compiled
-    if id(schema) in compiled:
-        if compiled[id(schema)] is None:
-            raise ValueError("config schema: unsupported recursive $ref")
-        return compiled[id(schema)]
-    compiled[id(schema)] = None
-
-    def compile_sub(sub):
-        return _compile_schema(sub, root, compiled)
-
-    keyword_checks = []
-    for key, value in schema.items():
-        if key not in _SCHEMA_KEYWORDS:
-            raise ValueError(f"config schema: unsupported keyword {key!r}")
-        if key == "type" and not (isinstance(value, str) and value in _SCHEMA_TYPES):
-            raise ValueError(f"config schema: unsupported type {value!r}")
-        if key == "additionalProperties" and value is not False:
-            raise ValueError(f"config schema: unsupported additionalProperties {value!r}")
-        if key == "$ref":
-            if not value.startswith("#/"):
-                raise ValueError(f"config schema: unsupported $ref {value!r}")
-            target = root
-            for part in value[2:].split("/"):
-                target = target[part]
-            value = target
-        if key == "$defs":
-            for sub in value.values():
-                compile_sub(sub)
-        elif key not in _ANNOTATIONS:
-            keyword_checks.append(_keyword_check(key, value, schema, compile_sub))
-    # the checks that apply to a node of each Python type, in keyword order
-    checks_of = {
-        python_type: tuple(keyword for applies, keyword in keyword_checks if applies(types))
-        for python_type, types in _TYPES_OF.items()
-    }
-
-    def check(node, path, out):
-        checks = checks_of.get(type(node))
-        if checks is None:  # a date, bytes, a set or a subclass
-            types = tuple(name for name, test in _SCHEMA_TYPES.items() if test(node))
-            checks = [keyword for applies, keyword in keyword_checks if applies(types)]
-        for keyword in checks:
-            keyword(node, path, out)
-
-    compiled[id(schema)] = check
-    return check
-
-
-@cache
-def _config_schema():
-    """config.schema.json, read and compiled once per process."""
-    schema = resources.files("ghzline") / "data" / "config.schema.json"
-    return _compile_schema(json.loads(schema.read_text(encoding="utf-8")))
-
-
-def _schema_errors(schema, node, path: tuple = ()) -> list[tuple]:
-    """(path, message) of every violation by ``node`` of ``schema``, a
-    check that _compile_schema made."""
-    out: list[tuple] = []
-    schema(node, path, out)
-    return out
+        required, one_of, fields = _RECORDS[detail]
+        for name in required:
+            if name not in node:
+                out.append((path, f"{name!r} is a required property"))
+        if one_of and node.keys().isdisjoint(one_of):
+            out.append((path, f"{node!r} is not valid under any of the given schemas"))
+        if not fields.keys() >= node.keys():
+            # a set, as jsonschema's, so that keys whose str is equal sort alike
+            extras = sorted({name for name in node if name not in fields}, key=str)
+            verb = "was" if len(extras) == 1 else "were"
+            names = ", ".join(map(repr, extras))
+            out.append((path, f"Additional properties are not allowed ({names} {verb} unexpected)"))
+        for name, (kind, detail) in fields.items():
+            if name in node:
+                _field_errors(node[name], kind, detail, path + (name,), out)
 
 
 _FLOAT_MAX = sys.float_info.max
@@ -444,22 +335,25 @@ def _check_document(doc) -> tuple[list[str], list[TrioConfig]]:
     """validate_document's problems, and the TrioConfig of each segment
     that its consistency pass built: of every segment when there are no
     problems."""
+    errors: list[tuple] = []
+    _field_errors(doc, "object", "document", (), errors)
     problems = [
         f"{_dotted(path)}: {message}"
-        for path, message in sorted(
-            _schema_errors(_config_schema(), doc), key=lambda e: [str(x) for x in e[0]]
-        )
+        for path, message in sorted(errors, key=lambda e: [str(x) for x in e[0]])
     ]
     problems += [f"{_dotted(path)}: must be finite" for path in _non_finite(doc)]
     configs: list[TrioConfig] = []
     if problems:
         return problems, configs
-    # The schema cannot cross-check redundant fields, see a transmission so
-    # small that it is subnormal, see an outer click probability below
-    # MIN_CLICK_PROB or a B click probability with memory that underflows
-    # to 0, nor tell segments apart by name.  A subnormal
-    # transmission, given or implied by a loss above about 3076.5 dB, makes
-    # the yields' products underflow into 0/0 = NaN later.
+    # The field table checks each field alone.  It cannot cross-check a
+    # link's transmission and loss_db, see a transmission so small that it
+    # is subnormal, see an outer click probability below MIN_CLICK_PROB or
+    # a B click probability with memory that underflows to 0, nor tell
+    # segments apart by name.  A subnormal transmission, given or implied
+    # by a loss above about 3076.5 dB, makes the yields' products underflow
+    # into 0/0 = NaN later.  The two link fields must agree relatively, so
+    # that a tiny link is checked too, within 1e-8: the implied value as
+    # the message prints it, at %.9g, is within 5e-9 of it.
     tiny = sys.float_info.min
     first_at: dict[str, int] = {}
     for i, seg in enumerate(doc["segments"]):
@@ -485,7 +379,8 @@ def _check_document(doc) -> tuple[list[str], list[TrioConfig]]:
                 problems.append(
                     f"{where}.loss_db: implies transmission {implied!r}, need >= {tiny!r}"
                 )
-            elif "transmission" in raw and abs(implied - raw["transmission"]) > 1e-9:
+            elif "transmission" in raw and not math.isclose(
+                    raw["transmission"], implied, rel_tol=1e-8):
                 problems.append(
                     f"{where}: transmission {raw['transmission']} "
                     f"disagrees with loss_db {raw['loss_db']} (implies {implied:.9g})"

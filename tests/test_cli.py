@@ -4,6 +4,7 @@ import ast
 import contextlib
 import copy
 import csv
+import datetime
 import functools
 import inspect
 import io
@@ -30,9 +31,7 @@ from ghzline.config import (
     MAX_NESTING,
     YAML_LOADER,
     ConfigError,
-    _compile_schema,
     _config_loader,
-    _schema_errors,
     data_path,
     load_config,
     validate_document,
@@ -51,6 +50,7 @@ from ghzline.sweep import (
 )
 from ghzline.rates import RateReport, full_report
 from ghzline.protocol import NoiseParams
+from test_config import reference_non_finite
 from util import make_cfg
 
 # The config loader of an install without libyaml: the same class on
@@ -174,6 +174,34 @@ class TestLoadConfig:
         }
         with pytest.raises(ConfigError, match="disagrees"):
             load_config(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("transmission, problem", [
+        # 1e-20 once passed an absolute 1e-9 check and loaded as 1e-10
+        (1.0e-20, "segments.0.links.AB: transmission 1e-20 disagrees with loss_db 100.0 "
+                  "(implies 1e-10)"),
+        (1.0e-10, None),
+    ])
+    def test_loss_pair_agrees_relatively(self, tmp_path, capsys, transmission, problem):
+        doc = _set(minimal_doc(), "links.AB",
+                   {"length": 90.0, "loss_db": 100.0, "transmission": transmission})
+        code = main(["yields", "--config", str(write_doc(tmp_path, doc))])
+        err = capsys.readouterr().err
+        if problem is None:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 2
+            assert err == f"error: invalid configuration:\n  - {problem}\n"
+
+    def test_loss_pair_accepts_the_printed_implied_value(self, tmp_path):
+        doc = _set(minimal_doc(), "links.AB",
+                   {"length": 90.0, "loss_db": 18.0, "transmission": 0.6})
+        with pytest.raises(ConfigError) as err:
+            load_config(write_doc(tmp_path, doc))
+        (problem,) = err.value.problems
+        assert problem.endswith("(implies 0.0158489319)")
+        doc["segments"][0]["links"]["AB"]["transmission"] = 0.0158489319
+        (cfg,) = load_config(write_doc(tmp_path, doc))
+        assert cfg.link_ab.transmission == 10 ** -1.8
 
     def test_rejects_loss_whose_transmission_underflows(self, tmp_path, capsys):
         # 10**(-loss_db / 10) is subnormal above about 3076.53 dB and 0.0
@@ -621,9 +649,13 @@ def _doc_paths(node, path=()):
 
 
 # Replacement values: wrong types, None, bools where numbers belong, empty
-# names, and every bound of the schema (0, 1, negatives, > 1).
+# names, every bound of the schema (0, 1, negatives, > 1), what YAML builds
+# and JSON cannot (a date, a timestamp, !!binary, !!set, !!omap or !!pairs),
+# and numbers a float cannot hold.
 MUTANT_VALUES = [None, True, False, "", "x", "1.0e7", [], {}, {"a": 1}, [1],
-                 0, 0.0, 1, 1.0, -1, -0.5, 1.5, 2, 1e-5]
+                 0, 0.0, 1, 1.0, -1, -0.5, 1.5, 2, 1e-5,
+                 datetime.date(2001, 2, 3), datetime.datetime(2001, 2, 3, 4, 5, 6), b"x",
+                 {"x", 1}, [("a", 1)], math.inf, math.nan, 10**400]
 EXTRA_KEYS = ["zz", "aa", "extra", "B", "length", 1]
 
 
@@ -679,6 +711,90 @@ def _jsonschema_validator():
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(data_path("config.schema.json").read_text())
     return jsonschema.Draft202012Validator(schema)
+
+
+def _jsonschema_problems(doc):
+    """jsonschema's messages on ``doc``, as validate_document words them."""
+    errors = _jsonschema_validator().iter_errors(doc)
+    return [
+        f"{'.'.join(str(x) for x in err.absolute_path) or '<root>'}: {err.message}"
+        for err in sorted(errors, key=lambda e: [str(x) for x in e.absolute_path])
+    ]
+
+
+def _schema_cases():
+    """(id, document) of each boundary of config.schema.json, found by
+    walking the schema down a valid document that has every record, and
+    the schema's keywords and types that the walk does not feed.
+
+    A number field takes each of its bounds, the next float on both sides
+    of it, and a bool, a string and None; a string and an array take
+    empty and wrong-typed values; a record drops each required field in
+    turn, all of the fields of which it needs one, and gains an unknown
+    key, and is replaced by a wrong type.  So an edit to a type, bound,
+    required set or property set of the schema changes jsonschema's
+    verdict on at least one case."""
+    schema = json.loads(data_path("config.schema.json").read_text())
+    annotations = {"$schema", "title", "description", "$defs"}
+    fed = {"type", "required", "anyOf", "additionalProperties", "properties", "items",
+           "minItems", "minLength", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"}
+    bounds = ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
+    wrong = {"object": [None, []], "array": [[], {}, "x"], "string": ["", 1, None],
+             "number": [True, "x", None]}
+    cases, unfed = [], set()
+
+    def edited(path, edit):
+        """The valid document after edit(container, key) on its node at
+        ``path``; the root is held in a one-key dict."""
+        holder = {"root": minimal_doc(memory={"efficiency": 0.8, "T2": 1.5})}
+        container, key = holder, "root"
+        for part in path:
+            container, key = container[key], part
+        edit(container, key)
+        return holder["root"]
+
+    def dotted(path):
+        return ".".join(map(str, path)) or "<root>"
+
+    def walk(sub, path):
+        while "$ref" in sub:
+            sub = functools.reduce(dict.__getitem__, sub["$ref"][2:].split("/"), schema)
+        unfed.update(set(sub) - annotations - fed)
+        if sub.get("additionalProperties", False) is not False:
+            unfed.add("additionalProperties")
+        if sub.get("type") not in wrong:
+            unfed.add(f"type {sub.get('type')!r}")
+        values = list(wrong.get(sub.get("type"), [None]))
+        for bound in (sub[name] for name in bounds if name in sub):
+            values += [bound, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)]
+        for value in values:
+            cases.append((f"{dotted(path)}={value!r}",
+                          edited(path, lambda node, key: node.__setitem__(key, value))))
+        if sub["type"] == "array":
+            walk(sub["items"], path + (0,))
+        if sub["type"] != "object":
+            return
+        for option in sub.get("anyOf", ()):
+            unfed.update(f"anyOf {key}" for key in set(option) - {"required"})
+        one_of = [name for option in sub.get("anyOf", ()) for name in option["required"]]
+        for names in [[name] for name in sub["required"]] + [one_of] * bool(one_of):
+            cases.append((f"{dotted(path)}-{'-'.join(names)}", edited(
+                path, lambda node, key: [node[key].pop(name, None) for name in names])))
+        cases.append((f"{dotted(path)}+zz", edited(
+            path, lambda node, key: node[key].__setitem__("zz", 1))))
+        for name, prop in sub["properties"].items():
+            walk(prop, path + (name,))
+
+    walk(schema, ())
+    return cases, unfed
+
+
+SCHEMA_CASES, UNFED_KEYWORDS = _schema_cases()
+# What the consistency pass reports on a schema-valid document: the link
+# fields' disagreement, a subnormal transmission, and an outer click
+# probability below MIN_CLICK_PROB.
+CROSS_CHECKS = ("disagrees with loss_db", f"is less than the minimum of {sys.float_info.min!r}",
+                "click probability")
 
 
 class TestSchemaValidator:
@@ -737,34 +853,28 @@ class TestSchemaValidator:
                 expected.append("segments.2.name: '' should be non-empty")
         assert validate_document(doc) == expected
 
-    def test_longer_bounds_say_too_short(self):
-        schema = _compile_schema({"minItems": 2, "items": {"minLength": 3}})
-        assert list(_schema_errors(schema, ["ab"])) == [
-            ((), "['ab'] is too short"), ((0,), "'ab' is too short")
-        ]
+    @pytest.mark.parametrize("doc", [doc for _, doc in SCHEMA_CASES],
+                             ids=[name for name, _ in SCHEMA_CASES])
+    def test_boundaries_match_jsonschema(self, doc):
+        problems = validate_document(doc)
+        expected = _jsonschema_problems(doc)
+        if expected:
+            assert problems == expected
+        else:  # a schema-valid document is only cross-checked
+            assert all(any(text in p for text in CROSS_CHECKS) for p in problems), problems
 
-    @pytest.mark.parametrize("edit", [
-        lambda s: s["$defs"]["node"]["properties"]["name"].update(pattern="^[A-Z]"),
-        lambda s: s["$defs"]["segment"].update(minProperties=1),
-        lambda s: s["$defs"]["link"]["properties"]["length"].update(type="integer"),
-        lambda s: s["$defs"]["link"].update(additionalProperties=True),
-        lambda s: s["properties"]["segments"].update(items={"$ref": "other.json#/x"}),
-    ], ids=["nested-keyword", "keyword", "type", "open-object", "remote-ref"])
-    def test_unknown_schema_features_raise(self, edit):
-        schema = json.loads(data_path("config.schema.json").read_text())
-        _compile_schema(copy.deepcopy(schema))
-        edit(schema)
-        with pytest.raises(ValueError, match="config schema: unsupported"):
-            _compile_schema(schema)
+    def test_boundary_cases_feed_every_keyword(self):
+        # the cases above test only what they feed: a schema keyword, a
+        # type or an open record that they do not would go unchecked
+        assert UNFED_KEYWORDS == set()
 
     @settings(max_examples=200)
     @given(st.sampled_from(range(4)), st.data())
     def test_matches_jsonschema(self, which, data):
         doc = _mutate(copy.deepcopy(_valid_docs()[which]), data)
-        errors = _jsonschema_validator().iter_errors(doc)
-        expected = [
-            f"{'.'.join(str(x) for x in err.absolute_path) or '<root>'}: {err.message}"
-            for err in sorted(errors, key=lambda e: [str(x) for x in e.absolute_path])
+        expected = _jsonschema_problems(doc) + [
+            f"{'.'.join(str(x) for x in path) or '<root>'}: must be finite"
+            for path in reference_non_finite(doc)
         ]
         problems = validate_document(doc)
         if expected:
