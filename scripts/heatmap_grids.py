@@ -4,14 +4,16 @@
 Each output file is a full (f_D, f_G) grid over [0, 0.3]^2 with both
 memory modes, suitable for pivoting into fidelity or key-rate heatmaps.
 No figures are rendered here; downstream notebooks own the plotting.
-Exit status is 1 if any grid point failed (a NaN row), as for ``sweep``.
+Exit status is 1 if any grid point failed (a NaN row), as for ``sweep``,
+and 2, with nothing written, on an invalid config or option, or on a
+segment name that is not a plain file name (``..``, ``a/b``, a NUL).
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from ghzline.config import data_path, load_config
+from ghzline.config import ConfigError, data_path, load_config
 from ghzline.sweep import SpecError, SweepSpec, emit, run_sweep
 
 
@@ -30,7 +32,16 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    configs = load_config(args.config if args.config else data_path())
+    try:
+        configs = load_config(args.config if args.config else data_path())
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # each segment's CSV is named after it, and must land in --outdir
+    for cfg in configs:
+        if Path(cfg.name).name != cfg.name or cfg.name == ".." or "\0" in cfg.name:
+            print(f"error: segment name {cfg.name!r} is not a plain file name", file=sys.stderr)
+            return 2
     try:
         spec = SweepSpec(
             fd_range=(0.0, 0.3, args.steps),

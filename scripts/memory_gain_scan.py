@@ -3,7 +3,9 @@
 
 For each segment the memory-assisted yield is recomputed on an eta_QM
 grid while everything else stays at its configured value; the emitted CSV
-holds the memoryless baseline and the gain ratio at every grid point.
+holds the memoryless baseline and the gain ratio at every grid point, as
+``ghzline yields`` computes them.  Exit status is 2, with no file written,
+on an invalid config or a segment whose memoryless yield underflows to 0.
 """
 
 import argparse
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ghzline import yield_memoryless, yield_with_memory
+from ghzline.cli import yields_report
 from ghzline.config import data_path, load_config
 
 
@@ -34,24 +36,30 @@ def main(argv=None) -> int:
     if args.points < 1:
         print("error: --points must be >= 1", file=sys.stderr)
         return 2
-    configs = load_config(args.config if args.config else data_path())
     grid = np.linspace(1.0 / args.points, 1.0, args.points)
+    scans = []
+    try:
+        configs = load_config(args.config if args.config else data_path())
+        for cfg in sorted(configs, key=lambda c: c.name):
+            if cfg.memory is None:
+                print(f"{cfg.name}: no memory section, skipped", file=sys.stderr)
+                continue
+            probes = [replace(cfg, memory=replace(cfg.memory, efficiency=float(eta)))
+                      for eta in grid]
+            scans.append((cfg.name, yields_report(probes)))
+    except ValueError as exc:  # ConfigError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
     with args.out.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["segment", "eta_qm", "yield", "yield_memory", "ratio"])
-        for cfg in sorted(configs, key=lambda c: c.name):
-            if cfg.memory is None:
-                print(f"{cfg.name}: no memory section, skipped", file=sys.stderr)
-                continue
-            y = yield_memoryless(cfg)
-            for eta in grid:
-                probe = replace(cfg, memory=replace(cfg.memory, efficiency=float(eta)))
-                y_qm = yield_with_memory(probe)
-                writer.writerow([cfg.name, f"{eta:.17g}", f"{y:.17g}",
-                                 f"{y_qm:.17g}", f"{y_qm / y:.17g}"])
-            print(f"{cfg.name}: {args.points} points, baseline yield {y:.3g}")
+        for name, rows in scans:
+            for eta, row in zip(grid, rows):
+                writer.writerow([name, f"{eta:.17g}", *(
+                    f"{row[key]:.17g}" for key in ("yield", "yield_memory", "ratio"))])
+            print(f"{name}: {args.points} points, baseline yield {rows[0]['yield']:.3g}")
     print(f"wrote {args.out}")
     return 0
 

@@ -253,23 +253,28 @@ _RECORDS = {
 }
 
 
-def _field_errors(node, kind: str, detail, path: tuple, out: list) -> None:
+def _field_errors(node, kind: str, detail, path: tuple, out: list, infinite: list) -> None:
     """Append the (path, message) of each violation by ``node`` of a field
     of ``kind`` and ``detail`` to ``out``, in jsonschema's Draft 2020-12
     words and, within one path, in the schema's keyword order: type,
-    required, anyOf, additionalProperties."""
+    required, anyOf, additionalProperties; and, in document order, the path
+    of each number under ``node`` that a float cannot hold to ``infinite``.
+    Only a wrong-typed value or one under an unknown key goes to _non_finite."""
     if not isinstance(node, _TYPES[kind]) or type(node) is bool:
         out.append((path, f"{node!r} is not of type {kind!r}"))
+        infinite += [path + below for below in _non_finite(node)]
     elif kind == "number":
         for violated, words, limit in detail:
             if violated(node, limit):
                 out.append((path, f"{node!r} {words} {limit!r}"))
+        if not abs(node) <= _FLOAT_MAX:  # NaN fails it too
+            infinite.append(path)
     elif kind != "object":  # a string or an array: both must be non-empty
         if not node:
             out.append((path, f"{node!r} should be non-empty"))
         if kind == "array":
             for i, item in enumerate(node):
-                _field_errors(item, "object", detail, path + (i,), out)
+                _field_errors(item, "object", detail, path + (i,), out, infinite)
     else:
         required, one_of, fields = _RECORDS[detail]
         for name in required:
@@ -283,22 +288,24 @@ def _field_errors(node, kind: str, detail, path: tuple, out: list) -> None:
             verb = "was" if len(extras) == 1 else "were"
             names = ", ".join(map(repr, extras))
             out.append((path, f"Additional properties are not allowed ({names} {verb} unexpected)"))
-        for name, (kind, detail) in fields.items():
-            if name in node:
-                _field_errors(node[name], kind, detail, path + (name,), out)
+        for name, value in node.items():
+            if name in fields:
+                _field_errors(value, *fields[name], path + (name,), out, infinite)
+            else:
+                infinite += [(*path, name, *below) for below in _non_finite(value)]
 
 
 _FLOAT_MAX = sys.float_info.max
 
 
 def _non_finite(node) -> list[tuple]:
-    """Key paths of every number in a parsed document that a float cannot
-    hold: inf, NaN, or an integer beyond the float range.
+    """Key paths of every number under ``node`` that a float cannot hold:
+    inf, NaN, or an integer beyond the float range.
 
     YAML's .inf and .nan satisfy every numeric bound of the schema, and a
     huge integer would overflow only later, when the model converts it; so
-    they are caught here rather than surfacing as a NaN or null rate or as
-    a traceback.  A path is built only for a number rejected.
+    they are caught at load rather than surfacing as a NaN or null rate or
+    as a traceback.
     """
     # NaN fails the comparisons too; abs(True) is 1
     if isinstance(node, dict):
@@ -309,17 +316,7 @@ def _non_finite(node) -> list[tuple]:
         return [] if abs(node) <= _FLOAT_MAX else [()]
     else:
         return []
-    # each number is checked in this loop, and only a collection costs a call
-    found = []
-    for key, value in items:
-        if isinstance(value, (int, float)):
-            if not abs(value) <= _FLOAT_MAX:
-                found.append((key,))
-        elif isinstance(value, (dict, list)):
-            below = _non_finite(value)
-            if below:
-                found += [(key, *path) for path in below]
-    return found
+    return [(key, *path) for key, value in items for path in _non_finite(value)]
 
 
 def _dotted(path: tuple) -> str:
@@ -335,26 +332,18 @@ def _check_document(doc) -> tuple[list[str], list[TrioConfig]]:
     """validate_document's problems, and the TrioConfig of each segment
     that its consistency pass built: of every segment when there are no
     problems."""
-    errors: list[tuple] = []
-    _field_errors(doc, "object", "document", (), errors)
+    errors, infinite = [], []
+    _field_errors(doc, "object", "document", (), errors, infinite)
     problems = [
         f"{_dotted(path)}: {message}"
         for path, message in sorted(errors, key=lambda e: [str(x) for x in e[0]])
     ]
-    problems += [f"{_dotted(path)}: must be finite" for path in _non_finite(doc)]
+    problems += [f"{_dotted(path)}: must be finite" for path in infinite]
     configs: list[TrioConfig] = []
     if problems:
         return problems, configs
-    # The field table checks each field alone.  It cannot cross-check a
-    # link's transmission and loss_db, see a transmission so small that it
-    # is subnormal, see an outer click probability below MIN_CLICK_PROB or
-    # a B click probability with memory that underflows to 0, nor tell
-    # segments apart by name.  A subnormal transmission, given or implied
-    # by a loss above about 3076.5 dB, makes the yields' products underflow
-    # into 0/0 = NaN later.  The two link fields must agree relatively, so
-    # that a tiny link is checked too, within 1e-8: the implied value as
-    # the message prints it, at %.9g, is within 5e-9 of it.
-    tiny = sys.float_info.min
+    # What the field table cannot see, on fields that passed it: duplicate
+    # names, a link's two fields together, and click probabilities too small.
     first_at: dict[str, int] = {}
     for i, seg in enumerate(doc["segments"]):
         first = first_at.setdefault(seg["name"], i)
@@ -363,31 +352,11 @@ def _check_document(doc) -> tuple[list[str], list[TrioConfig]]:
                 f"segments.{i}.name: duplicate segment name {seg['name']!r} "
                 f"(first at segments.{first})"
             )
-        found = len(problems)
-        for key in ("AB", "BC"):
-            raw = seg["links"][key]
-            where = f"segments.{i}.links.{key}"
-            if "transmission" in raw and raw["transmission"] < tiny:
-                problems.append(
-                    f"{where}.transmission: {raw['transmission']!r} is less than the "
-                    f"minimum of {tiny!r}"
-                )
-            if "loss_db" not in raw:
-                continue
-            implied = transmission_from_db(raw["loss_db"])
-            if implied < tiny:
-                problems.append(
-                    f"{where}.loss_db: implies transmission {implied!r}, need >= {tiny!r}"
-                )
-            elif "transmission" in raw and not math.isclose(
-                    raw["transmission"], implied, rel_tol=1e-8):
-                problems.append(
-                    f"{where}: transmission {raw['transmission']} "
-                    f"disagrees with loss_db {raw['loss_db']} (implies {implied:.9g})"
-                )
-        if len(problems) > found:
+        links = [_build_link(seg["links"][key], f"segments.{i}.links.{key}", problems)
+                 for key in ("AB", "BC")]
+        if not all(links):
             continue
-        cfg = _build_segment(seg)
+        cfg = _build_segment(seg, *links)
         # A's and C's windows do not depend on the memory, B's does
         clicks = window_click_probs(cfg, with_memory=cfg.memory is not None)
         problems += [
@@ -407,11 +376,31 @@ def _check_document(doc) -> tuple[list[str], list[TrioConfig]]:
     return problems, configs
 
 
-def _build_link(raw: dict) -> LinkParams:
+def _build_link(raw: dict, where: str, problems: list) -> LinkParams | None:
+    """The link of a field-checked record ``raw`` at ``where``, from its
+    loss_db when given, or None after appending its problems.  A subnormal
+    transmission, given or implied by a loss above about 3076.5 dB, would
+    make the yields' products underflow into 0/0 = NaN.  The two fields
+    must agree relatively, so that a tiny link is checked too, within 1e-8:
+    the implied value as the message prints it, at %.9g, is within 5e-9."""
+    tiny = sys.float_info.min
+    found = len(problems)
+    transmission = raw.get("transmission")
+    if transmission is not None and transmission < tiny:
+        problems.append(f"{where}.transmission: {transmission!r} is less than the minimum "
+                        f"of {tiny!r}")
     if "loss_db" in raw:
-        transmission = transmission_from_db(raw["loss_db"])
-    else:
-        transmission = raw["transmission"]
+        implied = transmission_from_db(raw["loss_db"])
+        if implied < tiny:
+            problems.append(f"{where}.loss_db: implies transmission {implied!r}, need >= {tiny!r}")
+        elif transmission is not None and not math.isclose(transmission, implied, rel_tol=1e-8):
+            problems.append(
+                f"{where}: transmission {transmission} "
+                f"disagrees with loss_db {raw['loss_db']} (implies {implied:.9g})"
+            )
+        transmission = implied
+    if len(problems) > found:
+        return None
     return LinkParams(length=raw["length"], transmission=transmission)
 
 
@@ -423,15 +412,15 @@ def _build_node(key: str, raw: dict) -> NodeParams:
     )
 
 
-def _build_segment(seg: dict) -> TrioConfig:
+def _build_segment(seg: dict, link_ab: LinkParams, link_bc: LinkParams) -> TrioConfig:
     mem = seg.get("memory")
     return TrioConfig(
         name=seg["name"],
         node_a=_build_node("A", seg["nodes"]["A"]),
         node_b=_build_node("B", seg["nodes"]["B"]),
         node_c=_build_node("C", seg["nodes"]["C"]),
-        link_ab=_build_link(seg["links"]["AB"]),
-        link_bc=_build_link(seg["links"]["BC"]),
+        link_ab=link_ab,
+        link_bc=link_bc,
         source=SourceParams(frequency=seg["source"]["frequency"]),
         memory=MemoryParams(efficiency=mem["efficiency"], t2=mem["T2"]) if mem else None,
         speed_of_light=seg.get("speed_of_light", SPEED_OF_LIGHT_FIBER),

@@ -58,6 +58,12 @@ from util import make_cfg
 PURE_LOADER = _config_loader(yaml.SafeLoader)
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+# The benchmark's segments and both bundled files: valid documents to load.
+LOADED_FILES = [
+    Path(SRC_DIR).parent / "benchmarks" / "data" / "segments.yaml",
+    data_path("network_segments.yaml"),
+    data_path("yield_regression.yaml"),
+]
 
 
 def fresh_process(code: str) -> subprocess.CompletedProcess:
@@ -626,15 +632,41 @@ class TestLoadConfig:
         built = []
         build = config._build_segment
 
-        def counting_build(seg):
+        def counting_build(seg, *links):
             built.append(seg["name"])
-            return build(seg)
+            return build(seg, *links)
 
         monkeypatch.setattr(config, "_build_segment", counting_build)
         configs = load_config(data_path())
         doc = yaml.load(data_path().read_text(), Loader=YAML_LOADER)
         assert len(built) == len(doc["segments"]) == 4
         assert built == [cfg.name for cfg in configs]
+
+    @pytest.mark.parametrize("path", LOADED_FILES, ids=lambda path: path.name)
+    def test_a_valid_load_leaves_no_value_to_the_finite_recursion(self, monkeypatch, path):
+        # the field walk checks each number the table describes; only a
+        # value of the wrong type or under an unknown key goes to _non_finite
+        walked = []
+        monkeypatch.setattr(config, "_non_finite", lambda node: walked.append(node) or [])
+        assert load_config(path)
+        assert walked == []
+
+    @pytest.mark.parametrize("path, expected", zip(LOADED_FILES, (8, 8, 0)),
+                             ids=[path.name for path in LOADED_FILES])
+    def test_each_loss_is_converted_once(self, monkeypatch, path, expected):
+        converted = []
+        convert = config.transmission_from_db
+
+        def counting_convert(loss_db):
+            converted.append(loss_db)
+            return convert(loss_db)
+
+        monkeypatch.setattr(config, "transmission_from_db", counting_convert)
+        load_config(path)
+        doc = yaml.load(path.read_text(), Loader=YAML_LOADER)
+        links = [seg["links"][key] for seg in doc["segments"] for key in ("AB", "BC")]
+        assert converted == [link["loss_db"] for link in links if "loss_db" in link]
+        assert len(converted) == expected
 
 
 def _doc_paths(node, path=()):

@@ -8,7 +8,7 @@ import yaml
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ghzline.config import YAML_LOADER, _config_loader, _non_finite
+from ghzline.config import YAML_LOADER, _config_loader, _non_finite, validate_document
 
 
 class _StockDeep:
@@ -260,4 +260,10 @@ def test_finite_check_on_loaded_documents(loader):
     assert _non_finite(doc) == reference_non_finite(doc) == [
         ("segments", 0, "unknown", 0), ("segments", 0, "unknown", 1, "deep", 1),
         ("segments", 0, "links", "AB", "length"), ("top",),
+    ]
+    # the field walk finds them in the same document order: an unknown
+    # key's numbers before a known field's that follows it
+    assert [p for p in validate_document(doc) if p.endswith(": must be finite")] == [
+        "segments.0.unknown.0: must be finite", "segments.0.unknown.1.deep.1: must be finite",
+        "segments.0.links.AB.length: must be finite", "top: must be finite",
     ]

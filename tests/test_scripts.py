@@ -2,11 +2,14 @@
 README's library example."""
 
 import csv
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ghzline
 from ghzline.config import data_path, load_config
@@ -14,6 +17,7 @@ from ghzline.config import data_path, load_config
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 SEGMENTS = sorted(cfg.name for cfg in load_config(data_path()))
+BENCH_SEGMENTS = (ROOT / "benchmarks" / "data" / "segments.yaml").read_text()
 
 
 def run_script(name, *args):
@@ -44,6 +48,45 @@ def test_heatmap_grids_rejects_a_one_step_grid(tmp_path):
     assert done.returncode == 2
     assert done.stderr == "error: --steps: one step needs min == max, got 0.0..0.3\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["../escaped", "..", "nul\0"], ids=["parent", "dotdot", "nul"])
+def test_heatmap_grids_refuses_a_name_outside_outdir(tmp_path, name):
+    # each segment's CSV is <outdir>/<name>.csv, so a name must be a plain file name
+    config = tmp_path / "named.yaml"
+    config.write_text(BENCH_SEGMENTS.replace(
+        "name: berlin-schaepe-koeckern", f"name: {json.dumps(name)}", 1))
+    done = run_script("heatmap_grids.py", "--config", str(config), "--steps", "2",
+                      "--outdir", str(tmp_path / "out" / "grids"))
+    assert done.returncode == 2
+    assert done.stderr == f"error: segment name {name!r} is not a plain file name\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["named.yaml"]
+
+
+@pytest.mark.parametrize("script, out", [("heatmap_grids.py", "--outdir"),
+                                         ("memory_gain_scan.py", "--out")],
+                         ids=["heatmap_grids", "memory_gain_scan"])
+def test_scripts_refuse_an_invalid_config(tmp_path, script, out):
+    config = tmp_path / "empty.yaml"
+    config.write_text("segments: []\n")
+    done = run_script(script, "--config", str(config), out, str(tmp_path / "out"))
+    assert done.returncode == 2
+    assert done.stderr == "error: invalid configuration:\n  - segments: [] should be non-empty\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.yaml"]
+
+
+def test_memory_gain_scan_refuses_an_underflowing_yield(tmp_path):
+    # 1700 dB links and no dark counts: a valid config whose memoryless
+    # yield underflows to 0, which ghzline yields refuses in the same words
+    config = tmp_path / "lossy.yaml"
+    config.write_text(re.sub(r"dark_count_prob: \S+}", "dark_count_prob: 0.0}", re.sub(
+        r"loss_db: \S+}", "loss_db: 1700.0}", BENCH_SEGMENTS)))
+    done = run_script("memory_gain_scan.py", "--config", str(config),
+                      "--out", str(tmp_path / "gain.csv"))
+    assert done.returncode == 2
+    assert done.stderr == ("error: segment berlin-schaepe-koeckern: memoryless yield "
+                           "underflows to 0, so the memory ratio is undefined\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lossy.yaml"]
 
 
 def test_memory_gain_scan(tmp_path):
