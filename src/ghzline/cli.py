@@ -205,7 +205,8 @@ def _format_report_text(row: RateReport) -> str:
 
 
 # The option behind each SweepSpec field that simulate and sweep set.
-SPEC_FLAGS = {"fd_range": "--fd", "fg_range": "--fg", "t2_values": "--t2"}
+SPEC_FLAGS = {"fd_range": "--fd", "fg_range": "--fg", "fd_range x fg_range": "--fd x --fg",
+              "t2_values": "--t2"}
 
 
 def _sweep_spec(**fields) -> SweepSpec:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -189,89 +190,94 @@ def _segment_strengths(physics: SegmentPhysics) -> tuple[tuple, tuple]:
     return tuple(dephasings), tuple(dark_counts)
 
 
+@cache
+def _stack_kernels() -> tuple:
+    """_stages' kernels on a real (B, 16) stack: density's row kernels on
+    four qubits.  An axis is a (B, 1) column, and the merge broadcasts the
+    (F, 16) rows of the F f_D entries against the (G, 1) f_G column."""
+    def merge(rows, fail):
+        gate, scrambled = _row_cz_terms(rows, 4, PRE_CZ_EDGES, 1, 2)
+        # row (i, j) takes f_D entry i and f_G entry j
+        mixed = gate[:, None] * (1.0 - fail)
+        mixed += scrambled[:, None] * fail
+        return mixed.reshape(-1, 16)
+
+    return (_initial_register(), lambda values: np.array(values).reshape(-1, 1),
+            lambda rows, edges, qubit, quarter, keep: _row_depolarize(rows, 4, edges, qubit, quarter, keep),
+            lambda rows, qubit, lam: _row_dephase(rows, 4, qubit, lam), merge)
+
+
+@cache
+def _float_kernels() -> tuple:
+    """_stages' kernels on the one row of a one-point grid as 16 Python
+    floats, where numpy's per-call cost would be most of the work.
+
+    Each does its row kernel's operations on each entry in the same order,
+    and every one is one IEEE operation, which a CPython float rounds as a
+    numpy float64 ufunc does; neither fuses two into one.  They read the
+    row kernels' tables, bound here once as tuples.
+    """
+    def listed(table: np.ndarray) -> tuple:
+        return tuple(table.tolist())
+
+    pre, post = (tuple(listed(_depolarize_mask(4, edges, q)) for q in range(4))
+                 for edges in (PRE_CZ_EDGES, POST_CZ_EDGES))
+    z_signs = tuple(listed(_bit_signs(4, q)) for q in range(4))
+    cz_signs, weights = listed(_cz_conjugation(4, 1, 2)), listed(_trace_weights(4, PRE_CZ_EDGES, 1, 2))
+
+    def depolarize(row, edges, qubit, quarter, keep):
+        # The mask is picked by identity: hashing the edges costs more.
+        # Off the mask, quarter * 0.0 is np.where's +0.0 times quarter, the
+        # same bits for every entry, so it is computed once.
+        mask, zero = (pre if edges is PRE_CZ_EDGES else post)[qubit], quarter * 0.0
+        return [keep * x + (quarter * (4.0 * x) if m else zero) for x, m in zip(row, mask)]
+
+    def dephase(row, qubit, lam):
+        keep = 1.0 - lam
+        return [keep * x + lam * (x * z) for x, z in zip(row, z_signs[qubit])]
+
+    def merge(row, fail):
+        keep = 1.0 - fail
+        return [(x * s) * keep + (x * w + 0.0) * fail for x, s, w in zip(row, cz_signs, weights)]
+
+    return listed(_initial_register()[0]), itemgetter(0), depolarize, dephase, merge
+
+
 def _stages(physics: SegmentPhysics, fds: Sequence[float], fgs: Sequence[float]):
     """Yield (name, rows) for the source register and after each step
-    before the Y measurement, in order, for checked f_D and f_G values.
+    before the Y measurement, in order, for checked f_D and f_G values:
+    the one place the engine's stage order is written.
 
-    The rows are row 0 of each state, a real (B, 16) stack, and this is
-    exact: each state is diagonal in the graph-state basis of PRE_CZ_EDGES
-    before the CZ and POST_CZ_EDGES after it, and each step combines only
-    entries of one XOR class i ^ j, each times +-1.  B is the f_D count
-    before the f_G mix (the first transit step broadcasts the register)
-    and the point count, f_D-major, from the mix on.  Each step maps each
-    row alone in a fixed order: the dense channels' bits, whatever the stack.
+    The rows are row 0 of each state, and this is exact: each state is
+    diagonal in the graph-state basis of PRE_CZ_EDGES before the CZ and
+    POST_CZ_EDGES after it, and each step combines only entries of one XOR
+    class i ^ j, each times +-1.  The grid size alone picks the kernel
+    family, (register, axis strengths, depolarize, dephase, merge): one
+    point runs _float_kernels on a list of 16 Python floats, any other grid
+    _stack_kernels on a real (B, 16) stack, B the f_D count before the f_G
+    mix (the first transit step broadcasts the register) and the point
+    count, f_D-major, from it on.  Each step maps each row alone in a fixed
+    order: the dense channels' bits, in either family.
     """
     dephasings, dark_counts = _segment_strengths(physics)
-    rows = _initial_register()
+    rows, strengths, depolarize, dephase, merge = (
+        _float_kernels() if len(fds) == len(fgs) == 1 else _stack_kernels())
     yield "source pairs", rows
-    depol = np.array(fds).reshape(-1, 1)
+    depol = strengths(fds)
     quarter, keep = depol / 4.0, 1.0 - depol
     for name, qubit in (("transit 0", 0), ("transit 3", 3)):
-        rows = _row_depolarize(rows, 4, PRE_CZ_EDGES, qubit, quarter, keep)
+        rows = depolarize(rows, PRE_CZ_EDGES, qubit, quarter, keep)
         yield name, rows
     for name, (qubit, lam) in zip(("near memory", "far memory"), dephasings):
-        rows = _row_dephase(rows, 4, qubit, lam)
+        rows = dephase(rows, qubit, lam)
         yield name, rows
-    gate, scrambled = _row_cz_terms(rows, 4, PRE_CZ_EDGES, 1, 2)
-    # row (i, j) takes f_D entry i and f_G entry j
-    fail = np.array(fgs).reshape(1, -1, 1)
-    rows = gate[:, None] * (1.0 - fail)
-    rows += scrambled[:, None] * fail
-    rows = rows.reshape(-1, 16)
+    rows = merge(rows, strengths(fgs))
     yield "merge CZ", rows
     # _segment_strengths gives qubits 0 to 3 in order
     names = ("dark counts 0", "dark counts 1", "dark counts 2", "dark counts 3")
     for name, (qubit, quarter_s, keep_s) in zip(names, dark_counts):
-        rows = _row_depolarize(rows, 4, POST_CZ_EDGES, qubit, quarter_s, keep_s)
+        rows = depolarize(rows, POST_CZ_EDGES, qubit, quarter_s, keep_s)
         yield name, rows
-
-
-@cache
-def _point_tables() -> tuple:
-    """The tables _stages reads, as tuples of Python floats (bools for the
-    depolarization masks), for _point_row: the source register row, the
-    masks of each qubit before and after the CZ, each qubit's Z signs,
-    and the merge CZ's signs and trace weights."""
-    def listed(table: np.ndarray) -> tuple:
-        return tuple(table.tolist())
-
-    return (
-        listed(_initial_register()[0]),
-        tuple(listed(_depolarize_mask(4, PRE_CZ_EDGES, q)) for q in range(4)),
-        tuple(listed(_depolarize_mask(4, POST_CZ_EDGES, q)) for q in range(4)),
-        tuple(listed(_bit_signs(4, q)) for q in range(4)),
-        listed(_cz_conjugation(4, 1, 2)),
-        listed(_trace_weights(4, PRE_CZ_EDGES, 1, 2)),
-    )
-
-
-def _depolarized(row, mask, quarter: float, keep: float) -> list[float]:
-    # _row_depolarize's two products and sum per entry; the 0.0 branch is
-    # the +0.0 np.where gives
-    return [keep * x + quarter * (4.0 * x if m else 0.0) for x, m in zip(row, mask)]
-
-
-def _point_row(physics: SegmentPhysics, fd: float, fg: float) -> list[float]:
-    """_stages' last row for the one point (fd, fg) of checked strengths,
-    as a list of 16 Python floats, bit for bit.
-
-    Each step does its row kernel's operations on each entry in the same
-    order, and every one is one IEEE operation, which a CPython float
-    rounds as a numpy float64 ufunc does; neither fuses two into one.
-    """
-    register, pre_masks, post_masks, z_signs, cz_signs, trace_weights = _point_tables()
-    dephasings, dark_counts = _segment_strengths(physics)
-    quarter, keep = fd / 4.0, 1.0 - fd
-    row = _depolarized(register, pre_masks[0], quarter, keep)
-    row = _depolarized(row, pre_masks[3], quarter, keep)
-    for qubit, lam in dephasings:
-        keep = 1.0 - lam
-        row = [keep * x + lam * (x * z) for x, z in zip(row, z_signs[qubit])]
-    keep = 1.0 - fg
-    row = [(x * s) * keep + (x * w + 0.0) * fg for x, s, w in zip(row, cz_signs, trace_weights)]
-    for qubit, quarter, keep in dark_counts:
-        row = _depolarized(row, post_masks[qubit], quarter, keep)
-    return row
 
 
 def run_stack(
@@ -285,20 +291,14 @@ def run_stack(
     outcome +1, and the conditional three-qubit state on (0, 1, 3) as a
     (B, 8, 8) stack.  The -1 branch is its conjugate (run_pipeline).
 
-    Checks each axis value once and runs the steps of _stages.  A grid of
-    one point runs them on 16 Python floats (_point_row), where numpy's
-    per-call cost would be most of the work; any other grid runs each of
-    _stages' steps once on its whole stack.  Both give the same bits.
-    Then measures qubit 2 in Y, keeping the +1 outcome, on chunks of up
-    to CHUNK_ROWS rows.
+    Checks each axis value once, takes _stages' last rows and measures
+    qubit 2 in Y, keeping the +1 outcome, on chunks of CHUNK_ROWS rows.
     """
     fds = [_checked_strength(v, 1.0, "channel_depol") for v in fds]
     fgs = [_checked_strength(v, 1.0, "gate_fail") for v in fgs]
-    if len(fds) == len(fgs) == 1:
-        rows = np.array([_point_row(physics, fds[0], fgs[0])])
-    else:
-        for _, rows in _stages(physics, fds, fgs):
-            pass
+    for _, rows in _stages(physics, fds, fgs):
+        pass
+    rows = np.array(rows, ndmin=2, copy=None)  # a one-point grid's list is its row
     probs, states = np.empty(len(rows)), np.empty((len(rows), 8, 8), dtype=complex)
     for lo in range(0, len(rows), CHUNK_ROWS):
         chunk = slice(lo, lo + CHUNK_ROWS)
@@ -316,8 +316,7 @@ def run_pipeline(
 ) -> ProtocolOutcome:
     """Run one merge attempt and return the conditional three-qubit state.
 
-    The one-point case of run_stack, which runs it on Python floats
-    (_point_row); _stages lists the steps.
+    The one-point case of run_stack, whose _stages run on Python floats.
     """
     _check_outcome(outcome)
     probs, states = run_stack(

@@ -29,6 +29,11 @@ CSV_COLUMNS = (
 # both go through this table.
 ROW_COLUMNS = tuple(zip(CSV_COLUMNS, RateReport._fields))
 
+# The most (f_D, f_G) points of a SweepSpec grid.  run_sweep evaluates each
+# block of the grid as one stack, at a peak of about 2 KiB per point, so
+# 10^6 points take about 2 GB.
+MAX_GRID_POINTS = 10**6
+
 
 class SpecError(ValueError):
     """A SweepSpec field is out of range: ``field`` names it, ``problem`` says how."""
@@ -43,8 +48,9 @@ class SpecError(ValueError):
 class SweepSpec:
     """Cartesian sweep over the noise knobs and memory settings.
 
-    Each range is (min, max, steps).  t2_values applies to memory-on rows
-    and needs "on" in memory_modes; empty means each segment's configured T2.
+    Each range is (min, max, steps), and the grid holds at most
+    MAX_GRID_POINTS points.  t2_values applies to memory-on rows and needs
+    "on" in memory_modes; empty means each segment's configured T2.
     """
 
     fd_range: tuple[float, float, int] = (0.0, 0.3, 11)
@@ -66,6 +72,10 @@ class SweepSpec:
                 raise SpecError(label, f"need 0 <= min <= max <= 1, got {lo}..{hi}")
             if steps == 1 and lo != hi:
                 raise SpecError(label, f"one step needs min == max, got {lo}..{hi}")
+        points = self.fd_range[2] * self.fg_range[2]
+        if points > MAX_GRID_POINTS:
+            raise SpecError("fd_range x fg_range",
+                            f"{points} grid points, more than the {MAX_GRID_POINTS} a sweep may hold")
         modes = self.memory_modes
         if not modes or len(set(modes)) != len(modes):
             raise SpecError("memory_modes", f"must be nonempty and distinct, got {modes}")

@@ -24,7 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ghzline
-from ghzline import MemoryParams, McResult, cli, config
+from ghzline import MemoryParams, McResult, cli, config, sweep
 from ghzline.cli import _build_parser, _csv_cell, _parse_axis, main, mc_report, yields_report
 from ghzline.config import (
     MIN_CLICK_PROB,
@@ -1153,6 +1153,22 @@ class TestSweepSpec:
         assert spec.fd_range == (0.0, 0.3, 11)
         assert spec.memory_modes == ("off", "on")
 
+    def test_grid_holds_at_most_max_grid_points(self):
+        # only the specs are built, never their grids
+        assert sweep.MAX_GRID_POINTS == 10**6
+        SweepSpec(fd_range=(0.0, 0.3, 1000), fg_range=(0.0, 0.3, 1000))
+        SweepSpec(fd_range=(0.0, 0.3, 10**6), fg_range=(0.1, 0.1, 1))
+        for fd_range, fg_range, points in (
+            ((0.0, 0.3, 1000), (0.0, 0.3, 1001), 1001000),
+            ((0.0, 0.3, 10**6 + 1), (0.1, 0.1, 1), 1000001),
+            ((0.1, 0.1, 1), (0.0, 0.3, 10**6 + 1), 1000001),
+        ):
+            with pytest.raises(SpecError) as info:
+                SweepSpec(fd_range=fd_range, fg_range=fg_range)
+            assert info.value.field == "fd_range x fg_range"
+            assert info.value.problem == (
+                f"{points} grid points, more than the 1000000 a sweep may hold")
+
     @pytest.mark.parametrize("kwargs", [
         {"fd_range": (-0.1, 0.3, 5)},
         {"fd_range": (0.4, 0.3, 5)},
@@ -1737,6 +1753,22 @@ class TestMain:
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fd, fg, points", [
+        ("0:0.3:20000", "0:0.3:20000", 400000000), ("0:0.3:1000", "0:0.3:1001", 1001000),
+        ("0:0.3:1000001", "0", 1000001),
+    ])
+    def test_an_oversized_grid_exits_2_before_any_point_runs(
+        self, monkeypatch, tmp_path, capsys, fd, fg, points
+    ):
+        # only the spec is built: evaluating a grid this large would fail
+        # at its allocation (20000 x 20000 points take about 800 GB)
+        monkeypatch.setattr(sweep, "run_sweep", lambda *args: pytest.fail("the grid ran"))
+        out = tmp_path / "big.csv"
+        assert main(["sweep", "--fd", fd, "--fg", fg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --fd x --fg: {points} grid points, more than the 1000000 a sweep may hold\n")
         assert not out.exists()
 
     def test_simulate_long_t2_limit(self, tmp_path):

@@ -487,7 +487,7 @@ class TestCheckOnce:
         # run_stack's first transit depolarization, one register row for
         # every f_D entry
         stages = protocol._stages(segment_physics(make_cfg(), False), values, [0.0])
-        started = dict(stages)["transit 0"]
+        started = np.array(dict(stages)["transit 0"])  # a list of floats for one value
         stack = np.broadcast_to(source_register()[0].real, (len(values), 16, 16))
         expected = twirl_depolarize(stack, 4, 0, np.array(values).reshape(-1, 1, 1))[:, 0]
         assert started.tobytes() == expected.tobytes()
@@ -525,21 +525,28 @@ point_strengths = with_edges(0.0, 1.0, 0.0, -0.0, 1.0, 5e-324, 2.0**-1030,
 
 @pytest.mark.engine
 class TestOnePointPath:
-    """run_stack runs a one-point grid on Python floats (_point_row) and
-    every larger grid on _stages' numpy stack; both give the same bits."""
+    """_stages runs a one-point grid on Python floats (_float_kernels) and
+    every larger grid on the numpy stack (_stack_kernels); both give the
+    same bits at every stage, and run_stack the same outputs."""
 
     @pytest.mark.parametrize("use_memory", [False, True])
     @given(cfg=configs, fd=point_strengths, fg=point_strengths, other=point_strengths,
            first=st.booleans())
-    def test_point_row_equals_the_stack(self, use_memory, cfg, fd, fg, other, first):
+    def test_float_stages_equal_the_stack(self, use_memory, cfg, fd, fg, other, first):
         physics = segment_physics(cfg, use_memory)
-        *_, (name, rows) = protocol._stages(physics, [fd], [fg])
-        assert name == "dark counts 3"
-        assert np.array([protocol._point_row(physics, fd, fg)]).tobytes() == rows.tobytes()
+        grid_fds = [fd, other] if first else [other, fd]
+        floats = list(protocol._stages(physics, [fd], [fg]))
+        stack = list(protocol._stages(physics, grid_fds, [fg]))
+        assert [name for name, _ in floats] == [name for name, _ in stack]
+        assert floats[-1][0] == "dark counts 3"
+        for (name, row), (_, rows) in zip(floats, stack):
+            assert len(row) == 16 and all(type(x) is float for x in row), name
+            # the point's row of the 2x1 grid; the source pairs are one row
+            assert np.array(row).tobytes() == rows[0 if first else -1].tobytes(), name
         # the 1x1 grid against its row of a 2x1 grid holding the point
         probs, states = run_stack(physics, [fd], [fg])
         row = 0 if first else 1
-        grid_probs, grid_states = run_stack(physics, [fd, other] if first else [other, fd], [fg])
+        grid_probs, grid_states = run_stack(physics, grid_fds, [fg])
         assert probs.tobytes() == grid_probs[row:row + 1].tobytes()
         assert states.tobytes() == grid_states[row:row + 1].tobytes()
 
@@ -555,25 +562,30 @@ class TestRowInvariant:
         cfg=configs,
         fd=with_edges(0.0, 1.0, 0.0, -0.0, 0.5, 1.0),
         fg=with_edges(0.0, 1.0, 0.0, -0.0, 0.5, 1.0),
+        other=with_edges(0.0, 1.0, 0.0, -0.0, 0.5, 1.0),
     )
-    def test_every_stage_is_its_row(self, use_memory, cfg, fd, fg):
+    def test_every_stage_is_its_row(self, use_memory, cfg, fd, fg, other):
         # A zero may carry either sign: a row kernel reads a zero partner
         # entry as +-1 times a zero of the row, and the dense state need
         # not give it that sign (f_D = 1 with no dark counts shows it).
         # No nonzero entry depends on it, and no output of run_stack:
         # TestCheckOnce holds those to reference_chain bit for bit.
+        # Both kernel families: the 1x1 grid runs on Python floats, and the
+        # point is row 0 of a 2x1 grid on the numpy stack.
         xor = np.arange(16)[:, None] ^ np.arange(16)
         stages = reference_stages(cfg, NoiseParams(fd, fg), use_memory)
-        rows = list(protocol._stages(segment_physics(cfg, use_memory), [fd], [fg]))
-        assert [name for name, _ in rows] == [name for name, _, _ in stages]
-        for (name, row), (_, edges, rho) in zip(rows, stages):
-            assert not rho.imag.any()
-            ref = rho[0].real
-            nonzero = ref != 0
-            expected = density._graph_signs(4, edges) * ref[0, xor]
-            assert same_bits(ref[nonzero], expected[nonzero]), name
-            assert np.array_equal(row[0], ref[0]), name
-            assert same_bits(row[0][nonzero[0]], ref[0][nonzero[0]]), name
+        for fds in ([fd], [fd, other]):
+            rows = list(protocol._stages(segment_physics(cfg, use_memory), fds, [fg]))
+            assert [name for name, _ in rows] == [name for name, _, _ in stages]
+            for (name, row), (_, edges, rho) in zip(rows, stages):
+                assert not rho.imag.any()
+                ref = rho[0].real
+                nonzero = ref != 0
+                expected = density._graph_signs(4, edges) * ref[0, xor]
+                assert same_bits(ref[nonzero], expected[nonzero]), name
+                point = np.array(row).reshape(-1, 16)[0]
+                assert np.array_equal(point, ref[0]), (name, len(fds))
+                assert same_bits(point[nonzero[0]], ref[0][nonzero[0]]), (name, len(fds))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_signs_match_the_graph_states(self, n):

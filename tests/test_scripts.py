@@ -2,6 +2,7 @@
 README's library example."""
 
 import csv
+import importlib.util
 import json
 import os
 import re
@@ -47,6 +48,18 @@ def test_heatmap_grids_rejects_a_one_step_grid(tmp_path):
     done = run_script("heatmap_grids.py", "--steps", "1", "--outdir", str(tmp_path / "out"))
     assert done.returncode == 2
     assert done.stderr == "error: --steps: one step needs min == max, got 0.0..0.3\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_heatmap_grids_refuses_an_oversized_grid(tmp_path, monkeypatch, capsys):
+    # in this process, with run_sweep replaced, so that only the spec is built
+    spec = importlib.util.spec_from_file_location("heatmap_grids", SCRIPTS / "heatmap_grids.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "run_sweep", lambda *args: pytest.fail("the grid ran"))
+    assert script.main(["--steps", "1001", "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: --steps: 1002001 grid points, more than the 1000000 a sweep may hold\n")
     assert not (tmp_path / "out").exists()
 
 
