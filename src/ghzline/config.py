@@ -5,6 +5,7 @@ TrioConfig per segment.  Nothing here needs numpy or jsonschema."""
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import math
 import operator
@@ -43,6 +44,10 @@ MIN_CLICK_PROB = 2.05e-307
 # of each bundled file, which skip the walk.
 MAX_NESTING = 200
 
+# The most (kind, text, implicit) keys each config loader keeps resolved
+# tags for: the bundled network_segments.yaml holds 57.
+RESOLVE_CACHE_SIZE = 1024
+
 
 _STR, _SEQ, _MAP, _FLOAT = (
     f"tag:yaml.org,2002:{kind}" for kind in ("str", "seq", "map", "float")
@@ -77,6 +82,11 @@ def _construct_document(loader, node):
     holds itself is PyYAML's "found unconstructable recursive node".  The
     objects, errors and their marks are those of SafeConstructor's deep
     construction, and each level of nesting costs one Python frame.
+
+    construct refers to itself through its closure cell, a cycle that
+    would keep the loader, its tables and the whole node tree for the
+    cyclic garbage collector; emptying the cell on the way out, whether
+    the walk returns or raises, leaves them to reference counting.
     """
     built, building = loader.constructed_objects, loader.recursive_objects
     constructors = loader.yaml_constructors
@@ -119,7 +129,10 @@ def _construct_document(loader, node):
         del building[node]
         return data
 
-    data = construct(node)
+    try:
+        data = construct(node)
+    finally:
+        del construct
     loader.constructed_objects, loader.recursive_objects = {}, {}
     return data
 
@@ -141,7 +154,11 @@ def _config_loader(base: type) -> type:
     wildcard ones.  The table is not rebuilt, so it ignores an implicit
     resolver added to the class later.  BaseResolver's path resolvers
     would need the descend and ascend steps, which are no-ops here, so a
-    base class with any is refused.
+    base class with any is refused.  Each loader class keeps the tags of
+    the RESOLVE_CACHE_SIZE distinct (kind, text, implicit) keys it last
+    resolved, in a static lru_cache that libyaml's composer calls without
+    binding a method; the implicit flags are part of the key, since a
+    quoted "1.0" is a string where a plain one is a float.
     """
     loader = type("_ConfigLoader", (base,), {
         "construct_document": _construct_document,
@@ -159,14 +176,15 @@ def _config_loader(base: type) -> type:
     wildcards = tuple(implicit.get(None, ()))
     table = {first: (*pairs, *wildcards) for first, pairs in implicit.items() if first is not None}
 
-    def resolve(self, kind, value, implicit):
+    @functools.lru_cache(maxsize=RESOLVE_CACHE_SIZE)
+    def resolve(kind, value, implicit):
         if kind is yaml.ScalarNode and implicit[0]:
             for tag, regexp in table.get(value[:1], wildcards):
                 if regexp.match(value):
                     return tag
         return _DEFAULT_TAGS.get(kind)
 
-    loader.resolve = resolve
+    loader.resolve = staticmethod(resolve)
     return loader
 
 

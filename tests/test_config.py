@@ -1,14 +1,32 @@
 """The config loaders' tag resolution and document construction, held to
-PyYAML's own, and the finite check on the documents they build."""
+PyYAML's own, the finite check on the documents they build, and the
+cyclic garbage that a load and the package's other entry points leave."""
 
+import contextlib
+import gc
+import io
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ghzline.config import YAML_LOADER, _config_loader, _non_finite, validate_document
+from ghzline import MemoryParams, cli, config
+from ghzline.config import (
+    YAML_LOADER,
+    ConfigError,
+    _config_loader,
+    _non_finite,
+    load_config,
+    validate_document,
+)
+from ghzline.mc import CHUNK, mc_coherence_near, mc_expected_max, mc_yield_memoryless
+from ghzline.protocol import NoiseParams, run_pipeline
+from ghzline.rates import full_report, rate_reports
+from ghzline.sweep import SweepSpec, run_sweep
+from util import make_cfg
 
 
 class _StockDeep:
@@ -155,6 +173,38 @@ def test_every_table_entry_resolves_as_base_resolver(loader):
                 assert resolver.resolve(yaml.ScalarNode, value, implicit) == expected
 
 
+BENCH_SEGMENTS = Path(__file__).resolve().parent.parent / "benchmarks" / "data" / "segments.yaml"
+
+
+@pytest.mark.parametrize("loader", LOADERS.values(), ids=LOADERS.keys())
+def test_resolver_cache_resolves_each_distinct_key_once(loader):
+    text = BENCH_SEGMENTS.read_text(encoding="utf-8")
+    loader.resolve.cache_clear()
+    yaml.load(text, Loader=loader)
+    info = loader.resolve.cache_info()
+    assert (info.misses, info.hits) == (57, 166)
+    yaml.load(text, Loader=loader)
+    assert loader.resolve.cache_info().misses == 57
+
+
+# Each text plain and quoted, as a key and as a value, in both orders: a
+# cache keyed on the text alone would give the later spelling the tag of
+# the first.
+SPELLINGS = (
+    "2.5: '2.5'\n'2.5': 2.5\nnull: 'null'\n'null': null\ntrue: 'true'\n'true': true\n"
+    "'12': [12, '12', \"~\", ~]\n"
+)
+
+
+@pytest.mark.parametrize("loader", LOADERS.values(), ids=LOADERS.keys())
+def test_cached_tags_tell_plain_from_quoted(loader):
+    expected = yaml.load(SPELLINGS, Loader=yaml.SafeLoader)
+    assert len(expected) == 7
+    loader.resolve.cache_clear()
+    assert yaml.load(SPELLINGS, Loader=loader) == expected  # cold
+    assert yaml.load(SPELLINGS, Loader=loader) == expected  # warm
+
+
 def test_a_base_with_path_resolvers_is_refused():
     class WithPaths(yaml.SafeLoader):
         pass
@@ -267,3 +317,90 @@ def test_finite_check_on_loaded_documents(loader):
         "segments.0.unknown.0: must be finite", "segments.0.unknown.1.deep.1: must be finite",
         "segments.0.links.AB.length: must be finite", "top: must be finite",
     ]
+
+
+# ---------------------------------------------------------------- garbage
+
+def _cyclic_garbage(run) -> int:
+    """Objects that reference counting leaves for the cyclic collector
+    after one call of ``run``, counted with the collector paused.  A call
+    before it makes the one-off imports and module caches."""
+    run()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        run()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load(loader, text):
+    """A run of load_config through ``loader`` on a file holding ``text``,
+    or on the benchmark's segments when it is None."""
+    def make(tmp_path):
+        path = BENCH_SEGMENTS
+        if text is not None:
+            path = tmp_path / "config.yaml"
+            path.write_text(text)
+
+        def run():
+            config.YAML_LOADER, default = loader, config.YAML_LOADER
+            try:
+                load_config(path)
+                assert text is None
+            except ConfigError:
+                assert text is not None
+            finally:
+                config.YAML_LOADER = default
+        return run
+    return make
+
+
+def _main(*argv):
+    """A run of cli.main on ``argv``, ``{out}`` its file in the test's
+    temporary directory."""
+    def make(tmp_path):
+        args = [arg.format(out=tmp_path / "out") for arg in argv]
+
+        def run():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(args) == 0
+        return run
+    return make
+
+
+MEMORY_CFG = make_cfg(trans_ab=0.3, trans_bc=0.7, memory=MemoryParams(0.9, 0.002))
+NOISE = NoiseParams(0.05, 0.1)
+# Errors raised inside the construction walk.  A self-referential alias
+# is left out: its nodes hold each other, a cycle of the document itself.
+LOADS = {"valid": None, "unhashable-key": "segments: [{? [1]: x}]\n",
+         "bad-tag": "segments: [a, {b: !!bool maybe}]\n"}
+# Each entry makes, in a temporary directory, a run that must leave no
+# cyclic garbage.  mc-check through cli.main is left out: its
+# json.dumps(indent=1) builds the stdlib's pure-Python encoder, whose
+# closures refer to each other, on every call, and leaves 33 objects.
+GARBAGE_FREE = {
+    **{f"load_config-{loader_name}-{name}": _load(loader, text)
+       for loader_name, loader in LOADERS.items() for name, text in LOADS.items()},
+    "main-yields": _main("yields", "--config", str(BENCH_SEGMENTS)),
+    "main-simulate-memory": _main("simulate", "--memory"),
+    "main-sweep-2x2": _main("sweep", "--config", str(BENCH_SEGMENTS), "--fd", "0:0.1:2",
+                            "--fg", "0:0.1:2", "--out", "{out}"),
+    "full_report": lambda _: lambda: full_report(MEMORY_CFG, NOISE, use_memory=True),
+    "run_pipeline": lambda _: lambda: run_pipeline(MEMORY_CFG, NOISE, use_memory=True),
+    "rate_reports": lambda _: lambda: rate_reports(MEMORY_CFG, [0.0, 0.1], [0.0, 0.2]),
+    "run_sweep": lambda _: lambda: run_sweep([MEMORY_CFG],
+                                             SweepSpec((0.0, 0.1, 2), (0.0, 0.1, 2))),
+    # two chunks, so that a second worker runs where there are two CPUs
+    "mc_expected_max": lambda _: lambda: mc_expected_max(0.3, 0.4, CHUNK + 1, 1),
+    "mc_coherence_near": lambda _: lambda: mc_coherence_near(MEMORY_CFG, CHUNK + 1, 1),
+    "mc_yield_memoryless": lambda _: lambda: mc_yield_memoryless(MEMORY_CFG, CHUNK + 1, 1),
+}
+
+
+@pytest.mark.parametrize("make", GARBAGE_FREE.values(), ids=GARBAGE_FREE.keys())
+def test_no_cyclic_garbage(tmp_path, make):
+    assert _cyclic_garbage(make(tmp_path)) == 0
