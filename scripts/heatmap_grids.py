@@ -52,10 +52,14 @@ def main(argv=None) -> int:
         flag = "--t2" if exc.field == "t2_values" else "--steps"
         print(f"error: {flag}: {exc.problem}", file=sys.stderr)
         return 2
-    args.outdir.mkdir(parents=True, exist_ok=True)
     failed_total = 0
     for cfg in configs:
-        rows = run_sweep([cfg], spec)
+        try:
+            rows = run_sweep([cfg], spec)
+        except SpecError as exc:  # too many rows: each segment's run has as many
+            print(f"error: --steps: {exc.problem}", file=sys.stderr)
+            return 2
+        args.outdir.mkdir(parents=True, exist_ok=True)
         out = emit(rows, "csv", args.outdir / f"{cfg.name}.csv")
         failed = sum(1 for r in rows if r.error is not None)
         failed_total += failed

@@ -17,6 +17,7 @@ be evaluated.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -209,15 +210,24 @@ SPEC_FLAGS = {"fd_range": "--fd", "fg_range": "--fg", "fd_range x fg_range": "--
               "t2_values": "--t2"}
 
 
+@contextlib.contextmanager
+def _by_option():
+    """Report a SpecError raised inside by the option the user typed."""
+    from .sweep import SpecError
+
+    try:
+        yield
+    except SpecError as exc:
+        raise ValueError(f"{SPEC_FLAGS[exc.field]}: {exc.problem}") from None
+
+
 def _sweep_spec(**fields) -> SweepSpec:
     """SweepSpec from command-line values; a field out of range is
     reported by the option the user typed."""
-    from .sweep import SpecError, SweepSpec
+    from .sweep import SweepSpec
 
-    try:
+    with _by_option():
         return SweepSpec(**fields)
-    except SpecError as exc:
-        raise ValueError(f"{SPEC_FLAGS[exc.field]}: {exc.problem}") from None
 
 
 def _cmd_simulate(args) -> int:
@@ -275,7 +285,8 @@ def _cmd_sweep(args) -> int:
         memory_modes=modes,
         t2_values=tuple(args.t2 or ()),
     )
-    rows = run_sweep(configs, spec)
+    with _by_option():  # a run of too many rows
+        rows = run_sweep(configs, spec)
     out = emit(rows, args.format, args.out)
     failed = sum(1 for r in rows if r.error is not None)
     note = f" ({failed} rows failed)" if failed else ""

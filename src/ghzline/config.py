@@ -48,6 +48,10 @@ MAX_NESTING = 200
 # tags for: the bundled network_segments.yaml holds 57.
 RESOLVE_CACHE_SIZE = 1024
 
+# The most config texts whose configs load_config keeps, the least recently
+# loaded first out: a process reads one file, or a few, again and again.
+CONFIG_CACHE_SIZE = 16
+
 
 _STR, _SEQ, _MAP, _FLOAT = (
     f"tag:yaml.org,2002:{kind}" for kind in ("str", "seq", "map", "float")
@@ -447,37 +451,49 @@ def _build_segment(seg: dict, link_ab: LinkParams, link_bc: LinkParams) -> TrioC
 
 def load_config(path) -> list[TrioConfig]:
     """Read, parse and validate a segment configuration file; one
-    TrioConfig per segment, in file order.
+    TrioConfig per segment, in file order, in a new list.
 
-    Every call reads the file anew.  Violations are collected and reported
-    all at once in a ConfigError instead of stopping at the first; so are
-    a file that cannot be read or parsed, and a document that refers to
-    itself or nests too deeply to build.  Each segment is built once, by
-    the consistency checks, and those configs are returned.
+    Every call reads the file anew.  A text read before through the same
+    YAML_LOADER from the same path gives the configs built from it then,
+    for the CONFIG_CACHE_SIZE texts last loaded: a load depends on those
+    three alone, and a TrioConfig is frozen.  Violations are collected
+    and reported all at once in a ConfigError instead of stopping at the
+    first; so are a file that cannot be read or parsed, and a document
+    that refers to itself or nests too deeply to build.  A rejected text
+    is not kept.  Each segment is built once, by the consistency checks,
+    and those configs are returned.
     """
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read {p}: {exc}"]) from exc
-    too_deep = f"{p}: parse error: document nests too deeply"
+    return list(_parse_configs(YAML_LOADER, text, str(p)))
+
+
+@functools.lru_cache(maxsize=CONFIG_CACHE_SIZE)
+def _parse_configs(loader: type, text: str, name: str) -> tuple[TrioConfig, ...]:
+    """The configs of the config file ``name`` that holds ``text``, read
+    through ``loader``; load_config's ConfigError, which lru_cache keeps
+    no result for, when the text is rejected."""
+    too_deep = f"{name}: parse error: document nests too deeply"
     if _nests_too_deeply(text):
         raise ConfigError([too_deep])
     # the parser names its stream in every error mark, "in <name>, line L"
     stream = io.StringIO(text)
-    stream.name = str(p)
+    stream.name = name
     try:
-        doc = yaml.load(stream, Loader=YAML_LOADER)
+        doc = yaml.load(stream, Loader=loader)
     except (yaml.YAMLError, ValueError) as exc:
         # a ValueError: an integer beyond Python's int-string conversion
         # limit; a self-referential alias is a yaml.YAMLError
-        raise ConfigError([f"{p}: parse error: {exc}"]) from exc
+        raise ConfigError([f"{name}: parse error: {exc}"]) from exc
     except (LookupError, AttributeError) as exc:
         # PyYAML's safe constructors on an explicitly tagged scalar they
         # cannot read: !!bool maybe (KeyError), !!int '' (IndexError),
         # !!timestamp 2001-99 (AttributeError)
         raise ConfigError([
-            f"{p}: parse error: a tagged scalar does not fit its tag "
+            f"{name}: parse error: a tagged scalar does not fit its tag "
             f"({type(exc).__name__}: {exc})"
         ]) from exc
     except RecursionError as exc:
@@ -486,4 +502,4 @@ def load_config(path) -> list[TrioConfig]:
     problems, configs = _check_document(doc)
     if problems:
         raise ConfigError(problems)
-    return configs
+    return tuple(configs)

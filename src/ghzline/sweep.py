@@ -29,9 +29,11 @@ CSV_COLUMNS = (
 # both go through this table.
 ROW_COLUMNS = tuple(zip(CSV_COLUMNS, RateReport._fields))
 
-# The most (f_D, f_G) points of a SweepSpec grid.  run_sweep evaluates each
-# block of the grid as one stack, at a peak of about 2 KiB per point, so
-# 10^6 points take about 2 GB.
+# The most (f_D, f_G) points of a SweepSpec grid, and the most rows of a
+# run_sweep run: its grid points times its (segment, memory, T2) blocks.
+# run_sweep evaluates each block as one stack, at a peak of about 2 KiB per
+# point, and keeps every finished row, about 0.6 KiB, until emit writes
+# them, so a run at the cap takes at most about 2 GB.
 MAX_GRID_POINTS = 10**6
 
 
@@ -116,11 +118,20 @@ def run_sweep(configs, spec: SweepSpec = SweepSpec()) -> list[RateReport]:
     the block gets a NaN row carrying the error text, and the sweep goes
     on.  Each ValueError the engine raises depends only on the block's
     segment, memory mode and T2, never on f_D or f_G, so it is also each
-    point's own error.
+    point's own error.  A run of more than MAX_GRID_POINTS rows raises
+    SpecError before its first block.
     """
+    configs = sorted(configs, key=lambda c: c.name)
+    points = spec.fd_range[2] * spec.fg_range[2]
+    blocks = len(configs) * (("off" in spec.memory_modes)
+                             + ("on" in spec.memory_modes) * max(len(spec.t2_values), 1))
+    if points * blocks > MAX_GRID_POINTS:
+        raise SpecError("fd_range x fg_range",
+                        f"{points} grid points x {blocks} blocks = {points * blocks} rows, "
+                        f"more than the {MAX_GRID_POINTS} a sweep may hold")
     fds, fgs = _axis(spec.fd_range), _axis(spec.fg_range)
     rows: list[RateReport] = []
-    for cfg in sorted(configs, key=lambda c: c.name):
+    for cfg in configs:
         for mode in ("off", "on"):
             if mode not in spec.memory_modes:
                 continue

@@ -1771,6 +1771,53 @@ class TestMain:
             f"error: --fd x --fg: {points} grid points, more than the 1000000 a sweep may hold\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, blocks", [
+        ([], 8), (["--memory", "--t2", "1", "--t2", "2"], 8), (["--no-memory"], 4),
+    ], ids=["both-modes", "two-t2", "one-mode"])
+    def test_a_run_of_more_rows_than_the_cap_exits_2_before_any_block_runs(
+        self, monkeypatch, tmp_path, capsys, argv, blocks
+    ):
+        # each block holds 25 points, under the cap, but a run keeps every
+        # block's rows until it writes them; the bundled file has 4 segments
+        monkeypatch.setattr(sweep, "MAX_GRID_POINTS", 25 * 4)
+        out = tmp_path / "grid.csv"
+        argv = ["sweep", "--fd", "0:0.3:5", "--fg", "0:0.3:5", "--out", str(out), *argv]
+        if blocks == 4:
+            assert main(argv) == 0
+            assert "wrote 100 rows" in capsys.readouterr().out
+            return
+        monkeypatch.setattr(sweep, "rate_reports", lambda *args, **kw: pytest.fail("a block ran"))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: --fd x --fg: 25 grid points x {blocks} blocks = {25 * blocks} rows, "
+            "more than the 100 a sweep may hold\n")
+        assert not out.exists()
+
+    def test_a_sweep_after_an_edit_writes_the_edited_rows(self, tmp_path, capsys):
+        # two requests in one process: the second reads the edited file,
+        # not the configs the first one built
+        text = LOADED_FILES[0].read_text(encoding="utf-8")
+        edited = text.replace("AB: {length: 90.0, loss_db: 18.0}",
+                              "AB: {length: 90.0, loss_db: 21.0}", 1)
+        assert edited != text
+        path, reference = tmp_path / "segments.yaml", tmp_path / "reference.yaml"
+        outs = {}
+        for name, source, content in (("before", path, text), ("after", path, edited),
+                                      ("reference", reference, edited)):
+            source.write_text(content, encoding="utf-8")
+            outs[name] = tmp_path / f"{name}.csv"
+            assert main(["sweep", "--config", str(source), "--segment", "berlin-schaepe-koeckern",
+                         "--fd", "0:0.3:2", "--fg", "0.1", "--out", str(outs[name])]) == 0
+        before, after, cold = (outs[name].read_bytes() for name in ("before", "after", "reference"))
+        assert after == cold != before
+        path.write_text(edited.replace("loss_db: 21.0", "loss_db: -21.0", 1), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "bad.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid configuration:\n"
+            "  - segments.0.links.AB.loss_db: -21.0 is less than the minimum of 0\n")
+        assert not (tmp_path / "bad.csv").exists()
+
     def test_simulate_long_t2_limit(self, tmp_path):
         # the ideal-memory limit: coherence rounded above 1 once failed here
         out = tmp_path / "report.json"

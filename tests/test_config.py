@@ -1,6 +1,7 @@
 """The config loaders' tag resolution and document construction, held to
-PyYAML's own, the finite check on the documents they build, and the
-cyclic garbage that a load and the package's other entry points leave."""
+PyYAML's own, the finite check on the documents they build, the configs
+that load_config keeps per text, and the cyclic garbage that a load and
+the package's other entry points leave."""
 
 import contextlib
 import gc
@@ -319,6 +320,88 @@ def test_finite_check_on_loaded_documents(loader):
     ]
 
 
+# ---------------------------------------------------------------- kept configs
+
+def _copy(tmp_path, text):
+    path = tmp_path / "segments.yaml"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def test_a_rewritten_file_loads_anew(tmp_path):
+    text = BENCH_SEGMENTS.read_text(encoding="utf-8")
+    path = _copy(tmp_path, text)
+    first = load_config(path)
+    assert first[0].link_ab.length == 90.0
+    _copy(tmp_path, text.replace("AB: {length: 90.0,", "AB: {length: 95.0,", 1))
+    edited = load_config(path)
+    assert edited[0].link_ab.length == 95.0
+    assert edited[1:] == first[1:]
+    _copy(tmp_path, text.replace("AB: {length: 90.0,", "AB: {length: -1.0,", 1))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.problems == [
+        "segments.0.links.AB.length: -1.0 is less than the minimum of 0"]
+
+
+def test_a_rejected_text_is_not_kept(tmp_path):
+    text = BENCH_SEGMENTS.read_text(encoding="utf-8")
+    broken = text.replace("T2: 2.5}", "T2: .inf}", 1)
+    path = _copy(tmp_path, broken)
+    with pytest.raises(ConfigError) as first:
+        load_config(path)
+    assert config._parse_configs.cache_info().currsize == 0
+    _copy(tmp_path, text)
+    assert load_config(path) == load_config(BENCH_SEGMENTS)
+    _copy(tmp_path, broken)
+    misses = config._parse_configs.cache_info().misses
+    with pytest.raises(ConfigError) as again:
+        load_config(path)
+    assert config._parse_configs.cache_info().misses == misses + 1  # parsed again
+    assert str(again.value) == str(first.value)
+    assert again.value.problems == ["segments.0.memory.T2: must be finite"]
+
+
+def test_each_load_returns_a_list_of_its_own():
+    kept = load_config(BENCH_SEGMENTS)
+    kept.clear()
+    again = load_config(BENCH_SEGMENTS)
+    info = config._parse_configs.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert type(again) is list and again is not kept and len(again) == 4
+    config._parse_configs.cache_clear()
+    cold = load_config(BENCH_SEGMENTS)
+    assert again == cold
+    assert [cfg.name for cfg in again] == [cfg.name for cfg in cold]
+
+
+def test_another_loader_or_path_parses_anew(tmp_path, monkeypatch):
+    fast = load_config(BENCH_SEGMENTS)
+    monkeypatch.setattr(config, "YAML_LOADER", LOADERS["pure-python"])
+    assert load_config(BENCH_SEGMENTS) == fast
+    assert config._parse_configs.cache_info().misses == 2
+    # the path names the file in every parse error's marks
+    copy = _copy(tmp_path, BENCH_SEGMENTS.read_text(encoding="utf-8"))
+    assert load_config(copy) == fast
+    info = config._parse_configs.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 0, 3)
+
+
+def test_at_most_config_cache_size_texts_are_kept(tmp_path):
+    text = BENCH_SEGMENTS.read_text(encoding="utf-8")
+    path = tmp_path / "segments.yaml"
+    for i in range(config.CONFIG_CACHE_SIZE + 1):
+        _copy(tmp_path, f"{text}# {i}\n")
+        load_config(path)
+    info = config._parse_configs.cache_info()
+    assert info.maxsize == config.CONFIG_CACHE_SIZE
+    assert (info.misses, info.currsize) == (config.CONFIG_CACHE_SIZE + 1,
+                                            config.CONFIG_CACHE_SIZE)
+    _copy(tmp_path, f"{text}# 0\n")  # the least recently loaded is gone
+    load_config(path)
+    assert config._parse_configs.cache_info().misses == config.CONFIG_CACHE_SIZE + 2
+
+
 # ---------------------------------------------------------------- garbage
 
 def _cyclic_garbage(run) -> int:
@@ -337,9 +420,10 @@ def _cyclic_garbage(run) -> int:
             gc.enable()
 
 
-def _load(loader, text):
+def _load(loader, text, cold=True):
     """A run of load_config through ``loader`` on a file holding ``text``,
-    or on the benchmark's segments when it is None."""
+    or on the benchmark's segments when it is None.  A cold run first drops
+    the configs that load_config keeps, so that it parses the text."""
     def make(tmp_path):
         path = BENCH_SEGMENTS
         if text is not None:
@@ -347,6 +431,8 @@ def _load(loader, text):
             path.write_text(text)
 
         def run():
+            if cold:
+                config._parse_configs.cache_clear()
             config.YAML_LOADER, default = loader, config.YAML_LOADER
             try:
                 load_config(path)
@@ -385,6 +471,7 @@ LOADS = {"valid": None, "unhashable-key": "segments: [{? [1]: x}]\n",
 GARBAGE_FREE = {
     **{f"load_config-{loader_name}-{name}": _load(loader, text)
        for loader_name, loader in LOADERS.items() for name, text in LOADS.items()},
+    "load_config-kept": _load(YAML_LOADER, None, cold=False),
     "main-yields": _main("yields", "--config", str(BENCH_SEGMENTS)),
     "main-simulate-memory": _main("simulate", "--memory"),
     "main-sweep-2x2": _main("sweep", "--config", str(BENCH_SEGMENTS), "--fd", "0:0.1:2",

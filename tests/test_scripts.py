@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import ghzline
+from ghzline import sweep
 from ghzline.config import data_path, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,3 +127,16 @@ def test_readme_library_example():
     printed = [line.rsplit(" ", 1)[0] for line in done.stdout.splitlines()
                if line.startswith("PauliString(")]
     assert printed == [repr(p) for p in ghzline.stabilizer_suite(+1)]
+
+
+def test_heatmap_grids_refuses_a_run_of_too_many_rows(tmp_path, monkeypatch, capsys):
+    # 25 points per block, under the cap; a segment's run of both memory
+    # modes holds 50 rows, over it
+    spec = importlib.util.spec_from_file_location("heatmap_grids", SCRIPTS / "heatmap_grids.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sweep, "MAX_GRID_POINTS", 49)
+    assert script.main(["--steps", "5", "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: --steps: 25 grid points x 2 blocks = 50 rows, more than the 49 a sweep may hold\n")
+    assert not (tmp_path / "out").exists()
